@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selc::{effect, handle, loss, perform, Choice, Handler, Sel};
 use selc_cache::ShardedCache;
+use selc_engine::CancelToken;
 use selc_obs::{trace, SpanLabel};
 use std::rc::Rc;
 use std::sync::LazyLock;
@@ -51,8 +52,8 @@ static AB_CANCELLED: LazyLock<selc_obs::Counter> =
 /// bounds produced by a cut somewhere below.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbFlag {
-    /// `value` is the true minimax value and `play` the backward-
-    /// induction play (leftmost ties). Reusable under any window.
+    /// `value` is the true minimax value and `leaf` the backward-
+    /// induction leaf (leftmost ties). Reusable under any window.
     Exact,
     /// The node was cut from below: the true value is `>= value`.
     /// Reusable only to re-trigger a cut, when `value > beta`.
@@ -62,24 +63,33 @@ pub enum AbFlag {
     Upper,
 }
 
-/// One transposition entry: a node's resolved `(play, value)` and how
-/// far it can be trusted ([`AbFlag`]).
-#[derive(Clone, Debug, PartialEq)]
+/// One transposition entry: a node's resolved best leaf and value, and
+/// how far they can be trusted ([`AbFlag`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AbEntry {
-    /// The best full root-to-leaf move path found below the node.
-    pub play: Vec<usize>,
+    /// The best leaf found below the node, as an index into
+    /// [`GameTree::leaves`] (the play is its base-`branching` digits).
+    pub leaf: u64,
     /// The node's minimax value (exact or a one-sided bound, per `flag`).
     pub value: f64,
     /// How much of the window search the entry replaces.
     pub flag: AbFlag,
 }
 
+// Every probe copies an entry out of its shard under the shard lock, so
+// the entry must stay a small plain value: no heap field may creep back.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<AbEntry>();
+    assert!(std::mem::size_of::<AbEntry>() <= 24);
+};
+
 /// A transposition table for [`GameTree::solve_alphabeta_tt`], keyed by
-/// the move path that names the node. Paths carry no tree identity, so
-/// one handle serves **one tree per epoch**: call
+/// the node's breadth-first position in the complete tree. Keys carry no
+/// tree identity, so one handle serves **one tree per epoch**: call
 /// [`ShardedCache::advance_epoch`] before pointing it at a different
 /// tree (entries then lazily die, exactly like the engine caches).
-pub type AbCache = ShardedCache<Vec<usize>, AbEntry>;
+pub type AbCache = ShardedCache<u64, AbEntry>;
 
 effect! {
     /// Ply-0 move (maximiser).
@@ -158,6 +168,20 @@ ply_handler!(h_ply1, Move1, false);
 ply_handler!(h_ply2, Move2, true);
 ply_handler!(h_ply3, Move3, false);
 
+/// `branching^depth`, or `None` when it does not fit a `usize`.
+fn leaf_count(branching: usize, depth: usize) -> Option<usize> {
+    u32::try_from(depth).ok().and_then(|d| branching.checked_pow(d))
+}
+
+/// The transposition key of node `(ply, index)`: its breadth-first
+/// position `1 + b + … + b^(ply−1) + index` in the complete tree. All
+/// shallower nodes number first, so keys are injective for every
+/// `b ≥ 1` (for `b = 1` the key is the ply).
+fn node_key(branching: usize, ply: usize, index: usize) -> u64 {
+    let shallower = (0..ply).fold(0_u64, |n, _| n * branching as u64 + 1);
+    shallower + index as u64
+}
+
 /// A complete game tree with `branching^depth` leaves, maximiser to move
 /// first, leaf values indexed by the move path.
 #[derive(Clone, Debug)]
@@ -175,22 +199,55 @@ impl GameTree {
     ///
     /// # Panics
     ///
-    /// Panics if `branching == 0` or `depth == 0`.
+    /// Panics if `branching == 0` or `depth == 0`, or if
+    /// `branching^depth` does not fit a `usize`.
     pub fn random(branching: usize, depth: usize, seed: u64) -> GameTree {
         assert!(branching > 0 && depth > 0, "degenerate game tree");
+        let n = leaf_count(branching, depth).unwrap_or_else(|| {
+            panic!("game tree too large: {branching}^{depth} leaves overflow usize")
+        });
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = branching.pow(depth as u32);
         let leaves = (0..n).map(|_| rng.gen_range(0.0..100.0)).collect();
         GameTree { branching, depth, leaves }
     }
 
     /// The leaf value at a full move path.
     pub fn leaf(&self, path: &[usize]) -> f64 {
-        let mut idx = 0;
-        for m in path {
-            idx = idx * self.branching + m;
+        self.leaves[self.index_of(path)]
+    }
+
+    /// The index of the node a move path names among its ply's nodes,
+    /// in lexicographic move order.
+    fn index_of(&self, path: &[usize]) -> usize {
+        path.iter().fold(0, |idx, m| idx * self.branching + m)
+    }
+
+    /// The move path to leaf `leaf`: its `depth` base-`branching` digits,
+    /// first move most significant (the inverse of the indexing
+    /// [`GameTree::leaf`] uses).
+    pub(crate) fn play_of(&self, leaf: usize) -> Vec<usize> {
+        let mut play = vec![0; self.depth];
+        let mut rem = leaf;
+        for slot in play.iter_mut().rev() {
+            *slot = rem % self.branching;
+            rem /= self.branching;
         }
-        self.leaves[idx]
+        play
+    }
+
+    /// Panics unless the public fields describe a complete tree: the
+    /// alpha–beta solvers compute every child and leaf index from
+    /// `branching` and `depth`, so `leaves` must hold `branching^depth`
+    /// values.
+    pub(crate) fn assert_shape(&self) {
+        assert!(self.branching > 0, "degenerate game tree");
+        assert_eq!(
+            leaf_count(self.branching, self.depth),
+            Some(self.leaves.len()),
+            "a branching-{} depth-{} game tree needs branching^depth leaves",
+            self.branching,
+            self.depth
+        );
     }
 
     /// Explicit backward induction (negamax-style) — the baseline. The
@@ -244,77 +301,40 @@ impl GameTree {
     /// [`GameTree::solve_alphabeta`] plus the number of leaves actually
     /// evaluated (what the window cuts saved).
     pub fn solve_alphabeta_stats(&self) -> (Vec<usize>, f64, u64) {
-        let mut path = Vec::new();
-        let mut leaves = 0;
-        let (play, value) =
-            self.alphabeta(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves);
-        (play, value, leaves)
+        self.assert_shape();
+        let (solved, leaves) = self.solve_node(0, 0, None, &CancelToken::never());
+        let (leaf, value) = solved.expect("a never token cannot cancel");
+        (self.play_of(leaf), value, leaves)
     }
 
     /// Solves the subgame below the fixed move `prefix` with local
     /// strict-cutoff alpha–beta (a fresh window — cross-subtree bounds
-    /// would make the cut set depend on sibling timing). Building block
-    /// of the parallel full-tree solver in [`crate::parallel`].
+    /// would make the cut set depend on sibling timing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix` is longer than the tree or names a move
+    /// `>= branching`.
     pub fn solve_alphabeta_from(&self, prefix: &[usize]) -> (Vec<usize>, f64) {
-        let mut path = prefix.to_vec();
-        let mut leaves = 0;
-        self.alphabeta(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves)
-    }
-
-    fn alphabeta(
-        &self,
-        path: &mut Vec<usize>,
-        alpha: f64,
-        beta: f64,
-        leaves: &mut u64,
-    ) -> (Vec<usize>, f64) {
-        if path.len() == self.depth {
-            *leaves += 1;
-            return (path.clone(), self.leaf(path));
-        }
-        let maximising = path.len().is_multiple_of(2);
-        let (mut alpha, mut beta) = (alpha, beta);
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        for m in 0..self.branching {
-            path.push(m);
-            let (p, v) = self.alphabeta(path, alpha, beta, leaves);
-            path.pop();
-            let better = match &best {
-                None => true,
-                Some((_, bv)) => {
-                    if maximising {
-                        v > *bv
-                    } else {
-                        v < *bv
-                    }
-                }
-            };
-            if better {
-                best = Some((p, v));
-            }
-            let bv = best.as_ref().expect("just set").1;
-            if maximising {
-                alpha = alpha.max(bv);
-                if bv > beta {
-                    break; // strictly loses at the min ancestor achieving beta
-                }
-            } else {
-                beta = beta.min(bv);
-                if bv < alpha {
-                    break; // strictly loses at the max ancestor achieving alpha
-                }
-            }
-        }
-        best.expect("branching > 0")
+        self.assert_shape();
+        assert!(
+            prefix.len() <= self.depth && prefix.iter().all(|&m| m < self.branching),
+            "prefix {prefix:?} names no node of this tree"
+        );
+        let (solved, _) =
+            self.solve_node(prefix.len(), self.index_of(prefix), None, &CancelToken::never());
+        let (leaf, value) = solved.expect("a never token cannot cancel");
+        (self.play_of(leaf), value)
     }
 
     /// [`GameTree::solve_alphabeta`] through a flagged transposition
-    /// table: every interior resolution is stored as an [`AbEntry`] and
-    /// later visits probe before searching — `Exact` entries answer
-    /// outright, `Lower`/`Upper` entries re-trigger the cut they came
-    /// from when they still clear the live window. The root's window is
-    /// infinite, so the root always stores `Exact` and a warm repeat is
-    /// O(1): one probe, zero leaves.
+    /// table: interior resolutions are stored as [`AbEntry`]s and later
+    /// visits probe before searching — `Exact` entries answer outright,
+    /// `Lower`/`Upper` entries re-trigger the cut they came from when
+    /// they still clear the live window. Nodes on the last interior ply
+    /// below the root scan their leaves without the table. The root's
+    /// window is infinite, so the root always stores `Exact` and a warm
+    /// repeat is O(1): one probe, zero leaves.
     ///
     /// Bit-identity with [`GameTree::solve_backward`] (play *and*
     /// value, leftmost ties) is preserved because bound entries are
@@ -330,14 +350,8 @@ impl GameTree {
     /// [`GameTree::solve_alphabeta_tt`] plus the number of leaves
     /// actually evaluated (0 on a warm repeat).
     pub fn solve_alphabeta_tt_stats(&self, cache: &AbCache) -> (Vec<usize>, f64, u64) {
-        let _span = trace::span(&AB_SOLVE_SPAN, self.depth as u64);
-        let mut path = Vec::new();
-        let mut leaves = 0;
-        let (play, value) =
-            self.alphabeta_tt(&mut path, f64::NEG_INFINITY, f64::INFINITY, &mut leaves, cache);
-        AB_SOLVES.inc();
-        AB_LEAVES.add(leaves);
-        (play, value, leaves)
+        self.solve_alphabeta_tt_cancellable(cache, &CancelToken::never())
+            .expect("a never token cannot cancel")
     }
 
     /// [`GameTree::solve_alphabeta_tt_stats`] under a
@@ -354,24 +368,16 @@ impl GameTree {
     pub fn solve_alphabeta_tt_cancellable(
         &self,
         cache: &AbCache,
-        cancel: &selc_engine::CancelToken,
+        cancel: &CancelToken,
     ) -> Option<(Vec<usize>, f64, u64)> {
         let _span = trace::span(&AB_SOLVE_SPAN, self.depth as u64);
-        let mut path = Vec::new();
-        let mut leaves = 0;
-        let solved = self.alphabeta_tt_cancellable_at(
-            &mut path,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            &mut leaves,
-            cache,
-            cancel,
-        );
+        self.assert_shape();
+        let (solved, leaves) = self.solve_node(0, 0, Some(cache), cancel);
         AB_LEAVES.add(leaves);
         match solved {
-            Some((play, value)) => {
+            Some((leaf, value)) => {
                 AB_SOLVES.inc();
-                Some((play, value, leaves))
+                Some((self.play_of(leaf), value, leaves))
             }
             None => {
                 AB_CANCELLED.inc();
@@ -380,148 +386,36 @@ impl GameTree {
         }
     }
 
-    fn alphabeta_tt_cancellable_at(
-        &self,
-        path: &mut Vec<usize>,
-        alpha0: f64,
-        beta0: f64,
-        leaves: &mut u64,
-        cache: &AbCache,
-        cancel: &selc_engine::CancelToken,
-    ) -> Option<(Vec<usize>, f64)> {
-        if path.len() == self.depth {
-            *leaves += 1;
-            return Some((path.clone(), self.leaf(path)));
+    /// What a warm repeat of [`GameTree::solve_alphabeta_tt`] returns,
+    /// read from the root's `Exact` entry with one probe and no walk.
+    /// `None` when `cache` holds no resolved root (cold, evicted or
+    /// bumped), in which case the caller runs the full solve.
+    pub fn solve_alphabeta_tt_warm(&self, cache: &AbCache) -> Option<(Vec<usize>, f64)> {
+        self.assert_shape();
+        let root = cache.lookup(&node_key(self.branching, 0, 0))?;
+        if root.flag != AbFlag::Exact {
+            return None;
         }
-        if cancel.is_cancelled() {
-            return None; // nothing computed here, nothing stored
-        }
-        if let Some(e) = cache.lookup(path) {
-            let usable = match e.flag {
-                AbFlag::Exact => true,
-                AbFlag::Lower => e.value > beta0,
-                AbFlag::Upper => e.value < alpha0,
-            };
-            if usable {
-                return Some((e.play, e.value));
-            }
-        }
-        let maximising = path.len().is_multiple_of(2);
-        let (mut alpha, mut beta) = (alpha0, beta0);
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        for m in 0..self.branching {
-            path.push(m);
-            let r = self.alphabeta_tt_cancellable_at(path, alpha, beta, leaves, cache, cancel);
-            path.pop();
-            let (p, v) = r?; // a cancelled child unwinds the whole solve
-            let better = match &best {
-                None => true,
-                Some((_, bv)) => {
-                    if maximising {
-                        v > *bv
-                    } else {
-                        v < *bv
-                    }
-                }
-            };
-            if better {
-                best = Some((p, v));
-            }
-            let bv = best.as_ref().expect("just set").1;
-            if maximising {
-                alpha = alpha.max(bv);
-                if bv > beta {
-                    break;
-                }
-            } else {
-                beta = beta.min(bv);
-                if bv < alpha {
-                    break;
-                }
-            }
-        }
-        let (play, value) = best.expect("branching > 0");
-        let flag = if value > beta0 {
-            AbFlag::Lower
-        } else if value < alpha0 {
-            AbFlag::Upper
-        } else {
-            AbFlag::Exact
-        };
-        cache.store(path.clone(), AbEntry { play: play.clone(), value, flag });
-        Some((play, value))
+        AB_SOLVES.inc();
+        Some((self.play_of(root.leaf as usize), root.value))
     }
 
-    fn alphabeta_tt(
+    /// The alpha–beta core every solver here runs: strict-cutoff search
+    /// of node `(ply, index)` from an infinite window, through `cache`
+    /// when one is given, checking `cancel` once per interior node.
+    /// Returns the best leaf's index and the node's value (`None` when
+    /// the token fired), and the number of leaves evaluated. Callers
+    /// check [`GameTree::assert_shape`] first.
+    pub(crate) fn solve_node(
         &self,
-        path: &mut Vec<usize>,
-        alpha0: f64,
-        beta0: f64,
-        leaves: &mut u64,
-        cache: &AbCache,
-    ) -> (Vec<usize>, f64) {
-        if path.len() == self.depth {
-            *leaves += 1;
-            return (path.clone(), self.leaf(path));
-        }
-        if let Some(e) = cache.lookup(path) {
-            // An `Exact` hit substitutes the true resolution wherever
-            // the fresh search would have produced one; a bound hit is
-            // honoured only when it clears the *live* window strictly,
-            // i.e. exactly when the fresh search's fail-soft value
-            // would land on the same side and trigger the same cut.
-            let usable = match e.flag {
-                AbFlag::Exact => true,
-                AbFlag::Lower => e.value > beta0,
-                AbFlag::Upper => e.value < alpha0,
-            };
-            if usable {
-                return (e.play, e.value);
-            }
-        }
-        let maximising = path.len().is_multiple_of(2);
-        let (mut alpha, mut beta) = (alpha0, beta0);
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        for m in 0..self.branching {
-            path.push(m);
-            let (p, v) = self.alphabeta_tt(path, alpha, beta, leaves, cache);
-            path.pop();
-            let better = match &best {
-                None => true,
-                Some((_, bv)) => {
-                    if maximising {
-                        v > *bv
-                    } else {
-                        v < *bv
-                    }
-                }
-            };
-            if better {
-                best = Some((p, v));
-            }
-            let bv = best.as_ref().expect("just set").1;
-            if maximising {
-                alpha = alpha.max(bv);
-                if bv > beta {
-                    break;
-                }
-            } else {
-                beta = beta.min(bv);
-                if bv < alpha {
-                    break;
-                }
-            }
-        }
-        let (play, value) = best.expect("branching > 0");
-        let flag = if value > beta0 {
-            AbFlag::Lower
-        } else if value < alpha0 {
-            AbFlag::Upper
-        } else {
-            AbFlag::Exact
-        };
-        cache.store(path.clone(), AbEntry { play: play.clone(), value, flag });
-        (play, value)
+        ply: usize,
+        index: usize,
+        cache: Option<&AbCache>,
+        cancel: &CancelToken,
+    ) -> (Option<(usize, f64)>, u64) {
+        let mut walk = Walk { tree: self, cache, cancel, leaves: 0 };
+        let solved = walk.node(ply, index, f64::NEG_INFINITY, f64::INFINITY);
+        (solved, walk.leaves)
     }
 
     /// The game as a `Sel` program over the per-ply effects.
@@ -600,6 +494,95 @@ impl GameTree {
         let prog = go(Rc::new(self.clone()), Vec::new());
         let (v, play) = handle(&hmax(), handle(&hmin(), prog)).run_unwrap();
         (play, v)
+    }
+}
+
+/// One alpha–beta walk. Nodes are `(ply, index)` in flat leaf order:
+/// node `(p, i)` has children `(p + 1, i·b + m)` and node `(depth, i)`
+/// is `leaves[i]`, so no move path is ever built, cloned or hashed.
+struct Walk<'a> {
+    tree: &'a GameTree,
+    cache: Option<&'a AbCache>,
+    cancel: &'a CancelToken,
+    /// Leaves evaluated so far.
+    leaves: u64,
+}
+
+impl Walk<'_> {
+    /// Strict-cutoff alpha–beta at node `(ply, index)` under the window
+    /// `(alpha0, beta0)`: the best leaf below it (leftmost among ties)
+    /// and its value, or `None` once the token fired.
+    fn node(&mut self, ply: usize, index: usize, alpha0: f64, beta0: f64) -> Option<(usize, f64)> {
+        let t = self.tree;
+        if ply == t.depth {
+            self.leaves += 1;
+            return Some((index, t.leaves[index]));
+        }
+        if self.cancel.is_cancelled() {
+            return None; // nothing computed here, nothing stored
+        }
+        // The last interior ply scans its `b` adjacent leaves without
+        // the table: a hit there would save at most `b` leaf reads, while
+        // every probe or store costs a shard lock and two key hashes.
+        // The root always uses the table, so a warm repeat stays one
+        // probe at every depth.
+        let last = ply + 1 == t.depth;
+        let table = self
+            .cache
+            .filter(|_| ply == 0 || !last)
+            .map(|c| (c, node_key(t.branching, ply, index)));
+        if let Some(e) = table.and_then(|(c, key)| c.lookup(&key)) {
+            // An `Exact` hit substitutes the true resolution wherever
+            // the fresh search would have produced one; a bound hit is
+            // honoured only when it clears the *live* window strictly,
+            // i.e. exactly when the fresh search's fail-soft value
+            // would land on the same side and trigger the same cut.
+            let usable = match e.flag {
+                AbFlag::Exact => true,
+                AbFlag::Lower => e.value > beta0,
+                AbFlag::Upper => e.value < alpha0,
+            };
+            if usable {
+                return Some((e.leaf as usize, e.value));
+            }
+        }
+        let maximising = ply.is_multiple_of(2);
+        let (mut alpha, mut beta) = (alpha0, beta0);
+        let mut best = (index, f64::NAN); // replaced by the first child
+        for m in 0..t.branching {
+            let child = index * t.branching + m;
+            let (leaf, v) = if last {
+                self.leaves += 1;
+                (child, t.leaves[child])
+            } else {
+                self.node(ply + 1, child, alpha, beta)? // a cancelled child unwinds the solve
+            };
+            if m == 0 || if maximising { v > best.1 } else { v < best.1 } {
+                best = (leaf, v);
+            }
+            if maximising {
+                alpha = alpha.max(best.1);
+                if best.1 > beta {
+                    break; // strictly loses at the min ancestor achieving beta
+                }
+            } else {
+                beta = beta.min(best.1);
+                if best.1 < alpha {
+                    break; // strictly loses at the max ancestor achieving alpha
+                }
+            }
+        }
+        if let Some((c, key)) = table {
+            let flag = if best.1 > beta0 {
+                AbFlag::Lower
+            } else if best.1 < alpha0 {
+                AbFlag::Upper
+            } else {
+                AbFlag::Exact
+            };
+            c.store(key, AbEntry { leaf: best.0 as u64, value: best.1, flag });
+        }
+        Some(best)
     }
 }
 
@@ -723,22 +706,45 @@ mod tests {
     }
 
     #[test]
+    fn node_keys_are_injective_and_leaf_indices_round_trip() {
+        // The unary tree and the largest shapes the service accepts.
+        for (b, d) in [(1, 5), (2, 12), (4, 10), (8, 6)] {
+            // Keys count 0, 1, 2, … in (ply, index) order: strictly
+            // increasing, hence injective, for b = 1 as for b > 1.
+            let mut next = 0_u64;
+            for ply in 0..=d {
+                for index in 0..leaf_count(b, ply).expect("fits") {
+                    assert_eq!(node_key(b, ply, index), next, "b {b} d {d} node ({ply}, {index})");
+                    next += 1;
+                }
+            }
+            let t = GameTree { branching: b, depth: d, leaves: Vec::new() };
+            for leaf in 0..leaf_count(b, d).expect("fits") {
+                let play = t.play_of(leaf);
+                assert_eq!(play.len(), d);
+                assert!(play.iter().all(|&m| m < b), "b {b} d {d} leaf {leaf}: {play:?}");
+                assert_eq!(t.index_of(&play), leaf, "b {b} d {d}");
+            }
+        }
+    }
+
+    #[test]
     fn flagged_table_matches_backward_induction_cold_and_warm() {
+        let shapes = [(2, 3), (2, 5), (3, 4), (4, 2), (2, 8), (1, 5), (2, 12), (5, 1)];
         for seed in 0..15 {
-            for (branching, depth) in [(2, 3), (2, 5), (3, 4), (4, 2), (2, 8)] {
+            for (branching, depth) in shapes {
+                let what = format!("seed {seed} b {branching} d {depth}");
                 let t = GameTree::random(branching, depth, seed);
                 let reference = t.solve_backward();
                 let cache = AbCache::unbounded(4);
-                assert_eq!(
-                    t.solve_alphabeta_tt(&cache),
-                    reference,
-                    "cold, seed {seed} b {branching} d {depth}"
-                );
-                assert_eq!(
-                    t.solve_alphabeta_tt(&cache),
-                    reference,
-                    "warm, seed {seed} b {branching} d {depth}"
-                );
+                let (play, value, cold) = t.solve_alphabeta_tt_stats(&cache);
+                assert_eq!((play, value), reference, "cold, {what}");
+                // Each node is visited once per solve, so a cold table
+                // never hits: it evaluates exactly the plain solve's leaves.
+                assert_eq!(cold, t.solve_alphabeta_stats().2, "cold leaves, {what}");
+                let (play, value, warm) = t.solve_alphabeta_tt_stats(&cache);
+                assert_eq!((play, value), reference, "warm, {what}");
+                assert_eq!(warm, 0, "warm leaves, {what}");
             }
         }
     }
@@ -746,11 +752,12 @@ mod tests {
     #[test]
     fn flagged_table_breaks_ties_leftmost_like_backward_induction() {
         for seed in 0..20 {
-            let t = tied_tree(3, 5, seed);
-            let reference = t.solve_backward();
-            let cache = AbCache::unbounded(4);
-            assert_eq!(t.solve_alphabeta_tt(&cache), reference, "cold, seed {seed}");
-            assert_eq!(t.solve_alphabeta_tt(&cache), reference, "warm, seed {seed}");
+            for t in [tied_tree(3, 5, seed), tied_tree(1, 4, seed), tied_tree(2, 12, seed)] {
+                let reference = t.solve_backward();
+                let cache = AbCache::unbounded(4);
+                assert_eq!(t.solve_alphabeta_tt(&cache), reference, "cold, seed {seed}");
+                assert_eq!(t.solve_alphabeta_tt(&cache), reference, "warm, seed {seed}");
+            }
         }
     }
 
@@ -758,13 +765,15 @@ mod tests {
     fn warm_repeat_answers_from_the_root_entry() {
         let t = GameTree::random(3, 6, 7);
         let cache = AbCache::unbounded(4);
+        assert_eq!(t.solve_alphabeta_tt_warm(&cache), None, "a cold table has no root");
         let (play, value, cold_leaves) = t.solve_alphabeta_tt_stats(&cache);
         assert!(cold_leaves > 0);
         // The root window is infinite, so the root entry is Exact and a
         // warm repeat resolves at the root: zero leaves evaluated.
         let (wplay, wvalue, warm_leaves) = t.solve_alphabeta_tt_stats(&cache);
-        assert_eq!((wplay, wvalue), (play, value));
+        assert_eq!((wplay.clone(), wvalue), (play, value));
         assert_eq!(warm_leaves, 0, "warm repeat must be answered from the root entry");
+        assert_eq!(t.solve_alphabeta_tt_warm(&cache), Some((wplay, wvalue)));
     }
 
     #[test]
@@ -790,51 +799,63 @@ mod tests {
     #[test]
     fn cancellable_solver_matches_the_plain_one_under_a_never_token() {
         for seed in 0..10 {
-            let t = GameTree::random(3, 5, seed);
-            let reference = t.solve_backward();
-            let cache = AbCache::unbounded(4);
-            let (play, value, _) = t
-                .solve_alphabeta_tt_cancellable(&cache, &selc_engine::CancelToken::never())
-                .expect("never token cannot cancel");
-            assert_eq!((play, value), reference, "seed {seed}");
-            // And the entries it stored warm the plain solver.
-            let (_, _, warm) = t.solve_alphabeta_tt_stats(&cache);
-            assert_eq!(warm, 0, "seed {seed}");
+            for (branching, depth) in [(3, 5), (1, 4), (2, 12), (4, 1)] {
+                let t = GameTree::random(branching, depth, seed);
+                let reference = t.solve_backward();
+                let cache = AbCache::unbounded(4);
+                let (play, value, _) = t
+                    .solve_alphabeta_tt_cancellable(&cache, &CancelToken::never())
+                    .expect("never token cannot cancel");
+                assert_eq!((play, value), reference, "seed {seed} b {branching} d {depth}");
+                // And the entries it stored warm the plain solver.
+                let (_, _, warm) = t.solve_alphabeta_tt_stats(&cache);
+                assert_eq!(warm, 0, "seed {seed} b {branching} d {depth}");
+            }
         }
     }
 
     #[test]
     fn cancelled_solves_return_none_without_poisoning_the_table() {
-        let t = GameTree::random(3, 6, 5);
-        let reference = t.solve_backward();
-        let cache = AbCache::unbounded(4);
-        let dead = selc_engine::CancelToken::never();
-        dead.cancel();
-        assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &dead), None);
-        // A token that fires mid-solve (after some entries are stored)
-        // must also abort without a wrong answer or a poisoned entry:
-        // simulate by cancelling between two solves of sibling subgames.
-        let mid = selc_engine::CancelToken::never();
-        let warmup = GameTree::random(3, 6, 5);
-        let _ = warmup.solve_alphabeta_tt_cancellable(&cache, &mid);
-        mid.cancel();
-        assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &mid), None);
-        // Whatever the aborted runs left behind, an un-cancelled solve
-        // on the same handle is still bit-identical to the reference.
-        let (play, value, _) = t.solve_alphabeta_tt_stats(&cache);
-        assert_eq!((play, value), reference);
+        for (branching, depth) in [(3, 6), (1, 5), (2, 12)] {
+            let t = GameTree::random(branching, depth, 5);
+            let reference = t.solve_backward();
+            let cache = AbCache::unbounded(4);
+            let dead = CancelToken::never();
+            dead.cancel();
+            assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &dead), None);
+            // A token that fires mid-solve (after some entries are
+            // stored) must also abort without a wrong answer or a
+            // poisoned entry: simulate by cancelling between two solves
+            // of sibling subgames.
+            let mid = CancelToken::never();
+            let warmup = GameTree::random(branching, depth, 5);
+            let _ = warmup.solve_alphabeta_tt_cancellable(&cache, &mid);
+            mid.cancel();
+            assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &mid), None);
+            // Whatever the aborted runs left behind, an un-cancelled
+            // solve on the same handle is still bit-identical to the
+            // reference.
+            let (play, value, _) = t.solve_alphabeta_tt_stats(&cache);
+            assert_eq!((play, value), reference, "b {branching} d {depth}");
+        }
     }
 
     #[test]
     fn tiny_capacity_eviction_stays_bit_identical() {
-        // A capacity-8 table churns constantly on a 4^4 tree; evictions
-        // may cost warmth but never correctness.
+        // A capacity-8 table churns constantly; evictions may cost
+        // warmth but never correctness.
         for seed in 0..10 {
-            let t = GameTree::random(4, 4, seed);
-            let reference = t.solve_backward();
-            let cache = AbCache::clock_lru(2, 8);
-            for round in 0..3 {
-                assert_eq!(t.solve_alphabeta_tt(&cache), reference, "seed {seed} round {round}");
+            for (branching, depth) in [(4, 4), (1, 6), (2, 12), (3, 1)] {
+                let t = GameTree::random(branching, depth, seed);
+                let reference = t.solve_backward();
+                let cache = AbCache::clock_lru(2, 8);
+                for round in 0..3 {
+                    assert_eq!(
+                        t.solve_alphabeta_tt(&cache),
+                        reference,
+                        "seed {seed} b {branching} d {depth} round {round}"
+                    );
+                }
             }
         }
     }
@@ -856,5 +877,18 @@ mod tests {
     #[should_panic(expected = "degenerate")]
     fn zero_depth_rejected() {
         let _ = GameTree::random(2, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn oversized_shape_rejected_before_allocating() {
+        let _ = GameTree::random(2, 64, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs branching^depth leaves")]
+    fn malformed_tree_rejected_at_solver_entry() {
+        let t = GameTree { branching: 2, depth: 3, leaves: vec![1.0; 7] };
+        let _ = t.solve_alphabeta();
     }
 }

@@ -16,7 +16,8 @@ use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
 use selc_engine::{
-    parallel_subtrees, search_programs, CandidateEval, Engine, Outcome, ParallelEngine, SharedBound,
+    parallel_subtrees, search_programs, CancelToken, CandidateEval, Engine, Outcome,
+    ParallelEngine, SharedBound,
 };
 use std::sync::Arc;
 
@@ -111,56 +112,53 @@ pub fn queens_parallel_with(engine: &impl Engine, n: usize) -> Vec<usize> {
 /// the first mover's moves, this distributes *every* subtree at `split`
 /// plies — `branching^split` independent work items claimed from the
 /// engine's saturating subtree queue ([`parallel_subtrees`], the same
-/// distribution the λC tree search uses) — and solves each with local
-/// strict-cutoff alpha–beta ([`GameTree::solve_alphabeta_from`]).
-/// Subtree results come back in lexicographic move order and the shared
-/// top plies fold by backward induction over that fixed order, so the
-/// play and value are bit-identical to [`GameTree::solve_backward`]
-/// regardless of worker timing. `threads == 0` means `SELC_THREADS`.
+/// distribution the λC tree search uses) — and solves each with the
+/// store-nothing strict-cutoff core of [`GameTree::solve_alphabeta`]
+/// from a fresh window. Work item `i` *is* node `i` of ply `split` in
+/// flat leaf order, which numbers each ply's nodes in move order, so the
+/// results come back in move order and the shared top plies fold by
+/// backward induction over that fixed order: the play and value are
+/// bit-identical to [`GameTree::solve_backward`] regardless of worker
+/// timing. `threads == 0` means `SELC_THREADS`.
 ///
 /// # Panics
 ///
-/// Panics on a degenerate tree (`solve_backward` panics identically).
+/// Panics on a degenerate tree or one whose `leaves` does not hold
+/// `branching^depth` values.
 pub fn alphabeta_parallel(t: &GameTree, threads: usize, split: usize) -> (Vec<usize>, f64) {
+    t.assert_shape();
     let split = split.min(t.depth);
     let count = t.branching.pow(split as u32);
-    let results = parallel_subtrees(threads, count, |i| {
-        // Decode work item `i` into its move prefix, most significant
-        // ply first (lexicographic order = move order at every level).
-        let mut prefix = vec![0_usize; split];
-        let mut rem = i;
-        for slot in prefix.iter_mut().rev() {
-            *slot = rem % t.branching;
-            rem /= t.branching;
-        }
-        t.solve_alphabeta_from(&prefix)
+    let never = CancelToken::never();
+    let mut level = parallel_subtrees(threads, count, |i| {
+        t.solve_node(split, i, None, &never).0.expect("a never token cannot cancel")
     });
-    // Fold the shared top plies: at ply `p` the maximiser moves iff `p`
-    // is even, ties towards the smaller move index — the in-order scan
-    // below keeps the first of equals, which *is* the smaller move.
-    let mut level = results;
+    // Fold the shared top plies over `(leaf, value)` pairs: at ply `p`
+    // the maximiser moves iff `p` is even, ties towards the smaller move
+    // index — the in-order scan keeps the first of equals, which *is*
+    // the smaller move.
     for p in (0..split).rev() {
-        let maximising = p % 2 == 0;
+        let maximising = p.is_multiple_of(2);
         level = level
             .chunks(t.branching)
             .map(|group| {
                 group
                     .iter()
-                    .fold(None::<&(Vec<usize>, f64)>, |best, cand| match best {
-                        None => Some(cand),
-                        Some(b)
-                            if (maximising && cand.1 > b.1) || (!maximising && cand.1 < b.1) =>
-                        {
-                            Some(cand)
+                    .copied()
+                    .reduce(|best, cand| {
+                        let better = if maximising { cand.1 > best.1 } else { cand.1 < best.1 };
+                        if better {
+                            cand
+                        } else {
+                            best
                         }
-                        keep => keep,
                     })
                     .expect("branching > 0")
-                    .clone()
             })
             .collect();
     }
-    level.into_iter().next().expect("one root result")
+    let (leaf, value) = level[0];
+    (t.play_of(leaf), value)
 }
 
 /// Demonstration wrapper used by the example and benches: replays a

@@ -438,22 +438,31 @@ fn serve_session(mut stream: TcpStream, shared: &Shared) {
                     Err(msg) => Response::Malformed(msg),
                     Ok(()) => {
                         let tenant = shared.tenants.get_or_create(tenant);
-                        let cancel = if deadline_ms > 0 {
-                            CancelToken::with_timeout(Duration::from_millis(u64::from(deadline_ms)))
-                        } else {
-                            CancelToken::never()
-                        };
-                        let signal = Arc::new(WatchSignal::new());
-                        let watcher = spawn_watcher(&stream, cancel.clone(), Arc::clone(&signal));
-                        if let Some(handle) = watcher {
-                            shared.track_watcher(handle);
-                        }
-                        let ran = workload::run(&tenant, &workload, &cancel, deadline_ms > 0);
-                        // The watcher wakes off the bell (or within one
-                        // poll interval if it is mid-peek) and exits;
-                        // its tracked handle is reaped later, off this
-                        // request's latency path.
-                        signal.finish();
+                        // A resolved game answers from one table probe:
+                        // there is no search to cancel, so no watcher
+                        // thread is worth spawning for it.
+                        let ran = workload::run_warm(&tenant, &workload).unwrap_or_else(|| {
+                            let cancel = if deadline_ms > 0 {
+                                CancelToken::with_timeout(Duration::from_millis(u64::from(
+                                    deadline_ms,
+                                )))
+                            } else {
+                                CancelToken::never()
+                            };
+                            let signal = Arc::new(WatchSignal::new());
+                            let watcher =
+                                spawn_watcher(&stream, cancel.clone(), Arc::clone(&signal));
+                            if let Some(handle) = watcher {
+                                shared.track_watcher(handle);
+                            }
+                            let ran = workload::run(&tenant, &workload, &cancel, deadline_ms > 0);
+                            // The watcher wakes off the bell (or within one
+                            // poll interval if it is mid-peek) and exits;
+                            // its tracked handle is reaped later, off this
+                            // request's latency path.
+                            signal.finish();
+                            ran
+                        });
                         match ran {
                             Ran::Done { index, loss, stats } => Response::Ok { index, loss, stats },
                             Ran::TimedOut { partial } => {

@@ -46,8 +46,9 @@ pub struct Tenant {
 pub struct GameEntry {
     /// The (deterministically generated) tree itself.
     pub tree: Arc<GameTree>,
-    /// Its flagged transposition table; path keys carry no tree
-    /// identity, hence one table *per descriptor*, never shared.
+    /// Its flagged transposition table; node keys (breadth-first
+    /// positions) carry no tree identity, hence one table *per
+    /// descriptor*, never shared.
     pub cache: Arc<AbCache>,
 }
 

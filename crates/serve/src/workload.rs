@@ -11,6 +11,7 @@
 use crate::protocol::{WireStats, Workload};
 use crate::tenants::Tenant;
 use lambda_rt::{search_compiled_cached_with, LcCandidates};
+use selc_cache::CacheStats;
 use selc_engine::{CancelToken, SearchResult, SearchStats, TreeEngine};
 use selc_obs::{metrics, Counter};
 use std::sync::LazyLock;
@@ -224,19 +225,7 @@ pub fn run(tenant: &Tenant, w: &Workload, cancel: &CancelToken, deadline_bound: 
             let base = entry.cache.stats();
             match entry.tree.solve_alphabeta_tt_cancellable(&entry.cache, cancel) {
                 Some((play, value, leaves)) => {
-                    let index =
-                        play.iter().fold(0u64, |acc, &m| acc * u64::from(branching) + m as u64);
-                    let delta = entry.cache.stats().since(&base);
-                    let stats = WireStats {
-                        evaluated: leaves,
-                        threads: 1,
-                        cache_hits: delta.hits,
-                        cache_misses: delta.misses,
-                        cache_insertions: delta.insertions,
-                        cache_evictions: delta.evictions,
-                        ..WireStats::default()
-                    };
-                    Ran::Done { index, loss: value, stats }
+                    game_done(branching, &play, value, leaves, entry.cache.stats().since(&base))
                 }
                 // Minimax has no sound partial best (see the solver's
                 // docs), so a timed-out game reports none.
@@ -244,6 +233,35 @@ pub fn run(tenant: &Tenant, w: &Workload, cancel: &CancelToken, deadline_bound: 
             }
         }
     }
+}
+
+/// Answers a game request whose tree the tenant's table has already
+/// resolved: one root probe, no search — so the caller need not arm a
+/// disconnect watcher for it. `None` for chains and for cold games.
+pub fn run_warm(tenant: &Tenant, workload: &Workload) -> Option<Ran> {
+    let Workload::Game { branching, depth, seed } = *workload else {
+        return None;
+    };
+    let entry = tenant.game(branching, depth, seed);
+    let base = entry.cache.stats();
+    let (play, value) = entry.tree.solve_alphabeta_tt_warm(&entry.cache)?;
+    Some(game_done(branching, &play, value, 0, entry.cache.stats().since(&base)))
+}
+
+/// A solved game's reply: the play as its leaf index, and the table's
+/// counter deltas.
+fn game_done(branching: u8, play: &[usize], value: f64, leaves: u64, delta: CacheStats) -> Ran {
+    let index = play.iter().fold(0u64, |acc, &m| acc * u64::from(branching) + m as u64);
+    let stats = WireStats {
+        evaluated: leaves,
+        threads: 1,
+        cache_hits: delta.hits,
+        cache_misses: delta.misses,
+        cache_insertions: delta.insertions,
+        cache_evictions: delta.evictions,
+        ..WireStats::default()
+    };
+    Ran::Done { index, loss: value, stats }
 }
 
 #[cfg(test)]
@@ -346,6 +364,7 @@ mod tests {
         let tenants = Tenants::default();
         let tenant = tenants.get_or_create(2);
         let w = Workload::Game { branching: 3, depth: 5, seed: 11 };
+        assert_eq!(run_warm(&tenant, &w), None, "a cold table cannot answer without a search");
         let Ran::Done { index, loss, stats } = run(&tenant, &w, &CancelToken::never(), false)
         else {
             panic!("never token cannot time out");
@@ -361,6 +380,13 @@ mod tests {
         };
         assert_eq!(warm.evaluated, 0, "warm game answered from the root Exact entry");
         assert!(warm.cache_hits > 0);
+        // The watcher-free probe gives the same answer.
+        let Some(Ran::Done { index: i2, loss: l2, stats: probed }) = run_warm(&tenant, &w) else {
+            panic!("a resolved root answers the probe");
+        };
+        assert_eq!((i2, l2.to_bits()), (expect, value.to_bits()));
+        assert_eq!((probed.evaluated, probed.cache_hits), (0, 1));
+        assert_eq!(run_warm(&tenant, &Workload::Chain { choices: 6 }), None);
     }
 
     #[test]
