@@ -8,11 +8,10 @@
 //!   cost against closures + persistent environments?
 //! * **Search cost** — for argmin-chooser programs, the handler's own
 //!   probing evaluation (exponential re-evaluation of futures) against
-//!   the bridge's engine search over forced decision paths: sequential
-//!   exhaustive, and parallel + branch-and-bound + transposition-cached.
+//!   the bridge's flat engine search over forced decision paths. (The
+//!   cached and pruned tree walk is E15's subject.)
 //!
-//! After timing, the cached search prints `… cache hits=…` lines for
-//! `selc-bench-record`. `SELC_BENCH_SMOKE=1` shrinks sizes for CI.
+//! `SELC_BENCH_SMOKE=1` shrinks sizes for CI.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::bigstep::{eval_closed, DEFAULT_FUEL};
@@ -20,23 +19,11 @@ use lambda_c::smallstep::{step, StepResult};
 use lambda_c::syntax::Expr;
 use lambda_c::testgen::{deep_decide_chain, deep_let_chain, gen_signature, GenProgram};
 use lambda_c::{compile, machine, CompiledProgram, LossVal, Signature};
-use lambda_rt::{search_compiled_flat, search_compiled_flat_cached, LcCandidates, LcTransCache};
-use selc_cache::CacheStats;
-use selc_engine::{ParallelEngine, SequentialEngine};
+use lambda_rt::{search_compiled_flat, LcCandidates};
+use selc_engine::SequentialEngine;
 
 fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
-}
-
-fn report(label: &str, stats: &CacheStats) {
-    println!(
-        "{label} cache hits={} misses={} insertions={} evictions={} hit_rate={:.3}",
-        stats.hits,
-        stats.misses,
-        stats.insertions,
-        stats.evictions,
-        stats.hit_rate()
-    );
 }
 
 /// The explicit Fig-6 loop (materialising every intermediate term).
@@ -110,10 +97,8 @@ fn bench_decide_chain(c: &mut Criterion) {
     let cands =
         LcCandidates::new(compile(&p.expr).expect("compiles"), ["decide".to_owned()], choices);
     let seq = SequentialEngine::exhaustive();
-    let par = ParallelEngine { threads: 4, chunk: 1, prune: true };
     let (out, _) = search_compiled_flat(&seq, &cands).unwrap();
     assert_eq!(out.loss.0, reference, "engine argmin == handler semantics");
-    let cert = cands.certificate().expect("chain corpus is flow-certifiable");
 
     let mut g = c.benchmark_group("e14_lambda/decide_search");
     g.bench_function("machine_probing", |b| {
@@ -121,35 +106,7 @@ fn bench_decide_chain(c: &mut Criterion) {
         b.iter(|| black_box(machine_loss(&compiled)))
     });
     g.bench_function("search_seq", |b| b.iter(|| black_box(search_compiled_flat(&seq, &cands))));
-    g.bench_function("search_par_cached_cold", |b| {
-        b.iter(|| {
-            let cache = LcTransCache::unbounded(4);
-            black_box(search_compiled_flat_cached(&par, &cands, &cache, Some(cert)))
-        })
-    });
-    let warm = LcTransCache::unbounded(4);
-    let _ = search_compiled_flat_cached(&seq, &cands, &warm, None);
-    g.bench_function("search_par_cached_warm", |b| {
-        b.iter(|| black_box(search_compiled_flat_cached(&par, &cands, &warm, None)))
-    });
     g.finish();
-
-    // Representative stats for the snapshot recorder (no abandonment, so
-    // cold fills the whole space and warm hits every candidate).
-    let cache = LcTransCache::unbounded(4);
-    let (cold, _) = search_compiled_flat_cached(&par, &cands, &cache, None).unwrap();
-    assert_eq!(cold.loss.0, reference);
-    report("e14_lambda/decide_search/par_cached_cold", &cold.stats.cache);
-    let (warm_out, _) = search_compiled_flat_cached(&par, &cands, &cache, None).unwrap();
-    assert_eq!(warm_out.loss.0, reference);
-    report("e14_lambda/decide_search/par_cached_warm", &warm_out.stats.cache);
-    let (pruned, _) =
-        search_compiled_flat_cached(&par, &cands, &LcTransCache::unbounded(4), Some(cert)).unwrap();
-    assert_eq!(pruned.loss.0, reference);
-    println!(
-        "e14_lambda/decide_search/pruning evaluated={} pruned={}",
-        pruned.stats.evaluated, pruned.stats.pruned
-    );
 }
 
 criterion_group!(benches, bench_paper_examples, bench_deep_let, bench_decide_chain);

@@ -4,9 +4,10 @@
 //! paths, each replayed from the root — O(2^d · d) machine segments. The
 //! tree search suspends the machine at each choice point and resumes
 //! both branches from the shared prefix snapshot — O(2^d) segments, one
-//! per tree node. This family measures that gap on a deep probing chain
-//! (the workload of E14's `decide_search`, at three times the depth),
-//! cold and warm, plus the flat scan's own cached path for reference.
+//! per tree node. This family measures the tree walk on a deep probing
+//! chain (the workload of E14's `decide_search`, at three times the
+//! depth), cold and warm; the flat scan runs once, as the reference the
+//! winner is asserted against.
 //!
 //! After timing, cache-stat lines print for `selc-bench-record`.
 //! `SELC_BENCH_SMOKE=1` shrinks the chain for CI.
@@ -14,8 +15,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::{
-    search_compiled, search_compiled_cached, search_compiled_cached_unchecked,
-    search_compiled_flat_cached, LcCandidates, LcTransCache,
+    search_compiled, search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache,
 };
 use selc_cache::CacheStats;
 use selc_engine::{ParallelEngine, TreeEngine};
@@ -44,52 +44,20 @@ fn bench_tree_vs_flat(c: &mut Criterion) {
         ["decide".to_owned()],
         choices,
     );
-    // The PR-4 production configuration (parallel + branch-and-bound +
-    // transposition table) against the tree engine at the same worker
-    // count.
-    let flat_eng = ParallelEngine { threads: 4, chunk: 0, prune: true };
     let tree_eng = TreeEngine::with_threads(4);
 
-    // Bit-identical winners, asserted once before timing. Pruning runs
-    // under the flow certificate, which the chain corpus always earns.
-    let cert = cands.certificate().expect("chain corpus is flow-certifiable");
+    // Bit-identical winners, asserted once before timing: the sequential
+    // tree walk against the flat scan over all 2^choices paths.
     let (tree_ref, tree_val) = search_compiled(&TreeEngine::sequential(), &cands).unwrap();
-    let fresh = LcTransCache::unbounded(8);
-    let (flat_ref, flat_val) =
-        search_compiled_flat_cached(&flat_eng, &cands, &fresh, Some(cert)).unwrap();
+    let flat_eng = ParallelEngine { threads: 4, chunk: 0, prune: false };
+    let (flat_ref, flat_val) = search_compiled_flat(&flat_eng, &cands).unwrap();
     assert_eq!((tree_ref.index, tree_ref.loss.clone()), (flat_ref.index, flat_ref.loss));
     assert_eq!(tree_val, flat_val);
-    // Certificate-driven pruning against the raw-boolean escape hatch:
-    // the two entry points must stay bit-identical.
-    // flow: certified (chain corpus, asserted above)
-    let (unchecked_ref, unchecked_val) = search_compiled_cached_unchecked(
-        &TreeEngine::with_threads(2),
-        &cands,
-        &LcTransCache::unbounded(8),
-        true,
-    )
-    .unwrap();
-    let (cert_ref, cert_val) = search_compiled_cached(
-        &TreeEngine::with_threads(2),
-        &cands,
-        &LcTransCache::unbounded(8),
-        Some(cert),
-    )
-    .unwrap();
-    assert_eq!(
-        (cert_ref.index, cert_ref.loss),
-        (unchecked_ref.index, unchecked_ref.loss),
-        "certified and unchecked pruning must agree bit-for-bit"
-    );
-    assert_eq!(cert_val, unchecked_val);
+    // Pruning runs under the flow certificate, which the chain corpus
+    // always earns.
+    let cert = cands.certificate().expect("chain corpus is flow-certifiable");
 
     let mut g = c.benchmark_group(format!("e15_tree/probing{choices}"));
-    g.bench_function("flat_cached_cold", |b| {
-        b.iter(|| {
-            let cache = LcTransCache::unbounded(8);
-            black_box(search_compiled_flat_cached(&flat_eng, &cands, &cache, Some(cert)))
-        })
-    });
     g.bench_function("tree_cold", |b| b.iter(|| black_box(search_compiled(&tree_eng, &cands))));
     g.bench_function("tree_cached_cold", |b| {
         b.iter(|| {
@@ -131,9 +99,9 @@ fn bench_tree_vs_flat(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    // The flat cold scan replays 2^18 paths per iteration; two samples
-    // of one iteration each keep the recording honest without an
-    // hour-long run.
+    // The cold tree walks take up to seconds per iteration at 18
+    // decisions; two samples of one iteration each keep the recording
+    // honest without an hour-long run.
     config = Criterion::default().sample_size(2).measurement_time(Duration::from_millis(200)).warm_up_time(Duration::from_millis(50));
     targets = bench_tree_vs_flat
 }

@@ -33,9 +33,6 @@ pub const CACHE_SHARDS_ENV: &str = "SELC_CACHE_SHARDS";
 /// Name of the capacity variable.
 pub const CACHE_CAP_ENV: &str = "SELC_CACHE_CAP";
 
-/// Name of the subtree-summary toggle.
-pub const SUMMARIES_ENV: &str = "SELC_SUMMARIES";
-
 /// Name of the `selc-serve` listen-port variable.
 pub const SERVE_PORT_ENV: &str = "SELC_SERVE_PORT";
 
@@ -73,20 +70,6 @@ pub fn configured_shards() -> usize {
 #[must_use]
 pub fn configured_capacity() -> Option<usize> {
     env_usize(CACHE_CAP_ENV)
-}
-
-/// Whether tree searches should probe and install interior-node subtree
-/// summaries: on unless `SELC_SUMMARIES` is set to `0`, `false`, `off`,
-/// or `no` (case-insensitive). The polarity is inverted relative to the
-/// count knobs because summaries are a default-on optimisation whose
-/// off switch exists for differential testing and bisection; anything
-/// unrecognised is "as if unset" (on), matching the other knobs' rule.
-#[must_use]
-pub fn summaries_enabled() -> bool {
-    match std::env::var(SUMMARIES_ENV) {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! The `SELC_CACHE_SHARDS` / `SELC_CACHE_CAP` / `SELC_SUMMARIES` knobs,
-//! tested in their own process so the env mutation cannot race other
-//! tests (the same discipline as `selc-engine`'s `env_threads.rs`).
+//! The `SELC_CACHE_SHARDS` / `SELC_CACHE_CAP` knobs, tested in their own
+//! process so the env mutation cannot race other tests (the same
+//! discipline as `selc-engine`'s `env_threads.rs`).
 
 use selc_cache::env::{
-    configured_capacity, configured_shards, env_usize, summaries_enabled, CACHE_CAP_ENV,
-    CACHE_SHARDS_ENV, DEFAULT_SHARDS, SUMMARIES_ENV,
+    configured_capacity, configured_shards, env_usize, CACHE_CAP_ENV, CACHE_SHARDS_ENV,
+    DEFAULT_SHARDS,
 };
 use selc_cache::ShardedCache;
 
@@ -47,17 +47,4 @@ fn cache_env_knobs_shape_from_env_caches() {
     std::env::set_var(CACHE_CAP_ENV, "  17 ");
     assert_eq!(env_usize(CACHE_CAP_ENV), Some(17), "trimmed parse");
     std::env::remove_var(CACHE_CAP_ENV);
-
-    // SELC_SUMMARIES: default-on toggle, off only on an explicit no.
-    std::env::remove_var(SUMMARIES_ENV);
-    assert!(summaries_enabled(), "unset means on");
-    for off in ["0", "false", " OFF ", "no"] {
-        std::env::set_var(SUMMARIES_ENV, off);
-        assert!(!summaries_enabled(), "{off:?} must disable summaries");
-    }
-    for on in ["1", "", "yes", "anything-else"] {
-        std::env::set_var(SUMMARIES_ENV, on);
-        assert!(summaries_enabled(), "{on:?} must leave summaries on");
-    }
-    std::env::remove_var(SUMMARIES_ENV);
 }

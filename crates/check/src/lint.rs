@@ -24,14 +24,6 @@
 //!   `crates/serve` non-test code: the server survives poisoned locks
 //!   and malformed frames by policy, and a stray unwrap turns a bad
 //!   request into a dead worker.
-//! * **`flow-uncertified-nonneg`** — mid-run abandonment is only sound
-//!   when every emitted loss is non-negative, and `lambda_c::flow`
-//!   produces machine-checked certificates of exactly that. Claiming it
-//!   with a raw boolean — calling `assuming_nonneg_losses_unchecked`,
-//!   or passing a literal `true` into a `*_unchecked(` search entry
-//!   point — is flagged unless the line (or the two lines above it)
-//!   carries a `// flow: certified` argument saying why the claim
-//!   holds without a certificate value.
 //!
 //! Any rule can be waived for one line with `// selc-lint:
 //! allow(<rule>)` on that line or the line above — the waiver is
@@ -54,7 +46,6 @@ pub enum Rule {
     PartialCmp,
     OrderingComment,
     ServeNoPanic,
-    FlowUncertifiedNonneg,
 }
 
 impl Rule {
@@ -65,7 +56,6 @@ impl Rule {
             Rule::PartialCmp => "partial-cmp",
             Rule::OrderingComment => "ordering-comment",
             Rule::ServeNoPanic => "serve-no-panic",
-            Rule::FlowUncertifiedNonneg => "flow-uncertified-nonneg",
         }
     }
 }
@@ -297,67 +287,6 @@ fn ordering_comment_above(lines: &[Line], idx: usize) -> bool {
     false
 }
 
-/// Is there a `flow: certified` argument on this line's comment or in
-/// one of the two lines directly above? (Two lines of grace: the
-/// justification usually rides above a multi-line call.)
-fn flow_certified_nearby(lines: &[Line], idx: usize) -> bool {
-    let lo = idx.saturating_sub(2);
-    (lo..=idx).any(|j| lines[j].comment.contains("flow: certified"))
-}
-
-/// Is there a standalone `true` token (not part of a wider identifier)
-/// in `s`?
-fn has_true_token(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut from = 0;
-    while let Some(p) = s[from..].find("true") {
-        let start = from + p;
-        let end = start + 4;
-        let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
-        let before_ok = start == 0 || !ident(b[start - 1]);
-        let after_ok = end >= b.len() || !ident(b[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
-/// Does the `*_unchecked(` call opening on `idx` pass a literal `true`
-/// before its matching close paren? Scans a bounded window of lines so
-/// a formatted multi-line argument list is still covered.
-fn unchecked_call_passes_true(lines: &[Line], idx: usize) -> bool {
-    let open = match lines[idx].code.find("_unchecked(") {
-        Some(p) => p + "_unchecked(".len(),
-        None => return false,
-    };
-    let mut depth: u32 = 1;
-    let mut span = String::new();
-    for (j, line) in lines.iter().enumerate().skip(idx).take(12) {
-        let start = if j == idx { open } else { 0 };
-        for (k, c) in line.code.char_indices() {
-            if k < start {
-                continue;
-            }
-            match c {
-                '(' => depth += 1,
-                ')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return has_true_token(&span);
-                    }
-                }
-                _ => {}
-            }
-            span.push(c);
-        }
-        span.push(' ');
-    }
-    // Unbalanced within the window: judge what was seen.
-    has_true_token(&span)
-}
-
 fn has_explicit_ordering(code: &str) -> bool {
     ORDERING_VARIANTS.iter().any(|v| {
         let needle = format!("Ordering::{v}");
@@ -435,34 +364,6 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
                     idx,
                     Rule::OrderingComment,
                     "explicit atomic ordering without an `// ordering:` justification comment"
-                        .to_string(),
-                ));
-            }
-        }
-
-        // --- flow-uncertified-nonneg: raw-boolean pruning claims -----
-        // Definition lines (`fn …_unchecked`) are the sanctioned escape
-        // hatch itself; everything else claiming non-negative losses
-        // without a certificate value needs a written argument.
-        if !lines[idx].is_test
-            && !waived(&lines, idx, Rule::FlowUncertifiedNonneg)
-            && !flow_certified_nearby(&lines, idx)
-            && !code.contains("fn ")
-        {
-            if code.contains("assuming_nonneg_losses_unchecked") {
-                findings.push(finding(
-                    idx,
-                    Rule::FlowUncertifiedNonneg,
-                    "mid-run pruning asserted without a certificate; prefer with_nonneg_certificate \
-                     (lambda_c::flow::analyze) or justify with `// flow: certified <why>`"
-                        .to_string(),
-                ));
-            } else if code.contains("_unchecked(") && unchecked_call_passes_true(&lines, idx) {
-                findings.push(finding(
-                    idx,
-                    Rule::FlowUncertifiedNonneg,
-                    "literal `true` passed to an *_unchecked search entry point; pass the flow \
-                     certificate instead or justify with `// flow: certified <why>`"
                         .to_string(),
                 ));
             }

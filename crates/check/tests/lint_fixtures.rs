@@ -125,62 +125,6 @@ fn unwrap_or_else_and_unwrap_or_default_are_not_unwrap() {
     assert_eq!(rules_at("crates/serve/src/server.rs", src), vec![]);
 }
 
-// --------------------------------------------------- flow-uncertified-nonneg
-
-#[test]
-fn assuming_nonneg_unchecked_fires_without_a_certificate_argument() {
-    let src = "fn f(e: Eval) -> Eval {\n    e.assuming_nonneg_losses_unchecked()\n}\n";
-    assert_eq!(rules_at("crates/lambda-rt/src/x.rs", src), vec![(2, Rule::FlowUncertifiedNonneg)]);
-}
-
-#[test]
-fn literal_true_into_an_unchecked_entry_point_fires() {
-    let src = "fn f() {\n    let _ = search_flat_unchecked(&eng, &cands, &cache, true);\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", src), vec![(2, Rule::FlowUncertifiedNonneg)]);
-}
-
-#[test]
-fn multi_line_unchecked_calls_are_scanned_to_the_matching_paren() {
-    let src = "fn f() {\n    let _ = search_flat_unchecked(\n        &eng,\n        &cands,\n        true,\n    );\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", src), vec![(2, Rule::FlowUncertifiedNonneg)]);
-}
-
-#[test]
-fn unchecked_calls_without_a_true_literal_are_clean() {
-    let src = "fn f() {\n    let _ = search_flat_unchecked(&eng, &cands, &cache, false);\n    let _ = search_flat_unchecked(&eng, &cands, &cache, flag);\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", src), vec![]);
-}
-
-#[test]
-fn identifiers_containing_true_are_not_the_literal() {
-    let src =
-        "fn f() {\n    let _ = search_flat_unchecked(&eng, &cands, is_truechain, untrue);\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", src), vec![]);
-}
-
-#[test]
-fn flow_certified_comments_justify_same_line_and_above() {
-    let same = "fn f(e: Eval) -> Eval {\n    e.assuming_nonneg_losses_unchecked() // flow: certified by the chain corpus proof\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", same), vec![]);
-    let above = "fn f() {\n    // flow: certified (chain corpus, asserted in the test above)\n    let _ = search_flat_unchecked(\n        &eng, &cands, &cache, true);\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", above), vec![]);
-}
-
-#[test]
-fn flow_waivers_and_test_regions_are_exempt() {
-    let waived = "fn f(e: Eval) -> Eval {\n    // selc-lint: allow(flow-uncertified-nonneg)\n    e.assuming_nonneg_losses_unchecked()\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", waived), vec![]);
-    let test =
-        "#[cfg(test)]\nmod tests {\n    fn t() { search_flat_unchecked(&e, &c, &k, true); }\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", test), vec![]);
-}
-
-#[test]
-fn unchecked_definitions_are_the_sanctioned_escape_hatch() {
-    let src = "pub fn search_flat_unchecked(eng: &E, nonneg: bool) -> Out {\n    todo!()\n}\n";
-    assert_eq!(rules_at("crates/rt/src/x.rs", src), vec![]);
-}
-
 // -------------------------------------------------------------------- display
 
 #[test]

@@ -92,42 +92,10 @@ pub trait CandidateEval<L: OrderedLoss>: Send + Sync {
     }
 
     /// Cache counters accumulated by the evaluator — probe memoisation
-    /// (see [`selc::MemoChoice::stats`]) and/or a shared transposition
-    /// table (see [`crate::cached`]); merged into [`SearchStats::cache`]
-    /// after the search.
+    /// (see [`selc::MemoChoice::stats`]); merged into
+    /// [`SearchStats::cache`] after the search.
     fn cache_stats(&self) -> CacheStats {
         CacheStats::default()
-    }
-
-    /// The best *achieved* loss already known for this space, in the
-    /// [`OrderedLoss::prune_bits`] encoding — e.g. the best cached value
-    /// from a previous search over the same immutable program. Pruning
-    /// engines seed their [`SharedBound`] with it before the first
-    /// candidate runs, so warm repeats prune from the first batch.
-    /// Soundness: only report losses some candidate of this space
-    /// actually attains, never a lower bound.
-    fn seed_bits(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// References delegate, so adapters (e.g. [`crate::cached::CachedEval`])
-/// can borrow an evaluator they do not own.
-impl<L: OrderedLoss, E: CandidateEval<L>> CandidateEval<L> for &E {
-    fn eval(&self, index: usize, bound: &SharedBound<L>) -> Option<L> {
-        (**self).eval(index, bound)
-    }
-
-    fn lower_bound(&self, index: usize) -> Option<L> {
-        (**self).lower_bound(index)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        (**self).cache_stats()
-    }
-
-    fn seed_bits(&self) -> Option<u64> {
-        (**self).seed_bits()
     }
 }
 
@@ -350,11 +318,6 @@ impl Engine for SequentialEngine {
         cancel: &CancelToken,
     ) -> SearchResult<L> {
         let bound = SharedBound::new();
-        if self.prune {
-            if let Some(bits) = eval.seed_bits() {
-                bound.observe_bits(bits);
-            }
-        }
         let mut state = ScanState::new();
         let completed = scan(eval, 0..space, &bound, self.prune, cancel, &mut state);
         let stats = SearchStats {
@@ -452,11 +415,6 @@ impl Engine for ParallelEngine {
         let queue = WorkQueue::new(space);
         let bound = SharedBound::new();
         let prune = self.prune;
-        if prune {
-            if let Some(bits) = eval.seed_bits() {
-                bound.observe_bits(bits);
-            }
-        }
 
         let mut results: Vec<WorkerResult<L>> = Vec::with_capacity(threads);
         std::thread::scope(|s| {

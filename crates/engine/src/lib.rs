@@ -26,25 +26,21 @@
 //!   argument).
 //! * **A sequential fallback** — [`SequentialEngine`] implements the same
 //!   [`Engine`] trait and is the oracle of the differential test suites.
-//! * **Cache-through evaluation** — a shared `selc-cache` transposition
-//!   table threads through a search exactly like the bound does
-//!   ([`cached::CachedEval`]): workers stop re-evaluating candidates
-//!   another worker — or an earlier search against the same handle —
-//!   already scored, and hit/miss/eviction telemetry flows into
-//!   [`SearchStats`].
 //! * **Prefix-sharing tree search** — spaces that are really decision
 //!   *trees* (compiled λC choice points, deep games) run on
 //!   [`tree::TreeEngine`]: DFS with the bound consulted at every
 //!   interior node, best-first child ordering, and subtree-granularity
 //!   work distribution over the saturating [`queue::WorkQueue`] —
-//!   bit-identical winners to the flat scan at O(tree nodes) cost.
+//!   bit-identical winners to the flat scan at O(tree nodes) cost. Tree
+//!   evaluators with a shared `selc-cache` table answer repeat leaves
+//!   and whole subtrees from it, and hit/miss telemetry flows into
+//!   [`SearchStats`].
 //!
 //! Downstream, `selc-games` root-splits minimax and n-queens,
 //! `selc-ml` batches hyperparameter grids, and `selection::par` exposes
 //! plain parallel argmin/product adapters — all through this engine.
 
 pub mod bound;
-pub mod cached;
 pub mod cancel;
 pub mod engine;
 pub mod queue;
@@ -53,7 +49,6 @@ pub mod threads;
 pub mod tree;
 
 pub use bound::SharedBound;
-pub use cached::{search_programs_cached, CachedEval};
 pub use cancel::CancelToken;
 pub use engine::{
     minimize, CandidateEval, Engine, FnEval, Outcome, ParallelEngine, SearchResult, SearchStats,
@@ -62,6 +57,4 @@ pub use engine::{
 pub use queue::WorkQueue;
 pub use replay::{search_programs, CacheStatsSink, SelEval};
 pub use threads::{configured_threads, THREADS_ENV};
-pub use tree::{
-    parallel_subtrees, parallel_subtrees_with, SummaryProbe, TreeEngine, TreeEval, TreeStep,
-};
+pub use tree::{parallel_subtrees, SummaryProbe, TreeEngine, TreeEval, TreeStep};

@@ -33,8 +33,8 @@
 //!   the way back up, pruned ones install bound entries
 //!   ([`TreeEval::install_summary`]), and [`TreeEval::seed_bits`] warm-
 //!   starts the shared bound from the best previously-achieved loss so
-//!   repeats prune from the first node. `SELC_SUMMARIES=0` turns all of
-//!   it off (see [`selc_cache::env::summaries_enabled`]).
+//!   repeats prune from the first node. [`TreeEngine::without_summaries`]
+//!   turns all of it off for differential tests.
 //!
 //! # Determinism
 //!
@@ -225,19 +225,13 @@ pub struct TreeEngine {
     pub split: u32,
     /// Probe/install interior-node subtree summaries through the
     /// evaluator's [`TreeEval::probe_summary`] / [`TreeEval::install_summary`]
-    /// hooks (a no-op for evaluators without a table). Defaults to the
-    /// `SELC_SUMMARIES` knob (on unless explicitly disabled).
+    /// hooks (a no-op for evaluators without a table). On by default.
     pub summaries: bool,
 }
 
 impl Default for TreeEngine {
     fn default() -> Self {
-        TreeEngine {
-            threads: 0,
-            prune: true,
-            split: 0,
-            summaries: selc_cache::env::summaries_enabled(),
-        }
+        TreeEngine { threads: 0, prune: true, split: 0, summaries: true }
     }
 }
 
@@ -668,40 +662,10 @@ where
     R: Send,
     F: Fn(usize) -> R + Send + Sync,
 {
-    parallel_subtrees_with(threads, count, &CancelToken::never(), task)
-        .expect("a never token cannot cancel")
-}
-
-/// [`parallel_subtrees`] under a [`CancelToken`]: workers stop claiming
-/// subtrees once the token fires (within one task of cancellation) and
-/// the call returns `None` — an incomplete task-result vector has no
-/// deterministic merge, so cancellation yields nothing rather than a
-/// silently partial fold. `Some` results are always complete.
-///
-/// # Panics
-///
-/// Panics if a task panics.
-pub fn parallel_subtrees_with<R, F>(
-    threads: usize,
-    count: usize,
-    cancel: &CancelToken,
-    task: F,
-) -> Option<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
     let threads =
         (if threads == 0 { configured_threads() } else { threads }).max(1).min(count.max(1));
     if threads <= 1 {
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            out.push(task(i));
-        }
-        return Some(out);
+        return (0..count).map(task).collect();
     }
     let queue = WorkQueue::new(count);
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
@@ -709,18 +673,17 @@ where
         for _ in 0..threads {
             let (queue, slots, task) = (&queue, &slots, &task);
             s.spawn(move || {
-                while let Some((i, _)) = queue.claim_unless(1, cancel) {
+                while let Some((i, _)) = queue.claim(1) {
                     let r = task(i);
                     *slots[i].lock().expect("subtree slot poisoned") = Some(r);
                 }
             });
         }
     });
-    let mut out = Vec::with_capacity(count);
-    for slot in slots {
-        out.push(slot.into_inner().expect("subtree slot poisoned")?);
-    }
-    Some(out)
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("subtree slot poisoned").expect("every task ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1126,22 +1089,6 @@ mod tests {
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "threads {threads}");
         }
         assert!(parallel_subtrees(3, 0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn cancelled_parallel_subtrees_return_none_instead_of_a_partial_fold() {
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        for threads in [1, 3] {
-            assert!(
-                parallel_subtrees_with(threads, 10, &cancel, |i| i).is_none(),
-                "threads {threads}"
-            );
-        }
-        assert_eq!(
-            parallel_subtrees_with(2, 4, &CancelToken::never(), |i| i + 1),
-            Some(vec![1, 2, 3, 4])
-        );
     }
 
     #[test]

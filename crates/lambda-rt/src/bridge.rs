@@ -173,71 +173,31 @@ impl LcCandidates {
         Arc::clone(&self.best_seen)
     }
 
-    /// Runs candidate `index`'s forced machine, with an optional prune
-    /// hook.
-    ///
-    /// # Errors
-    ///
-    /// Machine errors, including [`MachError::Pruned`] when the hook
-    /// fires.
-    pub fn try_run(
-        &self,
-        index: usize,
-        prune: Option<MachinePrune>,
-    ) -> Result<MachineOutcome, MachError> {
-        machine::run_with(
-            &self.program,
-            RunConfig {
-                fuel: self.fuel,
-                forced: Some(ForcedChoices {
-                    ops: self.ops.clone(),
-                    bits: index as u64,
-                    max_decisions: self.depth,
-                }),
-                prune,
-            },
-        )
-    }
-
-    /// Runs candidate `index` with an optional prune hook, enforcing the
-    /// replay contract: any machine failure other than a prune
-    /// abandonment, or a stuck (unhandled) operation, is a panic —
+    /// Runs candidate `index`'s forced machine under the replay contract:
+    /// any machine failure, or a stuck (unhandled) operation, is a panic —
     /// factories must produce fully handled, terminating programs.
-    ///
-    /// # Errors
-    ///
-    /// Only [`MachError::Pruned`], when the hook fires.
-    ///
-    /// # Panics
-    ///
-    /// On other machine errors or a stuck operation.
-    pub fn run_candidate_pruned(
-        &self,
-        index: usize,
-        prune: Option<MachinePrune>,
-    ) -> Result<MachineOutcome, MachError> {
-        match self.try_run(index, prune) {
-            Err(MachError::Pruned) => Err(MachError::Pruned),
-            Err(e) => panic!("compiled λC candidate {index} failed: {e}"),
-            Ok(out) => {
-                assert!(
-                    out.stuck_on.is_none(),
-                    "compiled λC candidate {index} stuck on unhandled operation {:?}",
-                    out.stuck_on
-                );
-                Ok(out)
-            }
-        }
-    }
-
-    /// Runs candidate `index` under the replay contract (see
-    /// [`LcCandidates::run_candidate_pruned`]).
     ///
     /// # Panics
     ///
     /// On machine errors or a stuck (unhandled) operation.
     pub fn run_candidate(&self, index: usize) -> MachineOutcome {
-        self.run_candidate_pruned(index, None).expect("no prune hook was installed")
+        let config = RunConfig {
+            fuel: self.fuel,
+            forced: Some(ForcedChoices {
+                ops: self.ops.clone(),
+                bits: index as u64,
+                max_decisions: self.depth,
+            }),
+            prune: None,
+        };
+        let out = machine::run_with(&self.program, config)
+            .unwrap_or_else(|e| panic!("compiled λC candidate {index} failed: {e}"));
+        assert!(
+            out.stuck_on.is_none(),
+            "compiled λC candidate {index} stuck on unhandled operation {:?}",
+            out.stuck_on
+        );
+        out
     }
 
     /// Starts (or fast-forwards) a tree-mode run: scripts the `len`
@@ -276,7 +236,7 @@ impl LcCandidates {
 }
 
 /// The tree-mode replay contract (the [`Explored`] mirror of
-/// [`LcCandidates::run_candidate_pruned`]): factories must produce fully
+/// [`LcCandidates::run_candidate`]): factories must produce fully
 /// handled, terminating programs, so only prune abandonments survive as
 /// errors.
 pub(crate) fn enforce_replay_contract(

@@ -23,11 +23,13 @@
 //!    branches resume from the shared prefix snapshot, O(tree nodes)
 //!    machine work instead of O(2^depth · depth) replay-from-root, with
 //!    subtree-granularity parallelism. The flat scan stays as the
-//!    differential reference ([`search_compiled_flat`]).
+//!    independent differential reference ([`search_compiled_flat`]): no
+//!    table, no pruning, no state shared with the searches it checks.
 //! 4. **Cache** — [`search_compiled_cached`] threads a `selc-cache`
-//!    transposition table keyed by *decision prefixes* through the
-//!    search (tree and flat share one table), collapsing duplicate
-//!    candidates within a search and replaying nothing across searches.
+//!    transposition table keyed by *decision prefixes* through the tree
+//!    walk, with interior-node subtree summaries in the same table, so a
+//!    warm repeat replays nothing. Pruning is switched on only by a
+//!    `lambda_c::flow` certificate.
 //!
 //! ```
 //! use lambda_rt::{search_compiled, LcCandidates};
@@ -51,11 +53,5 @@ pub mod tree;
 
 pub use bridge::{LcCandidates, LcValue};
 pub use loss::{encode_scalar, OrdLossVal};
-pub use search::{
-    search_compiled_flat, search_compiled_flat_cached, search_compiled_flat_cached_unchecked,
-    CompiledEval, LcEntry, LcTransCache, SUMMARY_TAG,
-};
-pub use tree::{
-    search_compiled, search_compiled_cached, search_compiled_cached_unchecked,
-    search_compiled_cached_with, LcTreeEval,
-};
+pub use search::{search_compiled_flat, LcEntry, LcTransCache, SUMMARY_TAG};
+pub use tree::{search_compiled, search_compiled_cached, search_compiled_cached_with, LcTreeEval};

@@ -1,15 +1,15 @@
 //! Compiled λC on the engine's prefix-sharing tree search.
 //!
-//! Where [`crate::search::CompiledEval`] replays every one of the
-//! `2^depth` forced decision paths from the root — O(2^depth · depth)
+//! Where [`crate::search::search_compiled_flat`] replays every one of
+//! the `2^depth` forced decision paths from the root — O(2^depth · depth)
 //! machine segments — [`LcTreeEval`] walks the decision *tree*: one
 //! [`lambda_c::machine::ChoicePoint`] per interior node, each branch
 //! resumed from the suspended prefix state, O(tree nodes) segments total.
-//! The transposition keys are unchanged — `(space id, used, prefix)` is
-//! already prefix-shaped — so tree and flat searches share one
-//! [`LcTransCache`] handle, and a table warmed by either answers the
-//! other. The same handle also holds **subtree summaries** under
-//! key-disjoint tagged keys (`(space id, len | SUMMARY_TAG, bits)`, see
+//! Completed paths are cached in a shared [`LcTransCache`] under
+//! prefix-shaped `(space id, used, prefix)` keys, so a table warmed by
+//! one search answers the next. The same handle also holds **subtree
+//! summaries** under key-disjoint tagged keys
+//! (`(space id, len | SUMMARY_TAG, bits)`, see
 //! [`crate::search::LcEntry`]): the engine probes them at every interior
 //! node, so a warm tree repeat answers whole subtrees in O(1) — an
 //! O(depth) walk instead of an O(leaves) rescan — and seeds its
@@ -22,10 +22,12 @@
 //!   lower bound the engine checks against its `SharedBound` at every
 //!   interior node — a dominated subtree is skipped *whole*, where the
 //!   flat scan could only abandon its paths one replay at a time.
-//! * **Mid-segment abandonment.** The same [`MachinePrune`] hook as the
-//!   flat path threads through `explore`/`resume`; its accumulated
-//!   partial snapshots with the machine, so each branch prunes against
-//!   its own path total (see `lambda_c::machine`).
+//! * **Mid-segment abandonment.** Under the same certificate, a
+//!   [`MachinePrune`] hook threads through `explore`/`resume`; its
+//!   accumulated partial snapshots with the machine, so each branch
+//!   prunes against its own path total (see `lambda_c::machine`). The
+//!   certificate is the only switch: [`NonNegLosses`] has no constructor
+//!   outside `lambda_c::flow::analyze`.
 //! * **Determinism.** Leaves report `(total loss, decisions used)` and
 //!   the engine credits each to its smallest flat index, so the tree
 //!   winner is bit-identical — loss *and* index, ties included — to the
@@ -53,13 +55,13 @@ static LEAF_CACHE_HITS: LazyLock<selc_obs::Counter> =
     LazyLock::new(|| selc_obs::metrics::counter("lc.leaf_cache_hits"));
 
 /// A [`TreeEval`] that walks a compiled program's decision tree through
-/// machine snapshots, with the optional shared transposition table and
-/// mid-segment abandonment of the flat evaluator.
+/// machine snapshots, with an optional shared transposition table and
+/// certificate-gated pruning.
 pub struct LcTreeEval<'c> {
     cands: LcCandidates,
     cache: Option<&'c LcTransCache>,
     base: CacheStats,
-    nonneg: bool,
+    certified: bool,
     best_bits: Arc<AtomicU64>,
 }
 
@@ -70,7 +72,7 @@ impl<'c> LcTreeEval<'c> {
     /// the program is immutable, see [`TreeEval::seed_bits`]).
     pub fn new(cands: LcCandidates) -> LcTreeEval<'c> {
         let best_bits = cands.best_seen_cell();
-        LcTreeEval { cands, cache: None, base: CacheStats::default(), nonneg: false, best_bits }
+        LcTreeEval { cands, cache: None, base: CacheStats::default(), certified: false, best_bits }
     }
 
     /// Attaches a shared transposition table; stats reported through
@@ -87,24 +89,13 @@ impl<'c> LcTreeEval<'c> {
     /// the search just runs without pruning).
     pub fn with_nonneg_certificate(mut self, cert: &NonNegLosses) -> LcTreeEval<'c> {
         if cert.covers(self.cands.program()) {
-            self.nonneg = true;
+            self.certified = true;
         }
         self
     }
 
-    /// Enables mid-segment abandonment and subtree pruning on partial
-    /// losses **without** a certificate: the caller asserts the
-    /// program's emitted losses are non-negative (otherwise a partial
-    /// sum is not a lower bound and pruning would be unsound). Prefer
-    /// [`LcTreeEval::with_nonneg_certificate`]; the
-    /// `flow-uncertified-nonneg` lint flags unexplained uses.
-    pub fn assuming_nonneg_losses_unchecked(mut self) -> LcTreeEval<'c> {
-        self.nonneg = true;
-        self
-    }
-
     fn hook(&self) -> Option<MachinePrune> {
-        self.nonneg
+        self.certified
             .then(|| MachinePrune { threshold: Arc::clone(&self.best_bits), encode: encode_scalar })
     }
 
@@ -205,7 +196,7 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
     }
 
     fn hint_is_lower_bound(&self) -> bool {
-        self.nonneg
+        self.certified
     }
 
     fn min_leaf_depth(&self) -> u32 {
@@ -278,34 +269,8 @@ pub fn search_compiled_cached(
     cache: &LcTransCache,
     cert: Option<&NonNegLosses>,
 ) -> Option<(Outcome<OrdLossVal>, LcValue)> {
-    let mut eval = LcTreeEval::new(cands.clone()).with_cache(cache);
-    if let Some(cert) = cert {
-        eval = eval.with_nonneg_certificate(cert);
-    }
-    let outcome = engine.search(&eval)?;
-    let value = cands.run_candidate(outcome.index).ground_value();
-    Some((outcome, value))
-}
-
-/// [`search_compiled_cached`] with the pruning decision as a raw
-/// boolean: `nonneg = true` asserts non-negative emitted losses without
-/// a certificate (see
-/// [`LcTreeEval::assuming_nonneg_losses_unchecked`]). Kept for
-/// differential tests that deliberately force both settings.
-pub fn search_compiled_cached_unchecked(
-    engine: &TreeEngine,
-    cands: &LcCandidates,
-    cache: &LcTransCache,
-    nonneg: bool,
-) -> Option<(Outcome<OrdLossVal>, LcValue)> {
-    let mut eval = LcTreeEval::new(cands.clone()).with_cache(cache);
-    if nonneg {
-        // The wrapper *is* the lint-gated escape hatch; the claim is the
-        // caller's, made at their call site.
-        // selc-lint: allow(flow-uncertified-nonneg)
-        eval = eval.assuming_nonneg_losses_unchecked();
-    }
-    let outcome = engine.search(&eval)?;
+    let outcome = search_compiled_cached_with(engine, cands, cache, cert, &CancelToken::never())
+        .into_outcome()?;
     let value = cands.run_candidate(outcome.index).ground_value();
     Some((outcome, value))
 }
@@ -336,7 +301,7 @@ pub fn search_compiled_cached_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{search_compiled_flat, search_compiled_flat_cached};
+    use crate::search::search_compiled_flat;
     use lambda_c::testgen;
     use selc_engine::SequentialEngine;
 
@@ -378,29 +343,29 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_flat_searches_share_one_transposition_table() {
+    fn a_tree_filled_table_answers_warm_repeats_on_every_engine() {
         let cands = chain_candidates(6);
         let (reference, value) =
             search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
-        // Tree-cold fill…
+        // Sequential leaf-only cold fill…
         let cache = LcTransCache::unbounded(4);
-        let (cold, _) =
-            search_compiled_cached(&TreeEngine::sequential(), &cands, &cache, None).unwrap();
+        let leaf_only = TreeEngine { threads: 1, prune: false, split: 0, summaries: false };
+        let (cold, _) = search_compiled_cached(&leaf_only, &cands, &cache, None).unwrap();
         assert_eq!((cold.index, cold.loss.clone()), (reference.index, reference.loss.clone()));
         assert_eq!(cold.stats.cache.insertions, 64, "every leaf stored");
-        // …answers the *flat* warm search without a single replay…
-        let (warm_flat, wv) =
-            search_compiled_flat_cached(&SequentialEngine::exhaustive(), &cands, &cache, None)
-                .unwrap();
-        assert_eq!((warm_flat.index, warm_flat.loss.clone()), (cold.index, cold.loss.clone()));
+        // …answers a parallel leaf-only repeat without a single replay…
+        let split = TreeEngine { threads: 2, prune: false, split: 2, summaries: false };
+        let (warm, wv) = search_compiled_cached(&split, &cands, &cache, None).unwrap();
+        assert_eq!((warm.index, warm.loss.clone()), (cold.index, cold.loss.clone()));
         assert_eq!(wv, value);
-        assert_eq!(warm_flat.stats.cache.hits, 64, "fully warm from the tree fill");
-        // …and the warm tree repeat answers from the root probes alone.
-        let (warm_tree, tv) =
+        assert_eq!(warm.stats.cache.hits, 64, "fully warm from the sequential fill");
+        assert_eq!(warm.stats.cache.misses, 0);
+        // …and a summarised repeat over the same handle agrees too.
+        let (summarised, tv) =
             search_compiled_cached(&TreeEngine::with_threads(2), &cands, &cache, None).unwrap();
-        assert_eq!((warm_tree.index, warm_tree.loss.clone()), (cold.index, cold.loss));
+        assert_eq!((summarised.index, summarised.loss.clone()), (cold.index, cold.loss));
         assert_eq!(tv, value);
-        assert!(warm_tree.stats.cache.hits > 0, "stats: {:?}", warm_tree.stats);
+        assert!(summarised.stats.cache.hits > 0, "stats: {:?}", summarised.stats);
     }
 
     #[test]

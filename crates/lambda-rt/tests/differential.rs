@@ -1,10 +1,10 @@
 //! The λC bridge differential suite: the compiled environment machine
 //! must be **bit-identical** — loss and terminal — to the Fig-6
 //! smallstep reference and the Fig-7 bigstep evaluator, on every paper
-//! example and on `testgen` corpora; and engine searches over compiled
-//! candidates (sequential, parallel under `SELC_THREADS`, cached under
-//! `SELC_CACHE_SHARDS`/`SELC_CACHE_CAP`, pruned) must reproduce the
-//! argmin handler's winner bit-identically.
+//! example and on `testgen` corpora; and searches over compiled
+//! candidates (the flat sequential scan, the tree walk in parallel under
+//! `SELC_THREADS`, cached under `SELC_CACHE_SHARDS`/`SELC_CACHE_CAP`,
+//! pruned) must reproduce the argmin handler's winner bit-identically.
 
 use lambda_c::bigstep::{eval_closed, DEFAULT_FUEL};
 use lambda_c::loss::LossVal;
@@ -14,8 +14,8 @@ use lambda_c::syntax::Expr;
 use lambda_c::testgen::{self, ProgramGen};
 use lambda_c::types::{Effect, Type};
 use lambda_c::{compile, machine, Signature};
-use lambda_rt::{search_compiled_flat, search_compiled_flat_cached, LcCandidates, LcTransCache};
-use selc_engine::{search_programs, ParallelEngine, SequentialEngine};
+use lambda_rt::{search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache};
+use selc_engine::{ParallelEngine, SequentialEngine, TreeEngine};
 
 /// Runs the explicit Fig-6 smallstep loop (not via bigstep, so the two
 /// reference layers are exercised independently).
@@ -138,24 +138,22 @@ fn engine_search_reproduces_the_argmin_handler_bit_identically() {
         assert_eq!(seq.loss.0, reference.loss, "seed {seed}: engine argmin == handler loss");
         assert_eq!(seq_v, ref_ground, "seed {seed}: engine winner == handler terminal");
 
-        // Parallel, pruned, with the shared (possibly tiny, evicting)
-        // transposition table; plus a per-seed fresh cache warm repeat.
-        // Pruning runs under the flow certificate, which the search
-        // corpus (non-negative constant losses) must always earn.
-        let par = ParallelEngine::auto();
+        // The parallel tree walk, pruned, over the shared (possibly
+        // tiny, evicting) transposition table, cold then warm. Pruning
+        // runs under the flow certificate, which the search corpus
+        // (non-negative constant losses) must always earn.
+        let tree = TreeEngine::auto();
         let cert = cands.certificate().expect("search corpus is flow-certifiable");
-        let (pout, pv) =
-            search_compiled_flat_cached(&par, &cands, &shared_cache, Some(cert)).unwrap();
+        let (pout, pv) = search_compiled_cached(&tree, &cands, &shared_cache, Some(cert)).unwrap();
         assert_eq!((pout.index, pout.loss.0.clone()), (seq.index, reference.loss.clone()));
         assert_eq!(pv, ref_ground);
-        let (warm, wv) =
-            search_compiled_flat_cached(&par, &cands, &shared_cache, Some(cert)).unwrap();
+        let (warm, wv) = search_compiled_cached(&tree, &cands, &shared_cache, Some(cert)).unwrap();
         assert_eq!((warm.index, warm.loss.0.clone()), (seq.index, reference.loss.clone()));
         assert_eq!(wv, ref_ground);
 
-        // The ReplaySpace path (`Sel` programs on the generic engine).
+        // The flat scan on the parallel engine.
         if seed < 3 {
-            let (rout, rv) = search_programs(&par, cands.space(), cands.clone()).unwrap();
+            let (rout, rv) = search_compiled_flat(&ParallelEngine::auto(), &cands).unwrap();
             assert_eq!((rout.index, rout.loss.0), (seq.index, reference.loss.clone()));
             assert_eq!(rv, ref_ground);
         }

@@ -2,7 +2,8 @@
 //! return **bit-identical** winners — loss *and* index, ties included —
 //! to the flat exhaustive scan, across every configuration: sequential,
 //! parallel (`SELC_THREADS` workers and pinned pool shapes), cached
-//! (`SELC_CACHE_CAP`-bounded shared tables, tree- or flat-warmed), and
+//! (`SELC_CACHE_CAP`-bounded shared tables, cold and warmed by other
+//! tree configurations), and
 //! pruned (machine abandonment + dominated-subtree skips). The flat scan
 //! is itself proven against the argmin handler semantics in
 //! `tests/differential.rs`, so equality here closes the three-way chain
@@ -12,8 +13,8 @@ use lambda_c::testgen::{self, ProgramGen};
 use lambda_c::types::{Effect, Type};
 use lambda_c::{compile, LossVal};
 use lambda_rt::{
-    search_compiled, search_compiled_cached, search_compiled_flat, search_compiled_flat_cached,
-    LcCandidates, LcTransCache, OrdLossVal,
+    search_compiled, search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache,
+    OrdLossVal,
 };
 use proptest::prelude::*;
 use selc_engine::{Outcome, SequentialEngine, TreeEngine};
@@ -54,17 +55,15 @@ fn assert_tree_equals_flat(cands: &LcCandidates, label: &str) {
         // …and warm over whatever the pruned fill left behind.
         let (out, v) = search_compiled_cached(&engine, cands, &cache, cert).unwrap();
         check(&out, &v, &format!("tree warm {engine:?}"));
-        // Cross-warming: a flat search over the tree-filled table, and a
-        // tree search over a flat-filled one, share keys bit-for-bit.
+        // Cross-warming between configurations: the exhaustive walk over
+        // this engine's table, and this engine over an exhaustive fill.
         let (out, v) =
-            search_compiled_flat_cached(&SequentialEngine::exhaustive(), cands, &cache, cert)
-                .unwrap();
-        check(&out, &v, &format!("flat over tree-warmed table {engine:?}"));
-        let flat_filled = LcTransCache::from_env();
-        let _ =
-            search_compiled_flat_cached(&SequentialEngine::exhaustive(), cands, &flat_filled, None);
-        let (out, v) = search_compiled_cached(&engine, cands, &flat_filled, None).unwrap();
-        check(&out, &v, &format!("tree over flat-warmed table {engine:?}"));
+            search_compiled_cached(&TreeEngine::sequential(), cands, &cache, None).unwrap();
+        check(&out, &v, &format!("sequential over a {engine:?}-warmed table"));
+        let sequential_filled = LcTransCache::from_env();
+        let _ = search_compiled_cached(&TreeEngine::sequential(), cands, &sequential_filled, None);
+        let (out, v) = search_compiled_cached(&engine, cands, &sequential_filled, cert).unwrap();
+        check(&out, &v, &format!("tree over a sequential-warmed table {engine:?}"));
     }
 }
 

@@ -27,11 +27,8 @@
 use crate::dataset::Dataset;
 use crate::hyper::{probe_grid_argmin, Lr};
 use crate::linreg::sgd_step;
-use selc::{handle, CacheStats, Handler, MemoChoice, Replay, Sel, ShardedCache, SharedCache};
-use selc_engine::{
-    CacheStatsSink, CancelToken, CandidateEval, Engine, Outcome, ParallelEngine, SearchResult,
-    SearchStats, SharedBound,
-};
+use selc::{handle, CacheStats, Handler, MemoChoice, Replay, Sel, SharedCache};
+use selc_engine::{CacheStatsSink, CandidateEval, Engine, Outcome, SearchStats, SharedBound};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -332,108 +329,13 @@ pub fn tune_training_run<G: Engine>(
     TuneOutcome { alpha: eval.grid[out.index], err: out.loss, stats: out.stats }
 }
 
-/// Evaluator for [`tune_training_run_cached`]: a [`TrainEval`] behind a
-/// shared rate→total-loss cache. Completed runs are cached; aborted
-/// (pruned) runs are not — "dominated right now" is a fact about the
-/// current bound, not a loss.
-struct CachedTrainEval<'c> {
-    inner: TrainEval,
-    cache: &'c ShardedCache<u64, f64>,
-    base: CacheStats,
-}
-
-impl CandidateEval<f64> for CachedTrainEval<'_> {
-    fn eval(&self, i: usize, bound: &SharedBound<f64>) -> Option<f64> {
-        let key = self.inner.grid[i].to_bits();
-        if let Some(total) = self.cache.lookup(&key) {
-            return Some(total);
-        }
-        let total = self.inner.train(self.inner.grid[i], self.inner.prune.then_some(bound))?;
-        self.cache.store(key, total);
-        Some(total)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats().since(&self.base)
-    }
-}
-
-/// [`tune_training_run`] against a shared rate→total-loss cache: a rate
-/// any earlier run (or concurrent worker) already trained to completion
-/// is answered from the cache instead of re-training. Repeated tuning
-/// over overlapping grids — the cross-run reuse pattern — pays for each
-/// distinct rate once per cache epoch. Winners stay bit-identical to the
-/// uncached search (cached totals are the totals the training loop
-/// computed).
-///
-/// # Panics
-///
-/// Panics if `grid` is empty.
-pub fn tune_training_run_cached<G: Engine>(
-    engine: &G,
-    grid: Vec<f64>,
-    data: &Dataset,
-    init: (f64, f64),
-    epochs: usize,
-    cache: &ShardedCache<u64, f64>,
-) -> TuneOutcome {
-    assert!(!grid.is_empty(), "tune_training_run_cached needs at least one candidate rate");
-    let n = grid.len();
-    let inner = TrainEval { grid, data: Arc::new(data.clone()), init, epochs, prune: true };
-    let eval = CachedTrainEval { inner, cache, base: cache.stats() };
-    let out = engine.search(n, &eval).expect("non-empty grid");
-    TuneOutcome { alpha: eval.inner.grid[out.index], err: out.loss, stats: out.stats }
-}
-
-/// [`tune_training_run`] under a deadline: the engine checks `cancel`
-/// candidate-by-candidate alongside the shared bound. A completed search
-/// returns `Some` with the usual bit-identical winner; a cancelled one
-/// returns `None` — a partial grid scan has no deterministic winner (the
-/// true minimiser may sit among the unevaluated rates), so a timed-out
-/// tune yields nothing rather than a rate that depends on where the
-/// clock fired.
-///
-/// # Panics
-///
-/// Panics if `grid` is empty.
-pub fn tune_training_run_with<G: Engine>(
-    engine: &G,
-    grid: Vec<f64>,
-    data: &Dataset,
-    init: (f64, f64),
-    epochs: usize,
-    cancel: &CancelToken,
-) -> Option<TuneOutcome> {
-    assert!(!grid.is_empty(), "tune_training_run_with needs at least one candidate rate");
-    let n = grid.len();
-    let eval = TrainEval { grid, data: Arc::new(data.clone()), init, epochs, prune: true };
-    match engine.search_with(n, &eval, cancel) {
-        SearchResult::Complete(out) => {
-            let out = out.expect("non-empty grid");
-            Some(TuneOutcome { alpha: eval.grid[out.index], err: out.loss, stats: out.stats })
-        }
-        SearchResult::Cancelled(_) => None,
-    }
-}
-
-/// The default-pool (`SELC_THREADS`) entry point for
-/// [`tune_training_run`].
-pub fn tune_training_run_parallel(
-    grid: Vec<f64>,
-    data: &Dataset,
-    init: (f64, f64),
-    epochs: usize,
-) -> TuneOutcome {
-    tune_training_run(&ParallelEngine::auto(), grid, data, init, epochs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hyper::tune_lr;
     use crate::optimize::{gd_handler_tuned, Optimize};
-    use selc::{loss, perform};
-    use selc_engine::SequentialEngine;
+    use selc::{loss, perform, ShardedCache};
+    use selc_engine::{ParallelEngine, SequentialEngine};
 
     /// One gd step on `(p − 3)²` from `p0`, rate served by the LR effect.
     fn step_prog(p0: f64) -> Sel<f64, Vec<f64>> {
@@ -543,69 +445,6 @@ mod tests {
             assert_eq!(out.alpha, seq_alpha);
         }
         assert!(cache.stats().evictions > 0, "cap 2 must evict: {:?}", cache.stats());
-    }
-
-    #[test]
-    fn cached_training_run_tuner_reuses_completed_runs() {
-        let data = Dataset::linear(24, 2.0, -1.0, 0.0, 7);
-        let grid = vec![2.0, 1.5, 0.05, 1.2, 1.9];
-        let uncached =
-            tune_training_run(&SequentialEngine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 2);
-        let cache: ShardedCache<u64, f64> = ShardedCache::unbounded(4);
-        let first = tune_training_run_cached(
-            &SequentialEngine::exhaustive(),
-            grid.clone(),
-            &data,
-            (0.0, 0.0),
-            2,
-            &cache,
-        );
-        assert_eq!((first.alpha, first.err), (uncached.alpha, uncached.err));
-        assert_eq!(first.stats.cache.hits, 0);
-        for eng in engines() {
-            let again = tune_training_run_cached(&eng, grid.clone(), &data, (0.0, 0.0), 2, &cache);
-            assert_eq!((again.alpha, again.err), (uncached.alpha, uncached.err));
-            assert!(again.stats.cache.hits > 0, "warm cache answers repeat runs");
-        }
-        // Epoch invalidation (new dataset, say) forces re-training.
-        cache.advance_epoch();
-        let fresh = tune_training_run_cached(
-            &SequentialEngine::exhaustive(),
-            grid,
-            &data,
-            (0.0, 0.0),
-            2,
-            &cache,
-        );
-        assert_eq!((fresh.alpha, fresh.err), (uncached.alpha, uncached.err));
-        assert_eq!(fresh.stats.cache.hits, 0, "post-epoch search recomputes");
-    }
-
-    #[test]
-    fn deadline_tuner_completes_bit_identically_or_returns_none() {
-        let data = Dataset::linear(24, 2.0, -1.0, 0.0, 7);
-        let grid = vec![2.0, 1.5, 0.05, 1.2, 1.9];
-        let reference =
-            tune_training_run(&SequentialEngine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 2);
-        for eng in engines() {
-            let done = tune_training_run_with(
-                &eng,
-                grid.clone(),
-                &data,
-                (0.0, 0.0),
-                2,
-                &CancelToken::never(),
-            )
-            .expect("never token cannot cancel");
-            assert_eq!((done.alpha, done.err), (reference.alpha, reference.err));
-            let dead = CancelToken::never();
-            dead.cancel();
-            assert_eq!(
-                tune_training_run_with(&eng, grid.clone(), &data, (0.0, 0.0), 2, &dead),
-                None,
-                "a pre-cancelled tune must not report a winner"
-            );
-        }
     }
 
     #[test]

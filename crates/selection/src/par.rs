@@ -22,9 +22,7 @@
 
 use crate::product::{big_product_dep, Stage};
 use crate::sel::LossFn;
-use selc_cache::ShardedCache;
-use selc_engine::{minimize, CachedEval, Engine, FnEval, ParallelEngine};
-use std::hash::Hash;
+use selc_engine::{minimize, Engine, ParallelEngine};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -72,62 +70,6 @@ where
     let out = minimize(engine, candidates.len(), |i| loss(&candidates[i]))
         .expect("non-empty candidate list");
     candidates.into_iter().nth(out.index).expect("index in range")
-}
-
-/// [`par_argmin_with`] through a shared memo cache: candidate `x`'s loss
-/// is cached under `key(x)` in `cache`, so workers — and repeated calls
-/// reusing the same handle — skip loss evaluation for candidates already
-/// scored. The winner is bit-identical to [`crate::argmin_by`] whatever
-/// the cache contents, capacity, or shard count, because a cached loss
-/// *is* the loss `loss` would recompute (the key function must be
-/// injective up to evaluation: one key, one loss value).
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmin_cached_with<X, K, KF, F, G>(
-    engine: &G,
-    cache: &ShardedCache<K, f64>,
-    candidates: Vec<X>,
-    key: KF,
-    loss: F,
-) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    K: Eq + Hash + Send + 'static,
-    KF: Fn(&X) -> K + Send + Sync,
-    F: Fn(&X) -> f64 + Send + Sync,
-    G: Engine,
-{
-    assert!(!candidates.is_empty(), "argmin over an empty candidate list");
-    let eval =
-        CachedEval::new(FnEval(|i: usize| loss(&candidates[i])), cache, |i| key(&candidates[i]));
-    let out = engine.search(candidates.len(), &eval).expect("non-empty candidate list");
-    candidates.into_iter().nth(out.index).expect("index in range")
-}
-
-/// The `argmax` dual of [`par_argmin_cached_with`]. The cache stores the
-/// *negated* losses the engine minimises, so do not share one handle
-/// between a min- and a max-adapter over the same keys.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmax_cached_with<X, K, KF, F, G>(
-    engine: &G,
-    cache: &ShardedCache<K, f64>,
-    candidates: Vec<X>,
-    key: KF,
-    loss: F,
-) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    K: Eq + Hash + Send + 'static,
-    KF: Fn(&X) -> K + Send + Sync,
-    F: Fn(&X) -> f64 + Send + Sync,
-    G: Engine,
-{
-    par_argmin_cached_with(engine, cache, candidates, key, move |x| -loss(x))
 }
 
 /// Root-parallel Escardó–Oliva product: splits the *first* stage's
@@ -219,51 +161,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_candidates_panic_like_argmin_by() {
         let _ = par_argmin_by(Vec::<i64>::new(), |_| 0.0);
-    }
-
-    #[test]
-    fn cached_argmin_matches_plain_and_reuses_evaluations() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let xs: Vec<i64> = (0..80).map(|i| (i * 31) % 17).collect();
-        let seq = argmin_by(xs.clone(), |x| (*x - 9) as f64 * (*x - 9) as f64);
-        let cache: ShardedCache<i64, f64> = ShardedCache::unbounded(4);
-        let evals = AtomicU64::new(0);
-        for round in 0..3 {
-            let got = par_argmin_cached_with(
-                &ParallelEngine::with_threads(3),
-                &cache,
-                xs.clone(),
-                |x| *x,
-                |x| {
-                    evals.fetch_add(1, Ordering::Relaxed);
-                    (*x - 9) as f64 * (*x - 9) as f64
-                },
-            );
-            assert_eq!(got, seq, "round {round}");
-        }
-        // 17 distinct candidate values → at most 17 real evaluations ever
-        // (the first search may race a few duplicates onto workers).
-        assert!(evals.load(Ordering::Relaxed) <= 80, "cache reused: {evals:?}");
-        assert_eq!(cache.stats().hits + cache.stats().misses, 240);
-        assert!(cache.stats().hits >= 160, "rounds 2 and 3 fully cached");
-    }
-
-    #[test]
-    fn cached_argmax_matches_plain_under_tiny_capacity() {
-        let xs: Vec<i64> = (0..60).map(|i| (i * 13) % 23).collect();
-        let plain = argmax_by(xs.clone(), |x| *x as f64);
-        let cache: ShardedCache<i64, f64> = ShardedCache::clock_lru(2, 4);
-        for _ in 0..2 {
-            let got = par_argmax_cached_with(
-                &ParallelEngine::with_threads(2),
-                &cache,
-                xs.clone(),
-                |x| *x,
-                |x| *x as f64,
-            );
-            assert_eq!(got, plain);
-        }
-        assert!(cache.stats().evictions > 0, "cap 4 must evict: {:?}", cache.stats());
     }
 
     #[test]

@@ -13,3 +13,9 @@ pub use selc_denote as denote;
 pub use selc_games as games;
 pub use selc_ml as ml;
 pub use selection;
+
+/// Compiles (and runs) the ```rust blocks of `README.md` as doctests, so
+/// the tour cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
