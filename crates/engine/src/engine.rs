@@ -4,12 +4,17 @@
 //! through a [`CandidateEval`] and returns the argmin under the total
 //! order [`OrderedLoss::cmp_loss`], ties broken towards the smallest
 //! index. [`SequentialEngine`] is the single-threaded reference;
-//! [`ParallelEngine`] distributes chunks of the space over a fixed pool
-//! of `std::thread` workers and merges per-worker bests by
-//! `(loss, index)` — a commutative, associative, *total* reduction, so
-//! the winner is bit-identical to the sequential scan regardless of
-//! thread interleaving. Both share the branch-and-bound machinery of
+//! [`ParallelEngine`] distributes chunks of the space over a pool of
+//! `std::thread` workers and merges per-worker bests by `(loss, index)`
+//! — a commutative, associative, *total* reduction, so the winner is
+//! bit-identical to the sequential scan regardless of thread
+//! interleaving. Both share the branch-and-bound machinery of
 //! [`SharedBound`].
+//!
+//! Every engine, the tree walk in [`crate::tree`] included, fans out
+//! through one worker loop (`fan_out`, the caller being worker 0) into
+//! one per-worker accumulator (`Partial`) and one result path
+//! (`Partial::finish`).
 
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
@@ -23,7 +28,7 @@ use std::sync::LazyLock;
 /// Span labels for the engine hot paths: a queue claim (the wait for
 /// work), one flat candidate evaluation, one claimed subtree descent.
 /// All three are inert one-branch checks unless `SELC_TRACE` is set.
-pub(crate) static CLAIM_SPAN: SpanLabel = SpanLabel::new("engine.claim");
+static CLAIM_SPAN: SpanLabel = SpanLabel::new("engine.claim");
 static EVAL_SPAN: SpanLabel = SpanLabel::new("engine.eval");
 
 /// Process-global engine counters, folded in **once per search** from
@@ -54,7 +59,7 @@ static ENGINE_METRICS: LazyLock<EngineMetrics> = LazyLock::new(|| EngineMetrics 
 
 /// Folds one finished search into the global counters; no-op when
 /// metrics are disabled.
-pub(crate) fn record_search_metrics(stats: &SearchStats, aborted: bool) {
+fn record_search_metrics(stats: &SearchStats, aborted: bool) {
     if !selc_obs::metrics_enabled() {
         return;
     }
@@ -176,9 +181,6 @@ impl<L> SearchResult<L> {
 /// A strategy for searching a finite candidate space. `search` returns
 /// `None` only for an empty space.
 pub trait Engine {
-    /// Engine name, for bench labels and diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Argmin over `0..space` under `eval`, deterministic tie-breaking
     /// towards the smallest index, aborting (with the best seen so far)
     /// as soon as `cancel` fires — checked per candidate, alongside the
@@ -203,16 +205,11 @@ pub trait Engine {
     }
 }
 
-/// One worker's contribution: local best, (evaluated, pruned) counts,
-/// and whether it ran to completion (`false` when the cancel token
-/// stopped it mid-scan).
-type WorkerResult<L> = (Option<(L, usize)>, u64, u64, bool);
-
 /// Lexicographic `(loss, index)` merge — the deterministic reduction.
 /// One definition for every engine (the flat scans here, the tree walk
 /// in [`crate::tree`]): the bit-identical-winners contract depends on
 /// all of them folding with exactly this comparison.
-pub(crate) fn better<L: OrderedLoss>(a: &(L, usize), b: &(L, usize)) -> bool {
+fn better<L: OrderedLoss>(a: &(L, usize), b: &(L, usize)) -> bool {
     match a.0.cmp_loss(&b.0) {
         std::cmp::Ordering::Less => true,
         std::cmp::Ordering::Greater => false,
@@ -220,44 +217,144 @@ pub(crate) fn better<L: OrderedLoss>(a: &(L, usize), b: &(L, usize)) -> bool {
     }
 }
 
-/// One scanner's running state: the local best plus evaluated/pruned
-/// tallies, accumulated across every range the scanner processes.
-#[derive(Debug)]
-struct ScanState<L> {
-    best: Option<(L, usize)>,
-    evaluated: u64,
-    pruned: u64,
-}
-
-impl<L> ScanState<L> {
-    fn new() -> ScanState<L> {
-        ScanState { best: None, evaluated: 0, pruned: 0 }
+/// Folds `candidate` into a running best under [`better`].
+pub(crate) fn keep_better<L: OrderedLoss>(best: &mut Option<(L, usize)>, candidate: (L, usize)) {
+    if best.as_ref().is_none_or(|b| better(&candidate, b)) {
+        *best = Some(candidate);
     }
 }
 
-/// Evaluates `indices`, maintaining a local best and the shared bound.
-/// Returns `false` when `cancel` fired mid-range (the remaining indices
-/// were not touched), `true` when the whole range was processed.
+/// The one worker loop every engine fans out through: `threads` workers
+/// each own an `A`, claim `chunk`-sized ranges of `0..count` and hand
+/// each to `work`; a `false` from `work` stops that worker. The calling
+/// thread is worker 0, so a one-worker search spawns nothing.
+///
+/// The claim honours `cancel`: a cancelled worker stops within one
+/// claim instead of draining the queue. The returned flag says whether
+/// the queue was drained — `false` proves claims were refused, i.e.
+/// part of the space went unexamined.
+pub(crate) fn fan_out<A, W>(
+    threads: usize,
+    count: usize,
+    chunk: usize,
+    cancel: &CancelToken,
+    work: W,
+) -> (Vec<A>, bool)
+where
+    A: Default + Send,
+    W: Fn(&mut A, usize, usize) -> bool + Sync,
+{
+    let queue = WorkQueue::new(count);
+    let worker = || {
+        let mut acc = A::default();
+        loop {
+            let claimed = {
+                let _span = trace::span(&CLAIM_SPAN, chunk as u64);
+                queue.claim_unless(chunk, cancel)
+            };
+            let Some((start, end)) = claimed else { break };
+            if !work(&mut acc, start, end) {
+                break;
+            }
+        }
+        acc
+    };
+    let accs = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+        let mut accs = Vec::with_capacity(threads);
+        accs.push(worker());
+        accs.extend(spawned.into_iter().map(|h| h.join().expect("engine worker panicked")));
+        accs
+    });
+    (accs, queue.claim(1).is_none())
+}
+
+/// One worker's accumulator, and after [`Partial::merged`] the whole
+/// search's: local best plus counters (`evaluated` = candidates or
+/// canonical leaves scored, `pruned` = candidates or subtrees skipped,
+/// `summary` = interior-node summary traffic, `aborted` = the cancel
+/// token fired and some of the space was left unexamined).
+pub(crate) struct Partial<L> {
+    pub(crate) best: Option<(L, usize)>,
+    pub(crate) evaluated: u64,
+    pub(crate) pruned: u64,
+    pub(crate) summary: SummaryStats,
+    pub(crate) aborted: bool,
+}
+
+impl<L> Default for Partial<L> {
+    fn default() -> Self {
+        Partial {
+            best: None,
+            evaluated: 0,
+            pruned: 0,
+            summary: SummaryStats::default(),
+            aborted: false,
+        }
+    }
+}
+
+impl<L: OrderedLoss> Partial<L> {
+    /// Folds the per-worker parts of one [`fan_out`]; an undrained queue
+    /// (`drained == false`) marks the search aborted even when no worker
+    /// saw the token mid-work.
+    pub(crate) fn merged(parts: Vec<Partial<L>>, drained: bool) -> Partial<L> {
+        let mut merged = Partial { aborted: !drained, ..Partial::default() };
+        for part in parts {
+            merged.evaluated += part.evaluated;
+            merged.pruned += part.pruned;
+            merged.aborted |= part.aborted;
+            merged.summary = merged.summary.merged(&part.summary);
+            if let Some(candidate) = part.best {
+                keep_better(&mut merged.best, candidate);
+            }
+        }
+        merged
+    }
+
+    /// The search's result: stats, the once-per-search metrics fold, and
+    /// `Complete` or `Cancelled`.
+    pub(crate) fn finish(self, threads: usize, cache: CacheStats) -> SearchResult<L> {
+        let stats = SearchStats {
+            evaluated: self.evaluated,
+            pruned: self.pruned,
+            threads,
+            cache,
+            summary: self.summary,
+        };
+        record_search_metrics(&stats, self.aborted);
+        let outcome = self.best.map(|(loss, index)| Outcome { index, loss, stats });
+        if self.aborted {
+            SearchResult::Cancelled(outcome)
+        } else {
+            SearchResult::Complete(outcome)
+        }
+    }
+}
+
+/// Evaluates `indices`, maintaining the part's best and the shared
+/// bound; marks the part aborted (leaving the rest of the range
+/// untouched) when `cancel` fires.
 fn scan<L, E>(
     eval: &E,
     indices: std::ops::Range<usize>,
     bound: &SharedBound<L>,
     prune: bool,
     cancel: &CancelToken,
-    state: &mut ScanState<L>,
-) -> bool
-where
+    part: &mut Partial<L>,
+) where
     L: OrderedLoss,
     E: CandidateEval<L> + ?Sized,
 {
     for i in indices {
         if cancel.is_cancelled() {
-            return false;
+            part.aborted = true;
+            return;
         }
         if prune {
             if let Some(lb) = eval.lower_bound(i) {
                 if bound.dominated(&lb) {
-                    state.pruned += 1;
+                    part.pruned += 1;
                     continue;
                 }
             }
@@ -267,20 +364,39 @@ where
             eval.eval(i, bound)
         };
         match scored {
-            None => state.pruned += 1,
+            None => part.pruned += 1,
             Some(l) => {
-                state.evaluated += 1;
+                part.evaluated += 1;
                 if prune {
                     bound.observe(&l);
                 }
-                let candidate = (l, i);
-                if state.best.as_ref().is_none_or(|b| better(&candidate, b)) {
-                    state.best = Some(candidate);
-                }
+                keep_better(&mut part.best, (l, i));
             }
         }
     }
-    true
+}
+
+/// The flat search both flat engines run: `threads` workers scan
+/// `chunk`-sized ranges of `0..space` against one shared bound.
+fn flat_search<L, E>(
+    threads: usize,
+    chunk: usize,
+    prune: bool,
+    space: usize,
+    eval: &E,
+    cancel: &CancelToken,
+) -> SearchResult<L>
+where
+    L: OrderedLoss,
+    E: CandidateEval<L> + ?Sized,
+{
+    let bound = SharedBound::new();
+    let (parts, drained) =
+        fan_out(threads, space, chunk, cancel, |part: &mut Partial<L>, start, end| {
+            scan(eval, start..end, &bound, prune, cancel, part);
+            !part.aborted
+        });
+    Partial::merged(parts, drained).finish(threads, eval.cache_stats())
 }
 
 /// The single-threaded reference engine (and differential-test oracle).
@@ -303,42 +419,18 @@ impl SequentialEngine {
 }
 
 impl Engine for SequentialEngine {
-    fn name(&self) -> &'static str {
-        if self.prune {
-            "sequential+prune"
-        } else {
-            "sequential"
-        }
-    }
-
     fn search_with<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
         &self,
         space: usize,
         eval: &E,
         cancel: &CancelToken,
     ) -> SearchResult<L> {
-        let bound = SharedBound::new();
-        let mut state = ScanState::new();
-        let completed = scan(eval, 0..space, &bound, self.prune, cancel, &mut state);
-        let stats = SearchStats {
-            evaluated: state.evaluated,
-            pruned: state.pruned,
-            threads: 1,
-            cache: eval.cache_stats(),
-            summary: SummaryStats::default(),
-        };
-        record_search_metrics(&stats, !completed);
-        let outcome = state.best.map(|(loss, index)| Outcome { index, loss, stats });
-        if completed {
-            SearchResult::Complete(outcome)
-        } else {
-            SearchResult::Cancelled(outcome)
-        }
+        flat_search(1, space.max(1), self.prune, space, eval, cancel)
     }
 }
 
-/// The parallel engine: a fixed-size `std::thread` worker pool fed by a
-/// chunked work queue (an atomic cursor over `0..space`), with the shared
+/// The parallel engine: a fixed-size worker pool fed by a chunked work
+/// queue (an atomic cursor over `0..space`), with the shared
 /// branch-and-bound bound and the deterministic `(loss, index)` merge.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelEngine {
@@ -388,97 +480,15 @@ impl ParallelEngine {
 }
 
 impl Engine for ParallelEngine {
-    fn name(&self) -> &'static str {
-        if self.prune {
-            "parallel+prune"
-        } else {
-            "parallel"
-        }
-    }
-
     fn search_with<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
         &self,
         space: usize,
         eval: &E,
         cancel: &CancelToken,
     ) -> SearchResult<L> {
-        if space == 0 {
-            return SearchResult::Complete(None);
-        }
         let threads = self.effective_threads(space);
-        if threads == 1 {
-            // Same scan, no pool: keeps the 1-worker bench rows honest
-            // about not paying spawn overhead twice.
-            return SequentialEngine { prune: self.prune }.search_with(space, eval, cancel);
-        }
         let chunk = self.effective_chunk(space, threads);
-        let queue = WorkQueue::new(space);
-        let bound = SharedBound::new();
-        let prune = self.prune;
-
-        let mut results: Vec<WorkerResult<L>> = Vec::with_capacity(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let queue = &queue;
-                    let bound = &bound;
-                    s.spawn(move || {
-                        let mut state = ScanState::new();
-                        let mut completed = true;
-                        // The claim itself honours the token, so a worker
-                        // stops within one chunk of cancellation instead
-                        // of spinning the queue to exhaustion.
-                        loop {
-                            let claimed = {
-                                let _span = trace::span(&CLAIM_SPAN, chunk as u64);
-                                queue.claim_unless(chunk, cancel)
-                            };
-                            let Some((start, end)) = claimed else { break };
-                            if !scan(eval, start..end, bound, prune, cancel, &mut state) {
-                                completed = false;
-                                break;
-                            }
-                        }
-                        (state.best, state.evaluated, state.pruned, completed)
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("engine worker panicked"));
-            }
-        });
-
-        let mut best: Option<(L, usize)> = None;
-        let (mut evaluated, mut pruned) = (0, 0);
-        let mut aborted = false;
-        for (local, e, p, completed) in results {
-            evaluated += e;
-            pruned += p;
-            aborted |= !completed;
-            if let Some(candidate) = local {
-                if best.as_ref().is_none_or(|b| better(&candidate, b)) {
-                    best = Some(candidate);
-                }
-            }
-        }
-        // A worker that saw the token mid-scan proves candidates were
-        // skipped; claims refused at the loop head leave the queue
-        // cursor short of the space, which the same check catches.
-        aborted |= cancel.is_cancelled() && evaluated + pruned < space as u64;
-        let stats = SearchStats {
-            evaluated,
-            pruned,
-            threads,
-            cache: eval.cache_stats(),
-            summary: SummaryStats::default(),
-        };
-        record_search_metrics(&stats, aborted);
-        let outcome = best.map(|(loss, index)| Outcome { index, loss, stats });
-        if aborted {
-            SearchResult::Cancelled(outcome)
-        } else {
-            SearchResult::Complete(outcome)
-        }
+        flat_search(threads, chunk, self.prune, space, eval, cancel)
     }
 }
 

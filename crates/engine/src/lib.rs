@@ -11,10 +11,12 @@
 //!   ([`selc::ReplaySpace`]), never as trees: each worker rebuilds the
 //!   candidate's `Sel` program locally (building is pure) and keeps only
 //!   the recorded loss. See [`replay`].
-//! * **A fixed-size worker pool** — plain `std::thread` workers fed by a
-//!   chunked atomic work queue; no external dependencies. Pool size
-//!   defaults to the `SELC_THREADS` knob ([`threads::configured_threads`])
-//!   so CI and benches are reproducible anywhere.
+//! * **One worker loop** — plain `std::thread` workers fed by a chunked
+//!   atomic work queue, the calling thread being worker 0; every engine
+//!   (flat, tree, [`tree::parallel_subtrees`]) fans out through it. No
+//!   external dependencies. Worker count defaults to the `SELC_THREADS`
+//!   knob ([`threads::configured_threads`]) so CI and benches are
+//!   reproducible anywhere.
 //! * **Deterministic reduction** — per-worker bests merge lexicographically
 //!   by `(loss, index)` under the *total* order [`selc::OrderedLoss`], so
 //!   parallel argmin returns bit-identical winners to the sequential scan

@@ -19,11 +19,13 @@
 //!   found early and the bound tightens before the expensive siblings
 //!   run. This pays even on one core — it is an evaluation-order
 //!   improvement, not a parallelism trick.
-//! * **Subtree-granularity distribution** — workers claim decision
+//! * **Subtree-granularity distribution** — through the engine's one
+//!   worker loop (the caller being worker 0), workers claim decision
 //!   *prefixes* of a fixed split depth from the saturating
-//!   [`WorkQueue`] (not fixed index chunks), rebuild the subtree root
-//!   locally (`enter`), and DFS it; node handles never cross threads,
-//!   so non-`Send` evaluator state (e.g. machine continuations) is fine.
+//!   [`crate::WorkQueue`] (not fixed index chunks), rebuild the subtree
+//!   root locally (`enter`), and DFS it; node handles never cross
+//!   threads, so non-`Send` evaluator state (e.g. machine continuations)
+//!   is fine. One worker walks the single split-depth-0 prefix, the root.
 //! * **Subtree summaries at every interior node** — evaluators with a
 //!   summary table ([`TreeEval::probe_summary`]) answer whole subtrees
 //!   from cache: an *exact* entry returns the subtree's argmin in O(1)
@@ -50,13 +52,11 @@
 
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
-use crate::engine::{record_search_metrics, Outcome, SearchResult, SearchStats, CLAIM_SPAN};
-use crate::queue::WorkQueue;
+use crate::engine::{fan_out, keep_better, Outcome, Partial, SearchResult};
 use crate::threads::configured_threads;
 use selc::OrderedLoss;
-use selc_cache::{CacheStats, SubtreeSummary, SummaryStats};
+use selc_cache::{CacheStats, SubtreeSummary};
 use selc_obs::{trace, SpanLabel};
-use std::sync::Mutex;
 
 /// Span label for one claimed subtree's depth-first descent; the span
 /// argument is the subtree's prefix bits, so a trace row shows *which*
@@ -179,7 +179,7 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     }
 
     /// Cache counters accumulated by the evaluator (merged into
-    /// [`SearchStats::cache`] after the search).
+    /// [`crate::SearchStats::cache`] after the search).
     fn cache_stats(&self) -> CacheStats {
         CacheStats::default()
     }
@@ -330,123 +330,17 @@ impl TreeEngine {
             cancel,
         };
 
-        let mut parts: Vec<Partial<L>> = if threads == 1 {
-            let mut part = Partial::default();
-            let _span = trace::span(&SUBTREE_SPAN, 0);
-            let sub = walker.dfs(eval.enter(0, 0), 0, 0, &mut part);
-            if let Some(candidate) = sub.best {
-                part.merge(candidate);
-            }
-            vec![part]
-        } else {
-            let queue = WorkQueue::new(1_usize << split);
-            let mut parts = Vec::with_capacity(threads);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let (queue, walker) = (&queue, &walker);
-                        s.spawn(move || {
-                            let mut part = Partial::default();
-                            // The claim honours the token: a cancelled
-                            // worker stops after its current subtree
-                            // instead of draining the prefix queue.
-                            loop {
-                                let claimed = {
-                                    let _span = trace::span(&CLAIM_SPAN, 1);
-                                    queue.claim_unless(1, cancel)
-                                };
-                                let Some((start, end)) = claimed else { break };
-                                debug_assert_eq!(end, start + 1);
-                                let _span = trace::span(&SUBTREE_SPAN, start as u64);
-                                let sub = walker.dfs(
-                                    walker.eval.enter(start as u64, split),
-                                    start as u64,
-                                    split,
-                                    &mut part,
-                                );
-                                if let Some(candidate) = sub.best {
-                                    part.merge(candidate);
-                                }
-                                if part.aborted {
-                                    break;
-                                }
-                            }
-                            part
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    parts.push(h.join().expect("tree worker panicked"));
+        let (parts, drained) =
+            fan_out(threads, 1_usize << split, 1, cancel, |part: &mut Partial<L>, start, _| {
+                let _span = trace::span(&SUBTREE_SPAN, start as u64);
+                let prefix = start as u64;
+                let sub = walker.dfs(eval.enter(prefix, split), prefix, split, part);
+                if let Some(candidate) = sub.best {
+                    keep_better(&mut part.best, candidate);
                 }
+                !part.aborted
             });
-            // Subtrees never claimed because the token fired at the
-            // queue are aborted work too, even if no walker saw the
-            // flag mid-DFS; an undrained queue after the pool exits
-            // proves claims were refused.
-            if queue.claim(1).is_some() {
-                if let Some(p) = parts.first_mut() {
-                    p.aborted = true;
-                }
-            }
-            parts
-        };
-
-        let mut merged = Partial::default();
-        for part in parts.drain(..) {
-            merged.evaluated += part.evaluated;
-            merged.pruned += part.pruned;
-            merged.aborted |= part.aborted;
-            merged.summary = merged.summary.merged(&part.summary);
-            if let Some(candidate) = part.best {
-                merged.merge(candidate);
-            }
-        }
-        let stats = SearchStats {
-            evaluated: merged.evaluated,
-            pruned: merged.pruned,
-            threads,
-            cache: eval.cache_stats(),
-            summary: merged.summary,
-        };
-        record_search_metrics(&stats, merged.aborted);
-        let outcome = merged.best.map(|(loss, index)| Outcome { index, loss, stats });
-        if merged.aborted {
-            SearchResult::Cancelled(outcome)
-        } else {
-            SearchResult::Complete(outcome)
-        }
-    }
-}
-
-/// One worker's accumulator: local best plus counters (`evaluated` =
-/// canonical leaves scored, `pruned` = subtrees or leaves skipped,
-/// `summary` = interior-node summary traffic, `aborted` = the cancel
-/// token fired mid-walk and some subtree was left unexplored).
-struct Partial<L> {
-    best: Option<(L, usize)>,
-    evaluated: u64,
-    pruned: u64,
-    summary: SummaryStats,
-    aborted: bool,
-}
-
-impl<L> Default for Partial<L> {
-    fn default() -> Self {
-        Partial {
-            best: None,
-            evaluated: 0,
-            pruned: 0,
-            summary: SummaryStats::default(),
-            aborted: false,
-        }
-    }
-}
-
-impl<L: OrderedLoss> Partial<L> {
-    fn merge(&mut self, candidate: (L, usize)) {
-        if self.best.as_ref().is_none_or(|best| crate::engine::better(&candidate, best)) {
-            self.best = Some(candidate);
-        }
+        Partial::merged(parts, drained).finish(threads, eval.cache_stats())
     }
 }
 
@@ -591,12 +485,7 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
 
                 let mut best = a.best;
                 if let Some(candidate) = b.best {
-                    if best
-                        .as_ref()
-                        .is_none_or(|current| crate::engine::better(&candidate, current))
-                    {
-                        best = Some(candidate);
-                    }
+                    keep_better(&mut best, candidate);
                 }
                 let exact = a.exact && b.exact;
                 let lb = match (a.lb, b.lb) {
@@ -646,8 +535,9 @@ fn estimate<N, L>(step: &TreeStep<N, L>) -> Option<&L> {
     }
 }
 
-/// Distributes `count` independent subtree tasks over a worker pool
-/// (saturating claim queue, one subtree per claim) and returns the
+/// Distributes `count` independent subtree tasks over the engine's
+/// worker loop (saturating claim queue, one subtree per claim, the
+/// calling thread being one of the workers) and returns the
 /// results **in task-index order** — so any merge the caller folds over
 /// them is deterministic regardless of which worker ran what.
 /// `threads == 0` means [`configured_threads`]. Used by the tree engine's
@@ -664,32 +554,21 @@ where
 {
     let threads =
         (if threads == 0 { configured_threads() } else { threads }).max(1).min(count.max(1));
-    if threads <= 1 {
-        return (0..count).map(task).collect();
-    }
-    let queue = WorkQueue::new(count);
-    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let (queue, slots, task) = (&queue, &slots, &task);
-            s.spawn(move || {
-                while let Some((i, _)) = queue.claim(1) {
-                    let r = task(i);
-                    *slots[i].lock().expect("subtree slot poisoned") = Some(r);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("subtree slot poisoned").expect("every task ran"))
-        .collect()
+    let (parts, _) =
+        fan_out(threads, count, 1, &CancelToken::never(), |done: &mut Vec<(usize, R)>, i, _| {
+            done.push((i, task(i)));
+            true
+        });
+    let mut done: Vec<_> = parts.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{minimize, SequentialEngine};
+    use std::sync::Mutex;
 
     /// A synthetic full-depth tree over a flat loss table: node = prefix,
     /// leaf loss = table[path], hints = prefix minimum (a true lower
@@ -914,21 +793,24 @@ mod tests {
         }
     }
 
+    /// A depth-0 space: its one leaf is the root.
+    struct One;
+
+    impl TreeEval<f64> for One {
+        type Node = ();
+        fn depth(&self) -> u32 {
+            0
+        }
+        fn enter(&self, _p: u64, _l: u32) -> TreeStep<(), f64> {
+            TreeStep::Leaf { loss: 7.0, used: 0 }
+        }
+        fn child(&self, _n: &(), _d: bool, _p: u64, _l: u32) -> TreeStep<(), f64> {
+            unreachable!("no interior nodes at depth 0")
+        }
+    }
+
     #[test]
     fn depth_zero_spaces_have_one_leaf() {
-        struct One;
-        impl TreeEval<f64> for One {
-            type Node = ();
-            fn depth(&self) -> u32 {
-                0
-            }
-            fn enter(&self, _p: u64, _l: u32) -> TreeStep<(), f64> {
-                TreeStep::Leaf { loss: 7.0, used: 0 }
-            }
-            fn child(&self, _n: &(), _d: bool, _p: u64, _l: u32) -> TreeStep<(), f64> {
-                unreachable!("no interior nodes at depth 0")
-            }
-        }
         let out = TreeEngine::auto().search(&One).unwrap();
         assert_eq!((out.index, out.loss), (0, 7.0));
     }
@@ -1092,6 +974,18 @@ mod tests {
     }
 
     #[test]
+    fn the_calling_thread_is_worker_zero() {
+        // Each task holds its worker at the barrier until the other task
+        // is claimed, so the two tasks run on two different workers.
+        let barrier = std::sync::Barrier::new(2);
+        let ids = parallel_subtrees(2, 2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&std::thread::current().id()), "{ids:?}");
+    }
+
+    #[test]
     fn cancelled_tree_searches_unwind_without_installing_summaries() {
         // The token fires before the walk starts: every interior node
         // aborts, nothing is evaluated, and — the soundness half — not
@@ -1106,6 +1000,12 @@ mod tests {
             let result = engine.search_with(&eval, &cancel);
             assert!(result.was_cancelled(), "{engine:?}");
             assert!(eval.table.lock().unwrap().is_empty(), "no summary installed: {engine:?}");
+        }
+        // Refused at the claim whatever the worker count: not even a
+        // depth-0 root is entered.
+        for threads in [1, 3] {
+            let result = TreeEngine::with_threads(threads).search_with(&One, &cancel);
+            assert_eq!(result, SearchResult::Cancelled(None), "{threads} workers");
         }
         // A later, un-cancelled search over the same evaluator is
         // bit-identical to a cold run — nothing was poisoned.

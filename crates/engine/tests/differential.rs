@@ -127,7 +127,7 @@ proptest! {
         let oracle = first_min(&losses);
         for eng in pool_shapes() {
             let out = eng.search(losses.len(), &eval).unwrap();
-            prop_assert_eq!((out.index, out.loss), oracle, "engine {}", eng.name());
+            prop_assert_eq!((out.index, out.loss), oracle, "engine {eng:?}");
         }
     }
 }

@@ -45,32 +45,34 @@ fn losses() -> Vec<f64> {
 fn two_threads_and_sequential_record_identical_deterministic_counters() {
     let _guard = serial();
     set_metrics_enabled(true);
-    let losses = losses();
+    // The empty space too: an empty search is still one search.
+    for losses in [losses(), Vec::new()] {
+        let (seq_out, seq) =
+            recorded(|| minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]));
+        let two = ParallelEngine::with_threads(2).without_pruning();
+        let (par_out, par) = recorded(|| minimize(&two, losses.len(), |i| losses[i]));
 
-    let (seq_out, seq) = recorded(|| {
-        minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap()
-    });
-    let two = ParallelEngine::with_threads(2).without_pruning();
-    let (par_out, par) = recorded(|| minimize(&two, losses.len(), |i| losses[i]).unwrap());
-    set_metrics_enabled(false);
-
-    // Winner equality is the engine differential suite's job; here it
-    // only certifies both runs did the same work.
-    assert_eq!((seq_out.index, seq_out.loss), (par_out.index, par_out.loss));
-    for name in DETERMINISTIC {
+        // Winner equality is the engine differential suite's job; here
+        // it only certifies both runs did the same work.
+        let winner = |out: Option<selc_engine::Outcome<f64>>| out.map(|o| (o.index, o.loss));
+        assert_eq!(winner(seq_out), winner(par_out));
+        for name in DETERMINISTIC {
+            assert_eq!(
+                seq.counter(name),
+                par.counter(name),
+                "{name} must not depend on the pool shape ({} candidates)",
+                losses.len()
+            );
+        }
+        assert_eq!(seq.counter("engine.searches"), 1);
         assert_eq!(
-            seq.counter(name),
-            par.counter(name),
-            "{name} must not depend on the pool shape"
+            seq.counter("engine.evaluated"),
+            losses.len() as u64,
+            "exhaustive = every candidate"
         );
+        assert_eq!(seq.counter("engine.pruned"), 0, "no bound, no prunes");
     }
-    assert_eq!(seq.counter("engine.searches"), 1);
-    assert_eq!(
-        seq.counter("engine.evaluated"),
-        losses.len() as u64,
-        "exhaustive = every candidate"
-    );
-    assert_eq!(seq.counter("engine.pruned"), 0, "no bound, no prunes");
+    set_metrics_enabled(false);
 }
 
 #[test]

@@ -278,11 +278,10 @@ struct TrainEval {
     data: Arc<Dataset>,
     init: (f64, f64),
     epochs: usize,
-    prune: bool,
 }
 
 impl TrainEval {
-    fn train(&self, alpha: f64, bound: Option<&SharedBound<f64>>) -> Option<f64> {
+    fn train(&self, alpha: f64, bound: &SharedBound<f64>) -> Option<f64> {
         let mut p = vec![self.init.0, self.init.1];
         let mut total = 0.0_f64;
         for _ in 0..self.epochs {
@@ -290,10 +289,8 @@ impl TrainEval {
                 p = sgd_step(p, x, y, alpha);
                 let e = y - (p[0] * x + p[1]);
                 total += e * e;
-                if let Some(b) = bound {
-                    if b.dominated(&total) {
-                        return None;
-                    }
+                if bound.dominated(&total) {
+                    return None;
                 }
             }
         }
@@ -303,7 +300,7 @@ impl TrainEval {
 
 impl CandidateEval<f64> for TrainEval {
     fn eval(&self, i: usize, bound: &SharedBound<f64>) -> Option<f64> {
-        self.train(self.grid[i], self.prune.then_some(bound))
+        self.train(self.grid[i], bound)
     }
 }
 
@@ -324,7 +321,7 @@ pub fn tune_training_run<G: Engine>(
 ) -> TuneOutcome {
     assert!(!grid.is_empty(), "tune_training_run needs at least one candidate rate");
     let n = grid.len();
-    let eval = TrainEval { grid, data: Arc::new(data.clone()), init, epochs, prune: true };
+    let eval = TrainEval { grid, data: Arc::new(data.clone()), init, epochs };
     let out = engine.search(n, &eval).expect("non-empty grid");
     TuneOutcome { alpha: eval.grid[out.index], err: out.loss, stats: out.stats }
 }
