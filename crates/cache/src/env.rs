@@ -1,18 +1,16 @@
 //! Cache configuration knobs — and the one env parser the workspace
 //! shares.
 //!
-//! Two variables govern every cached entry point that does not take an
+//! One variable governs every cached entry point that does not take an
 //! explicit cache, exactly as `SELC_THREADS` governs every pool:
-//!
-//! * `SELC_CACHE_SHARDS` — shard count of environment-built caches
-//!   (default [`DEFAULT_SHARDS`]);
-//! * `SELC_CACHE_CAP` — total entry capacity; unset, unparsable, or `0`
-//!   means unbounded, any positive value selects the bounded CLOCK
-//!   backend (CI pins a tiny cap to force eviction through the
-//!   differential suites).
+//! `SELC_CACHE_CAP`, the total entry capacity. Unset, unparsable, or `0`
+//! means unbounded; any positive value selects the bounded CLOCK backend
+//! (CI pins a tiny cap to force eviction through the differential
+//! suites). Environment-built caches always have [`DEFAULT_SHARDS`]
+//! shards.
 //!
 //! [`env_usize`] is the shared parsing helper: `selc-engine`'s
-//! `configured_threads` (via the `selc::env` re-export), the two knobs
+//! `configured_threads` (via the `selc::env` re-export), the knob
 //! above, and `selc-serve`'s `SELC_SERVE_{PORT,WORKERS,MAX_SESSIONS}`
 //! all go through it, so "positive integer, trimmed, anything else is
 //! as-if-unset" is decided in exactly one place. The serve knob *names*
@@ -27,9 +25,6 @@
 /// and names the chrome://tracing flush target.
 pub use selc_obs::{METRICS_ENV, TRACE_ENV};
 
-/// Name of the shard-count variable.
-pub const CACHE_SHARDS_ENV: &str = "SELC_CACHE_SHARDS";
-
 /// Name of the capacity variable.
 pub const CACHE_CAP_ENV: &str = "SELC_CACHE_CAP";
 
@@ -42,9 +37,9 @@ pub const SERVE_WORKERS_ENV: &str = "SELC_SERVE_WORKERS";
 /// Name of the `selc-serve` admission-limit variable.
 pub const SERVE_MAX_SESSIONS_ENV: &str = "SELC_SERVE_MAX_SESSIONS";
 
-/// Shard count when `SELC_CACHE_SHARDS` is unset: enough to keep a
-/// handful of workers from serialising, small enough to stay cheap to
-/// merge stats over.
+/// Shard count of environment-built caches: enough to keep a handful of
+/// workers from serialising, small enough to stay cheap to merge stats
+/// over.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Parses environment variable `name` as a **positive** `usize`.
@@ -55,13 +50,6 @@ pub const DEFAULT_SHARDS: usize = 16;
 #[must_use]
 pub fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse::<usize>().ok().filter(|n| *n >= 1)
-}
-
-/// Shard count for environment-built caches: `SELC_CACHE_SHARDS` if set
-/// to a positive integer, else [`DEFAULT_SHARDS`].
-#[must_use]
-pub fn configured_shards() -> usize {
-    env_usize(CACHE_SHARDS_ENV).unwrap_or(DEFAULT_SHARDS)
 }
 
 /// Total capacity for environment-built caches: `Some(n)` when

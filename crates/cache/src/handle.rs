@@ -10,7 +10,7 @@
 //!   dies with the activation);
 //! * [`ShardedCache`](crate::sharded::ShardedCache) — the concurrent
 //!   transposition table, shared across workers/activations/runs as an
-//!   [`Arc`](std::sync::Arc) ([`SharedCache`](crate::sharded::SharedCache)).
+//!   [`Arc`] ([`SharedCache`](crate::sharded::SharedCache)).
 //!
 //! # Sharing contract
 //!

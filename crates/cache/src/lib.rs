@@ -30,8 +30,8 @@
 //! * [`SubtreeSummary`] / [`SummaryStats`] — interior-node subtree
 //!   summaries for tree search: exact entries carry a subtree's argmin,
 //!   bound entries a lower bound from a pruned walk (see [`summary`]).
-//! * [`env`] — the `SELC_CACHE_SHARDS` / `SELC_CACHE_CAP` knobs and the
-//!   one environment parser (`env_usize`) shared with `SELC_THREADS`.
+//! * [`env`](mod@env) — the `SELC_CACHE_CAP` knob and the one
+//!   environment parser (`env_usize`) shared with `SELC_THREADS`.
 //!
 //! This crate has no dependencies (not even on `selc`); `selc` builds
 //! its probe memoisation on top of it.

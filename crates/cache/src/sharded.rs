@@ -309,8 +309,8 @@ where
     /// most** `total_capacity` (and to no less than
     /// `total_capacity − shards + 1`). The shard count is clamped to
     /// the capacity so every shard holds at least one entry — a tiny
-    /// cap therefore really is tiny, whatever `SELC_CACHE_SHARDS`
-    /// says, which is what the CI forced-eviction job relies on.
+    /// cap therefore really is tiny, whatever shard count was asked
+    /// for, which is what the CI forced-eviction job relies on.
     ///
     /// # Panics
     ///
@@ -324,15 +324,15 @@ where
         ShardedCache::with_backends(shards, move || Box::new(ClockLru::new(per_shard)))
     }
 
-    /// The environment-configured cache: `SELC_CACHE_SHARDS` shards
-    /// (default [`crate::env::DEFAULT_SHARDS`]), bounded to
-    /// `SELC_CACHE_CAP` entries when that knob is set and positive,
-    /// unbounded otherwise. Every cached entry point that does not take
-    /// an explicit cache builds one of these, so the two knobs govern
-    /// the whole workspace just like `SELC_THREADS` does for pools.
+    /// The environment-configured cache: [`crate::env::DEFAULT_SHARDS`]
+    /// shards, bounded to `SELC_CACHE_CAP` entries when that knob is set
+    /// and positive, unbounded otherwise. Every cached entry point that
+    /// does not take an explicit cache builds one of these, so the knob
+    /// governs the whole workspace just like `SELC_THREADS` does for
+    /// pools.
     #[must_use]
     pub fn from_env() -> ShardedCache<K, V> {
-        let shards = crate::env::configured_shards();
+        let shards = crate::env::DEFAULT_SHARDS;
         match crate::env::configured_capacity() {
             Some(cap) => ShardedCache::clock_lru(shards, cap),
             None => ShardedCache::unbounded(shards),

@@ -5,14 +5,14 @@
 //! zero behaviour change. Under `--cfg selc_model` (set via `RUSTFLAGS`,
 //! never by a cargo feature, so it can reach every crate in the graph at
 //! once) the same names resolve to scheduler-instrumented facades that
-//! call [`crate::model`] at every operation. The facades fall through to
+//! call `crate::model` at every operation. The facades fall through to
 //! plain `std` behaviour when the calling thread is not part of a live
 //! model execution, so a `selc_model` build still runs the ordinary test
 //! suite correctly.
 //!
 //! Instrumented ops ignore the `Ordering` the caller passes and execute
 //! `SeqCst`: the checker explores sequentially consistent interleavings
-//! only (see the soundness note on [`crate::model`]).
+//! only (see the soundness note on `crate::model`).
 
 pub use std::sync::{LockResult, PoisonError, TryLockError, TryLockResult};
 

@@ -77,10 +77,10 @@ pub mod runtime;
 pub mod sel;
 pub mod value;
 
-/// The `SELC_*` environment knobs' shared parser and the cache knobs —
+/// The `SELC_*` environment knobs' shared parser and the cache knob —
 /// re-exported from `selc-cache` so every crate reads configuration the
-/// same way (`selc::env::env_usize` backs `SELC_THREADS`,
-/// `SELC_CACHE_SHARDS`, and `SELC_CACHE_CAP` alike).
+/// same way (`selc::env::env_usize` backs `SELC_THREADS` and
+/// `SELC_CACHE_CAP` alike).
 pub use selc_cache::env;
 
 pub use effect::{perform, Effect, Operation};

@@ -1,7 +1,7 @@
 //! The single home of the runtime's continuation machinery.
 //!
 //! Every `Rc<dyn Fn …>` continuation shape the runtime threads around —
-//! the node continuations stored in [`Eff::Op`](crate::eff::Eff::Op), the
+//! the node continuations stored in [`Eff::Op`], the
 //! bind continuations of the free monad, the loss continuations of
 //! [`Sel`](crate::sel::Sel), and the dynamically-typed choice/delimited
 //! continuations handlers receive — is aliased *here and only here*, with
@@ -16,7 +16,7 @@ use crate::loss::Loss;
 use crate::value::Value;
 use std::rc::Rc;
 
-/// The continuation stored in an [`Eff::Op`](crate::eff::Eff::Op) node:
+/// The continuation stored in an [`Eff::Op`] node:
 /// feed the (dynamically-typed) operation result to continue the program.
 pub type NodeCont<A> = Rc<dyn Fn(Value) -> Eff<A>>;
 

@@ -38,9 +38,11 @@
 //!   and whole subtrees from it, and hit/miss telemetry flows into
 //!   [`SearchStats`].
 //!
-//! Downstream, `selc-games` root-splits minimax and n-queens,
-//! `selc-ml` batches hyperparameter grids, and `selection::par` exposes
-//! plain parallel argmin/product adapters — all through this engine.
+//! [`minimize`] is the one parallel argmin of a closure. Downstream,
+//! `selc-games` root-splits minimax and n-queens, `selc-ml` batches
+//! hyperparameter grids, and `selection::par` root-splits a product of
+//! selection functions — all through this engine, each entry point
+//! taking the engine it runs on.
 
 pub mod bound;
 pub mod cancel;

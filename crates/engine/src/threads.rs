@@ -5,8 +5,8 @@
 //! reproducible on any machine (CI pins `SELC_THREADS=2`). Unset or
 //! unparsable values fall back to [`std::thread::available_parallelism`].
 //! Parsing goes through the workspace's one env parser
-//! ([`selc::env::env_usize`]), shared with the `SELC_CACHE_SHARDS` /
-//! `SELC_CACHE_CAP` cache knobs.
+//! ([`selc::env::env_usize`]), shared with the `SELC_CACHE_CAP` cache
+//! knob.
 
 /// Name of the environment variable consulted by [`configured_threads`].
 pub const THREADS_ENV: &str = "SELC_THREADS";

@@ -84,7 +84,7 @@ const _: () = {
     assert!(std::mem::size_of::<AbEntry>() <= 24);
 };
 
-/// A transposition table for [`GameTree::solve_alphabeta_tt`], keyed by
+/// A transposition table for [`GameTree::solve_alphabeta_tt_cancellable`], keyed by
 /// the node's breadth-first position in the complete tree. Keys carry no
 /// tree identity, so one handle serves **one tree per epoch**: call
 /// [`ShardedCache::advance_epoch`] before pointing it at a different
@@ -294,42 +294,19 @@ impl GameTree {
     /// tie-breaking included. Works at any depth (no handler-effect
     /// limit).
     pub fn solve_alphabeta(&self) -> (Vec<usize>, f64) {
-        let (play, value, _) = self.solve_alphabeta_stats();
-        (play, value)
-    }
-
-    /// [`GameTree::solve_alphabeta`] plus the number of leaves actually
-    /// evaluated (what the window cuts saved).
-    pub fn solve_alphabeta_stats(&self) -> (Vec<usize>, f64, u64) {
         self.assert_shape();
-        let (solved, leaves) = self.solve_node(0, 0, None, &CancelToken::never());
-        let (leaf, value) = solved.expect("a never token cannot cancel");
-        (self.play_of(leaf), value, leaves)
-    }
-
-    /// Solves the subgame below the fixed move `prefix` with local
-    /// strict-cutoff alpha–beta (a fresh window — cross-subtree bounds
-    /// would make the cut set depend on sibling timing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix` is longer than the tree or names a move
-    /// `>= branching`.
-    pub fn solve_alphabeta_from(&self, prefix: &[usize]) -> (Vec<usize>, f64) {
-        self.assert_shape();
-        assert!(
-            prefix.len() <= self.depth && prefix.iter().all(|&m| m < self.branching),
-            "prefix {prefix:?} names no node of this tree"
-        );
-        let (solved, _) =
-            self.solve_node(prefix.len(), self.index_of(prefix), None, &CancelToken::never());
+        let (solved, _) = self.solve_node(0, 0, None, &CancelToken::never());
         let (leaf, value) = solved.expect("a never token cannot cancel");
         (self.play_of(leaf), value)
     }
 
     /// [`GameTree::solve_alphabeta`] through a flagged transposition
-    /// table: interior resolutions are stored as [`AbEntry`]s and later
-    /// visits probe before searching — `Exact` entries answer outright,
+    /// table, under a `selc_engine::CancelToken` (pass
+    /// `CancelToken::never()` for a solve that cannot be cut short).
+    /// Returns the play, its value and the number of leaves evaluated.
+    ///
+    /// Interior resolutions are stored as [`AbEntry`]s and later visits
+    /// probe before searching — `Exact` entries answer outright,
     /// `Lower`/`Upper` entries re-trigger the cut they came from when
     /// they still clear the live window. Nodes on the last interior ply
     /// below the root scan their leaves without the table. The root's
@@ -342,21 +319,9 @@ impl GameTree {
     /// strict-cutoff search discards or cuts on anyway — while values
     /// inside the closed window always come from `Exact` entries or a
     /// full sub-search.
-    pub fn solve_alphabeta_tt(&self, cache: &AbCache) -> (Vec<usize>, f64) {
-        let (play, value, _) = self.solve_alphabeta_tt_stats(cache);
-        (play, value)
-    }
-
-    /// [`GameTree::solve_alphabeta_tt`] plus the number of leaves
-    /// actually evaluated (0 on a warm repeat).
-    pub fn solve_alphabeta_tt_stats(&self, cache: &AbCache) -> (Vec<usize>, f64, u64) {
-        self.solve_alphabeta_tt_cancellable(cache, &CancelToken::never())
-            .expect("a never token cannot cancel")
-    }
-
-    /// [`GameTree::solve_alphabeta_tt_stats`] under a
-    /// `selc_engine::CancelToken`, checked at every interior node like
-    /// the tree engine's walker. Returns `None` when the token fired
+    ///
+    /// The token is checked at every interior node like the tree
+    /// engine's walker. The solve returns `None` when it fired
     /// mid-solve: minimax has no sound "best seen so far" (an unexplored
     /// sibling can change every ancestor's value), so a cancelled solve
     /// yields nothing rather than a wrong play. Soundness against the
@@ -386,7 +351,7 @@ impl GameTree {
         }
     }
 
-    /// What a warm repeat of [`GameTree::solve_alphabeta_tt`] returns,
+    /// What a warm repeat of [`GameTree::solve_alphabeta_tt_cancellable`] returns,
     /// read from the root's `Exact` entry with one probe and no walk.
     /// `None` when `cache` holds no resolved root (cold, evicted or
     /// bumped), in which case the caller runs the full solve.
@@ -668,22 +633,33 @@ mod tests {
         }
     }
 
+    /// The leaves the table-less alpha–beta solve of `t` evaluates.
+    fn plain_leaves(t: &GameTree) -> u64 {
+        t.solve_node(0, 0, None, &CancelToken::never()).1
+    }
+
+    /// A table solve under a token that cannot fire.
+    fn solve_tt(t: &GameTree, cache: &AbCache) -> (Vec<usize>, f64, u64) {
+        t.solve_alphabeta_tt_cancellable(cache, &CancelToken::never())
+            .expect("a never token cannot cancel")
+    }
+
     #[test]
     fn alphabeta_actually_cuts() {
         let t = GameTree::random(4, 6, 9);
-        let (_, _, leaves) = t.solve_alphabeta_stats();
+        let leaves = plain_leaves(&t);
         let total = t.leaves.len() as u64;
         assert!(leaves < total, "window cuts must skip leaves: {leaves}/{total}");
         // And a depth-1 tree degenerates to a full scan.
-        let t1 = GameTree::random(5, 1, 0);
-        let (_, _, l1) = t1.solve_alphabeta_stats();
-        assert_eq!(l1, 5);
+        assert_eq!(plain_leaves(&GameTree::random(5, 1, 0)), 5);
     }
 
     #[test]
     fn alphabeta_from_a_prefix_solves_the_subgame() {
         let t = GameTree::random(2, 4, 3);
-        let (play, value) = t.solve_alphabeta_from(&[1, 0]);
+        let (solved, _) = t.solve_node(2, t.index_of(&[1, 0]), None, &CancelToken::never());
+        let (leaf, value) = solved.expect("a never token cannot cancel");
+        let play = t.play_of(leaf);
         assert_eq!(&play[..2], &[1, 0], "the prefix is kept");
         // The subgame below [1, 0] restarts with the maximiser (ply 2):
         // check against a brute-force scan of the 4 completions.
@@ -737,12 +713,12 @@ mod tests {
                 let t = GameTree::random(branching, depth, seed);
                 let reference = t.solve_backward();
                 let cache = AbCache::unbounded(4);
-                let (play, value, cold) = t.solve_alphabeta_tt_stats(&cache);
+                let (play, value, cold) = solve_tt(&t, &cache);
                 assert_eq!((play, value), reference, "cold, {what}");
                 // Each node is visited once per solve, so a cold table
                 // never hits: it evaluates exactly the plain solve's leaves.
-                assert_eq!(cold, t.solve_alphabeta_stats().2, "cold leaves, {what}");
-                let (play, value, warm) = t.solve_alphabeta_tt_stats(&cache);
+                assert_eq!(cold, plain_leaves(&t), "cold leaves, {what}");
+                let (play, value, warm) = solve_tt(&t, &cache);
                 assert_eq!((play, value), reference, "warm, {what}");
                 assert_eq!(warm, 0, "warm leaves, {what}");
             }
@@ -755,8 +731,10 @@ mod tests {
             for t in [tied_tree(3, 5, seed), tied_tree(1, 4, seed), tied_tree(2, 12, seed)] {
                 let reference = t.solve_backward();
                 let cache = AbCache::unbounded(4);
-                assert_eq!(t.solve_alphabeta_tt(&cache), reference, "cold, seed {seed}");
-                assert_eq!(t.solve_alphabeta_tt(&cache), reference, "warm, seed {seed}");
+                let (play, value, _) = solve_tt(&t, &cache);
+                assert_eq!((play, value), reference, "cold, seed {seed}");
+                let (play, value, _) = solve_tt(&t, &cache);
+                assert_eq!((play, value), reference, "warm, seed {seed}");
             }
         }
     }
@@ -766,11 +744,11 @@ mod tests {
         let t = GameTree::random(3, 6, 7);
         let cache = AbCache::unbounded(4);
         assert_eq!(t.solve_alphabeta_tt_warm(&cache), None, "a cold table has no root");
-        let (play, value, cold_leaves) = t.solve_alphabeta_tt_stats(&cache);
+        let (play, value, cold_leaves) = solve_tt(&t, &cache);
         assert!(cold_leaves > 0);
         // The root window is infinite, so the root entry is Exact and a
         // warm repeat resolves at the root: zero leaves evaluated.
-        let (wplay, wvalue, warm_leaves) = t.solve_alphabeta_tt_stats(&cache);
+        let (wplay, wvalue, warm_leaves) = solve_tt(&t, &cache);
         assert_eq!((wplay.clone(), wvalue), (play, value));
         assert_eq!(warm_leaves, 0, "warm repeat must be answered from the root entry");
         assert_eq!(t.solve_alphabeta_tt_warm(&cache), Some((wplay, wvalue)));
@@ -783,17 +761,14 @@ mod tests {
         let a = GameTree::random(2, 6, 11);
         let b = GameTree::random(2, 6, 12);
         let cache = AbCache::unbounded(4);
-        assert_eq!(t_solve(&a, &cache), a.solve_backward());
+        let (play, value, _) = solve_tt(&a, &cache);
+        assert_eq!((play, value), a.solve_backward());
         cache.advance_epoch();
-        let (play, value, leaves) = b.solve_alphabeta_tt_stats(&cache);
+        let (play, value, leaves) = solve_tt(&b, &cache);
         assert!(leaves > 0, "stale entries must not answer the new tree");
         assert_eq!((play, value), b.solve_backward());
-        let (_, _, warm) = b.solve_alphabeta_tt_stats(&cache);
+        let (_, _, warm) = solve_tt(&b, &cache);
         assert_eq!(warm, 0);
-    }
-
-    fn t_solve(t: &GameTree, cache: &AbCache) -> (Vec<usize>, f64) {
-        t.solve_alphabeta_tt(cache)
     }
 
     #[test]
@@ -802,13 +777,12 @@ mod tests {
             for (branching, depth) in [(3, 5), (1, 4), (2, 12), (4, 1)] {
                 let t = GameTree::random(branching, depth, seed);
                 let reference = t.solve_backward();
+                assert_eq!(t.solve_alphabeta(), reference, "seed {seed} b {branching} d {depth}");
                 let cache = AbCache::unbounded(4);
-                let (play, value, _) = t
-                    .solve_alphabeta_tt_cancellable(&cache, &CancelToken::never())
-                    .expect("never token cannot cancel");
+                let (play, value, _) = solve_tt(&t, &cache);
                 assert_eq!((play, value), reference, "seed {seed} b {branching} d {depth}");
-                // And the entries it stored warm the plain solver.
-                let (_, _, warm) = t.solve_alphabeta_tt_stats(&cache);
+                // And the entries it stored answer the repeat from the root.
+                let (_, _, warm) = solve_tt(&t, &cache);
                 assert_eq!(warm, 0, "seed {seed} b {branching} d {depth}");
             }
         }
@@ -835,7 +809,7 @@ mod tests {
             // Whatever the aborted runs left behind, an un-cancelled
             // solve on the same handle is still bit-identical to the
             // reference.
-            let (play, value, _) = t.solve_alphabeta_tt_stats(&cache);
+            let (play, value, _) = solve_tt(&t, &cache);
             assert_eq!((play, value), reference, "b {branching} d {depth}");
         }
     }
@@ -850,8 +824,9 @@ mod tests {
                 let reference = t.solve_backward();
                 let cache = AbCache::clock_lru(2, 8);
                 for round in 0..3 {
+                    let (play, value, _) = solve_tt(&t, &cache);
                     assert_eq!(
-                        t.solve_alphabeta_tt(&cache),
+                        (play, value),
                         reference,
                         "seed {seed} b {branching} d {depth} round {round}"
                     );

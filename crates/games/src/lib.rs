@@ -18,8 +18,9 @@
 //! * [`alternating`] — multi-round alternating game trees: handler-driven
 //!   backward induction vs. an explicit negamax baseline;
 //! * [`parallel`] — the same games on the `selc-engine` worker pool:
-//!   root-split minimax (with branch-and-bound row pruning) and
-//!   root-split queens, bit-identical to their sequential counterparts;
+//!   root-split minimax (with branch-and-bound row pruning), root-split
+//!   queens and full-tree parallel alpha–beta, bit-identical to their
+//!   sequential counterparts;
 //! * [`transposition`] — transposition-table minimax over `selc-cache`:
 //!   alternating games keyed on canonicalised state, repeated subtrees
 //!   answered from a cache shared across engine workers and runs.

@@ -1,5 +1,6 @@
-//! Engine-backed game solving: root-split parallel minimax and parallel
-//! n-queens.
+//! Engine-backed game solving: root-split parallel minimax, parallel
+//! n-queens and full-tree parallel alpha–beta, each taking its engine
+//! (or worker count) explicitly.
 //!
 //! The root split is the classic parallelisation of backward induction:
 //! the first mover's candidates are independent subgames, so each worker
@@ -15,10 +16,7 @@ use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
-use selc_engine::{
-    parallel_subtrees, search_programs, CancelToken, CandidateEval, Engine, Outcome,
-    ParallelEngine, SharedBound,
-};
+use selc_engine::{parallel_subtrees, CancelToken, CandidateEval, Engine, Outcome, SharedBound};
 use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
@@ -78,23 +76,17 @@ pub fn minimax_root_split_stats(
     ((a, b), value, outcome)
 }
 
-/// Root-split parallel minimax with the default (`SELC_THREADS`) pool.
-pub fn minimax_parallel(table: &Matrix) -> ((usize, usize), f64) {
-    minimax_root_split(table, &ParallelEngine::auto())
-}
-
-/// Parallel n-queens: splits the first queen's column over the worker
-/// pool; each worker finishes the board with the usual product of
-/// per-row `argmin` selections under the global attack-count loss.
-/// Returns the same placement as [`crate::queens::queens_selection`].
-pub fn queens_parallel(n: usize) -> Vec<usize> {
-    queens_parallel_with(&ParallelEngine::auto(), n)
-}
-
-/// [`queens_parallel`] with an explicit engine.
-pub fn queens_parallel_with(engine: &impl Engine, n: usize) -> Vec<usize> {
+/// Parallel n-queens: splits the first queen's column over `engine`;
+/// each worker finishes the board with the usual product of per-row
+/// `argmin` selections under the global attack-count loss. Returns the
+/// same placement as [`crate::queens::queens_selection`] — the empty
+/// placement for `n = 0`.
+pub fn queens_parallel(engine: &impl Engine, n: usize) -> Vec<usize> {
     use selection::product::Stage;
     use std::rc::Rc;
+    if n == 0 {
+        return Vec::new();
+    }
     let rest = move || -> Vec<Stage<usize, f64>> {
         (1..n)
             .map(|_| {
@@ -103,7 +95,7 @@ pub fn queens_parallel_with(engine: &impl Engine, n: usize) -> Vec<usize> {
             })
             .collect()
     };
-    selection::par::par_product_root_with(engine, (0..n).collect(), rest, |p: &[usize]| {
+    selection::par::par_product_root(engine, (0..n).collect(), rest, |p: &[usize]| {
         crate::queens::attacks(p) as f64
     })
 }
@@ -161,32 +153,18 @@ pub fn alphabeta_parallel(t: &GameTree, threads: usize, split: usize) -> (Vec<us
     (t.play_of(leaf), value)
 }
 
-/// Demonstration wrapper used by the example and benches: replays a
-/// whole minimax table search as a family of `Sel` programs through
-/// [`selc_engine::search_programs`], returning the winning row's value.
-pub fn minimax_best_row_value(table: &Matrix, engine: &impl Engine) -> (usize, f64) {
-    let rows = table.rows();
-    let table = Arc::new(table.clone());
-    let factory = move |a: usize| {
-        let t = Arc::clone(&table);
-        handle(&hmin(), subgame(t, a)).map_loss(|l| -l)
-    };
-    let (outcome, _col) = search_programs(engine, rows, factory)
-        .unwrap_or_else(|| unreachable!("matrices are non-empty"));
-    (outcome.index, -outcome.loss)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::minimax::{minimax_handler, minimax_selection};
     use crate::queens::{attacks, queens_selection};
-    use selc_engine::SequentialEngine;
+    use selc_engine::{ParallelEngine, SequentialEngine};
 
     #[test]
     fn root_split_solves_the_paper_example() {
         let m = Matrix::paper_example();
-        assert_eq!(minimax_parallel(&m), ((0, 1), 3.0));
+        assert_eq!(minimax_root_split(&m, &ParallelEngine::with_threads(2)), ((0, 1), 3.0));
+        assert_eq!(minimax_root_split(&m, &SequentialEngine::exhaustive()), ((0, 1), 3.0));
     }
 
     #[test]
@@ -229,14 +207,15 @@ mod tests {
 
     #[test]
     fn queens_parallel_matches_selection_product() {
-        for n in [1, 4, 5] {
-            let par = queens_parallel(n);
+        let engine = ParallelEngine::with_threads(2);
+        for n in [0, 1, 4, 5] {
+            let par = queens_parallel(&engine, n);
             let seq = queens_selection(n);
             assert_eq!(par, seq, "n = {n}");
         }
         // Unsolvable boards still minimise attacks identically.
-        assert_eq!(attacks(&queens_parallel(3)), 1);
-        assert_eq!(queens_parallel(3), queens_selection(3));
+        assert_eq!(attacks(&queens_parallel(&engine, 3)), 1);
+        assert_eq!(queens_parallel(&SequentialEngine::exhaustive(), 3), queens_selection(3));
     }
 
     #[test]
@@ -274,15 +253,5 @@ mod tests {
     fn parallel_alphabeta_split_deeper_than_the_tree_is_clamped() {
         let t = GameTree::random(2, 2, 1);
         assert_eq!(alphabeta_parallel(&t, 2, 9), t.solve_backward());
-    }
-
-    #[test]
-    fn best_row_value_agrees_with_maximin() {
-        for seed in 0..10 {
-            let m = Matrix::random(4, 4, seed);
-            let (row, value) = minimax_best_row_value(&m, &ParallelEngine::with_threads(2));
-            let (br, _bc, bv) = m.maximin();
-            assert_eq!((row, value), (br, bv), "seed {seed}");
-        }
     }
 }

@@ -160,21 +160,6 @@ impl SymTree {
     pub fn value_transposition(&self, cache: &TransCache) -> f64 {
         self.node_value(&mut Vec::new(), Some(cache))
     }
-
-    /// The principal play (best move at every node, ties towards the
-    /// smaller move) and its value. With a cache the walk reuses solved
-    /// subtrees; without one it is the exponential baseline. Both return
-    /// the identical play.
-    #[must_use]
-    pub fn principal_play(&self, cache: Option<&TransCache>) -> (Vec<u8>, f64) {
-        let mut path = Vec::new();
-        let value = self.node_value(&mut Vec::new(), cache);
-        while path.len() < self.depth {
-            let (m, _) = self.best_child(&mut path, cache);
-            path.push(m);
-        }
-        (path, value)
-    }
 }
 
 /// Root-move evaluator for the engine: candidate `m` is the maximiser's
@@ -272,16 +257,27 @@ mod tests {
         }
     }
 
+    /// The best move at every node from the root down (ties towards
+    /// the smaller move) and the leaf payoff that play reaches.
+    fn best_play(t: &SymTree, cache: Option<&TransCache>) -> (Vec<u8>, f64) {
+        let mut path = Vec::new();
+        while path.len() < t.depth {
+            let (m, _) = t.best_child(&mut path, cache);
+            path.push(m);
+        }
+        let payoff = t.leaf(&path);
+        (path, payoff)
+    }
+
     #[test]
-    fn principal_play_is_cache_invariant_and_realises_the_value() {
+    fn best_moves_are_cache_invariant_and_realise_the_value() {
         for seed in 0..5 {
             let t = SymTree::new(3, 4, seed);
-            let (play, value) = t.principal_play(None);
+            let (play, payoff) = best_play(&t, None);
             let cache = TransCache::unbounded(2);
-            let (cached_play, cached_value) = t.principal_play(Some(&cache));
-            assert_eq!(play, cached_play, "seed {seed}");
-            assert_eq!(value, cached_value, "seed {seed}");
-            assert_eq!(t.leaf(&play), value, "the principal play realises the game value");
+            assert_eq!(best_play(&t, Some(&cache)), (play, payoff), "seed {seed}");
+            assert_eq!(payoff, t.value_backward(), "the best play realises the game value");
+            assert_eq!(payoff, t.value_transposition(&cache), "seed {seed}");
         }
     }
 
@@ -290,7 +286,7 @@ mod tests {
         for seed in 0..5 {
             let t = SymTree::new(4, 4, seed);
             let oracle_value = t.value_backward();
-            let (oracle_play, _) = t.principal_play(None);
+            let (oracle_play, _) = best_play(&t, None);
             for prune in [false, true] {
                 for threads in [1, 2, 4] {
                     let cache = TransCache::unbounded(4);

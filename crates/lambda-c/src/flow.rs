@@ -1,12 +1,12 @@
-//! Abstract interpretation over compiled [`Code`]: certified loss bounds,
-//! effect purity, and static decision shapes.
+//! Abstract interpretation over compiled [`Code`]: certified loss bounds
+//! and static decision shapes.
 //!
 //! Branch-and-bound pruning (strict domination on partial ambient losses)
 //! is sound only when every future emission is non-negative. Until now that
 //! was an unchecked caller promise — a bare `nonneg: bool` the runtime
 //! trusted blindly. This module derives the promise from the program
 //! instead: a fixpoint-free abstract interpreter walks the scope-checked,
-//! loop-free de Bruijn [`Code`] and runs three cooperating analyses:
+//! loop-free de Bruijn [`Code`] and runs two cooperating analyses:
 //!
 //! 1. **Loss-sign/interval analysis.** Abstract domain
 //!    `{Bot, NonNeg, Interval(lo, hi), Top}` over loss values and ambient
@@ -17,13 +17,13 @@
 //!    as *values*, which the interval domain tracks through the binding.
 //!    If every ambient `loss` site is provably non-negative the program
 //!    earns a [`NonNegLosses`] certificate.
-//! 2. **Effect/purity analysis.** Does the program probe captured
-//!    continuations (`l`), reset, or mutate handler state on resume? The
-//!    verdict gates which decision prefixes are safe to transposition-cache
-//!    and lets `serve` advertise per-tenant prune-eligibility.
-//! 3. **Static decision-shape analysis.** Choice-point count and depth
+//! 2. **Static decision-shape analysis.** Choice-point count and depth
 //!    bounds per execution path, feeding `TreeEngine` work-partitioning and
 //!    letting `serve` reject over-deep workloads at validate time.
+//!
+//! Neither analysis decides what may be cached: prefix-cache keys are
+//! sound because the machine is deterministic (see `lambda-rt`'s
+//! `search` module), not because of any verdict computed here.
 //!
 //! # Soundness argument
 //!
@@ -48,7 +48,7 @@
 //! run. Under forced replay the machine intercepts decision ops at the
 //! handler boundary and never runs their clauses, so decision-op clause
 //! bodies are dead code: they are still scanned for violations
-//! (conservative) but excluded from purity, shape, and emission totals.
+//! (conservative) but excluded from shape and emission totals.
 //!
 //! ```
 //! use lambda_c::testgen::{deep_decide_chain, gen_signature};
@@ -290,29 +290,6 @@ impl DecisionShape {
     }
 }
 
-/// Effect-purity verdict: which machine features the program (outside dead
-/// decision-op clauses) can exercise.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Purity {
-    /// May call a captured loss probe `l` (re-runs continuations).
-    pub probes: bool,
-    /// Contains `reset` (re-scopes emission buffers across resumptions).
-    pub resets: bool,
-    /// A live handler clause may resume with a parameter other than the
-    /// one it received (handler-state mutation past the decision prefix).
-    pub mutates_param: bool,
-}
-
-impl Purity {
-    /// True iff decision prefixes are safe to transposition-cache: no
-    /// probes re-running captured futures and no handler-state mutation
-    /// that could make a prefix's continuation depend on history beyond
-    /// the decision bits.
-    pub fn prefix_cache_safe(&self) -> bool {
-        !self.probes && !self.mutates_param
-    }
-}
-
 /// A `loss` site the analysis could not prove non-negative.
 #[derive(Clone, Debug)]
 pub struct Violation {
@@ -347,7 +324,7 @@ impl NonNegLosses {
     }
 }
 
-/// The combined verdict of the three analyses.
+/// The combined verdict of the two analyses.
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// Interval bound on the total ambient emission (often `Top` for
@@ -358,8 +335,6 @@ pub struct FlowReport {
     /// True if the analysis hit unknown code or its budget: certification
     /// is refused even with no recorded violations.
     pub inconclusive: bool,
-    /// Effect-purity verdict.
-    pub purity: Purity,
     /// Decision-shape bounds.
     pub shape: DecisionShape,
     certificate: Option<NonNegLosses>,
@@ -392,7 +367,7 @@ impl Default for FlowConfig {
     }
 }
 
-/// Runs all three analyses on a compiled program.
+/// Runs both analyses on a compiled program.
 ///
 /// `decision_ops` are the operations the runtime will force (scripted
 /// decisions replacing their handler clauses); see
@@ -414,7 +389,6 @@ pub fn analyze_with<S: AsRef<str>>(
         suppress: 0,
         violations: Vec::new(),
         inconclusive: false,
-        purity: Purity::default(),
     };
     let out = an.eval(&program.code, &Env::default());
     // A program whose *result* is a closure may be applied by the caller
@@ -431,7 +405,6 @@ pub fn analyze_with<S: AsRef<str>>(
         },
         violations: an.violations,
         inconclusive: an.inconclusive,
-        purity: an.purity,
         shape: out.shape,
         certificate: if certified {
             Some(NonNegLosses { code: program.code.clone() })
@@ -453,8 +426,6 @@ enum AbsVal {
     /// A known injection (branch + payload) — gives `Cases` precision on
     /// constant booleans.
     Sum(bool, Box<AbsVal>),
-    /// The handler parameter `p` (tracked for mutation analysis).
-    Param,
     /// A captured continuation `k`.
     Resume,
     /// A loss probe `l`.
@@ -489,7 +460,6 @@ struct Analyzer<'a> {
     suppress: u32,
     violations: Vec<Violation>,
     inconclusive: bool,
-    purity: Purity,
 }
 
 impl Analyzer<'_> {
@@ -648,13 +618,13 @@ impl Analyzer<'_> {
                 let mut any_live = false;
                 for clause in &handler.clauses {
                     let mut env2 = env.clone();
-                    env2.push(AbsVal::Param); // p
+                    env2.push(AbsVal::Opaque); // p
                     env2.push(AbsVal::Opaque); // x
                     env2.push(AbsVal::Probe); // l
                     env2.push(AbsVal::Resume); // k
                     if self.is_decision(&clause.op) {
                         // Dead under forced replay: scan for violations
-                        // only; drop purity/emission/shape contributions.
+                        // only; drop emission/shape contributions.
                         self.scan_dead(&clause.body, &env2);
                     } else {
                         let co = self.eval(&clause.body, &env2);
@@ -664,7 +634,7 @@ impl Analyzer<'_> {
                     }
                 }
                 let mut env_ret = env.clone();
-                env_ret.push(AbsVal::Param); // p
+                env_ret.push(AbsVal::Opaque); // p
                 env_ret.push(AbsVal::Opaque); // x
                 let ro = self.eval(&handler.ret_body, &env_ret);
                 let clause_part = if any_live { clause_emit.star() } else { LossAbs::zero() };
@@ -714,7 +684,6 @@ impl Analyzer<'_> {
             Code::Reset(e) => {
                 // Emissions inside route to a junk buffer, persistently
                 // across resumptions: they never reach any live buffer.
-                self.purity.resets = true;
                 self.suppress += 1;
                 let eo = self.eval(e, env);
                 self.suppress -= 1;
@@ -783,8 +752,6 @@ impl Analyzer<'_> {
                 // `l(p', y)` re-runs the captured continuation with losses
                 // folded into the verdict it returns. Only reachable in
                 // live (non-decision) clauses; conservatively unknown.
-                self.purity.probes = true;
-                self.check_param_passing(&arg);
                 Out {
                     val: AbsVal::Loss(LossAbs::Top),
                     emit: LossAbs::Top,
@@ -795,7 +762,6 @@ impl Analyzer<'_> {
                 // `k(p', y)` resumes the continuation; future `loss` sites
                 // are scanned at their own occurrence, but the resumed
                 // segment's emission total is unknown here.
-                self.check_param_passing(&arg);
                 Out { val: AbsVal::Opaque, emit: LossAbs::Top, shape: DecisionShape::unknown() }
             }
             _ => {
@@ -804,20 +770,6 @@ impl Analyzer<'_> {
                 self.inconclusive = true;
                 Out { val: AbsVal::Opaque, emit: LossAbs::Top, shape: DecisionShape::unknown() }
             }
-        }
-    }
-
-    /// `k`/`l` receive `(p', y)`; resuming with a parameter that is not
-    /// the one the clause received mutates handler state.
-    fn check_param_passing(&mut self, arg: &AbsVal) {
-        match arg {
-            AbsVal::Tuple(vs) if !vs.is_empty() => {
-                if !matches!(vs[0], AbsVal::Param) {
-                    self.purity.mutates_param = true;
-                }
-            }
-            AbsVal::Param => {}
-            _ => self.purity.mutates_param = true,
         }
     }
 
@@ -852,13 +804,11 @@ impl Analyzer<'_> {
     }
 
     /// Analyzes dead code (decision-op clause bodies, bypassed by forced
-    /// interception) for `loss` violations only: purity, emission, shape,
-    /// and inconclusiveness contributions are discarded.
+    /// interception) for `loss` violations only: emission, shape, and
+    /// inconclusiveness contributions are discarded.
     fn scan_dead(&mut self, body: &Arc<Code>, env: &Env) {
-        let purity = self.purity;
         let inconclusive = self.inconclusive;
         let _ = self.eval(body, env);
-        self.purity = purity;
         self.inconclusive = inconclusive;
     }
 }
@@ -867,7 +817,6 @@ impl Analyzer<'_> {
 fn join_val(a: AbsVal, b: AbsVal) -> AbsVal {
     match (a, b) {
         (AbsVal::Loss(x), AbsVal::Loss(y)) => AbsVal::Loss(x.join(y)),
-        (AbsVal::Param, AbsVal::Param) => AbsVal::Param,
         (AbsVal::Resume, AbsVal::Resume) => AbsVal::Resume,
         (AbsVal::Probe, AbsVal::Probe) => AbsVal::Probe,
         (AbsVal::Tuple(xs), AbsVal::Tuple(ys)) if xs.len() == ys.len() => {
@@ -990,7 +939,6 @@ mod tests {
     fn reset_discards_and_sets_purity() {
         let r = analyze_expr(&reset(loss(lc(-9.0))), &[]);
         assert!(r.certified(), "reset routes to junk: {:?}", r.violations);
-        assert!(r.purity.resets);
         assert_eq!(r.emitted, LossAbs::zero());
     }
 
@@ -1011,9 +959,6 @@ mod tests {
         assert_eq!(r.shape, DecisionShape { min: 5, max: Some(5) });
         assert!(r.certified(), "{:?}", r.violations);
         assert!(r.certificate().unwrap().covers(&prog));
-        // Probes live only in the (dead) decision clause.
-        assert!(!r.purity.probes);
-        assert!(r.purity.prefix_cache_safe());
     }
 
     #[test]
@@ -1033,8 +978,6 @@ mod tests {
         let h = ProgramGen::new(0).cnt_handler(&Type::loss(), &Effect::empty());
         let prog = compile(&handle0(h, body)).unwrap();
         let r = analyze(&prog, &gen_signature().decision_ops());
-        assert!(r.purity.mutates_param, "k(pair(Succ(p), ..)) mutates state");
-        assert!(!r.purity.prefix_cache_safe());
         // `loss(tick())` emits an unknown op result: refused.
         assert!(!r.certified());
     }

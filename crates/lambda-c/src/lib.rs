@@ -18,7 +18,22 @@
 //!   (Fig 6), including the choice-continuation construction of rule R5;
 //! * [`bigstep`] — the big-step evaluator (Fig 7) with fuel;
 //! * [`build`] — a builder DSL mirroring the paper's syntactic sugar;
-//! * [`examples`] — the paper's example programs, ready to run.
+//! * [`examples`] — the paper's example programs, ready to run;
+//! * [`loss`], [`prim`], [`subst`] — loss values (a commutative monoid),
+//!   primitive functions on ground values, and capture-avoiding
+//!   substitution;
+//! * [`giantstep`] — the giant-step evaluation of Theorem 5.6.
+//!
+//! Beyond the paper, for running λC programs as searches:
+//!
+//! * [`compile`](mod@compile) — lowering to de Bruijn code for the
+//!   environment machine;
+//! * [`machine`] — the environment machine, bit-identical to
+//!   [`smallstep`] and able to force decisions and prune;
+//! * [`flow`] — abstract interpretation certifying non-negative losses
+//!   and bounding decision shapes;
+//! * [`testgen`] — a generator of random well-typed programs for the
+//!   property tests and benches.
 //!
 //! # Quick example
 //!
@@ -54,7 +69,7 @@ pub mod types;
 
 pub use bigstep::{eval, eval_closed, EvalOutcome};
 pub use compile::{compile, CompileError, CompiledProgram};
-pub use flow::{DecisionShape, FlowReport, LossAbs, NonNegLosses, Purity};
+pub use flow::{DecisionShape, FlowReport, LossAbs, NonNegLosses};
 pub use loss::LossVal;
 pub use machine::{MachError, MachineOutcome};
 pub use sig::{OpSig, SigError, Signature};

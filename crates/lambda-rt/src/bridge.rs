@@ -19,7 +19,7 @@
 //! be handled by **argmin choosers over the program's single ambient
 //! loss** — probe both branches, compare with `leq`, resume the cheaper —
 //! with no `local`/`reset` rescoping between the choice points (the
-//! [`lambda_c::testgen::gen_search_program`] fragment, and the paper's
+//! [`lambda_c::testgen::ProgramGen::gen_search_program`] fragment, and the paper's
 //! §2.3 program family). Handlers that aggregate (`decide_all`), never
 //! resume (`tuneLR`), or maximise are still *evaluated* faithfully by the
 //! machine — they just aren't a minimisation the engine can fan out.

@@ -3,7 +3,7 @@
 //! smallstep reference and the Fig-7 bigstep evaluator, on every paper
 //! example and on `testgen` corpora; and searches over compiled
 //! candidates (the flat sequential scan, the tree walk in parallel under
-//! `SELC_THREADS`, cached under `SELC_CACHE_SHARDS`/`SELC_CACHE_CAP`,
+//! `SELC_THREADS`, cached under `SELC_CACHE_CAP`,
 //! pruned) must reproduce the argmin handler's winner bit-identically.
 
 use lambda_c::bigstep::{eval_closed, DEFAULT_FUEL};

@@ -1,21 +1,24 @@
 //! Engine-backed hyperparameter search (§4.3 "Hyperparameters" at
 //! scale): chunked parallel grid search over replayed programs, and
-//! branch-and-bound training-run tuning.
+//! branch-and-bound training-run tuning. Every entry point takes its
+//! engine; a plain parallel argmin over a parameter grid with a loss
+//! closure is [`selc_engine::minimize`].
 //!
-//! Three layers, all bit-identical in their winners to the sequential
-//! scans they parallelise (for NaN-free losses — see `selection::par`
-//! for the `total_cmp` vs. `<` caveat; diverging training runs may
-//! reach `+∞`, which both orders treat identically, but must not reach
-//! `NaN`):
+//! Three entry points, all bit-identical in their winners to the
+//! sequential scans they parallelise (for NaN-free losses — see
+//! `selection::par` for the `total_cmp` vs. `<` caveat; diverging
+//! training runs may reach `+∞`, which both orders treat identically,
+//! but must not reach `NaN`):
 //!
-//! * [`grid_search`] — generic parallel argmin over a parameter grid
-//!   with a plain loss closure;
 //! * [`tune_lr_parallel`] — the paper's `tuneLR` distributed: the grid
 //!   is split into **batches**, each worker replays the program (`Sel`
 //!   trees cannot cross threads — factories do) and probes its batch
 //!   through the sequential memoised tuner, and the engine merges batch
 //!   winners deterministically. The per-batch [`selc::MemoChoice`]
-//!   counters flow into the engine's [`SearchStats::memo`] telemetry;
+//!   counters flow into the engine's [`SearchStats::cache`] telemetry;
+//! * [`tune_lr_parallel_cached`] — the same tuner with every probe
+//!   going through one shared rate cache, so a rate probed by any
+//!   worker or any earlier search runs its future once;
 //! * [`tune_training_run`] — grid search over whole SGD training runs
 //!   scored by cumulative training loss, with early abort: the running
 //!   loss total is monotone (squared errors are non-negative), hence a
@@ -42,25 +45,6 @@ pub struct TuneOutcome {
     pub err: f64,
     /// Engine telemetry (evaluated/pruned counts, memo probes/hits).
     pub stats: SearchStats,
-}
-
-/// Generic parallel grid search: first `params` entry minimising `loss`,
-/// evaluated on the engine's pool. Same winner as a sequential
-/// first-minimum scan.
-///
-/// # Panics
-///
-/// Panics if `params` is empty.
-pub fn grid_search<P, F, G>(engine: &G, params: Vec<P>, loss: F) -> (P, f64, SearchStats)
-where
-    P: Clone + Send + Sync + 'static,
-    F: Fn(&P) -> f64 + Send + Sync,
-    G: Engine,
-{
-    assert!(!params.is_empty(), "grid_search needs at least one candidate");
-    let out =
-        selc_engine::minimize(engine, params.len(), |i| loss(&params[i])).expect("non-empty grid");
-    (params[out.index].clone(), out.loss, out.stats)
 }
 
 /// A chunked tuner handler: probes exactly `batch` through the memoised
@@ -442,15 +426,5 @@ mod tests {
             assert_eq!(out.alpha, seq_alpha);
         }
         assert!(cache.stats().evictions > 0, "cap 2 must evict: {:?}", cache.stats());
-    }
-
-    #[test]
-    fn generic_grid_search_matches_plain_scan() {
-        let params: Vec<i64> = (0..50).collect();
-        let (p, l, stats) = grid_search(&ParallelEngine::with_threads(3), params.clone(), |p| {
-            ((p - 17) * (p - 17)) as f64
-        });
-        assert_eq!((p, l), (17, 0.0));
-        assert_eq!(stats.evaluated, 50);
     }
 }

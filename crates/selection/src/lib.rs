@@ -24,8 +24,8 @@
 //! towards the earliest candidate, matching the paper's "we assume
 //! available some way to choose when there is more than one such
 //! element". The theory modules are dependency-free; [`par`] additionally
-//! bridges candidate *evaluation* to the `selc-engine` worker pool while
-//! preserving exactly that tie-breaking.
+//! root-splits a product's candidate *evaluation* over a `selc-engine`
+//! engine while preserving exactly that tie-breaking.
 //!
 //! # Example
 //!

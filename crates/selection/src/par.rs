@@ -1,18 +1,20 @@
-//! Parallel evaluation adapters: `argmin`/`argmax` and product root
-//! splits over the `selc-engine` worker pool.
+//! Root-parallel Escardó–Oliva product over the `selc-engine` worker
+//! pool.
 //!
 //! The theory core of this crate stays dependency-free; this module is
-//! the bridge from its sequential combinators to the engine. Every
-//! adapter is a drop-in for the sequential form and returns **the same
-//! candidate** (bit-identical, earliest-tie) — the differential tests
-//! below and in `selc-engine` hold them to that.
+//! the bridge from its sequential product to the engine.
+//! [`par_product_root`] is a drop-in for the sequential form and returns
+//! **the same play** (bit-identical, earliest-tie) — the differential
+//! tests below hold it to that. A plain parallel argmin of a closure is
+//! [`selc_engine::minimize`]; the tests below also pin its winners to
+//! [`crate::argmin_by`] and [`crate::argmax_by`].
 //!
 //! One caveat bounds that claim: the engine merges under the *total*
 //! order `f64::total_cmp`, the sequential scans under partial `<`. The
 //! two agree on every loss except `NaN` (which `<` never prefers and
 //! `total_cmp` ranks above `+∞`) and `-0.0` vs `+0.0` (equal under `<`,
-//! ordered under `total_cmp` — observable through `par_argmax_by`'s
-//! negation). Keep losses NaN-free and the guarantee is exact.
+//! ordered under `total_cmp` — observable when an argmax is run as a
+//! negated argmin). Keep losses NaN-free and the guarantee is exact.
 //!
 //! Selection functions themselves (`Rc` closures) cannot cross threads;
 //! what parallelises is *evaluation*: candidates and loss functions are
@@ -22,60 +24,14 @@
 
 use crate::product::{big_product_dep, Stage};
 use crate::sel::LossFn;
-use selc_engine::{minimize, Engine, ParallelEngine};
+use selc_engine::{minimize, Engine};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Parallel `argmin_by`: first candidate minimising `loss`, evaluated on
-/// the engine's worker pool (`SELC_THREADS` workers by default).
-/// Identical winner to [`crate::argmin_by`].
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmin_by<X, F>(candidates: Vec<X>, loss: F) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    F: Fn(&X) -> f64 + Send + Sync,
-{
-    par_argmin_with(&ParallelEngine::auto(), candidates, loss)
-}
-
-/// Parallel `argmax_by`, dual of [`par_argmin_by`].
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmax_by<X, F>(candidates: Vec<X>, loss: F) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    F: Fn(&X) -> f64 + Send + Sync,
-{
-    par_argmin_with(&ParallelEngine::auto(), candidates, move |x| -loss(x))
-}
-
-/// [`par_argmin_by`] with an explicit engine (e.g. the sequential
-/// fallback, for differential testing).
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn par_argmin_with<X, F, G>(engine: &G, candidates: Vec<X>, loss: F) -> X
-where
-    X: Clone + Send + Sync + 'static,
-    F: Fn(&X) -> f64 + Send + Sync,
-    G: Engine,
-{
-    assert!(!candidates.is_empty(), "argmin over an empty candidate list");
-    let out = minimize(engine, candidates.len(), |i| loss(&candidates[i]))
-        .expect("non-empty candidate list");
-    candidates.into_iter().nth(out.index).expect("index in range")
-}
-
 /// Root-parallel Escardó–Oliva product: splits the *first* stage's
-/// candidates over the worker pool; each worker completes the play by
-/// running the remaining stages (rebuilt locally via `rest`) under the
-/// global loss, and the loss-minimising completed play wins.
+/// candidates over `engine`; each worker completes the play by running
+/// the remaining stages (rebuilt locally via `rest`) under the global
+/// loss, and the loss-minimising completed play wins.
 ///
 /// Equivalent to
 /// `big_product_dep([argmin(root), rest()...]).select(loss)` — the first
@@ -86,21 +42,7 @@ where
 /// # Panics
 ///
 /// Panics if `root` is empty.
-pub fn par_product_root<X, R, F>(root: Vec<X>, rest: R, loss: F) -> Vec<X>
-where
-    X: Clone + Send + Sync + 'static,
-    R: Fn() -> Vec<Stage<X, f64>> + Send + Sync,
-    F: Fn(&[X]) -> f64 + Send + Sync + 'static,
-{
-    par_product_root_with(&ParallelEngine::auto(), root, rest, loss)
-}
-
-/// [`par_product_root`] with an explicit engine.
-///
-/// # Panics
-///
-/// Panics if `root` is empty.
-pub fn par_product_root_with<X, R, F, G>(engine: &G, root: Vec<X>, rest: R, loss: F) -> Vec<X>
+pub fn par_product_root<X, R, F, G>(engine: &G, root: Vec<X>, rest: R, loss: F) -> Vec<X>
 where
     X: Clone + Send + Sync + 'static,
     R: Fn() -> Vec<Stage<X, f64>> + Send + Sync,
@@ -131,36 +73,24 @@ where
 mod tests {
     use super::*;
     use crate::{argmax_by, argmin, argmin_by};
-    use selc_engine::SequentialEngine;
+    use selc_engine::{ParallelEngine, SequentialEngine};
 
     #[test]
     fn par_argmin_matches_sequential_scan() {
         let xs: Vec<i64> = (0..100).map(|i| (i * 31) % 17).collect();
-        let seq = argmin_by(xs.clone(), |x| (*x - 9) as f64 * (*x - 9) as f64);
-        let par = par_argmin_by(xs.clone(), |x| (*x - 9) as f64 * (*x - 9) as f64);
-        assert_eq!(par, seq);
-        let eng = par_argmin_with(&SequentialEngine::exhaustive(), xs, |x| {
-            (*x - 9) as f64 * (*x - 9) as f64
-        });
-        assert_eq!(eng, seq);
+        let loss = |x: &i64| (*x - 9) as f64 * (*x - 9) as f64;
+        let seq = argmin_by(xs.clone(), loss);
+        let par = minimize(&ParallelEngine::with_threads(3), xs.len(), |i| loss(&xs[i]));
+        assert_eq!(xs[par.expect("non-empty").index], seq);
+        let eng = minimize(&SequentialEngine::exhaustive(), xs.len(), |i| loss(&xs[i]));
+        assert_eq!(xs[eng.expect("non-empty").index], seq);
     }
 
     #[test]
     fn par_argmax_matches_sequential_scan() {
         let xs: Vec<i64> = (0..60).map(|i| (i * 13) % 23).collect();
-        assert_eq!(par_argmax_by(xs.clone(), |x| *x as f64), argmax_by(xs, |x| *x as f64));
-    }
-
-    #[test]
-    fn tie_breaking_stays_earliest() {
-        let xs = vec![5_i64, 1, 3, 1, 1];
-        assert_eq!(par_argmin_by(xs, |x| *x as f64), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_candidates_panic_like_argmin_by() {
-        let _ = par_argmin_by(Vec::<i64>::new(), |_| 0.0);
+        let par = minimize(&ParallelEngine::with_threads(3), xs.len(), |i| -(xs[i] as f64));
+        assert_eq!(xs[par.expect("non-empty").index], argmax_by(xs.clone(), |x| *x as f64));
     }
 
     #[test]
@@ -180,7 +110,13 @@ mod tests {
             vec![Rc::new(|_: &[usize]| argmin(vec![0usize, 1, 2]))];
         stages.extend(mk_rest());
         let sequential = big_product_dep(stages).select(move |p: &Vec<usize>| loss(p));
-        let parallel = par_product_root((0..3).collect(), mk_rest, loss);
-        assert_eq!(parallel, sequential);
+        for threads in [1, 2, 3] {
+            let engine = ParallelEngine::with_threads(threads);
+            let parallel = par_product_root(&engine, (0..3).collect(), mk_rest, loss);
+            assert_eq!(parallel, sequential, "threads {threads}");
+        }
+        let exhaustive =
+            par_product_root(&SequentialEngine::exhaustive(), (0..3).collect(), mk_rest, loss);
+        assert_eq!(exhaustive, sequential);
     }
 }

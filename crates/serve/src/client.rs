@@ -60,7 +60,7 @@ impl Client {
     }
 
     /// Scrapes the server's metrics snapshot (a
-    /// [`Response::Metrics`][crate::protocol::Response::Metrics] on
+    /// [`Response::Metrics`] on
     /// success).
     ///
     /// # Errors

@@ -4,7 +4,7 @@
 //! (shared-cache tuning, transposition minimax), and parallel n-queens.
 //!
 //! ```sh
-//! SELC_THREADS=4 SELC_CACHE_SHARDS=8 cargo run --release --example parallel_search
+//! SELC_THREADS=4 cargo run --release --example parallel_search
 //! ```
 
 use selc_engine::{configured_threads, ParallelEngine, SequentialEngine};
@@ -60,8 +60,8 @@ fn main() {
         out.alpha, out.err, out.stats.cache.misses, out.stats.cache.hits
     );
 
-    // 3b. The same tuner against a *shared* cache (SELC_CACHE_SHARDS /
-    //     SELC_CACHE_CAP shape it): rates duplicated across batches are
+    // 3b. The same tuner against a *shared* cache (SELC_CACHE_CAP
+    //     bounds it): rates duplicated across batches are
     //     probed once globally, and a second search is answered entirely
     //     from the cache.
     let cache = selc::ShardedCache::shared_from_env();
@@ -94,7 +94,7 @@ fn main() {
     // 4. Parallel n-queens via the root-split product of selection
     //    functions.
     let n = 6;
-    let placement = queens_parallel(n);
+    let placement = queens_parallel(&engine, n);
     assert!(is_solution(&placement, n));
     println!("queens {n}: {placement:?}");
 
