@@ -5,12 +5,12 @@
 //! all 2^18 candidates again (1.05s of probes against 107ms for a cold
 //! pruned fill). Interior-node summaries collapse that walk: an exact
 //! summary answers its whole subtree in one probe, so a warm repeat
-//! touches O(depth) positions. This family times the same 18-decision
-//! probing chain as E15, cold and warm, with summaries on and off, and
-//! rides the flagged alpha–beta transposition table (the minimax face of
-//! the same design) alongside. Winners are asserted bit-identical —
-//! loss *and* index — between summarised, plain, and sequential
-//! searches before any timing runs.
+//! touches O(depth) positions. The table now holds summaries only. This
+//! family times the same 18-decision probing chain as E15, cold and
+//! warm, and rides the flagged alpha–beta transposition table (the
+//! minimax face of the same design) alongside. Winners are asserted
+//! bit-identical — loss *and* index — between cached, uncached, and
+//! sequential searches before any timing runs.
 //!
 //! After timing, cache- and summary-stat lines print for
 //! `selc-bench-record` (schema 4). `SELC_BENCH_SMOKE=1` shrinks the
@@ -58,31 +58,31 @@ fn bench_summaries(c: &mut Criterion) {
         ["decide".to_owned()],
         choices,
     );
-    let summarised = TreeEngine::with_threads(4);
-    let plain = TreeEngine::with_threads(4).without_summaries();
+    let engine = TreeEngine::with_threads(4);
 
-    // Bit-identity gate: summarised == plain == sequential, over cold
-    // and warm tables alike, before anything is timed.
+    // Bit-identity gate: cached (cold and warm) == uncached on the same
+    // engine == sequential, before anything is timed.
     let (reference, ref_val) = search_compiled(&TreeEngine::sequential(), &cands).unwrap();
+    let (uncached, v) = search_compiled(&engine, &cands).unwrap();
+    assert_eq!((uncached.index, uncached.loss), (reference.index, reference.loss.clone()));
+    assert_eq!(v, ref_val, "uncached value");
     let cert = cands.certificate().expect("chain corpus is flow-certifiable");
     let warm = LcTransCache::unbounded(8);
-    for (engine, what) in [(&summarised, "summarised"), (&plain, "plain")] {
-        for round in ["cold", "warm"] {
-            let (out, v) = search_compiled_cached(engine, &cands, &warm, None).unwrap();
-            assert_eq!(
-                (out.index, out.loss.clone()),
-                (reference.index, reference.loss.clone()),
-                "{what} {round} winner"
-            );
-            assert_eq!(v, ref_val, "{what} {round} value");
-        }
+    for round in ["cold", "warm"] {
+        let (out, v) = search_compiled_cached(&engine, &cands, &warm, None).unwrap();
+        assert_eq!(
+            (out.index, out.loss.clone()),
+            (reference.index, reference.loss.clone()),
+            "cached {round} winner"
+        );
+        assert_eq!(v, ref_val, "cached {round} value");
     }
 
     // The acceptance target, measured outright: a warm summarised
     // repeat must run ≥50× under BENCH_4's 1.05s warm path (21ms) — it
     // is an O(depth) walk, so the margin is enormous.
     let t0 = Instant::now();
-    let _ = black_box(search_compiled_cached(&summarised, &cands, &warm, None));
+    let _ = black_box(search_compiled_cached(&engine, &cands, &warm, None));
     let elapsed = t0.elapsed();
     assert!(
         elapsed < Duration::from_millis(21),
@@ -93,17 +93,11 @@ fn bench_summaries(c: &mut Criterion) {
     g.bench_function("tree_cached_cold", |b| {
         b.iter(|| {
             let cache = LcTransCache::unbounded(8);
-            black_box(search_compiled_cached(&summarised, &cands, &cache, Some(cert)))
+            black_box(search_compiled_cached(&engine, &cands, &cache, Some(cert)))
         })
     });
-    // The BENCH_4 pathology, reproduced for the before/after spread: a
-    // warm repeat that may only use leaf entries…
-    g.bench_function("tree_cached_warm_plain", |b| {
-        b.iter(|| black_box(search_compiled_cached(&plain, &cands, &warm, None)))
-    });
-    // …against the same table answered through its subtree summaries.
     g.bench_function("tree_cached_warm", |b| {
-        b.iter(|| black_box(search_compiled_cached(&summarised, &cands, &warm, None)))
+        b.iter(|| black_box(search_compiled_cached(&engine, &cands, &warm, None)))
     });
     g.finish();
 
@@ -112,14 +106,14 @@ fn bench_summaries(c: &mut Criterion) {
     // so the pruned fill is itself seeded) and the fully-warm summarised
     // repeat.
     let cache = LcTransCache::unbounded(8);
-    let (cold, _) = search_compiled_cached(&summarised, &cands, &cache, Some(cert)).unwrap();
+    let (cold, _) = search_compiled_cached(&engine, &cands, &cache, Some(cert)).unwrap();
     assert_eq!(cold.index, reference.index);
     report_cache(&format!("e16_summaries/probing{choices}/tree_cached_cold"), &cold.stats.cache);
     report_summary(
         &format!("e16_summaries/probing{choices}/tree_cached_cold"),
         &cold.stats.summary,
     );
-    let (warm_out, _) = search_compiled_cached(&summarised, &cands, &warm, None).unwrap();
+    let (warm_out, _) = search_compiled_cached(&engine, &cands, &warm, None).unwrap();
     assert_eq!(warm_out.index, reference.index);
     report_cache(
         &format!("e16_summaries/probing{choices}/tree_cached_warm"),

@@ -31,9 +31,9 @@
 //! (Exact / Lower / Upper bound entries) `selc-games` uses for its
 //! alpha–beta table; summaries are its argmin specialisation.
 //!
-//! [`SummaryStats`] counts summary traffic separately from the leaf
-//! counters in [`crate::CacheStats`]: an exact hit saves a whole
-//! subtree, a leaf hit saves one candidate, and benchmarks need to see
+//! [`SummaryStats`] counts summary traffic by kind, which the table-level
+//! [`crate::CacheStats`] cannot: an exact hit answers a whole subtree, a
+//! bound hit can at most re-justify a cut, and benchmarks need to see
 //! the difference.
 
 /// The cached reduction of one decision-prefix subtree. `L` is the loss

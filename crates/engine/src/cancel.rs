@@ -22,7 +22,6 @@
 //!
 //! * achieved losses fed to the `SharedBound` (and to best-seen mirrors)
 //!   were really achieved by a fully evaluated candidate;
-//! * leaf cache entries store fully evaluated paths;
 //! * subtree summaries are **not** installed along an aborted path: the
 //!   tree walker returns an aborted subtree as inexact with no lower
 //!   bound, which the install rules (exact requires both children exact,

@@ -127,12 +127,14 @@ pub struct SearchStats {
     /// Workers the search ran with (1 for the sequential engine).
     pub threads: usize,
     /// Cache counters reported by the evaluator: memoised probes and/or
-    /// shared transposition-table traffic during this search.
+    /// shared-table traffic during this search. For a tree evaluator
+    /// whose table holds only subtree summaries (`lambda_rt::LcTransCache`)
+    /// this is the table-level view of the traffic `summary` breaks down.
     pub cache: CacheStats,
     /// Subtree-summary traffic (tree searches only; all-zero for the
-    /// flat engines): interior-node probes and installs, counted by the
-    /// engine itself so warm-path savings are visible separately from
-    /// the leaf cache counters.
+    /// flat engines): interior-node probes and installs by kind, counted
+    /// by the engine itself, so exact answers are visible apart from
+    /// bound hints.
     pub summary: SummaryStats,
 }
 

@@ -35,8 +35,10 @@
 //!   the way back up, pruned ones install bound entries
 //!   ([`TreeEval::install_summary`]), and [`TreeEval::seed_bits`] warm-
 //!   starts the shared bound from the best previously-achieved loss so
-//!   repeats prune from the first node. [`TreeEngine::without_summaries`]
-//!   turns all of it off for differential tests.
+//!   repeats prune from the first node. The engine always probes and
+//!   installs; an evaluator without a table keeps the trait's no-op
+//!   defaults, so "does this walk cache?" is "does the evaluator have a
+//!   table?".
 //!
 //! # Determinism
 //!
@@ -200,8 +202,8 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     fn install_summary(&self, _bits: u64, _len: u32, _summary: SubtreeSummary<L>) {}
 
     /// The best *achieved* loss already known for this space, in the
-    /// [`OrderedLoss::prune_bits`] encoding — e.g. the best cached leaf
-    /// value from a previous search over the same immutable program.
+    /// [`OrderedLoss::prune_bits`] encoding — e.g. the best leaf loss a
+    /// previous search over the same immutable program achieved.
     /// Seeds the [`SharedBound`] before the first leaf completes, so a
     /// warm search prunes from its very first subtree. Soundness: only
     /// report losses some candidate of this space actually attains
@@ -223,15 +225,11 @@ pub struct TreeEngine {
     /// Decision depth at which the tree is split into parallel subtree
     /// work items; 0 picks one that gives each worker ~4 subtrees.
     pub split: u32,
-    /// Probe/install interior-node subtree summaries through the
-    /// evaluator's [`TreeEval::probe_summary`] / [`TreeEval::install_summary`]
-    /// hooks (a no-op for evaluators without a table). On by default.
-    pub summaries: bool,
 }
 
 impl Default for TreeEngine {
     fn default() -> Self {
-        TreeEngine { threads: 0, prune: true, split: 0, summaries: true }
+        TreeEngine { threads: 0, prune: true, split: 0 }
     }
 }
 
@@ -247,22 +245,16 @@ impl TreeEngine {
     }
 
     /// The single-worker exhaustive tree walk — the differential oracle
-    /// for everything parallel/pruned/cached/summarised above it, so it
-    /// keeps both pruning and summaries off.
+    /// for everything parallel and pruned above it, so it keeps pruning
+    /// off. Over an evaluator without a table (as the oracle runs) it
+    /// caches nothing either.
     pub fn sequential() -> TreeEngine {
-        TreeEngine { threads: 1, prune: false, split: 0, summaries: false }
+        TreeEngine { threads: 1, prune: false, split: 0 }
     }
 
     /// Same engine, pruning disabled (exhaustive fan-out).
     pub fn without_pruning(mut self) -> TreeEngine {
         self.prune = false;
-        self
-    }
-
-    /// Same engine, subtree summaries disabled (leaf cache only) —
-    /// the differential-test and bisection switch.
-    pub fn without_summaries(mut self) -> TreeEngine {
-        self.summaries = false;
         self
     }
 
@@ -303,15 +295,14 @@ impl TreeEngine {
         // Never split below the shallowest possible leaf: subtrees rooted
         // under a leaf all replay that same leaf.
         let split_cap = eval.min_leaf_depth().min(depth);
-        let split = if threads == 1 {
-            0
-        } else if self.split == 0 {
-            // ~4 subtrees per worker, at least one decision of split.
-            let want = (threads * 4).next_power_of_two().trailing_zeros();
-            want.clamp(1, depth).min(split_cap)
-        } else {
-            self.split.min(depth).min(split_cap)
+        let split = match (threads, self.split) {
+            (1, _) => 0,
+            // ~4 subtrees per worker.
+            (_, 0) => (threads * 4).next_power_of_two().trailing_zeros().min(split_cap),
+            (_, split) => split.min(split_cap),
         };
+        // One worker per subtree root at most: the rest could claim nothing.
+        let threads = threads.min(1 << split);
         let bound = SharedBound::new();
         if self.prune {
             // Warm-start: the best loss a previous search over the same
@@ -321,14 +312,7 @@ impl TreeEngine {
                 bound.observe_bits(bits);
             }
         }
-        let walker = Walker {
-            eval,
-            bound: &bound,
-            prune: self.prune,
-            summaries: self.summaries,
-            depth,
-            cancel,
-        };
+        let walker = Walker { eval, bound: &bound, prune: self.prune, depth, cancel };
 
         let (parts, drained) =
             fan_out(threads, 1_usize << split, 1, cancel, |part: &mut Partial<L>, start, _| {
@@ -348,7 +332,6 @@ struct Walker<'a, L, T> {
     eval: &'a T,
     bound: &'a SharedBound<L>,
     prune: bool,
-    summaries: bool,
     depth: u32,
     cancel: &'a CancelToken,
 }
@@ -416,36 +399,34 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     part.aborted = true;
                     return Sub { best: None, lb: None, exact: false };
                 }
-                if self.summaries {
-                    match self.eval.probe_summary(bits, len) {
-                        SummaryProbe::Exact { loss, index } => {
-                            // The whole subtree in O(1): its cached argmin
-                            // is an achieved loss, so it also tightens the
-                            // bound like the leaves it stands for would.
-                            part.summary.exact_hits += 1;
-                            if self.prune {
-                                self.bound.observe(&loss);
-                            }
-                            return Sub {
-                                best: Some((loss.clone(), index as usize)),
-                                lb: Some(loss),
-                                exact: true,
-                            };
+                match self.eval.probe_summary(bits, len) {
+                    SummaryProbe::Exact { loss, index } => {
+                        // The whole subtree in O(1): its cached argmin
+                        // is an achieved loss, so it also tightens the
+                        // bound like the leaves it stands for would.
+                        part.summary.exact_hits += 1;
+                        if self.prune {
+                            self.bound.observe(&loss);
                         }
-                        SummaryProbe::Bound { loss } => {
-                            part.summary.bound_hits += 1;
-                            // A bound entry is never an answer — but when
-                            // strictly dominated by an achieved loss, no
-                            // candidate beneath can win or tie, and the
-                            // subtree is skipped whole. (It must NOT feed
-                            // `bound.observe`: nothing attained it.)
-                            if self.prune && self.bound.dominated(&loss) {
-                                part.pruned += 1;
-                                return Sub { best: None, lb: Some(loss), exact: false };
-                            }
-                        }
-                        SummaryProbe::Miss => part.summary.misses += 1,
+                        return Sub {
+                            best: Some((loss.clone(), index as usize)),
+                            lb: Some(loss),
+                            exact: true,
+                        };
                     }
+                    SummaryProbe::Bound { loss } => {
+                        part.summary.bound_hits += 1;
+                        // A bound entry is never an answer — but when
+                        // strictly dominated by an achieved loss, no
+                        // candidate beneath can win or tie, and the
+                        // subtree is skipped whole. (It must NOT feed
+                        // `bound.observe`: nothing attained it.)
+                        if self.prune && self.bound.dominated(&loss) {
+                            part.pruned += 1;
+                            return Sub { best: None, lb: Some(loss), exact: false };
+                        }
+                    }
+                    SummaryProbe::Miss => part.summary.misses += 1,
                 }
                 if self.prune && self.eval.hint_is_lower_bound() {
                     if let Some(h) = &hint {
@@ -494,30 +475,24 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     }
                     _ => None,
                 };
-                if self.summaries {
-                    if exact {
-                        // Fully evaluated: the subtree's true argmin, ties
-                        // included — answerable on the next visit.
-                        if let Some((loss, index)) = &best {
-                            self.eval.install_summary(
-                                bits,
-                                len,
-                                SubtreeSummary::exact(loss.clone(), *index as u64),
-                            );
-                            part.summary.exact_installs += 1;
-                        }
-                    } else if let Some(lb) = &lb {
-                        // Pruning cut the subtree: the min of what was
-                        // seen (losses and skipped subtrees' bounds) is a
-                        // lower bound on everything beneath, nothing more.
-                        let index = best.as_ref().map_or(0, |(_, i)| *i as u64);
+                if exact {
+                    // Fully evaluated: the subtree's true argmin, ties
+                    // included — answerable on the next visit.
+                    if let Some((loss, index)) = &best {
                         self.eval.install_summary(
                             bits,
                             len,
-                            SubtreeSummary::bound(lb.clone(), index),
+                            SubtreeSummary::exact(loss.clone(), *index as u64),
                         );
-                        part.summary.bound_installs += 1;
+                        part.summary.exact_installs += 1;
                     }
+                } else if let Some(lb) = &lb {
+                    // Pruning cut the subtree: the min of what was
+                    // seen (losses and skipped subtrees' bounds) is a
+                    // lower bound on everything beneath, nothing more.
+                    let index = best.as_ref().map_or(0, |(_, i)| *i as u64);
+                    self.eval.install_summary(bits, len, SubtreeSummary::bound(lb.clone(), index));
+                    part.summary.bound_installs += 1;
                 }
                 Sub { best, lb, exact }
             }
@@ -637,7 +612,7 @@ mod tests {
                     TreeEngine::sequential(),
                     TreeEngine::with_threads(1),
                     TreeEngine::with_threads(2),
-                    TreeEngine { threads: 3, prune: true, split: 4, summaries: false },
+                    TreeEngine { threads: 3, prune: true, split: 4 },
                     TreeEngine::with_threads(4).without_pruning(),
                 ] {
                     let eval = TableTree::new(losses.clone(), hints);
@@ -689,7 +664,7 @@ mod tests {
     fn min_leaf_depth_caps_the_parallel_split() {
         let losses = table(5, 64);
         let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
-        let engine = TreeEngine::with_threads(4).without_pruning().without_summaries();
+        let engine = TreeEngine::with_threads(4).without_pruning();
         // Unconstrained: ~4 subtrees per worker → a split of 4 → 16 roots.
         let wide = ShallowLeafTable {
             inner: TableTree::new(losses.clone(), false),
@@ -701,7 +676,8 @@ mod tests {
         // ordering: Relaxed — test counter.
         assert_eq!(wide.enters.load(std::sync::atomic::Ordering::Relaxed), 16);
         // A shape hint of "leaves can occur at depth 1" caps the fan-out
-        // at 2 subtree roots, same winner.
+        // at 2 subtree roots, same winner, and the pool at one worker per
+        // root.
         let capped = ShallowLeafTable {
             inner: TableTree::new(losses, false),
             min_leaf: 1,
@@ -711,6 +687,7 @@ mod tests {
         assert_eq!((out.index, out.loss), (flat.index, flat.loss));
         // ordering: Relaxed — test counter.
         assert_eq!(capped.enters.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!(out.stats.threads, 2, "no worker without a root to claim");
     }
 
     #[test]
@@ -719,9 +696,7 @@ mod tests {
         // `true`-most subtree sets a tight bound early.
         let losses: Vec<f64> = (0..64).map(f64::from).collect();
         let eval = TableTree::new(losses.clone(), true);
-        let out = TreeEngine { threads: 1, prune: true, split: 0, summaries: false }
-            .search(&eval)
-            .unwrap();
+        let out = TreeEngine { threads: 1, prune: true, split: 0 }.search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (0, 0.0));
         assert!(out.stats.pruned > 0, "stats: {:?}", out.stats);
         assert!(out.stats.evaluated < 64, "stats: {:?}", out.stats);
@@ -783,10 +758,8 @@ mod tests {
         // index 4); indices 0..4 have losses 0..4. Winner: index 0.
         let flat_losses = [0.0, 1.0, 2.0, 3.0, 0.5, 0.5, 0.5, 0.5];
         let flat = minimize(&SequentialEngine::exhaustive(), 8, |i| flat_losses[i]).unwrap();
-        for engine in [
-            TreeEngine::sequential(),
-            TreeEngine { threads: 4, prune: false, split: 2, summaries: false },
-        ] {
+        for engine in [TreeEngine::sequential(), TreeEngine { threads: 4, prune: false, split: 2 }]
+        {
             let out = engine.search(&ShortFalse).unwrap();
             assert_eq!((out.index, out.loss), (flat.index, flat.loss), "{engine:?}");
             assert_eq!(out.stats.evaluated, 5, "4 deep leaves + 1 early leaf: {engine:?}");
@@ -873,7 +846,7 @@ mod tests {
         let losses = table(5, 64);
         let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses, false);
-        let engine = TreeEngine { threads: 1, prune: false, split: 0, summaries: true };
+        let engine = TreeEngine { threads: 1, prune: false, split: 0 };
         let cold = engine.search(&eval).unwrap();
         assert_eq!((cold.index, cold.loss), (flat.index, flat.loss));
         assert_eq!(cold.stats.summary.exact_hits, 0);
@@ -894,9 +867,9 @@ mod tests {
             let eval = SummaryTree::new(losses, true);
             for round in 0..3 {
                 for engine in [
-                    TreeEngine { threads: 1, prune: true, split: 0, summaries: true },
-                    TreeEngine { threads: 3, prune: true, split: 2, summaries: true },
-                    TreeEngine { threads: 2, prune: false, split: 3, summaries: true },
+                    TreeEngine { threads: 1, prune: true, split: 0 },
+                    TreeEngine { threads: 3, prune: true, split: 2 },
+                    TreeEngine { threads: 2, prune: false, split: 3 },
                 ] {
                     let out = engine.search(&eval).unwrap();
                     assert_eq!(
@@ -920,9 +893,7 @@ mod tests {
         let losses: Vec<f64> = (0..64).map(f64::from).collect();
         let eval = SummaryTree::new(losses, true);
         *eval.seed.lock().unwrap() = selc::OrderedLoss::prune_bits(&0.0f64);
-        let out = TreeEngine { threads: 1, prune: true, split: 0, summaries: false }
-            .search(&eval)
-            .unwrap();
+        let out = TreeEngine { threads: 1, prune: true, split: 0 }.search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (0, 0.0), "seeding never changes the winner");
         // Only the winner's own path survives: the winner, its sibling
         // leaf (single leaves are never hint-pruned), and one dominated
@@ -940,14 +911,10 @@ mod tests {
         let losses = table(9, 64);
         let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses, true);
-        let pruned = TreeEngine { threads: 1, prune: true, split: 0, summaries: true }
-            .search(&eval)
-            .unwrap();
+        let pruned = TreeEngine { threads: 1, prune: true, split: 0 }.search(&eval).unwrap();
         assert_eq!((pruned.index, pruned.loss), (flat.index, flat.loss));
         assert!(pruned.stats.summary.bound_installs > 0, "stats: {:?}", pruned.stats);
-        let exhaustive = TreeEngine { threads: 1, prune: false, split: 0, summaries: true }
-            .search(&eval)
-            .unwrap();
+        let exhaustive = TreeEngine { threads: 1, prune: false, split: 0 }.search(&eval).unwrap();
         assert_eq!((exhaustive.index, exhaustive.loss), (flat.index, flat.loss));
         assert!(
             exhaustive.stats.summary.bound_hits > 0,
@@ -956,9 +923,7 @@ mod tests {
         );
         // The exhaustive re-walk upgrades the cut subtrees: a third run
         // now answers at the root without touching a leaf.
-        let third = TreeEngine { threads: 1, prune: false, split: 0, summaries: true }
-            .search(&eval)
-            .unwrap();
+        let third = TreeEngine { threads: 1, prune: false, split: 0 }.search(&eval).unwrap();
         assert_eq!((third.index, third.loss), (flat.index, flat.loss));
         assert_eq!(third.stats.summary.exact_hits, 1, "stats: {:?}", third.stats);
         assert_eq!(third.stats.evaluated, 0);
@@ -994,8 +959,8 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         for engine in [
-            TreeEngine { threads: 1, prune: true, split: 0, summaries: true },
-            TreeEngine { threads: 3, prune: true, split: 2, summaries: true },
+            TreeEngine { threads: 1, prune: true, split: 0 },
+            TreeEngine { threads: 3, prune: true, split: 2 },
         ] {
             let result = engine.search_with(&eval, &cancel);
             assert!(result.was_cancelled(), "{engine:?}");
@@ -1010,9 +975,7 @@ mod tests {
         // A later, un-cancelled search over the same evaluator is
         // bit-identical to a cold run — nothing was poisoned.
         let flat = minimize(&SequentialEngine::exhaustive(), 64, |i| eval.inner.losses[i]).unwrap();
-        let out = TreeEngine { threads: 2, prune: true, split: 2, summaries: true }
-            .search(&eval)
-            .unwrap();
+        let out = TreeEngine { threads: 2, prune: true, split: 2 }.search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (flat.index, flat.loss));
     }
 
@@ -1057,8 +1020,7 @@ mod tests {
             trip: 4,
             count: Default::default(),
         };
-        let result = TreeEngine { threads: 1, prune: false, split: 0, summaries: false }
-            .search_with(&eval, &cancel);
+        let result = TreeEngine { threads: 1, prune: false, split: 0 }.search_with(&eval, &cancel);
         assert!(result.was_cancelled());
         let out = result.into_outcome().expect("some leaves scored before the trip");
         assert!(

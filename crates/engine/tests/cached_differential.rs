@@ -34,6 +34,9 @@ struct CachedTable<'c, K> {
     cache: &'c Table,
     /// The leaf key: must be injective up to loss (one key, one loss).
     class: K,
+    /// Whether interior positions probe and install summaries; off, the
+    /// table holds leaves only.
+    summaries: bool,
     base: CacheStats,
     /// Leaves really computed rather than answered from the table.
     computed: AtomicU64,
@@ -48,6 +51,7 @@ impl<'c, K: Fn(u64) -> u64 + Send + Sync> CachedTable<'c, K> {
             depth,
             cache,
             class,
+            summaries: true,
             base: cache.stats(),
             computed: AtomicU64::new(0),
         }
@@ -95,6 +99,9 @@ impl<K: Fn(u64) -> u64 + Send + Sync> TreeEval<f64> for CachedTable<'_, K> {
     }
 
     fn probe_summary(&self, bits: u64, len: u32) -> SummaryProbe<f64> {
+        if !self.summaries {
+            return SummaryProbe::Miss;
+        }
         match self.cache.lookup(&(len, bits)) {
             Some(Entry::Summary(s)) => SummaryProbe::from(s),
             _ => SummaryProbe::Miss,
@@ -102,7 +109,9 @@ impl<K: Fn(u64) -> u64 + Send + Sync> TreeEval<f64> for CachedTable<'_, K> {
     }
 
     fn install_summary(&self, bits: u64, len: u32, summary: SubtreeSummary<f64>) {
-        self.cache.store((len, bits), Entry::Summary(summary));
+        if self.summaries {
+            self.cache.store((len, bits), Entry::Summary(summary));
+        }
     }
 }
 
@@ -126,10 +135,10 @@ fn first_min(losses: &[f64]) -> (usize, f64) {
 
 fn engines() -> Vec<TreeEngine> {
     vec![
-        TreeEngine { threads: 1, prune: true, split: 0, summaries: true },
-        TreeEngine { threads: 2, prune: false, split: 1, summaries: true },
-        TreeEngine { threads: 4, prune: true, split: 2, summaries: true },
-        TreeEngine { threads: 8, prune: true, split: 3, summaries: false },
+        TreeEngine { threads: 1, prune: true, split: 0 },
+        TreeEngine { threads: 2, prune: false, split: 1 },
+        TreeEngine { threads: 4, prune: true, split: 2 },
+        TreeEngine { threads: 8, prune: true, split: 3 },
     ]
 }
 
@@ -203,15 +212,19 @@ proptest! {
         // a class share one table entry, so most lookups after the first
         // per class are hits — legal because equal classes mean
         // bit-identical losses, and the winner must still be the earliest
-        // index of the smallest class. Summaries off and pruning off, so
-        // the table holds exactly the leaf classes.
+        // index of the smallest class. With the harness's summaries and
+        // the engine's pruning off, the table holds exactly the leaf
+        // classes.
         let raw = full_tree(raw);
         let losses: Vec<f64> = raw.iter().copied().map(f64::from).collect();
         let oracle = first_min(&losses);
         let cache = Table::unbounded(4);
         for eng in engines() {
-            let eng = eng.without_pruning().without_summaries();
-            let eval = CachedTable::new(&losses, &cache, |p| u64::from(raw[p as usize]));
+            let eng = eng.without_pruning();
+            let eval = CachedTable {
+                summaries: false,
+                ..CachedTable::new(&losses, &cache, |p| u64::from(raw[p as usize]))
+            };
             let out = eng.search(&eval).unwrap();
             prop_assert_eq!((out.index, out.loss), oracle, "engine {:?}", eng);
         }
@@ -249,7 +262,7 @@ fn warm_cache_repeat_runs_are_reproducible_under_churn() {
     // answered by the exact summary the exhaustive cold fill installed.
     let losses: Vec<f64> = (0..256).map(|i| f64::from((i * 7919 % 101) as u16)).collect();
     let cache = Table::unbounded(8);
-    let eng = TreeEngine { threads: 8, prune: false, split: 0, summaries: true };
+    let eng = TreeEngine { threads: 8, prune: false, split: 0 };
     let first = eng.search(&CachedTable::new(&losses, &cache, |p| p)).unwrap();
     for _ in 0..10 {
         let eval = CachedTable::new(&losses, &cache, |p| p);

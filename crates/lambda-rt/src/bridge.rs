@@ -59,12 +59,6 @@ pub struct LcCandidates {
     /// replay-per-worker rebuilds) keep the identity — same program,
     /// same entries.
     id: u64,
-    /// Bit `u` set ⇔ some candidate of this space has completed using
-    /// exactly `u` decisions. Shared by all clones; cache lookups probe
-    /// only these depths (most programs use one fixed depth, so the
-    /// probe is usually a single lookup and hit/miss telemetry stays
-    /// honest).
-    used_depths: Arc<AtomicU64>,
     /// The best loss any candidate of this space has been observed to
     /// *achieve* (monotone `prune_bits` encoding; `u64::MAX` until one
     /// completes). Shared across clones and searches: the program is
@@ -100,7 +94,6 @@ impl LcCandidates {
             // ordering: Relaxed — space ids only need uniqueness, which
             // the RMW guarantees under any ordering.
             id: NEXT_SPACE_ID.fetch_add(1, Ordering::Relaxed),
-            used_depths: Arc::new(AtomicU64::new(0)),
             best_seen: Arc::new(AtomicU64::new(u64::MAX)),
             flow: Arc::new(OnceLock::new()),
         }
@@ -151,24 +144,9 @@ impl LcCandidates {
         self.id
     }
 
-    /// Records that a candidate completed using exactly `used` decisions.
-    pub(crate) fn note_used_depth(&self, used: u32) {
-        // ordering: Relaxed — a monotone hint bitmask: a reader that
-        // misses a freshly-set bit only skips a cache probe it could
-        // have made; it never reads data through the mask.
-        self.used_depths.fetch_or(1 << used, Ordering::Relaxed);
-    }
-
-    /// The bitmask of decision counts candidates have been observed to
-    /// use (monotone, shared across clones and searches).
-    pub(crate) fn used_depths_mask(&self) -> u64 {
-        // ordering: Relaxed — see `note_used_depth`.
-        self.used_depths.load(Ordering::Relaxed)
-    }
-
     /// The shared best-achieved-loss cell (see the field docs):
-    /// evaluators feed it from completed runs, cache hits, and exact
-    /// summaries, and seed their searches from it.
+    /// evaluators feed it from completed runs and exact summary hits,
+    /// and seed their searches from it.
     pub(crate) fn best_seen_cell(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.best_seen)
     }

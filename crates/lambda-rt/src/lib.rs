@@ -26,10 +26,11 @@
 //!    independent differential reference ([`search_compiled_flat`]): no
 //!    table, no pruning, no state shared with the searches it checks.
 //! 4. **Cache** — [`search_compiled_cached`] threads a `selc-cache`
-//!    transposition table keyed by *decision prefixes* through the tree
-//!    walk, with interior-node subtree summaries in the same table, so a
-//!    warm repeat replays nothing. Pruning is switched on only by a
-//!    `lambda_c::flow` certificate.
+//!    transposition table through the tree walk. It holds one entry
+//!    kind, the subtree summary of a *decision prefix* (its best
+//!    `(loss, index)`), so a warm repeat answers whole subtrees and
+//!    replays nothing. Pruning is switched on only by a `lambda_c::flow`
+//!    certificate.
 //!
 //! ```
 //! use lambda_rt::{search_compiled, LcCandidates};
@@ -53,5 +54,5 @@ pub mod tree;
 
 pub use bridge::{LcCandidates, LcValue};
 pub use loss::{encode_scalar, OrdLossVal};
-pub use search::{search_compiled_flat, LcEntry, LcTransCache, SUMMARY_TAG};
+pub use search::{search_compiled_flat, LcTransCache};
 pub use tree::{search_compiled, search_compiled_cached, search_compiled_cached_with, LcTreeEval};

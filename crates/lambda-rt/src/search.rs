@@ -1,17 +1,16 @@
 //! The compiled-search transposition table, and the flat reference scan
 //! every tree search is differenced against.
 //!
-//! * **Transposition keys.** A candidate that consumes only `u ≤ depth`
-//!   decisions is fully determined by its first `u` decision bits, so its
-//!   loss is cached under `(space id, u, prefix_u)`. Every path sharing
-//!   the prefix hits the same entry, and *across* searches a shared
-//!   [`LcTransCache`] handle replays nothing at all. The key is sound
-//!   because the machine is deterministic: same forced prefix, same run,
-//!   bit-identical loss (the cache crate's injectivity-up-to-evaluation
-//!   condition). Interior-node subtree summaries live in the same table
-//!   under tagged keys ([`SUMMARY_TAG`]). The one evaluator that reads
-//!   and writes it is [`crate::tree::LcTreeEval`]; pruned runs are never
-//!   cached (`Pruned` is a fact about the current bound, not a loss).
+//! * **Transposition keys.** The table holds one entry kind, the
+//!   [`SubtreeSummary`] of an interior decision prefix, keyed
+//!   `(space id, len, prefix bits)`. A prefix fully determines its
+//!   subtree because the machine is deterministic: same forced prefix,
+//!   same runs, bit-identical losses (the cache crate's
+//!   injectivity-up-to-evaluation condition). So a summary installed by
+//!   one search answers the whole subtree in the next one over the same
+//!   handle. A completed path is covered by its parent's exact summary,
+//!   so no leaf is stored. The one evaluator that reads and writes the
+//!   table is [`crate::tree::LcTreeEval`].
 //! * **The flat oracle.** [`search_compiled_flat`] scores every forced
 //!   path from the root through the space's `selc::ReplaySpace` face,
 //!   with no table, no pruning, and no shared state — so a reference
@@ -22,34 +21,11 @@ use crate::loss::OrdLossVal;
 use selc_cache::{ShardedCache, SubtreeSummary};
 use selc_engine::{Engine, Outcome};
 
-/// Tag bit set in the middle (`u32`) key slot of every subtree-summary
-/// entry. Leaf keys carry a plain decision count there (`≤ 62`, see
-/// [`LcCandidates::new`]), so tagged and untagged keys can never
-/// collide: one shared [`LcTransCache`] handle holds both populations,
-/// key-disjointly, under one epoch.
-pub const SUMMARY_TAG: u32 = 1 << 31;
-
-/// One transposition-table entry: a completed path's loss, or an
-/// interior-node subtree summary. The two populations live under
-/// disjoint keys (see [`SUMMARY_TAG`]), so a leaf lookup only ever sees
-/// [`LcEntry::Leaf`] and a summary probe only [`LcEntry::Summary`] —
-/// the enum exists so both share one cache, one capacity budget, and
-/// one epoch.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LcEntry {
-    /// Loss of the completed path keyed by `(id, used, prefix)`.
-    Leaf(OrdLossVal),
-    /// Summary of the subtree keyed by `(id, len | SUMMARY_TAG, bits)`.
-    Summary(SubtreeSummary<OrdLossVal>),
-}
-
-/// The transposition table for compiled searches: keys are
-/// `(space identity, decisions used, prefix bits)` for leaves and
-/// `(space identity, prefix length | SUMMARY_TAG, prefix bits)` for
-/// subtree summaries — the identity component (see [`LcCandidates::id`])
-/// lets one shared handle serve many different programs without prefix
-/// collisions.
-pub type LcTransCache = ShardedCache<(u64, u32, u64), LcEntry>;
+/// The transposition table for compiled searches: subtree summaries
+/// keyed `(space identity, prefix length, prefix bits)`. The identity
+/// component (see [`LcCandidates::id`]) lets one shared handle serve many
+/// different programs without prefix collisions.
+pub type LcTransCache = ShardedCache<(u64, u32, u64), SubtreeSummary<OrdLossVal>>;
 
 /// Searches a compiled candidate space by the **flat** scan: every one
 /// of the `2^depth` forced paths replayed from the root on `engine` —
@@ -90,33 +66,36 @@ mod tests {
         LcCandidates::new(lambda_c::compile(&ex.expr).unwrap(), ["decide".to_owned()], 3)
     }
 
-    /// A single-worker walk with no summary entries, so the table holds
-    /// leaves only.
-    fn leaf_only(prune: bool) -> TreeEngine {
-        TreeEngine { threads: 1, prune, split: 0, summaries: false }
+    /// A single-worker walk from the root.
+    fn single(prune: bool) -> TreeEngine {
+        TreeEngine { threads: 1, prune, split: 0 }
     }
 
     #[test]
     fn cached_and_pruned_searches_agree_with_plain() {
         let cands = chain_candidates(6);
         let (plain, value) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
-        // Cold fill without abandonment: every leaf runs and stores.
+        // Cold fill without abandonment: every interior node stores its
+        // exact summary, and nothing else is stored.
         let cache = LcTransCache::unbounded(4);
-        let (cold, _) = search_compiled_cached(&leaf_only(false), &cands, &cache, None).unwrap();
+        let (cold, _) = search_compiled_cached(&single(false), &cands, &cache, None).unwrap();
         assert_eq!((cold.index, cold.loss.clone()), (plain.index, plain.loss.clone()));
-        assert_eq!(cold.stats.cache.insertions, cands.space() as u64);
-        // Fully warm: a parallel repeat replays nothing.
-        let parallel = TreeEngine { threads: 3, prune: false, split: 2, summaries: false };
+        let interior = cands.space() as u64 - 1;
+        assert_eq!(cold.stats.summary.exact_installs, interior);
+        assert_eq!(cold.stats.cache.insertions, interior);
+        // Fully warm: a parallel repeat answers its four subtree roots
+        // from their summaries and replays no leaf.
+        let parallel = TreeEngine { threads: 3, prune: false, split: 2 };
         let (warm, wv) = search_compiled_cached(&parallel, &cands, &cache, None).unwrap();
         assert_eq!((warm.index, warm.loss.clone()), (plain.index, plain.loss.clone()));
         assert_eq!(wv, value);
-        assert_eq!(warm.stats.cache.hits, cands.space() as u64, "fully warm");
+        assert_eq!(warm.stats.summary.exact_hits, 4, "fully warm: {:?}", warm.stats);
+        assert_eq!(warm.stats.cache.hits, 4);
         assert_eq!(warm.stats.cache.misses, 0);
+        assert_eq!(warm.stats.evaluated, 0);
         // Abandonment on a fresh cache: same winner, bit-identically.
         let cert = cands.certificate().expect("chain losses are certifiably non-negative");
-        for engine in
-            [leaf_only(true), TreeEngine { threads: 3, prune: false, split: 2, summaries: true }]
-        {
+        for engine in [single(true), TreeEngine { threads: 3, prune: false, split: 2 }] {
             let fresh = LcTransCache::unbounded(4);
             let (out, v) = search_compiled_cached(&engine, &cands, &fresh, Some(cert)).unwrap();
             assert_eq!((out.index, out.loss.clone()), (plain.index, plain.loss.clone()));
@@ -133,7 +112,7 @@ mod tests {
         let foreign = other.certificate().unwrap();
         let eval = LcTreeEval::new(cands.clone()).with_nonneg_certificate(foreign);
         assert!(!eval.hint_is_lower_bound(), "foreign certificate silently ignored");
-        let out = leaf_only(true).search(&eval).unwrap();
+        let out = single(true).search(&eval).unwrap();
         assert_eq!(out.stats.pruned, 0, "no subtree skip, no abandonment: {:?}", out.stats);
         let own = cands.certificate().unwrap();
         let eval = LcTreeEval::new(cands.clone()).with_nonneg_certificate(own);
@@ -141,33 +120,19 @@ mod tests {
     }
 
     #[test]
-    fn prefix_cache_collapses_duplicate_indices() {
-        // Indices sharing pgm's one real decision must collapse onto one
-        // prefix entry each, and a warm repeat answers both from them.
-        let cands = shallow_pgm();
-        let cache = LcTransCache::unbounded(2);
-        let (out, _) = search_compiled_cached(&leaf_only(false), &cands, &cache, None).unwrap();
-        assert_eq!(cache.len(), 2, "one entry per used prefix, not per index");
-        assert_eq!(out.loss.0, lambda_c::LossVal::scalar(2.0));
-        assert_eq!(out.stats.cache.insertions, 2);
-        let (warm, _) = search_compiled_cached(&leaf_only(false), &cands, &cache, None).unwrap();
-        assert_eq!((warm.index, warm.loss), (out.index, out.loss));
-        assert_eq!(warm.stats.cache.hits, 2, "both paths answered by the prefix table");
-        assert_eq!(warm.stats.cache.misses, 0);
-    }
-
-    #[test]
     fn abandoned_candidates_are_not_cached() {
         // With abandonment on, pgm's dominated false branch aborts
-        // mid-segment and must not be stored.
+        // mid-segment. It leaves the root neither an exact summary (a
+        // child was cut) nor a bound (the abandoned run reports no
+        // value), so nothing is stored.
         let cands = shallow_pgm();
         let cache = LcTransCache::unbounded(2);
         let cert = cands.certificate().expect("pgm's 2*i losses are non-negative");
-        let (out, _) =
-            search_compiled_cached(&leaf_only(true), &cands, &cache, Some(cert)).unwrap();
+        let (out, _) = search_compiled_cached(&single(true), &cands, &cache, Some(cert)).unwrap();
         assert_eq!(out.loss.0, lambda_c::LossVal::scalar(2.0));
-        assert_eq!(cache.len(), 1, "only the winning prefix is stored");
         assert_eq!(out.stats.pruned, 1, "the false branch aborts: {:?}", out.stats);
+        assert_eq!(out.stats.summary.installs(), 0, "{:?}", out.stats);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -179,7 +144,7 @@ mod tests {
         let cert = cands.certificate().expect("chain corpus is certified");
         let cache = LcTransCache::unbounded(2);
         let (pruned, _) =
-            search_compiled_cached(&leaf_only(false), &cands, &cache, Some(cert)).unwrap();
+            search_compiled_cached(&single(false), &cands, &cache, Some(cert)).unwrap();
         assert_eq!((pruned.index, pruned.loss.clone()), (plain.index, plain.loss));
         assert!(
             pruned.stats.pruned > 0,

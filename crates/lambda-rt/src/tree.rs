@@ -5,16 +5,13 @@
 //! machine segments — [`LcTreeEval`] walks the decision *tree*: one
 //! [`lambda_c::machine::ChoicePoint`] per interior node, each branch
 //! resumed from the suspended prefix state, O(tree nodes) segments total.
-//! Completed paths are cached in a shared [`LcTransCache`] under
-//! prefix-shaped `(space id, used, prefix)` keys, so a table warmed by
-//! one search answers the next. The same handle also holds **subtree
-//! summaries** under key-disjoint tagged keys
-//! (`(space id, len | SUMMARY_TAG, bits)`, see
-//! [`crate::search::LcEntry`]): the engine probes them at every interior
-//! node, so a warm tree repeat answers whole subtrees in O(1) — an
-//! O(depth) walk instead of an O(leaves) rescan — and seeds its
-//! `SharedBound` from the space's best previously-achieved loss
-//! ([`TreeEval::seed_bits`]) before the first segment runs.
+//! With a shared [`LcTransCache`] attached, the engine probes a **subtree
+//! summary** at every interior node (keyed `(space id, len, bits)`) and
+//! installs one on the way back up, so a table warmed by one search
+//! answers whole subtrees of the next in O(1) — an O(depth) walk instead
+//! of an O(leaves) rescan. Every search also seeds its `SharedBound` from
+//! the space's best previously-achieved loss ([`TreeEval::seed_bits`])
+//! before the first segment runs.
 //!
 //! * **Hints.** A choice point's accumulated ambient loss orders its
 //!   children best-first, and (for certified non-negative programs, the
@@ -35,7 +32,7 @@
 
 use crate::bridge::{enforce_replay_contract, LcCandidates, LcValue};
 use crate::loss::{encode_scalar, OrdLossVal};
-use crate::search::{LcEntry, LcTransCache, SUMMARY_TAG};
+use crate::search::LcTransCache;
 use lambda_c::flow::NonNegLosses;
 use lambda_c::machine::{ChoicePoint, Explored, MachinePrune};
 use lambda_c::MachError;
@@ -45,14 +42,11 @@ use selc_engine::{CancelToken, Outcome, SearchResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 
-/// Machine-replay counters: paths that actually ran the compiled
-/// machine to termination vs. paths answered from a cached leaf — the
+/// Paths that actually ran the compiled machine to termination — the
 /// observable form of the Hedges CPS-cost argument (the machine is the
-/// hot path; warmth is what keeps it off it).
+/// hot path; summaries are what keep a warm search off it).
 static MACHINE_LEAVES: LazyLock<selc_obs::Counter> =
     LazyLock::new(|| selc_obs::metrics::counter("lc.machine_leaves"));
-static LEAF_CACHE_HITS: LazyLock<selc_obs::Counter> =
-    LazyLock::new(|| selc_obs::metrics::counter("lc.leaf_cache_hits"));
 
 /// A [`TreeEval`] that walks a compiled program's decision tree through
 /// machine snapshots, with an optional shared transposition table and
@@ -99,12 +93,11 @@ impl<'c> LcTreeEval<'c> {
             .then(|| MachinePrune { threshold: Arc::clone(&self.best_bits), encode: encode_scalar })
     }
 
-    /// Folds a machine step into a tree step, publishing and caching
-    /// completed leaves.
+    /// Folds a machine step at a position of length `len` into a tree
+    /// step, publishing completed leaves to the abandonment mirror.
     fn advance(
         &self,
         r: Result<Explored, MachError>,
-        path: u64,
         len: u32,
     ) -> TreeStep<ChoicePoint, OrdLossVal> {
         match r {
@@ -123,13 +116,6 @@ impl<'c> LcTreeEval<'c> {
                 // monotone hint, like `SharedBound`: a stale (larger)
                 // value only under-prunes, never unsoundly.
                 self.best_bits.fetch_min(encode_scalar(&loss.0), Ordering::Relaxed);
-                if let Some(cache) = self.cache {
-                    cache.store(
-                        (self.cands.id(), used, path >> (len - used)),
-                        LcEntry::Leaf(loss.clone()),
-                    );
-                    self.cands.note_used_depth(used);
-                }
                 TreeStep::Leaf { loss, used }
             }
         }
@@ -144,28 +130,7 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
     }
 
     fn enter(&self, prefix: u64, len: u32) -> TreeStep<ChoicePoint, OrdLossVal> {
-        // A terminated run is keyed by the decisions it consumed; probe
-        // the observed depths ≤ len (ascending — at most one can hit, by
-        // machine determinism) before paying for the replay.
-        if let Some(cache) = self.cache {
-            let mut mask = self.cands.used_depths_mask();
-            while mask != 0 {
-                let used = mask.trailing_zeros();
-                mask &= mask - 1;
-                if used > len {
-                    break;
-                }
-                if let Some(LcEntry::Leaf(loss)) =
-                    cache.lookup(&(self.cands.id(), used, prefix >> (len - used)))
-                {
-                    LEAF_CACHE_HITS.inc();
-                    // ordering: Relaxed — monotone hint; see `advance`.
-                    self.best_bits.fetch_min(encode_scalar(&loss.0), Ordering::Relaxed);
-                    return TreeStep::Leaf { loss, used };
-                }
-            }
-        }
-        self.advance(self.cands.explore_prefix(prefix, len, self.hook()), prefix, len)
+        self.advance(self.cands.explore_prefix(prefix, len, self.hook()), len)
     }
 
     fn child(
@@ -175,24 +140,7 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
         path: u64,
         len: u32,
     ) -> TreeStep<ChoicePoint, OrdLossVal> {
-        // The only entry a child position can answer from is one keyed at
-        // exactly `(len, path)` — a shallower hit would have resolved at
-        // an ancestor, a deeper one is not determined yet. Probe only
-        // when some candidate was actually observed to terminate after
-        // `len` decisions: interior positions of a full-depth space would
-        // otherwise pay one guaranteed miss per node (the warm path's
-        // two-probes-per-leaf pathology).
-        if let Some(cache) = self.cache {
-            if self.cands.used_depths_mask() & (1_u64 << len) != 0 {
-                if let Some(LcEntry::Leaf(loss)) = cache.lookup(&(self.cands.id(), len, path)) {
-                    LEAF_CACHE_HITS.inc();
-                    // ordering: Relaxed — monotone hint; see `advance`.
-                    self.best_bits.fetch_min(encode_scalar(&loss.0), Ordering::Relaxed);
-                    return TreeStep::Leaf { loss, used: len };
-                }
-            }
-        }
-        self.advance(enforce_replay_contract(node.resume(decision), path, len), path, len)
+        self.advance(enforce_replay_contract(node.resume(decision), path, len), len)
     }
 
     fn hint_is_lower_bound(&self) -> bool {
@@ -215,25 +163,23 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
 
     fn probe_summary(&self, bits: u64, len: u32) -> SummaryProbe<OrdLossVal> {
         let Some(cache) = self.cache else { return SummaryProbe::Miss };
-        match cache.lookup(&(self.cands.id(), len | SUMMARY_TAG, bits)) {
-            Some(LcEntry::Summary(s)) => {
-                if s.exact {
-                    // An exact summary's loss was achieved by its winning
-                    // leaf: it tightens the mid-segment abandonment
-                    // mirror like the leaf itself would. (A bound entry
-                    // must NOT: nothing attained it.)
-                    // ordering: Relaxed — monotone hint; see `advance`.
-                    self.best_bits.fetch_min(encode_scalar(&s.loss.0), Ordering::Relaxed);
-                }
-                SummaryProbe::from(s)
-            }
-            _ => SummaryProbe::Miss,
+        let Some(s) = cache.lookup(&(self.cands.id(), len, bits)) else {
+            return SummaryProbe::Miss;
+        };
+        if s.exact {
+            // An exact summary's loss was achieved by its winning leaf:
+            // it tightens the mid-segment abandonment mirror like the
+            // leaf itself would. (A bound entry must NOT: nothing
+            // attained it.)
+            // ordering: Relaxed — monotone hint; see `advance`.
+            self.best_bits.fetch_min(encode_scalar(&s.loss.0), Ordering::Relaxed);
         }
+        SummaryProbe::from(s)
     }
 
     fn install_summary(&self, bits: u64, len: u32, summary: SubtreeSummary<OrdLossVal>) {
         if let Some(cache) = self.cache {
-            cache.store((self.cands.id(), len | SUMMARY_TAG, bits), LcEntry::Summary(summary));
+            cache.store((self.cands.id(), len, bits), summary);
         }
     }
 
@@ -281,8 +227,7 @@ pub fn search_compiled_cached(
 /// one machine segment; a cancelled search returns
 /// [`SearchResult::Cancelled`] with the best leaf seen so far (a really
 /// achieved loss, not the argmin). Everything a cancelled run stored —
-/// completed leaves, fully-evaluated subtree summaries, the best-seen
-/// mirror — is sound, so the table stays warm and unpoisoned for the
+/// fully-evaluated subtree summaries, the best-seen mirror — is sound, so the table stays warm and unpoisoned for the
 /// next request (see `selc_engine::cancel`).
 pub fn search_compiled_cached_with(
     engine: &TreeEngine,
@@ -317,7 +262,7 @@ mod tests {
         for engine in [
             TreeEngine::sequential(),
             TreeEngine::with_threads(2),
-            TreeEngine { threads: 3, prune: false, split: 3, summaries: false },
+            TreeEngine { threads: 3, prune: false, split: 3 },
         ] {
             let (out, v) = search_compiled(&engine, &cands).unwrap();
             assert_eq!(
@@ -347,25 +292,27 @@ mod tests {
         let cands = chain_candidates(6);
         let (reference, value) =
             search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
-        // Sequential leaf-only cold fill…
+        // A sequential exhaustive cold fill summarises every interior
+        // node…
         let cache = LcTransCache::unbounded(4);
-        let leaf_only = TreeEngine { threads: 1, prune: false, split: 0, summaries: false };
-        let (cold, _) = search_compiled_cached(&leaf_only, &cands, &cache, None).unwrap();
+        let (cold, _) =
+            search_compiled_cached(&TreeEngine::sequential(), &cands, &cache, None).unwrap();
         assert_eq!((cold.index, cold.loss.clone()), (reference.index, reference.loss.clone()));
-        assert_eq!(cold.stats.cache.insertions, 64, "every leaf stored");
-        // …answers a parallel leaf-only repeat without a single replay…
-        let split = TreeEngine { threads: 2, prune: false, split: 2, summaries: false };
+        assert_eq!(cold.stats.cache.insertions, 63, "every interior node stored");
+        // …so a split-2 parallel repeat answers its four subtree roots
+        // without a single replay…
+        let split = TreeEngine { threads: 2, prune: false, split: 2 };
         let (warm, wv) = search_compiled_cached(&split, &cands, &cache, None).unwrap();
         assert_eq!((warm.index, warm.loss.clone()), (cold.index, cold.loss.clone()));
         assert_eq!(wv, value);
-        assert_eq!(warm.stats.cache.hits, 64, "fully warm from the sequential fill");
-        assert_eq!(warm.stats.cache.misses, 0);
-        // …and a summarised repeat over the same handle agrees too.
-        let (summarised, tv) =
+        assert_eq!(warm.stats.summary.exact_hits, 4, "stats: {:?}", warm.stats);
+        assert_eq!(warm.stats.evaluated, 0, "stats: {:?}", warm.stats);
+        // …and a pruned auto-split repeat over the same handle agrees too.
+        let (auto, tv) =
             search_compiled_cached(&TreeEngine::with_threads(2), &cands, &cache, None).unwrap();
-        assert_eq!((summarised.index, summarised.loss.clone()), (cold.index, cold.loss));
+        assert_eq!((auto.index, auto.loss.clone()), (cold.index, cold.loss));
         assert_eq!(tv, value);
-        assert!(summarised.stats.cache.hits > 0, "stats: {:?}", summarised.stats);
+        assert_eq!(auto.stats.evaluated, 0, "stats: {:?}", auto.stats);
     }
 
     #[test]
@@ -399,10 +346,9 @@ mod tests {
         let cands = chain_candidates(8);
         let (flat, value) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
         let cert = cands.certificate().expect("chain corpus is certified");
-        for engine in [
-            TreeEngine { threads: 1, prune: true, split: 0, summaries: true },
-            TreeEngine::with_threads(3),
-        ] {
+        for engine in
+            [TreeEngine { threads: 1, prune: true, split: 0 }, TreeEngine::with_threads(3)]
+        {
             let cache = LcTransCache::unbounded(4);
             let (out, v) = search_compiled_cached(&engine, &cands, &cache, Some(cert)).unwrap();
             assert_eq!(

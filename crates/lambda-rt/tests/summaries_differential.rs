@@ -1,39 +1,55 @@
 //! The subtree-summary differential suite: searches that answer interior
 //! nodes from cached summaries must return **bit-identical** winners —
-//! loss *and* index, ties included — to summary-free tree searches and
-//! the flat exhaustive scan, under every hostile condition the cache can
-//! produce: tiny capacities that evict summaries mid-search, epoch bumps
-//! that retire them lazily, pruned fills that leave only bound entries
-//! behind, and worker interleavings. The suite also pins the warm-path
-//! probe economics the summaries ride on: a warm repeat probes each leaf
-//! position once (the `used_depths` gate — no guaranteed-miss interior
-//! probes), and a warm search seeds its `SharedBound` from the space's
-//! best already-achieved loss before the first segment runs.
+//! loss *and* index, ties included — to uncached tree searches on the
+//! same engine and to the flat exhaustive scan, under every hostile
+//! condition the cache can produce: tiny capacities that evict summaries
+//! mid-search, epoch bumps that retire them lazily, pruned fills that
+//! leave only bound entries behind, and worker interleavings. The suite
+//! also pins what the table holds — summaries only, one per interior
+//! node of a cold exhaustive fill — and that a warm search seeds its
+//! `SharedBound` from the space's best already-achieved loss before the
+//! first segment runs.
 
+use lambda_c::flow::NonNegLosses;
 use lambda_c::testgen::{self, ProgramGen};
-use lambda_rt::{search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache};
+use lambda_rt::{
+    search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache, LcTreeEval,
+    OrdLossVal,
+};
 use proptest::prelude::*;
-use selc_engine::{SequentialEngine, TreeEngine};
+use selc_engine::{Outcome, SequentialEngine, TreeEngine};
 
 fn chain_candidates(choices: u32) -> LcCandidates {
     let p = testgen::deep_decide_chain(choices);
     LcCandidates::new(lambda_c::compile(&p.expr).unwrap(), ["decide".to_owned()], choices)
 }
 
-/// Summary-using engines against their summary-free twins.
-fn engine_pairs() -> Vec<(TreeEngine, TreeEngine)> {
-    let pair = |threads, prune, split| {
-        (
-            TreeEngine { threads, prune, split, summaries: true },
-            TreeEngine { threads, prune, split, summaries: false },
-        )
-    };
-    vec![pair(1, false, 0), pair(1, true, 0), pair(2, true, 1), pair(3, false, 2)]
+/// The engines every cached search is differenced on.
+fn engines() -> Vec<TreeEngine> {
+    vec![
+        TreeEngine { threads: 1, prune: false, split: 0 },
+        TreeEngine { threads: 1, prune: true, split: 0 },
+        TreeEngine { threads: 2, prune: true, split: 1 },
+        TreeEngine { threads: 3, prune: false, split: 2 },
+    ]
 }
 
-/// Every summarised configuration must agree with its unsummarised twin
-/// and the flat scan, over cold, warm, epoch-bumped, and eviction-churned
-/// tables alike.
+/// The same search with no table: the uncached twin.
+fn uncached(
+    engine: &TreeEngine,
+    cands: &LcCandidates,
+    cert: Option<&NonNegLosses>,
+) -> Outcome<OrdLossVal> {
+    let mut eval = LcTreeEval::new(cands.clone());
+    if let Some(cert) = cert {
+        eval = eval.with_nonneg_certificate(cert);
+    }
+    engine.search(&eval).unwrap()
+}
+
+/// Every cached search must agree with the uncached search on the same
+/// engine and with the flat scan, over cold, warm, epoch-bumped, and
+/// eviction-churned tables alike.
 fn assert_summaries_are_invisible(cands: &LcCandidates, label: &str) {
     let (flat, value) = search_compiled_flat(&SequentialEngine::exhaustive(), cands).unwrap();
     // The whole corpus is built from non-negative constant losses, so
@@ -41,34 +57,32 @@ fn assert_summaries_are_invisible(cands: &LcCandidates, label: &str) {
     // under the certificate, exactly like production callers.
     let cert = cands.certificate();
     assert!(cert.is_some(), "{label}: corpus programs are flow-certifiable");
-    for (summarised, plain) in engine_pairs() {
+    for engine in engines() {
+        let plain = uncached(&engine, cands, cert);
+        assert_eq!(
+            (plain.index, plain.loss.clone()),
+            (flat.index, flat.loss.clone()),
+            "{label}: uncached {engine:?}"
+        );
         // A capacity-8 table under `deep_decide_chain`-sized spaces
         // churns constantly: summaries are installed and evicted within
         // a single search (forced eviction mid-family).
         for cache in [LcTransCache::unbounded(2), LcTransCache::clock_lru(2, 8)] {
             for round in 0..3 {
-                // Round 1 runs over whatever the summarised fill left;
-                // round 2 over a lazily-bumped epoch.
+                // Round 1 runs over whatever the cold fill left; round 2
+                // over a lazily-bumped epoch.
                 if round == 2 {
                     cache.advance_epoch();
                 }
-                let what = |k: &str| format!("{label}: {k} round {round} {summarised:?}");
-                let (s, sv) = search_compiled_cached(&summarised, cands, &cache, cert).unwrap();
-                let (p, pv) = search_compiled_cached(&plain, cands, &cache, cert).unwrap();
+                let what = |k: &str| format!("{label}: {k} round {round} {engine:?}");
+                let (s, sv) = search_compiled_cached(&engine, cands, &cache, cert).unwrap();
                 assert_eq!(
                     (s.index, s.loss.clone()),
                     (flat.index, flat.loss.clone()),
                     "{}",
-                    what("summarised")
+                    what("cached")
                 );
-                assert_eq!(
-                    (p.index, p.loss.clone()),
-                    (flat.index, flat.loss.clone()),
-                    "{}",
-                    what("plain")
-                );
-                assert_eq!(sv, value, "{}", what("summarised value"));
-                assert_eq!(pv, value, "{}", what("plain value"));
+                assert_eq!(sv, value, "{}", what("cached value"));
             }
         }
     }
@@ -93,34 +107,20 @@ fn summarised_searches_match_plain_and_flat_on_the_search_corpus() {
     }
 }
 
-/// The double-probe regression (PR 5's warm path paid a guaranteed miss
-/// per interior node: ~2× leaves probes on a full-depth space). With the
-/// `used_depths` gate, a warm summary-free repeat probes exactly the
-/// leaf positions: hits == leaves, misses == 0.
+/// A cold exhaustive fill stores one exact summary per interior node
+/// and nothing else: every table insertion and every table miss is the
+/// engine's own summary traffic.
 #[test]
-fn warm_repeat_probes_each_leaf_once_and_misses_nothing() {
-    let choices = 10;
-    let cands = chain_candidates(choices);
-    let leaves = 1_u64 << choices;
-    for engine in [
-        TreeEngine { threads: 1, prune: false, split: 0, summaries: false },
-        TreeEngine { threads: 2, prune: false, split: 1, summaries: false },
-    ] {
-        let cache = LcTransCache::unbounded(4);
-        let (cold, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
-        assert!(cold.stats.cache.insertions >= leaves, "cold fill stores every leaf");
-        let (warm, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
-        assert_eq!(
-            warm.stats.cache.hits, leaves,
-            "{engine:?}: one probe per leaf position: {:?}",
-            warm.stats
-        );
-        assert_eq!(
-            warm.stats.cache.misses, 0,
-            "{engine:?}: no guaranteed-miss interior probes: {:?}",
-            warm.stats
-        );
-    }
+fn a_cold_fill_stores_only_summaries() {
+    let cands = chain_candidates(10);
+    let engine = TreeEngine { threads: 1, prune: false, split: 0 };
+    let cache = LcTransCache::unbounded(4);
+    let (cold, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
+    let interior = (1_u64 << 10) - 1;
+    assert_eq!(cold.stats.summary.installs(), interior, "{:?}", cold.stats);
+    assert_eq!(cold.stats.cache.insertions, interior, "{:?}", cold.stats);
+    assert_eq!(cache.len(), 1023);
+    assert_eq!(cold.stats.cache.misses, cold.stats.summary.misses, "{:?}", cold.stats);
 }
 
 /// A warm summarised repeat resolves whole subtrees from exact summary
@@ -130,7 +130,7 @@ fn warm_repeat_probes_each_leaf_once_and_misses_nothing() {
 #[test]
 fn warm_summarised_repeat_answers_from_summaries() {
     let cands = chain_candidates(9);
-    let engine = TreeEngine { threads: 1, prune: false, split: 0, summaries: true };
+    let engine = TreeEngine { threads: 1, prune: false, split: 0 };
     let cache = LcTransCache::unbounded(4);
     let (cold, value) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
     assert!(cold.stats.summary.exact_installs > 0, "cold fill installs summaries");
@@ -139,13 +139,12 @@ fn warm_summarised_repeat_answers_from_summaries() {
     assert_eq!(wv, value);
     assert_eq!(warm.stats.summary.exact_hits, 1, "answered at the root: {:?}", warm.stats);
     assert_eq!(warm.stats.evaluated, 0, "no leaf re-evaluation: {:?}", warm.stats);
-    // The root summary probe is itself one shared-table hit; no leaf
-    // entry below it is ever touched.
+    // The root summary probe is the one shared-table access.
     assert_eq!(warm.stats.cache.hits, 1, "only the root summary probe: {:?}", warm.stats);
 
     // A pruned warm repeat still walks no leaves: exact entries answer
     // the fully-explored subtrees and bound entries re-justify the cuts.
-    let pruned = TreeEngine { threads: 1, prune: true, split: 0, summaries: true };
+    let pruned = TreeEngine { threads: 1, prune: true, split: 0 };
     let pcache = LcTransCache::unbounded(4);
     let cert = cands.certificate().expect("chain corpus is flow-certifiable");
     let (pcold, _) = search_compiled_cached(&pruned, &cands, &pcache, Some(cert)).unwrap();
@@ -160,7 +159,7 @@ fn warm_summarised_repeat_answers_from_summaries() {
 #[test]
 fn epoch_bump_retires_summaries() {
     let cands = chain_candidates(8);
-    let engine = TreeEngine { threads: 1, prune: false, split: 0, summaries: true };
+    let engine = TreeEngine { threads: 1, prune: false, split: 0 };
     let cache = LcTransCache::unbounded(4);
     let (cold, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
     cache.advance_epoch();
@@ -179,7 +178,7 @@ fn epoch_bump_retires_summaries() {
 #[test]
 fn warm_space_seeds_the_bound_over_a_cold_table() {
     let cands = chain_candidates(8);
-    let engine = TreeEngine { threads: 1, prune: true, split: 0, summaries: false };
+    let engine = TreeEngine { threads: 1, prune: true, split: 0 };
     let cert = cands.certificate().expect("chain corpus is flow-certifiable");
     let (first, _) =
         search_compiled_cached(&engine, &cands, &LcTransCache::unbounded(4), Some(cert)).unwrap();
@@ -206,9 +205,9 @@ fn warm_space_seeds_the_bound_over_a_cold_table() {
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(10))]
 
-    /// Randomised sweep: summarised and plain searches over one shared
-    /// tiny table agree with the flat scan (kept small: the flat
-    /// reference replays 2^choices machine runs per case).
+    /// Randomised sweep: cached searches over one shared tiny table agree
+    /// with the flat scan (kept small: the flat reference replays
+    /// 2^choices machine runs per case).
     #[test]
     fn summaries_are_invisible_on_random_programs(seed in 0u64..500, choices in 1u32..6) {
         let mut g = ProgramGen::new(seed);
@@ -223,9 +222,9 @@ proptest! {
         prop_assert!(cands.certificate().is_some(), "search corpus is flow-certifiable");
         let cache = LcTransCache::clock_lru(2, 8);
         for engine in [
-            TreeEngine { threads: 2, prune: true, split: 1, summaries: true },
-            TreeEngine { threads: 2, prune: true, split: 1, summaries: false },
-            TreeEngine { threads: 1, prune: false, split: 0, summaries: true },
+            TreeEngine { threads: 2, prune: true, split: 1 },
+            TreeEngine { threads: 1, prune: true, split: 0 },
+            TreeEngine { threads: 1, prune: false, split: 0 },
         ] {
             let (out, v) =
                 search_compiled_cached(&engine, &cands, &cache, cands.certificate()).unwrap();

@@ -24,9 +24,9 @@ fn tree_engines() -> Vec<TreeEngine> {
         TreeEngine::sequential(),
         TreeEngine::with_threads(1),
         TreeEngine::auto(), // SELC_THREADS workers
-        TreeEngine { threads: 2, prune: true, split: 1, summaries: true },
-        TreeEngine { threads: 3, prune: false, split: 3, summaries: true },
-        TreeEngine { threads: 2, prune: true, split: 2, summaries: false },
+        TreeEngine { threads: 2, prune: true, split: 1 },
+        TreeEngine { threads: 3, prune: false, split: 3 },
+        TreeEngine { threads: 2, prune: true, split: 2 },
     ]
 }
 

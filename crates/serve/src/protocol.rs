@@ -406,7 +406,7 @@ pub enum Response {
     Malformed(String),
     /// The request was well-formed but the server could not run it.
     Error(String),
-    /// Epoch bump acknowledged with the tenant's new leaf-cache epoch.
+    /// Epoch bump acknowledged with the tenant's new cache epoch.
     EpochBumped {
         /// The tenant's new epoch.
         epoch: u64,
