@@ -11,8 +11,9 @@
 //!
 //! * **Eager loss emission** — `loss(v)` emits into the innermost loss
 //!   sink the moment it reduces, like the transition labels of Fig 6;
-//!   the ambient sink accumulates in emission order, so totals are
-//!   bit-identical to [`crate::bigstep::eval`]'s running sum.
+//!   the ambient sink is one running partial, added from zero in
+//!   emission order, so totals are bit-identical to
+//!   [`crate::bigstep::eval`]'s running sum.
 //! * **Capture scopes** — a `◮` left-hand side (rule S2) and a choice
 //!   probe collect their emissions into a local buffer and fold them
 //!   right-associatively around the loss continuation's verdict,
@@ -24,6 +25,12 @@
 //!   get the return-clause extension with the *live* parameter (the
 //!   activation's parameter stack plays the role of smallstep's
 //!   rebuilt-from-the-term `from` value), and `then`/`local` replace it.
+//!   A frame is a plain record — the node, the child index, the values
+//!   so far, the environment and `g` — that one `finish` match completes.
+//!   Children that already are values (variables, constants, `λ`,
+//!   `zero`, `[]`, `()`) evaluate in place with no frame: they cannot
+//!   emit, stick, tick or read their loss continuation, so no probe can
+//!   tell the difference and the chain every probe sees is unchanged.
 //! * **Handlers** — rule (R5) builds the probe (`l`) and resume (`k`)
 //!   continuations as machine values closing over the captured
 //!   continuation; both re-run it under a fresh parameter push, so
@@ -35,6 +42,9 @@
 //! scripted decision (turning one run into one search candidate), and a
 //! **prune hook** aborts a run whose ambient partial loss is already
 //! strictly worse than a shared bound (sound for non-negative losses).
+//! Tree mode suspends forced choices as [`ChoicePoint`]s; resuming one
+//! copies a fixed-size snapshot (the running partial, a shared pointer
+//! to the forced-op set), so a resume costs the same at every depth.
 
 use crate::compile::{Code, CodeHandler, CompiledProgram};
 use crate::loss::LossVal;
@@ -352,8 +362,13 @@ type LossBuf = Vec<LossVal>;
 type EvalR = Result<MRes, MachError>;
 /// A resumable continuation: feed an operation result, keep evaluating.
 type KCont = Rc<dyn Fn(&mut Machine, MVal, &mut LossBuf) -> EvalR>;
-/// A deferred continuation run (a handler segment's body).
-type Seg = Rc<dyn Fn(&mut Machine, &mut LossBuf) -> EvalR>;
+
+/// What a handler segment runs: the handled body under its (S1) loss
+/// continuation, or a captured continuation resumed with a value.
+enum Seg {
+    Body(Arc<Code>, GVal),
+    Resume(KCont, MVal),
+}
 
 /// Either a value or a stuck operation with its resumption.
 enum MRes {
@@ -374,7 +389,8 @@ struct StuckM {
 
 #[derive(Clone)]
 struct ForcedState {
-    ops: BTreeSet<String>,
+    /// Shared by every snapshot of the run: a resume copies a pointer.
+    ops: Rc<BTreeSet<String>>,
     bits: u64,
     /// Decisions `0..scripted` are answered from `bits`; decisions
     /// `scripted..max` yield [`ChoicePoint`]s (tree mode). Plain forced
@@ -398,9 +414,10 @@ impl ForcedState {
             return Err(MachError::DecisionsExhausted);
         }
         if self.used < self.scripted {
-            let shift = self.scripted - 1 - self.used;
+            // Bits past the 64th read as the zero-extension of `bits`.
+            let bit = self.bits.checked_shr(self.scripted - 1 - self.used).unwrap_or(0) & 1;
             self.used += 1;
-            return Ok(Decision::Scripted((self.bits >> shift) & 1 == 0));
+            return Ok(Decision::Scripted(bit == 0));
         }
         self.used += 1;
         Ok(Decision::Yield)
@@ -409,7 +426,8 @@ impl ForcedState {
 
 /// The mutable run state threaded through evaluation. `Clone` is the
 /// snapshot operation of tree mode: a [`ChoicePoint`] captures the state
-/// at a suspension and every resume works on its own copy.
+/// at a suspension and every resume works on its own copy — a fixed-size
+/// record plus one loss value, whatever the depth.
 #[derive(Clone)]
 struct Machine {
     fuel_left: u64,
@@ -418,7 +436,9 @@ struct Machine {
     capture_depth: u32,
     forced: Option<ForcedState>,
     prune: Option<MachinePrune>,
-    prune_partial: LossVal,
+    /// The ambient loss so far: every emission at `capture_depth == 0`,
+    /// added from zero in emission order (the bigstep running sum).
+    partial: LossVal,
 }
 
 impl Machine {
@@ -431,22 +451,21 @@ impl Machine {
         Ok(())
     }
 
-    /// Emits a loss into `buf`, mirroring smallstep exactly: ambient
-    /// emissions keep every loss (the bigstep total adds them all, in
-    /// order), capture scopes elide zeros (S2 skips the `add` wrapper for
-    /// `r = 0`).
+    /// Emits a loss, mirroring smallstep exactly: ambient emissions add
+    /// every loss to the running partial (the bigstep total adds them
+    /// all, in order), capture scopes collect theirs in `buf` and elide
+    /// zeros (S2 skips the `add` wrapper for `r = 0`).
     fn emit(&mut self, buf: &mut LossBuf, l: LossVal) -> Result<(), MachError> {
         if self.capture_depth == 0 {
+            self.partial = self.partial.add(&l);
             if let Some(p) = &self.prune {
-                self.prune_partial = self.prune_partial.add(&l);
                 // ordering: Relaxed — the threshold mirrors the shared
                 // bound's monotone hint: a stale (larger) value only
                 // under-prunes, it can never wrongly abort a run.
-                if (p.encode)(&self.prune_partial) > p.threshold.load(Ordering::Relaxed) {
+                if (p.encode)(&self.partial) > p.threshold.load(Ordering::Relaxed) {
                     return Err(MachError::Pruned);
                 }
             }
-            buf.push(l);
         } else if !l.is_zero() {
             buf.push(l);
         }
@@ -471,51 +490,46 @@ pub fn run(p: &CompiledProgram) -> Result<MachineOutcome, MachError> {
 ///
 /// See [`MachError`].
 pub fn run_with(p: &CompiledProgram, cfg: RunConfig) -> Result<MachineOutcome, MachError> {
-    let fuel = if cfg.fuel == 0 { DEFAULT_MACHINE_FUEL } else { cfg.fuel };
-    let mut m = Machine {
-        fuel_left: fuel,
-        steps: 0,
-        capture_depth: 0,
-        forced: cfg.forced.map(|f| ForcedState {
-            ops: f.ops,
-            bits: f.bits,
-            scripted: f.max_decisions,
-            max: f.max_decisions,
-            used: 0,
-        }),
-        prune: cfg.prune,
-        prune_partial: LossVal::zero(),
-    };
-    let mut ambient: LossBuf = Vec::new();
-    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut ambient)?;
+    let forced = cfg.forced.map(|f| ForcedState {
+        ops: Rc::new(f.ops),
+        bits: f.bits,
+        scripted: f.max_decisions,
+        max: f.max_decisions,
+        used: 0,
+    });
+    let (m, r) = start(p, cfg.fuel, forced, cfg.prune)?;
     // Scripted forced runs never yield (`scripted == max`), so `r` is a
     // plain value or genuinely-stuck operation here.
-    Ok(outcome_of(&m, r, &ambient))
+    Ok(outcome_of(m, r))
+}
+
+/// Evaluates `p` from the top under the zero loss continuation (fuel 0
+/// means [`DEFAULT_MACHINE_FUEL`]).
+fn start(
+    p: &CompiledProgram,
+    fuel: u64,
+    forced: Option<ForcedState>,
+    prune: Option<MachinePrune>,
+) -> Result<(Machine, MRes), MachError> {
+    let fuel_left = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
+    let mut m =
+        Machine { fuel_left, steps: 0, capture_depth: 0, forced, prune, partial: LossVal::zero() };
+    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut LossBuf::new())?;
+    Ok((m, r))
 }
 
 /// Folds a finished run (value or stuck, never a choice yield) into a
 /// [`MachineOutcome`].
-fn outcome_of(m: &Machine, r: MRes, ambient: &LossBuf) -> MachineOutcome {
-    let mut loss = LossVal::zero();
-    for l in ambient {
-        loss = loss.add(l);
-    }
-    let decisions_used = m.forced.as_ref().map_or(0, |f| f.used);
-    match r {
-        MRes::Done(v) => {
-            MachineOutcome { loss, value: Some(v), stuck_on: None, steps: m.steps, decisions_used }
-        }
+fn outcome_of(m: Machine, r: MRes) -> MachineOutcome {
+    let (value, stuck_on) = match r {
+        MRes::Done(v) => (Some(v), None),
         MRes::Stuck(s) => {
             debug_assert!(!s.choice, "choice yield outside tree mode");
-            MachineOutcome {
-                loss,
-                value: None,
-                stuck_on: Some(s.op),
-                steps: m.steps,
-                decisions_used,
-            }
+            (None, Some(s.op))
         }
-    }
+    };
+    let decisions_used = m.forced.map_or(0, |f| f.used);
+    MachineOutcome { loss: m.partial, value, stuck_on, steps: m.steps, decisions_used }
 }
 
 // ---------------------------------------------------------------------------
@@ -564,24 +578,25 @@ pub enum Explored {
     Choice(ChoicePoint),
 }
 
-/// A run suspended at a forced choice point. The captured continuation is
-/// **multi-shot** — the machine's environments are persistent, handler
-/// parameter stacks are balanced at a suspension, and every mutable
-/// scrap of run state (fuel, loss scopes, the pruning partial) lives in a
-/// snapshot cloned per [`ChoicePoint::resume`] — so both decisions can be
-/// explored from one shared prefix evaluation. Not `Send`: points stay on
-/// the worker that created them; parallel searches ship decision
-/// *prefixes* and rebuild points locally.
+/// A run suspended at a forced choice point: the captured continuation
+/// and a snapshot of the run state. The continuation is **multi-shot** —
+/// the machine's environments are persistent, handler parameter stacks
+/// are balanced at a suspension, and every mutable scrap of run state
+/// (fuel, steps, loss scopes, the decision cursor, the ambient partial)
+/// lives in the snapshot, which each [`ChoicePoint::resume`] copies — so
+/// both decisions can be explored from one shared prefix evaluation. The
+/// copy is O(1): the forced-op set is shared and the emissions so far
+/// are one running partial, not a per-decision history. Not `Send`:
+/// points stay on the worker that created them; parallel searches ship
+/// decision *prefixes* and rebuild points locally.
 pub struct ChoicePoint {
     cont: KCont,
     state: Machine,
-    ambient: LossBuf,
-    partial: LossVal,
 }
 
 impl fmt::Debug for ChoicePoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ChoicePoint(depth = {}, partial = {:?})", self.depth(), self.partial)
+        write!(f, "ChoicePoint(depth = {}, partial = {:?})", self.depth(), self.partial_loss())
     }
 }
 
@@ -597,7 +612,7 @@ impl ChoicePoint {
     /// every completion's total when emissions are non-negative, and a
     /// cheap best-first ordering estimate regardless.
     pub fn partial_loss(&self) -> &LossVal {
-        &self.partial
+        &self.state.partial
     }
 
     /// Resumes the run with `decision`, on a fresh copy of the suspended
@@ -609,22 +624,15 @@ impl ChoicePoint {
     /// the branch.
     pub fn resume(&self, decision: bool) -> Result<Explored, MachError> {
         let mut m = self.state.clone();
-        let mut ambient = self.ambient.clone();
-        let r = (self.cont)(&mut m, MVal::bool(decision), &mut ambient)?;
-        Ok(finish_explored(m, r, ambient))
+        let r = (self.cont)(&mut m, MVal::bool(decision), &mut LossBuf::new())?;
+        Ok(finish_explored(m, r))
     }
 }
 
-fn finish_explored(m: Machine, r: MRes, ambient: LossBuf) -> Explored {
+fn finish_explored(m: Machine, r: MRes) -> Explored {
     match r {
-        MRes::Stuck(s) if s.choice => {
-            let mut partial = LossVal::zero();
-            for l in &ambient {
-                partial = partial.add(l);
-            }
-            Explored::Choice(ChoicePoint { cont: s.cont, state: m, ambient, partial })
-        }
-        r => Explored::Done(outcome_of(&m, r, &ambient)),
+        MRes::Stuck(s) if s.choice => Explored::Choice(ChoicePoint { cont: s.cont, state: m }),
+        r => Explored::Done(outcome_of(m, r)),
     }
 }
 
@@ -638,24 +646,15 @@ fn finish_explored(m: Machine, r: MRes, ambient: LossBuf) -> Explored {
 ///
 /// See [`MachError`].
 pub fn explore(p: &CompiledProgram, cfg: TreeRunConfig) -> Result<Explored, MachError> {
-    let fuel = if cfg.fuel == 0 { DEFAULT_MACHINE_FUEL } else { cfg.fuel };
-    let mut m = Machine {
-        fuel_left: fuel,
-        steps: 0,
-        capture_depth: 0,
-        forced: Some(ForcedState {
-            ops: cfg.choices.ops,
-            bits: cfg.choices.prefix_bits,
-            scripted: cfg.choices.prefix_len,
-            max: cfg.choices.max_decisions,
-            used: 0,
-        }),
-        prune: cfg.prune,
-        prune_partial: LossVal::zero(),
+    let forced = ForcedState {
+        ops: Rc::new(cfg.choices.ops),
+        bits: cfg.choices.prefix_bits,
+        scripted: cfg.choices.prefix_len,
+        max: cfg.choices.max_decisions,
+        used: 0,
     };
-    let mut ambient: LossBuf = Vec::new();
-    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut ambient)?;
-    Ok(finish_explored(m, r, ambient))
+    let (m, r) = start(p, cfg.fuel, Some(forced), cfg.prune)?;
+    Ok(finish_explored(m, r))
 }
 
 // ---------------------------------------------------------------------------
@@ -679,290 +678,102 @@ fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: KCont) -> EvalR {
     }
 }
 
-/// State for evaluating a node's children left to right; `finish`
-/// completes the node once all children are values.
+/// A compound node mid-evaluation: its children `0..idx` evaluated to
+/// `done`, the rest still to run in `env` under `g`. [`finish`] completes
+/// the node once every child is a value.
 struct SeqState {
-    children: Rc<Vec<Arc<Code>>>,
+    node: Arc<Code>,
     idx: usize,
     done: Vec<MVal>,
     env: Env,
     g: GVal,
-    finish: Finish,
 }
 
-type Finish = Rc<dyn Fn(&mut Machine, Vec<MVal>, &mut LossBuf) -> EvalR>;
-
-fn eval_seq(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
-    if st.idx == st.children.len() {
-        return (st.finish)(m, st.done, buf);
+/// Child `i` of a compound node, in evaluation order (`None` past the
+/// last child, and for leaves and the scope nodes [`eval`] runs itself).
+fn child(code: &Code, i: usize) -> Option<&Arc<Code>> {
+    match (code, i) {
+        (Code::Tuple(es), _) => es.get(i),
+        (
+            Code::Prim(_, a)
+            | Code::Proj(a, _)
+            | Code::Inl { e: a, .. }
+            | Code::Inr { e: a, .. }
+            | Code::Succ(a)
+            | Code::OpCall { arg: a, .. }
+            | Code::Loss(a)
+            | Code::Cases { scrut: a, .. }
+            | Code::Handle { from: a, .. }
+            | Code::App(a, _)
+            | Code::Cons(a, _)
+            | Code::Iter(a, _, _)
+            | Code::Fold(a, _, _),
+            0,
+        ) => Some(a),
+        (Code::App(_, b) | Code::Cons(_, b) | Code::Iter(_, b, _) | Code::Fold(_, b, _), 1) => {
+            Some(b)
+        }
+        (Code::Iter(_, _, c) | Code::Fold(_, _, c), 2) => Some(c),
+        _ => None,
     }
-    let child = Arc::clone(&st.children[st.idx]);
-    let env = st.env.clone();
-    let g_node = st.g.clone();
-    // The continuation after this child: it both resumes evaluation on
-    // `bind` and *is* the `F[x]` of the loss-continuation extension
-    // `λx. F[x] ◮ g` (rule F) — one coarse frame per remaining node,
-    // which folds identically to smallstep's one frame per constructor.
-    let rest: KCont = Rc::new(move |m, v, buf| {
-        let mut done = st.done.clone();
-        done.push(v);
-        eval_seq(
-            m,
-            SeqState {
-                children: Rc::clone(&st.children),
-                idx: st.idx + 1,
-                done,
-                env: st.env.clone(),
-                g: st.g.clone(),
-                finish: Rc::clone(&st.finish),
-            },
-            buf,
-        )
-    });
-    let g_child = GVal::Frame { rest: Rc::clone(&rest), outer: Rc::new(g_node) };
-    let r = eval(m, &child, &env, &g_child, buf)?;
-    bind(m, r, buf, rest)
 }
 
-/// Convenience: evaluates `children` in `env`, then `finish`.
-fn seq(
-    m: &mut Machine,
-    children: Vec<Arc<Code>>,
-    env: &Env,
-    g: &GVal,
-    buf: &mut LossBuf,
-    finish: Finish,
-) -> EvalR {
-    eval_seq(
-        m,
-        SeqState {
-            children: Rc::new(children),
-            idx: 0,
-            done: Vec::new(),
-            env: env.clone(),
-            g: g.clone(),
-            finish,
-        },
-        buf,
-    )
+/// The value of a node that is already one (a variable, constant, `λ`,
+/// `zero`, `[]` or `()`); `None` for everything that evaluates.
+fn value(code: &Code, env: &Env) -> Option<Result<MVal, MachError>> {
+    let unbound = |i| MachError::Malformed(format!("unbound de Bruijn index {i}"));
+    Some(match code {
+        Code::Var(i) => env.get(*i).cloned().ok_or_else(|| unbound(i)),
+        Code::Const(c) => Ok(const_val(c)),
+        Code::Lam(body) => Ok(MVal::Clos(Clos { body: Arc::clone(body), env: env.clone() })),
+        Code::Zero => Ok(MVal::Nat(0)),
+        Code::Nil(t) => Ok(MVal::List { elem: t.clone(), items: Vec::new() }),
+        Code::Tuple(es) if es.is_empty() => Ok(MVal::unit()),
+        _ => return None,
+    })
+}
+
+/// Evaluates the remaining children of `st.node` left to right, then
+/// [`finish`]es it.
+fn eval_seq(m: &mut Machine, mut st: SeqState, buf: &mut LossBuf) -> EvalR {
+    while let Some(next) = child(&st.node, st.idx) {
+        // Value children evaluate in place: they cannot emit, stick, tick
+        // or read their loss continuation, so no frame is observable.
+        if let Some(v) = value(next, &st.env) {
+            st.done.push(v?);
+            st.idx += 1;
+            continue;
+        }
+        let (next, env) = (Arc::clone(next), st.env.clone());
+        let outer = Rc::new(st.g.clone());
+        // The continuation after this child: it both resumes evaluation on
+        // `bind` and *is* the `F[x]` of the loss-continuation extension
+        // `λx. F[x] ◮ g` (rule F) — one frame per node and evaluated
+        // child, which folds identically to smallstep's one frame per
+        // constructor.
+        let rest: KCont = Rc::new(move |m, v, buf| {
+            // Keep the original's capacity: later value children then
+            // push without reallocating.
+            let mut done = Vec::with_capacity(st.done.capacity().max(st.idx + 1));
+            done.extend(st.done.iter().cloned());
+            done.push(v);
+            let (node, env, g) = (Arc::clone(&st.node), st.env.clone(), st.g.clone());
+            eval_seq(m, SeqState { node, idx: st.idx + 1, done, env, g }, buf)
+        });
+        let g_child = GVal::Frame { rest: Rc::clone(&rest), outer };
+        let r = eval(m, &next, &env, &g_child, buf)?;
+        return bind(m, r, buf, rest);
+    }
+    finish(m, st, buf)
 }
 
 /// Evaluates `code` in `env` under loss continuation `g`, emitting into
 /// `buf` — the machine's analogue of the judgment `g ⊢ε e →* w`.
 fn eval(m: &mut Machine, code: &Arc<Code>, env: &Env, g: &GVal, buf: &mut LossBuf) -> EvalR {
+    if let Some(v) = value(code, env) {
+        return v.map(MRes::Done);
+    }
     match code.as_ref() {
-        Code::Const(c) => Ok(MRes::Done(const_val(c))),
-        Code::Var(i) => match env.get(*i) {
-            Some(v) => Ok(MRes::Done(v.clone())),
-            None => Err(MachError::Malformed(format!("unbound de Bruijn index {i}"))),
-        },
-        Code::Lam(body) => {
-            Ok(MRes::Done(MVal::Clos(Clos { body: Arc::clone(body), env: env.clone() })))
-        }
-        Code::Zero => Ok(MRes::Done(MVal::Nat(0))),
-        Code::Nil(t) => Ok(MRes::Done(MVal::List { elem: t.clone(), items: Vec::new() })),
-        Code::Prim(name, a) => {
-            let name = name.clone();
-            seq(
-                m,
-                vec![Arc::clone(a)],
-                env,
-                g,
-                buf,
-                Rc::new(move |_m, done, _buf| prim_apply(&name, &done[0])),
-            )
-        }
-        Code::Tuple(es) => seq(
-            m,
-            es.clone(),
-            env,
-            g,
-            buf,
-            Rc::new(|_m, done, _buf| Ok(MRes::Done(MVal::Tuple(done)))),
-        ),
-        Code::Proj(a, i) => {
-            let i = *i;
-            seq(
-                m,
-                vec![Arc::clone(a)],
-                env,
-                g,
-                buf,
-                Rc::new(move |_m, done, _buf| match &done[0] {
-                    MVal::Tuple(vs) => vs.get(i).cloned().map(MRes::Done).ok_or_else(|| {
-                        MachError::Malformed(format!("projection .{} out of range", i + 1))
-                    }),
-                    other => {
-                        Err(MachError::Malformed(format!("projection from non-tuple {other:?}")))
-                    }
-                }),
-            )
-        }
-        Code::Inl { lty, rty, e } => inj(m, (false, lty, rty, e), env, g, buf),
-        Code::Inr { lty, rty, e } => inj(m, (true, lty, rty, e), env, g, buf),
-        Code::Succ(a) => seq(
-            m,
-            vec![Arc::clone(a)],
-            env,
-            g,
-            buf,
-            Rc::new(|_m, done, _buf| match &done[0] {
-                MVal::Nat(n) => Ok(MRes::Done(MVal::Nat(n + 1))),
-                other => Err(MachError::Malformed(format!("succ of non-nat {other:?}"))),
-            }),
-        ),
-        Code::Cons(a, b) => seq(
-            m,
-            vec![Arc::clone(a), Arc::clone(b)],
-            env,
-            g,
-            buf,
-            Rc::new(|_m, mut done, _buf| {
-                let tail = done.pop().expect("two children");
-                let head = done.pop().expect("two children");
-                match tail {
-                    MVal::List { elem, mut items } => {
-                        items.insert(0, head);
-                        Ok(MRes::Done(MVal::List { elem, items }))
-                    }
-                    other => Err(MachError::Malformed(format!("cons onto non-list {other:?}"))),
-                }
-            }),
-        ),
-        Code::Cases { scrut, lbody, rbody } => {
-            let (lbody, rbody) = (Arc::clone(lbody), Arc::clone(rbody));
-            let (env2, g2) = (env.clone(), g.clone());
-            seq(
-                m,
-                vec![Arc::clone(scrut)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| match done.pop().expect("one child") {
-                    // The chosen branch replaces the node: same g.
-                    MVal::Sum { right, val, .. } => {
-                        let body = if right { &rbody } else { &lbody };
-                        eval(m, body, &env2.push(*val), &g2, buf)
-                    }
-                    other => Err(MachError::Malformed(format!("cases on non-sum {other:?}"))),
-                }),
-            )
-        }
-        Code::App(f, a) => {
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(f), Arc::clone(a)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let a = done.pop().expect("two children");
-                    let f = done.pop().expect("two children");
-                    apply(m, f, a, &g2, buf)
-                }),
-            )
-        }
-        Code::Iter(a, b, c) => {
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(a), Arc::clone(b), Arc::clone(c)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let cv = done.pop().expect("three children");
-                    let bv = done.pop().expect("three children");
-                    match done.pop().expect("three children") {
-                        MVal::Nat(n) => iter_apply(m, n, bv, &cv, &g2, buf, |_d, v| v),
-                        other => Err(MachError::Malformed(format!("iter on non-nat {other:?}"))),
-                    }
-                }),
-            )
-        }
-        Code::Fold(a, b, c) => {
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(a), Arc::clone(b), Arc::clone(c)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let cv = done.pop().expect("three children");
-                    let bv = done.pop().expect("three children");
-                    match done.pop().expect("three children") {
-                        MVal::List { items, .. } => {
-                            let len = items.len() as u64;
-                            let items = Rc::new(items);
-                            let pick =
-                                move |d: usize, v: MVal| MVal::Tuple(vec![items[d].clone(), v]);
-                            iter_apply(m, len, bv, &cv, &g2, buf, pick)
-                        }
-                        other => Err(MachError::Malformed(format!("fold on non-list {other:?}"))),
-                    }
-                }),
-            )
-        }
-        Code::OpCall { op, arg } => {
-            let op = op.clone();
-            seq(
-                m,
-                vec![Arc::clone(arg)],
-                env,
-                g,
-                buf,
-                Rc::new(move |_m, mut done, _buf| {
-                    Ok(MRes::Stuck(StuckM {
-                        op: op.clone(),
-                        arg: done.pop().expect("one child"),
-                        cont: Rc::new(|_m, y, _buf| Ok(MRes::Done(y))),
-                        choice: false,
-                    }))
-                }),
-            )
-        }
-        Code::Loss(a) => seq(
-            m,
-            vec![Arc::clone(a)],
-            env,
-            g,
-            buf,
-            Rc::new(|m, mut done, buf| match done.pop().expect("one child") {
-                MVal::Loss(l) => {
-                    m.emit(buf, l)?;
-                    Ok(MRes::Done(MVal::unit()))
-                }
-                other => Err(MachError::Malformed(format!("loss of non-loss {other:?}"))),
-            }),
-        ),
-        Code::Handle { handler, from, body } => {
-            let act_proto = (Arc::clone(handler), env.clone());
-            let body = Arc::clone(body);
-            let g2 = g.clone();
-            seq(
-                m,
-                vec![Arc::clone(from)],
-                env,
-                g,
-                buf,
-                Rc::new(move |m, mut done, buf| {
-                    let p0 = done.pop().expect("one child");
-                    let act = Rc::new(Activation {
-                        h: Arc::clone(&act_proto.0),
-                        env: act_proto.1.clone(),
-                        params: RefCell::new(Vec::new()),
-                    });
-                    // (S1): the handled body runs under the return-clause
-                    // extension with the live parameter.
-                    let g1 = GVal::Ret { act: Rc::clone(&act), outer: Rc::new(g2.clone()) };
-                    let (body, benv) = (Arc::clone(&body), act_proto.1.clone());
-                    let start: Seg = Rc::new(move |m, buf| eval(m, &body, &benv, &g1, buf));
-                    run_seg(m, &act, p0, start, &g2, buf)
-                }),
-            )
-        }
         Code::Then { e, lam_body } => {
             // (S2): capture the lhs's losses under g := the lambda.
             let lam = GVal::Fun(Clos { body: Arc::clone(lam_body), env: env.clone() });
@@ -985,7 +796,114 @@ fn eval(m: &mut Machine, code: &Arc<Code>, env: &Env, g: &GVal, buf: &mut LossBu
             m.capture_depth -= 1;
             reset_finish(m, r?)
         }
+        _ => {
+            let st = SeqState {
+                node: Arc::clone(code),
+                idx: 0,
+                done: Vec::new(),
+                env: env.clone(),
+                g: g.clone(),
+            };
+            eval_seq(m, st, buf)
+        }
     }
+}
+
+/// Completes a compound node whose children are all values (`st.done`).
+fn finish(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
+    let SeqState { node, mut done, env, g, .. } = st;
+    let mut arg = || done.pop().expect("one value per child");
+    let v = match node.as_ref() {
+        Code::Prim(name, _) => return prim_apply(name, &arg()),
+        Code::Tuple(_) => MVal::Tuple(done),
+        Code::Proj(_, i) => match arg() {
+            MVal::Tuple(mut vs) if *i < vs.len() => vs.swap_remove(*i),
+            MVal::Tuple(_) => return malformed(format!("projection .{} out of range", i + 1)),
+            other => return malformed(format!("projection from non-tuple {other:?}")),
+        },
+        Code::Inl { lty, rty, .. } | Code::Inr { lty, rty, .. } => MVal::Sum {
+            right: matches!(*node, Code::Inr { .. }),
+            lty: lty.clone(),
+            rty: rty.clone(),
+            val: Box::new(arg()),
+        },
+        Code::Succ(_) => match arg() {
+            MVal::Nat(n) => MVal::Nat(n + 1),
+            other => return malformed(format!("succ of non-nat {other:?}")),
+        },
+        Code::Cons(..) => {
+            let tail = arg();
+            match (arg(), tail) {
+                (head, MVal::List { elem, mut items }) => {
+                    items.insert(0, head);
+                    MVal::List { elem, items }
+                }
+                (_, other) => return malformed(format!("cons onto non-list {other:?}")),
+            }
+        }
+        // The chosen branch replaces the node: same g.
+        Code::Cases { lbody, rbody, .. } => match arg() {
+            MVal::Sum { right, val, .. } => {
+                return eval(m, if right { rbody } else { lbody }, &env.push(*val), &g, buf)
+            }
+            other => return malformed(format!("cases on non-sum {other:?}")),
+        },
+        Code::App(..) => {
+            let a = arg();
+            return apply(m, arg(), a, &g, buf);
+        }
+        Code::Iter(..) | Code::Fold(..) => return iter_finish(m, &node, done, &g, buf),
+        Code::OpCall { op, .. } => {
+            let cont: KCont = Rc::new(|_m, y, _buf| Ok(MRes::Done(y)));
+            return Ok(MRes::Stuck(StuckM { op: op.clone(), arg: arg(), cont, choice: false }));
+        }
+        Code::Loss(_) => match arg() {
+            MVal::Loss(l) => {
+                m.emit(buf, l)?;
+                MVal::unit()
+            }
+            other => return malformed(format!("loss of non-loss {other:?}")),
+        },
+        Code::Handle { handler, body, .. } => {
+            let act = Rc::new(Activation {
+                h: Arc::clone(handler),
+                env,
+                params: RefCell::new(Vec::new()),
+            });
+            // (S1): the handled body runs under the return-clause
+            // extension with the live parameter.
+            let g1 = GVal::Ret { act: Rc::clone(&act), outer: Rc::new(g.clone()) };
+            return run_seg(m, &act, arg(), Seg::Body(Arc::clone(body), g1), &g, buf);
+        }
+        _ => unreachable!("`child` lists no children for leaves and scope nodes"),
+    };
+    Ok(MRes::Done(v))
+}
+
+/// `iter(n, b, c)` and `fold(xs, b, c)` once their arguments are values.
+fn iter_finish(
+    m: &mut Machine,
+    node: &Code,
+    mut done: Vec<MVal>,
+    g: &GVal,
+    buf: &mut LossBuf,
+) -> EvalR {
+    let (cv, bv) = (done.pop().expect("three children"), done.pop().expect("three children"));
+    match (node, done.pop().expect("three children")) {
+        (Code::Iter(..), MVal::Nat(n)) => iter_apply(m, n, bv, &cv, g, buf, |_d, v| v),
+        (Code::Fold(..), MVal::List { items, .. }) => {
+            let len = items.len() as u64;
+            let items = Rc::new(items);
+            let pick = move |d: usize, v: MVal| MVal::Tuple(vec![items[d].clone(), v]);
+            iter_apply(m, len, bv, &cv, g, buf, pick)
+        }
+        (Code::Iter(..), other) => malformed(format!("iter on non-nat {other:?}")),
+        (_, other) => malformed(format!("fold on non-list {other:?}")),
+    }
+}
+
+fn malformed(msg: String) -> EvalR {
+    Err(MachError::Malformed(msg))
 }
 
 /// (S4) continued: losses inside `reset` stay suppressed across
@@ -1104,7 +1022,10 @@ fn run_seg(
 ) -> EvalR {
     m.tick()?;
     act.params.borrow_mut().push(p.clone());
-    let r = start(m, buf);
+    let r = match start {
+        Seg::Body(body, g1) => eval(m, &body, &act.env, &g1, buf),
+        Seg::Resume(k, y) => k(m, y, buf),
+    };
     act.params.borrow_mut().pop();
     match r? {
         MRes::Done(v) => {
@@ -1125,28 +1046,15 @@ fn run_seg(
                 };
                 match decision {
                     Some(Decision::Scripted(d)) => {
-                        let inner = s.cont;
-                        let y = MVal::bool(d);
-                        let start2: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
-                        return run_seg(m, act, p, start2, g, buf);
+                        return run_seg(m, act, p, Seg::Resume(s.cont, MVal::bool(d)), g, buf);
                     }
                     Some(Decision::Yield) => {
                         // Suspend exactly where the scripted path would
                         // resume: the choice continuation re-enters this
                         // segment with the (later-supplied) decision, and
                         // propagates out past every enclosing handler.
-                        let (act2, g2, inner) = (Rc::clone(act), g.clone(), s.cont);
-                        let cont: KCont = Rc::new(move |m, y, buf| {
-                            let inner = Rc::clone(&inner);
-                            let start2: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
-                            run_seg(m, &act2, p.clone(), start2, &g2, buf)
-                        });
-                        return Ok(MRes::Stuck(StuckM {
-                            op: s.op,
-                            arg: s.arg,
-                            cont,
-                            choice: true,
-                        }));
+                        let choice = StuckM { choice: true, ..s };
+                        return Ok(MRes::Stuck(reenter(act, p, g, choice)));
                     }
                     None => {}
                 }
@@ -1167,17 +1075,20 @@ fn run_seg(
                 // Not ours (or an already-claimed choice yield): forward,
                 // re-entering this segment (with the parameter current at
                 // the stick) on resumption.
-                let (act2, g2, inner) = (Rc::clone(act), g.clone(), s.cont);
-                let cont: KCont = Rc::new(move |m, y, buf| {
-                    let inner = Rc::clone(&inner);
-                    let y2 = y;
-                    let start2: Seg = Rc::new(move |m, buf| inner(m, y2.clone(), buf));
-                    run_seg(m, &act2, p.clone(), start2, &g2, buf)
-                });
-                Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+                Ok(MRes::Stuck(reenter(act, p, g, s)))
             }
         }
     }
+}
+
+/// Re-wraps a stuck segment so its resumption re-enters the segment
+/// under parameter `p`.
+fn reenter(act: &Rc<Activation>, p: MVal, g: &GVal, s: StuckM) -> StuckM {
+    let (act, g, inner) = (Rc::clone(act), g.clone(), s.cont);
+    let cont: KCont = Rc::new(move |m, y, buf| {
+        run_seg(m, &act, p.clone(), Seg::Resume(Rc::clone(&inner), y), &g, buf)
+    });
+    StuckM { cont, ..s }
 }
 
 /// Function application — β for closures, rule (R5)'s `k`/`l` for the
@@ -1191,18 +1102,15 @@ fn apply(m: &mut Machine, f: MVal, a: MVal, g: &GVal, buf: &mut LossBuf) -> Eval
         MVal::Resume(ctl) => {
             // f_k(p₂, y) = ⟨with h from p₂ handle K[y]⟩_g.
             let (p2, y) = split_pair(a)?;
-            let inner = Rc::clone(&ctl.kont);
-            let start: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
-            run_seg(m, &ctl.act, p2, start, &ctl.g, buf)
+            run_seg(m, &ctl.act, p2, Seg::Resume(Rc::clone(&ctl.kont), y), &ctl.g, buf)
         }
         MVal::Probe(ctl) => {
             // f_l(p₂, y) = (with h from p₂ handle K[y]) ◮ g.
             let (p2, y) = split_pair(a)?;
-            let inner = Rc::clone(&ctl.kont);
-            let start: Seg = Rc::new(move |m, buf| inner(m, y.clone(), buf));
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r = run_seg(m, &ctl.act, p2, start, &ctl.g, &mut cap);
+            let r =
+                run_seg(m, &ctl.act, p2, Seg::Resume(Rc::clone(&ctl.kont), y), &ctl.g, &mut cap);
             m.capture_depth -= 1;
             then_finish(m, r?, cap, ctl.g.clone(), buf)
         }
@@ -1256,31 +1164,6 @@ fn const_val(c: &Const) -> MVal {
         Const::Char(c) => MVal::Char(*c),
         Const::Str(s) => MVal::Str(s.clone()),
     }
-}
-
-fn inj(
-    m: &mut Machine,
-    (right, lty, rty, e): (bool, &Type, &Type, &Arc<Code>),
-    env: &Env,
-    g: &GVal,
-    buf: &mut LossBuf,
-) -> EvalR {
-    let (lty, rty) = (lty.clone(), rty.clone());
-    seq(
-        m,
-        vec![Arc::clone(e)],
-        env,
-        g,
-        buf,
-        Rc::new(move |_m, mut done, _buf| {
-            Ok(MRes::Done(MVal::Sum {
-                right,
-                lty: lty.clone(),
-                rty: rty.clone(),
-                val: Box::new(done.pop().expect("one child")),
-            }))
-        }),
-    )
 }
 
 fn split_pair(v: MVal) -> Result<(MVal, MVal), MachError> {
@@ -1491,29 +1374,30 @@ mod tests {
         assert_eq!(real.ground_value(), t.ground_value());
     }
 
+    /// The f64 sort-key embedding (sign-flip trick) on the scalar.
+    fn scalar_key(l: &LossVal) -> u64 {
+        let bits = l.as_scalar().to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | (1 << 63)
+        }
+    }
+
     #[test]
     fn forced_run_prunes_on_dominated_partial() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
         let threshold = Arc::new(AtomicU64::new(u64::MAX));
-        let encode = |l: &LossVal| {
-            // The f64 sort-key embedding (sign-flip trick) on the scalar.
-            let bits = l.as_scalar().to_bits();
-            if bits >> 63 == 1 {
-                !bits
-            } else {
-                bits | (1 << 63)
-            }
-        };
         // Publish an achieved loss of 3.0: the loss-4 branch must abort.
-        threshold.store(encode(&LossVal::scalar(3.0)), Ordering::Relaxed);
+        threshold.store(scalar_key(&LossVal::scalar(3.0)), Ordering::Relaxed);
         let cfg = |bits| RunConfig {
             forced: Some(ForcedChoices {
                 ops: BTreeSet::from(["decide".to_owned()]),
                 bits,
                 max_decisions: 1,
             }),
-            prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode }),
+            prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
             fuel: 0,
         };
         assert_eq!(run_with(&compiled, cfg(1)).unwrap_err(), MachError::Pruned);
@@ -1667,17 +1551,9 @@ mod tests {
         let e = handle0(crate::testgen::argmin_handler(&Type::loss(), &Effect::empty()), body);
         let compiled = compile(&e).unwrap();
         let threshold = Arc::new(AtomicU64::new(u64::MAX));
-        let encode = |l: &LossVal| {
-            let bits = l.as_scalar().to_bits();
-            if bits >> 63 == 1 {
-                !bits
-            } else {
-                bits | (1 << 63)
-            }
-        };
-        threshold.store(encode(&LossVal::scalar(7.0)), Ordering::Relaxed);
+        threshold.store(scalar_key(&LossVal::scalar(7.0)), Ordering::Relaxed);
         let cfg = TreeRunConfig {
-            prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode }),
+            prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
             ..tree_cfg(&["decide"], 0, 0, 2)
         };
         let Explored::Choice(root) = explore(&compiled, cfg).unwrap() else {
@@ -1696,6 +1572,89 @@ mod tests {
             panic!("suspends at the second decide");
         };
         assert_eq!(after_true.partial_loss(), &LossVal::scalar(2.0));
+    }
+
+    /// Decision words past 64 bits read as zero-extended: the first of
+    /// 70 scripted decisions is bit 69, which is 0, so `pgm` takes its
+    /// `true` branch exactly as with a one-decision word of 0.
+    #[test]
+    fn forced_decisions_past_64_bits_read_as_zero() {
+        let compiled = compile(&examples::pgm_with_argmin_handler().expr).unwrap();
+        let forced = |bits: u64, max_decisions: u32| {
+            let ops = BTreeSet::from(["decide".to_owned()]);
+            let forced = Some(ForcedChoices { ops, bits, max_decisions });
+            run_with(&compiled, RunConfig { forced, ..RunConfig::default() }).unwrap()
+        };
+        let (wide, narrow) = (forced(1 << 5, 70), forced(0, 1));
+        assert_eq!(wide.ground_value(), Some(Ground::Char('a')));
+        assert_eq!((&wide.loss, wide.ground_value()), (&narrow.loss, narrow.ground_value()));
+    }
+
+    /// A decide chain whose step `i` emits `losses[i]` on `true` and
+    /// `losses[i + 1]` on `false` (cyclically).
+    fn loss_chain(losses: &[LossVal]) -> CompiledProgram {
+        use crate::build::*;
+        use crate::types::Effect;
+        let eamb = Effect::single("amb");
+        let mut body = lc(0.0);
+        for i in (0..losses.len()).rev() {
+            let b = format!("b{i}");
+            let (t, f) = (&losses[i], &losses[(i + 1) % losses.len()]);
+            let (t, f) = (Expr::Const(Const::Loss(t.clone())), Expr::Const(Const::Loss(f.clone())));
+            let step = seq(eamb.clone(), Type::unit(), loss(if_(v(&b), t, f)), body);
+            body = let_(eamb.clone(), &b, Type::bool(), op("decide", unit()), step);
+        }
+        let h = crate::testgen::argmin_handler(&Type::loss(), &Effect::empty());
+        compile(&handle0(h, body)).unwrap()
+    }
+
+    /// The tree walk's running partial must add exactly like a replay:
+    /// with step losses that do not associate (and a `-0.0`), every leaf
+    /// of an out-of-order, repeated explore/resume DFS equals the forced
+    /// replay of its path bit for bit, per component, with and without a
+    /// prune hook (armed at `u64::MAX`, so it observes but never fires).
+    #[test]
+    fn tree_leaves_match_replays_bit_for_bit_on_non_associative_losses() {
+        let steps = [0.1, 0.2, 0.7, 1e16, -1e16, -0.0];
+        let scalar: Vec<LossVal> = steps.iter().map(|&x| LossVal::scalar(x)).collect();
+        let pair: Vec<LossVal> = steps.iter().map(|&x| LossVal::pair(x, -x / 3.0)).collect();
+        let depth = steps.len() as u32;
+        let ops = BTreeSet::from(["decide".to_owned()]);
+        let bits_of = |l: &LossVal| l.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        fn dfs(r: Explored, bits: u64, leaves: &mut Vec<(u64, MachineOutcome)>) {
+            match r {
+                Explored::Done(out) => leaves.push((bits, out)),
+                Explored::Choice(point) => {
+                    for d in [false, true, false, true] {
+                        let r = point.resume(d).unwrap();
+                        dfs(r, (bits << 1) | u64::from(!d), leaves);
+                    }
+                }
+            }
+        }
+        for losses in [&scalar, &pair] {
+            let compiled = loss_chain(losses);
+            for armed in [false, true] {
+                let prune = armed.then(|| MachinePrune {
+                    threshold: Arc::new(AtomicU64::new(u64::MAX)),
+                    encode: scalar_key,
+                });
+                let cfg = TreeRunConfig { prune, ..tree_cfg(&["decide"], 0, 0, depth) };
+                let mut leaves = Vec::new();
+                dfs(explore(&compiled, cfg).unwrap(), 0, &mut leaves);
+                assert_eq!(leaves.len(), 1 << (2 * depth), "every branch visited twice");
+                for (bits, out) in leaves {
+                    let forced =
+                        Some(ForcedChoices { ops: ops.clone(), bits, max_decisions: depth });
+                    let replay =
+                        run_with(&compiled, RunConfig { forced, ..RunConfig::default() }).unwrap();
+                    let at = format!("bits {bits:#b}, armed {armed}");
+                    assert_eq!(bits_of(&out.loss), bits_of(&replay.loss), "{at}");
+                    assert_eq!(out.decisions_used, replay.decisions_used, "{at}");
+                    assert_eq!(out.steps, replay.steps, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! the `2^depth` forced decision paths from the root — O(2^depth · depth)
 //! machine segments — [`LcTreeEval`] walks the decision *tree*: one
 //! [`lambda_c::machine::ChoicePoint`] per interior node, each branch
-//! resumed from the suspended prefix state, O(tree nodes) segments total.
+//! resumed from a copy of the suspended prefix state (fixed-size, so a
+//! resume costs the same at every depth), O(tree nodes) segments total.
 //! With a shared [`LcTransCache`] attached, the engine probes a **subtree
 //! summary** at every interior node (keyed `(space id, len, bits)`) and
 //! installs one on the way back up, so a table warmed by one search
@@ -20,9 +21,10 @@
 //!   interior node — a dominated subtree is skipped *whole*, where the
 //!   flat scan could only abandon its paths one replay at a time.
 //! * **Mid-segment abandonment.** Under the same certificate, a
-//!   [`MachinePrune`] hook threads through `explore`/`resume`; its
-//!   accumulated partial snapshots with the machine, so each branch
-//!   prunes against its own path total (see `lambda_c::machine`). The
+//!   [`MachinePrune`] hook threads through `explore`/`resume`; it reads
+//!   the machine's running ambient partial, which snapshots with the
+//!   machine, so each branch prunes against its own path total (see
+//!   `lambda_c::machine`). The
 //!   certificate is the only switch: [`NonNegLosses`] has no constructor
 //!   outside `lambda_c::flow::analyze`.
 //! * **Determinism.** Leaves report `(total loss, decisions used)` and

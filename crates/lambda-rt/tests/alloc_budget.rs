@@ -1,0 +1,127 @@
+//! Allocation budgets for the machine's tree mode, counted by a
+//! thread-local counting allocator (each `#[test]` runs on its own
+//! thread, so counts never mix between tests).
+//!
+//! * A [`ChoicePoint::resume`] copies only the suspended run state — no
+//!   per-decision history — so resuming costs the same number of
+//!   allocations at every depth of a uniform chain.
+//! * A sequential, uncached tree walk of a chain stays within a fixed
+//!   allocation budget per tree node, so a regression in the machine's
+//!   frames or snapshots shows up here before it shows up in a profile.
+
+use lambda_c::machine::{ChoicePoint, Explored};
+use lambda_c::testgen::deep_decide_chain;
+use lambda_rt::bridge::LcCandidates;
+use lambda_rt::tree::LcTreeEval;
+use selc_engine::tree::TreeEngine;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator can run while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded with the caller's layout.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded with the caller's layout.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread (allocations, zeroed allocations and reallocations).
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (r, ALLOCS.with(Cell::get) - before)
+}
+
+const CHAIN: u32 = 10;
+
+fn chain() -> LcCandidates {
+    let p = deep_decide_chain(CHAIN);
+    LcCandidates::new(lambda_c::compile(&p.expr).unwrap(), ["decide".to_owned()], CHAIN)
+}
+
+/// The choice point at depth `len` on the all-`true` path.
+fn point_at(cands: &LcCandidates, len: u32) -> ChoicePoint {
+    match cands.explore_prefix(0, len, None).unwrap() {
+        Explored::Choice(point) => point,
+        Explored::Done(_) => panic!("a chain has a decision at every depth"),
+    }
+}
+
+#[test]
+fn resume_allocations_do_not_grow_with_depth() {
+    let cands = chain();
+    let points: Vec<ChoicePoint> = (1..CHAIN).map(|len| point_at(&cands, len)).collect();
+    // Warm up once so lazily initialised state is not charged to a depth.
+    drop(points[0].resume(true).unwrap());
+    let per_resume: Vec<u64> = points
+        .iter()
+        .map(|point| {
+            let (r, n) = counted(|| point.resume(false).map(drop));
+            r.unwrap();
+            n
+        })
+        .collect();
+    // Depths 1..=8 resume to the next choice point through the same
+    // segment shape, so a snapshot copy that grew with the path (the
+    // emissions so far, the forced-op set) would show up as a slope.
+    let (interior, last) = per_resume.split_at(per_resume.len() - 1);
+    assert!(interior.iter().all(|&n| n == interior[0]), "resumes at depths 1..=8: {per_resume:?}");
+    // The last decision (depth 9) resumes to the leaf: a different
+    // segment, but never a costlier one.
+    assert!(last[0] <= interior[0], "resumes at depths 1..=9: {per_resume:?}");
+}
+
+#[test]
+fn a_sequential_tree_walk_stays_within_its_per_node_budget() {
+    const PER_NODE_BUDGET: u64 = 40;
+    let cands = chain();
+    let eval = LcTreeEval::new(cands.clone());
+    let engine = TreeEngine::sequential();
+    // The first search pays for one-off setup (metrics registration, the
+    // flow report); the second is the steady state.
+    drop(engine.search(&eval).unwrap());
+    let (out, allocs) = counted(|| engine.search(&eval).unwrap());
+    let leaves = 1u64 << CHAIN;
+    assert_eq!(out.stats.evaluated, leaves, "an unpruned walk visits every leaf");
+    let nodes = 2 * leaves - 1;
+    let per_node = allocs as f64 / nodes as f64;
+    assert!(
+        per_node <= PER_NODE_BUDGET as f64,
+        "{allocs} allocations over {nodes} tree nodes = {per_node:.1} per node \
+         (budget {PER_NODE_BUDGET})"
+    );
+}
