@@ -4,7 +4,7 @@
 //! With no arguments the process serves until killed. Configuration is
 //! entirely environmental (the workspace's knob style):
 //! `SELC_SERVE_PORT`, `SELC_SERVE_WORKERS`, `SELC_SERVE_MAX_SESSIONS`
-//! shape the server; `SELC_THREADS` and `SELC_CACHE_{SHARDS,CAP}`
+//! shape the server; `SELC_THREADS` and `SELC_CACHE_CAP`
 //! shape each search and tenant cache, as everywhere else; and
 //! `SELC_METRICS` defaults **on** for the daemon so it is born
 //! scrapeable.

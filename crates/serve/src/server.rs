@@ -1,52 +1,48 @@
-//! The server: accept loop, admission control, session workers.
+//! The server: accept loop, admission control, session threads, and
+//! search workers, split by what each blocks on.
 //!
-//! Anatomy of a running server:
+//! * **Accept loop** (one thread) — answers `Busy` and closes while
+//!   [`ServeConfig::max_sessions`] sessions are live, so overload
+//!   degrades to fast refusals instead of unbounded queueing. Each
+//!   admitted connection gets a session thread in a `thread::scope`,
+//!   so leaving the loop at shutdown joins every session.
+//! * **Session threads** — block on their own socket. A session answers
+//!   inline every request with no search to cancel (decode and
+//!   validation failures, epoch bumps, scrapes, games the tenant's
+//!   table has resolved) and hands every other search to the workers
+//!   as a `Job`. It then blocks in `peek` as the search's disconnect
+//!   watcher: on EOF or a transport error before the job completes, it
+//!   fires the search's `CancelToken`. Either way it waits for
+//!   completion before reading the next frame.
+//! * **Search workers** ([`ServeConfig::workers`] threads) — run jobs
+//!   and write the replies, so `workers` bounds *concurrent searches*
+//!   and an idle session holds no worker.
 //!
-//! * **Accept loop** (one thread) — accepts connections and applies
-//!   *admission control*: while [`ServeConfig::max_sessions`] sessions
-//!   are live, a new connection is answered `Busy` and closed without
-//!   ever reaching a worker, so overload degrades to fast refusals
-//!   instead of unbounded queueing.
-//! * **Session queue** — admitted connections wait in a `VecDeque`
-//!   under a condvar.
-//! * **Worker pool** ([`ServeConfig::workers`] threads) — each worker
-//!   owns one session at a time and serves its requests sequentially;
-//!   a session holds its worker until the client hangs up, so
-//!   `workers` bounds *concurrent searches* and `max_sessions` bounds
-//!   *open connections*.
+//! Cancellation is safe at any moment: a cancelled walk installs no
+//! cache summaries (see `DESIGN.md`), so a timed-out request leaves its
+//! tenant's warmth as it found it. Nothing spawns a thread per request.
+//! Shutdown closes the `JobQueue` first (see `jobs` for why), then
+//! force-closes every session socket and joins every thread.
 //!
-//! Deadlines and disconnects both flow through one `CancelToken` per
-//! search: the token's deadline is the request's `deadline_ms`, and a
-//! per-request watcher thread peeks the socket while the search runs,
-//! firing the same token if the client vanishes — the fix for workers
-//! grinding through a search whose caller is gone. Cancellation is
-//! safe to trigger at any moment: the engines guarantee a cancelled
-//! walk installs no cache summaries (see `DESIGN.md`), so a timed-out
-//! request leaves its tenant's warmth exactly as it found it. Watcher
-//! threads are *tracked*: the session signals them done (they wake
-//! immediately off a condvar, not a poll), finished handles are reaped
-//! as new ones spawn, and shutdown joins every straggler — the server
-//! never accumulates detached threads.
-//!
-//! The server is also where the workspace's metrics default flips
-//! **on**: a daemon you cannot scrape is blind, so `Server::spawn`
-//! enables recording unless `SELC_METRICS=0` explicitly asks for the
-//! zero-overhead path (overhead benches do). Live state travels as
-//! gauges (`serve.queue_depth`, `serve.active_watchers`), refusals and
-//! aborts as counters, and per-op end-to-end latency as log2
+//! `Server::spawn` also flips the workspace's metrics default **on**
+//! (a daemon you cannot scrape is blind) unless `SELC_METRICS=0` asks
+//! for the zero-overhead path. `serve.queue_depth` counts queued
+//! searches; refusals and aborts are counters, per-op latencies log2
 //! histograms, all scrapeable via a `Metrics` request.
 
+use crate::jobs::JobQueue;
 use crate::protocol::{read_frame, write_frame, Request, Response, WireMetrics, Workload};
-use crate::tenants::Tenants;
+use crate::tenants::{Tenant, Tenants};
 use crate::workload::{self, Ran};
 use selc::env::{env_usize, SERVE_MAX_SESSIONS_ENV, SERVE_PORT_ENV, SERVE_WORKERS_ENV};
 use selc_engine::{configured_threads, CancelToken};
 use selc_obs::{metrics, Counter, Gauge, Histogram};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, LazyLock, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::{Arc, LazyLock, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -57,15 +53,11 @@ pub const DEFAULT_PORT: u16 = 7352;
 /// Default admission limit when `SELC_SERVE_MAX_SESSIONS` is unset.
 pub const DEFAULT_MAX_SESSIONS: usize = 32;
 
-/// How often a request's disconnect watcher polls the socket.
-const WATCH_INTERVAL: Duration = Duration::from_millis(25);
-
 /// The serve layer's registry handles, resolved once. Every member is
 /// an `Arc` clone of the registry's metric, so recording is an atomic
 /// op (or a no-op while metrics are disabled).
 struct ServeMetrics {
     queue_depth: Gauge,
-    active_watchers: Gauge,
     admission_rejects: Counter,
     deadline_timeouts: Counter,
     disconnect_cancels: Counter,
@@ -78,7 +70,6 @@ struct ServeMetrics {
 
 static SERVE_METRICS: LazyLock<ServeMetrics> = LazyLock::new(|| ServeMetrics {
     queue_depth: metrics::gauge("serve.queue_depth"),
-    active_watchers: metrics::gauge("serve.active_watchers"),
     admission_rejects: metrics::counter("serve.admission_rejects"),
     deadline_timeouts: metrics::counter("serve.deadline_timeouts"),
     disconnect_cancels: metrics::counter("serve.disconnect_cancels"),
@@ -96,9 +87,9 @@ pub struct ServeConfig {
     /// port (tests and benches do this and read it back from
     /// [`ServerHandle::addr`]).
     pub port: u16,
-    /// Session-worker threads — the number of *concurrent sessions
-    /// being served*; each search inside a session parallelises
-    /// further via `SELC_THREADS`.
+    /// Search-worker threads — the number of *concurrent searches*
+    /// across all sessions; each search parallelises further via
+    /// `SELC_THREADS`. Idle sessions hold no worker.
     pub workers: usize,
     /// Admission limit: connections beyond this many live sessions are
     /// refused with `Busy`.
@@ -128,23 +119,32 @@ impl ServeConfig {
     }
 }
 
-/// State shared by the accept loop, the workers, and the handle.
+/// One search handed from a session to a worker. The worker writes the
+/// reply on `reply` (a clone of the session socket) and then signals
+/// `done`; dropping the job unsent wakes the session just the same.
+struct Job {
+    tenant: Arc<Tenant>,
+    workload: Workload,
+    cancel: CancelToken,
+    deadline_bound: bool,
+    reply: TcpStream,
+    started: Instant,
+    latency: &'static Histogram,
+    done: SyncSender<()>,
+}
+
+/// State shared by the accept loop, the sessions, the workers, and the
+/// handle.
 struct Shared {
     tenants: Tenants,
-    queue: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    /// Sessions admitted and not yet finished (counted from the accept
-    /// loop's enqueue to the worker's hang-up).
+    jobs: JobQueue<Job>,
+    /// Sessions admitted and not yet finished.
     active: AtomicUsize,
     shutdown: AtomicBool,
     /// Clones of live session sockets, so shutdown can force-close
-    /// them and unblock workers parked in `read_frame`.
+    /// them and wake sessions blocked in `read_frame` or `peek`.
     open: Mutex<HashMap<u64, TcpStream>>,
     next_session: AtomicU64,
-    /// Handles of the per-request disconnect watchers, reaped as new
-    /// ones register and joined at shutdown — bounded by in-flight
-    /// requests, not request count.
-    watchers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -154,69 +154,15 @@ impl Shared {
         // shutting-down thread published before raising it.
         self.shutdown.load(Ordering::Acquire)
     }
-
-    fn track_watcher(&self, handle: thread::JoinHandle<()>) {
-        let mut watchers = lock_clean(&self.watchers);
-        reap_finished(&mut watchers);
-        watchers.push(handle);
-    }
 }
 
-/// Locks `m`, continuing through poison: a panicking worker must not
-/// cascade into every sibling that touches the same queue or map. The
-/// guarded structures stay structurally valid mid-panic (pushes and
-/// removes are not interruptible by Rust panics at observable points),
-/// and a daemon's job is to keep serving.
+/// Locks `m`, continuing through poison: a panicking thread must not
+/// cascade into every sibling that touches the same map. The guarded
+/// structures stay structurally valid mid-panic (pushes and removes are
+/// not interruptible by Rust panics at observable points), and a
+/// daemon's job is to keep serving.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Joins (not just drops) every finished handle in place: a joined
-/// watcher is provably gone, which is what [`Server::active_watchers`]
-/// counts and the leak test asserts on.
-fn reap_finished(watchers: &mut Vec<thread::JoinHandle<()>>) {
-    let mut i = 0;
-    while i < watchers.len() {
-        if watchers[i].is_finished() {
-            let _ = watchers.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Completion handshake between a session worker and its request's
-/// disconnect watcher: the worker flips `done` and rings the bell, so
-/// a watcher waiting out a poll interval wakes immediately instead of
-/// sleeping the interval to its end.
-struct WatchSignal {
-    done: Mutex<bool>,
-    bell: Condvar,
-}
-
-impl WatchSignal {
-    fn new() -> WatchSignal {
-        WatchSignal { done: Mutex::new(false), bell: Condvar::new() }
-    }
-
-    fn finish(&self) {
-        *lock_clean(&self.done) = true;
-        self.bell.notify_all();
-    }
-
-    fn is_done(&self) -> bool {
-        *lock_clean(&self.done)
-    }
-
-    /// Waits up to `timeout` for the request to finish; true once done.
-    fn wait_done(&self, timeout: Duration) -> bool {
-        let guard = lock_clean(&self.done);
-        let (done, _) = self
-            .bell
-            .wait_timeout_while(guard, timeout, |done| !*done)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *done
-    }
 }
 
 /// A running server; dropping the handle shuts it down.
@@ -233,7 +179,7 @@ pub type ServerHandle = Server;
 
 impl Server {
     /// Binds `127.0.0.1:{config.port}` and spawns the accept loop and
-    /// worker pool.
+    /// the search workers.
     ///
     /// # Errors
     ///
@@ -252,13 +198,11 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             tenants: Tenants::default(),
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
+            jobs: JobQueue::new(),
             active: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             open: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
-            watchers: Mutex::new(Vec::new()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -268,7 +212,7 @@ impl Server {
         let workers = (0..config.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared))
+                thread::spawn(move || worker_loop(&shared.jobs))
             })
             .collect();
         Ok(Server { addr, shared, accept: Some(accept), workers })
@@ -288,19 +232,8 @@ impl Server {
         self.shared.active.load(Ordering::Relaxed)
     }
 
-    /// Disconnect-watcher threads spawned for requests and not yet
-    /// exited. Joins finished handles as a side effect, so the count is
-    /// of provably-live threads — the no-leak test asserts this returns
-    /// to zero once requests settle.
-    #[must_use]
-    pub fn active_watchers(&self) -> usize {
-        let mut watchers = lock_clean(&self.shared.watchers);
-        reap_finished(&mut watchers);
-        watchers.len()
-    }
-
-    /// Stops accepting, force-closes live sessions, and joins every
-    /// thread. Idempotent; also runs on drop.
+    /// Stops accepting, drops queued searches, force-closes live
+    /// sessions, and joins every thread. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         // ordering: AcqRel — Release publishes everything this thread
         // did before shutting down to threads that observe the flag
@@ -309,28 +242,23 @@ impl Server {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
+        // Close the queue before anything else: from here no search is
+        // queued, so no session can wait on a job no worker will run.
+        let dropped = self.shared.jobs.close();
+        SERVE_METRICS.queue_depth.add(-i64::try_from(dropped).unwrap_or(i64::MAX));
         // Unblock the accept loop with a throwaway connection; it
         // checks the flag before handling anything it accepts.
         let _ = TcpStream::connect(self.addr);
-        // Force-close live sessions so workers parked in read_frame
-        // wake with an error instead of waiting for their client.
+        // Force-close live sessions: idle ones wake from `read_frame`
+        // with an error, watching ones see EOF and cancel their search.
         for (_, stream) in lock_clean(&self.shared.open).drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        self.shared.available.notify_all();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        // Workers gone ⇒ every request signalled its watcher done;
-        // each exits within one poll interval, so these joins are
-        // bounded — and afterwards no thread of ours survives the
-        // handle.
-        let handles: Vec<_> = lock_clean(&self.shared.watchers).drain(..).collect();
-        for watcher in handles {
-            let _ = watcher.join();
         }
     }
 }
@@ -342,71 +270,70 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Shared, max_sessions: usize) {
-    for stream in listener.incoming() {
-        if shared.shutting_down() {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        let _ = stream.set_nodelay(true); // tiny frames must not wait out Nagle
-                                          // ordering: Relaxed — admission control needs only an exact
-                                          // count (RMW atomicity gives it); the load/add pair publishes
-                                          // nothing, so the old Acquire/AcqRel were needless strength.
-        if shared.active.load(Ordering::Relaxed) >= max_sessions {
-            SERVE_METRICS.admission_rejects.inc();
-            let _ = write_frame(&mut stream, &Response::Busy.encode());
-            continue; // drop: refused, never counted
-        }
-        shared.active.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — see the admission comment
-        lock_clean(&shared.queue).push_back(stream);
-        SERVE_METRICS.queue_depth.inc();
-        shared.available.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = lock_clean(&shared.queue);
-            loop {
-                if shared.shutting_down() {
-                    return;
-                }
-                if let Some(stream) = queue.pop_front() {
-                    SERVE_METRICS.queue_depth.dec();
-                    break stream;
-                }
-                queue =
-                    shared.available.wait(queue).unwrap_or_else(std::sync::PoisonError::into_inner);
+    thread::scope(|scope| {
+        for stream in listener.incoming() {
+            if shared.shutting_down() {
+                break;
             }
-        };
-        // ordering: Relaxed — session ids only need uniqueness, which
-        // the RMW guarantees under any ordering.
-        let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            lock_clean(&shared.open).insert(id, clone);
+            let Ok(mut stream) = stream else { continue };
+            // Tiny frames must not wait out Nagle.
+            let _ = stream.set_nodelay(true);
+            // ordering: Relaxed — admission control needs only an exact
+            // count (RMW atomicity gives it); the load/add pair publishes
+            // nothing.
+            if shared.active.load(Ordering::Relaxed) >= max_sessions {
+                SERVE_METRICS.admission_rejects.inc();
+                let _ = write_frame(&mut stream, &Response::Busy.encode());
+                continue; // drop: refused, never counted
+            }
+            shared.active.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — see the admission comment
+            let session = thread::Builder::new().spawn_scoped(scope, move || {
+                serve_session(stream, shared);
+                shared.active.fetch_sub(1, Ordering::Relaxed); // ordering: Relaxed — see the admission comment
+            });
+            if session.is_err() {
+                shared.active.fetch_sub(1, Ordering::Relaxed); // ordering: Relaxed — see the admission comment
+            }
         }
-        // A shutdown that raced our registration has already drained
-        // the open map; re-checking the flag after inserting closes
-        // the gap either way, so no worker blocks past shutdown.
-        if shared.shutting_down() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        serve_session(stream, shared);
-        lock_clean(&shared.open).remove(&id);
-        // ordering: Relaxed — see the admission-control comment.
-        shared.active.fetch_sub(1, Ordering::Relaxed);
+    });
+}
+
+fn worker_loop(jobs: &JobQueue<Job>) {
+    while let Some(mut job) = jobs.next() {
+        SERVE_METRICS.queue_depth.dec();
+        let ran = workload::run(&job.tenant, &job.workload, &job.cancel, job.deadline_bound);
+        let _ = write_frame(&mut job.reply, &response(ran).encode());
+        job.latency.record(u64::try_from(job.started.elapsed().as_micros()).unwrap_or(u64::MAX));
+        let _ = job.done.send(());
     }
 }
 
-/// Serves one session until the client hangs up or the transport
-/// fails. Malformed *payloads* are survivable (the frame was consumed;
-/// answer and continue); malformed *frames* are not (the stream can no
-/// longer be resynchronised), so those answer and close.
-fn serve_session(mut stream: TcpStream, shared: &Shared) {
+/// Registers the session's socket for shutdown, serves it, and
+/// unregisters it.
+fn serve_session(stream: TcpStream, shared: &Shared) {
+    // ordering: Relaxed — session ids only need uniqueness, which the
+    // RMW guarantees under any ordering.
+    let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
+    if let Ok(clone) = stream.try_clone() {
+        lock_clean(&shared.open).insert(id, clone);
+    }
+    // A shutdown that raced our registration has already drained the
+    // open map; re-checking the flag after inserting closes the gap
+    // either way, so no session blocks past shutdown.
+    if shared.shutting_down() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    serve_requests(stream, shared);
+    lock_clean(&shared.open).remove(&id);
+}
+
+/// Serves one session until the client hangs up, the transport fails,
+/// or shutdown drops its search. Malformed *payloads* are survivable
+/// (the frame was consumed; answer and continue); malformed *frames*
+/// are not (the stream can no longer be resynchronised), so those
+/// answer and close.
+fn serve_requests(mut stream: TcpStream, shared: &Shared) {
     loop {
-        // A previous request's (detached) watcher set a short read
-        // timeout on the shared fd; idle reads must block indefinitely.
-        let _ = stream.set_read_timeout(None);
         let payload = match read_frame(&mut stream) {
             Ok(Some(payload)) => payload,
             Ok(None) => return, // clean hang-up
@@ -434,55 +361,43 @@ fn serve_session(mut stream: TcpStream, shared: &Shared) {
                     Workload::Chain { .. } => &SERVE_METRICS.latency_chain,
                     Workload::Game { .. } => &SERVE_METRICS.latency_game,
                 };
-                let response = match workload::validate(&workload) {
-                    Err(msg) => Response::Malformed(msg),
-                    Ok(()) => {
-                        let tenant = shared.tenants.get_or_create(tenant);
-                        // A resolved game answers from one table probe:
-                        // there is no search to cancel, so no watcher
-                        // thread is worth spawning for it.
-                        let ran = workload::run_warm(&tenant, &workload).unwrap_or_else(|| {
-                            let cancel = if deadline_ms > 0 {
-                                CancelToken::with_timeout(Duration::from_millis(u64::from(
-                                    deadline_ms,
-                                )))
-                            } else {
-                                CancelToken::never()
-                            };
-                            let signal = Arc::new(WatchSignal::new());
-                            let watcher =
-                                spawn_watcher(&stream, cancel.clone(), Arc::clone(&signal));
-                            if let Some(handle) = watcher {
-                                shared.track_watcher(handle);
-                            }
-                            let ran = workload::run(&tenant, &workload, &cancel, deadline_ms > 0);
-                            // The watcher wakes off the bell (or within one
-                            // poll interval if it is mid-peek) and exits;
-                            // its tracked handle is reaped later, off this
-                            // request's latency path.
-                            signal.finish();
-                            ran
-                        });
-                        match ran {
-                            Ran::Done { index, loss, stats } => Response::Ok { index, loss, stats },
-                            Ran::TimedOut { partial } => {
-                                SERVE_METRICS.deadline_timeouts.inc();
-                                Response::Timeout { partial }
-                            }
-                            // The flow shape guard refused the compiled
-                            // program: same client-visible shape as a
-                            // parameter-level validation failure.
-                            Ran::Rejected(msg) => Response::Malformed(msg),
+                if let Err(msg) = workload::validate(&workload) {
+                    (Response::Malformed(msg), Some(latency))
+                } else {
+                    let tenant = shared.tenants.get_or_create(tenant);
+                    // A resolved game answers from one table probe: there
+                    // is no search to cancel, so no worker is worth it.
+                    if let Some(ran) = workload::run_warm(&tenant, &workload) {
+                        (response(ran), Some(latency))
+                    } else {
+                        let cancel = if deadline_ms > 0 {
+                            CancelToken::with_timeout(Duration::from_millis(u64::from(deadline_ms)))
+                        } else {
+                            CancelToken::never()
+                        };
+                        let Ok(reply) = stream.try_clone() else { return };
+                        let (done, completed) = mpsc::sync_channel(1);
+                        let job = Job {
+                            tenant,
+                            workload,
+                            cancel,
+                            deadline_bound: deadline_ms > 0,
+                            reply,
+                            started,
+                            latency,
+                            done,
+                        };
+                        if !search(&stream, &shared.jobs, job, &completed) {
+                            return;
                         }
+                        continue; // the worker wrote the reply
                     }
-                };
-                (response, Some(latency))
+                }
             }
         };
         let wrote = write_frame(&mut stream, &response.encode());
         if let Some(latency) = latency {
-            let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            latency.record(micros);
+            latency.record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
         if wrote.is_err() {
             return; // client gone mid-response
@@ -490,54 +405,42 @@ fn serve_session(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Watches the session socket while a search runs: if the client hangs
-/// up (peek sees EOF) or the transport dies, the search's token fires
-/// and the workers stop claiming — the queue-drain fix made
-/// end-to-end. The watcher borrows the socket via `try_clone`, which
-/// shares the fd; its short read timeout leaks past the request, so
-/// the session clears it before each blocking `read_frame`. The
-/// returned handle is tracked by the caller and joined at shutdown;
-/// the thread itself exits within one poll interval of the signal
-/// finishing (immediately, when it is waiting on the bell rather than
-/// mid-peek).
-fn spawn_watcher(
-    stream: &TcpStream,
-    cancel: CancelToken,
-    signal: Arc<WatchSignal>,
-) -> Option<thread::JoinHandle<()>> {
-    let peer = stream.try_clone().ok()?;
-    peer.set_read_timeout(Some(WATCH_INTERVAL)).ok()?;
-    Some(thread::spawn(move || {
-        SERVE_METRICS.active_watchers.inc();
-        let mut probe = [0u8; 1];
-        loop {
-            if signal.is_done() {
-                break;
+/// Hands `job` to the workers and watches `stream` until the job
+/// completes: if the client hangs up (`peek` sees EOF) or the transport
+/// dies first, the job's token fires and the workers stop claiming.
+/// Bytes waiting mean a pipelined request, so the client is alive.
+/// False when the job never ran (shutdown closed the queue): the
+/// session must end.
+fn search(stream: &TcpStream, jobs: &JobQueue<Job>, job: Job, completed: &Receiver<()>) -> bool {
+    let cancel = job.cancel.clone();
+    SERVE_METRICS.queue_depth.inc();
+    if jobs.submit(job).is_err() {
+        SERVE_METRICS.queue_depth.dec();
+        return false;
+    }
+    let hung_up = !matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+    match completed.try_recv() {
+        Err(TryRecvError::Empty) => {
+            if hung_up {
+                SERVE_METRICS.disconnect_cancels.inc();
+                cancel.cancel();
             }
-            match peer.peek(&mut probe) {
-                Ok(0) => {
-                    SERVE_METRICS.disconnect_cancels.inc();
-                    cancel.cancel(); // EOF: the caller is gone
-                    break;
-                }
-                // Bytes waiting (a pipelined request): still alive.
-                // Wait out a poll interval or the completion bell,
-                // whichever comes first.
-                Ok(_) => {
-                    if signal.wait_done(WATCH_INTERVAL) {
-                        break;
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(_) => {
-                    SERVE_METRICS.disconnect_cancels.inc();
-                    cancel.cancel(); // transport dead: same as gone
-                    break;
-                }
-            }
+            completed.recv().is_ok()
         }
-        SERVE_METRICS.active_watchers.dec();
-    }))
+        finished => finished.is_ok(),
+    }
+}
+
+/// The reply for a finished (or refused, or timed-out) search.
+fn response(ran: Ran) -> Response {
+    match ran {
+        Ran::Done { index, loss, stats } => Response::Ok { index, loss, stats },
+        Ran::TimedOut { partial } => {
+            SERVE_METRICS.deadline_timeouts.inc();
+            Response::Timeout { partial }
+        }
+        // The flow shape guard refused the compiled program: same
+        // client-visible shape as a parameter-level validation failure.
+        Ran::Rejected(msg) => Response::Malformed(msg),
+    }
 }

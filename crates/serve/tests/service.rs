@@ -10,6 +10,8 @@
 //! whole working set surviving eviction.
 
 use selc_serve::{Client, Response, ServeConfig, Server, Workload};
+use std::sync::mpsc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 fn spawn(workers: usize, max_sessions: usize) -> Server {
@@ -324,7 +326,6 @@ fn metrics_scrape_reports_live_telemetry() {
     // Live-state gauges and refusal/abort counters are registered and
     // travel the wire even at their resting values.
     assert!(snap.get("serve.queue_depth").is_some(), "queue-depth gauge scrapeable");
-    assert!(snap.get("serve.active_watchers").is_some(), "watcher gauge scrapeable");
     assert!(snap.get("serve.admission_rejects").is_some(), "reject counter scrapeable");
     // Engine, cache, and game-solver telemetry flows through the same
     // scrape: searches ran, the tenant caches were consulted, and the
@@ -341,25 +342,68 @@ fn metrics_scrape_reports_live_telemetry() {
 }
 
 #[test]
-fn disconnect_watchers_are_reaped_not_leaked() {
-    let mut server = spawn(2, 4);
+fn idle_sessions_do_not_starve_searches() {
+    let server = spawn(2, 8);
     let addr = server.addr();
-    let mut client = Client::connect(addr).expect("connect");
-    for _ in 0..5 {
-        expect_ok(client.search(9, Workload::Chain { choices: 6 }, 0).expect("search"));
+    // Two admitted sessions that never send a byte: one per worker.
+    let _idle: Vec<Client> = (0..2).map(|_| Client::connect(addr).expect("connect idle")).collect();
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let _ = tx.send(client.search(5, Workload::Chain { choices: 6 }, 0));
+    });
+    let reply = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("idle sessions held every worker: the third client was never answered");
+    let (index, loss, _) = expect_ok(reply.expect("search"));
+    let reference = direct_chain(6);
+    assert_eq!((index, loss.to_bits()), (reference.0, reference.1.to_bits()));
+}
+
+#[test]
+fn shutdown_closes_idle_and_searching_sessions_promptly() {
+    let mut server = spawn(1, 4);
+    let addr = server.addr();
+    let mut idle = Client::connect(addr).expect("connect idle");
+    expect_ok(idle.search(1, Workload::Chain { choices: 4 }, 0).expect("idle session's search"));
+    // Two undeadlined deep searches on one worker: one runs, one waits
+    // in the queue.
+    let replies: Vec<_> = (0..2)
+        .map(|t| {
+            let (tx, rx) = mpsc::channel();
+            thread::spawn(move || {
+                let mut deep = Client::connect(addr).expect("connect deep");
+                let _ = tx.send(deep.search(40 + t, Workload::Chain { choices: 18 }, 0));
+            });
+            rx
+        })
+        .collect();
+    // Wait until both deep sessions are admitted, then give their frames
+    // a moment to reach the queue. Whether the second search is queued
+    // or refused by the closing queue, the assertions below are the same.
+    let admitted = Instant::now() + Duration::from_secs(10);
+    while server.active_sessions() < 3 {
+        assert!(Instant::now() < admitted, "deep sessions were never admitted");
+        thread::sleep(Duration::from_millis(5));
     }
-    drop(client);
-    // Each request spawned one watcher; each was signalled done when
-    // its request finished and must exit within a poll interval —
-    // `active_watchers` joins the finished ones, so reaching zero
-    // proves no thread leaked.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.active_watchers() > 0 {
-        assert!(Instant::now() < deadline, "watcher threads leaked");
-        std::thread::sleep(Duration::from_millis(20));
+    thread::sleep(Duration::from_millis(100));
+    // Shut down from a helper thread that hands the server back, so the
+    // handle stays alive while the clients are checked.
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        server.shutdown();
+        let _ = tx.send(server);
+    });
+    let _server = rx.recv_timeout(Duration::from_secs(10)).expect("shutdown never returned");
+    for reply in replies {
+        let reply =
+            reply.recv_timeout(Duration::from_secs(10)).expect("a deep session was never closed");
+        assert!(reply.is_err(), "a search cut off by shutdown gets a transport error: {reply:?}");
     }
-    server.shutdown();
-    assert_eq!(server.active_watchers(), 0, "shutdown joins every watcher");
+    assert!(
+        idle.search(1, Workload::Chain { choices: 4 }, 0).is_err(),
+        "the idle session is closed by shutdown"
+    );
 }
 
 #[test]
