@@ -6,7 +6,7 @@
 //! was an unchecked caller promise — a bare `nonneg: bool` the runtime
 //! trusted blindly. This module derives the promise from the program
 //! instead: a fixpoint-free abstract interpreter walks the scope-checked,
-//! loop-free de Bruijn [`Code`] and runs two cooperating analyses:
+//! loop-free de Bruijn [`Code`] and runs three cooperating analyses:
 //!
 //! 1. **Loss-sign/interval analysis.** Abstract domain
 //!    `{Bot, NonNeg, Interval(lo, hi), Top}` over loss values and ambient
@@ -20,8 +20,20 @@
 //! 2. **Static decision-shape analysis.** Choice-point count and depth
 //!    bounds per execution path, feeding `TreeEngine` work-partitioning and
 //!    letting `serve` reject over-deep workloads at validate time.
+//! 3. **Loss-to-go (residual) analysis.** Every term also gets an
+//!    emission *floor*: a lower bound on the scalar reading of what it
+//!    emits along every path that returns normally (an interval always
+//!    contains `0`, so `if b then 3 else 1` has interval `[0, 3]` but
+//!    floor `1`). Each forced decision site collects the floors of
+//!    everything sequenced after it — a suffix sum — and its
+//!    **residual** is the minimum of that sum over every context that
+//!    reaches it. The residuals ride inside the [`NonNegLosses`]
+//!    certificate, so a search can bound a choice point by
+//!    `partial + residual`: the loss the paper's argmin handler reads off
+//!    its continuation, bounded statically (the admissible heuristic of
+//!    A*).
 //!
-//! Neither analysis decides what may be cached: prefix-cache keys are
+//! None of the analyses decides what may be cached: prefix-cache keys are
 //! sound because the machine is deterministic (see `lambda-rt`'s
 //! `search` module), not because of any verdict computed here.
 //!
@@ -50,6 +62,27 @@
 //! bodies are dead code: they are still scanned for violations
 //! (conservative) but excluded from shape and emission totals.
 //!
+//! A residual may count only emissions that happen ambiently on *every*
+//! completion after its site resumes. Under the certificate every
+//! ambient emission is non-negative, so dropping a term from the suffix
+//! sum is always sound, and the analysis drops whatever it cannot vouch
+//! for:
+//!
+//! * A suffix stops growing at a term that may not return to it: a
+//!   non-decision operation (its clause may never resume), a decision no
+//!   enclosing handler intercepts (the run sticks there), or an
+//!   application of a handler continuation or of unknown code.
+//! * A site inside an `iter`/`fold` body counts only what follows the
+//!   loop.
+//! * A site gets residual 0 inside a captured `Then` body, a `Reset`, a
+//!   local loss continuation or a live handler clause, and inside a
+//!   closure that escapes to unknown code.
+//!
+//! The machine adds the runtime half: it records a choice point's site
+//! only when the operation ran at capture depth 0, so a decision reached
+//! inside a probe or a resumed loss continuation reads residual 0 as
+//! well.
+//!
 //! ```
 //! use lambda_c::testgen::{deep_decide_chain, gen_signature};
 //! use lambda_c::{compile, flow};
@@ -61,11 +94,13 @@
 //! assert_eq!(report.shape.max, Some(6));
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::compile::{Code, CompiledProgram};
+use crate::compile::{Code, CodeHandler, CompiledProgram};
 use crate::loss::LossVal;
+use crate::machine::ChoicePoint;
 use crate::syntax::Const;
 
 /// Abstract loss: the sign/interval domain.
@@ -207,6 +242,12 @@ impl LossAbs {
         }
     }
 
+    /// The lower bound this abstraction gives on a scalar reading
+    /// (`-inf` when it gives none).
+    fn floor(self) -> f64 {
+        self.bounds().map_or(f64::NEG_INFINITY, |(lo, _)| lo)
+    }
+
     /// True iff every concretisation is component-wise non-negative.
     pub fn is_nonneg(self) -> bool {
         match self {
@@ -309,12 +350,24 @@ impl fmt::Display for Violation {
 /// compiled program is component-wise non-negative, so strict-domination
 /// pruning under forced-choice replay is winner-preserving.
 ///
+/// It also carries the residual of every forced decision site: a lower
+/// bound on the scalar ambient loss that every completion emits after
+/// the site resumes ([`NonNegLosses::residual`]). A choice point's
+/// `partial + residual` ([`NonNegLosses::lower_bound`]) is then a lower
+/// bound on every leaf beneath it, and a much tighter one than the
+/// partial loss alone.
+///
 /// The only way to obtain one is [`analyze`] returning a clean report;
 /// [`NonNegLosses::covers`] ties the certificate to the exact
 /// [`CompiledProgram`] it was derived from (pointer identity, `O(1)`).
 #[derive(Clone, Debug)]
 pub struct NonNegLosses {
     code: Arc<Code>,
+    /// `(site, residual)`, sorted by site. A site is the address of its
+    /// `OpCall` node, which `code` keeps alive.
+    residuals: Arc<[(usize, f64)]>,
+    /// Relative rounding margin of [`NonNegLosses::lower_bound`].
+    slack: f64,
 }
 
 impl NonNegLosses {
@@ -322,9 +375,46 @@ impl NonNegLosses {
     pub fn covers(&self, program: &CompiledProgram) -> bool {
         Arc::ptr_eq(&self.code, &program.code)
     }
+
+    /// The residual of the decision site that suspended `point`: a lower
+    /// bound on the scalar reading of the ambient loss that every
+    /// completion of `point` emits after it resumes. 0 when the point
+    /// was suspended inside a capture scope, or at a site this analysis
+    /// never reached (a point of another program, say).
+    pub fn residual(&self, point: &ChoicePoint) -> f64 {
+        let Some(site) = point.site() else { return 0.0 };
+        let site = Arc::as_ptr(site) as usize;
+        self.residuals.binary_search_by_key(&site, |&(s, _)| s).map_or(0.0, |i| self.residuals[i].1)
+    }
+
+    /// `partial + residual` for `point`: under the scalar order, a lower
+    /// bound on the total loss of every completion, and never below the
+    /// partial loss. With residual 0 it *is* the partial loss.
+    ///
+    /// The machine adds emissions one at a time in `f64`, and the
+    /// analysis sums floors in its own order; both round. Adding
+    /// non-negative numbers is monotone under rounding, so a completion's
+    /// total is at least the rounded chain `partial + f_1 + … + f_m` over
+    /// the floors the residual sums, which loses at most a factor
+    /// `(1 - 2^-53)` per step. The sum is therefore scaled down by
+    /// `2 (K + 2) ε`, where `K` bounds `m` and the analysis's own
+    /// additions (it counts every emission with a positive floor).
+    pub fn lower_bound(&self, point: &ChoicePoint) -> LossVal {
+        let mut bound = point.partial_loss().clone();
+        let residual = self.residual(point);
+        if residual > 0.0 {
+            let partial = bound.as_scalar();
+            let scaled = ((partial + residual) * (1.0 - self.slack)).max(partial);
+            match bound.0.first_mut() {
+                Some(x) => *x = scaled,
+                None => bound.0.push(scaled),
+            }
+        }
+        bound
+    }
 }
 
-/// The combined verdict of the two analyses.
+/// The combined verdict of the analyses.
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// Interval bound on the total ambient emission (often `Top` for
@@ -367,7 +457,7 @@ impl Default for FlowConfig {
     }
 }
 
-/// Runs both analyses on a compiled program.
+/// Runs the analyses on a compiled program.
 ///
 /// `decision_ops` are the operations the runtime will force (scripted
 /// decisions replacing their handler clauses); see
@@ -389,8 +479,13 @@ pub fn analyze_with<S: AsRef<str>>(
         suppress: 0,
         violations: Vec::new(),
         inconclusive: false,
+        handlers: Vec::new(),
+        residuals: BTreeMap::new(),
+        floors: 0,
     };
-    let out = an.eval(&program.code, &Env::default());
+    let mut out = an.eval(&program.code, &Env::default());
+    // The program's end is the end of every suffix.
+    an.settle(std::mem::take(&mut out.sites), true);
     // A program whose *result* is a closure may be applied by the caller
     // in an ambient context; scan it like any other escape.
     an.escape(&out.val);
@@ -406,19 +501,19 @@ pub fn analyze_with<S: AsRef<str>>(
         violations: an.violations,
         inconclusive: an.inconclusive,
         shape: out.shape,
-        certificate: if certified {
-            Some(NonNegLosses { code: program.code.clone() })
-        } else {
-            None
-        },
+        certificate: certified.then(|| NonNegLosses {
+            code: program.code.clone(),
+            residuals: an.residuals.into_iter().collect(),
+            slack: 2.0 * (an.floors as f64 + 2.0) * f64::EPSILON,
+        }),
     }
 }
 
 /// Abstract value.
 #[derive(Clone, Debug)]
 enum AbsVal {
-    /// A loss with an interval bound.
-    Loss(LossAbs),
+    /// A loss: its interval, and a lower bound on its scalar reading.
+    Loss(LossAbs, f64),
     /// A known closure (body + captured abstract environment).
     Clos(Arc<Code>, Env),
     /// A tuple of known arity.
@@ -434,20 +529,125 @@ enum AbsVal {
     Opaque,
 }
 
+impl AbsVal {
+    /// A loss whose floor is what its interval gives.
+    fn loss(abs: LossAbs) -> AbsVal {
+        AbsVal::Loss(abs, abs.floor())
+    }
+}
+
 type Env = Vec<AbsVal>;
 
-/// Result of abstractly evaluating one term: its value, the interval of
-/// what it emits into the *innermost enclosing buffer*, and its decision
-/// shape.
+/// A forced decision site whose residual is still being summed.
+struct Site {
+    /// Address of the `OpCall` node.
+    site: usize,
+    /// Floors of what follows the site inside the current term.
+    residual: f64,
+    /// Whether the suffix may still grow: nothing after the site inside
+    /// the term can keep control from reaching the term's end.
+    open: bool,
+}
+
+/// Result of abstractly evaluating one term: its value, what it emits
+/// into the *innermost enclosing buffer*, whether it always returns,
+/// the decision sites it leaves pending, and its decision shape.
 struct Out {
     val: AbsVal,
     emit: LossAbs,
+    /// Lower bound on the scalar reading of `emit` along every path that
+    /// returns normally; only read when `!blocks`.
+    floor: f64,
+    /// The term may not return to what follows it.
+    blocks: bool,
+    sites: Vec<Site>,
     shape: DecisionShape,
 }
 
 impl Out {
     fn pure(val: AbsVal) -> Out {
-        Out { val, emit: LossAbs::zero(), shape: DecisionShape::zero() }
+        Out {
+            val,
+            emit: LossAbs::zero(),
+            floor: 0.0,
+            blocks: false,
+            sites: Vec::new(),
+            shape: DecisionShape::zero(),
+        }
+    }
+
+    /// A term about which nothing is known.
+    fn unknown() -> Out {
+        Out {
+            emit: LossAbs::Top,
+            blocks: true,
+            shape: DecisionShape::unknown(),
+            ..Out::pure(AbsVal::Opaque)
+        }
+    }
+
+    /// Sequential composition: `self`, then `next`, whose value the
+    /// result keeps. `self`'s open sites add `next`'s floor (the suffix
+    /// sum), or stop growing if `next` may not return.
+    fn then(mut self, next: Out) -> Out {
+        for s in self.sites.iter_mut().filter(|s| s.open) {
+            if next.blocks {
+                s.open = false;
+            } else {
+                s.residual += next.floor;
+            }
+        }
+        self.sites.extend(next.sites);
+        Out {
+            val: next.val,
+            emit: self.emit.add(next.emit),
+            floor: self.floor + next.floor,
+            blocks: self.blocks || next.blocks,
+            sites: self.sites,
+            shape: self.shape.seq(next.shape),
+        }
+    }
+
+    /// Branch join: one of `self` and `other` runs.
+    fn join(mut self, other: Out) -> Out {
+        self.sites.extend(other.sites);
+        Out {
+            val: join_val(self.val, other.val),
+            emit: self.emit.join(other.emit),
+            floor: self.floor.min(other.floor),
+            blocks: self.blocks || other.blocks,
+            sites: self.sites,
+            shape: self.shape.join(other.shape),
+        }
+    }
+
+    /// Runs zero or more times (loop bodies, live handler clauses): the
+    /// term adds nothing to a floor, and its sites count only what
+    /// follows the repetition — nothing, if an iteration may not return.
+    fn star(self) -> Out {
+        let blocks = self.blocks;
+        let sites = self
+            .sites
+            .into_iter()
+            .map(|s| Site { residual: 0.0, open: s.open && !blocks, ..s })
+            .collect();
+        Out {
+            val: AbsVal::Opaque,
+            emit: self.emit.star(),
+            floor: 0.0,
+            blocks: self.blocks,
+            sites,
+            shape: self.shape.star(),
+        }
+    }
+
+    fn map(self, f: impl FnOnce(AbsVal) -> AbsVal) -> Out {
+        Out { val: f(self.val), ..self }
+    }
+
+    /// Moves the value out, leaving `Opaque`.
+    fn take(&mut self) -> AbsVal {
+        std::mem::replace(&mut self.val, AbsVal::Opaque)
     }
 }
 
@@ -460,6 +660,14 @@ struct Analyzer<'a> {
     suppress: u32,
     violations: Vec<Violation>,
     inconclusive: bool,
+    /// The handlers around the current evaluation, innermost last: forced
+    /// replay intercepts a decision only under a handler with a clause
+    /// for it.
+    handlers: Vec<Arc<CodeHandler>>,
+    /// Each settled site's residual, the minimum over its contexts.
+    residuals: BTreeMap<usize, f64>,
+    /// Emissions with a positive floor (see [`NonNegLosses::lower_bound`]).
+    floors: usize,
 }
 
 impl Analyzer<'_> {
@@ -469,7 +677,24 @@ impl Analyzer<'_> {
 
     fn give_up(&mut self) -> Out {
         self.inconclusive = true;
-        Out { val: AbsVal::Opaque, emit: LossAbs::Top, shape: DecisionShape::unknown() }
+        Out::unknown()
+    }
+
+    /// Records final residuals: the suffix sums when `keep`, else 0.
+    fn settle(&mut self, sites: Vec<Site>, keep: bool) {
+        for s in sites {
+            let r = if keep { s.residual } else { 0.0 };
+            self.residuals.entry(s.site).and_modify(|x| *x = x.min(r)).or_insert(r);
+        }
+    }
+
+    /// Evaluates `code` in a captured region: its sites get residual 0.
+    fn eval_captured(&mut self, code: &Arc<Code>, env: &Env) -> Out {
+        self.suppress += 1;
+        let mut o = self.eval(code, env);
+        self.suppress -= 1;
+        self.settle(std::mem::take(&mut o.sites), false);
+        o
     }
 
     fn eval(&mut self, code: &Arc<Code>, env: &Env) -> Out {
@@ -478,82 +703,62 @@ impl Analyzer<'_> {
         }
         self.budget -= 1;
         match &**code {
-            Code::Const(Const::Loss(l)) => Out::pure(AbsVal::Loss(LossAbs::constant(l))),
+            Code::Const(Const::Loss(l)) => {
+                let s = l.as_scalar();
+                let floor = if s.is_nan() { f64::NEG_INFINITY } else { s };
+                Out::pure(AbsVal::Loss(LossAbs::constant(l), floor))
+            }
             Code::Const(_) => Out::pure(AbsVal::Opaque),
             Code::Var(i) => {
                 Out::pure(env.get(env.len().wrapping_sub(1 + i)).cloned().unwrap_or(AbsVal::Opaque))
             }
             Code::Lam(body) => Out::pure(AbsVal::Clos(body.clone(), env.clone())),
             Code::Prim(name, arg) => {
-                let a = self.eval(arg, env);
-                Out { val: self.prim(name, &a.val), emit: a.emit, shape: a.shape }
+                let mut a = self.eval(arg, env);
+                let val = self.prim(name, &a.take());
+                a.map(|_| val)
             }
             Code::App(f, a) => {
                 let fo = self.eval(f, env);
-                let ao = self.eval(a, env);
-                let app = self.apply(&fo.val, ao.val);
-                Out {
-                    val: app.val,
-                    emit: fo.emit.add(ao.emit).add(app.emit),
-                    shape: fo.shape.seq(ao.shape).seq(app.shape),
-                }
+                let mut ao = self.eval(a, env);
+                let app = self.apply(&fo.val, ao.take());
+                fo.then(ao).then(app)
             }
             Code::Tuple(es) => {
+                let mut out = Out::pure(AbsVal::Opaque);
                 let mut vals = Vec::with_capacity(es.len());
-                let mut emit = LossAbs::zero();
-                let mut shape = DecisionShape::zero();
                 for e in es {
-                    let o = self.eval(e, env);
-                    vals.push(o.val);
-                    emit = emit.add(o.emit);
-                    shape = shape.seq(o.shape);
+                    let mut o = self.eval(e, env);
+                    vals.push(o.take());
+                    out = out.then(o);
                 }
-                Out { val: AbsVal::Tuple(vals), emit, shape }
+                out.map(|_| AbsVal::Tuple(vals))
             }
-            Code::Proj(e, i) => {
-                let o = self.eval(e, env);
-                let val = match o.val {
-                    AbsVal::Tuple(mut vs) if *i < vs.len() => vs.swap_remove(*i),
-                    _ => AbsVal::Opaque,
-                };
-                Out { val, emit: o.emit, shape: o.shape }
-            }
-            Code::Inl { e, .. } => {
-                let o = self.eval(e, env);
-                Out { val: AbsVal::Sum(true, Box::new(o.val)), emit: o.emit, shape: o.shape }
-            }
-            Code::Inr { e, .. } => {
-                let o = self.eval(e, env);
-                Out { val: AbsVal::Sum(false, Box::new(o.val)), emit: o.emit, shape: o.shape }
-            }
+            Code::Proj(e, i) => self.eval(e, env).map(|v| match v {
+                AbsVal::Tuple(mut vs) if *i < vs.len() => vs.swap_remove(*i),
+                _ => AbsVal::Opaque,
+            }),
+            Code::Inl { e, .. } => self.eval(e, env).map(|v| AbsVal::Sum(true, Box::new(v))),
+            Code::Inr { e, .. } => self.eval(e, env).map(|v| AbsVal::Sum(false, Box::new(v))),
             Code::Cases { scrut, lbody, rbody } => {
-                let s = self.eval(scrut, env);
-                match s.val {
+                let mut s = self.eval(scrut, env);
+                let mut env2 = env.clone();
+                match s.take() {
                     AbsVal::Sum(left, payload) => {
-                        let branch = if left { lbody } else { rbody };
-                        let mut env2 = env.clone();
                         env2.push(*payload);
-                        let o = self.eval(branch, &env2);
-                        Out { val: o.val, emit: s.emit.add(o.emit), shape: s.shape.seq(o.shape) }
+                        let o = self.eval(if left { lbody } else { rbody }, &env2);
+                        s.then(o)
                     }
                     _ => {
-                        let mut env2 = env.clone();
                         env2.push(AbsVal::Opaque);
                         let l = self.eval(lbody, &env2);
                         let r = self.eval(rbody, &env2);
-                        Out {
-                            val: join_val(l.val, r.val),
-                            emit: s.emit.add(l.emit.join(r.emit)),
-                            shape: s.shape.seq(l.shape.join(r.shape)),
-                        }
+                        s.then(l.join(r))
                     }
                 }
             }
             Code::Zero => Out::pure(AbsVal::Opaque),
-            Code::Succ(e) => {
-                let o = self.eval(e, env);
-                Out { val: AbsVal::Opaque, emit: o.emit, shape: o.shape }
-            }
+            Code::Succ(e) => self.eval(e, env).map(|_| AbsVal::Opaque),
             Code::Nil(_) => Out::pure(AbsVal::Opaque),
             Code::Cons(h, t) => {
                 let ho = self.eval(h, env);
@@ -562,11 +767,7 @@ impl Analyzer<'_> {
                 // any closures stored in the spine so their bodies are
                 // still scanned.
                 self.escape(&ho.val);
-                Out {
-                    val: AbsVal::Opaque,
-                    emit: ho.emit.add(to.emit),
-                    shape: ho.shape.seq(to.shape),
-                }
+                ho.then(to).map(|_| AbsVal::Opaque)
             }
             Code::Iter(n, z, s) | Code::Fold(n, z, s) => {
                 let no = self.eval(n, env);
@@ -577,45 +778,56 @@ impl Analyzer<'_> {
                 // iteration (the abstract environment is the same and
                 // `Opaque` is above every iterate).
                 let step = self.apply(&so.val, AbsVal::Opaque);
-                Out {
-                    val: AbsVal::Opaque,
-                    emit: no.emit.add(zo.emit).add(so.emit).add(step.emit.star()),
-                    shape: no.shape.seq(zo.shape).seq(so.shape).seq(step.shape.star()),
-                }
+                no.then(zo).then(so).then(step.star())
             }
             Code::OpCall { op, arg } => {
                 let a = self.eval(arg, env);
                 self.escape(&a.val);
                 let here = if self.is_decision(op) {
                     // Forced replay intercepts this call at the handler
-                    // boundary and returns a scripted decision; the clause
-                    // never runs, so the site itself emits nothing.
-                    DecisionShape::one()
+                    // boundary and resumes it with a scripted decision;
+                    // the clause never runs, so the site itself emits
+                    // nothing. With no intercepting handler the run
+                    // sticks here instead.
+                    let site = Site { site: Arc::as_ptr(code) as usize, residual: 0.0, open: true };
+                    Out {
+                        blocks: !self.handlers.iter().any(|h| h.clause(op).is_some()),
+                        sites: vec![site],
+                        shape: DecisionShape::one(),
+                        ..Out::pure(AbsVal::Opaque)
+                    }
                 } else {
                     // Non-decision clauses run; their emissions are
-                    // accounted (starred) at the enclosing `Handle`.
-                    DecisionShape::zero()
+                    // accounted (starred) at the enclosing `Handle`. A
+                    // clause need not resume, so the call may not return.
+                    Out { blocks: true, ..Out::pure(AbsVal::Opaque) }
                 };
-                Out { val: AbsVal::Opaque, emit: a.emit, shape: a.shape.seq(here) }
+                a.then(here)
             }
             Code::Loss(e) => {
                 let o = self.eval(e, env);
-                let emitted = match o.val {
-                    AbsVal::Loss(abs) => abs,
-                    _ => LossAbs::Top,
+                let (emitted, floor) = match o.val {
+                    AbsVal::Loss(abs, floor) => (abs, floor),
+                    _ => (LossAbs::Top, f64::NEG_INFINITY),
                 };
                 if self.suppress == 0 && !emitted.is_nonneg() {
                     self.violations
                         .push(Violation { interval: emitted, site: format!("loss({:?})", e) });
                 }
-                Out { val: AbsVal::Opaque, emit: o.emit.add(emitted), shape: o.shape }
+                // Only read under the certificate, where every ambient
+                // emission is non-negative.
+                let floor = floor.max(0.0);
+                if floor > 0.0 {
+                    self.floors += 1;
+                }
+                o.then(Out { emit: emitted, floor, ..Out::pure(AbsVal::Opaque) })
             }
             Code::Handle { handler, from, body } => {
                 let fo = self.eval(from, env);
+                self.handlers.push(Arc::clone(handler));
                 let bo = self.eval(body, env);
-                let mut clause_emit = LossAbs::Bot;
-                let mut clause_shape = DecisionShape::zero();
-                let mut any_live = false;
+                self.handlers.pop();
+                let mut clauses: Option<Out> = None;
                 for clause in &handler.clauses {
                     let mut env2 = env.clone();
                     env2.push(AbsVal::Opaque); // p
@@ -627,22 +839,26 @@ impl Analyzer<'_> {
                         // only; drop emission/shape contributions.
                         self.scan_dead(&clause.body, &env2);
                     } else {
-                        let co = self.eval(&clause.body, &env2);
-                        clause_emit = clause_emit.join(co.emit);
-                        clause_shape = clause_shape.join(co.shape);
-                        any_live = true;
+                        let mut co = self.eval(&clause.body, &env2);
+                        // A clause runs in place of the rest of the body,
+                        // and its `k` may run that rest in a capture: its
+                        // sites get residual 0.
+                        co.sites.iter_mut().for_each(|s| s.open = false);
+                        clauses = Some(match clauses {
+                            None => co,
+                            Some(c) => c.join(co),
+                        });
                     }
                 }
                 let mut env_ret = env.clone();
                 env_ret.push(AbsVal::Opaque); // p
                 env_ret.push(AbsVal::Opaque); // x
                 let ro = self.eval(&handler.ret_body, &env_ret);
-                let clause_part = if any_live { clause_emit.star() } else { LossAbs::zero() };
-                Out {
-                    val: AbsVal::Opaque,
-                    emit: fo.emit.add(bo.emit).add(clause_part).add(ro.emit),
-                    shape: fo.shape.seq(bo.shape).seq(clause_shape.star()).seq(ro.shape),
-                }
+                // The body's sites count the return clause; a live clause
+                // adds nothing to their floor, and stops them growing if
+                // it may not return.
+                let clauses = clauses.map_or_else(|| Out::pure(AbsVal::Opaque), Out::star);
+                fo.then(bo).then(ro).then(clauses)
             }
             Code::Then { e, lam_body } => {
                 // `e`'s emissions are captured: they fold into the `◮`
@@ -652,84 +868,88 @@ impl Analyzer<'_> {
                 // negative verdict re-emitted ambiently is caught at that
                 // re-emitting site. The continuation receives `e`'s value
                 // and runs against the outer buffer.
-                self.suppress += 1;
-                let eo = self.eval(e, env);
-                self.suppress -= 1;
+                let mut eo = self.eval_captured(e, env);
                 let mut env2 = env.clone();
-                env2.push(eo.val);
+                env2.push(eo.take());
                 let lo = self.eval(lam_body, &env2);
                 let g_verdict = match lo.val {
-                    AbsVal::Loss(a) => a,
+                    AbsVal::Loss(a, _) => a,
                     _ => LossAbs::Top,
                 };
-                Out {
-                    val: AbsVal::Loss(eo.emit.add(g_verdict)),
-                    emit: lo.emit,
-                    shape: eo.shape.seq(lo.shape),
-                }
+                let verdict = AbsVal::loss(eo.emit.add(g_verdict));
+                Out { emit: LossAbs::zero(), floor: 0.0, ..eo }.then(lo).map(|_| verdict)
             }
             Code::Local { g_body, e } => {
                 // `e` shares the outer buffer; the local loss continuation
-                // `g` runs at decision points inside, zero or more times.
-                let eo = self.eval(e, env);
+                // `g` runs at decision points inside, zero or more times,
+                // so its sites get residual 0.
+                let mut eo = self.eval(e, env);
                 let mut env2 = env.clone();
                 env2.push(AbsVal::Opaque);
-                let go = self.eval(g_body, &env2);
-                Out {
-                    val: eo.val,
-                    emit: eo.emit.add(go.emit.star()),
-                    shape: eo.shape.seq(go.shape.star()),
-                }
+                let mut go = self.eval(g_body, &env2);
+                self.settle(std::mem::take(&mut go.sites), false);
+                let val = eo.take();
+                eo.then(go.star()).map(|_| val)
             }
             Code::Reset(e) => {
                 // Emissions inside route to a junk buffer, persistently
                 // across resumptions: they never reach any live buffer.
-                self.suppress += 1;
-                let eo = self.eval(e, env);
-                self.suppress -= 1;
-                Out { val: eo.val, emit: LossAbs::zero(), shape: eo.shape }
+                let eo = self.eval_captured(e, env);
+                Out { emit: LossAbs::zero(), floor: 0.0, ..eo }
             }
         }
     }
 
-    /// Abstract prim transfer. Prims never emit.
+    /// Abstract prim transfer. Prims never emit. Floors follow the
+    /// scalar reading through `add` (rounding is monotone, so the
+    /// floors' sum bounds the values' sum), branch joins and the pair
+    /// constructors; everything else falls back to the interval.
     fn prim(&mut self, name: &str, arg: &AbsVal) -> AbsVal {
-        fn loss_of(v: &AbsVal) -> LossAbs {
+        fn loss_of(v: &AbsVal) -> (LossAbs, f64) {
             match v {
-                AbsVal::Loss(a) => *a,
-                _ => LossAbs::Top,
+                AbsVal::Loss(a, floor) => (*a, *floor),
+                _ => (LossAbs::Top, f64::NEG_INFINITY),
             }
         }
-        fn pair_of(arg: &AbsVal) -> (LossAbs, LossAbs) {
+        fn pair_of(arg: &AbsVal) -> ((LossAbs, f64), (LossAbs, f64)) {
+            let top = (LossAbs::Top, f64::NEG_INFINITY);
             match arg {
                 AbsVal::Tuple(vs) if vs.len() == 2 => (loss_of(&vs[0]), loss_of(&vs[1])),
-                _ => (LossAbs::Top, LossAbs::Top),
+                _ => (top, top),
             }
         }
         match name {
             "add" => {
-                let (a, b) = pair_of(arg);
-                AbsVal::Loss(a.add(b))
+                let ((a, fa), (b, fb)) = pair_of(arg);
+                // `+inf + -inf` is no bound at all.
+                let floor = fa + fb;
+                AbsVal::Loss(a.add(b), if floor.is_nan() { f64::NEG_INFINITY } else { floor })
             }
             "sub" => {
-                let (a, b) = pair_of(arg);
-                AbsVal::Loss(a.add(b.neg()))
+                let ((a, _), (b, _)) = pair_of(arg);
+                AbsVal::loss(a.add(b.neg()))
             }
             "mul" => {
-                let (a, b) = pair_of(arg);
-                AbsVal::Loss(a.mul(b))
+                let ((a, _), (b, _)) = pair_of(arg);
+                AbsVal::loss(a.mul(b))
             }
-            "neg" => AbsVal::Loss(loss_of(arg).neg()),
+            "neg" => AbsVal::loss(loss_of(arg).0.neg()),
             // A pair-loss's components are the operands' scalar readings;
-            // their join (both intervals contain 0) bounds every component.
+            // their join (both intervals contain 0) bounds every component,
+            // and the first operand's floor bounds the scalar reading.
             "pair_loss" => {
-                let (a, b) = pair_of(arg);
-                AbsVal::Loss(a.join(b))
+                let ((a, fa), (b, _)) = pair_of(arg);
+                AbsVal::Loss(a.join(b), fa)
             }
             // Component reads: the operand interval contains all components
-            // and 0, so it bounds any single component too.
-            "fst_loss" | "snd_loss" => AbsVal::Loss(loss_of(arg)),
-            "nat_to_loss" | "str_len" | "str_distinct" => AbsVal::Loss(LossAbs::NonNeg),
+            // and 0, so it bounds any single component too; component 0
+            // is the scalar reading.
+            "fst_loss" => {
+                let (a, floor) = loss_of(arg);
+                AbsVal::Loss(a, floor)
+            }
+            "snd_loss" => AbsVal::loss(loss_of(arg).0),
+            "nat_to_loss" | "str_len" | "str_distinct" => AbsVal::loss(LossAbs::NonNeg),
             // Comparisons and the rest produce non-loss ground values.
             _ => AbsVal::Opaque,
         }
@@ -748,35 +968,26 @@ impl Analyzer<'_> {
                 env.push(arg);
                 self.eval(body, &env)
             }
-            AbsVal::Probe => {
-                // `l(p', y)` re-runs the captured continuation with losses
-                // folded into the verdict it returns. Only reachable in
-                // live (non-decision) clauses; conservatively unknown.
-                Out {
-                    val: AbsVal::Loss(LossAbs::Top),
-                    emit: LossAbs::Top,
-                    shape: DecisionShape::unknown(),
-                }
-            }
-            AbsVal::Resume => {
-                // `k(p', y)` resumes the continuation; future `loss` sites
-                // are scanned at their own occurrence, but the resumed
-                // segment's emission total is unknown here.
-                Out { val: AbsVal::Opaque, emit: LossAbs::Top, shape: DecisionShape::unknown() }
-            }
+            // `l(p', y)` re-runs the captured continuation with losses
+            // folded into the verdict it returns. Only reachable in live
+            // (non-decision) clauses; conservatively unknown.
+            AbsVal::Probe => Out::unknown().map(|_| AbsVal::loss(LossAbs::Top)),
+            // `k(p', y)` resumes the continuation; future `loss` sites
+            // are scanned at their own occurrence, but the resumed
+            // segment's emission total is unknown here.
+            AbsVal::Resume => Out::unknown(),
             _ => {
                 // Unknown callee: it may apply the argument in any context.
                 self.escape(&arg);
-                self.inconclusive = true;
-                Out { val: AbsVal::Opaque, emit: LossAbs::Top, shape: DecisionShape::unknown() }
+                self.give_up()
             }
         }
     }
 
     /// Scans a value that escapes to unknown code: closures inside may be
     /// applied later in an ambient context, so analyze their bodies
-    /// unsuppressed (violations recorded) without trusting emission or
-    /// shape totals.
+    /// unsuppressed (violations recorded) without trusting emission,
+    /// shape or residual totals.
     fn escape(&mut self, v: &AbsVal) {
         if self.budget == 0 {
             self.inconclusive = true;
@@ -791,6 +1002,7 @@ impl Analyzer<'_> {
                 env.push(AbsVal::Opaque);
                 let out = self.eval(body, &env);
                 self.suppress = saved;
+                self.settle(out.sites, false);
                 self.escape(&out.val);
             }
             AbsVal::Tuple(vs) => {
@@ -804,8 +1016,8 @@ impl Analyzer<'_> {
     }
 
     /// Analyzes dead code (decision-op clause bodies, bypassed by forced
-    /// interception) for `loss` violations only: emission, shape, and
-    /// inconclusiveness contributions are discarded.
+    /// interception) for `loss` violations only: emission, shape, residual
+    /// and inconclusiveness contributions are discarded.
     fn scan_dead(&mut self, body: &Arc<Code>, env: &Env) {
         let inconclusive = self.inconclusive;
         let _ = self.eval(body, env);
@@ -816,7 +1028,7 @@ impl Analyzer<'_> {
 /// Join of abstract values across branches.
 fn join_val(a: AbsVal, b: AbsVal) -> AbsVal {
     match (a, b) {
-        (AbsVal::Loss(x), AbsVal::Loss(y)) => AbsVal::Loss(x.join(y)),
+        (AbsVal::Loss(x, fx), AbsVal::Loss(y, fy)) => AbsVal::Loss(x.join(y), fx.min(fy)),
         (AbsVal::Resume, AbsVal::Resume) => AbsVal::Resume,
         (AbsVal::Probe, AbsVal::Probe) => AbsVal::Probe,
         (AbsVal::Tuple(xs), AbsVal::Tuple(ys)) if xs.len() == ys.len() => {
@@ -834,7 +1046,8 @@ mod tests {
     use super::*;
     use crate::build::*;
     use crate::compile;
-    use crate::testgen::{deep_decide_chain, gen_signature, ProgramGen};
+    use crate::syntax::Expr;
+    use crate::testgen::{argmin_handler, deep_decide_chain, gen_signature, ProgramGen};
     use crate::types::{Effect, Type};
 
     fn analyze_expr(e: &crate::syntax::Expr, ops: &[&str]) -> FlowReport {
@@ -994,5 +1207,181 @@ mod tests {
     fn nan_loss_is_refused() {
         let r = analyze_expr(&loss(lc(f64::NAN)), &[]);
         assert!(!r.certified());
+    }
+
+    fn amb() -> Effect {
+        Effect::single("amb")
+    }
+
+    /// `let b = decide() in loss(if b then t else f)`: floor `min(t, f)`.
+    fn decide_then_loss(t: f64, f: f64) -> Expr {
+        let_(amb(), "b", Type::bool(), op("decide", unit()), loss(if_(v("b"), lc(t), lc(f))))
+    }
+
+    /// The certificate of `body` run under the argmin chooser, and the
+    /// residual at each choice point along the all-`true` path.
+    fn residuals_on_the_true_path(body: Expr) -> (NonNegLosses, Vec<f64>) {
+        use crate::machine::{explore, Explored, TreeChoices, TreeRunConfig};
+        let e = handle0(argmin_handler(&Type::loss(), &Effect::empty()), body);
+        let prog = compile(&e).expect("closed");
+        let r = analyze(&prog, &["decide"]);
+        let cert = r.certificate().unwrap_or_else(|| panic!("{:?}", r.violations)).clone();
+        let choices = TreeChoices {
+            ops: ["decide".to_owned()].into(),
+            prefix_bits: 0,
+            prefix_len: 0,
+            max_decisions: 8,
+        };
+        let mut step = explore(&prog, TreeRunConfig { fuel: 0, choices, prune: None }).unwrap();
+        let mut seen = Vec::new();
+        while let Explored::Choice(point) = step {
+            seen.push(cert.residual(&point));
+            step = point.resume(true).unwrap();
+        }
+        (cert, seen)
+    }
+
+    #[test]
+    fn chain_residuals_sum_the_remaining_step_minima() {
+        let n = 12;
+        let prog = compile(&deep_decide_chain(n).expr).unwrap();
+        let r = analyze(&prog, &gen_signature().decision_ops());
+        let cert = r.certificate().expect("certified");
+        let step_min = |i: u32| f64::from(((7 * i) % 5).min((3 * i + 2) % 5));
+        let mut expected: Vec<f64> = (0..n).map(|d| (d..n).map(step_min).sum()).collect();
+        expected.sort_by(f64::total_cmp);
+        let mut got: Vec<f64> = cert.residuals.iter().map(|&(_, r)| r).collect();
+        got.sort_by(f64::total_cmp);
+        assert_eq!(got, expected, "one site per step, each bounded by the rest of the chain");
+    }
+
+    #[test]
+    fn a_decide_in_a_loop_body_counts_only_what_follows_the_loop() {
+        let step = lam(
+            amb(),
+            "acc",
+            Type::unit(),
+            seq(amb(), Type::unit(), decide_then_loss(3.0, 1.0), v("acc")),
+        );
+        let twice =
+            Expr::Iter(Expr::Succ(Expr::Succ(Expr::Zero.rc()).rc()).rc(), unit().rc(), step.rc());
+        let body = seq(amb(), Type::unit(), twice, loss(lc(7.0)));
+        assert_eq!(residuals_on_the_true_path(body).1, vec![7.0, 7.0]);
+
+        let step = lam(
+            amb(),
+            "xs",
+            Type::unit(),
+            seq(amb(), Type::unit(), decide_then_loss(3.0, 1.0), unit()),
+        );
+        let list = Expr::Cons(unit().rc(), Expr::Nil(Type::unit()).rc());
+        let once = Expr::Fold(list.rc(), unit().rc(), step.rc());
+        let body = seq(amb(), Type::unit(), once, loss(lc(7.0)));
+        assert_eq!(residuals_on_the_true_path(body).1, vec![7.0]);
+    }
+
+    #[test]
+    fn captured_decides_get_residual_zero() {
+        let captured = then(decide_then_loss(3.0, 1.0), amb(), "x", Type::unit(), lc(0.0));
+        let body = seq(amb(), Type::loss(), captured, loss(lc(4.0)));
+        let (cert, seen) = residuals_on_the_true_path(body);
+        assert_eq!(seen, vec![0.0]);
+        assert!(cert.residuals.iter().all(|&(_, r)| r == 0.0), "{:?}", cert.residuals);
+
+        let body = seq(amb(), Type::unit(), reset(decide_then_loss(3.0, 1.0)), loss(lc(4.0)));
+        let (cert, seen) = residuals_on_the_true_path(body);
+        assert_eq!(seen, vec![0.0]);
+        assert!(cert.residuals.iter().all(|&(_, r)| r == 0.0), "{:?}", cert.residuals);
+    }
+
+    #[test]
+    fn a_decide_in_an_escaping_closure_gets_residual_zero() {
+        let fn_ty = Type::unit();
+        let program = |escape: bool| {
+            let call = seq(amb(), Type::unit(), app(v("f"), unit()), loss(lc(5.0)));
+            let rest = if escape {
+                // The list spine hands `f` to code the analysis cannot see.
+                let list = Expr::Cons(v("f").rc(), Expr::Nil(fn_ty.clone()).rc());
+                seq(amb(), Type::unit(), list, call)
+            } else {
+                call
+            };
+            let f = lam(amb(), "u", Type::unit(), decide_then_loss(3.0, 1.0));
+            let_(amb(), "f", fn_ty.clone(), f, rest)
+        };
+        assert_eq!(residuals_on_the_true_path(program(false)).1, vec![6.0]);
+        assert_eq!(residuals_on_the_true_path(program(true)).1, vec![0.0]);
+    }
+
+    #[test]
+    fn pair_losses_count_only_their_scalar_component() {
+        let pair = prim2("pair_loss", if_(v("b"), lc(2.0), lc(1.0)), lc(9.0));
+        let body = let_(amb(), "b", Type::bool(), op("decide", unit()), loss(pair));
+        assert_eq!(residuals_on_the_true_path(body).1, vec![1.0]);
+    }
+
+    #[test]
+    fn the_lower_bound_absorbs_float_rounding() {
+        use crate::machine::{explore, Explored, TreeChoices, TreeRunConfig};
+        // After the decision the machine adds 2^-53 twice to 1.0: each
+        // sum rounds back to 1.0, but the residual is exactly 2^-52, so
+        // a bare `partial + residual` would overshoot the only total.
+        let tiny = f64::EPSILON / 2.0;
+        let rest = seq(amb(), Type::unit(), loss(lc(tiny)), loss(lc(tiny)));
+        let body = seq(
+            amb(),
+            Type::unit(),
+            loss(lc(1.0)),
+            let_(amb(), "b", Type::bool(), op("decide", unit()), rest),
+        );
+        let e = handle0(argmin_handler(&Type::loss(), &Effect::empty()), body);
+        let prog = compile(&e).unwrap();
+        let r = analyze(&prog, &["decide"]);
+        let cert = r.certificate().expect("certified");
+        let choices = TreeChoices {
+            ops: ["decide".to_owned()].into(),
+            prefix_bits: 0,
+            prefix_len: 0,
+            max_decisions: 1,
+        };
+        let cfg = TreeRunConfig { fuel: 0, choices, prune: None };
+        let Ok(Explored::Choice(point)) = explore(&prog, cfg) else { panic!("one decision") };
+        let Ok(Explored::Done(out)) = point.resume(true) else { panic!("one decision") };
+        let total = out.loss.as_scalar();
+        assert_eq!(total, 1.0);
+        assert_eq!(cert.residual(&point), 2.0 * tiny);
+        assert!(point.partial_loss().as_scalar() + cert.residual(&point) > total);
+        let bound = cert.lower_bound(&point).as_scalar();
+        assert!(bound <= total, "{bound} > {total}");
+        assert_eq!(bound, point.partial_loss().as_scalar(), "never below the partial loss");
+    }
+
+    #[test]
+    fn a_decide_reached_inside_a_probe_reads_residual_zero() {
+        // The `tick` clause answers with the probe's verdict and never
+        // resumes, so the decide after `tick` runs only inside the probe,
+        // whose emissions are captured: nothing ambient follows it. The
+        // analysis sees `loss(5|6)` after the site; the machine records
+        // no site for a decision made under a capture.
+        let probe = app(v("l"), pair(v("p"), v("x")));
+        let h = HandlerBuilder::new("cnt", Type::loss(), Type::loss(), amb())
+            .on("tick", "p", "x", "l", "k", probe)
+            .build();
+        let after = seq(amb(), Type::unit(), decide_then_loss(5.0, 6.0), lc(0.0));
+        let body = seq(Effect::single("cnt"), Type::loss(), op("tick", unit()), after);
+        let (cert, seen) = residuals_on_the_true_path(handle0(h, body));
+        assert_eq!(cert.residuals.iter().map(|&(_, r)| r).collect::<Vec<_>>(), vec![5.0]);
+        assert_eq!(seen, vec![0.0]);
+    }
+
+    #[test]
+    fn an_operation_whose_clause_runs_stops_the_suffix() {
+        // `tick`'s clause runs (it is no decision), so nothing after it
+        // is vouched for; what precedes it still counts.
+        let ticked = seq(Effect::single("cnt"), Type::loss(), op("tick", unit()), loss(lc(5.0)));
+        let step = seq(amb(), Type::unit(), decide_then_loss(3.0, 1.0), ticked);
+        let cnt = ProgramGen::new(0).cnt_handler(&Type::unit(), &amb());
+        let body = handle(cnt, Expr::Zero, step);
+        assert_eq!(residuals_on_the_true_path(body).1, vec![1.0]);
     }
 }

@@ -45,6 +45,8 @@
 //! Tree mode suspends forced choices as [`ChoicePoint`]s; resuming one
 //! copies a fixed-size snapshot (the running partial, a shared pointer
 //! to the forced-op set), so a resume costs the same at every depth.
+//! Each point also records the decision site that suspended it, which
+//! keys its residual in a [`crate::flow::NonNegLosses`] certificate.
 
 use crate::compile::{Code, CodeHandler, CompiledProgram};
 use crate::loss::LossVal;
@@ -385,6 +387,9 @@ struct StuckM {
     /// (`MVal::bool`), so every enclosing frame — handlers included —
     /// must forward it untouched to the top of the run.
     choice: bool,
+    /// The `OpCall` node that stuck, when it ran at capture depth 0: the
+    /// key of its residual in a [`crate::flow::NonNegLosses`].
+    site: Option<Arc<Code>>,
 }
 
 #[derive(Clone)]
@@ -592,6 +597,7 @@ pub enum Explored {
 pub struct ChoicePoint {
     cont: KCont,
     state: Machine,
+    site: Option<Arc<Code>>,
 }
 
 impl fmt::Debug for ChoicePoint {
@@ -608,11 +614,21 @@ impl ChoicePoint {
         f.used - 1
     }
 
-    /// The ambient loss emitted so far along this path — a lower bound on
-    /// every completion's total when emissions are non-negative, and a
-    /// cheap best-first ordering estimate regardless.
+    /// The ambient loss emitted so far along this path: a cheap
+    /// best-first ordering estimate. A search's lower bound is
+    /// `partial + residual` ([`crate::flow::NonNegLosses::lower_bound`]):
+    /// under the certificate every later ambient emission is
+    /// non-negative and the residual bounds their sum from below, so
+    /// every completion's total is at least that. Without a certificate
+    /// the partial loss is no bound at all.
     pub fn partial_loss(&self) -> &LossVal {
         &self.state.partial
+    }
+
+    /// The decision site that suspended this point, when it ran outside
+    /// every capture scope.
+    pub(crate) fn site(&self) -> Option<&Arc<Code>> {
+        self.site.as_ref()
     }
 
     /// Resumes the run with `decision`, on a fresh copy of the suspended
@@ -631,7 +647,9 @@ impl ChoicePoint {
 
 fn finish_explored(m: Machine, r: MRes) -> Explored {
     match r {
-        MRes::Stuck(s) if s.choice => Explored::Choice(ChoicePoint { cont: s.cont, state: m }),
+        MRes::Stuck(s) if s.choice => {
+            Explored::Choice(ChoicePoint { cont: s.cont, state: m, site: s.site })
+        }
         r => Explored::Done(outcome_of(m, r)),
     }
 }
@@ -673,7 +691,7 @@ fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: KCont) -> EvalR {
                 let r = inner(m, y, buf)?;
                 bind(m, r, buf, rest.clone())
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
@@ -855,7 +873,9 @@ fn finish(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
         Code::Iter(..) | Code::Fold(..) => return iter_finish(m, &node, done, &g, buf),
         Code::OpCall { op, .. } => {
             let cont: KCont = Rc::new(|_m, y, _buf| Ok(MRes::Done(y)));
-            return Ok(MRes::Stuck(StuckM { op: op.clone(), arg: arg(), cont, choice: false }));
+            let site = (m.capture_depth == 0).then(|| Arc::clone(&node));
+            let stuck = StuckM { op: op.clone(), arg: arg(), cont, choice: false, site };
+            return Ok(MRes::Stuck(stuck));
         }
         Code::Loss(_) => match arg() {
             MVal::Loss(l) => {
@@ -920,7 +940,7 @@ fn reset_finish(_m: &mut Machine, r: MRes) -> EvalR {
                 m.capture_depth -= 1;
                 reset_finish(m, r?)
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
@@ -943,7 +963,7 @@ fn then_finish(m: &mut Machine, r: MRes, cap: Vec<LossVal>, lam: GVal, buf: &mut
                 m.capture_depth -= 1;
                 then_finish(m, r?, cap2, lam.clone(), buf)
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
@@ -966,7 +986,7 @@ fn fold_finish(_m: &mut Machine, gr: MRes, cap: Vec<LossVal>) -> EvalR {
                 let r = inner(m, y, buf)?;
                 fold_finish(m, r, cap.clone())
             });
-            Ok(MRes::Stuck(StuckM { op: s.op, arg: s.arg, cont, choice: s.choice }))
+            Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }

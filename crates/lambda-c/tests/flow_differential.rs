@@ -8,12 +8,17 @@
 //! the lower-bound property strict-domination pruning relies on). On
 //! top of that: a self-contained pruned-vs-unpruned argmin must agree
 //! bit for bit, the `emitted` interval must contain every realised
-//! total, the shipped corpora must always earn certificates, and
-//! hand-built adversarial programs (negative constants, `sub`, `neg`,
-//! opaque op results) must be refused at analysis time.
+//! total, the shipped corpora must always earn certificates, every
+//! choice point's `partial + residual` must be admissible (at most the
+//! least total among its completions), and hand-built adversarial
+//! programs (negative constants, `sub`, `neg`, opaque op results) must be
+//! refused at analysis time.
 
-use lambda_c::flow::{self, FlowReport};
-use lambda_c::machine::{self, ForcedChoices, MachError, MachineOutcome, MachinePrune, RunConfig};
+use lambda_c::flow::{self, FlowReport, NonNegLosses};
+use lambda_c::machine::{
+    self, ChoicePoint, Explored, ForcedChoices, MachError, MachineOutcome, MachinePrune, RunConfig,
+    TreeChoices, TreeRunConfig,
+};
 use lambda_c::testgen::{self, ProgramGen};
 use lambda_c::types::{Effect, Type};
 use lambda_c::{compile, CompiledProgram, LossVal};
@@ -169,6 +174,93 @@ fn chain_corpus_is_certified_and_prunes_winner_preservingly() {
         assert_eq!(report.shape.min, u64::from(choices), "{label}: every path decides");
         assert_certificate_holds_on_every_path(&p, choices, &label);
         assert_pruning_preserves_the_winner(&p, choices, &label);
+    }
+}
+
+/// Walks every choice point below `step` (forced replay in tree mode)
+/// and checks that `partial + residual` stays at or below the least
+/// total among the point's completions; returns that least total.
+fn least_total_checking_residuals(
+    cert: &NonNegLosses,
+    step: Explored,
+    label: &str,
+    on_point: &mut dyn FnMut(&ChoicePoint),
+) -> f64 {
+    let point = match step {
+        Explored::Done(out) => return out.loss.as_scalar(),
+        Explored::Choice(point) => point,
+    };
+    on_point(&point);
+    let least = [true, false]
+        .into_iter()
+        .map(|d| {
+            let next = point.resume(d).expect("forced replay of a corpus program succeeds");
+            least_total_checking_residuals(cert, next, label, on_point)
+        })
+        .fold(f64::INFINITY, f64::min);
+    let (partial, residual) = (point.partial_loss().as_scalar(), cert.residual(&point));
+    assert!(
+        partial + residual <= least,
+        "{label} depth {}: partial {partial} + residual {residual} exceeds the best completion \
+         {least}",
+        point.depth()
+    );
+    let bound = cert.lower_bound(&point);
+    assert!(bound.as_scalar() >= partial, "{label}: the bound fell below the partial loss");
+    assert_ne!(bound.cmp_scalar(&LossVal::scalar(least)), Ordering::Greater, "{label}");
+    least
+}
+
+/// The admissibility check over one certified program; `on_point` sees
+/// every choice point.
+fn assert_residuals_admissible(
+    p: &CompiledProgram,
+    depth: u32,
+    label: &str,
+    on_point: &mut dyn FnMut(&NonNegLosses, &ChoicePoint),
+) {
+    let report = analyze(p);
+    let cert = report.certificate().unwrap_or_else(|| panic!("{label}: expected a certificate"));
+    let choices =
+        TreeChoices { ops: decide_ops(), prefix_bits: 0, prefix_len: 0, max_decisions: depth };
+    let root = machine::explore(p, TreeRunConfig { fuel: 0, choices, prune: None })
+        .expect("corpus programs run");
+    let mut points = 0;
+    least_total_checking_residuals(cert, root, label, &mut |point| {
+        points += 1;
+        on_point(cert, point);
+    });
+    assert_eq!(points, (1 << depth) - 1, "{label}: every decision is a choice point");
+}
+
+/// Residual admissibility: at every choice point of every search-corpus
+/// program and every chain up to depth 12, `partial + residual` is at
+/// most the least total over the point's completions — so pruning on it
+/// never cuts a winner or a tie. On the chain the residual is exact: the
+/// sum of the remaining steps' `min(t_i, f_i)`, so a silent fallback to
+/// a weaker bound fails too.
+#[test]
+fn residuals_are_admissible_at_every_choice_point() {
+    for seed in 0..48 {
+        for choices in 1..=6 {
+            let mut g = ProgramGen::new(seed);
+            let p = compile(&g.gen_search_program(choices).expr).expect("compiles");
+            let label = format!("seed {seed} choices {choices}");
+            assert_residuals_admissible(&p, choices, &label, &mut |_, _| {});
+        }
+    }
+    for choices in 1..=12 {
+        let p = compile(&testgen::deep_decide_chain(choices).expr).unwrap();
+        let step_min = |i: u32| f64::from(((7 * i) % 5).min((3 * i + 2) % 5));
+        let mut positive = 0;
+        assert_residuals_admissible(&p, choices, &format!("chain {choices}"), &mut |cert, pt| {
+            let exact: f64 = (pt.depth()..choices).map(step_min).sum();
+            assert_eq!(cert.residual(pt), exact, "chain {choices} depth {}", pt.depth());
+            positive += u32::from(exact > 0.0);
+        });
+        if choices >= 3 {
+            assert!(positive > 0, "chain {choices}: the precision check saw only zeros");
+        }
     }
 }
 

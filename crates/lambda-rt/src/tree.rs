@@ -14,12 +14,18 @@
 //! the space's best previously-achieved loss ([`TreeEval::seed_bits`])
 //! before the first segment runs.
 //!
-//! * **Hints.** A choice point's accumulated ambient loss orders its
-//!   children best-first, and (for certified non-negative programs, the
-//!   [`search_compiled_cached`] certificate argument) doubles as a true
-//!   lower bound the engine checks against its `SharedBound` at every
-//!   interior node — a dominated subtree is skipped *whole*, where the
-//!   flat scan could only abandon its paths one replay at a time.
+//! * **Hints.** A node's hint orders its children best-first. Without a
+//!   certificate it is the choice point's accumulated ambient loss. With
+//!   one (the [`search_compiled_cached`] certificate argument) it is
+//!   `partial + residual`: the residual is the flow analysis's lower
+//!   bound on what every completion still emits after this decision,
+//!   and every later emission is non-negative, so the hint is a true
+//!   lower bound on every leaf beneath — an admissible heuristic in the
+//!   A* sense. The engine checks it against its `SharedBound` at every
+//!   interior node, and a dominated subtree is skipped *whole*, usually
+//!   plies before its partial loss alone would cross the bound. Pruned
+//!   subtrees install the hint as a bound summary, which stays sound for
+//!   the same reason.
 //! * **Mid-segment abandonment.** Under the same certificate, a
 //!   [`MachinePrune`] hook threads through `explore`/`resume`; it reads
 //!   the machine's running ambient partial, which snapshots with the
@@ -57,7 +63,7 @@ pub struct LcTreeEval<'c> {
     cands: LcCandidates,
     cache: Option<&'c LcTransCache>,
     base: CacheStats,
-    certified: bool,
+    cert: Option<NonNegLosses>,
     best_bits: Arc<AtomicU64>,
 }
 
@@ -68,7 +74,7 @@ impl<'c> LcTreeEval<'c> {
     /// the program is immutable, see [`TreeEval::seed_bits`]).
     pub fn new(cands: LcCandidates) -> LcTreeEval<'c> {
         let best_bits = cands.best_seen_cell();
-        LcTreeEval { cands, cache: None, base: CacheStats::default(), certified: false, best_bits }
+        LcTreeEval { cands, cache: None, base: CacheStats::default(), cert: None, best_bits }
     }
 
     /// Attaches a shared transposition table; stats reported through
@@ -79,20 +85,21 @@ impl<'c> LcTreeEval<'c> {
         self
     }
 
-    /// Enables mid-segment abandonment and subtree pruning on partial
-    /// losses, backed by a [`lambda_c::flow`] certificate. A certificate
-    /// that does not cover this evaluator's program is ignored (sound —
-    /// the search just runs without pruning).
+    /// Enables mid-segment abandonment on partial losses and subtree
+    /// pruning on `partial + residual`, backed by a [`lambda_c::flow`]
+    /// certificate. A certificate that does not cover this evaluator's
+    /// program is ignored (sound — the search just runs without pruning).
     pub fn with_nonneg_certificate(mut self, cert: &NonNegLosses) -> LcTreeEval<'c> {
         if cert.covers(self.cands.program()) {
-            self.certified = true;
+            self.cert = Some(cert.clone());
         }
         self
     }
 
     fn hook(&self) -> Option<MachinePrune> {
-        self.certified
-            .then(|| MachinePrune { threshold: Arc::clone(&self.best_bits), encode: encode_scalar })
+        self.cert
+            .as_ref()
+            .map(|_| MachinePrune { threshold: Arc::clone(&self.best_bits), encode: encode_scalar })
     }
 
     /// Folds a machine step at a position of length `len` into a tree
@@ -106,7 +113,11 @@ impl<'c> LcTreeEval<'c> {
             Err(_) => TreeStep::Pruned, // only `Pruned` survives the contract
             Ok(Explored::Choice(point)) => {
                 debug_assert_eq!(point.depth(), len, "choice points sit at their position");
-                let hint = Some(OrdLossVal(point.partial_loss().clone()));
+                let hint = match &self.cert {
+                    Some(cert) => cert.lower_bound(&point),
+                    None => point.partial_loss().clone(),
+                };
+                let hint = Some(OrdLossVal(hint));
                 TreeStep::Node { node: point, hint }
             }
             Ok(Explored::Done(out)) => {
@@ -146,7 +157,7 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
     }
 
     fn hint_is_lower_bound(&self) -> bool {
-        self.certified
+        self.cert.is_some()
     }
 
     fn min_leaf_depth(&self) -> u32 {
@@ -229,8 +240,9 @@ pub fn search_compiled_cached(
 /// one machine segment; a cancelled search returns
 /// [`SearchResult::Cancelled`] with the best leaf seen so far (a really
 /// achieved loss, not the argmin). Everything a cancelled run stored —
-/// fully-evaluated subtree summaries, the best-seen mirror — is sound, so the table stays warm and unpoisoned for the
-/// next request (see `selc_engine::cancel`).
+/// fully-evaluated subtree summaries, the best-seen mirror — is sound,
+/// so the table stays warm and unpoisoned for the next request (see
+/// `selc_engine::cancel`).
 pub fn search_compiled_cached_with(
     engine: &TreeEngine,
     cands: &LcCandidates,
@@ -361,5 +373,35 @@ mod tests {
             assert_eq!(v, value, "{engine:?}");
             assert!(out.stats.pruned > 0, "deep chains must prune: {:?}", out.stats);
         }
+    }
+
+    #[test]
+    fn certified_chain_searches_prune_wrong_turns_at_the_decision() {
+        // `partial + residual` dominates a wrong turn at the choice that
+        // takes it. On the partial loss alone, the chain-12 job of the
+        // offline benchmark materialised 426 nodes.
+        let (flat, value) =
+            search_compiled_flat(&SequentialEngine::exhaustive(), &chain_candidates(12)).unwrap();
+        let check = |engine: TreeEngine, cands: &LcCandidates| {
+            let cert = cands.certificate().expect("chain corpus is certified");
+            let cache = LcTransCache::unbounded(4);
+            let (out, v) = search_compiled_cached(&engine, cands, &cache, Some(cert)).unwrap();
+            assert_eq!(out.index, flat.index, "{engine:?}");
+            assert_eq!(out.loss.0.as_scalar().to_bits(), flat.loss.0.as_scalar().to_bits());
+            assert_eq!(v, value, "{engine:?}");
+            let nodes = out.stats.evaluated + out.stats.pruned;
+            assert!(nodes <= 85, "{engine:?} materialised {nodes} nodes: {:?}", out.stats);
+        };
+        // One worker, cold: the best-first dive lands on the optimum and
+        // every sibling on its path is cut on sight.
+        check(TreeEngine { threads: 1, prune: true, split: 0 }, &chain_candidates(12));
+        // Two workers claim split subtrees in index order, so a cold walk
+        // dives into several before the best one bounds them. Like the
+        // benchmark's jobs, this one shares a candidate space whose
+        // best-seen loss an earlier search set, and starts on a fresh
+        // table.
+        let cands = chain_candidates(12);
+        search_compiled(&TreeEngine::sequential(), &cands).unwrap();
+        check(TreeEngine::with_threads(2), &cands);
     }
 }

@@ -320,14 +320,16 @@ mod tests {
         assert!(cands.certificate().is_some(), "the served chain corpus must be flow-certifiable");
         // deadline_bound = true with a certified program takes the
         // CertifiedPrune arm; the winner must still be bit-identical
-        // to the exhaustive reference.
-        let Ran::Done { index, loss, .. } = run(&tenant, &w, &CancelToken::never(), true) else {
+        // to the exhaustive reference, and `partial + residual` must
+        // actually cut subtrees.
+        let Ran::Done { index, loss, stats } = run(&tenant, &w, &CancelToken::never(), true) else {
             panic!("never token cannot time out");
         };
         let (reference, _) =
             lambda_rt::search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
         assert_eq!(index, reference.index as u64);
         assert_eq!(loss.to_bits(), reference.loss.0.as_scalar().to_bits());
+        assert!(stats.pruned > 0, "the certified arm prunes: {stats:?}");
     }
 
     #[test]
