@@ -10,13 +10,14 @@
 //!   rate duplication: per-batch local memoisation (the PR-2 baseline)
 //!   against the shared rate cache, cold, warm, and bounded.
 //!
-//! After timing, each workload prints one `… cache hits=… misses=…`
-//! line per cached configuration; `selc-bench-record` parses these into
-//! the `cache` section of `BENCH_<n>.json`, so snapshots carry hit
-//! rates alongside medians. `SELC_BENCH_SMOKE=1` shrinks every size for
-//! the CI smoke run.
+//! After timing, each workload prints one `<label> cache hits=… misses=…
+//! insertions=… evictions=…` stats line per cached configuration, which
+//! `selc-bench-record` records under `"cache"` in `BENCH_<n>.json`, so
+//! snapshots carry hit rates alongside medians. `SELC_BENCH_SMOKE=1`
+//! shrinks every size for the CI smoke run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use selc_bench::stats_line;
 use selc_cache::{CacheStats, ShardedCache, SharedCache};
 use selc_engine::ParallelEngine;
 use selc_games::transposition::{solve_root_split, SymTree, TransCache};
@@ -29,19 +30,6 @@ fn smoke() -> bool {
 
 fn engine() -> ParallelEngine {
     ParallelEngine { threads: 4, chunk: 1, prune: false }
-}
-
-/// One `label cache hits=… …` line per cached configuration, for the
-/// snapshot recorder.
-fn report(label: &str, stats: &CacheStats) {
-    println!(
-        "{label} cache hits={} misses={} insertions={} evictions={} hit_rate={:.3}",
-        stats.hits,
-        stats.misses,
-        stats.insertions,
-        stats.evictions,
-        stats.hit_rate()
-    );
 }
 
 fn bench_transposition(c: &mut Criterion) {
@@ -81,13 +69,24 @@ fn bench_transposition(c: &mut Criterion) {
     let cache = TransCache::unbounded(4);
     let expected = tree.value_backward();
     assert_eq!(tree.value_transposition(&cache), expected);
-    report("e13_cache/transposition/unbounded_cold", &cache.stats());
     let bounded = TransCache::clock_lru(4, bounded_cap);
     assert_eq!(tree.value_transposition(&bounded), expected);
-    report(&format!("e13_cache/transposition/bounded{bounded_cap}_cold"), &bounded.stats());
     let before = warm.stats();
     assert_eq!(tree.value_transposition(&warm), expected);
-    report("e13_cache/transposition/unbounded_warm", &warm.stats().since(&before));
+    let rows: [(String, CacheStats); 3] = [
+        ("unbounded_cold".into(), cache.stats()),
+        (format!("bounded{bounded_cap}_cold"), bounded.stats()),
+        ("unbounded_warm".into(), warm.stats().since(&before)),
+    ];
+    for (config, s) in rows {
+        let pairs = [
+            ("hits", s.hits),
+            ("misses", s.misses),
+            ("insertions", s.insertions),
+            ("evictions", s.evictions),
+        ];
+        println!("{}", stats_line(&format!("e13_cache/transposition/{config}"), "cache", &pairs));
+    }
 }
 
 /// A grid with heavy duplication: `len` entries drawn from 4 distinct
@@ -139,10 +138,18 @@ fn bench_hyper_grid(c: &mut Criterion) {
     let cache: SharedCache<u64, f64> = Arc::new(ShardedCache::unbounded(4));
     let cold = tune_lr_parallel_cached(&eng, grid.clone(), 1, program, &cache);
     assert_eq!(cold.alpha, uncached.alpha, "cached and uncached winners agree");
-    report("e13_cache/hyper_grid/cached_cold", &cold.stats.cache);
     let warm_out = tune_lr_parallel_cached(&eng, grid, 1, program, &cache);
     assert_eq!(warm_out.alpha, uncached.alpha);
-    report("e13_cache/hyper_grid/cached_warm", &warm_out.stats.cache);
+    for (config, out) in [("cached_cold", &cold), ("cached_warm", &warm_out)] {
+        let s = &out.stats.cache;
+        let pairs = [
+            ("hits", s.hits),
+            ("misses", s.misses),
+            ("insertions", s.insertions),
+            ("evictions", s.evictions),
+        ];
+        println!("{}", stats_line(&format!("e13_cache/hyper_grid/{config}"), "cache", &pairs));
+    }
 }
 
 criterion_group!(benches, bench_transposition, bench_hyper_grid);

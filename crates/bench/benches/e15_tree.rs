@@ -4,36 +4,24 @@
 //! paths, each replayed from the root — O(2^d · d) machine segments. The
 //! tree search suspends the machine at each choice point and resumes
 //! both branches from the shared prefix snapshot — O(2^d) segments, one
-//! per tree node. This family measures the tree walk on a deep probing
-//! chain (the workload of E14's `decide_search`, at three times the
-//! depth), cold and warm; the flat scan runs once, as the reference the
-//! winner is asserted against.
+//! per tree node. This family times the uncached tree walk on a deep
+//! probing chain (the workload of E14's `decide_search`, at three times
+//! the depth); the flat scan runs once, as the reference the winner is
+//! asserted against. The cached walks over the same chain, cold and
+//! warm, are E16's rows, together with their stats lines.
 //!
-//! After timing, cache-stat lines print for `selc-bench-record`.
-//! `SELC_BENCH_SMOKE=1` shrinks the chain for CI.
+//! With `SELC_TRACE=<path>` set, the engine spans of the runs are
+//! flushed as chrome://tracing JSON after timing. `SELC_BENCH_SMOKE=1`
+//! shrinks the chain for CI.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
-use lambda_rt::{
-    search_compiled, search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache,
-};
-use selc_cache::CacheStats;
+use lambda_rt::{search_compiled, search_compiled_flat, LcCandidates};
 use selc_engine::{ParallelEngine, TreeEngine};
 use std::time::Duration;
 
 fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
-}
-
-fn report(label: &str, stats: &CacheStats) {
-    println!(
-        "{label} cache hits={} misses={} insertions={} evictions={} hit_rate={:.3}",
-        stats.hits,
-        stats.misses,
-        stats.insertions,
-        stats.evictions,
-        stats.hit_rate()
-    );
 }
 
 fn bench_tree_vs_flat(c: &mut Criterion) {
@@ -53,38 +41,10 @@ fn bench_tree_vs_flat(c: &mut Criterion) {
     let (flat_ref, flat_val) = search_compiled_flat(&flat_eng, &cands).unwrap();
     assert_eq!((tree_ref.index, tree_ref.loss.clone()), (flat_ref.index, flat_ref.loss));
     assert_eq!(tree_val, flat_val);
-    // Pruning runs under the flow certificate, which the chain corpus
-    // always earns.
-    let cert = cands.certificate().expect("chain corpus is flow-certifiable");
 
     let mut g = c.benchmark_group(format!("e15_tree/probing{choices}"));
     g.bench_function("tree_cold", |b| b.iter(|| black_box(search_compiled(&tree_eng, &cands))));
-    g.bench_function("tree_cached_cold", |b| {
-        b.iter(|| {
-            let cache = LcTransCache::unbounded(8);
-            black_box(search_compiled_cached(&tree_eng, &cands, &cache, Some(cert)))
-        })
-    });
-    let warm = LcTransCache::unbounded(8);
-    let _ = search_compiled_cached(&tree_eng, &cands, &warm, None);
-    g.bench_function("tree_cached_warm", |b| {
-        b.iter(|| black_box(search_compiled_cached(&tree_eng, &cands, &warm, None)))
-    });
     g.finish();
-
-    // Representative stats for the snapshot recorder: a cold pruned fill
-    // on a fresh table, and a repeat search over the fully-warm one.
-    let cache = LcTransCache::unbounded(8);
-    let (cold, _) = search_compiled_cached(&tree_eng, &cands, &cache, Some(cert)).unwrap();
-    assert_eq!(cold.index, tree_ref.index);
-    report(&format!("e15_tree/probing{choices}/tree_cached_cold"), &cold.stats.cache);
-    println!(
-        "e15_tree/probing{choices}/tree_cached_cold search evaluated={} pruned={}",
-        cold.stats.evaluated, cold.stats.pruned
-    );
-    let (warm_out, _) = search_compiled_cached(&tree_eng, &cands, &warm, None).unwrap();
-    assert_eq!(warm_out.index, tree_ref.index);
-    report(&format!("e15_tree/probing{choices}/tree_cached_warm"), &warm_out.stats.cache);
 
     // With `SELC_TRACE=<path>` set, every engine worker recorded
     // claim/eval/subtree spans into its ring during the runs above;

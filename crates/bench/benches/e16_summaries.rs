@@ -12,42 +12,22 @@
 //! bit-identical — loss *and* index — between cached, uncached, and
 //! sequential searches before any timing runs.
 //!
-//! After timing, cache- and summary-stat lines print for
-//! `selc-bench-record` (schema 4). `SELC_BENCH_SMOKE=1` shrinks the
-//! workloads for CI.
+//! After timing, each cached tree search prints `<label> cache …`,
+//! `<label> summary exact_hits=…` and `<label> search evaluated=…
+//! pruned=…` stats lines, and the warm alpha–beta repeat a `cache` line,
+//! which `selc-bench-record` records under those section names.
+//! `SELC_BENCH_SMOKE=1` shrinks the workloads for CI.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::{search_compiled, search_compiled_cached, LcCandidates, LcTransCache};
-use selc_cache::{CacheStats, SummaryStats};
+use selc_bench::stats_line;
 use selc_engine::{CancelToken, TreeEngine};
 use selc_games::alternating::{AbCache, GameTree};
 use std::time::{Duration, Instant};
 
 fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
-}
-
-fn report_cache(label: &str, stats: &CacheStats) {
-    println!(
-        "{label} cache hits={} misses={} insertions={} evictions={} hit_rate={:.3}",
-        stats.hits,
-        stats.misses,
-        stats.insertions,
-        stats.evictions,
-        stats.hit_rate()
-    );
-}
-
-fn report_summary(label: &str, stats: &SummaryStats) {
-    println!(
-        "{label} summary exact_hits={} bound_hits={} misses={} exact_installs={} bound_installs={}",
-        stats.exact_hits,
-        stats.bound_hits,
-        stats.misses,
-        stats.exact_installs,
-        stats.bound_installs
-    );
 }
 
 fn bench_summaries(c: &mut Criterion) {
@@ -108,21 +88,29 @@ fn bench_summaries(c: &mut Criterion) {
     let cache = LcTransCache::unbounded(8);
     let (cold, _) = search_compiled_cached(&engine, &cands, &cache, Some(cert)).unwrap();
     assert_eq!(cold.index, reference.index);
-    report_cache(&format!("e16_summaries/probing{choices}/tree_cached_cold"), &cold.stats.cache);
-    report_summary(
-        &format!("e16_summaries/probing{choices}/tree_cached_cold"),
-        &cold.stats.summary,
-    );
     let (warm_out, _) = search_compiled_cached(&engine, &cands, &warm, None).unwrap();
     assert_eq!(warm_out.index, reference.index);
-    report_cache(
-        &format!("e16_summaries/probing{choices}/tree_cached_warm"),
-        &warm_out.stats.cache,
-    );
-    report_summary(
-        &format!("e16_summaries/probing{choices}/tree_cached_warm"),
-        &warm_out.stats.summary,
-    );
+    for (row, out) in [("tree_cached_cold", &cold), ("tree_cached_warm", &warm_out)] {
+        let label = format!("e16_summaries/probing{choices}/{row}");
+        let (c, s) = (&out.stats.cache, &out.stats.summary);
+        let cache = [
+            ("hits", c.hits),
+            ("misses", c.misses),
+            ("insertions", c.insertions),
+            ("evictions", c.evictions),
+        ];
+        let summary = [
+            ("exact_hits", s.exact_hits),
+            ("bound_hits", s.bound_hits),
+            ("misses", s.misses),
+            ("exact_installs", s.exact_installs),
+            ("bound_installs", s.bound_installs),
+        ];
+        let search = [("evaluated", out.stats.evaluated), ("pruned", out.stats.pruned)];
+        println!("{}", stats_line(&label, "cache", &cache));
+        println!("{}", stats_line(&label, "summary", &summary));
+        println!("{}", stats_line(&label, "search", &search));
+    }
 }
 
 fn bench_alphabeta_tt(c: &mut Criterion) {
@@ -155,9 +143,16 @@ fn bench_alphabeta_tt(c: &mut Criterion) {
     let base = warm.stats();
     let (_, _, warm_leaves) = solve_tt(&warm);
     assert_eq!(warm_leaves, 0, "warm repeats answer from the root entry");
-    report_cache(
-        &format!("e16_summaries/game4x{depth}/alphabeta_tt_warm"),
-        &warm.stats().since(&base),
+    let c = warm.stats().since(&base);
+    let cache = [
+        ("hits", c.hits),
+        ("misses", c.misses),
+        ("insertions", c.insertions),
+        ("evictions", c.evictions),
+    ];
+    println!(
+        "{}",
+        stats_line(&format!("e16_summaries/game4x{depth}/alphabeta_tt_warm"), "cache", &cache)
     );
 }
 

@@ -15,15 +15,17 @@
 //! keeps serving; a throughput number for a server that returns wrong
 //! or hung answers would be noise.
 //!
-//! After timing, `<label> serve searches_per_sec=… requests=…
-//! elapsed_ms=… p50_us=… p99_us=…` lines print for `selc-bench-record`
-//! (schema 5), plus the usual criterion median for the warm
-//! single-request path, plus a `<label> metrics p50_us=…` line
-//! (schema 6) scraped from the *server's* latency histogram over the
-//! protocol — the registry's view next to the client's in the same
-//! snapshot. `SELC_BENCH_SMOKE=1` shrinks the workload.
+//! Each throughput run prints a `<label> serve searches_per_sec=…
+//! requests=… elapsed_ms=… p50_us=… p99_us=…` stats line; after the
+//! usual criterion median for the warm single-request path comes a
+//! `<label> metrics p50_us=… p90_us=… p99_us=…` stats line scraped from
+//! the *server's* latency histogram over the protocol — the registry's
+//! view next to the client's in the same snapshot, since
+//! `selc-bench-record` records both. `SELC_BENCH_SMOKE=1` shrinks the
+//! workload.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use selc_bench::stats_line;
 use selc_serve::{Client, Response, ServeConfig, Server, Workload};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -59,7 +61,7 @@ fn direct_chain(choices: u8) -> (u64, f64) {
 }
 
 /// Drives `clients` concurrent loopback clients for `per_client`
-/// requests each and prints the schema-5 stats line.
+/// requests each and prints its `serve` stats line.
 fn throughput(
     addr: std::net::SocketAddr,
     label: &str,
@@ -98,12 +100,14 @@ fn throughput(
     let requests = lat_us.len();
     let pct = |p: usize| lat_us[(requests - 1) * p / 100];
     let per_sec = requests as f64 / elapsed.as_secs_f64();
-    println!(
-        "{label} serve searches_per_sec={per_sec:.1} requests={requests} elapsed_ms={:.1} p50_us={} p99_us={}",
-        elapsed.as_secs_f64() * 1e3,
-        pct(50),
-        pct(99),
-    );
+    let pairs = [
+        ("searches_per_sec", format!("{per_sec:.1}")),
+        ("requests", requests.to_string()),
+        ("elapsed_ms", format!("{:.1}", elapsed.as_secs_f64() * 1e3)),
+        ("p50_us", pct(50).to_string()),
+        ("p99_us", pct(99).to_string()),
+    ];
+    println!("{}", stats_line(label, "serve", &pairs));
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -167,7 +171,7 @@ fn bench_serve(c: &mut Criterion) {
 
     // The server's own view of the same traffic: scrape the registry
     // over the protocol and print the chain-latency percentiles as a
-    // schema-6 `metrics` line. The server records unless
+    // `metrics` stats line. The server records unless
     // `SELC_METRICS=0` (overhead runs) asked it not to, in which case
     // the histogram is empty and there is nothing to print.
     let resp = client.metrics().expect("metrics scrape");
@@ -176,7 +180,8 @@ fn bench_serve(c: &mut Criterion) {
     if let (Some(p50), Some(p90), Some(p99)) =
         (hist.percentile(50), hist.percentile(90), hist.percentile(99))
     {
-        println!("e17_serve/chain{choices}/scraped metrics p50_us={p50} p90_us={p90} p99_us={p99}");
+        let pairs = [("p50_us", p50), ("p90_us", p90), ("p99_us", p99)];
+        println!("{}", stats_line(&format!("e17_serve/chain{choices}/scraped"), "metrics", &pairs));
     }
 }
 

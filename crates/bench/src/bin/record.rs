@@ -1,47 +1,38 @@
-//! `selc-bench-record`: runs the bench suite and snapshots the medians.
+//! `selc-bench-record`: runs the bench suite and snapshots its medians
+//! and stats lines.
 //!
 //! Invokes `cargo bench -p selc-bench` (optionally a single `--bench`
-//! target), parses the vendored harness's per-bench median lines, and
-//! writes `BENCH_<n>.json` at the repo root — `<n>` auto-increments past
-//! the largest existing snapshot, so the perf trajectory accumulates one
-//! file per recording:
+//! target) and writes `BENCH_<n>.json` at the repo root — `<n>`
+//! auto-increments past the largest existing snapshot, so the perf
+//! trajectory accumulates one file per recording:
 //!
 //! ```sh
 //! cargo run -p selc-bench --bin selc-bench-record --release
 //! cargo run -p selc-bench --bin selc-bench-record --release -- --bench e12_parallel
 //! ```
 //!
-//! JSON schema 6: `{"schema": 6, "recorded_at_unix": <secs>,
+//! It reads two shapes of line from the bench output:
+//!
+//! * the harness's `<label> median 123.4 ns/iter (…)` lines, recorded as
+//!   `"benches": {"<label>": <median ns/iter>}`;
+//! * stats lines, `<label> <section> k=v …` as `selc_bench::stats_line`
+//!   prints them, each recorded as `"<section>": {"<label>": {"<k>": v,
+//!   …}}` — any section word, sections and labels sorted, keys in printed
+//!   order, integral values without a fraction. A stats line whose value
+//!   is not a finite number is skipped with a warning on stderr, as JSON
+//!   cannot hold it; that is the only line the recorder warns about.
+//!
+//! JSON schema 7: `{"schema": 7, "recorded_at_unix": <secs>,
 //! "selc_threads": <resolved worker count>, "host_parallelism": <what
-//! the OS reports>, "benches": {"<label>": <median ns/iter>}, "cache":
-//! {"<label>": {"hits": …, "misses": …, "insertions": …,
-//! "evictions": …}}, "summary": {"<label>": {"exact_hits": …,
-//! "bound_hits": …, "misses": …, "exact_installs": …,
-//! "bound_installs": …}}, "serve": {"<label>":
-//! {"searches_per_sec": …, "requests": …, "elapsed_ms": …,
-//! "p50_us": …, "p99_us": …}}}` — the `cache` section collects the
-//! `<label> cache hits=… misses=…` lines cached bench families (e13+)
-//! print after timing, so snapshots carry hit rates alongside medians;
-//! the `summary` section (schema 4) collects the
-//! `<label> summary exact_hits=…` lines the subtree-summary family
-//! (e16) prints, so warm-path O(depth) claims stay auditable; and the
-//! `serve` section (schema 5) collects the `<label> serve
-//! searches_per_sec=…` throughput lines the service family (e17)
-//! prints; and the `metrics` section (schema 6) collects the `<label>
-//! metrics p50_us=… p90_us=… p99_us=…` lines e17 derives from a
-//! scraped server-side latency histogram, so the registry's view of
-//! the service sits next to the client-measured one in the same
-//! snapshot. Stat lines the recorder does *not* recognise — an unknown
-//! section word, or a known section whose pairs fail to parse (schema
-//! drift) — are called out on stderr instead of silently dropped, so a
-//! renamed counter can never vanish from snapshots unnoticed.
-//! The two parallelism fields (schema 3) record the recording *host*:
-//! `host_parallelism` is what the OS could actually run concurrently,
-//! and `selc_threads` is the `SELC_THREADS` knob resolved exactly as the
-//! engine resolves it (it governs `::auto()`-sized pools; bench families
-//! that pin an explicit pool — e12–e15 mostly pin 4 workers — say so in
-//! their labels). The point is interpretability: a "4-worker" row next
-//! to `host_parallelism: 1` measured thread *interleaving*, not scaling.
+//! the OS reports>, "benches": {…}, "<section>": {…}, …}`. Every section
+//! schemas 2–6 recorded keeps its layout. The two parallelism fields
+//! record the recording *host*: `host_parallelism` is what the OS could
+//! actually run concurrently, and `selc_threads` is the `SELC_THREADS`
+//! knob resolved exactly as the engine resolves it (it governs
+//! `::auto()`-sized pools; bench families that pin an explicit pool —
+//! e12–e16 mostly pin 4 workers — say so in their labels). A "4-worker"
+//! row next to `host_parallelism: 1` measured thread *interleaving*, not
+//! scaling.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -74,139 +65,72 @@ fn parse_line(line: &str) -> Option<(String, f64)> {
     rest.contains("ns/iter").then(|| (label.trim().to_string(), median))
 }
 
-/// Parses one cache-stats line of the form
-/// `label cache hits=1 misses=2 insertions=2 evictions=0 hit_rate=0.333`.
-fn parse_cache_line(line: &str) -> Option<(String, [u64; 4])> {
-    let (label, rest) = line.split_once(" cache ")?;
-    let mut out = [0_u64; 4];
-    let mut seen = 0;
-    for pair in rest.split_whitespace() {
-        let (k, v) = pair.split_once('=')?;
-        let slot = match k {
-            "hits" => 0,
-            "misses" => 1,
-            "insertions" => 2,
-            "evictions" => 3,
-            _ => continue, // hit_rate is derived; recompute on read
-        };
-        out[slot] = v.parse::<u64>().ok()?;
-        seen += 1;
-    }
-    (seen == 4).then(|| (label.trim().to_string(), out))
-}
+/// One stats line's `k=v` pairs, in printed order.
+type Pairs<'a> = Vec<(&'a str, f64)>;
 
-/// Parses one summary-stats line of the form
-/// `label summary exact_hits=1 bound_hits=0 misses=0 exact_installs=0
-/// bound_installs=0`.
-fn parse_summary_line(line: &str) -> Option<(String, [u64; 5])> {
-    let (label, rest) = line.split_once(" summary ")?;
-    let mut out = [0_u64; 5];
-    let mut seen = 0;
-    for pair in rest.split_whitespace() {
-        let (k, v) = pair.split_once('=')?;
-        let slot = match k {
-            "exact_hits" => 0,
-            "bound_hits" => 1,
-            "misses" => 2,
-            "exact_installs" => 3,
-            "bound_installs" => 4,
-            _ => continue,
-        };
-        out[slot] = v.parse::<u64>().ok()?;
-        seen += 1;
-    }
-    (seen == 5).then(|| (label.trim().to_string(), out))
-}
+/// `section → label → pairs`; the maps keep sections and labels sorted.
+type Sections<'a> = BTreeMap<&'a str, BTreeMap<String, Pairs<'a>>>;
 
-/// Parses one serve-throughput line of the form
-/// `label serve searches_per_sec=142.1 requests=24 elapsed_ms=168.9
-/// p50_us=7012 p99_us=7311`. Rates and times are floats; counts are
-/// integers but parse through `f64` uniformly (they are small enough
-/// to be exact).
-fn parse_serve_line(line: &str) -> Option<(String, [f64; 5])> {
-    let (label, rest) = line.split_once(" serve ")?;
-    let mut out = [0_f64; 5];
-    let mut seen = 0;
-    for pair in rest.split_whitespace() {
-        let (k, v) = pair.split_once('=')?;
-        let slot = match k {
-            "searches_per_sec" => 0,
-            "requests" => 1,
-            "elapsed_ms" => 2,
-            "p50_us" => 3,
-            "p99_us" => 4,
-            _ => continue,
-        };
-        out[slot] = v.parse::<f64>().ok()?;
-        seen += 1;
+/// Parses one stats line, `<label…> <section> k=v [k=v …]`. Bench labels
+/// never contain `=`, so the first `k=v` token marks where the pairs
+/// start and the token before it is the section. Any other line —
+/// median lines, prose, `using seed=42` — gives `None`; a stats line
+/// with a value that is not a finite number gives a warning.
+fn parse_stat_line(line: &str) -> Option<Result<(String, &str, Pairs<'_>), String>> {
+    fn pair(token: &str) -> Option<(&str, &str)> {
+        token.split_once('=').filter(|(k, _)| !k.is_empty())
     }
-    (seen == 5).then(|| (label.trim().to_string(), out))
-}
-
-/// Parses one scraped-metrics line of the form
-/// `label metrics p50_us=42 p90_us=90 p99_us=130` — bucket-floor
-/// percentiles of the server's own latency histogram. Integers on the
-/// wire, but `f64` uniformly like the serve section (small enough to
-/// be exact).
-fn parse_metrics_line(line: &str) -> Option<(String, [f64; 3])> {
-    let (label, rest) = line.split_once(" metrics ")?;
-    let mut out = [0_f64; 3];
-    let mut seen = 0;
-    for pair in rest.split_whitespace() {
-        let (k, v) = pair.split_once('=')?;
-        let slot = match k {
-            "p50_us" => 0,
-            "p90_us" => 1,
-            "p99_us" => 2,
-            _ => continue,
-        };
-        out[slot] = v.parse::<f64>().ok()?;
-        seen += 1;
-    }
-    (seen == 3).then(|| (label.trim().to_string(), out))
-}
-
-/// Recognises the *shape* of a stats line — `<label…> <section> k=v
-/// [k=v …]` — and returns its section word. Bench labels never contain
-/// `=`, so the first `k=v` token marks where the pairs start and the
-/// token before it is the section. Median lines (`… median 1.2
-/// ns/iter (…)`) have no `k=v` run and fall through to `None`.
-fn stat_section(line: &str) -> Option<&str> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
-    let first_kv =
-        tokens.iter().position(|t| t.split_once('=').is_some_and(|(k, _)| !k.is_empty()))?;
-    // Need a label (≥1 token), a section token, and all-pairs after it.
-    if first_kv < 2 || !tokens[first_kv..].iter().all(|t| t.contains('=')) {
+    let first_kv = tokens.iter().position(|t| pair(t).is_some())?;
+    // Need a label (≥1 token), a section token, and all pairs after it.
+    if first_kv < 2 || !tokens[first_kv..].iter().all(|t| pair(t).is_some()) {
         return None;
     }
-    Some(tokens[first_kv - 1])
+    let mut pairs = Vec::new();
+    for (k, v) in tokens[first_kv..].iter().copied().filter_map(pair) {
+        let Some(x) = v.parse::<f64>().ok().filter(|x| x.is_finite()) else {
+            return Some(Err(format!("{k}={v} is not a finite number — not recorded: {line}")));
+        };
+        pairs.push((k, x));
+    }
+    Some(Ok((tokens[..first_kv - 1].join(" "), tokens[first_kv - 1], pairs)))
 }
 
-/// Flags every stats-shaped line the typed parsers will not pick up:
-/// unknown sections, and known sections that no longer parse (schema
-/// drift). Returns the warnings so `main` can print them and tests can
-/// assert them.
-fn unparsed_stat_warnings(stdout: &str) -> Vec<String> {
+/// Gathers every stats line of the bench output, plus a warning per
+/// stats line that could not be recorded.
+fn collect_stats(stdout: &str) -> (Sections<'_>, Vec<String>) {
+    let mut sections = Sections::new();
     let mut warnings = Vec::new();
-    for line in stdout.lines() {
-        let Some(section) = stat_section(line) else { continue };
-        let parsed = match section {
-            "cache" => parse_cache_line(line).is_some(),
-            "summary" => parse_summary_line(line).is_some(),
-            "serve" => parse_serve_line(line).is_some(),
-            "metrics" => parse_metrics_line(line).is_some(),
-            _ => {
-                warnings.push(format!("unknown stat section {section:?} — not recorded: {line}"));
-                continue;
+    for parsed in stdout.lines().filter_map(parse_stat_line) {
+        match parsed {
+            Ok((label, section, pairs)) => {
+                sections.entry(section).or_default().insert(label, pairs);
             }
-        };
-        if !parsed {
-            warnings.push(format!(
-                "stat line in section {section:?} failed to parse (schema drift?) — not recorded: {line}"
-            ));
+            Err(warning) => warnings.push(warning),
         }
     }
-    warnings
+    (sections, warnings)
+}
+
+/// Appends one `"<section>": {"<label>": {"<k>": v, …}}` member per
+/// section. `f64`'s `Display` writes integral values without a fraction
+/// and never in exponent form, so each value is a JSON number.
+fn write_sections(json: &mut String, sections: &Sections<'_>) {
+    for (section, rows) in sections {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(label, pairs)| {
+                let pairs: Vec<String> =
+                    pairs.iter().map(|(k, v)| format!("\"{}\": {v}", json_escape(k))).collect();
+                format!("    \"{}\": {{{}}}", json_escape(label), pairs.join(", "))
+            })
+            .collect();
+        json.push_str(&format!(
+            ",\n  \"{}\": {{\n{}\n  }}",
+            json_escape(section),
+            rows.join(",\n")
+        ));
+    }
 }
 
 fn next_snapshot_number(root: &Path) -> u64 {
@@ -278,13 +202,8 @@ fn main() {
     if benches.is_empty() {
         fail(&format!("no bench medians found in output:\n{stdout}"));
     }
-    let cache: BTreeMap<String, [u64; 4]> = stdout.lines().filter_map(parse_cache_line).collect();
-    let summary: BTreeMap<String, [u64; 5]> =
-        stdout.lines().filter_map(parse_summary_line).collect();
-    let serve: BTreeMap<String, [f64; 5]> = stdout.lines().filter_map(parse_serve_line).collect();
-    let scraped: BTreeMap<String, [f64; 3]> =
-        stdout.lines().filter_map(parse_metrics_line).collect();
-    for warning in unparsed_stat_warnings(&stdout) {
+    let (sections, warnings) = collect_stats(&stdout);
+    for warning in warnings {
         eprintln!("selc-bench-record: warning: {warning}");
     }
 
@@ -293,7 +212,7 @@ fn main() {
     // hardware), without linking the engine into the recorder.
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let threads = selc::env::env_usize("SELC_THREADS").unwrap_or(host);
-    let mut json = String::from("{\n  \"schema\": 6,\n");
+    let mut json = String::from("{\n  \"schema\": 7,\n");
     json.push_str(&format!("  \"recorded_at_unix\": {recorded_at},\n"));
     json.push_str(&format!("  \"selc_threads\": {threads},\n"));
     json.push_str(&format!("  \"host_parallelism\": {host},\n  \"benches\": {{\n"));
@@ -303,62 +222,7 @@ fn main() {
         .collect();
     json.push_str(&body.join(",\n"));
     json.push_str("\n  }");
-    if !cache.is_empty() {
-        json.push_str(",\n  \"cache\": {\n");
-        let body: Vec<String> = cache
-            .iter()
-            .map(|(label, [h, m, i, e])| {
-                format!(
-                    "    \"{}\": {{\"hits\": {h}, \"misses\": {m}, \"insertions\": {i}, \"evictions\": {e}}}",
-                    json_escape(label)
-                )
-            })
-            .collect();
-        json.push_str(&body.join(",\n"));
-        json.push_str("\n  }");
-    }
-    if !summary.is_empty() {
-        json.push_str(",\n  \"summary\": {\n");
-        let body: Vec<String> = summary
-            .iter()
-            .map(|(label, [eh, bh, m, ei, bi])| {
-                format!(
-                    "    \"{}\": {{\"exact_hits\": {eh}, \"bound_hits\": {bh}, \"misses\": {m}, \"exact_installs\": {ei}, \"bound_installs\": {bi}}}",
-                    json_escape(label)
-                )
-            })
-            .collect();
-        json.push_str(&body.join(",\n"));
-        json.push_str("\n  }");
-    }
-    if !serve.is_empty() {
-        json.push_str(",\n  \"serve\": {\n");
-        let body: Vec<String> = serve
-            .iter()
-            .map(|(label, [sps, req, ms, p50, p99])| {
-                format!(
-                    "    \"{}\": {{\"searches_per_sec\": {sps:.1}, \"requests\": {req:.0}, \"elapsed_ms\": {ms:.1}, \"p50_us\": {p50:.0}, \"p99_us\": {p99:.0}}}",
-                    json_escape(label)
-                )
-            })
-            .collect();
-        json.push_str(&body.join(",\n"));
-        json.push_str("\n  }");
-    }
-    if !scraped.is_empty() {
-        json.push_str(",\n  \"metrics\": {\n");
-        let body: Vec<String> = scraped
-            .iter()
-            .map(|(label, [p50, p90, p99])| {
-                format!(
-                    "    \"{}\": {{\"p50_us\": {p50:.0}, \"p90_us\": {p90:.0}, \"p99_us\": {p99:.0}}}",
-                    json_escape(label)
-                )
-            })
-            .collect();
-        json.push_str(&body.join(",\n"));
-        json.push_str("\n  }");
-    }
+    write_sections(&mut json, &sections);
     json.push_str("\n}\n");
 
     let path = write_snapshot(&root, &json);
@@ -368,72 +232,140 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selc_bench::stats_line;
 
-    const CACHE_LINE: &str =
-        "e13_cache/warm cache hits=10 misses=2 insertions=2 evictions=0 hit_rate=0.833";
+    const CACHE_LINE: &str = "e13_cache/warm cache hits=10 misses=2 insertions=2 evictions=0";
     const SUMMARY_LINE: &str = "e16_summaries/probing18/tree_cached_warm summary \
          exact_hits=4 bound_hits=0 misses=1 exact_installs=0 bound_installs=0";
     const SERVE_LINE: &str = "e17_serve/clients4/warm serve \
          searches_per_sec=1423.5 requests=256 elapsed_ms=179.8 p50_us=680 p99_us=2410";
     const METRICS_LINE: &str = "e17_serve/clients4/warm metrics p50_us=42 p90_us=90 p99_us=130";
 
+    /// The snapshot members `stdout`'s stats lines become, and the
+    /// warnings they raise.
+    fn record(stdout: &str) -> (String, Vec<String>) {
+        let (sections, warnings) = collect_stats(stdout);
+        let mut json = String::new();
+        write_sections(&mut json, &sections);
+        (json, warnings)
+    }
+
     #[test]
     fn serve_lines_parse_into_the_five_metrics() {
-        let (label, [sps, req, ms, p50, p99]) = parse_serve_line(SERVE_LINE).expect("parses");
-        assert_eq!(label, "e17_serve/clients4/warm");
-        assert_eq!((sps, req, ms), (1423.5, 256.0, 179.8));
-        assert_eq!((p50, p99), (680.0, 2410.0));
-        assert_eq!(parse_serve_line("x serve searches_per_sec=1"), None, "missing fields");
-        assert_eq!(parse_serve_line(CACHE_LINE), None, "wrong section");
+        let (label, section, pairs) = parse_stat_line(SERVE_LINE).expect("stat line").unwrap();
+        assert_eq!((label.as_str(), section), ("e17_serve/clients4/warm", "serve"));
+        let expected = [
+            ("searches_per_sec", 1423.5),
+            ("requests", 256.0),
+            ("elapsed_ms", 179.8),
+            ("p50_us", 680.0),
+            ("p99_us", 2410.0),
+        ];
+        assert_eq!(pairs, expected);
+        let (_, section, _) = parse_stat_line(CACHE_LINE).expect("stat line").unwrap();
+        assert_eq!(section, "cache", "the section is the word before the pairs");
     }
 
     #[test]
     fn metrics_lines_parse_into_the_three_percentiles() {
-        let (label, [p50, p90, p99]) = parse_metrics_line(METRICS_LINE).expect("parses");
-        assert_eq!(label, "e17_serve/clients4/warm");
-        assert_eq!((p50, p90, p99), (42.0, 90.0, 130.0));
-        assert_eq!(parse_metrics_line("x metrics p50_us=1"), None, "missing fields");
-        assert_eq!(parse_metrics_line(SERVE_LINE), None, "wrong section");
-        // The regression the section exists to catch: a renamed
-        // percentile key must surface as a schema-drift warning, not
-        // vanish from snapshots.
+        let (json, warnings) = record(METRICS_LINE);
+        assert_eq!(warnings, Vec::<String>::new());
+        let row = r#""e17_serve/clients4/warm": {"p50_us": 42, "p90_us": 90, "p99_us": 130}"#;
+        assert!(json.contains(row), "{json}");
+        // The regression: a renamed percentile key must not vanish from
+        // snapshots — it is recorded under its new name.
         let drifted = "e17_serve/clients4/warm metrics p50_us=42 p95_us=90 p99_us=130\n";
-        let warnings = unparsed_stat_warnings(drifted);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("schema drift"), "{warnings:?}");
+        let (json, warnings) = record(drifted);
+        assert_eq!(warnings, Vec::<String>::new());
+        assert!(json.contains(r#""p95_us": 90"#), "{json}");
     }
 
     #[test]
     fn known_stat_lines_produce_no_warnings() {
         let stdout =
             format!("{CACHE_LINE}\n{SUMMARY_LINE}\n{SERVE_LINE}\n{METRICS_LINE}\nsome prose\n");
-        assert_eq!(unparsed_stat_warnings(&stdout), Vec::<String>::new());
+        let (json, warnings) = record(&stdout);
+        assert_eq!(warnings, Vec::<String>::new());
+        // The four sections schemas 2–6 wrote keep their layout.
+        let expected = r#",
+  "cache": {
+    "e13_cache/warm": {"hits": 10, "misses": 2, "insertions": 2, "evictions": 0}
+  },
+  "metrics": {
+    "e17_serve/clients4/warm": {"p50_us": 42, "p90_us": 90, "p99_us": 130}
+  },
+  "serve": {
+    "e17_serve/clients4/warm": {"searches_per_sec": 1423.5, "requests": 256, "elapsed_ms": 179.8, "p50_us": 680, "p99_us": 2410}
+  },
+  "summary": {
+    "e16_summaries/probing18/tree_cached_warm": {"exact_hits": 4, "bound_hits": 0, "misses": 1, "exact_installs": 0, "bound_installs": 0}
+  }"#;
+        assert_eq!(json, expected);
+        // The shared printer writes exactly the shape read here.
+        let pairs = [("hits", 10), ("misses", 2), ("insertions", 2), ("evictions", 0)];
+        assert_eq!(stats_line("e13_cache/warm", "cache", &pairs), CACHE_LINE);
     }
 
     #[test]
-    fn unknown_stat_sections_are_warned_about_not_silently_dropped() {
+    fn new_stat_sections_are_recorded_not_dropped() {
         // The regression: a bench printing a new section (here `memo`)
-        // used to vanish without a trace.
-        let stdout = "e18_future/foo memo probes=9 hits=3\n";
-        let warnings = unparsed_stat_warnings(stdout);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("unknown stat section \"memo\""), "{warnings:?}");
+        // used to vanish from snapshots.
+        let (json, warnings) = record("e18_future/foo memo probes=9 hits=3\n");
+        assert_eq!(warnings, Vec::<String>::new());
+        assert_eq!(
+            json,
+            ",\n  \"memo\": {\n    \"e18_future/foo\": {\"probes\": 9, \"hits\": 3}\n  }"
+        );
     }
 
     #[test]
-    fn schema_drift_in_a_known_section_is_warned_about() {
-        // A renamed counter makes the typed parser miss: flag it.
-        let stdout = "e13_cache/warm cache hitz=10 misses=2 insertions=2 evictions=0\n";
-        let warnings = unparsed_stat_warnings(stdout);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("schema drift"), "{warnings:?}");
+    fn renamed_keys_in_a_known_section_are_recorded_under_their_new_name() {
+        let (json, warnings) =
+            record("e13_cache/warm cache hitz=10 misses=2 insertions=2 evictions=0\n");
+        assert_eq!(warnings, Vec::<String>::new());
+        assert!(json.contains(r#"{"hitz": 10, "misses": 2"#), "{json}");
     }
 
     #[test]
     fn non_stat_lines_are_not_mistaken_for_stat_lines() {
-        // Median lines, prose, and `k=v`-less chatter must not warn.
+        // Median lines, prose, and `k=v`-less chatter are neither
+        // recorded nor warned about.
         let stdout = "e16_summaries/probing18/tree_cached_warm median 1816.0 ns/iter (min 1716.0, max 1916.0, 2 iters x 2 samples)\n\
              running 5 tests\nusing seed=42\n";
-        assert_eq!(unparsed_stat_warnings(stdout), Vec::<String>::new());
+        for line in stdout.lines() {
+            assert!(parse_stat_line(line).is_none(), "{line}");
+        }
+        assert_eq!(record(stdout), (String::new(), Vec::new()));
+    }
+
+    #[test]
+    fn the_e15_search_line_is_recorded() {
+        let line = "e15_tree/probing10/tree_cached_cold search evaluated=4 pruned=26";
+        let (json, warnings) = record(line);
+        assert_eq!(warnings, Vec::<String>::new());
+        let expected = r#",
+  "search": {
+    "e15_tree/probing10/tree_cached_cold": {"evaluated": 4, "pruned": 26}
+  }"#;
+        assert_eq!(json, expected);
+    }
+
+    #[test]
+    fn non_finite_and_non_numeric_values_are_skipped_with_a_warning() {
+        // `f64::from_str` accepts all of these but `NaN` and `x`, and
+        // none of them is a JSON number.
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "x"] {
+            let line = format!("e16/x search evaluated={bad} pruned=3");
+            let (json, warnings) = record(&line);
+            assert_eq!(json, "", "{bad} must not reach the snapshot");
+            assert_eq!(warnings.len(), 1, "{bad}: {warnings:?}");
+            assert!(warnings[0].contains("not a finite number"), "{warnings:?}");
+        }
+        // Beside a skipped line, finite values still record, integral
+        // ones without a fraction.
+        let (json, warnings) = record("a/b s n=3 r=0.5 z=-0.0\na/c s n=inf\n");
+        assert_eq!(warnings.len(), 1);
+        assert!(json.contains(r#""a/b": {"n": 3, "r": 0.5, "z": -0}"#), "{json}");
+        assert!(!json.contains("a/c"), "{json}");
     }
 }

@@ -3,9 +3,25 @@
 //! One Criterion bench target per experiment/figure lives under
 //! `benches/`; see DESIGN.md's per-experiment index and EXPERIMENTS.md for
 //! the recorded results. This library provides the program families the
-//! benches sweep over, so bench code stays declarative.
+//! benches sweep over, so bench code stays declarative, and the one
+//! stats-line format ([`stats_line`]) every family prints its counters in.
 
 use selc::{effect, handle, loss, perform, Handler, Sel};
+use std::fmt::{Display, Write};
+
+/// Formats one stats line, `<label> <section> k=v …` — the only shape
+/// `selc-bench-record` reads counters from. It records the line as
+/// `"<section>": {"<label>": {"<k>": v, …}}` in `BENCH_<n>.json`, keys
+/// in the order given here. Labels and keys hold no `=` or whitespace,
+/// and every value must print as a finite number: the recorder skips
+/// (and warns about) a line with any other value.
+pub fn stats_line<V: Display>(label: &str, section: &str, pairs: &[(&str, V)]) -> String {
+    let mut line = format!("{label} {section}");
+    for (k, v) in pairs {
+        let _ = write!(line, " {k}={v}");
+    }
+    line
+}
 
 effect! {
     /// Binary choice, shared across benches.
@@ -168,6 +184,12 @@ pub fn nested_handler_tower(depth: usize, chain: usize) -> (f64, usize) {
 mod tests {
     use super::*;
     use std::rc::Rc;
+
+    #[test]
+    fn stats_lines_are_label_section_pairs() {
+        let line = stats_line("e16/x", "search", &[("evaluated", 4_u64), ("pruned", 26)]);
+        assert_eq!(line, "e16/x search evaluated=4 pruned=26");
+    }
 
     #[test]
     fn pgm_matches_paper() {
