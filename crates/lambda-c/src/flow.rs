@@ -1221,7 +1221,7 @@ mod tests {
     /// The certificate of `body` run under the argmin chooser, and the
     /// residual at each choice point along the all-`true` path.
     fn residuals_on_the_true_path(body: Expr) -> (NonNegLosses, Vec<f64>) {
-        use crate::machine::{explore, Explored, TreeChoices, TreeRunConfig};
+        use crate::machine::{explore, Explored, RunConfig, TreeChoices};
         let e = handle0(argmin_handler(&Type::loss(), &Effect::empty()), body);
         let prog = compile(&e).expect("closed");
         let r = analyze(&prog, &["decide"]);
@@ -1232,7 +1232,8 @@ mod tests {
             prefix_len: 0,
             max_decisions: 8,
         };
-        let mut step = explore(&prog, TreeRunConfig { fuel: 0, choices, prune: None }).unwrap();
+        let cfg = RunConfig { forced: Some(choices), ..RunConfig::default() };
+        let mut step = explore(&prog, cfg).unwrap();
         let mut seen = Vec::new();
         while let Explored::Choice(point) = step {
             seen.push(cert.residual(&point));
@@ -1322,7 +1323,7 @@ mod tests {
 
     #[test]
     fn the_lower_bound_absorbs_float_rounding() {
-        use crate::machine::{explore, Explored, TreeChoices, TreeRunConfig};
+        use crate::machine::{explore, Explored, RunConfig, TreeChoices};
         // After the decision the machine adds 2^-53 twice to 1.0: each
         // sum rounds back to 1.0, but the residual is exactly 2^-52, so
         // a bare `partial + residual` would overshoot the only total.
@@ -1344,7 +1345,7 @@ mod tests {
             prefix_len: 0,
             max_decisions: 1,
         };
-        let cfg = TreeRunConfig { fuel: 0, choices, prune: None };
+        let cfg = RunConfig { forced: Some(choices), ..RunConfig::default() };
         let Ok(Explored::Choice(point)) = explore(&prog, cfg) else { panic!("one decision") };
         let Ok(Explored::Done(out)) = point.resume(true) else { panic!("one decision") };
         let total = out.loss.as_scalar();

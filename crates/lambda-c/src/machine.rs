@@ -1,11 +1,12 @@
-//! The environment machine: closure-based evaluation of compiled λC.
+//! The environment machine: evaluation of compiled λC.
 //!
 //! Where [`crate::smallstep`] re-traverses and re-substitutes the whole
 //! term on every step, this machine evaluates [`crate::compile::Code`]
 //! with **persistent environments** (a β-step is one cons onto an
-//! environment list) and **reified continuations** (`Rc` closures, so the
-//! multi-shot delimited and choice continuations of rule (R5) come from
-//! cloning a pointer instead of replugging a syntactic context).
+//! environment list) and **continuations as data** (`Rc`-shared frame
+//! records run by one `resume` match, so the multi-shot delimited and
+//! choice continuations of rule (R5) come from cloning a pointer instead
+//! of replugging a syntactic context).
 //!
 //! The machine mirrors the Fig-6 loss-continuation semantics exactly:
 //!
@@ -37,16 +38,17 @@
 //!   parameterized handlers thread state exactly as the rebuilt terms
 //!   of the substitution semantics do.
 //!
-//! Two extra run modes serve the engine bridge (`lambda-rt`): **forced
+//! One [`RunConfig`] serves the engine bridge (`lambda-rt`): **forced
 //! choices** replace the clause of selected boolean operations by a
-//! scripted decision (turning one run into one search candidate), and a
+//! decision scripted from a prefix, suspending past it as a
+//! [`ChoicePoint`] (a full prefix is one search candidate), and a
 //! **prune hook** aborts a run whose ambient partial loss is already
 //! strictly worse than a shared bound (sound for non-negative losses).
-//! Tree mode suspends forced choices as [`ChoicePoint`]s; resuming one
-//! copies a fixed-size snapshot (the running partial, a shared pointer
-//! to the forced-op set), so a resume costs the same at every depth.
-//! Each point also records the decision site that suspended it, which
-//! keys its residual in a [`crate::flow::NonNegLosses`] certificate.
+//! Resuming a point copies a fixed-size snapshot (the running partial, a
+//! shared pointer to the forced-op set), so a resume costs the same at
+//! every depth. Each point also records the decision site that suspended
+//! it, which keys its residual in a [`crate::flow::NonNegLosses`]
+//! certificate.
 
 use crate::compile::{Code, CodeHandler, CompiledProgram};
 use crate::loss::LossVal;
@@ -94,7 +96,7 @@ impl Env {
     }
 }
 
-/// One-line opaque Debug impls for closure-bearing types.
+/// One-line opaque Debug impls for code- and continuation-bearing types.
 macro_rules! fmt_summary {
     ($name:literal) => {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -219,7 +221,7 @@ struct Activation {
 #[derive(Clone)]
 pub struct HandlerCtl {
     act: Rc<Activation>,
-    kont: KCont,
+    kont: Kont,
     g: GVal,
 }
 
@@ -241,7 +243,7 @@ enum GVal {
     Fun(Clos),
     /// The (F) extension `λx. F[x] ◮ outer`: `rest` finishes the current
     /// node's evaluation given the hole's value.
-    Frame { rest: KCont, outer: Rc<GVal> },
+    Frame { rest: Kont, outer: Rc<GVal> },
     /// The (S1) extension `λx. ret(p_now, x) ◮ outer` with the live
     /// parameter of `act`.
     Ret { act: Rc<Activation>, outer: Rc<GVal> },
@@ -307,25 +309,6 @@ impl fmt::Display for MachError {
 
 impl std::error::Error for MachError {}
 
-/// Scripted decisions for a forced run: operations in `ops` (which must
-/// return `bool` and be handled by an argmin-style chooser for the search
-/// bridge's equivalence to hold — see `lambda-rt`) are answered from the
-/// bits of `bits` instead of their handler clause.
-///
-/// Decision `j` (0-based, in dynamic order) is `true` iff bit
-/// `max_decisions - 1 - j` of `bits` is **0**, so candidate indices
-/// enumerate decision vectors lexicographically with `true` first —
-/// matching the `leq` tie-breaking of the paper's argmin handlers.
-#[derive(Clone, Debug)]
-pub struct ForcedChoices {
-    /// Operations to force.
-    pub ops: BTreeSet<String>,
-    /// The decision word (one candidate index).
-    pub bits: u64,
-    /// How many decisions the word encodes (the search depth).
-    pub max_decisions: u32,
-}
-
 /// Mid-run pruning: abort when the encoded ambient partial loss is
 /// strictly above `threshold` (a shared mirror of the engine's best
 /// achieved loss, in the same monotone `prune_bits` encoding). Sound only
@@ -342,14 +325,17 @@ impl fmt::Debug for MachinePrune {
     fmt_summary!("MachinePrune");
 }
 
-/// Run configuration.
+/// Run configuration, shared by [`run_with`] and [`explore`].
 #[derive(Clone, Debug, Default)]
 pub struct RunConfig {
-    /// Step budget; 0 means [`DEFAULT_MACHINE_FUEL`].
+    /// Step budget; 0 means [`DEFAULT_MACHINE_FUEL`]. Each root-to-leaf
+    /// path consumes at most this much, however it is resumed.
     pub fuel: u64,
-    /// Forced decisions (engine-search candidates).
-    pub forced: Option<ForcedChoices>,
-    /// Mid-run pruning hook.
+    /// Forced decisions (engine-search candidates and subtrees).
+    pub forced: Option<TreeChoices>,
+    /// Mid-run pruning hook (see [`MachinePrune`]); the accumulated
+    /// partial loss snapshots with the machine, so each branch prunes
+    /// against its own path total.
     pub prune: Option<MachinePrune>,
 }
 
@@ -362,14 +348,39 @@ pub const DEFAULT_MACHINE_FUEL: u64 = 2_000_000;
 
 type LossBuf = Vec<LossVal>;
 type EvalR = Result<MRes, MachError>;
-/// A resumable continuation: feed an operation result, keep evaluating.
-type KCont = Rc<dyn Fn(&mut Machine, MVal, &mut LossBuf) -> EvalR>;
+
+/// A resumable continuation: [`resume`] feeds it an operation result.
+/// Running a frame only reads it, so sharing one is a pointer clone.
+#[derive(Clone)]
+struct Kont(Rc<Frame>);
+
+/// What a suspended run does next, as plain data (Reynolds'
+/// defunctionalisation): one variant per continuation shape, holding
+/// what that step captured.
+enum Frame {
+    /// An operation call's own continuation: the resumed value.
+    Done,
+    /// `inner`, then `rest` on its value ([`bind`]).
+    Bind { inner: Kont, rest: Kont },
+    /// The rest of a compound node after child `idx` ([`eval_seq`]).
+    Seq(SeqState),
+    /// `inner` inside a `reset` (S4).
+    Reset(Kont),
+    /// `inner` inside a `◮` scope holding `cap` ([`then_finish`]).
+    Then { inner: Kont, cap: Vec<LossVal>, lam: GVal },
+    /// A verdict `inner` with `cap` still to fold ([`fold_finish`]).
+    Fold { inner: Kont, cap: Vec<LossVal> },
+    /// A handler segment re-entered under `p` ([`reenter`]).
+    Reenter { act: Rc<Activation>, p: MVal, g: GVal, inner: Kont },
+    /// `cv` at unfolding depth `d`; `fold` pairs element `d` of `items`.
+    Iter { cv: MVal, d: usize, items: Option<Rc<Vec<MVal>>>, g: GVal },
+}
 
 /// What a handler segment runs: the handled body under its (S1) loss
 /// continuation, or a captured continuation resumed with a value.
 enum Seg {
     Body(Arc<Code>, GVal),
-    Resume(KCont, MVal),
+    Resume(Kont, MVal),
 }
 
 /// Either a value or a stuck operation with its resumption.
@@ -381,7 +392,7 @@ enum MRes {
 struct StuckM {
     op: String,
     arg: MVal,
-    cont: KCont,
+    cont: Kont,
     /// `true` for a *choice yield* (tree mode): the operation was already
     /// claimed by its innermost handler and `cont` expects the decision
     /// (`MVal::bool`), so every enclosing frame — handlers included —
@@ -398,8 +409,8 @@ struct ForcedState {
     ops: Rc<BTreeSet<String>>,
     bits: u64,
     /// Decisions `0..scripted` are answered from `bits`; decisions
-    /// `scripted..max` yield [`ChoicePoint`]s (tree mode). Plain forced
-    /// runs script everything (`scripted == max`).
+    /// `scripted..max` yield [`ChoicePoint`]s. A candidate run scripts
+    /// everything (`scripted == max`).
     scripted: u32,
     max: u32,
     used: u32,
@@ -489,67 +500,36 @@ pub fn run(p: &CompiledProgram) -> Result<MachineOutcome, MachError> {
     run_with(p, RunConfig::default())
 }
 
-/// Runs a compiled program with explicit configuration.
+/// Runs a compiled program to its outcome: [`explore`], with a
+/// suspension at an unscripted decision reported as
+/// [`MachError::DecisionsExhausted`].
 ///
 /// # Errors
 ///
 /// See [`MachError`].
 pub fn run_with(p: &CompiledProgram, cfg: RunConfig) -> Result<MachineOutcome, MachError> {
-    let forced = cfg.forced.map(|f| ForcedState {
-        ops: Rc::new(f.ops),
-        bits: f.bits,
-        scripted: f.max_decisions,
-        max: f.max_decisions,
-        used: 0,
-    });
-    let (m, r) = start(p, cfg.fuel, forced, cfg.prune)?;
-    // Scripted forced runs never yield (`scripted == max`), so `r` is a
-    // plain value or genuinely-stuck operation here.
-    Ok(outcome_of(m, r))
-}
-
-/// Evaluates `p` from the top under the zero loss continuation (fuel 0
-/// means [`DEFAULT_MACHINE_FUEL`]).
-fn start(
-    p: &CompiledProgram,
-    fuel: u64,
-    forced: Option<ForcedState>,
-    prune: Option<MachinePrune>,
-) -> Result<(Machine, MRes), MachError> {
-    let fuel_left = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
-    let mut m =
-        Machine { fuel_left, steps: 0, capture_depth: 0, forced, prune, partial: LossVal::zero() };
-    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut LossBuf::new())?;
-    Ok((m, r))
-}
-
-/// Folds a finished run (value or stuck, never a choice yield) into a
-/// [`MachineOutcome`].
-fn outcome_of(m: Machine, r: MRes) -> MachineOutcome {
-    let (value, stuck_on) = match r {
-        MRes::Done(v) => (Some(v), None),
-        MRes::Stuck(s) => {
-            debug_assert!(!s.choice, "choice yield outside tree mode");
-            (None, Some(s.op))
-        }
-    };
-    let decisions_used = m.forced.map_or(0, |f| f.used);
-    MachineOutcome { loss: m.partial, value, stuck_on, steps: m.steps, decisions_used }
+    match explore(p, cfg)? {
+        Explored::Done(out) => Ok(out),
+        Explored::Choice(_) => Err(MachError::DecisionsExhausted),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Tree mode: snapshot/resume at forced choice points
 // ---------------------------------------------------------------------------
 
-/// Tree-mode decisions: the first `prefix_len` decisions of operations in
-/// `ops` are scripted from `prefix_bits` (decision `j` is `true` iff bit
-/// `prefix_len - 1 - j` is **0**, the [`ForcedChoices`] encoding); every
-/// further decision up to `max_decisions` suspends the run as a
-/// [`ChoicePoint`] instead, so a search can explore both branches from
-/// the shared prefix without replaying it.
+/// Forced decisions: operations in `ops` (which must return `bool` and
+/// be handled by an argmin-style chooser, see `lambda-rt`) skip their
+/// clause. Decision `j` (0-based, in dynamic order) of the first
+/// `prefix_len` is `true` iff bit `prefix_len - 1 - j` of `prefix_bits`
+/// is **0**, so candidate indices enumerate decision vectors
+/// lexicographically with `true` first, like the paper's `leq` argmin
+/// handlers. Every further decision up to `max_decisions` suspends the
+/// run as a [`ChoicePoint`], so a search explores both branches from the
+/// shared prefix without replaying it.
 #[derive(Clone, Debug)]
 pub struct TreeChoices {
-    /// Operations to force (must return `bool`, see [`ForcedChoices`]).
+    /// Operations to force.
     pub ops: BTreeSet<String>,
     /// The scripted prefix word.
     pub prefix_bits: u64,
@@ -559,22 +539,8 @@ pub struct TreeChoices {
     pub max_decisions: u32,
 }
 
-/// Tree-mode run configuration.
-#[derive(Clone, Debug)]
-pub struct TreeRunConfig {
-    /// Step budget; 0 means [`DEFAULT_MACHINE_FUEL`]. Each root-to-leaf
-    /// path consumes at most this much, exactly like one forced run.
-    pub fuel: u64,
-    /// Which operations are forced, and how.
-    pub choices: TreeChoices,
-    /// Mid-run pruning hook (see [`MachinePrune`]); the accumulated
-    /// partial loss snapshots with the machine, so each branch prunes
-    /// against its own path total.
-    pub prune: Option<MachinePrune>,
-}
-
-/// Where a tree-mode run stopped: a finished outcome, or a suspension at
-/// a forced choice point.
+/// Where a run stopped: a finished outcome, or a suspension at a forced
+/// choice point.
 #[derive(Debug)]
 pub enum Explored {
     /// The run finished (terminal value or genuinely-stuck operation).
@@ -595,7 +561,7 @@ pub enum Explored {
 /// points stay on the worker that created them; parallel searches ship
 /// decision *prefixes* and rebuild points locally.
 pub struct ChoicePoint {
-    cont: KCont,
+    cont: Kont,
     state: Machine,
     site: Option<Arc<Code>>,
 }
@@ -640,38 +606,48 @@ impl ChoicePoint {
     /// the branch.
     pub fn resume(&self, decision: bool) -> Result<Explored, MachError> {
         let mut m = self.state.clone();
-        let r = (self.cont)(&mut m, MVal::bool(decision), &mut LossBuf::new())?;
+        let r = resume(&mut m, &self.cont, MVal::bool(decision), &mut LossBuf::new())?;
         Ok(finish_explored(m, r))
     }
 }
 
+/// Surfaces a choice yield as a [`ChoicePoint`], or folds a finished run
+/// into a [`MachineOutcome`].
 fn finish_explored(m: Machine, r: MRes) -> Explored {
-    match r {
+    let (value, stuck_on) = match r {
         MRes::Stuck(s) if s.choice => {
-            Explored::Choice(ChoicePoint { cont: s.cont, state: m, site: s.site })
+            return Explored::Choice(ChoicePoint { cont: s.cont, state: m, site: s.site });
         }
-        r => Explored::Done(outcome_of(m, r)),
-    }
+        MRes::Stuck(s) => (None, Some(s.op)),
+        MRes::Done(v) => (Some(v), None),
+    };
+    let decisions_used = m.forced.map_or(0, |f| f.used);
+    let out = MachineOutcome { loss: m.partial, value, stuck_on, steps: m.steps, decisions_used };
+    Explored::Done(out)
 }
 
-/// Starts a tree-mode run: evaluates under the scripted prefix to the
-/// first unscripted forced decision (or straight to an outcome, when the
-/// path terminates inside the prefix). The tree search built on this does
-/// O(tree nodes) machine work for a depth-`d` space instead of the
-/// O(2^d · d) of replaying every forced path from the root.
+/// Evaluates `p` from the top under the zero loss continuation, through
+/// the scripted prefix to the first unscripted forced decision (or to an
+/// outcome). The tree search built on this does O(tree nodes) machine
+/// work for a depth-`d` space instead of the O(2^d · d) of replaying
+/// every forced path from the root.
 ///
 /// # Errors
 ///
 /// See [`MachError`].
-pub fn explore(p: &CompiledProgram, cfg: TreeRunConfig) -> Result<Explored, MachError> {
-    let forced = ForcedState {
-        ops: Rc::new(cfg.choices.ops),
-        bits: cfg.choices.prefix_bits,
-        scripted: cfg.choices.prefix_len,
-        max: cfg.choices.max_decisions,
+pub fn explore(p: &CompiledProgram, cfg: RunConfig) -> Result<Explored, MachError> {
+    let RunConfig { fuel, forced, prune } = cfg;
+    let forced = forced.map(|f| ForcedState {
+        ops: Rc::new(f.ops),
+        bits: f.prefix_bits,
+        scripted: f.prefix_len,
+        max: f.max_decisions,
         used: 0,
-    };
-    let (m, r) = start(p, cfg.fuel, Some(forced), cfg.prune)?;
+    });
+    let fuel_left = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
+    let mut m =
+        Machine { fuel_left, steps: 0, capture_depth: 0, forced, prune, partial: LossVal::zero() };
+    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut LossBuf::new())?;
     Ok(finish_explored(m, r))
 }
 
@@ -679,18 +655,62 @@ pub fn explore(p: &CompiledProgram, cfg: TreeRunConfig) -> Result<Explored, Mach
 // Core evaluation
 // ---------------------------------------------------------------------------
 
+/// Runs continuation `k` on the resumed value `y`: every frame's step,
+/// and the re-wrap a stuck result needs to keep composing.
+fn resume(m: &mut Machine, k: &Kont, y: MVal, buf: &mut LossBuf) -> EvalR {
+    match &*k.0 {
+        Frame::Done => Ok(MRes::Done(y)),
+        Frame::Bind { inner, rest } => {
+            let r = resume(m, inner, y, buf)?;
+            bind(m, r, buf, rest.clone())
+        }
+        Frame::Seq(st) => {
+            // Keep the original's capacity: later value children then
+            // push without reallocating.
+            let mut done = Vec::with_capacity(st.done.capacity().max(st.idx + 1));
+            done.extend(st.done.iter().cloned());
+            done.push(y);
+            let (node, env, g) = (Arc::clone(&st.node), st.env.clone(), st.g.clone());
+            eval_seq(m, SeqState { node, idx: st.idx + 1, done, env, g }, buf)
+        }
+        Frame::Reset(inner) => {
+            m.capture_depth += 1;
+            let r = resume(m, inner, y, &mut Vec::new());
+            m.capture_depth -= 1;
+            reset_finish(r?)
+        }
+        Frame::Then { inner, cap, lam } => {
+            let mut cap = cap.clone();
+            m.capture_depth += 1;
+            let r = resume(m, inner, y, &mut cap);
+            m.capture_depth -= 1;
+            then_finish(m, r?, cap, lam.clone(), buf)
+        }
+        Frame::Fold { inner, cap } => {
+            let r = resume(m, inner, y, buf)?;
+            fold_finish(r, cap.clone())
+        }
+        Frame::Reenter { act, p, g, inner } => {
+            run_seg(m, act, p.clone(), Seg::Resume(inner.clone(), y), g, buf)
+        }
+        Frame::Iter { cv, d, items, g } => {
+            let arg = match items {
+                Some(items) => MVal::Tuple(vec![items[*d].clone(), y]),
+                None => y,
+            };
+            apply(m, cv.clone(), arg, g, buf)
+        }
+    }
+}
+
 /// Sequences `rest` after a possibly-stuck result, re-wrapping the
 /// resumption so later sticks keep composing (the CPS analogue of
 /// plugging frames back around `K[y]`).
-fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: KCont) -> EvalR {
+fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: Kont) -> EvalR {
     match r {
-        MRes::Done(v) => rest(m, v, buf),
+        MRes::Done(v) => resume(m, &rest, v, buf),
         MRes::Stuck(s) => {
-            let inner = s.cont;
-            let cont: KCont = Rc::new(move |m, y, buf| {
-                let r = inner(m, y, buf)?;
-                bind(m, r, buf, rest.clone())
-            });
+            let cont = Kont(Rc::new(Frame::Bind { inner: s.cont, rest }));
             Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
@@ -769,16 +789,8 @@ fn eval_seq(m: &mut Machine, mut st: SeqState, buf: &mut LossBuf) -> EvalR {
         // `λx. F[x] ◮ g` (rule F) — one frame per node and evaluated
         // child, which folds identically to smallstep's one frame per
         // constructor.
-        let rest: KCont = Rc::new(move |m, v, buf| {
-            // Keep the original's capacity: later value children then
-            // push without reallocating.
-            let mut done = Vec::with_capacity(st.done.capacity().max(st.idx + 1));
-            done.extend(st.done.iter().cloned());
-            done.push(v);
-            let (node, env, g) = (Arc::clone(&st.node), st.env.clone(), st.g.clone());
-            eval_seq(m, SeqState { node, idx: st.idx + 1, done, env, g }, buf)
-        });
-        let g_child = GVal::Frame { rest: Rc::clone(&rest), outer };
+        let rest = Kont(Rc::new(Frame::Seq(st)));
+        let g_child = GVal::Frame { rest: rest.clone(), outer };
         let r = eval(m, &next, &env, &g_child, buf)?;
         return bind(m, r, buf, rest);
     }
@@ -812,7 +824,7 @@ fn eval(m: &mut Machine, code: &Arc<Code>, env: &Env, g: &GVal, buf: &mut LossBu
             let mut junk = Vec::new();
             let r = eval(m, e, env, g, &mut junk);
             m.capture_depth -= 1;
-            reset_finish(m, r?)
+            reset_finish(r?)
         }
         _ => {
             let st = SeqState {
@@ -872,7 +884,7 @@ fn finish(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
         }
         Code::Iter(..) | Code::Fold(..) => return iter_finish(m, &node, done, &g, buf),
         Code::OpCall { op, .. } => {
-            let cont: KCont = Rc::new(|_m, y, _buf| Ok(MRes::Done(y)));
+            let cont = Kont(Rc::new(Frame::Done));
             let site = (m.capture_depth == 0).then(|| Arc::clone(&node));
             let stuck = StuckM { op: op.clone(), arg: arg(), cont, choice: false, site };
             return Ok(MRes::Stuck(stuck));
@@ -910,12 +922,9 @@ fn iter_finish(
 ) -> EvalR {
     let (cv, bv) = (done.pop().expect("three children"), done.pop().expect("three children"));
     match (node, done.pop().expect("three children")) {
-        (Code::Iter(..), MVal::Nat(n)) => iter_apply(m, n, bv, &cv, g, buf, |_d, v| v),
+        (Code::Iter(..), MVal::Nat(n)) => iter_apply(m, n, bv, &cv, g, buf, None),
         (Code::Fold(..), MVal::List { items, .. }) => {
-            let len = items.len() as u64;
-            let items = Rc::new(items);
-            let pick = move |d: usize, v: MVal| MVal::Tuple(vec![items[d].clone(), v]);
-            iter_apply(m, len, bv, &cv, g, buf, pick)
+            iter_apply(m, items.len() as u64, bv, &cv, g, buf, Some(Rc::new(items)))
         }
         (Code::Iter(..), other) => malformed(format!("iter on non-nat {other:?}")),
         (_, other) => malformed(format!("fold on non-list {other:?}")),
@@ -928,19 +937,11 @@ fn malformed(msg: String) -> EvalR {
 
 /// (S4) continued: losses inside `reset` stay suppressed across
 /// resumptions, and the value passes through untouched (R9).
-fn reset_finish(_m: &mut Machine, r: MRes) -> EvalR {
+fn reset_finish(r: MRes) -> EvalR {
     match r {
         MRes::Done(v) => Ok(MRes::Done(v)),
         MRes::Stuck(s) => {
-            let inner = s.cont;
-            let cont: KCont = Rc::new(move |m, y, _buf| {
-                m.capture_depth += 1;
-                let mut junk = Vec::new();
-                let r = inner(m, y, &mut junk);
-                m.capture_depth -= 1;
-                reset_finish(m, r?)
-            });
-            Ok(MRes::Stuck(StuckM { cont, ..s }))
+            Ok(MRes::Stuck(StuckM { cont: Kont(Rc::new(Frame::Reset(s.cont))), ..s }))
         }
     }
 }
@@ -952,24 +953,17 @@ fn then_finish(m: &mut Machine, r: MRes, cap: Vec<LossVal>, lam: GVal, buf: &mut
     match r {
         MRes::Done(v) => {
             let gr = apply_g(m, &lam, v, buf)?;
-            fold_finish(m, gr, cap)
+            fold_finish(gr, cap)
         }
         MRes::Stuck(s) => {
-            let inner = s.cont;
-            let cont: KCont = Rc::new(move |m, y, buf| {
-                let mut cap2 = cap.clone();
-                m.capture_depth += 1;
-                let r = inner(m, y, &mut cap2);
-                m.capture_depth -= 1;
-                then_finish(m, r?, cap2, lam.clone(), buf)
-            });
+            let cont = Kont(Rc::new(Frame::Then { inner: s.cont, cap, lam }));
             Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
 
 /// Folds captured losses around the (possibly still suspended) verdict.
-fn fold_finish(_m: &mut Machine, gr: MRes, cap: Vec<LossVal>) -> EvalR {
+fn fold_finish(gr: MRes, cap: Vec<LossVal>) -> EvalR {
     match gr {
         MRes::Done(MVal::Loss(mut l)) => {
             for r in cap.iter().rev() {
@@ -981,12 +975,7 @@ fn fold_finish(_m: &mut Machine, gr: MRes, cap: Vec<LossVal>) -> EvalR {
             Err(MachError::Malformed(format!("loss continuation returned non-loss {other:?}")))
         }
         MRes::Stuck(s) => {
-            let inner = s.cont;
-            let cont: KCont = Rc::new(move |m, y, buf| {
-                let r = inner(m, y, buf)?;
-                fold_finish(m, r, cap.clone())
-            });
-            Ok(MRes::Stuck(StuckM { cont, ..s }))
+            Ok(MRes::Stuck(StuckM { cont: Kont(Rc::new(Frame::Fold { inner: s.cont, cap })), ..s }))
         }
     }
 }
@@ -1005,7 +994,7 @@ fn apply_g(m: &mut Machine, g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
             // λx. F[x] ◮ outer.
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r = rest(m, v, &mut cap);
+            let r = resume(m, rest, v, &mut cap);
             m.capture_depth -= 1;
             then_finish(m, r?, cap, (**outer).clone(), buf)
         }
@@ -1044,7 +1033,7 @@ fn run_seg(
     act.params.borrow_mut().push(p.clone());
     let r = match start {
         Seg::Body(body, g1) => eval(m, &body, &act.env, &g1, buf),
-        Seg::Resume(k, y) => k(m, y, buf),
+        Seg::Resume(k, y) => resume(m, &k, y, buf),
     };
     act.params.borrow_mut().pop();
     match r? {
@@ -1081,8 +1070,7 @@ fn run_seg(
                 // (R5): bind p, x, l, k and run the clause body in place
                 // of the handle node (same g).
                 let clause = act.h.clause(&s.op).expect("checked above");
-                let ctl =
-                    HandlerCtl { act: Rc::clone(act), kont: Rc::clone(&s.cont), g: g.clone() };
+                let ctl = HandlerCtl { act: Rc::clone(act), kont: s.cont.clone(), g: g.clone() };
                 let env = act
                     .env
                     .push(p)
@@ -1104,11 +1092,8 @@ fn run_seg(
 /// Re-wraps a stuck segment so its resumption re-enters the segment
 /// under parameter `p`.
 fn reenter(act: &Rc<Activation>, p: MVal, g: &GVal, s: StuckM) -> StuckM {
-    let (act, g, inner) = (Rc::clone(act), g.clone(), s.cont);
-    let cont: KCont = Rc::new(move |m, y, buf| {
-        run_seg(m, &act, p.clone(), Seg::Resume(Rc::clone(&inner), y), &g, buf)
-    });
-    StuckM { cont, ..s }
+    let (act, g) = (Rc::clone(act), g.clone());
+    StuckM { cont: Kont(Rc::new(Frame::Reenter { act, p, g, inner: s.cont })), ..s }
 }
 
 /// Function application — β for closures, rule (R5)'s `k`/`l` for the
@@ -1122,15 +1107,14 @@ fn apply(m: &mut Machine, f: MVal, a: MVal, g: &GVal, buf: &mut LossBuf) -> Eval
         MVal::Resume(ctl) => {
             // f_k(p₂, y) = ⟨with h from p₂ handle K[y]⟩_g.
             let (p2, y) = split_pair(a)?;
-            run_seg(m, &ctl.act, p2, Seg::Resume(Rc::clone(&ctl.kont), y), &ctl.g, buf)
+            run_seg(m, &ctl.act, p2, Seg::Resume(ctl.kont.clone(), y), &ctl.g, buf)
         }
         MVal::Probe(ctl) => {
             // f_l(p₂, y) = (with h from p₂ handle K[y]) ◮ g.
             let (p2, y) = split_pair(a)?;
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r =
-                run_seg(m, &ctl.act, p2, Seg::Resume(Rc::clone(&ctl.kont), y), &ctl.g, &mut cap);
+            let r = run_seg(m, &ctl.act, p2, Seg::Resume(ctl.kont.clone(), y), &ctl.g, &mut cap);
             m.capture_depth -= 1;
             then_finish(m, r?, cap, ctl.g.clone(), buf)
         }
@@ -1140,8 +1124,8 @@ fn apply(m: &mut Machine, f: MVal, a: MVal, g: &GVal, buf: &mut LossBuf) -> Eval
 
 /// The shared engine of `iter`/`fold`: `n` applications of `cv` from the
 /// innermost out, with the loss-continuation chain the unfolded
-/// `c (c (… b))` spine would build. `pick` shapes level `d`'s argument
-/// (`fold` pairs it with the list element).
+/// `c (c (… b))` spine would build. `fold` passes its list as `items`,
+/// pairing level `d`'s argument with element `d`.
 fn iter_apply(
     m: &mut Machine,
     n: u64,
@@ -1149,27 +1133,25 @@ fn iter_apply(
     cv: &MVal,
     g: &GVal,
     buf: &mut LossBuf,
-    pick: impl Fn(usize, MVal) -> MVal + 'static,
+    items: Option<Rc<Vec<MVal>>>,
 ) -> EvalR {
     if n > m.fuel_left {
         return Err(MachError::OutOfFuel { steps: m.steps });
     }
     let n = usize::try_from(n).map_err(|_| MachError::OutOfFuel { steps: m.steps })?;
-    let pick = Rc::new(pick);
+    let step = |d: usize, g: &GVal| {
+        Kont(Rc::new(Frame::Iter { cv: cv.clone(), d, items: items.clone(), g: g.clone() }))
+    };
     // gs[d] is the loss continuation at unfolding depth d (0 = outermost).
     let mut gs: Vec<GVal> = Vec::with_capacity(n);
     gs.push(g.clone());
     for d in 1..n {
-        let (cv2, gd, pick2) = (cv.clone(), gs[d - 1].clone(), Rc::clone(&pick));
-        let rest: KCont =
-            Rc::new(move |m, v, buf| apply(m, cv2.clone(), pick2(d - 1, v), &gd, buf));
+        let rest = step(d - 1, &gs[d - 1]);
         gs.push(GVal::Frame { rest, outer: Rc::new(gs[d - 1].clone()) });
     }
     let mut cur = MRes::Done(bv);
     for d in (0..n).rev() {
-        let (cv2, gd, pick2) = (cv.clone(), gs[d].clone(), Rc::clone(&pick));
-        let rest: KCont = Rc::new(move |m, v, buf| apply(m, cv2.clone(), pick2(d, v), &gd, buf));
-        cur = bind(m, cur, buf, rest)?;
+        cur = bind(m, cur, buf, step(d, &gs[d]))?;
     }
     Ok(cur)
 }
@@ -1359,6 +1341,19 @@ mod tests {
         assert_eq!(out.ground_value(), Some(Ground::Loss(LossVal::scalar(6.0))));
     }
 
+    /// Forces `decide`: `prefix_len` decisions scripted from
+    /// `prefix_bits`, suspending past them up to `max`.
+    fn tree_cfg(prefix_bits: u64, prefix_len: u32, max: u32) -> RunConfig {
+        let ops = BTreeSet::from(["decide".to_owned()]);
+        let forced = TreeChoices { ops, prefix_bits, prefix_len, max_decisions: max };
+        RunConfig { forced: Some(forced), ..RunConfig::default() }
+    }
+
+    /// A candidate run: all `max` decisions scripted from `bits`.
+    fn forced_cfg(bits: u64, max: u32) -> RunConfig {
+        tree_cfg(bits, max, max)
+    }
+
     /// Forcing the decision of §2.3's `pgm` replays exactly one branch:
     /// forcing `true` gives loss 2 / 'a', forcing `false` loss 4 / 'b',
     /// and the candidate-0 (all-true) run equals the argmin handler's
@@ -1367,20 +1362,7 @@ mod tests {
     fn forced_runs_enumerate_pgm_branches() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let forced = |bits: u64| {
-            run_with(
-                &compiled,
-                RunConfig {
-                    forced: Some(ForcedChoices {
-                        ops: BTreeSet::from(["decide".to_owned()]),
-                        bits,
-                        max_decisions: 1,
-                    }),
-                    ..RunConfig::default()
-                },
-            )
-            .unwrap()
-        };
+        let forced = |bits: u64| run_with(&compiled, forced_cfg(bits, 1)).unwrap();
         let t = forced(0); // bit 0 ⇒ true
         assert_eq!(t.loss, LossVal::scalar(2.0));
         assert_eq!(t.ground_value(), Some(Ground::Char('a')));
@@ -1412,13 +1394,8 @@ mod tests {
         // Publish an achieved loss of 3.0: the loss-4 branch must abort.
         threshold.store(scalar_key(&LossVal::scalar(3.0)), Ordering::Relaxed);
         let cfg = |bits| RunConfig {
-            forced: Some(ForcedChoices {
-                ops: BTreeSet::from(["decide".to_owned()]),
-                bits,
-                max_decisions: 1,
-            }),
             prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
-            fuel: 0,
+            ..forced_cfg(bits, 1)
         };
         assert_eq!(run_with(&compiled, cfg(1)).unwrap_err(), MachError::Pruned);
         // The loss-2 branch survives.
@@ -1426,25 +1403,11 @@ mod tests {
         assert_eq!(ok.loss, LossVal::scalar(2.0));
     }
 
-    fn tree_cfg(ops: &[&str], prefix_bits: u64, prefix_len: u32, max: u32) -> TreeRunConfig {
-        TreeRunConfig {
-            fuel: 0,
-            choices: TreeChoices {
-                ops: ops.iter().map(|s| (*s).to_owned()).collect(),
-                prefix_bits,
-                prefix_len,
-                max_decisions: max,
-            },
-            prune: None,
-        }
-    }
-
     #[test]
     fn explore_suspends_at_the_first_decision_and_resumes_multi_shot() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let Explored::Choice(point) = explore(&compiled, tree_cfg(&["decide"], 0, 0, 1)).unwrap()
-        else {
+        let Explored::Choice(point) = explore(&compiled, tree_cfg(0, 0, 1)).unwrap() else {
             panic!("pgm must suspend at its decide");
         };
         assert_eq!(point.depth(), 0);
@@ -1471,7 +1434,6 @@ mod tests {
     fn tree_leaves_match_replayed_forced_runs() {
         let p = crate::testgen::deep_decide_chain(4);
         let compiled = compile(&p.expr).unwrap();
-        let ops = BTreeSet::from(["decide".to_owned()]);
         let mut leaves: Vec<(u64, MachineOutcome)> = Vec::new();
         fn dfs(r: Explored, bits: u64, depth: u32, leaves: &mut Vec<(u64, MachineOutcome)>) {
             match r {
@@ -1488,17 +1450,10 @@ mod tests {
                 }
             }
         }
-        dfs(explore(&compiled, tree_cfg(&["decide"], 0, 0, 4)).unwrap(), 0, 0, &mut leaves);
+        dfs(explore(&compiled, tree_cfg(0, 0, 4)).unwrap(), 0, 0, &mut leaves);
         assert_eq!(leaves.len(), 16);
         for (bits, out) in leaves {
-            let forced = run_with(
-                &compiled,
-                RunConfig {
-                    forced: Some(ForcedChoices { ops: ops.clone(), bits, max_decisions: 4 }),
-                    ..RunConfig::default()
-                },
-            )
-            .unwrap();
+            let forced = run_with(&compiled, forced_cfg(bits, 4)).unwrap();
             assert_eq!(out.loss, forced.loss, "bits {bits:#b}");
             assert_eq!(out.ground_value(), forced.ground_value(), "bits {bits:#b}");
             assert_eq!(out.decisions_used, forced.decisions_used, "bits {bits:#b}");
@@ -1510,9 +1465,7 @@ mod tests {
         let p = crate::testgen::deep_decide_chain(3);
         let compiled = compile(&p.expr).unwrap();
         // Script the first two decisions as (false, true) = bits 0b10.
-        let Explored::Choice(point) =
-            explore(&compiled, tree_cfg(&["decide"], 0b10, 2, 3)).unwrap()
-        else {
+        let Explored::Choice(point) = explore(&compiled, tree_cfg(0b10, 2, 3)).unwrap() else {
             panic!("one decision must remain");
         };
         assert_eq!(point.depth(), 2);
@@ -1520,18 +1473,7 @@ mod tests {
             let Explored::Done(out) = point.resume(d).unwrap() else {
                 panic!("three decisions exhaust the chain");
             };
-            let forced = run_with(
-                &compiled,
-                RunConfig {
-                    forced: Some(ForcedChoices {
-                        ops: BTreeSet::from(["decide".to_owned()]),
-                        bits: 0b100 | u64::from(!d),
-                        max_decisions: 3,
-                    }),
-                    ..RunConfig::default()
-                },
-            )
-            .unwrap();
+            let forced = run_with(&compiled, forced_cfg(0b100 | u64::from(!d), 3)).unwrap();
             assert_eq!(out.loss, forced.loss, "decision {d}");
         }
     }
@@ -1540,7 +1482,7 @@ mod tests {
     fn tree_mode_rejects_exhausted_decision_budgets() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let r = explore(&compiled, tree_cfg(&["decide"], 0, 0, 0));
+        let r = explore(&compiled, tree_cfg(0, 0, 0));
         assert_eq!(r.unwrap_err(), MachError::DecisionsExhausted);
     }
 
@@ -1572,9 +1514,9 @@ mod tests {
         let compiled = compile(&e).unwrap();
         let threshold = Arc::new(AtomicU64::new(u64::MAX));
         threshold.store(scalar_key(&LossVal::scalar(7.0)), Ordering::Relaxed);
-        let cfg = TreeRunConfig {
+        let cfg = RunConfig {
             prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
-            ..tree_cfg(&["decide"], 0, 0, 2)
+            ..tree_cfg(0, 0, 2)
         };
         let Explored::Choice(root) = explore(&compiled, cfg).unwrap() else {
             panic!("suspends at the first decide");
@@ -1600,11 +1542,7 @@ mod tests {
     #[test]
     fn forced_decisions_past_64_bits_read_as_zero() {
         let compiled = compile(&examples::pgm_with_argmin_handler().expr).unwrap();
-        let forced = |bits: u64, max_decisions: u32| {
-            let ops = BTreeSet::from(["decide".to_owned()]);
-            let forced = Some(ForcedChoices { ops, bits, max_decisions });
-            run_with(&compiled, RunConfig { forced, ..RunConfig::default() }).unwrap()
-        };
+        let forced = |bits: u64, max: u32| run_with(&compiled, forced_cfg(bits, max)).unwrap();
         let (wide, narrow) = (forced(1 << 5, 70), forced(0, 1));
         assert_eq!(wide.ground_value(), Some(Ground::Char('a')));
         assert_eq!((&wide.loss, wide.ground_value()), (&narrow.loss, narrow.ground_value()));
@@ -1639,7 +1577,6 @@ mod tests {
         let scalar: Vec<LossVal> = steps.iter().map(|&x| LossVal::scalar(x)).collect();
         let pair: Vec<LossVal> = steps.iter().map(|&x| LossVal::pair(x, -x / 3.0)).collect();
         let depth = steps.len() as u32;
-        let ops = BTreeSet::from(["decide".to_owned()]);
         let bits_of = |l: &LossVal| l.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         fn dfs(r: Explored, bits: u64, leaves: &mut Vec<(u64, MachineOutcome)>) {
             match r {
@@ -1659,15 +1596,12 @@ mod tests {
                     threshold: Arc::new(AtomicU64::new(u64::MAX)),
                     encode: scalar_key,
                 });
-                let cfg = TreeRunConfig { prune, ..tree_cfg(&["decide"], 0, 0, depth) };
+                let cfg = RunConfig { prune, ..tree_cfg(0, 0, depth) };
                 let mut leaves = Vec::new();
                 dfs(explore(&compiled, cfg).unwrap(), 0, &mut leaves);
                 assert_eq!(leaves.len(), 1 << (2 * depth), "every branch visited twice");
                 for (bits, out) in leaves {
-                    let forced =
-                        Some(ForcedChoices { ops: ops.clone(), bits, max_decisions: depth });
-                    let replay =
-                        run_with(&compiled, RunConfig { forced, ..RunConfig::default() }).unwrap();
+                    let replay = run_with(&compiled, forced_cfg(bits, depth)).unwrap();
                     let at = format!("bits {bits:#b}, armed {armed}");
                     assert_eq!(bits_of(&out.loss), bits_of(&replay.loss), "{at}");
                     assert_eq!(out.decisions_used, replay.decisions_used, "{at}");
@@ -1681,17 +1615,39 @@ mod tests {
     fn forced_run_rejects_too_few_decisions() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let r = run_with(
-            &compiled,
-            RunConfig {
-                forced: Some(ForcedChoices {
-                    ops: BTreeSet::from(["decide".to_owned()]),
-                    bits: 0,
-                    max_decisions: 0,
-                }),
-                ..RunConfig::default()
-            },
-        );
+        let r = run_with(&compiled, forced_cfg(0, 0));
         assert_eq!(r.unwrap_err(), MachError::DecisionsExhausted);
+    }
+
+    /// A prefix shorter than the budget leaves a decision unscripted:
+    /// `explore` suspends there, and `run_with` reports the suspension as
+    /// an exhausted script, at the root and below a scripted prefix.
+    #[test]
+    fn run_with_rejects_a_prefix_shorter_than_the_budget() {
+        let pgm = compile(&examples::pgm_with_argmin_handler().expr).unwrap();
+        assert!(matches!(explore(&pgm, tree_cfg(0, 0, 1)), Ok(Explored::Choice(_))));
+        assert_eq!(run_with(&pgm, tree_cfg(0, 0, 1)).unwrap_err(), MachError::DecisionsExhausted);
+        let chain = compile(&crate::testgen::deep_decide_chain(3).expr).unwrap();
+        let r = run_with(&chain, tree_cfg(0b1, 2, 3));
+        assert_eq!(r.unwrap_err(), MachError::DecisionsExhausted);
+    }
+
+    /// A prefix that scripts every decision never suspends: `explore`
+    /// finishes with exactly the outcome `run_with` returns for it.
+    #[test]
+    fn fully_scripted_explore_equals_run_with() {
+        let compiled = compile(&crate::testgen::deep_decide_chain(3).expr).unwrap();
+        for bits in 0..8 {
+            let Explored::Done(out) = explore(&compiled, forced_cfg(bits, 3)).unwrap() else {
+                panic!("bits {bits:#b}: a fully scripted run cannot suspend");
+            };
+            let run = run_with(&compiled, forced_cfg(bits, 3)).unwrap();
+            let bits_of = |l: &LossVal| l.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits_of(&out.loss), bits_of(&run.loss), "bits {bits:#b}");
+            assert_eq!(out.ground_value(), run.ground_value(), "bits {bits:#b}");
+            assert_eq!(out.stuck_on, run.stuck_on, "bits {bits:#b}");
+            assert_eq!(out.steps, run.steps, "bits {bits:#b}");
+            assert_eq!(out.decisions_used, run.decisions_used, "bits {bits:#b}");
+        }
     }
 }

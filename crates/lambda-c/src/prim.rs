@@ -11,7 +11,6 @@ use crate::loss::LossVal;
 use crate::syntax::{Const, Expr};
 use crate::types::{BaseTy, Type};
 use std::fmt;
-use std::rc::Rc;
 
 /// A first-order ("ground") value.
 #[derive(Clone, Debug, PartialEq)]
@@ -152,10 +151,10 @@ pub fn ground_to_value(g: &Ground, ty: &Type) -> Expr {
     }
 }
 
-/// A primitive function: typing plus a total evaluator on ground values.
 /// The reduction function of a primitive: `f(v) -> v'` on ground values.
-pub type PrimEval = Rc<dyn Fn(&Ground) -> Result<Ground, String>>;
+pub type PrimEval = fn(&Ground) -> Result<Ground, String>;
 
+/// A primitive function: typing plus a total evaluator on ground values.
 #[derive(Clone)]
 pub struct PrimDef {
     /// Argument type `σ` (first-order).
@@ -206,129 +205,83 @@ pub fn prim_lookup(name: &str) -> Option<PrimDef> {
     let loss2_ty = Type::Tuple(vec![Type::loss(), Type::loss()]);
     let def = |arg_ty: Type, ret_ty: Type, f: PrimEval| Some(PrimDef { arg_ty, ret_ty, eval: f });
     match name {
-        "add" => def(
-            loss2_ty,
-            Type::loss(),
-            Rc::new(|g| {
-                let (a, b) = loss2(g)?;
-                Ok(Ground::Loss(a.add(&b)))
-            }),
-        ),
-        "sub" => def(
-            loss2_ty,
-            Type::loss(),
-            Rc::new(|g| {
-                let (a, b) = scalar2(g)?;
-                Ok(Ground::Loss(LossVal::scalar(a - b)))
-            }),
-        ),
-        "mul" => def(
-            loss2_ty,
-            Type::loss(),
-            Rc::new(|g| {
-                let (a, b) = scalar2(g)?;
-                Ok(Ground::Loss(LossVal::scalar(a * b)))
-            }),
-        ),
-        "neg" => def(
-            Type::loss(),
-            Type::loss(),
-            Rc::new(|g| Ok(Ground::Loss(LossVal::scalar(-scalar1(g)?)))),
-        ),
+        "add" => def(loss2_ty, Type::loss(), |g| {
+            let (a, b) = loss2(g)?;
+            Ok(Ground::Loss(a.add(&b)))
+        }),
+        "sub" => def(loss2_ty, Type::loss(), |g| {
+            let (a, b) = scalar2(g)?;
+            Ok(Ground::Loss(LossVal::scalar(a - b)))
+        }),
+        "mul" => def(loss2_ty, Type::loss(), |g| {
+            let (a, b) = scalar2(g)?;
+            Ok(Ground::Loss(LossVal::scalar(a * b)))
+        }),
+        "neg" => {
+            def(Type::loss(), Type::loss(), |g| Ok(Ground::Loss(LossVal::scalar(-scalar1(g)?))))
+        }
         // Comparisons use the workspace's total order (`f64::total_cmp` on
         // the scalar reading, see `LossVal::cmp_scalar`), not the partial
         // `<`/`<=`: argmin/argmax handler paths built from these must pick
         // deterministic NaN/tie winners, identical across the smallstep,
         // bigstep, and compiled evaluators and across engine reductions.
-        "leq" => def(
-            loss2_ty,
-            Type::bool(),
-            Rc::new(|g| {
-                let (a, b) = loss2(g)?;
-                Ok(Ground::bool(a.cmp_scalar(&b) != std::cmp::Ordering::Greater))
-            }),
-        ),
-        "lt" => def(
-            loss2_ty,
-            Type::bool(),
-            Rc::new(|g| {
-                let (a, b) = loss2(g)?;
-                Ok(Ground::bool(a.cmp_scalar(&b) == std::cmp::Ordering::Less))
-            }),
-        ),
-        "pair_loss" => def(
-            loss2_ty,
-            Type::loss(),
-            Rc::new(|g| {
-                let (a, b) = scalar2(g)?;
-                Ok(Ground::Loss(LossVal::pair(a, b)))
-            }),
-        ),
-        "fst_loss" => def(
-            Type::loss(),
-            Type::loss(),
-            Rc::new(|g| {
-                let l = g.as_loss().ok_or("expected loss")?;
-                Ok(Ground::Loss(LossVal::scalar(l.component(0))))
-            }),
-        ),
-        "snd_loss" => def(
-            Type::loss(),
-            Type::loss(),
-            Rc::new(|g| {
-                let l = g.as_loss().ok_or("expected loss")?;
-                Ok(Ground::Loss(LossVal::scalar(l.component(1))))
-            }),
-        ),
+        "leq" => def(loss2_ty, Type::bool(), |g| {
+            let (a, b) = loss2(g)?;
+            Ok(Ground::bool(a.cmp_scalar(&b) != std::cmp::Ordering::Greater))
+        }),
+        "lt" => def(loss2_ty, Type::bool(), |g| {
+            let (a, b) = loss2(g)?;
+            Ok(Ground::bool(a.cmp_scalar(&b) == std::cmp::Ordering::Less))
+        }),
+        "pair_loss" => def(loss2_ty, Type::loss(), |g| {
+            let (a, b) = scalar2(g)?;
+            Ok(Ground::Loss(LossVal::pair(a, b)))
+        }),
+        "fst_loss" => def(Type::loss(), Type::loss(), |g| {
+            let l = g.as_loss().ok_or("expected loss")?;
+            Ok(Ground::Loss(LossVal::scalar(l.component(0))))
+        }),
+        "snd_loss" => def(Type::loss(), Type::loss(), |g| {
+            let l = g.as_loss().ok_or("expected loss")?;
+            Ok(Ground::Loss(LossVal::scalar(l.component(1))))
+        }),
         "eq_char" => def(
             Type::Tuple(vec![Type::Base(BaseTy::Char), Type::Base(BaseTy::Char)]),
             Type::bool(),
-            Rc::new(|g| match g {
+            |g| match g {
                 Ground::Tuple(gs) if gs.len() == 2 => match (&gs[0], &gs[1]) {
                     (Ground::Char(a), Ground::Char(b)) => Ok(Ground::bool(a == b)),
                     _ => Err("expected chars".into()),
                 },
                 _ => Err("expected a pair of chars".into()),
-            }),
+            },
         ),
-        "str_len" => def(
-            Type::Base(BaseTy::Str),
-            Type::loss(),
-            Rc::new(|g| match g {
-                Ground::Str(s) => Ok(Ground::Loss(LossVal::scalar(s.chars().count() as f64))),
-                _ => Err("expected a string".into()),
-            }),
-        ),
-        "str_distinct" => def(
-            Type::Base(BaseTy::Str),
-            Type::loss(),
-            Rc::new(|g| match g {
-                Ground::Str(s) => {
-                    let set: std::collections::BTreeSet<char> = s.chars().collect();
-                    Ok(Ground::Loss(LossVal::scalar(set.len() as f64)))
-                }
-                _ => Err("expected a string".into()),
-            }),
-        ),
+        "str_len" => def(Type::Base(BaseTy::Str), Type::loss(), |g| match g {
+            Ground::Str(s) => Ok(Ground::Loss(LossVal::scalar(s.chars().count() as f64))),
+            _ => Err("expected a string".into()),
+        }),
+        "str_distinct" => def(Type::Base(BaseTy::Str), Type::loss(), |g| match g {
+            Ground::Str(s) => {
+                let set: std::collections::BTreeSet<char> = s.chars().collect();
+                Ok(Ground::Loss(LossVal::scalar(set.len() as f64)))
+            }
+            _ => Err("expected a string".into()),
+        }),
         "str_append" => def(
             Type::Tuple(vec![Type::Base(BaseTy::Str), Type::Base(BaseTy::Str)]),
             Type::Base(BaseTy::Str),
-            Rc::new(|g| match g {
+            |g| match g {
                 Ground::Tuple(gs) if gs.len() == 2 => match (&gs[0], &gs[1]) {
                     (Ground::Str(a), Ground::Str(b)) => Ok(Ground::Str(format!("{a}{b}"))),
                     _ => Err("expected strings".into()),
                 },
                 _ => Err("expected a pair of strings".into()),
-            }),
+            },
         ),
-        "nat_to_loss" => def(
-            Type::Nat,
-            Type::loss(),
-            Rc::new(|g| match g {
-                Ground::Nat(n) => Ok(Ground::Loss(LossVal::scalar(*n as f64))),
-                _ => Err("expected a nat".into()),
-            }),
-        ),
+        "nat_to_loss" => def(Type::Nat, Type::loss(), |g| match g {
+            Ground::Nat(n) => Ok(Ground::Loss(LossVal::scalar(*n as f64))),
+            _ => Err("expected a nat".into()),
+        }),
         _ => None,
     }
 }

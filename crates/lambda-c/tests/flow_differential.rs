@@ -16,8 +16,7 @@
 
 use lambda_c::flow::{self, FlowReport, NonNegLosses};
 use lambda_c::machine::{
-    self, ChoicePoint, Explored, ForcedChoices, MachError, MachineOutcome, MachinePrune, RunConfig,
-    TreeChoices, TreeRunConfig,
+    self, ChoicePoint, Explored, MachError, MachineOutcome, MachinePrune, RunConfig, TreeChoices,
 };
 use lambda_c::testgen::{self, ProgramGen};
 use lambda_c::types::{Effect, Type};
@@ -37,12 +36,12 @@ fn analyze(p: &CompiledProgram) -> FlowReport {
     flow::analyze(p, &["decide"])
 }
 
-fn forced_cfg(bits: u64, depth: u32, prune: Option<MachinePrune>) -> RunConfig {
-    RunConfig {
-        fuel: 0,
-        forced: Some(ForcedChoices { ops: decide_ops(), bits, max_decisions: depth }),
-        prune,
-    }
+/// Forces `decide`: the first `len` of `depth` decisions scripted from
+/// `bits` (`len == depth` is one candidate run).
+fn forced_cfg(bits: u64, len: u32, depth: u32, prune: Option<MachinePrune>) -> RunConfig {
+    let choices =
+        TreeChoices { ops: decide_ops(), prefix_bits: bits, prefix_len: len, max_decisions: depth };
+    RunConfig { fuel: 0, forced: Some(choices), prune }
 }
 
 /// The workspace's monotone `u64` embedding of the scalar loss order
@@ -74,7 +73,7 @@ fn run_recorded(p: &CompiledProgram, bits: u64, depth: u32) -> (MachineOutcome, 
     PARTIALS.with(|p| p.borrow_mut().clear());
     let hook =
         MachinePrune { threshold: Arc::new(AtomicU64::new(u64::MAX)), encode: record_partial };
-    let out = machine::run_with(p, forced_cfg(bits, depth, Some(hook)))
+    let out = machine::run_with(p, forced_cfg(bits, depth, depth, Some(hook)))
         .expect("forced replay of a corpus program succeeds");
     (out, PARTIALS.with(|p| p.borrow().clone()))
 }
@@ -119,21 +118,35 @@ fn assert_certificate_holds_on_every_path(p: &CompiledProgram, depth: u32, label
 }
 
 /// A self-contained argmin over forced paths: pruned (threshold fed by
-/// achieved losses) vs unpruned must pick the same `(loss, index)`.
-fn assert_pruning_preserves_the_winner(p: &CompiledProgram, depth: u32, label: &str) {
+/// achieved losses) vs unpruned must pick the same `(loss, index)`, and
+/// abandon exactly the predicted paths. Returns how many were abandoned.
+///
+/// The prediction: the threshold at path `i` is the least encoded total
+/// over paths `< i` (an abandoned path's total is above it, so it never
+/// lowers the minimum), and under the certificate the partial sums climb
+/// to the total, so path `i` is abandoned iff its unpruned total encodes
+/// strictly above that minimum.
+fn assert_pruning_preserves_the_winner(p: &CompiledProgram, depth: u32, label: &str) -> usize {
     let mut best: Option<(u64, LossVal)> = None;
+    let mut predicted = Vec::new();
+    let mut least = u64::MAX;
     for bits in 0..(1u64 << depth) {
-        let out = machine::run_with(p, forced_cfg(bits, depth, None)).expect("unpruned run");
+        let out = machine::run_with(p, forced_cfg(bits, depth, depth, None)).expect("unpruned run");
+        let total = encode_scalar(&out.loss);
+        if total > least {
+            predicted.push(bits);
+        }
+        least = least.min(total);
         if best.as_ref().is_none_or(|(_, l)| out.loss.cmp_scalar(l) == Ordering::Less) {
             best = Some((bits, out.loss));
         }
     }
     let threshold = Arc::new(AtomicU64::new(u64::MAX));
     let mut pruned_best: Option<(u64, LossVal)> = None;
-    let mut abandoned = 0u64;
+    let mut abandoned = Vec::new();
     for bits in 0..(1u64 << depth) {
         let hook = MachinePrune { threshold: Arc::clone(&threshold), encode: encode_scalar };
-        match machine::run_with(p, forced_cfg(bits, depth, Some(hook))) {
+        match machine::run_with(p, forced_cfg(bits, depth, depth, Some(hook))) {
             Ok(out) => {
                 // ordering: Relaxed — single-threaded test loop; the
                 // hook's contract only needs a monotone hint anyway.
@@ -145,7 +158,7 @@ fn assert_pruning_preserves_the_winner(p: &CompiledProgram, depth: u32, label: &
                     pruned_best = Some((bits, out.loss));
                 }
             }
-            Err(MachError::Pruned) => abandoned += 1,
+            Err(MachError::Pruned) => abandoned.push(bits),
             Err(e) => panic!("{label} path {bits}: unexpected machine error {e:?}"),
         }
     }
@@ -157,11 +170,8 @@ fn assert_pruning_preserves_the_winner(p: &CompiledProgram, depth: u32, label: &
         bl.as_scalar().to_bits(),
         "{label}: winner loss not bit-identical"
     );
-    // On deep chains the strict-domination cut must actually fire —
-    // otherwise this test proves nothing about pruning.
-    if depth >= 4 {
-        assert!(abandoned > 0, "{label}: no path was ever abandoned");
-    }
+    assert_eq!(abandoned, predicted, "{label}: abandoned paths");
+    abandoned.len()
 }
 
 #[test]
@@ -173,7 +183,12 @@ fn chain_corpus_is_certified_and_prunes_winner_preservingly() {
         assert_eq!(report.shape.max, Some(u64::from(choices)), "{label}: exact shape");
         assert_eq!(report.shape.min, u64::from(choices), "{label}: every path decides");
         assert_certificate_holds_on_every_path(&p, choices, &label);
-        assert_pruning_preserves_the_winner(&p, choices, &label);
+        let abandoned = assert_pruning_preserves_the_winner(&p, choices, &label);
+        // On deep chains the strict-domination cut must actually fire —
+        // otherwise this test proves nothing about pruning.
+        if choices >= 4 {
+            assert!(abandoned > 0, "{label}: no path was ever abandoned");
+        }
     }
 }
 
@@ -221,10 +236,7 @@ fn assert_residuals_admissible(
 ) {
     let report = analyze(p);
     let cert = report.certificate().unwrap_or_else(|| panic!("{label}: expected a certificate"));
-    let choices =
-        TreeChoices { ops: decide_ops(), prefix_bits: 0, prefix_len: 0, max_decisions: depth };
-    let root = machine::explore(p, TreeRunConfig { fuel: 0, choices, prune: None })
-        .expect("corpus programs run");
+    let root = machine::explore(p, forced_cfg(0, 0, depth, None)).expect("corpus programs run");
     let mut points = 0;
     least_total_checking_residuals(cert, root, label, &mut |point| {
         points += 1;
@@ -325,18 +337,25 @@ fn opaque_op_results_are_refused_not_guessed() {
     assert!(!report.certified(), "opaque emission must not be certified");
 }
 
+/// The search corpus always earns a certificate, the certificate's
+/// concrete meaning holds on every forced path, and pruning abandons
+/// exactly the predicted paths — over every program the generator's
+/// `(seed 0..1000, choices 1..6)` grid yields.
+#[test]
+fn search_corpus_certificates_hold_exhaustively() {
+    for seed in 0u64..1000 {
+        for choices in 1u32..6 {
+            let mut g = ProgramGen::new(seed);
+            let p = compile(&g.gen_search_program(choices).expr).expect("compiles");
+            let label = format!("seed {seed} choices {choices}");
+            assert_certificate_holds_on_every_path(&p, choices, &label);
+            assert_pruning_preserves_the_winner(&p, choices, &label);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(16))]
-
-    /// The search corpus always earns a certificate, and the
-    /// certificate's concrete meaning holds on every forced path.
-    #[test]
-    fn search_corpus_certificates_hold_exhaustively(seed in 0u64..1000, choices in 1u32..6) {
-        let mut g = ProgramGen::new(seed);
-        let p = compile(&g.gen_search_program(choices).expr).expect("compiles");
-        assert_certificate_holds_on_every_path(&p, choices, &format!("seed {seed}"));
-        assert_pruning_preserves_the_winner(&p, choices, &format!("seed {seed}"));
-    }
 
     /// One-direction check on the unconstrained corpus (negative
     /// constants, `sub`, opaque ops all occur): whenever the analysis

@@ -26,10 +26,7 @@
 
 use crate::loss::OrdLossVal;
 use lambda_c::flow::{self, FlowReport, NonNegLosses};
-use lambda_c::machine::{
-    self, Explored, ForcedChoices, MachineOutcome, MachinePrune, RunConfig, TreeChoices,
-    TreeRunConfig,
-};
+use lambda_c::machine::{self, Explored, MachineOutcome, MachinePrune, RunConfig, TreeChoices};
 use lambda_c::prim::Ground;
 use lambda_c::{CompiledProgram, MachError};
 use selc::{ReplaySpace, Sel};
@@ -159,23 +156,10 @@ impl LcCandidates {
     ///
     /// On machine errors or a stuck (unhandled) operation.
     pub fn run_candidate(&self, index: usize) -> MachineOutcome {
-        let config = RunConfig {
-            fuel: self.fuel,
-            forced: Some(ForcedChoices {
-                ops: self.ops.clone(),
-                bits: index as u64,
-                max_decisions: self.depth,
-            }),
-            prune: None,
-        };
-        let out = machine::run_with(&self.program, config)
-            .unwrap_or_else(|e| panic!("compiled λC candidate {index} failed: {e}"));
-        assert!(
-            out.stuck_on.is_none(),
-            "compiled λC candidate {index} stuck on unhandled operation {:?}",
-            out.stuck_on
-        );
-        out
+        match self.explore_prefix(index as u64, self.depth, None) {
+            Ok(Explored::Done(out)) => out,
+            _ => unreachable!("a fully scripted, unpruned run neither suspends nor prunes"),
+        }
     }
 
     /// Starts (or fast-forwards) a tree-mode run: scripts the `len`
@@ -196,25 +180,19 @@ impl LcCandidates {
         len: u32,
         prune: Option<MachinePrune>,
     ) -> Result<Explored, MachError> {
-        let r = machine::explore(
-            &self.program,
-            TreeRunConfig {
-                fuel: self.fuel,
-                choices: TreeChoices {
-                    ops: self.ops.clone(),
-                    prefix_bits: prefix,
-                    prefix_len: len,
-                    max_decisions: self.depth,
-                },
-                prune,
-            },
-        );
-        enforce_replay_contract(r, prefix, len)
+        let forced = TreeChoices {
+            ops: self.ops.clone(),
+            prefix_bits: prefix,
+            prefix_len: len,
+            max_decisions: self.depth,
+        };
+        let cfg = RunConfig { fuel: self.fuel, forced: Some(forced), prune };
+        enforce_replay_contract(machine::explore(&self.program, cfg), prefix, len)
     }
 }
 
-/// The tree-mode replay contract (the [`Explored`] mirror of
-/// [`LcCandidates::run_candidate`]): factories must produce fully
+/// The replay contract of [`LcCandidates::run_candidate`] and
+/// [`LcCandidates::explore_prefix`]: factories must produce fully
 /// handled, terminating programs, so only prune abandonments survive as
 /// errors.
 pub(crate) fn enforce_replay_contract(

@@ -7,8 +7,8 @@
 //!
 //! 1. **Compile** — `lambda_c::compile` lowers a well-typed λC
 //!    expression to `Arc`-shared de Bruijn code, and
-//!    `lambda_c::machine` evaluates it with closures and persistent
-//!    environments, bit-identical to the Fig-6 smallstep reference
+//!    `lambda_c::machine` evaluates it with persistent environments and
+//!    continuations as plain frame records, bit-identical to the Fig-6 smallstep reference
 //!    (losses *and* terminals) at a fraction of the cost of
 //!    clone-and-rename substitution.
 //! 2. **Bridge** — [`LcCandidates`] turns the compiled program's argmin
