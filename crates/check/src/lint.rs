@@ -4,7 +4,7 @@
 //! through a small line lexer that strips string literals and comments
 //! (tracking multi-line strings, raw strings, and block comments across
 //! lines), tags `#[cfg(test)]`-gated regions by brace depth, and then
-//! applies three rules:
+//! applies four rules:
 //!
 //! * **`partial-cmp`** — `partial_cmp` and float-unsafe `sort_by`
 //!   comparators are banned outside the allowlist. The workspace's
@@ -24,6 +24,11 @@
 //!   `crates/serve` non-test code: the server survives poisoned locks
 //!   and malformed frames by policy, and a stray unwrap turns a bad
 //!   request into a dead worker.
+//! * **`engine-spawn`** — `thread::spawn`, `thread::scope` and
+//!   `thread::Builder` are banned in `crates/engine/src` non-test code
+//!   outside `pool.rs`: every engine fans out through the one persistent
+//!   pool, and a second spawn site would bring back a thread spawn per
+//!   search.
 //!
 //! Any rule can be waived for one line with `// selc-lint:
 //! allow(<rule>)` on that line or the line above — the waiver is
@@ -38,6 +43,9 @@ const PARTIAL_CMP_ALLOWLIST: &[&str] = &["crates/autodiff/src/dual.rs"];
 pub const SKIP_DIRS: &[&str] =
     &["target", "vendor", ".git", "tests", "benches", "examples", "fixtures"];
 
+/// The one file under `crates/engine/src` that may spawn threads.
+const ENGINE_SPAWN_SITE: &str = "crates/engine/src/pool.rs";
+
 const ORDERING_VARIANTS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// Which invariant a [`Finding`] violates.
@@ -46,6 +54,7 @@ pub enum Rule {
     PartialCmp,
     OrderingComment,
     ServeNoPanic,
+    EngineSpawn,
 }
 
 impl Rule {
@@ -56,6 +65,7 @@ impl Rule {
             Rule::PartialCmp => "partial-cmp",
             Rule::OrderingComment => "ordering-comment",
             Rule::ServeNoPanic => "serve-no-panic",
+            Rule::EngineSpawn => "engine-spawn",
         }
     }
 }
@@ -302,6 +312,8 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let partial_cmp_allowed = PARTIAL_CMP_ALLOWLIST.iter().any(|s| path.ends_with(s));
     let in_serve = path.contains("crates/serve/");
+    let engine_spawn_banned =
+        path.contains("crates/engine/src/") && !path.ends_with(ENGINE_SPAWN_SITE);
     let finding = |idx: usize, rule: Rule, message: String| Finding {
         path: path.to_string(),
         line: idx + 1,
@@ -379,6 +391,22 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
                         format!(
                             "{needle} in crates/serve non-test code: the server handles poisoned locks and \
                              malformed input without panicking"
+                        ),
+                    ));
+                }
+            }
+        }
+
+        // --- engine-spawn: the pool is the engine's one spawn site ---
+        if engine_spawn_banned && !lines[idx].is_test && !waived(&lines, idx, Rule::EngineSpawn) {
+            for needle in ["thread::spawn", "thread::scope", "thread::Builder"] {
+                if code.contains(needle) {
+                    findings.push(finding(
+                        idx,
+                        Rule::EngineSpawn,
+                        format!(
+                            "{needle} in crates/engine/src: fan out through the persistent pool \
+                             (pool.rs), which spawns nothing per search"
                         ),
                     ));
                 }

@@ -125,6 +125,43 @@ fn unwrap_or_else_and_unwrap_or_default_are_not_unwrap() {
     assert_eq!(rules_at("crates/serve/src/server.rs", src), vec![]);
 }
 
+// ---------------------------------------------------------------- engine-spawn
+
+#[test]
+fn thread_spawns_in_engine_code_fire() {
+    let src = "fn f() {\n    std::thread::scope(|s| { s.spawn(|| ()); });\n    std::thread::spawn(|| ());\n}\n";
+    assert_eq!(
+        rules_at("crates/engine/src/engine.rs", src),
+        vec![(2, Rule::EngineSpawn), (3, Rule::EngineSpawn)]
+    );
+}
+
+#[test]
+fn the_pool_may_spawn_threads() {
+    let src = "fn grow() { std::thread::Builder::new().spawn(|| ()).ok(); }\n";
+    assert_eq!(rules_at("crates/engine/src/pool.rs", src), vec![]);
+    assert_eq!(rules_at("crates/engine/src/tree.rs", src), vec![(1, Rule::EngineSpawn)]);
+}
+
+#[test]
+fn thread_spawns_in_engine_test_code_are_exempt() {
+    let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::scope(|_| ()); }\n}\n";
+    assert_eq!(rules_at("crates/engine/src/queue.rs", src), vec![]);
+}
+
+#[test]
+fn thread_spawns_outside_the_engine_are_not_this_rules_business() {
+    let src = "fn f() { std::thread::spawn(|| ()); }\n";
+    assert_eq!(rules_at("crates/serve/src/server.rs", src), vec![]);
+}
+
+#[test]
+fn engine_spawn_waivers_work() {
+    let src =
+        "fn f() {\n    // selc-lint: allow(engine-spawn)\n    std::thread::spawn(|| ());\n}\n";
+    assert_eq!(rules_at("crates/engine/src/engine.rs", src), vec![]);
+}
+
 // -------------------------------------------------------------------- display
 
 #[test]

@@ -2,7 +2,7 @@
 //! historical bugs when they are deliberately reintroduced, and the
 //! failing interleaving's seed must replay deterministically.
 //!
-//! Two mutants are reproduced locally (the real code is fixed; copying
+//! Three mutants are reproduced locally (the real code is fixed; copying
 //! the buggy shape here keeps the workspace honest without shipping the
 //! bug):
 //!
@@ -12,6 +12,12 @@
 //! * `MutantBound` — a shared best-loss bound whose domination test is
 //!   non-strict (`>=` instead of `>`): a candidate *tying* the best is
 //!   pruned, which breaks the deterministic `(loss, index)` tie-break.
+//! * `MutantPool` — the engine pool's handoff (`selc_engine::pool`)
+//!   with a `broadcast` that revokes the unclaimed tickets but returns
+//!   without waiting for helpers still running the job. In the real
+//!   pool the job is a borrow of the caller's stack, so that return is
+//!   a use-after-free; here the job is an `Arc` and the test observes a
+//!   helper still inside it.
 //!
 //! Only meaningful under the model cfg:
 //! `RUSTFLAGS="--cfg selc_model" cargo test -p selc-check --test mutations`.
@@ -19,6 +25,7 @@
 
 use selc_check::model::{check, check_with_seed, spawn, Options};
 use selc_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use selc_check::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -143,6 +150,103 @@ fn checker_catches_the_weakened_bound_with_a_replayable_seed() {
     let seed = failing_seed("mutant-bound-ties", mutant_bound_body);
     let replay = catch_unwind(AssertUnwindSafe(|| {
         check_with_seed("mutant-bound-ties", &seed, Options::default(), mutant_bound_body);
+    }));
+    assert!(replay.is_err(), "seed {seed:?} must replay the failure deterministically");
+}
+
+type PoolJob = Arc<dyn Fn() + Send + Sync>;
+
+/// The pool's park/claim/close handoff for one job at a time.
+struct MutantPool {
+    state: Mutex<PoolState>,
+    work: Condvar,
+}
+
+struct PoolState {
+    job: Option<PoolJob>,
+    tickets: usize,
+    closed: bool,
+}
+
+impl MutantPool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn broadcast(&self, helpers: usize, job: &PoolJob) {
+        {
+            let mut s = self.lock();
+            s.job = Some(Arc::clone(job));
+            s.tickets = helpers;
+        }
+        for _ in 0..helpers {
+            self.work.notify_one();
+        }
+        job();
+        // The mutation: revoke and return. The real `broadcast` waits
+        // here, under the lock, until no helper is running the job.
+        self.lock().tickets = 0;
+    }
+
+    fn help(&self) {
+        let mut s = self.lock();
+        loop {
+            if s.closed {
+                return;
+            }
+            if s.tickets == 0 {
+                s = self.work.wait(s).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            s.tickets -= 1;
+            let job = s.job.clone().expect("a ticket comes with its job");
+            drop(s);
+            job();
+            s = self.lock();
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.work.notify_all();
+    }
+}
+
+fn mutant_pool_body() {
+    let pool = Arc::new(MutantPool {
+        state: Mutex::new(PoolState { job: None, tickets: 0, closed: false }),
+        work: Condvar::new(),
+    });
+    let helpers: Vec<_> = (0..2)
+        .map(|_| {
+            let pool = Arc::clone(&pool);
+            spawn(move || pool.help())
+        })
+        .collect();
+    let inside = Arc::new(AtomicUsize::new(0));
+    let job: PoolJob = {
+        let inside = Arc::clone(&inside);
+        Arc::new(move || {
+            inside.fetch_add(1, SC);
+            inside.fetch_sub(1, SC);
+        })
+    };
+    pool.broadcast(2, &job);
+    // The invariant the real pool upholds: when `broadcast` returns, no
+    // helper is still inside the (borrowed) job.
+    let outliving = inside.load(SC);
+    pool.close();
+    for h in helpers {
+        h.join();
+    }
+    assert_eq!(outliving, 0, "broadcast returned while a helper was still running the job");
+}
+
+#[test]
+fn checker_catches_a_pool_broadcast_that_skips_the_join_with_a_replayable_seed() {
+    let seed = failing_seed("mutant-pool-join", mutant_pool_body);
+    let replay = catch_unwind(AssertUnwindSafe(|| {
+        check_with_seed("mutant-pool-join", &seed, Options::default(), mutant_pool_body);
     }));
     assert!(replay.is_err(), "seed {seed:?} must replay the failure deterministically");
 }

@@ -4,26 +4,29 @@
 //! through a [`CandidateEval`] and returns the argmin under the total
 //! order [`OrderedLoss::cmp_loss`], ties broken towards the smallest
 //! index. [`SequentialEngine`] is the single-threaded reference;
-//! [`ParallelEngine`] distributes chunks of the space over a pool of
-//! `std::thread` workers and merges per-worker bests by `(loss, index)`
+//! [`ParallelEngine`] distributes chunks of the space over the calling
+//! thread and helpers from the engine's persistent thread pool, and
+//! merges per-worker bests by `(loss, index)`
 //! — a commutative, associative, *total* reduction, so the winner is
 //! bit-identical to the sequential scan regardless of thread
 //! interleaving. Both share the branch-and-bound machinery of
 //! [`SharedBound`].
 //!
 //! Every engine, the tree walk in [`crate::tree`] included, fans out
-//! through one worker loop (`fan_out`, the caller being worker 0) into
+//! through one worker loop (`fan_out`, the caller being worker 0, the
+//! rest parked threads of one persistent pool) into
 //! one per-worker accumulator (`Partial`) and one result path
 //! (`Partial::finish`).
 
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
+use crate::pool;
 use crate::queue::WorkQueue;
 use crate::threads::configured_threads;
 use selc::OrderedLoss;
 use selc_cache::{CacheStats, SummaryStats};
 use selc_obs::{trace, SpanLabel};
-use std::sync::LazyLock;
+use std::sync::{LazyLock, Mutex, PoisonError};
 
 /// Span labels for the engine hot paths: a queue claim (the wait for
 /// work), one flat candidate evaluation, one claimed subtree descent.
@@ -229,7 +232,8 @@ pub(crate) fn keep_better<L: OrderedLoss>(best: &mut Option<(L, usize)>, candida
 /// The one worker loop every engine fans out through: `threads` workers
 /// each own an `A`, claim `chunk`-sized ranges of `0..count` and hand
 /// each to `work`; a `false` from `work` stops that worker. The calling
-/// thread is worker 0, so a one-worker search spawns nothing.
+/// thread is worker 0 and the rest are parked helpers of the persistent
+/// [`crate::pool`], so a warm process spawns nothing per search.
 ///
 /// The claim honours `cancel`: a cancelled worker stops within one
 /// claim instead of draining the queue. The returned flag says whether
@@ -247,7 +251,8 @@ where
     W: Fn(&mut A, usize, usize) -> bool + Sync,
 {
     let queue = WorkQueue::new(count);
-    let worker = || {
+    let accs = Mutex::new(Vec::with_capacity(threads));
+    pool::broadcast(threads.saturating_sub(1), &|| {
         let mut acc = A::default();
         loop {
             let claimed = {
@@ -259,16 +264,9 @@ where
                 break;
             }
         }
-        acc
-    };
-    let accs = std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
-        let mut accs = Vec::with_capacity(threads);
-        accs.push(worker());
-        accs.extend(spawned.into_iter().map(|h| h.join().expect("engine worker panicked")));
-        accs
+        accs.lock().unwrap_or_else(PoisonError::into_inner).push(acc);
     });
-    (accs, queue.claim(1).is_none())
+    (accs.into_inner().unwrap_or_else(PoisonError::into_inner), queue.claim(1).is_none())
 }
 
 /// One worker's accumulator, and after [`Partial::merged`] the whole

@@ -11,12 +11,13 @@
 //!   ([`selc::ReplaySpace`]), never as trees: each worker rebuilds the
 //!   candidate's `Sel` program locally (building is pure) and keeps only
 //!   the recorded loss. See [`replay`].
-//! * **One worker loop** — plain `std::thread` workers fed by a chunked
-//!   atomic work queue, the calling thread being worker 0; every engine
-//!   (flat, tree, [`tree::parallel_subtrees`]) fans out through it. No
-//!   external dependencies. Worker count defaults to the `SELC_THREADS`
-//!   knob ([`threads::configured_threads`]) so CI and benches are
-//!   reproducible anywhere.
+//! * **One worker loop, one pool** — workers fed by a chunked atomic
+//!   work queue, the calling thread being worker 0 and the rest parked
+//!   helpers of one persistent pool, so a warm process spawns no thread
+//!   per search; every engine (flat, tree, [`tree::parallel_subtrees`])
+//!   fans out through it. No external dependencies. Worker count
+//!   defaults to the `SELC_THREADS` knob ([`threads::configured_threads`])
+//!   so CI and benches are reproducible anywhere.
 //! * **Deterministic reduction** — per-worker bests merge lexicographically
 //!   by `(loss, index)` under the *total* order [`selc::OrderedLoss`], so
 //!   parallel argmin returns bit-identical winners to the sequential scan
@@ -47,6 +48,7 @@
 pub mod bound;
 pub mod cancel;
 pub mod engine;
+mod pool;
 pub mod queue;
 pub mod replay;
 pub mod threads;

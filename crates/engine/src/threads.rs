@@ -1,8 +1,10 @@
 //! Worker-count configuration: the `SELC_THREADS` knob.
 //!
-//! Every parallel entry point in the workspace sizes its pool with
-//! [`configured_threads`], so one environment variable makes runs
-//! reproducible on any machine (CI pins `SELC_THREADS=2`). Unset or
+//! Every parallel entry point in the workspace sizes its searches with
+//! [`configured_threads`] (a search with `N` workers borrows `N − 1`
+//! parked helpers of the engine's one persistent pool), so one
+//! environment variable makes runs reproducible on any machine (CI pins
+//! `SELC_THREADS=2`). Unset or
 //! unparsable values fall back to [`std::thread::available_parallelism`].
 //! Parsing goes through the workspace's one env parser
 //! ([`selc::env::env_usize`]), shared with the `SELC_CACHE_CAP` cache
