@@ -31,7 +31,7 @@ pub const CACHE_CAP_ENV: &str = "SELC_CACHE_CAP";
 /// Name of the `selc-serve` listen-port variable.
 pub const SERVE_PORT_ENV: &str = "SELC_SERVE_PORT";
 
-/// Name of the `selc-serve` worker-count variable.
+/// Name of the `selc-serve` concurrent-search (search-slot) variable.
 pub const SERVE_WORKERS_ENV: &str = "SELC_SERVE_WORKERS";
 
 /// Name of the `selc-serve` admission-limit variable.

@@ -26,9 +26,11 @@
 //!   request into a dead worker.
 //! * **`engine-spawn`** — `thread::spawn`, `thread::scope` and
 //!   `thread::Builder` are banned in `crates/engine/src` non-test code
-//!   outside `pool.rs`: every engine fans out through the one persistent
-//!   pool, and a second spawn site would bring back a thread spawn per
-//!   search.
+//!   outside `pool.rs`, and in `crates/serve/src` outside `server.rs`:
+//!   every engine fans out through the one persistent pool, and a
+//!   second spawn site would bring back a thread spawn per search; the
+//!   server spawns only its accept loop and session threads, which run
+//!   their searches themselves, so a search thread set cannot return.
 //!
 //! Any rule can be waived for one line with `// selc-lint:
 //! allow(<rule>)` on that line or the line above — the waiver is
@@ -43,8 +45,11 @@ const PARTIAL_CMP_ALLOWLIST: &[&str] = &["crates/autodiff/src/dual.rs"];
 pub const SKIP_DIRS: &[&str] =
     &["target", "vendor", ".git", "tests", "benches", "examples", "fixtures"];
 
-/// The one file under `crates/engine/src` that may spawn threads.
-const ENGINE_SPAWN_SITE: &str = "crates/engine/src/pool.rs";
+/// Per crate source tree, the one file in it that may spawn threads.
+const SPAWN_SITES: &[(&str, &str)] = &[
+    ("crates/engine/src/", "crates/engine/src/pool.rs"),
+    ("crates/serve/src/", "crates/serve/src/server.rs"),
+];
 
 const ORDERING_VARIANTS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
@@ -312,8 +317,13 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let partial_cmp_allowed = PARTIAL_CMP_ALLOWLIST.iter().any(|s| path.ends_with(s));
     let in_serve = path.contains("crates/serve/");
-    let engine_spawn_banned =
-        path.contains("crates/engine/src/") && !path.ends_with(ENGINE_SPAWN_SITE);
+    // The spawn site this file must leave spawning to, if it is bound
+    // by one and is not it.
+    let spawn_site = SPAWN_SITES
+        .iter()
+        .find(|(tree, _)| path.contains(tree))
+        .map(|&(_, site)| site)
+        .filter(|site| !path.ends_with(site));
     let finding = |idx: usize, rule: Rule, message: String| Finding {
         path: path.to_string(),
         line: idx + 1,
@@ -397,16 +407,18 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
             }
         }
 
-        // --- engine-spawn: the pool is the engine's one spawn site ---
-        if engine_spawn_banned && !lines[idx].is_test && !waived(&lines, idx, Rule::EngineSpawn) {
+        // --- engine-spawn: one spawn site per crate ------------------
+        let exempt = || lines[idx].is_test || waived(&lines, idx, Rule::EngineSpawn);
+        if let Some(site) = spawn_site.filter(|_| !exempt()) {
             for needle in ["thread::spawn", "thread::scope", "thread::Builder"] {
                 if code.contains(needle) {
                     findings.push(finding(
                         idx,
                         Rule::EngineSpawn,
                         format!(
-                            "{needle} in crates/engine/src: fan out through the persistent pool \
-                             (pool.rs), which spawns nothing per search"
+                            "{needle} outside {site}, this crate's one spawn site: searches fan \
+                             out through the engine's persistent pool, which spawns nothing per \
+                             search"
                         ),
                     ));
                 }

@@ -162,6 +162,32 @@ fn engine_spawn_waivers_work() {
     assert_eq!(rules_at("crates/engine/src/engine.rs", src), vec![]);
 }
 
+#[test]
+fn thread_spawns_in_serve_code_outside_the_server_fire() {
+    let src = "fn f() {\n    std::thread::spawn(|| ());\n}\n";
+    assert_eq!(rules_at("crates/serve/src/workload.rs", src), vec![(2, Rule::EngineSpawn)]);
+    assert_eq!(rules_at("crates/serve/src/jobs.rs", src), vec![(2, Rule::EngineSpawn)]);
+}
+
+#[test]
+fn the_server_may_spawn_its_accept_and_session_threads() {
+    let src = "fn f() {\n    std::thread::Builder::new().spawn(|| ()).ok();\n}\n";
+    assert_eq!(rules_at("crates/serve/src/server.rs", src), vec![]);
+}
+
+#[test]
+fn thread_spawns_in_serve_test_code_are_exempt() {
+    let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| ()); }\n}\n";
+    assert_eq!(rules_at("crates/serve/src/tenants.rs", src), vec![]);
+}
+
+#[test]
+fn serve_spawn_waivers_work() {
+    let src =
+        "fn f() {\n    // selc-lint: allow(engine-spawn)\n    std::thread::spawn(|| ());\n}\n";
+    assert_eq!(rules_at("crates/serve/src/workload.rs", src), vec![]);
+}
+
 // -------------------------------------------------------------------- display
 
 #[test]

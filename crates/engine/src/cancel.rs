@@ -1,15 +1,16 @@
 //! Cooperative cancellation: one token per search, checked alongside the
 //! shared bound.
 //!
-//! A [`CancelToken`] carries the two ways a long-lived caller abandons a
-//! search mid-flight: an explicit [`CancelToken::cancel`] (a client hung
-//! up) and an optional wall-clock deadline (a per-request budget
-//! expired). Engines poll [`CancelToken::is_cancelled`] in exactly the
-//! places they already consult the [`crate::bound::SharedBound`] — the
-//! flat scan's per-candidate loop, the parallel workers' claim loop, and
-//! the tree walker's interior nodes — so an abort takes effect within
-//! one candidate (flat) or one node expansion (tree), not after the
-//! queue drains.
+//! A [`CancelToken`] is a flag plus one optional watched condition: an
+//! explicit [`CancelToken::cancel`], and a condition the search keeps
+//! asking about ([`CancelToken::with_watch`]), such as a deadline
+//! (`Instant::now() < d`) or a server's client still being connected.
+//! Engines poll [`CancelToken::is_cancelled`] in exactly the places
+//! they already consult the [`crate::bound::SharedBound`] — the flat
+//! scan's per-candidate loop, the parallel workers' claim loop, and the
+//! tree walker's interior nodes — so an abort takes effect within one
+//! candidate (flat) or one node expansion (tree), not after the queue
+//! drains.
 //!
 //! # Cancellation is *observable*, never *unsound*
 //!
@@ -35,26 +36,30 @@ use selc_check::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A cheaply-cloneable cancel/deadline flag; clones share the flag, so
-/// a caller cancels every worker holding a clone at once.
-#[derive(Clone, Debug, Default)]
+/// A condition a running search keeps asking about; `false` fires.
+type Watch = Arc<dyn Fn() -> bool + Send + Sync>;
+
+/// A cheaply-cloneable cancel flag plus an optional watched condition;
+/// clones share both, so a caller cancels every worker holding a clone
+/// at once.
+#[derive(Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
+    watch: Option<Watch>,
 }
 
 impl CancelToken {
     /// A token that only cancels when [`CancelToken::cancel`] is called
-    /// (no deadline).
+    /// (no watch).
     #[must_use]
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
 
     /// The token every convenience `search` runs under: nobody holds a
-    /// handle to it and it has no deadline, so it can never fire. The
-    /// deadline-free fast path makes the convenience entry points pay
-    /// one relaxed atomic load per check, no clock reads.
+    /// handle to it and it watches nothing, so it can never fire. The
+    /// watch-free fast path makes the convenience entry points pay one
+    /// relaxed atomic load per check, no clock reads.
     #[must_use]
     pub fn never() -> CancelToken {
         CancelToken::default()
@@ -63,17 +68,26 @@ impl CancelToken {
     /// A token that fires at `deadline` (and on explicit cancellation).
     #[must_use]
     pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken { flag: Arc::new(AtomicBool::new(false)), deadline: Some(deadline) }
+        CancelToken::new().with_watch(move || Instant::now() < deadline)
     }
 
     /// A token that fires `budget` from now.
     #[must_use]
     pub fn with_timeout(budget: Duration) -> CancelToken {
         // A budget so large it overflows the clock means "no deadline".
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Instant::now().checked_add(budget),
-        }
+        Instant::now().checked_add(budget).map_or_else(CancelToken::new, CancelToken::with_deadline)
+    }
+
+    /// This token, additionally fired once `alive` returns `false`. The
+    /// flag stays shared with every existing clone, and a watch already
+    /// set keeps applying: the search runs while both hold.
+    #[must_use]
+    pub fn with_watch(self, alive: impl Fn() -> bool + Send + Sync + 'static) -> CancelToken {
+        let watch: Watch = match self.watch {
+            Some(old) => Arc::new(move || old() && alive()),
+            None => Arc::new(alive),
+        };
+        CancelToken { flag: self.flag, watch: Some(watch) }
     }
 
     /// Cancels every clone of this token, immediately and permanently.
@@ -86,16 +100,23 @@ impl CancelToken {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether the search should stop: explicitly cancelled, or past the
-    /// deadline. The flag check is one relaxed load; the clock is read
-    /// only when a deadline was set.
+    /// Whether the search should stop: cancelled, or the watch no longer
+    /// holds — which raises the flag, so no clone needs to ask again.
+    /// The flag check is one relaxed load; a watch runs only if set.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         // ordering: Relaxed — polled on the hot claim path. The flag is
         // monotone (false → true, never back), so a stale read only
         // delays the stop by one poll; nothing is read on the strength
         // of observing `true` that would need Acquire here.
-        self.flag.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
+        if self.flag.load(Ordering::Relaxed) {
+            return true;
+        }
+        let fired = self.watch.as_ref().is_some_and(|alive| !alive());
+        if fired {
+            self.cancel();
+        }
+        fired
     }
 }
 
@@ -131,6 +152,43 @@ mod tests {
     fn saturating_budgets_mean_no_deadline() {
         let t = CancelToken::with_timeout(Duration::from_secs(u64::MAX));
         assert!(!t.is_cancelled());
+        assert!(t.watch.is_none(), "an overflowing budget installs no watch");
+        assert!(CancelToken::with_timeout(Duration::from_secs(3600)).watch.is_some());
+    }
+
+    #[test]
+    fn a_false_watch_fires_every_clone() {
+        let before = CancelToken::new();
+        let watched = before.clone().with_watch(|| false);
+        let after = watched.clone();
+        assert!(!before.is_cancelled(), "a clone without the watch cannot ask it");
+        assert!(watched.is_cancelled());
+        assert!(before.is_cancelled(), "the fired watch raised the shared flag");
+        assert!(after.is_cancelled());
+    }
+
+    #[test]
+    fn deadlines_and_watches_compose() {
+        use std::sync::atomic::AtomicBool as StdBool;
+        // Past deadline, live watch: the deadline fires.
+        let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1))
+            .with_watch(|| true);
+        assert!(t.is_cancelled());
+        // Far deadline, watch that turns false: the watch fires.
+        let alive = Arc::new(StdBool::new(true));
+        let t = CancelToken::with_timeout(Duration::from_secs(3600)).with_watch({
+            let alive = Arc::clone(&alive);
+            move || alive.load(std::sync::atomic::Ordering::SeqCst) // ordering: test probe
+        });
+        assert!(!t.is_cancelled());
+        alive.store(false, std::sync::atomic::Ordering::SeqCst); // ordering: test probe
+        assert!(t.is_cancelled());
+        // The watch order does not matter.
+        let t = CancelToken::new().with_watch(|| true).with_watch({
+            let past = Instant::now() - Duration::from_millis(1);
+            move || Instant::now() < past
+        });
+        assert!(t.is_cancelled());
     }
 }
 

@@ -980,6 +980,38 @@ mod tests {
     }
 
     #[test]
+    fn a_watch_that_turns_false_mid_walk_installs_nothing_on_the_abort_path() {
+        // The watch holds for its first 20 checks, then fails: the walk
+        // stops mid-tree. Subtrees finished before the abort may keep
+        // their summaries; every ancestor of the aborted node — the root
+        // included — must not get one, and whatever was installed must
+        // be the subtree's true argmin.
+        let losses = table(4, 64);
+        let flat = minimize(&SequentialEngine::exhaustive(), 64, |i| losses[i]).unwrap();
+        let eval = SummaryTree::new(losses.clone(), false);
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        let checks = AtomicU64::new(0);
+        let cancel = CancelToken::new().with_watch(move || checks.fetch_add(1, Relaxed) < 20);
+        let result = TreeEngine { threads: 1, prune: false, split: 0 }.search_with(&eval, &cancel);
+        assert!(result.was_cancelled());
+        let table = eval.table.lock().unwrap().clone();
+        assert!(!table.contains_key(&(0, 0)), "no root summary over an aborted walk");
+        assert!(table.len() < 63, "not every interior node installed: {} entries", table.len());
+        for (&(bits, len), s) in &table {
+            let width = 6 - len;
+            let lo = (bits << width) as usize;
+            let best =
+                minimize(&SequentialEngine::exhaustive(), 1 << width, |i| losses[lo + i]).unwrap();
+            assert!(s.exact, "no pruning, so no bound entries");
+            assert_eq!((s.index, s.loss), ((lo + best.index) as u64, best.loss), "{bits}/{len}");
+        }
+        // The next, unwatched search over the same tables is the cold
+        // winner.
+        let out = TreeEngine { threads: 1, prune: false, split: 0 }.search(&eval).unwrap();
+        assert_eq!((out.index, out.loss), (flat.index, flat.loss));
+    }
+
+    #[test]
     fn mid_walk_cancellation_returns_a_partial_best_and_skips_the_rest() {
         /// Fires the shared token after `trip` leaf evaluations.
         struct Tripping {

@@ -815,6 +815,24 @@ mod tests {
     }
 
     #[test]
+    fn a_watch_that_turns_false_mid_solve_stores_no_root_entry() {
+        // The watch holds for its first 10 interior-node checks, then
+        // fails: the solve unwinds through every ancestor of the node it
+        // stopped at without storing, so the root stays unresolved.
+        let t = GameTree::random(3, 6, 5);
+        let reference = t.solve_backward();
+        let cache = AbCache::unbounded(4);
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        let checks = AtomicU64::new(0);
+        let cancel = CancelToken::new().with_watch(move || checks.fetch_add(1, Relaxed) < 10);
+        assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &cancel), None);
+        assert!(cache.lookup(&node_key(3, 0, 0)).is_none(), "no root entry after an abort");
+        assert_eq!(t.solve_alphabeta_tt_warm(&cache), None);
+        let (play, value, _) = solve_tt(&t, &cache);
+        assert_eq!((play, value), reference);
+    }
+
+    #[test]
     fn tiny_capacity_eviction_stays_bit_identical() {
         // A capacity-8 table churns constantly; evictions may cost
         // warmth but never correctness.

@@ -41,7 +41,7 @@ fn run_server() {
         }
     };
     println!(
-        "selc-serve listening on {} ({} workers, {} max sessions)",
+        "selc-serve listening on {} ({} concurrent searches, {} max sessions)",
         server.addr(),
         config.workers,
         config.max_sessions

@@ -1,10 +1,10 @@
-//! The search-job queue between session threads and search workers.
+//! The search-slot queue: the server fills a `JobQueue<()>` with one
+//! `()` per [`crate::ServeConfig::workers`] slot; a session takes one
+//! with [`JobQueue::next`] to search and returns it with `submit`.
 //!
-//! [`JobQueue::close`] refuses every later submission and drops every
-//! queued job, under one lock. Dropping a job drops its completion
-//! sender, which wakes the session waiting on it. Without the drop, a
-//! worker that finished its running job and exited would strand the
-//! queued job's session, and shutdown could never join it.
+//! [`JobQueue::close`] refuses every later submission, drops every
+//! queued item, and wakes every waiter, under one lock, so shutdown ends
+//! the sessions waiting for a slot that no search would hand back.
 
 use selc_check::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
@@ -33,7 +33,7 @@ impl<T> JobQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues `job` for a worker, or hands it back once the queue is
+    /// Queues `job` for a waiter, or hands it back once the queue is
     /// closed.
     pub(crate) fn submit(&self, job: T) -> Result<(), T> {
         let mut state = self.lock();
@@ -62,15 +62,13 @@ impl<T> JobQueue<T> {
     }
 
     /// Refuses further submissions, drops every queued job, and wakes
-    /// every waiting worker. Returns how many jobs it dropped.
-    pub(crate) fn close(&self) -> usize {
+    /// every waiter.
+    pub(crate) fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
-        let dropped = state.jobs.len();
         state.jobs.clear();
         drop(state);
         self.ready.notify_all();
-        dropped
     }
 }
 

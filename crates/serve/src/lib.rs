@@ -22,13 +22,11 @@
 //! * [`workload`] — validation (resource caps before allocation) and
 //!   execution through the same cancellable entry points library
 //!   callers use, so served winners are bit-identical to direct ones.
-//! * [`server`] — accept loop, `Busy` admission control, one thread
-//!   per admitted session, and a fixed pool of search workers. A
-//!   session hands each search to a worker and watches its own socket
-//!   meanwhile, firing the search's `CancelToken` when the caller
-//!   vanishes; nothing spawns a thread per request. The server is also
-//!   where metrics recording defaults on, so a fresh daemon is
-//!   scrapeable without any environment setup.
+//! * [`server`] — accept loop, `Busy` admission control, and one
+//!   thread per admitted session, which runs its searches itself under
+//!   a `CancelToken` that watches its socket; nothing spawns a thread
+//!   per request. The server is also where metrics recording defaults
+//!   on, so a fresh daemon is scrapeable without any environment setup.
 //! * [`client`] — the blocking loopback client the tests and the
 //!   `e17_serve` throughput bench drive.
 //!

@@ -415,15 +415,21 @@ pub enum Response {
     Metrics(WireMetrics),
 }
 
-/// Reads one length-prefixed frame. `Ok(None)` is a clean EOF *between*
-/// frames (the peer hung up); EOF mid-frame, an oversized announced
-/// length, or any transport error is `Err`.
+/// Reads one length-prefixed frame. `Ok(None)` is a clean EOF *before* a
+/// frame's first byte (the peer hung up); EOF anywhere later, an
+/// oversized announced length, or any transport error is `Err`.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut hdr = [0u8; 4];
-    match r.read_exact(&mut hdr) {
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        other => other?,
+    let first = loop {
+        match r.read(&mut hdr) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => break other?,
+        }
+    };
+    if first == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut hdr[first..])?;
     let len = u32::from_be_bytes(hdr) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -446,7 +452,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 /// Fails with `InvalidInput` if `payload` exceeds [`MAX_FRAME`] —
 /// server- and client-built payloads are all far smaller, so an
 /// oversized one is a logic error, but the server's no-panic policy
-/// reports it as an error instead of killing the worker.
+/// reports it as an error instead of killing the session.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).ok().filter(|_| payload.len() <= MAX_FRAME).ok_or_else(
         || {
@@ -873,6 +879,12 @@ mod tests {
         truncated.extend_from_slice(&[0u8; 10]);
         let err = read_frame(&mut &truncated[..]).expect_err("mid-frame EOF");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // A header cut short is mid-frame too, not a clean hang-up.
+        for cut in 1..4 {
+            let err = read_frame(&mut &[0u8; 4][..cut]).expect_err("truncated header");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{cut}-byte header");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The server: accept loop, admission control, session threads, and
-//! search workers, split by what each blocks on.
+//! The server: accept loop, admission control, and session threads,
+//! split by what each blocks on.
 //!
 //! * **Accept loop** (one thread) — answers `Busy` and closes while
 //!   [`ServeConfig::max_sessions`] sessions are live, so overload
@@ -9,26 +9,23 @@
 //! * **Session threads** — block on their own socket. A session answers
 //!   inline every request with no search to cancel (decode and
 //!   validation failures, epoch bumps, scrapes, games the tenant's
-//!   table has resolved) and hands every other search to the workers
-//!   as a `Job`. It then blocks in `peek` as the search's disconnect
-//!   watcher: on EOF or a transport error before the job completes, it
-//!   fires the search's `CancelToken`. Either way it waits for
-//!   completion before reading the next frame.
-//! * **Search workers** ([`ServeConfig::workers`] threads) — run jobs
-//!   and write the replies, so `workers` bounds *concurrent searches*
-//!   and an idle session holds no worker.
+//!   table has resolved). Every other search it runs itself, as worker
+//!   0 of the engine pool's fan-out, once it holds one of the
+//!   [`ServeConfig::workers`] search slots; an idle session holds none.
+//!   Mid-search the socket is non-blocking and the search's
+//!   `CancelToken` watches it: EOF or a transport error fires the token.
 //!
 //! Cancellation is safe at any moment: a cancelled walk installs no
 //! cache summaries (see `DESIGN.md`), so a timed-out request leaves its
 //! tenant's warmth as it found it. Nothing spawns a thread per request.
-//! Shutdown closes the `JobQueue` first (see `jobs` for why), then
-//! force-closes every session socket and joins every thread.
+//! Shutdown closes the slot queue first (see `jobs` for why), then
+//! force-closes every session socket and joins every session.
 //!
 //! `Server::spawn` also flips the workspace's metrics default **on**
 //! (a daemon you cannot scrape is blind) unless `SELC_METRICS=0` asks
-//! for the zero-overhead path. `serve.queue_depth` counts queued
-//! searches; refusals and aborts are counters, per-op latencies log2
-//! histograms, all scrapeable via a `Metrics` request.
+//! for the zero-overhead path. `serve.queue_depth` counts sessions
+//! waiting for a slot; refusals and aborts are counters, per-op
+//! latencies log2 histograms, all scrapeable via a `Metrics` request.
 
 use crate::jobs::JobQueue;
 use crate::protocol::{read_frame, write_frame, Request, Response, WireMetrics, Workload};
@@ -37,11 +34,11 @@ use crate::workload::{self, Ran};
 use selc::env::{env_usize, SERVE_MAX_SESSIONS_ENV, SERVE_PORT_ENV, SERVE_WORKERS_ENV};
 use selc_engine::{configured_threads, CancelToken};
 use selc_obs::{metrics, Counter, Gauge, Histogram};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -87,9 +84,9 @@ pub struct ServeConfig {
     /// port (tests and benches do this and read it back from
     /// [`ServerHandle::addr`]).
     pub port: u16,
-    /// Search-worker threads — the number of *concurrent searches*
-    /// across all sessions; each search parallelises further via
-    /// `SELC_THREADS`. Idle sessions hold no worker.
+    /// Search slots — the number of *concurrent searches* across all
+    /// sessions; each search parallelises further via `SELC_THREADS`.
+    /// Idle sessions hold no slot.
     pub workers: usize,
     /// Admission limit: connections beyond this many live sessions are
     /// refused with `Busy`.
@@ -119,31 +116,25 @@ impl ServeConfig {
     }
 }
 
-/// One search handed from a session to a worker. The worker writes the
-/// reply on `reply` (a clone of the session socket) and then signals
-/// `done`; dropping the job unsent wakes the session just the same.
-struct Job {
-    tenant: Arc<Tenant>,
-    workload: Workload,
-    cancel: CancelToken,
-    deadline_bound: bool,
-    reply: TcpStream,
-    started: Instant,
-    latency: &'static Histogram,
-    done: SyncSender<()>,
+/// Cancel checks per socket `peek` on a served search (a peek is a syscall).
+const PEEK_EVERY: u32 = 256;
+
+thread_local! {
+    /// This thread's cancel checks on served searches.
+    static WATCH_CHECKS: Cell<u32> = const { Cell::new(0) };
 }
 
-/// State shared by the accept loop, the sessions, the workers, and the
-/// handle.
+/// State shared by the accept loop, the sessions, and the handle.
 struct Shared {
     tenants: Tenants,
-    jobs: JobQueue<Job>,
+    /// One `()` per free search slot.
+    slots: JobQueue<()>,
     /// Sessions admitted and not yet finished.
     active: AtomicUsize,
     shutdown: AtomicBool,
-    /// Clones of live session sockets, so shutdown can force-close
-    /// them and wake sessions blocked in `read_frame` or `peek`.
-    open: Mutex<HashMap<u64, TcpStream>>,
+    /// Live session sockets, so shutdown can force-close them and wake
+    /// sessions blocked in `read_frame` or searching.
+    open: Mutex<HashMap<u64, Arc<TcpStream>>>,
     next_session: AtomicU64,
 }
 
@@ -170,7 +161,6 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
 }
 
 /// Alias kept for readers scanning the crate root: the handle *is* the
@@ -178,8 +168,8 @@ pub struct Server {
 pub type ServerHandle = Server;
 
 impl Server {
-    /// Binds `127.0.0.1:{config.port}` and spawns the accept loop and
-    /// the search workers.
+    /// Binds `127.0.0.1:{config.port}` and spawns the accept loop, the
+    /// only thread the server starts before its first session.
     ///
     /// # Errors
     ///
@@ -189,7 +179,7 @@ impl Server {
     ///
     /// Panics if `config.workers` or `config.max_sessions` is zero.
     pub fn spawn(config: ServeConfig) -> io::Result<Server> {
-        assert!(config.workers >= 1, "a server needs at least one worker");
+        assert!(config.workers >= 1, "a server needs at least one search slot");
         assert!(config.max_sessions >= 1, "a server must admit at least one session");
         // A service you cannot scrape is blind: the daemon defaults
         // metrics ON, and `SELC_METRICS=0` still wins (overhead runs).
@@ -198,24 +188,21 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             tenants: Tenants::default(),
-            jobs: JobQueue::new(),
+            slots: JobQueue::new(),
             active: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             open: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
         });
+        for _ in 0..config.workers {
+            let _ = shared.slots.submit(());
+        }
         let accept = {
             let shared = Arc::clone(&shared);
             let max = config.max_sessions;
             thread::spawn(move || accept_loop(&listener, &shared, max))
         };
-        let workers = (0..config.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared.jobs))
-            })
-            .collect();
-        Ok(Server { addr, shared, accept: Some(accept), workers })
+        Ok(Server { addr, shared, accept: Some(accept) })
     }
 
     /// The bound address (read this when spawning on port 0).
@@ -232,8 +219,9 @@ impl Server {
         self.shared.active.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, drops queued searches, force-closes live
-    /// sessions, and joins every thread. Idempotent; also runs on drop.
+    /// Stops accepting, ends sessions waiting for a slot, force-closes
+    /// live sessions, and joins every thread. Idempotent; also runs on
+    /// drop.
     pub fn shutdown(&mut self) {
         // ordering: AcqRel — Release publishes everything this thread
         // did before shutting down to threads that observe the flag
@@ -242,23 +230,19 @@ impl Server {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Close the queue before anything else: from here no search is
-        // queued, so no session can wait on a job no worker will run.
-        let dropped = self.shared.jobs.close();
-        SERVE_METRICS.queue_depth.add(-i64::try_from(dropped).unwrap_or(i64::MAX));
+        // Close the slots before anything else: from here no session
+        // waits for a slot that a finishing search might never return.
+        self.shared.slots.close();
         // Unblock the accept loop with a throwaway connection; it
         // checks the flag before handling anything it accepts.
         let _ = TcpStream::connect(self.addr);
         // Force-close live sessions: idle ones wake from `read_frame`
-        // with an error, watching ones see EOF and cancel their search.
+        // with an error, searching ones' watches see EOF and cancel.
         for (_, stream) in lock_clean(&self.shared.open).drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -298,48 +282,36 @@ fn accept_loop(listener: &TcpListener, shared: &Shared, max_sessions: usize) {
     });
 }
 
-fn worker_loop(jobs: &JobQueue<Job>) {
-    while let Some(mut job) = jobs.next() {
-        SERVE_METRICS.queue_depth.dec();
-        let ran = workload::run(&job.tenant, &job.workload, &job.cancel, job.deadline_bound);
-        let _ = write_frame(&mut job.reply, &response(ran).encode());
-        job.latency.record(u64::try_from(job.started.elapsed().as_micros()).unwrap_or(u64::MAX));
-        let _ = job.done.send(());
-    }
-}
-
 /// Registers the session's socket for shutdown, serves it, and
 /// unregisters it.
 fn serve_session(stream: TcpStream, shared: &Shared) {
     // ordering: Relaxed — session ids only need uniqueness, which the
     // RMW guarantees under any ordering.
     let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-    if let Ok(clone) = stream.try_clone() {
-        lock_clean(&shared.open).insert(id, clone);
-    }
+    let stream = Arc::new(stream);
+    lock_clean(&shared.open).insert(id, Arc::clone(&stream));
     // A shutdown that raced our registration has already drained the
     // open map; re-checking the flag after inserting closes the gap
     // either way, so no session blocks past shutdown.
     if shared.shutting_down() {
         let _ = stream.shutdown(Shutdown::Both);
     }
-    serve_requests(stream, shared);
+    serve_requests(&stream, shared);
     lock_clean(&shared.open).remove(&id);
 }
 
 /// Serves one session until the client hangs up, the transport fails,
-/// or shutdown drops its search. Malformed *payloads* are survivable
-/// (the frame was consumed; answer and continue); malformed *frames*
-/// are not (the stream can no longer be resynchronised), so those
-/// answer and close.
-fn serve_requests(mut stream: TcpStream, shared: &Shared) {
+/// or shutdown ends it. Malformed *payloads* are survivable (the frame
+/// was consumed; answer and continue); malformed *frames* are not (the
+/// stream can no longer be resynchronised), so those answer and close.
+fn serve_requests(stream: &Arc<TcpStream>, shared: &Shared) {
     loop {
-        let payload = match read_frame(&mut stream) {
+        let payload = match read_frame(&mut &**stream) {
             Ok(Some(payload)) => payload,
             Ok(None) => return, // clean hang-up
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let resp = Response::Malformed(e.to_string());
-                let _ = write_frame(&mut stream, &resp.encode());
+                let _ = write_frame(&mut &**stream, &resp.encode());
                 return; // desynchronised: cannot keep the session
             }
             Err(_) => return,
@@ -366,36 +338,15 @@ fn serve_requests(mut stream: TcpStream, shared: &Shared) {
                 } else {
                     let tenant = shared.tenants.get_or_create(tenant);
                     // A resolved game answers from one table probe: there
-                    // is no search to cancel, so no worker is worth it.
-                    if let Some(ran) = workload::run_warm(&tenant, &workload) {
-                        (response(ran), Some(latency))
-                    } else {
-                        let cancel = if deadline_ms > 0 {
-                            CancelToken::with_timeout(Duration::from_millis(u64::from(deadline_ms)))
-                        } else {
-                            CancelToken::never()
-                        };
-                        let Ok(reply) = stream.try_clone() else { return };
-                        let (done, completed) = mpsc::sync_channel(1);
-                        let job = Job {
-                            tenant,
-                            workload,
-                            cancel,
-                            deadline_bound: deadline_ms > 0,
-                            reply,
-                            started,
-                            latency,
-                            done,
-                        };
-                        if !search(&stream, &shared.jobs, job, &completed) {
-                            return;
-                        }
-                        continue; // the worker wrote the reply
-                    }
+                    // is no search to cancel, so no slot is worth it.
+                    let ran = workload::run_warm(&tenant, &workload)
+                        .or_else(|| search(stream, &shared.slots, &tenant, &workload, deadline_ms));
+                    let Some(ran) = ran else { return };
+                    (response(ran), Some(latency))
                 }
             }
         };
-        let wrote = write_frame(&mut stream, &response.encode());
+        let wrote = write_frame(&mut &**stream, &response.encode());
         if let Some(latency) = latency {
             latency.record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
@@ -405,29 +356,49 @@ fn serve_requests(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Hands `job` to the workers and watches `stream` until the job
-/// completes: if the client hangs up (`peek` sees EOF) or the transport
-/// dies first, the job's token fires and the workers stop claiming.
-/// Bytes waiting mean a pipelined request, so the client is alive.
-/// False when the job never ran (shutdown closed the queue): the
-/// session must end.
-fn search(stream: &TcpStream, jobs: &JobQueue<Job>, job: Job, completed: &Receiver<()>) -> bool {
-    let cancel = job.cancel.clone();
+/// Runs one search on this thread once a slot is free, until it ends,
+/// its deadline passes, or the client hangs up. `None` ends the session:
+/// shutdown closed the slots, the client left, or the socket failed.
+fn search(
+    stream: &Arc<TcpStream>,
+    slots: &JobQueue<()>,
+    tenant: &Tenant,
+    workload: &Workload,
+    deadline_ms: u32,
+) -> Option<Ran> {
+    // The session neither reads nor writes until the reply, so the
+    // socket can stay non-blocking for the watch's peeks until then.
+    stream.set_nonblocking(true).ok()?;
     SERVE_METRICS.queue_depth.inc();
-    if jobs.submit(job).is_err() {
-        SERVE_METRICS.queue_depth.dec();
-        return false;
+    let slot = slots.next();
+    SERVE_METRICS.queue_depth.dec();
+    slot?;
+    let cancel = match deadline_ms {
+        0 => CancelToken::new(),
+        ms => CancelToken::with_timeout(Duration::from_millis(u64::from(ms))),
+    };
+    let watched = Arc::clone(stream);
+    let cancel = cancel.with_watch(move || {
+        let checks = WATCH_CHECKS.get().wrapping_add(1);
+        WATCH_CHECKS.set(checks);
+        !checks.is_multiple_of(PEEK_EVERY) || client_alive(&watched)
+    });
+    let ran = workload::run(tenant, workload, &cancel, deadline_ms > 0);
+    let _ = slots.submit(());
+    if matches!(ran, Ran::TimedOut { .. }) && !client_alive(stream) {
+        SERVE_METRICS.disconnect_cancels.inc();
+        return None;
     }
-    let hung_up = !matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
-    match completed.try_recv() {
-        Err(TryRecvError::Empty) => {
-            if hung_up {
-                SERVE_METRICS.disconnect_cancels.inc();
-                cancel.cancel();
-            }
-            completed.recv().is_ok()
-        }
-        finished => finished.is_ok(),
+    stream.set_nonblocking(false).ok()?;
+    Some(ran)
+}
+
+/// Whether the client on a non-blocking `stream` is there: yes while bytes
+/// wait (a pipelined request) or nothing does; no on EOF or any error.
+fn client_alive(stream: &TcpStream) -> bool {
+    match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n > 0,
+        Err(e) => e.kind() == io::ErrorKind::WouldBlock,
     }
 }
 

@@ -237,8 +237,8 @@ pub fn run(tenant: &Tenant, w: &Workload, cancel: &CancelToken, deadline_bound: 
 
 /// Answers a game request whose tree the tenant's table has already
 /// resolved: one root probe, no search — so the server answers it
-/// inline instead of queueing it for a search worker. `None` for chains
-/// and for cold games.
+/// without taking a search slot or watching the socket. `None` for
+/// chains and for cold games.
 pub fn run_warm(tenant: &Tenant, workload: &Workload) -> Option<Ran> {
     let Workload::Game { branching, depth, seed } = *workload else {
         return None;

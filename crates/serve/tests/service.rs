@@ -270,8 +270,9 @@ fn disconnected_callers_stop_their_searches() {
     let addr = server.addr();
     {
         // Ask for a deep cold search with no deadline, then vanish: the
-        // disconnect watcher must fire the token — otherwise the single
-        // worker grinds through 2^18 candidates for nobody.
+        // socket watch must fire the token — otherwise the search holds
+        // the only slot while it grinds through 2^18 candidates for
+        // nobody.
         let mut ghost = Client::connect(addr).expect("connect");
         let req = selc_serve::Request::Search {
             tenant: 3,
@@ -282,18 +283,46 @@ fn disconnected_callers_stop_their_searches() {
         ghost.send_bytes(&req.encode()).unwrap();
     } // dropped: the caller is gone
       // The session must drain far faster than the full search would
-      // take on one debug-build worker.
+      // take in a debug build.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.active_sessions() > 0 {
         assert!(Instant::now() < deadline, "ghost session never drained");
         std::thread::sleep(Duration::from_millis(20));
     }
-    // And the worker is free again for a live caller.
+    // And the slot is free again for a live caller.
     let reference = direct_chain(6);
     let mut live = Client::connect(addr).expect("connect");
     let (index, loss, _) =
         expect_ok(live.search(4, Workload::Chain { choices: 6 }, 0).expect("live search"));
     assert_eq!((index, loss.to_bits()), (reference.0, reference.1.to_bits()));
+}
+
+#[test]
+fn pipelined_requests_are_not_hang_ups() {
+    let server = spawn(1, 2);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // The second request is on the wire while the first, cold and
+    // undeadlined, is still searching: the session's socket watch sees
+    // bytes waiting, which means a live client, not a hang-up.
+    for (tenant, choices) in [(6, 14), (6, 6)] {
+        let req = selc_serve::Request::Search {
+            tenant,
+            deadline_ms: 0,
+            workload: Workload::Chain { choices },
+        };
+        let payload = req.encode();
+        client.send_bytes(&u32::try_from(payload.len()).unwrap().to_be_bytes()).unwrap();
+        client.send_bytes(&payload).unwrap();
+    }
+    for choices in [14, 6] {
+        let reference = direct_chain(choices);
+        let (index, loss, _) = expect_ok(client.read_response().expect("pipelined reply"));
+        assert_eq!(
+            (index, loss.to_bits()),
+            (reference.0, reference.1.to_bits()),
+            "chain {choices}"
+        );
+    }
 }
 
 #[test]
@@ -345,7 +374,7 @@ fn metrics_scrape_reports_live_telemetry() {
 fn idle_sessions_do_not_starve_searches() {
     let server = spawn(2, 8);
     let addr = server.addr();
-    // Two admitted sessions that never send a byte: one per worker.
+    // Two admitted sessions that never send a byte: one per slot.
     let _idle: Vec<Client> = (0..2).map(|_| Client::connect(addr).expect("connect idle")).collect();
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
@@ -366,8 +395,8 @@ fn shutdown_closes_idle_and_searching_sessions_promptly() {
     let addr = server.addr();
     let mut idle = Client::connect(addr).expect("connect idle");
     expect_ok(idle.search(1, Workload::Chain { choices: 4 }, 0).expect("idle session's search"));
-    // Two undeadlined deep searches on one worker: one runs, one waits
-    // in the queue.
+    // Two undeadlined deep searches on one search slot: one runs, one
+    // waits for the slot.
     let replies: Vec<_> = (0..2)
         .map(|t| {
             let (tx, rx) = mpsc::channel();
@@ -379,8 +408,9 @@ fn shutdown_closes_idle_and_searching_sessions_promptly() {
         })
         .collect();
     // Wait until both deep sessions are admitted, then give their frames
-    // a moment to reach the queue. Whether the second search is queued
-    // or refused by the closing queue, the assertions below are the same.
+    // a moment to arrive. Whether the second session is still waiting
+    // for the slot or finds the slots closed, the assertions below are
+    // the same.
     let admitted = Instant::now() + Duration::from_secs(10);
     while server.active_sessions() < 3 {
         assert!(Instant::now() < admitted, "deep sessions were never admitted");
