@@ -14,7 +14,7 @@
 //! winners never change either way).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use selc_engine::{ParallelEngine, SequentialEngine};
+use selc_engine::ParallelEngine;
 use selc_games::bimatrix::Matrix;
 use selc_games::parallel::minimax_root_split;
 use selc_ml::dataset::Dataset;
@@ -40,7 +40,7 @@ fn bench_hyper_grid(c: &mut Criterion) {
     g.bench_function("sequential", |b| {
         b.iter(|| {
             black_box(tune_training_run(
-                &SequentialEngine::exhaustive(),
+                &ParallelEngine::exhaustive(),
                 grid.clone(),
                 &data,
                 (0.0, 0.0),
@@ -51,7 +51,7 @@ fn bench_hyper_grid(c: &mut Criterion) {
     g.bench_function("sequential+prune", |b| {
         b.iter(|| {
             black_box(tune_training_run(
-                &SequentialEngine::pruning(),
+                &ParallelEngine::with_threads(1),
                 grid.clone(),
                 &data,
                 (0.0, 0.0),
@@ -77,10 +77,10 @@ fn bench_minimax_root(c: &mut Criterion) {
     let table = Matrix::random(rows, cols, 11);
     let mut g = c.benchmark_group("e12_parallel/minimax_root");
     g.bench_function("sequential", |b| {
-        b.iter(|| black_box(minimax_root_split(&table, &SequentialEngine::exhaustive())));
+        b.iter(|| black_box(minimax_root_split(&table, &ParallelEngine::exhaustive())));
     });
     g.bench_function("sequential+prune", |b| {
-        b.iter(|| black_box(minimax_root_split(&table, &SequentialEngine::pruning())));
+        b.iter(|| black_box(minimax_root_split(&table, &ParallelEngine::with_threads(1))));
     });
     for threads in [1usize, 2, 4, 8] {
         let eng = ParallelEngine { threads, chunk: 1, prune: true };

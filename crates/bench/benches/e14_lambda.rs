@@ -20,7 +20,7 @@ use lambda_c::syntax::Expr;
 use lambda_c::testgen::{deep_decide_chain, deep_let_chain, gen_signature, GenProgram};
 use lambda_c::{compile, machine, CompiledProgram, LossVal, Signature};
 use lambda_rt::{search_compiled_flat, LcCandidates};
-use selc_engine::SequentialEngine;
+use selc_engine::ParallelEngine;
 
 fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
@@ -96,7 +96,7 @@ fn bench_decide_chain(c: &mut Criterion) {
     let reference = bigstep_loss(&sig, &p);
     let cands =
         LcCandidates::new(compile(&p.expr).expect("compiles"), ["decide".to_owned()], choices);
-    let seq = SequentialEngine::exhaustive();
+    let seq = ParallelEngine::exhaustive();
     let (out, _) = search_compiled_flat(&seq, &cands).unwrap();
     assert_eq!(out.loss.0, reference, "engine argmin == handler semantics");
 

@@ -1,10 +1,10 @@
-//! Per-shard storage policies: the [`CacheBackend`] trait and its two
-//! implementations, [`Unbounded`] and the bounded [`ClockLru`].
+//! Per-shard storage: a [`Store`] is a plain hash map or the bounded
+//! [`ClockLru`], picked when the cache is built (`SELC_CACHE_CAP`).
 //!
-//! A backend is plain single-threaded storage — `ShardedCache` supplies
-//! the concurrency (one backend per mutex-guarded shard) and the
+//! A store is plain single-threaded storage — `ShardedCache` supplies
+//! the concurrency (one store per mutex-guarded shard) and the
 //! telemetry (the shard counts hits/misses/insertions/evictions around
-//! backend calls). Eviction is a *space* policy, never a correctness
+//! store calls). Eviction is a *space* policy, never a correctness
 //! one: a selection search consulting a cache treats a miss as "compute
 //! it again", so an evicted entry can cost recomputation but can never
 //! change a winner (the soundness argument in `DESIGN.md`).
@@ -12,99 +12,86 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Single-shard storage: what to keep and what to drop.
-///
-/// `get` takes `&mut self` so recency-tracking backends can update their
-/// bookkeeping (the clock's referenced bits) on a hit.
-pub trait CacheBackend<K, V>: Send {
-    /// The cached value for `key`, if present.
-    fn get(&mut self, key: &K) -> Option<V>;
+/// One shard's storage: what to keep and what to drop.
+pub(crate) enum Store<K, V> {
+    /// Unbounded: nothing is ever evicted.
+    Map(HashMap<K, V>),
+    /// Bounded: second-chance eviction at capacity.
+    Clock(ClockLru<K, V>),
+}
+
+impl<K: Clone + Eq + Hash, V: Clone> Store<K, V> {
+    /// The stored value for `key`, if present (a clock hit also sets
+    /// the entry's referenced bit).
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
+        match self {
+            Store::Map(map) => map.get(key).cloned(),
+            Store::Clock(clock) => clock.get(key),
+        }
+    }
 
     /// Stores `key → value`, returning `true` if an existing entry had
     /// to be evicted to make room (never for an update in place).
-    fn insert(&mut self, key: K, value: V) -> bool;
+    pub(crate) fn insert(&mut self, key: K, value: V) -> bool {
+        match self {
+            Store::Map(map) => {
+                map.insert(key, value);
+                false
+            }
+            Store::Clock(clock) => clock.insert(key, value),
+        }
+    }
 
     /// Number of live entries.
-    fn len(&self) -> usize;
-
-    /// No live entries?
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Store::Map(map) => map.len(),
+            Store::Clock(clock) => clock.slots.len(),
+        }
     }
 
     /// Drops every entry, returning how many were dropped (epoch
     /// invalidation reports these as evictions).
-    fn clear(&mut self) -> usize;
-}
-
-/// The unbounded backend: a plain hash map, nothing ever evicted.
-#[derive(Debug, Default)]
-pub struct Unbounded<K, V> {
-    map: HashMap<K, V>,
-}
-
-impl<K, V> Unbounded<K, V> {
-    /// An empty unbounded backend.
-    #[must_use]
-    pub fn new() -> Unbounded<K, V> {
-        Unbounded { map: HashMap::new() }
-    }
-}
-
-impl<K, V> CacheBackend<K, V> for Unbounded<K, V>
-where
-    K: Eq + Hash + Send,
-    V: Clone + Send,
-{
-    fn get(&mut self, key: &K) -> Option<V> {
-        self.map.get(key).cloned()
-    }
-
-    fn insert(&mut self, key: K, value: V) -> bool {
-        self.map.insert(key, value);
-        false
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn clear(&mut self) -> usize {
-        let n = self.map.len();
-        self.map.clear();
+    pub(crate) fn clear(&mut self) -> usize {
+        let n = self.len();
+        match self {
+            Store::Map(map) => map.clear(),
+            Store::Clock(clock) => {
+                clock.slots.clear();
+                clock.index.clear();
+                clock.hand = 0;
+            }
+        }
         n
     }
 }
 
 /// One clock slot: an entry plus its second-chance bit.
-#[derive(Debug)]
 struct Slot<K, V> {
     key: K,
     value: V,
     referenced: bool,
 }
 
-/// The bounded backend: CLOCK (second-chance) eviction — an LRU
+/// The bounded store: CLOCK (second-chance) eviction — an LRU
 /// approximation with O(1) hits and no linked-list churn. Entries sit on
 /// a circular buffer; a hit sets the entry's referenced bit; when the
-/// cache is full, a sweeping hand clears referenced bits until it finds
+/// store is full, a sweeping hand clears referenced bits until it finds
 /// an unreferenced victim to replace.
-#[derive(Debug)]
-pub struct ClockLru<K, V> {
+pub(crate) struct ClockLru<K, V> {
     capacity: usize,
     slots: Vec<Slot<K, V>>,
     index: HashMap<K, usize>,
     hand: usize,
 }
 
-impl<K: Clone + Eq + Hash, V> ClockLru<K, V> {
-    /// A bounded backend holding at most `capacity` entries.
+impl<K: Clone + Eq + Hash, V: Clone> ClockLru<K, V> {
+    /// A bounded store holding at most `capacity` entries.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> ClockLru<K, V> {
+    pub(crate) fn new(capacity: usize) -> ClockLru<K, V> {
         assert!(capacity >= 1, "ClockLru needs capacity >= 1");
         ClockLru {
             capacity,
@@ -112,12 +99,6 @@ impl<K: Clone + Eq + Hash, V> ClockLru<K, V> {
             index: HashMap::new(),
             hand: 0,
         }
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Advances the hand to a victim slot, giving referenced entries
@@ -134,13 +115,7 @@ impl<K: Clone + Eq + Hash, V> ClockLru<K, V> {
             }
         }
     }
-}
 
-impl<K, V> CacheBackend<K, V> for ClockLru<K, V>
-where
-    K: Clone + Eq + Hash + Send,
-    V: Clone + Send,
-{
     fn get(&mut self, key: &K) -> Option<V> {
         let &i = self.index.get(key)?;
         self.slots[i].referenced = true;
@@ -164,18 +139,6 @@ where
         self.slots[i] = Slot { key, value, referenced: true };
         true
     }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn clear(&mut self) -> usize {
-        let n = self.slots.len();
-        self.slots.clear();
-        self.index.clear();
-        self.hand = 0;
-        n
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +147,7 @@ mod tests {
 
     #[test]
     fn unbounded_never_evicts() {
-        let mut b: Unbounded<u32, u32> = Unbounded::new();
+        let mut b: Store<u32, u32> = Store::Map(HashMap::new());
         for i in 0..1000 {
             assert!(!b.insert(i, i * 2));
         }
@@ -192,12 +155,12 @@ mod tests {
         assert_eq!(b.get(&500), Some(1000));
         assert_eq!(b.get(&1001), None);
         assert_eq!(b.clear(), 1000);
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
     fn clock_update_in_place_is_not_an_eviction() {
-        let mut b: ClockLru<u32, u32> = ClockLru::new(2);
+        let mut b: Store<u32, u32> = Store::Clock(ClockLru::new(2));
         assert!(!b.insert(1, 10));
         assert!(!b.insert(1, 11), "update in place");
         assert_eq!(b.get(&1), Some(11));
@@ -206,7 +169,7 @@ mod tests {
 
     #[test]
     fn clock_evicts_at_capacity() {
-        let mut b: ClockLru<u32, u32> = ClockLru::new(2);
+        let mut b: Store<u32, u32> = Store::Clock(ClockLru::new(2));
         assert!(!b.insert(1, 1));
         assert!(!b.insert(2, 2));
         assert!(b.insert(3, 3), "third insert must evict");
@@ -218,7 +181,7 @@ mod tests {
 
     #[test]
     fn clock_second_chance_prefers_unreferenced_victims() {
-        let mut b: ClockLru<u32, u32> = ClockLru::new(2);
+        let mut b: Store<u32, u32> = Store::Clock(ClockLru::new(2));
         b.insert(1, 1);
         b.insert(2, 2);
         // Both referenced: the sweep clears both bits and evicts slot 0
@@ -228,7 +191,7 @@ mod tests {
         assert_eq!(b.get(&2), Some(2));
         // Hit 2 but not 3 … then the next insert's victim is whichever
         // entry is unreferenced when the hand reaches it.
-        let mut b: ClockLru<u32, u32> = ClockLru::new(2);
+        let mut b: Store<u32, u32> = Store::Clock(ClockLru::new(2));
         b.insert(1, 1);
         b.insert(2, 2);
         b.insert(3, 3); // state: [3 (ref), 2 (unref)], hand on slot 1
@@ -240,12 +203,12 @@ mod tests {
 
     #[test]
     fn clock_clear_resets_everything() {
-        let mut b: ClockLru<u32, u32> = ClockLru::new(3);
+        let mut b: Store<u32, u32> = Store::Clock(ClockLru::new(3));
         for i in 0..3 {
             b.insert(i, i);
         }
         assert_eq!(b.clear(), 3);
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
         assert!(!b.insert(9, 9));
         assert_eq!(b.get(&9), Some(9));
     }

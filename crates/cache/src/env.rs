@@ -4,7 +4,7 @@
 //! One variable governs every cached entry point that does not take an
 //! explicit cache, exactly as `SELC_THREADS` governs every pool:
 //! `SELC_CACHE_CAP`, the total entry capacity. Unset, unparsable, or `0`
-//! means unbounded; any positive value selects the bounded CLOCK backend
+//! means unbounded; any positive value selects the bounded CLOCK store
 //! (CI pins a tiny cap to force eviction through the differential
 //! suites). Environment-built caches always have [`DEFAULT_SHARDS`]
 //! shards.

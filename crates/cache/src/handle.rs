@@ -5,9 +5,8 @@
 //! and store. Two families implement it:
 //!
 //! * [`LocalCache`](crate::local::LocalCache) — the per-activation
-//!   `Rc<RefCell<HashMap>>` cache the seed's `MemoChoice` hard-wired,
-//!   now just one backend among others (single-threaded, unbounded,
-//!   dies with the activation);
+//!   `Rc<RefCell<HashMap>>` cache (single-threaded, unbounded, dies
+//!   with the activation);
 //! * [`ShardedCache`](crate::sharded::ShardedCache) — the concurrent
 //!   transposition table, shared across workers/activations/runs as an
 //!   [`Arc`] ([`SharedCache`](crate::sharded::SharedCache)).
@@ -39,11 +38,7 @@ pub trait CacheHandle<K, V> {
     fn stats(&self) -> CacheStats;
 }
 
-impl<K, V> CacheHandle<K, V> for crate::sharded::ShardedCache<K, V>
-where
-    K: Eq + Hash + Send + 'static,
-    V: Clone + Send + 'static,
-{
+impl<K: Clone + Eq + Hash, V: Clone> CacheHandle<K, V> for crate::sharded::ShardedCache<K, V> {
     fn lookup(&self, key: &K) -> Option<V> {
         crate::sharded::ShardedCache::lookup(self, key)
     }
@@ -74,20 +69,6 @@ impl<K, V, C: CacheHandle<K, V>> CacheHandle<K, V> for Arc<C> {
     }
 }
 
-impl<K, V, C: CacheHandle<K, V>> CacheHandle<K, V> for std::rc::Rc<C> {
-    fn lookup(&self, key: &K) -> Option<V> {
-        (**self).lookup(key)
-    }
-
-    fn store(&self, key: K, value: V) {
-        (**self).store(key, value);
-    }
-
-    fn stats(&self) -> CacheStats {
-        (**self).stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,10 +86,5 @@ mod tests {
     fn sharded_cache_is_a_handle_directly_and_behind_arc() {
         exercise(&ShardedCache::unbounded(2));
         exercise(&Arc::new(ShardedCache::unbounded(2)));
-    }
-
-    #[test]
-    fn rc_delegation() {
-        exercise(&std::rc::Rc::new(ShardedCache::unbounded(1)));
     }
 }

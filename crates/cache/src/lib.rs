@@ -17,13 +17,14 @@
 //! * [`ShardedCache`] — N mutex-guarded shards selected by a
 //!   deterministic key hash; epoch invalidation for reusing one cache
 //!   across searches ([`ShardedCache::advance_epoch`]); shared as a
-//!   cheap-clone [`SharedCache`] (`Arc`).
-//! * [`CacheBackend`] — the per-shard storage policy: [`Unbounded`]
-//!   (plain hash map) or the bounded [`ClockLru`] (second-chance
-//!   eviction). Eviction costs recomputation, never correctness — a
-//!   miss just means "compute it again".
+//!   cheap-clone [`SharedCache`] (`Arc`). Each shard stores entries in
+//!   a plain hash map ([`ShardedCache::unbounded`]) or a bounded
+//!   second-chance clock ([`ShardedCache::clock_lru`]); `SELC_CACHE_CAP`
+//!   picks between them for [`ShardedCache::from_env`]. Eviction costs
+//!   recomputation, never correctness — a miss just means "compute it
+//!   again".
 //! * [`CacheHandle`] — what memoising call sites are generic over;
-//!   implemented by [`ShardedCache`] (and `Arc`/`Rc` of it) and by the
+//!   implemented by [`ShardedCache`] (and `Arc` of it) and by the
 //!   single-threaded per-activation [`LocalCache`].
 //! * [`CacheStats`] — hits/misses/insertions/evictions, mergeable per
 //!   shard and per worker; flows into `selc-engine::SearchStats`.
@@ -36,7 +37,7 @@
 //! This crate has no dependencies (not even on `selc`); `selc` builds
 //! its probe memoisation on top of it.
 
-pub mod backend;
+mod backend;
 pub mod env;
 pub mod handle;
 pub mod local;
@@ -44,7 +45,6 @@ pub mod sharded;
 pub mod stats;
 pub mod summary;
 
-pub use backend::{CacheBackend, ClockLru, Unbounded};
 pub use handle::CacheHandle;
 pub use local::LocalCache;
 pub use sharded::{ShardedCache, SharedCache};

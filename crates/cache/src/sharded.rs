@@ -3,10 +3,10 @@
 //!
 //! Sharding bounds contention instead of eliminating it: two workers
 //! only serialise when their keys hash to the same shard, so lock hold
-//! times stay at one backend operation and throughput scales with the
+//! times stay at one store operation and throughput scales with the
 //! shard count. The shard for a key is a pure function of the key (a
 //! deterministic SipHash), so *which* values a lookup can see never
-//! depends on thread interleaving — with an unbounded backend the cache
+//! depends on thread interleaving — with an unbounded store the cache
 //! contents are a plain function of the set of stores performed, and the
 //! differential suites exploit that to demand shard-count invariance.
 //!
@@ -15,17 +15,18 @@
 //! [`ShardedCache::advance_epoch`] logically empties the whole cache in
 //! one atomic bump. Shards notice lazily: each shard records the epoch
 //! it last served, and the first access under a newer epoch clears the
-//! shard's backend (counting the dropped entries as evictions) before
+//! shard's store (counting the dropped entries as evictions) before
 //! proceeding. The contract: entries stored under epoch *e* are
 //! invisible under every epoch > *e*. Use it when the meaning of the
 //! keys changes — a new program, a new loss function, a new dataset —
 //! while reusing the allocation and the handle.
 
-use crate::backend::{CacheBackend, ClockLru, Unbounded};
+use crate::backend::{ClockLru, Store};
 use crate::stats::CacheStats;
 use selc_check::sync::atomic::{AtomicU64, Ordering};
 use selc_check::sync::{Mutex, MutexGuard, TryLockError};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -85,29 +86,24 @@ fn lock_shard<S>(m: &Mutex<S>) -> MutexGuard<'_, S> {
 /// cheap to clone into worker closures and handler factories.
 pub type SharedCache<K, V> = Arc<ShardedCache<K, V>>;
 
-/// One shard: a backend plus the epoch it last served and its counters.
+/// One shard: a store plus the epoch it last served and its counters.
 struct Shard<K, V> {
-    backend: Box<dyn CacheBackend<K, V>>,
+    store: Store<K, V>,
     epoch: u64,
     stats: CacheStats,
 }
 
-impl<K, V> Shard<K, V> {
-    /// Clears the backend, counting the drops as evictions in both the
-    /// per-cache stats and the process-global metrics mirror.
-    fn drop_all(&mut self) {
-        let dropped = self.backend.clear() as u64;
-        self.stats.evictions += dropped;
-        if dropped > 0 && selc_obs::metrics_enabled() {
-            cache_metrics().evictions.add(dropped);
-        }
-    }
-
+impl<K: Clone + Eq + Hash, V: Clone> Shard<K, V> {
     /// Applies a pending epoch bump: entries from older epochs vanish
-    /// (counted as evictions) before the shard serves anything.
+    /// before the shard serves anything, counted as evictions in both
+    /// the per-cache stats and the process-global metrics mirror.
     fn sync_epoch(&mut self, current: u64) {
         if self.epoch != current {
-            self.drop_all();
+            let dropped = self.store.clear() as u64;
+            self.stats.evictions += dropped;
+            if dropped > 0 && selc_obs::metrics_enabled() {
+                cache_metrics().evictions.add(dropped);
+            }
             self.epoch = current;
         }
     }
@@ -123,11 +119,7 @@ pub struct ShardedCache<K, V> {
     epoch: AtomicU64,
 }
 
-impl<K, V> ShardedCache<K, V>
-where
-    K: Eq + Hash + Send + 'static,
-    V: Clone + Send + 'static,
-{
+impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
     /// A cache of `shards` unbounded shards.
     ///
     /// # Panics
@@ -135,31 +127,61 @@ where
     /// Panics if `shards` is zero.
     #[must_use]
     pub fn unbounded(shards: usize) -> ShardedCache<K, V> {
-        ShardedCache::with_backends(shards, || Box::new(Unbounded::new()))
+        ShardedCache::with_stores(shards, || Store::Map(HashMap::new()))
     }
 
-    /// A cache with per-shard backends built by `factory`.
+    /// A bounded cache: CLOCK stores whose capacities sum to **at
+    /// most** `total_capacity` (and to no less than
+    /// `total_capacity − shards + 1`). The shard count is clamped to
+    /// the capacity so every shard holds at least one entry — a tiny
+    /// cap therefore really is tiny, whatever shard count was asked
+    /// for, which is what the CI forced-eviction job relies on.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
+    /// Panics if `shards` or `total_capacity` is zero.
     #[must_use]
-    pub fn with_backends(
-        shards: usize,
-        factory: impl Fn() -> Box<dyn CacheBackend<K, V>>,
-    ) -> ShardedCache<K, V> {
+    pub fn clock_lru(shards: usize, total_capacity: usize) -> ShardedCache<K, V> {
+        assert!(total_capacity >= 1, "bounded cache needs capacity >= 1");
+        assert!(shards >= 1, "ShardedCache needs at least one shard");
+        let shards = shards.min(total_capacity);
+        let per_shard = total_capacity / shards;
+        ShardedCache::with_stores(shards, || Store::Clock(ClockLru::new(per_shard)))
+    }
+
+    /// The environment-configured cache: [`crate::env::DEFAULT_SHARDS`]
+    /// shards, bounded to `SELC_CACHE_CAP` entries when that knob is set
+    /// and positive, unbounded otherwise. Every cached entry point that
+    /// does not take an explicit cache builds one of these, so the knob
+    /// governs the whole workspace just like `SELC_THREADS` does for
+    /// pools.
+    #[must_use]
+    pub fn from_env() -> ShardedCache<K, V> {
+        let shards = crate::env::DEFAULT_SHARDS;
+        match crate::env::configured_capacity() {
+            Some(cap) => ShardedCache::clock_lru(shards, cap),
+            None => ShardedCache::unbounded(shards),
+        }
+    }
+
+    /// [`from_env`](Self::from_env), already wrapped for sharing.
+    #[must_use]
+    pub fn shared_from_env() -> SharedCache<K, V> {
+        Arc::new(ShardedCache::from_env())
+    }
+
+    /// A cache of `shards` shards, each with a store built by `store`.
+    fn with_stores(shards: usize, store: impl Fn() -> Store<K, V>) -> ShardedCache<K, V> {
         assert!(shards >= 1, "ShardedCache needs at least one shard");
         let shards = (0..shards)
-            .map(|_| {
-                Mutex::new(Shard { backend: factory(), epoch: 0, stats: CacheStats::default() })
-            })
+            .map(|_| Mutex::new(Shard { store: store(), epoch: 0, stats: CacheStats::default() }))
             .collect();
         ShardedCache { shards, epoch: AtomicU64::new(0) }
     }
 
     /// The shard a key lives in — a pure function of the key, so lookups
     /// are deterministic and shard counts only affect contention, never
-    /// contents (for unbounded backends).
+    /// contents (for unbounded stores).
     fn shard_index(&self, key: &K) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -182,7 +204,7 @@ where
     /// The cached value for `key`, if present under the current epoch.
     pub fn lookup(&self, key: &K) -> Option<V> {
         let mut shard = self.shard(key);
-        let found = shard.backend.get(key);
+        let found = shard.store.get(key);
         match &found {
             Some(_) => shard.stats.hits += 1,
             None => shard.stats.misses += 1,
@@ -202,7 +224,7 @@ where
     pub fn store(&self, key: K, value: V) {
         let mut shard = self.shard(&key);
         shard.stats.insertions += 1;
-        let evicted = shard.backend.insert(key, value);
+        let evicted = shard.store.insert(key, value);
         if evicted {
             shard.stats.evictions += 1;
         }
@@ -214,22 +236,6 @@ where
                 metrics.evictions.inc();
             }
         }
-    }
-
-    /// The cached value for `key`, computing and storing it on a miss.
-    ///
-    /// The shard lock is **not** held while `compute` runs (so `compute`
-    /// may recurse into the same cache — transposition solvers do). Two
-    /// threads may therefore race to compute the same key; both stores
-    /// land and the last wins, which is harmless exactly when `compute`
-    /// is pure — the contract of every selection-search cache here.
-    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.lookup(&key) {
-            return v;
-        }
-        let v = compute();
-        self.store(key, v.clone());
-        v
     }
 
     /// Logically empties the cache: entries stored under earlier epochs
@@ -252,7 +258,7 @@ where
     /// Live entries across all shards (after applying pending epoch
     /// invalidation).
     pub fn len(&self) -> usize {
-        self.for_each_shard(|s| s.backend.len()).into_iter().sum()
+        self.for_each_shard(|s| s.store.len()).into_iter().sum()
     }
 
     /// No live entries?
@@ -267,21 +273,9 @@ where
             .fold(CacheStats::default(), |acc, s| acc.merged(&s))
     }
 
-    /// Per-shard counters, in shard order — the mergeable view
-    /// [`stats`](Self::stats) folds over.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.for_each_shard(|s| s.stats)
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Physically clears every shard now, without changing the epoch.
-    /// Dropped entries count as evictions.
-    pub fn clear(&self) {
-        self.for_each_shard(Shard::drop_all);
     }
 
     /// Runs `f` under each shard's lock in shard order, applying pending
@@ -297,52 +291,6 @@ where
                 f(&mut guard)
             })
             .collect()
-    }
-}
-
-impl<K, V> ShardedCache<K, V>
-where
-    K: Clone + Eq + Hash + Send + 'static,
-    V: Clone + Send + 'static,
-{
-    /// A bounded cache: CLOCK backends whose capacities sum to **at
-    /// most** `total_capacity` (and to no less than
-    /// `total_capacity − shards + 1`). The shard count is clamped to
-    /// the capacity so every shard holds at least one entry — a tiny
-    /// cap therefore really is tiny, whatever shard count was asked
-    /// for, which is what the CI forced-eviction job relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `total_capacity` is zero.
-    #[must_use]
-    pub fn clock_lru(shards: usize, total_capacity: usize) -> ShardedCache<K, V> {
-        assert!(total_capacity >= 1, "bounded cache needs capacity >= 1");
-        assert!(shards >= 1, "ShardedCache needs at least one shard");
-        let shards = shards.min(total_capacity);
-        let per_shard = total_capacity / shards;
-        ShardedCache::with_backends(shards, move || Box::new(ClockLru::new(per_shard)))
-    }
-
-    /// The environment-configured cache: [`crate::env::DEFAULT_SHARDS`]
-    /// shards, bounded to `SELC_CACHE_CAP` entries when that knob is set
-    /// and positive, unbounded otherwise. Every cached entry point that
-    /// does not take an explicit cache builds one of these, so the knob
-    /// governs the whole workspace just like `SELC_THREADS` does for
-    /// pools.
-    #[must_use]
-    pub fn from_env() -> ShardedCache<K, V> {
-        let shards = crate::env::DEFAULT_SHARDS;
-        match crate::env::configured_capacity() {
-            Some(cap) => ShardedCache::clock_lru(shards, cap),
-            None => ShardedCache::unbounded(shards),
-        }
-    }
-
-    /// [`from_env`](Self::from_env), already wrapped for sharing.
-    #[must_use]
-    pub fn shared_from_env() -> SharedCache<K, V> {
-        Arc::new(ShardedCache::from_env())
     }
 }
 
@@ -369,25 +317,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions, s.evictions), (1, 1, 1, 0));
-        assert_eq!(
-            c.shard_stats().into_iter().fold(CacheStats::default(), |a, s| a.merged(&s)),
-            s,
-            "shard stats merge to the totals"
-        );
-    }
-
-    #[test]
-    fn get_or_insert_with_computes_once_per_key() {
-        let c: ShardedCache<u32, u64> = ShardedCache::unbounded(2);
-        let mut computed = 0;
-        for _ in 0..3 {
-            let v = c.get_or_insert_with(9, || {
-                computed += 1;
-                42
-            });
-            assert_eq!(v, 42);
-        }
-        assert_eq!(computed, 1);
     }
 
     #[test]
@@ -434,16 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_without_epoch_change() {
-        let c: ShardedCache<u32, u32> = ShardedCache::unbounded(3);
-        c.store(5, 5);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.epoch(), 0);
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
     fn concurrent_mixed_workload_is_consistent() {
         let c: SharedCache<u64, u64> = Arc::new(ShardedCache::unbounded(4));
         std::thread::scope(|s| {
@@ -452,8 +371,10 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..250u64 {
                         let k = (t * 250 + i) % 100;
-                        let v = c.get_or_insert_with(k, || k * 3);
-                        assert_eq!(v, k * 3, "cached value corrupted");
+                        match c.lookup(&k) {
+                            Some(v) => assert_eq!(v, k * 3, "cached value corrupted"),
+                            None => c.store(k, k * 3),
+                        }
                     }
                 });
             }

@@ -8,7 +8,7 @@
 //! way up into `selc-engine`'s `SearchStats`.
 
 /// Counters describing what a cache did: lookups that hit, lookups that
-/// missed, entries inserted, and entries evicted (by a bounded backend
+/// missed, entries inserted, and entries evicted (by a bounded store
 /// reaching capacity, or by epoch invalidation clearing a shard).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -18,7 +18,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries stored.
     pub insertions: u64,
-    /// Entries removed to make room (bounded backends) or dropped by
+    /// Entries removed to make room (bounded stores) or dropped by
     /// epoch invalidation.
     pub evictions: u64,
 }

@@ -1,16 +1,18 @@
-//! The engines: candidate-space search with deterministic reduction.
+//! The flat engine: candidate-space search with deterministic reduction.
 //!
-//! An [`Engine`] evaluates every candidate in a finite space `0..space`
-//! through a [`CandidateEval`] and returns the argmin under the total
-//! order [`OrderedLoss::cmp_loss`], ties broken towards the smallest
-//! index. [`SequentialEngine`] is the single-threaded reference;
-//! [`ParallelEngine`] distributes chunks of the space over the calling
+//! [`ParallelEngine`] evaluates every candidate in a finite space
+//! `0..space` through a [`CandidateEval`] and returns the argmin under
+//! the total order [`OrderedLoss::cmp_loss`], ties broken towards the
+//! smallest index. It distributes chunks of the space over the calling
 //! thread and helpers from the engine's persistent thread pool, and
 //! merges per-worker bests by `(loss, index)`
 //! — a commutative, associative, *total* reduction, so the winner is
-//! bit-identical to the sequential scan regardless of thread
-//! interleaving. Both share the branch-and-bound machinery of
-//! [`SharedBound`].
+//! bit-identical to the index-order scan regardless of thread
+//! interleaving. Branch-and-bound pruning goes through [`SharedBound`].
+//! The worker count is a policy of the one engine, not a second engine:
+//! [`ParallelEngine::exhaustive`] runs one worker with no pruning, which
+//! claims the whole space at once and scans it in index order on the
+//! calling thread — the differential suites' oracle.
 //!
 //! Every engine, the tree walk in [`crate::tree`] included, fans out
 //! through one worker loop (`fan_out`, the caller being worker 0, the
@@ -127,7 +129,7 @@ pub struct SearchStats {
     pub evaluated: u64,
     /// Candidates skipped (dominated lower bound) or abandoned mid-eval.
     pub pruned: u64,
-    /// Workers the search ran with (1 for the sequential engine).
+    /// Workers the search ran with (1 for [`ParallelEngine::exhaustive`]).
     pub threads: usize,
     /// Cache counters reported by the evaluator: memoised probes and/or
     /// shared-table traffic during this search. For a tree evaluator
@@ -135,7 +137,7 @@ pub struct SearchStats {
     /// this is the table-level view of the traffic `summary` breaks down.
     pub cache: CacheStats,
     /// Subtree-summary traffic (tree searches only; all-zero for the
-    /// flat engines): interior-node probes and installs by kind, counted
+    /// flat engine): interior-node probes and installs by kind, counted
     /// by the engine itself, so exact answers are visible apart from
     /// bound hints.
     pub summary: SummaryStats,
@@ -180,33 +182,6 @@ impl<L> SearchResult<L> {
         match self {
             SearchResult::Complete(o) | SearchResult::Cancelled(o) => o,
         }
-    }
-}
-
-/// A strategy for searching a finite candidate space. `search` returns
-/// `None` only for an empty space.
-pub trait Engine {
-    /// Argmin over `0..space` under `eval`, deterministic tie-breaking
-    /// towards the smallest index, aborting (with the best seen so far)
-    /// as soon as `cancel` fires — checked per candidate, alongside the
-    /// shared bound, so deadline and disconnect aborts take effect
-    /// within one evaluation.
-    fn search_with<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
-        &self,
-        space: usize,
-        eval: &E,
-        cancel: &CancelToken,
-    ) -> SearchResult<L>;
-
-    /// Argmin over `0..space` under `eval`, deterministic tie-breaking
-    /// towards the smallest index. Runs under a token that can never
-    /// fire, so the result is always complete.
-    fn search<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
-        &self,
-        space: usize,
-        eval: &E,
-    ) -> Option<Outcome<L>> {
-        self.search_with(space, eval, &CancelToken::never()).into_outcome()
     }
 }
 
@@ -376,60 +351,7 @@ fn scan<L, E>(
     }
 }
 
-/// The flat search both flat engines run: `threads` workers scan
-/// `chunk`-sized ranges of `0..space` against one shared bound.
-fn flat_search<L, E>(
-    threads: usize,
-    chunk: usize,
-    prune: bool,
-    space: usize,
-    eval: &E,
-    cancel: &CancelToken,
-) -> SearchResult<L>
-where
-    L: OrderedLoss,
-    E: CandidateEval<L> + ?Sized,
-{
-    let bound = SharedBound::new();
-    let (parts, drained) =
-        fan_out(threads, space, chunk, cancel, |part: &mut Partial<L>, start, end| {
-            scan(eval, start..end, &bound, prune, cancel, part);
-            !part.aborted
-        });
-    Partial::merged(parts, drained).finish(threads, eval.cache_stats())
-}
-
-/// The single-threaded reference engine (and differential-test oracle).
-#[derive(Clone, Copy, Debug)]
-pub struct SequentialEngine {
-    /// Enable branch-and-bound pruning against a (thread-local) bound.
-    pub prune: bool,
-}
-
-impl SequentialEngine {
-    /// An exhaustive sequential engine (no pruning).
-    pub fn exhaustive() -> SequentialEngine {
-        SequentialEngine { prune: false }
-    }
-
-    /// A sequential engine with branch-and-bound pruning.
-    pub fn pruning() -> SequentialEngine {
-        SequentialEngine { prune: true }
-    }
-}
-
-impl Engine for SequentialEngine {
-    fn search_with<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
-        &self,
-        space: usize,
-        eval: &E,
-        cancel: &CancelToken,
-    ) -> SearchResult<L> {
-        flat_search(1, space.max(1), self.prune, space, eval, cancel)
-    }
-}
-
-/// The parallel engine: a fixed-size worker pool fed by a chunked work
+/// The flat engine: a fixed-size worker pool fed by a chunked work
 /// queue (an atomic cursor over `0..space`), with the shared
 /// branch-and-bound bound and the deterministic `(loss, index)` merge.
 #[derive(Clone, Copy, Debug)]
@@ -437,11 +359,16 @@ pub struct ParallelEngine {
     /// Worker count; `0` means [`configured_threads`] (`SELC_THREADS`).
     pub threads: usize,
     /// Indices handed to a worker per queue pop; `0` picks a chunk that
-    /// gives each worker ~4 pops over the space.
+    /// gives each worker ~4 pops over the space, or the whole space to
+    /// a lone worker.
     pub chunk: usize,
     /// Enable branch-and-bound pruning via the shared bound.
     pub prune: bool,
 }
+
+/// The flat engine's old single-threaded name, kept only because the
+/// frozen `perfbench/` still spells it; ROADMAP item 6(a) deletes it.
+pub type SequentialEngine = ParallelEngine;
 
 impl Default for ParallelEngine {
     fn default() -> Self {
@@ -460,6 +387,13 @@ impl ParallelEngine {
         ParallelEngine { threads, ..ParallelEngine::default() }
     }
 
+    /// One worker, no pruning: the index-order scan on the calling
+    /// thread, and the differential-test oracle (the flat counterpart
+    /// of [`crate::TreeEngine::sequential`]).
+    pub fn exhaustive() -> ParallelEngine {
+        ParallelEngine::with_threads(1).without_pruning()
+    }
+
     /// Same pool, pruning disabled (pure exhaustive fan-out).
     pub fn without_pruning(mut self) -> ParallelEngine {
         self.prune = false;
@@ -472,15 +406,19 @@ impl ParallelEngine {
     }
 
     fn effective_chunk(&self, space: usize, threads: usize) -> usize {
-        if self.chunk != 0 {
-            return self.chunk;
+        match (self.chunk, threads) {
+            (0, 1) => space.max(1),
+            (0, _) => (space / (threads * 4)).max(1),
+            (chunk, _) => chunk,
         }
-        (space / (threads * 4)).max(1)
     }
-}
 
-impl Engine for ParallelEngine {
-    fn search_with<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
+    /// Argmin over `0..space` under `eval`, deterministic tie-breaking
+    /// towards the smallest index, aborting (with the best seen so far)
+    /// as soon as `cancel` fires — checked per candidate, alongside the
+    /// shared bound, so deadline and disconnect aborts take effect
+    /// within one evaluation.
+    pub fn search_with<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
         &self,
         space: usize,
         eval: &E,
@@ -488,16 +426,32 @@ impl Engine for ParallelEngine {
     ) -> SearchResult<L> {
         let threads = self.effective_threads(space);
         let chunk = self.effective_chunk(space, threads);
-        flat_search(threads, chunk, self.prune, space, eval, cancel)
+        let bound = SharedBound::new();
+        let (parts, drained) =
+            fan_out(threads, space, chunk, cancel, |part: &mut Partial<L>, start, end| {
+                scan(eval, start..end, &bound, self.prune, cancel, part);
+                !part.aborted
+            });
+        Partial::merged(parts, drained).finish(threads, eval.cache_stats())
+    }
+
+    /// Argmin over `0..space` under `eval`, deterministic tie-breaking
+    /// towards the smallest index; `None` only for an empty space. Runs
+    /// under a token that can never fire, so the result is complete.
+    pub fn search<L: OrderedLoss, E: CandidateEval<L> + ?Sized>(
+        &self,
+        space: usize,
+        eval: &E,
+    ) -> Option<Outcome<L>> {
+        self.search_with(space, eval, &CancelToken::never()).into_outcome()
     }
 }
 
 /// Argmin of `f` over `0..space` — the convenience entry point.
-pub fn minimize<L, F, G>(engine: &G, space: usize, f: F) -> Option<Outcome<L>>
+pub fn minimize<L, F>(engine: &ParallelEngine, space: usize, f: F) -> Option<Outcome<L>>
 where
     L: OrderedLoss,
     F: Fn(usize) -> L + Send + Sync,
-    G: Engine,
 {
     engine.search(space, &FnEval(f))
 }
@@ -508,14 +462,14 @@ mod tests {
 
     #[test]
     fn empty_space_returns_none() {
-        assert!(minimize(&SequentialEngine::exhaustive(), 0, |i| i as f64).is_none());
+        assert!(minimize(&ParallelEngine::exhaustive(), 0, |i| i as f64).is_none());
         assert!(minimize(&ParallelEngine::with_threads(3), 0, |i| i as f64).is_none());
     }
 
     #[test]
     fn sequential_finds_min_and_breaks_ties_left() {
         let losses = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let out = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let out = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         assert_eq!(out.index, 1);
         assert_eq!(out.loss, 1.0);
         assert_eq!(out.stats.evaluated, 5);
@@ -526,7 +480,7 @@ mod tests {
     fn parallel_matches_sequential_across_pool_shapes() {
         let losses: Vec<f64> = (0..57).map(|i| f64::from((i * 37 % 19) as u8)).collect();
         let reference =
-            minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+            minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         for threads in [1, 2, 3, 8] {
             for chunk in [0, 1, 5, 100] {
                 for prune in [false, true] {
@@ -555,7 +509,7 @@ mod tests {
                 Some(f64::from(index as u32))
             }
         }
-        let seq = SequentialEngine::pruning().search(64, &Bounded).unwrap();
+        let seq = ParallelEngine::with_threads(1).search(64, &Bounded).unwrap();
         assert_eq!((seq.index, seq.loss), (0, 0.0));
         assert!(seq.stats.pruned > 0, "stats: {:?}", seq.stats);
         let par =
@@ -590,10 +544,45 @@ mod tests {
         assert_eq!(out.stats.threads, 1);
     }
 
+    /// Records the `(index, thread)` of every evaluation, and gives up
+    /// on a candidate once the shared bound strictly dominates it.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(usize, std::thread::ThreadId)>>);
+
+    impl CandidateEval<f64> for Recorder {
+        fn eval(&self, index: usize, bound: &SharedBound<f64>) -> Option<f64> {
+            self.0.lock().unwrap().push((index, std::thread::current().id()));
+            let loss = f64::from((index % 7) as u32);
+            (!bound.dominated(&loss)).then_some(loss)
+        }
+    }
+
+    #[test]
+    fn the_exhaustive_oracle_is_an_index_order_scan_on_the_caller() {
+        let n = 50;
+        let eval = Recorder::default();
+        let out = ParallelEngine::exhaustive().search(n, &eval).unwrap();
+        let seen = eval.0.into_inner().unwrap();
+        let caller = std::thread::current().id();
+        assert_eq!(seen.iter().map(|&(i, _)| i).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+        assert!(seen.iter().all(|&(_, t)| t == caller), "every candidate on the calling thread");
+        assert_eq!(out.stats.threads, 1);
+        assert_eq!(
+            (out.stats.evaluated, out.stats.pruned),
+            (n as u64, 0),
+            "the oracle publishes no bound, so nothing is pruned"
+        );
+        assert_eq!((out.index, out.loss), (0, 0.0));
+
+        let pruning = ParallelEngine::with_threads(1).search(n, &Recorder::default()).unwrap();
+        assert!(pruning.stats.pruned > 0, "stats: {:?}", pruning.stats);
+        assert_eq!((pruning.index, pruning.loss), (0, 0.0));
+    }
+
     #[test]
     fn nan_losses_lose_to_finite_ones_deterministically() {
         let losses = [f64::NAN, 2.0, f64::NAN, 1.0];
-        let seq = minimize(&SequentialEngine::exhaustive(), 4, |i| losses[i]).unwrap();
+        let seq = minimize(&ParallelEngine::exhaustive(), 4, |i| losses[i]).unwrap();
         let par = minimize(&ParallelEngine::with_threads(4), 4, |i| losses[i]).unwrap();
         assert_eq!(seq.index, 3);
         assert_eq!(par.index, 3);
@@ -642,7 +631,7 @@ mod tests {
         cancel.cancel();
         let eval = TripWire { cancel: cancel.clone(), trip: u64::MAX, count: Default::default() };
         for result in [
-            SequentialEngine::exhaustive().search_with(64, &eval, &cancel),
+            ParallelEngine::exhaustive().search_with(64, &eval, &cancel),
             ParallelEngine::with_threads(4).search_with(64, &eval, &cancel),
         ] {
             assert!(result.was_cancelled());
@@ -655,7 +644,7 @@ mod tests {
     fn never_tokens_leave_results_complete_and_bit_identical() {
         let losses: Vec<f64> = (0..33).map(|i| f64::from((i * 13 % 7) as u8)).collect();
         let reference =
-            minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+            minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let result = ParallelEngine::with_threads(3).search_with(
             losses.len(),
             &FnEval(|i: usize| losses[i]),
@@ -671,11 +660,8 @@ mod tests {
         let cancel = CancelToken::with_deadline(
             std::time::Instant::now() - std::time::Duration::from_millis(1),
         );
-        let result = SequentialEngine::exhaustive().search_with(
-            1_000,
-            &FnEval(|i: usize| i as f64),
-            &cancel,
-        );
+        let result =
+            ParallelEngine::exhaustive().search_with(1_000, &FnEval(|i: usize| i as f64), &cancel);
         assert!(result.was_cancelled());
     }
 }

@@ -27,8 +27,10 @@
 //!   bound is *strictly* dominated; strictness is exactly what preserves
 //!   the deterministic tie-breaking (see [`bound`] for the soundness
 //!   argument).
-//! * **A sequential fallback** — [`SequentialEngine`] implements the same
-//!   [`Engine`] trait and is the oracle of the differential test suites.
+//! * **One flat engine** — [`ParallelEngine`]; its worker count is a
+//!   policy, not a second engine type. [`ParallelEngine::exhaustive`]
+//!   (one worker, no pruning) is the index-order scan on the calling
+//!   thread and the oracle of the differential test suites.
 //! * **Prefix-sharing tree search** — spaces that are really decision
 //!   *trees* (compiled λC choice points, deep games) run on
 //!   [`tree::TreeEngine`]: DFS with the bound consulted at every
@@ -57,7 +59,7 @@ pub mod tree;
 pub use bound::SharedBound;
 pub use cancel::CancelToken;
 pub use engine::{
-    minimize, CandidateEval, Engine, FnEval, Outcome, ParallelEngine, SearchResult, SearchStats,
+    minimize, CandidateEval, FnEval, Outcome, ParallelEngine, SearchResult, SearchStats,
     SequentialEngine,
 };
 pub use queue::WorkQueue;

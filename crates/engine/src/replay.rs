@@ -8,7 +8,7 @@
 //! differential suites can demand bit-identical results.
 
 use crate::bound::SharedBound;
-use crate::engine::{CandidateEval, Engine, Outcome};
+use crate::engine::{CandidateEval, Outcome, ParallelEngine};
 use selc::{CacheStats, OrderedLoss, ReplaySpace, Sel};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,12 +92,15 @@ where
 /// Searches a family of replayable programs: argmin by recorded loss over
 /// `factory(0..space)`, then one extra replay of the winner for its
 /// value. Returns `None` for an empty space.
-pub fn search_programs<L, A, R, G>(engine: &G, space: usize, factory: R) -> Option<(Outcome<L>, A)>
+pub fn search_programs<L, A, R>(
+    engine: &ParallelEngine,
+    space: usize,
+    factory: R,
+) -> Option<(Outcome<L>, A)>
 where
     L: OrderedLoss,
     A: Clone + 'static,
     R: ReplaySpace<L, A>,
-    G: Engine,
 {
     let eval = SelEval::new(factory);
     let outcome = engine.search(space, &eval)?;
@@ -111,7 +114,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ParallelEngine, SequentialEngine};
     use selc::loss;
 
     fn costs() -> Vec<f64> {
@@ -122,7 +124,7 @@ mod tests {
     fn replayed_programs_score_by_recorded_loss() {
         let cs = costs();
         let factory = move |i: usize| loss(cs[i]).map(move |_| i * 10);
-        let (out, value) = search_programs(&SequentialEngine::exhaustive(), 5, factory).unwrap();
+        let (out, value) = search_programs(&ParallelEngine::exhaustive(), 5, factory).unwrap();
         assert_eq!(out.index, 1, "earliest of the tied 2.5s");
         assert_eq!(out.loss, 2.5);
         assert_eq!(value, 10);
@@ -132,7 +134,7 @@ mod tests {
     fn parallel_replay_matches_sequential() {
         let cs = costs();
         let cs2 = cs.clone();
-        let seq = search_programs(&SequentialEngine::exhaustive(), 5, move |i: usize| {
+        let seq = search_programs(&ParallelEngine::exhaustive(), 5, move |i: usize| {
             loss(cs[i]).map(move |_| i)
         })
         .unwrap();

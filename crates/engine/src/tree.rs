@@ -1,7 +1,7 @@
 //! Prefix-sharing tree search: DFS over decision subtrees with the
 //! shared branch-and-bound bound, beside the flat candidate scan.
 //!
-//! The flat engines treat a depth-`d` decision space as `2^d` independent
+//! The flat engine treats a depth-`d` decision space as `2^d` independent
 //! candidates, each evaluated from scratch — `O(2^d · d)` work even
 //! though all candidates share prefixes. A [`TreeEval`] exposes the space
 //! as the *tree* it really is (the backtracking-search shape of Hedges'
@@ -12,7 +12,7 @@
 //! [`TreeEngine::search`] drives the DFS:
 //!
 //! * **The bound at every interior node** — completed leaves feed the
-//!   same [`SharedBound`] the flat engines use; a subtree whose
+//!   same [`SharedBound`] the flat engine uses; a subtree whose
 //!   lower-bound hint is *strictly* dominated is skipped whole.
 //! * **Best-first child ordering** — children are visited cheapest
 //!   hint first (ties toward the `true` branch), so small losses are
@@ -266,7 +266,7 @@ impl TreeEngine {
     /// Argmin over the tree's leaves under the deterministic
     /// `(loss, representative index)` reduction. `None` only when the
     /// evaluator prunes every path (a violation of the strict-domination
-    /// contract, but kept non-panicking like the flat engines). Runs
+    /// contract, but kept non-panicking like the flat engine). Runs
     /// under a token that can never fire; see [`TreeEngine::search_with`]
     /// for deadline/disconnect cancellation.
     pub fn search<L, T>(&self, eval: &T) -> Option<Outcome<L>>
@@ -542,7 +542,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{minimize, SequentialEngine};
+    use crate::engine::{minimize, ParallelEngine};
     use std::sync::Mutex;
 
     /// A synthetic full-depth tree over a flat loss table: node = prefix,
@@ -606,7 +606,7 @@ mod tests {
         for seed in 0..12 {
             let losses = table(seed, 64);
             let flat =
-                minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+                minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
             for hints in [false, true] {
                 for engine in [
                     TreeEngine::sequential(),
@@ -663,7 +663,7 @@ mod tests {
     #[test]
     fn min_leaf_depth_caps_the_parallel_split() {
         let losses = table(5, 64);
-        let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let flat = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let engine = TreeEngine::with_threads(4).without_pruning();
         // Unconstrained: ~4 subtrees per worker → a split of 4 → 16 roots.
         let wide = ShallowLeafTable {
@@ -757,7 +757,7 @@ mod tests {
         // Flat view: indices 4..8 share the `false` leaf (loss 0.5, repr
         // index 4); indices 0..4 have losses 0..4. Winner: index 0.
         let flat_losses = [0.0, 1.0, 2.0, 3.0, 0.5, 0.5, 0.5, 0.5];
-        let flat = minimize(&SequentialEngine::exhaustive(), 8, |i| flat_losses[i]).unwrap();
+        let flat = minimize(&ParallelEngine::exhaustive(), 8, |i| flat_losses[i]).unwrap();
         for engine in [TreeEngine::sequential(), TreeEngine { threads: 4, prune: false, split: 2 }]
         {
             let out = engine.search(&ShortFalse).unwrap();
@@ -844,7 +844,7 @@ mod tests {
     #[test]
     fn warm_exhaustive_repeat_answers_at_the_root() {
         let losses = table(5, 64);
-        let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let flat = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses, false);
         let engine = TreeEngine { threads: 1, prune: false, split: 0 };
         let cold = engine.search(&eval).unwrap();
@@ -863,7 +863,7 @@ mod tests {
         for seed in 0..8 {
             let losses = table(seed, 128);
             let flat =
-                minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+                minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
             let eval = SummaryTree::new(losses, true);
             for round in 0..3 {
                 for engine in [
@@ -909,7 +909,7 @@ mod tests {
         // trust any bound entry, so it must re-walk those subtrees and
         // still produce the exhaustive winner.
         let losses = table(9, 64);
-        let flat = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let flat = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses, true);
         let pruned = TreeEngine { threads: 1, prune: true, split: 0 }.search(&eval).unwrap();
         assert_eq!((pruned.index, pruned.loss), (flat.index, flat.loss));
@@ -974,7 +974,7 @@ mod tests {
         }
         // A later, un-cancelled search over the same evaluator is
         // bit-identical to a cold run — nothing was poisoned.
-        let flat = minimize(&SequentialEngine::exhaustive(), 64, |i| eval.inner.losses[i]).unwrap();
+        let flat = minimize(&ParallelEngine::exhaustive(), 64, |i| eval.inner.losses[i]).unwrap();
         let out = TreeEngine { threads: 2, prune: true, split: 2 }.search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (flat.index, flat.loss));
     }
@@ -987,7 +987,7 @@ mod tests {
         // included — must not get one, and whatever was installed must
         // be the subtree's true argmin.
         let losses = table(4, 64);
-        let flat = minimize(&SequentialEngine::exhaustive(), 64, |i| losses[i]).unwrap();
+        let flat = minimize(&ParallelEngine::exhaustive(), 64, |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses.clone(), false);
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         let checks = AtomicU64::new(0);
@@ -1001,7 +1001,7 @@ mod tests {
             let width = 6 - len;
             let lo = (bits << width) as usize;
             let best =
-                minimize(&SequentialEngine::exhaustive(), 1 << width, |i| losses[lo + i]).unwrap();
+                minimize(&ParallelEngine::exhaustive(), 1 << width, |i| losses[lo + i]).unwrap();
             assert!(s.exact, "no pruning, so no bound entries");
             assert_eq!((s.index, s.loss), ((lo + best.index) as u64, best.loss), "{bits}/{len}");
         }

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use selc_cache::{CacheStats, ShardedCache, SubtreeSummary};
-use selc_engine::{minimize, SequentialEngine, SummaryProbe, TreeEngine, TreeEval, TreeStep};
+use selc_engine::{minimize, ParallelEngine, SummaryProbe, TreeEngine, TreeEval, TreeStep};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A table entry: a leaf's loss under its leaf key, or an interior
@@ -164,7 +164,7 @@ proptest! {
     ) {
         let losses = full_tree(losses);
         let oracle = first_min(&losses);
-        let seq = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let seq = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         prop_assert_eq!((seq.index, seq.loss), oracle);
         for (cache, unbounded) in cache_shapes() {
             // Two rounds against the same handle: cold fills, warm hits
@@ -271,6 +271,6 @@ fn warm_cache_repeat_runs_are_reproducible_under_churn() {
         assert_eq!(again.stats.cache.misses, 0, "warm unbounded table never misses");
         assert_eq!(eval.computed.load(Ordering::Relaxed), 0);
     }
-    let oracle = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+    let oracle = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
     assert_eq!((first.index, first.loss), (oracle.index, oracle.loss));
 }

@@ -1,13 +1,11 @@
 //! Differential + property suite: the parallel engine must return
-//! bit-identical winners to the sequential fallback — and to a plain
+//! bit-identical winners to its one-worker exhaustive oracle — and to a plain
 //! first-minimum scan — on randomized losses, across pool shapes, with
 //! and without pruning, including ties.
 
 use proptest::prelude::*;
 use selc::loss;
-use selc_engine::{
-    minimize, search_programs, CandidateEval, Engine, ParallelEngine, SequentialEngine, SharedBound,
-};
+use selc_engine::{minimize, search_programs, CandidateEval, ParallelEngine, SharedBound};
 
 /// The oracle the whole workspace uses for sequential argmin: first
 /// strict minimum, ties towards the earliest candidate (the semantics of
@@ -39,7 +37,7 @@ proptest! {
     fn parallel_equals_sequential_on_random_losses(
         losses in proptest::collection::vec(0.0_f64..100.0, 1..40)
     ) {
-        let seq = minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let seq = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         prop_assert_eq!((seq.index, seq.loss), first_min(&losses));
         for eng in pool_shapes() {
             let par = minimize(&eng, losses.len(), |i| losses[i]).unwrap();
@@ -71,7 +69,7 @@ proptest! {
         // engines must pick the same program and value.
         let mk_factory = |cs: Vec<f64>| move |i: usize| loss(cs[i]).map(move |_| i * i);
         let (seq, seq_val) = search_programs(
-            &SequentialEngine::exhaustive(), losses.len(), mk_factory(losses.clone()),
+            &ParallelEngine::exhaustive(), losses.len(), mk_factory(losses.clone()),
         ).unwrap();
         let (par, par_val) = search_programs(
             &ParallelEngine { threads: 4, chunk: 1, prune: true }, losses.len(),
@@ -103,7 +101,7 @@ proptest! {
             prop_assert_eq!((out.index, out.loss), oracle);
             prop_assert_eq!(out.stats.evaluated + out.stats.pruned, losses.len() as u64);
         }
-        let seq = SequentialEngine::pruning().search(losses.len(), &eval).unwrap();
+        let seq = ParallelEngine::with_threads(1).search(losses.len(), &eval).unwrap();
         prop_assert_eq!((seq.index, seq.loss), oracle);
     }
 

@@ -13,7 +13,7 @@
 //! tests serialise on one lock and flip recording explicitly rather
 //! than racing the unit suites in another binary's process.
 
-use selc_engine::{minimize, ParallelEngine, SequentialEngine};
+use selc_engine::{minimize, ParallelEngine};
 use selc_obs::{set_metrics_enabled, MetricsSnapshot};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -48,7 +48,7 @@ fn two_threads_and_sequential_record_identical_deterministic_counters() {
     // The empty space too: an empty search is still one search.
     for losses in [losses(), Vec::new()] {
         let (seq_out, seq) =
-            recorded(|| minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]));
+            recorded(|| minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]));
         let two = ParallelEngine::with_threads(2).without_pruning();
         let (par_out, par) = recorded(|| minimize(&two, losses.len(), |i| losses[i]));
 
@@ -81,7 +81,7 @@ fn disabled_metrics_record_exactly_nothing() {
     set_metrics_enabled(false);
     let losses = losses();
     let (_, delta) = recorded(|| {
-        minimize(&SequentialEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let two = ParallelEngine::with_threads(2).without_pruning();
         minimize(&two, losses.len(), |i| losses[i]).unwrap();
     });

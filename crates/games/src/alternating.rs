@@ -16,10 +16,10 @@
 //! [`GameTree::solve_shared_handlers`] exhibits it and the tests pin down
 //! a case where the two diverge.
 
-use crate::minimax::{hmax, hmin, MaxMove, MinMove};
+use crate::minimax::{hmax, hmin, pick_extreme, MaxMove, MinMove};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selc::{effect, handle, loss, perform, Choice, Handler, Sel};
+use selc::{effect, handle, loss, perform, Handler, Sel};
 use selc_cache::ShardedCache;
 use selc_engine::CancelToken;
 use selc_obs::{trace, SpanLabel};
@@ -123,35 +123,6 @@ effect! {
 /// Maximum supported depth of [`GameTree::solve_handlers`] (one static
 /// effect per ply).
 pub const MAX_DEPTH: usize = 4;
-
-fn pick_extreme(l: &Choice<f64, usize>, n: usize, maximise: bool) -> Sel<f64, usize> {
-    fn go(
-        l: Choice<f64, usize>,
-        n: usize,
-        maximise: bool,
-        i: usize,
-        best: Option<(usize, f64)>,
-    ) -> Sel<f64, usize> {
-        if i == n {
-            return Sel::pure(best.expect("no moves").0);
-        }
-        l.at(i).and_then(move |li| {
-            let better = match best {
-                None => true,
-                Some((_, bv)) => {
-                    if maximise {
-                        li > bv
-                    } else {
-                        li < bv
-                    }
-                }
-            };
-            let next = if better { Some((i, li)) } else { best };
-            go(l.clone(), n, maximise, i + 1, next)
-        })
-    }
-    go(l.clone(), n, maximise, 0, None)
-}
 
 macro_rules! ply_handler {
     ($name:ident, $op:ident, $maximise:expr) => {

@@ -32,8 +32,9 @@ effect! {
 }
 
 /// Effectful argmax over `0..n` through a choice continuation
-/// (the paper's `maxWith l [moves]`).
-fn pick_extreme(l: &Choice<f64, usize>, n: usize, maximise: bool) -> Sel<f64, usize> {
+/// (the paper's `maxWith l [moves]`); the per-ply handlers of
+/// [`crate::alternating`] share it.
+pub(crate) fn pick_extreme(l: &Choice<f64, usize>, n: usize, maximise: bool) -> Sel<f64, usize> {
     fn go(
         l: Choice<f64, usize>,
         n: usize,

@@ -16,7 +16,9 @@ use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
-use selc_engine::{parallel_subtrees, CancelToken, CandidateEval, Engine, Outcome, SharedBound};
+use selc_engine::{
+    parallel_subtrees, CancelToken, CandidateEval, Outcome, ParallelEngine, SharedBound,
+};
 use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
@@ -55,7 +57,7 @@ impl CandidateEval<f64> for RowEval {
 /// the engine's worker pool, each worker solving the minimiser's reply
 /// with the ordinary `hmin` handler. Returns `((row, col), value)`,
 /// bit-identical to [`crate::minimax::minimax_handler`].
-pub fn minimax_root_split(table: &Matrix, engine: &impl Engine) -> ((usize, usize), f64) {
+pub fn minimax_root_split(table: &Matrix, engine: &ParallelEngine) -> ((usize, usize), f64) {
     let (play, value, _) = minimax_root_split_stats(table, engine);
     (play, value)
 }
@@ -64,7 +66,7 @@ pub fn minimax_root_split(table: &Matrix, engine: &impl Engine) -> ((usize, usiz
 /// rows were evaluated vs. pruned by the shared bound).
 pub fn minimax_root_split_stats(
     table: &Matrix,
-    engine: &impl Engine,
+    engine: &ParallelEngine,
 ) -> ((usize, usize), f64, Outcome<f64>) {
     let table = Arc::new(table.clone());
     let eval = RowEval { table: Arc::clone(&table) };
@@ -81,7 +83,7 @@ pub fn minimax_root_split_stats(
 /// `argmin` selections under the global attack-count loss. Returns the
 /// same placement as [`crate::queens::queens_selection`] — the empty
 /// placement for `n = 0`.
-pub fn queens_parallel(engine: &impl Engine, n: usize) -> Vec<usize> {
+pub fn queens_parallel(engine: &ParallelEngine, n: usize) -> Vec<usize> {
     use selection::product::Stage;
     use std::rc::Rc;
     if n == 0 {
@@ -158,13 +160,12 @@ mod tests {
     use super::*;
     use crate::minimax::{minimax_handler, minimax_selection};
     use crate::queens::{attacks, queens_selection};
-    use selc_engine::{ParallelEngine, SequentialEngine};
 
     #[test]
     fn root_split_solves_the_paper_example() {
         let m = Matrix::paper_example();
         assert_eq!(minimax_root_split(&m, &ParallelEngine::with_threads(2)), ((0, 1), 3.0));
-        assert_eq!(minimax_root_split(&m, &SequentialEngine::exhaustive()), ((0, 1), 3.0));
+        assert_eq!(minimax_root_split(&m, &ParallelEngine::exhaustive()), ((0, 1), 3.0));
     }
 
     #[test]
@@ -184,7 +185,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                minimax_root_split(&m, &SequentialEngine::pruning()),
+                minimax_root_split(&m, &ParallelEngine::with_threads(1)),
                 expected,
                 "seed {seed} sequential+prune"
             );
@@ -200,7 +201,7 @@ mod tests {
             rows.push(vec![1.0 + f64::from(i) * 0.1; 3]);
         }
         let m = Matrix::new(rows);
-        let (play, value, outcome) = minimax_root_split_stats(&m, &SequentialEngine::pruning());
+        let (play, value, outcome) = minimax_root_split_stats(&m, &ParallelEngine::with_threads(1));
         assert_eq!((play, value), ((0, 0), 5.0));
         assert_eq!(outcome.stats.pruned, 6, "stats: {:?}", outcome.stats);
     }
@@ -215,7 +216,7 @@ mod tests {
         }
         // Unsolvable boards still minimise attacks identically.
         assert_eq!(attacks(&queens_parallel(&engine, 3)), 1);
-        assert_eq!(queens_parallel(&SequentialEngine::exhaustive(), 3), queens_selection(3));
+        assert_eq!(queens_parallel(&ParallelEngine::exhaustive(), 3), queens_selection(3));
     }
 
     #[test]

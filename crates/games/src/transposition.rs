@@ -29,7 +29,7 @@
 //! the tests and `crates/games/tests` hold them to it.
 
 use selc_cache::{CacheStats, ShardedCache};
-use selc_engine::{CandidateEval, Engine, Outcome, SharedBound};
+use selc_engine::{CandidateEval, Outcome, ParallelEngine, SharedBound};
 
 /// Canonical game state: the sorted move prefix.
 pub type TransKey = Vec<u8>;
@@ -192,7 +192,7 @@ impl CandidateEval<f64> for RootEval<'_> {
 /// handle's hits/misses/evictions.
 pub fn solve_root_split(
     tree: &SymTree,
-    engine: &impl Engine,
+    engine: &ParallelEngine,
     cache: &TransCache,
 ) -> (usize, f64, Outcome<f64>) {
     let eval = RootEval { tree, cache, base: cache.stats() };
@@ -203,7 +203,6 @@ pub fn solve_root_split(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selc_engine::{ParallelEngine, SequentialEngine};
 
     #[test]
     fn leaves_are_order_invariant() {
@@ -301,7 +300,7 @@ mod tests {
                 }
             }
             let cache = TransCache::unbounded(4);
-            let (mv, value, _) = solve_root_split(&t, &SequentialEngine::exhaustive(), &cache);
+            let (mv, value, _) = solve_root_split(&t, &ParallelEngine::exhaustive(), &cache);
             assert_eq!((mv, value), (usize::from(oracle_play[0]), oracle_value));
         }
     }

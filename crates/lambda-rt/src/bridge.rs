@@ -9,8 +9,8 @@
 //! exactly the order in which the paper's `leq`-based argmin handlers
 //! break ties. [`LcCandidates`] packages that family as a
 //! `selc::ReplaySpace` of [`Sel`] programs built from `selc::runtime`
-//! continuations, so compiled λC runs on any `selc_engine::Engine`
-//! unchanged.
+//! continuations, so compiled λC runs on the flat
+//! `selc_engine::ParallelEngine` unchanged.
 //!
 //! ## Soundness scope
 //!
@@ -218,7 +218,7 @@ pub(crate) fn enforce_replay_contract(
 impl ReplaySpace<OrdLossVal, LcValue> for LcCandidates {
     /// Candidate `index` as a `Sel` program: a `selc::runtime`
     /// continuation closure that replays the forced machine and reports
-    /// `(recorded loss, ground terminal)` — the shape `Engine::search`
+    /// `(recorded loss, ground terminal)` — the shape `ParallelEngine::search`
     /// scores through `selc_engine::search_programs`.
     fn build(&self, index: usize) -> Sel<OrdLossVal, LcValue> {
         let me = self.clone();
@@ -233,7 +233,7 @@ impl ReplaySpace<OrdLossVal, LcValue> for LcCandidates {
 mod tests {
     use super::*;
     use lambda_c::testgen;
-    use selc_engine::{search_programs, ParallelEngine, SequentialEngine};
+    use selc_engine::{search_programs, ParallelEngine};
 
     fn pgm_candidates() -> LcCandidates {
         let ex = lambda_c::examples::pgm_with_argmin_handler();
@@ -257,7 +257,7 @@ mod tests {
             lambda_c::eval_closed(&ex.sig, ex.expr.clone(), ex.ty.clone(), ex.eff.clone()).unwrap();
         let c = pgm_candidates();
         let (out, value) =
-            search_programs(&SequentialEngine::exhaustive(), c.space(), c.clone()).unwrap();
+            search_programs(&ParallelEngine::exhaustive(), c.space(), c.clone()).unwrap();
         assert_eq!(out.loss.0, reference.loss);
         assert_eq!(value, lambda_c::prim::value_to_ground(&reference.terminal));
         let (par, pvalue) =
@@ -273,7 +273,7 @@ mod tests {
         let reference =
             lambda_c::eval_closed(&sig, p.expr.clone(), p.ty.clone(), p.eff.clone()).unwrap();
         let c = LcCandidates::new(lambda_c::compile(&p.expr).unwrap(), ["decide".to_owned()], 5);
-        let (out, _) = search_programs(&SequentialEngine::exhaustive(), c.space(), c).unwrap();
+        let (out, _) = search_programs(&ParallelEngine::exhaustive(), c.space(), c).unwrap();
         assert_eq!(out.loss.0, reference.loss, "engine argmin == handler semantics");
     }
 }

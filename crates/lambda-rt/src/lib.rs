@@ -14,7 +14,7 @@
 //! 2. **Bridge** — [`LcCandidates`] turns the compiled program's argmin
 //!    choice points into a `selc::ReplaySpace` of `2^depth` forced-path
 //!    `Sel` programs (Hedges: selection computations are CPS terms), so
-//!    λC programs run on any `selc_engine::Engine` — parallel workers,
+//!    λC programs run on the flat `selc_engine::ParallelEngine` — parallel workers,
 //!    deterministic `(loss, index)` reduction, `SharedBound`
 //!    branch-and-bound.
 //! 3. **Tree search** — [`search_compiled`] walks the decision *tree*

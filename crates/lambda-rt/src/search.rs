@@ -19,7 +19,7 @@
 use crate::bridge::{LcCandidates, LcValue};
 use crate::loss::OrdLossVal;
 use selc_cache::{ShardedCache, SubtreeSummary};
-use selc_engine::{Engine, Outcome};
+use selc_engine::{Outcome, ParallelEngine};
 
 /// The transposition table for compiled searches: subtree summaries
 /// keyed `(space identity, prefix length, prefix bits)`. The identity
@@ -40,8 +40,8 @@ pub type LcTransCache = ShardedCache<(u64, u32, u64), SubtreeSummary<OrdLossVal>
 /// independent differential reference it is proven against. It touches
 /// neither a table nor the space's best-seen cell, so it never seeds
 /// the searches it checks.
-pub fn search_compiled_flat<G: Engine>(
-    engine: &G,
+pub fn search_compiled_flat(
+    engine: &ParallelEngine,
     cands: &LcCandidates,
 ) -> Option<(Outcome<OrdLossVal>, LcValue)> {
     selc_engine::search_programs(engine, cands.space(), cands.clone())
@@ -52,7 +52,7 @@ mod tests {
     use super::*;
     use crate::tree::{search_compiled_cached, LcTreeEval};
     use lambda_c::testgen;
-    use selc_engine::{SequentialEngine, TreeEngine, TreeEval};
+    use selc_engine::{TreeEngine, TreeEval};
 
     fn chain_candidates(choices: u32) -> LcCandidates {
         let p = testgen::deep_decide_chain(choices);
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn cached_and_pruned_searches_agree_with_plain() {
         let cands = chain_candidates(6);
-        let (plain, value) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let (plain, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         // Cold fill without abandonment: every interior node stores its
         // exact summary, and nothing else is stored.
         let cache = LcTransCache::unbounded(4);
@@ -140,7 +140,7 @@ mod tests {
         // Engine-side subtree skips off: every abandonment below is the
         // certificate-armed machine hook firing mid-segment.
         let cands = chain_candidates(7);
-        let (plain, _) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let (plain, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         let cert = cands.certificate().expect("chain corpus is certified");
         let cache = LcTransCache::unbounded(2);
         let (pruned, _) =
@@ -158,7 +158,7 @@ mod tests {
         // The reference must not warm what it checks: after a flat scan
         // a tree evaluator over the same space has nothing to seed from.
         let cands = chain_candidates(8);
-        let _ = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let _ = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         assert_eq!(LcTreeEval::new(cands.clone()).seed_bits(), None);
     }
 }

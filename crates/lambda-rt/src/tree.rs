@@ -262,7 +262,7 @@ mod tests {
     use super::*;
     use crate::search::search_compiled_flat;
     use lambda_c::testgen;
-    use selc_engine::SequentialEngine;
+    use selc_engine::ParallelEngine;
 
     fn chain_candidates(choices: u32) -> LcCandidates {
         let p = testgen::deep_decide_chain(choices);
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn tree_search_matches_the_flat_scan() {
         let cands = chain_candidates(7);
-        let (flat, value) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         for engine in [
             TreeEngine::sequential(),
             TreeEngine::with_threads(2),
@@ -295,7 +295,7 @@ mod tests {
         let ex = lambda_c::examples::pgm_with_argmin_handler();
         let cands =
             LcCandidates::new(lambda_c::compile(&ex.expr).unwrap(), ["decide".to_owned()], 6);
-        let (flat, _) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let (flat, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         let out = TreeEngine::sequential().search(&LcTreeEval::new(cands.clone())).unwrap();
         assert_eq!((out.index, out.loss.clone()), (flat.index, flat.loss));
         assert_eq!(out.stats.evaluated, 2, "one leaf per real decision path: {:?}", out.stats);
@@ -305,7 +305,7 @@ mod tests {
     fn a_tree_filled_table_answers_warm_repeats_on_every_engine() {
         let cands = chain_candidates(6);
         let (reference, value) =
-            search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+            search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         // A sequential exhaustive cold fill summarises every interior
         // node…
         let cache = LcTransCache::unbounded(4);
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn cancelled_compiled_searches_time_out_without_poisoning_the_table() {
         let cands = chain_candidates(10);
-        let (reference, _) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let (reference, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         let cache = LcTransCache::unbounded(4);
         let cert = cands.certificate().expect("chain corpus is certified");
         // A pre-expired deadline: the walk aborts at its first interior
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn pruned_tree_searches_keep_the_winner_bit_identical() {
         let cands = chain_candidates(8);
-        let (flat, value) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         let cert = cands.certificate().expect("chain corpus is certified");
         for engine in
             [TreeEngine { threads: 1, prune: true, split: 0 }, TreeEngine::with_threads(3)]
@@ -381,7 +381,7 @@ mod tests {
         // takes it. On the partial loss alone, the chain-12 job of the
         // offline benchmark materialised 426 nodes.
         let (flat, value) =
-            search_compiled_flat(&SequentialEngine::exhaustive(), &chain_candidates(12)).unwrap();
+            search_compiled_flat(&ParallelEngine::exhaustive(), &chain_candidates(12)).unwrap();
         let check = |engine: TreeEngine, cands: &LcCandidates| {
             let cert = cands.certificate().expect("chain corpus is certified");
             let cache = LcTransCache::unbounded(4);

@@ -15,7 +15,7 @@ use lambda_c::testgen::{self, ProgramGen};
 use lambda_c::types::{Effect, Type};
 use lambda_c::{compile, machine, Signature};
 use lambda_rt::{search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache};
-use selc_engine::{ParallelEngine, SequentialEngine, TreeEngine};
+use selc_engine::{ParallelEngine, TreeEngine};
 
 /// Runs the explicit Fig-6 smallstep loop (not via bigstep, so the two
 /// reference layers are exercised independently).
@@ -134,7 +134,7 @@ fn engine_search_reproduces_the_argmin_handler_bit_identically() {
             LcCandidates::new(compile(&p.expr).expect("compiles"), ["decide".to_owned()], choices);
 
         // Plain sequential search.
-        let (seq, seq_v) = search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+        let (seq, seq_v) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         assert_eq!(seq.loss.0, reference.loss, "seed {seed}: engine argmin == handler loss");
         assert_eq!(seq_v, ref_ground, "seed {seed}: engine winner == handler terminal");
 

@@ -17,7 +17,7 @@ use lambda_rt::{
     OrdLossVal,
 };
 use proptest::prelude::*;
-use selc_engine::{Outcome, SequentialEngine, TreeEngine};
+use selc_engine::{Outcome, ParallelEngine, TreeEngine};
 
 fn chain_candidates(choices: u32) -> LcCandidates {
     let p = testgen::deep_decide_chain(choices);
@@ -51,7 +51,7 @@ fn uncached(
 /// engine and with the flat scan, over cold, warm, epoch-bumped, and
 /// eviction-churned tables alike.
 fn assert_summaries_are_invisible(cands: &LcCandidates, label: &str) {
-    let (flat, value) = search_compiled_flat(&SequentialEngine::exhaustive(), cands).unwrap();
+    let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), cands).unwrap();
     // The whole corpus is built from non-negative constant losses, so
     // the flow analysis must certify every program — pruned rounds run
     // under the certificate, exactly like production callers.
@@ -218,7 +218,7 @@ proptest! {
             choices,
         );
         let (flat, value) =
-            search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+            search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         prop_assert!(cands.certificate().is_some(), "search corpus is flow-certifiable");
         let cache = LcTransCache::clock_lru(2, 8);
         for engine in [

@@ -17,7 +17,7 @@ use lambda_rt::{
     OrdLossVal,
 };
 use proptest::prelude::*;
-use selc_engine::{Outcome, SequentialEngine, TreeEngine};
+use selc_engine::{Outcome, ParallelEngine, TreeEngine};
 
 fn tree_engines() -> Vec<TreeEngine> {
     vec![
@@ -32,7 +32,7 @@ fn tree_engines() -> Vec<TreeEngine> {
 
 /// Runs every tree configuration against the flat sequential reference.
 fn assert_tree_equals_flat(cands: &LcCandidates, label: &str) {
-    let (flat, value) = search_compiled_flat(&SequentialEngine::exhaustive(), cands).unwrap();
+    let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), cands).unwrap();
     // The corpus emits only non-negative constant losses, so every
     // program must earn a flow certificate; pruned rounds run under it.
     let cert = cands.certificate();
@@ -144,7 +144,7 @@ proptest! {
             choices,
         );
         let (flat, value) =
-            search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+            search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         let cache = LcTransCache::from_env();
         for engine in [TreeEngine::auto(), TreeEngine::sequential()] {
             let (out, v) =

@@ -1,7 +1,8 @@
 //! Engine-backed hyperparameter search (§4.3 "Hyperparameters" at
 //! scale): chunked parallel grid search over replayed programs, and
-//! branch-and-bound training-run tuning. Every entry point takes its
-//! engine; a plain parallel argmin over a parameter grid with a loss
+//! branch-and-bound training-run tuning. Every entry point takes the
+//! flat [`ParallelEngine`] it runs on (`ParallelEngine::exhaustive()`
+//! for the index-order scan on the caller); a plain parallel argmin over a parameter grid with a loss
 //! closure is [`selc_engine::minimize`].
 //!
 //! Three entry points, all bit-identical in their winners to the
@@ -31,7 +32,9 @@ use crate::dataset::Dataset;
 use crate::hyper::{probe_grid_argmin, Lr};
 use crate::linreg::sgd_step;
 use selc::{handle, CacheStats, Handler, MemoChoice, Replay, Sel, SharedCache};
-use selc_engine::{CacheStatsSink, CandidateEval, Engine, Outcome, SearchStats, SharedBound};
+use selc_engine::{
+    CacheStatsSink, CandidateEval, Outcome, ParallelEngine, SearchStats, SharedBound,
+};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -126,8 +129,8 @@ where
 /// # Panics
 ///
 /// Panics if `grid` is empty or `batch_size` is zero.
-pub fn tune_lr_parallel<P, A, G>(
-    engine: &G,
+pub fn tune_lr_parallel<P, A>(
+    engine: &ParallelEngine,
     grid: Vec<f64>,
     batch_size: usize,
     program: P,
@@ -135,7 +138,6 @@ pub fn tune_lr_parallel<P, A, G>(
 where
     P: Replay<f64, A>,
     A: Clone + 'static,
-    G: Engine,
 {
     assert!(!grid.is_empty(), "tune_lr_parallel needs at least one candidate rate");
     assert!(batch_size >= 1, "batch_size must be positive");
@@ -223,8 +225,8 @@ where
 /// # Panics
 ///
 /// Panics if `grid` is empty or `batch_size` is zero.
-pub fn tune_lr_parallel_cached<P, A, G>(
-    engine: &G,
+pub fn tune_lr_parallel_cached<P, A>(
+    engine: &ParallelEngine,
     grid: Vec<f64>,
     batch_size: usize,
     program: P,
@@ -233,7 +235,6 @@ pub fn tune_lr_parallel_cached<P, A, G>(
 where
     P: Replay<f64, A>,
     A: Clone + 'static,
-    G: Engine,
 {
     assert!(!grid.is_empty(), "tune_lr_parallel_cached needs at least one candidate rate");
     assert!(batch_size >= 1, "batch_size must be positive");
@@ -296,8 +297,8 @@ impl CandidateEval<f64> for TrainEval {
 /// # Panics
 ///
 /// Panics if `grid` is empty.
-pub fn tune_training_run<G: Engine>(
-    engine: &G,
+pub fn tune_training_run(
+    engine: &ParallelEngine,
     grid: Vec<f64>,
     data: &Dataset,
     init: (f64, f64),
@@ -316,7 +317,6 @@ mod tests {
     use crate::hyper::tune_lr;
     use crate::optimize::{gd_handler_tuned, Optimize};
     use selc::{loss, perform, ShardedCache};
-    use selc_engine::{ParallelEngine, SequentialEngine};
 
     /// One gd step on `(p − 3)²` from `p0`, rate served by the LR effect.
     fn step_prog(p0: f64) -> Sel<f64, Vec<f64>> {
@@ -345,7 +345,7 @@ mod tests {
                 assert_eq!(out.alpha, seq_alpha, "batch {batch}");
             }
         }
-        let out = tune_lr_parallel(&SequentialEngine::exhaustive(), grid, 2, || step_prog(0.0));
+        let out = tune_lr_parallel(&ParallelEngine::exhaustive(), grid, 2, || step_prog(0.0));
         assert_eq!(out.alpha, seq_alpha);
     }
 
@@ -380,14 +380,15 @@ mod tests {
         // 0.05 converges; the large rates diverge violently.
         let grid = vec![2.0, 1.5, 0.05, 1.2, 1.9];
         let seq_exhaustive =
-            tune_training_run(&SequentialEngine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 2);
+            tune_training_run(&ParallelEngine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 2);
         assert_eq!(seq_exhaustive.alpha, 0.05);
         for eng in engines() {
             let out = tune_training_run(&eng, grid.clone(), &data, (0.0, 0.0), 2);
             assert_eq!(out.alpha, seq_exhaustive.alpha);
             assert_eq!(out.err, seq_exhaustive.err, "winner loss is bit-identical");
         }
-        let pruned = tune_training_run(&SequentialEngine::pruning(), grid, &data, (0.0, 0.0), 2);
+        let pruned =
+            tune_training_run(&ParallelEngine::with_threads(1), grid, &data, (0.0, 0.0), 2);
         assert_eq!(pruned.alpha, 0.05);
         assert!(pruned.stats.pruned >= 1, "diverging rates abort early: {:?}", pruned.stats);
     }

@@ -2,8 +2,9 @@
 //! pool.
 //!
 //! The theory core of this crate stays dependency-free; this module is
-//! the bridge from its sequential product to the engine.
-//! [`par_product_root`] is a drop-in for the sequential form and returns
+//! the bridge from its sequential product to the flat
+//! [`ParallelEngine`] (whose `exhaustive()` form is the index-order
+//! scan on the caller). [`par_product_root`] is a drop-in for the sequential form and returns
 //! **the same play** (bit-identical, earliest-tie) — the differential
 //! tests below hold it to that. A plain parallel argmin of a closure is
 //! [`selc_engine::minimize`]; the tests below also pin its winners to
@@ -24,7 +25,7 @@
 
 use crate::product::{big_product_dep, Stage};
 use crate::sel::LossFn;
-use selc_engine::{minimize, Engine};
+use selc_engine::{minimize, ParallelEngine};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -42,12 +43,11 @@ use std::sync::Arc;
 /// # Panics
 ///
 /// Panics if `root` is empty.
-pub fn par_product_root<X, R, F, G>(engine: &G, root: Vec<X>, rest: R, loss: F) -> Vec<X>
+pub fn par_product_root<X, R, F>(engine: &ParallelEngine, root: Vec<X>, rest: R, loss: F) -> Vec<X>
 where
     X: Clone + Send + Sync + 'static,
     R: Fn() -> Vec<Stage<X, f64>> + Send + Sync,
     F: Fn(&[X]) -> f64 + Send + Sync + 'static,
-    G: Engine,
 {
     assert!(!root.is_empty(), "product over an empty root candidate list");
     let loss = Arc::new(loss);
@@ -73,7 +73,6 @@ where
 mod tests {
     use super::*;
     use crate::{argmax_by, argmin, argmin_by};
-    use selc_engine::{ParallelEngine, SequentialEngine};
 
     #[test]
     fn par_argmin_matches_sequential_scan() {
@@ -82,7 +81,7 @@ mod tests {
         let seq = argmin_by(xs.clone(), loss);
         let par = minimize(&ParallelEngine::with_threads(3), xs.len(), |i| loss(&xs[i]));
         assert_eq!(xs[par.expect("non-empty").index], seq);
-        let eng = minimize(&SequentialEngine::exhaustive(), xs.len(), |i| loss(&xs[i]));
+        let eng = minimize(&ParallelEngine::exhaustive(), xs.len(), |i| loss(&xs[i]));
         assert_eq!(xs[eng.expect("non-empty").index], seq);
     }
 
@@ -116,7 +115,7 @@ mod tests {
             assert_eq!(parallel, sequential, "threads {threads}");
         }
         let exhaustive =
-            par_product_root(&SequentialEngine::exhaustive(), (0..3).collect(), mk_rest, loss);
+            par_product_root(&ParallelEngine::exhaustive(), (0..3).collect(), mk_rest, loss);
         assert_eq!(exhaustive, sequential);
     }
 }

@@ -57,6 +57,6 @@ pub use protocol::{
     Request, Response, WireMetricValue, WireMetrics, WireStats, Workload, MAX_FRAME,
     MAX_METRIC_NAME, WIRE_STATS_FIELDS,
 };
-pub use server::{ServeConfig, Server, ServerHandle, DEFAULT_MAX_SESSIONS, DEFAULT_PORT};
+pub use server::{ServeConfig, Server, DEFAULT_MAX_SESSIONS, DEFAULT_PORT};
 pub use tenants::{Tenant, Tenants};
 pub use workload::{check_decision_shape, validate, Ran, WarmthPolicy};

@@ -18,7 +18,7 @@
 //! Cancellation is safe at any moment: a cancelled walk installs no
 //! cache summaries (see `DESIGN.md`), so a timed-out request leaves its
 //! tenant's warmth as it found it. Nothing spawns a thread per request.
-//! Shutdown closes the slot queue first (see `jobs` for why), then
+//! Shutdown closes the slots first (see `jobs` for why), then
 //! force-closes every session socket and joins every session.
 //!
 //! `Server::spawn` also flips the workspace's metrics default **on**
@@ -27,7 +27,7 @@
 //! waiting for a slot; refusals and aborts are counters, per-op
 //! latencies log2 histograms, all scrapeable via a `Metrics` request.
 
-use crate::jobs::JobQueue;
+use crate::jobs::Slots;
 use crate::protocol::{read_frame, write_frame, Request, Response, WireMetrics, Workload};
 use crate::tenants::{Tenant, Tenants};
 use crate::workload::{self, Ran};
@@ -82,7 +82,7 @@ static SERVE_METRICS: LazyLock<ServeMetrics> = LazyLock::new(|| ServeMetrics {
 pub struct ServeConfig {
     /// Listen port on `127.0.0.1`; `0` asks the OS for an ephemeral
     /// port (tests and benches do this and read it back from
-    /// [`ServerHandle::addr`]).
+    /// [`Server::addr`]).
     pub port: u16,
     /// Search slots — the number of *concurrent searches* across all
     /// sessions; each search parallelises further via `SELC_THREADS`.
@@ -127,8 +127,8 @@ thread_local! {
 /// State shared by the accept loop, the sessions, and the handle.
 struct Shared {
     tenants: Tenants,
-    /// One `()` per free search slot.
-    slots: JobQueue<()>,
+    /// The free search slots.
+    slots: Slots,
     /// Sessions admitted and not yet finished.
     active: AtomicUsize,
     shutdown: AtomicBool,
@@ -163,10 +163,6 @@ pub struct Server {
     accept: Option<thread::JoinHandle<()>>,
 }
 
-/// Alias kept for readers scanning the crate root: the handle *is* the
-/// server object.
-pub type ServerHandle = Server;
-
 impl Server {
     /// Binds `127.0.0.1:{config.port}` and spawns the accept loop, the
     /// only thread the server starts before its first session.
@@ -188,15 +184,12 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             tenants: Tenants::default(),
-            slots: JobQueue::new(),
+            slots: Slots::new(config.workers),
             active: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             open: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
         });
-        for _ in 0..config.workers {
-            let _ = shared.slots.submit(());
-        }
         let accept = {
             let shared = Arc::clone(&shared);
             let max = config.max_sessions;
@@ -361,7 +354,7 @@ fn serve_requests(stream: &Arc<TcpStream>, shared: &Shared) {
 /// shutdown closed the slots, the client left, or the socket failed.
 fn search(
     stream: &Arc<TcpStream>,
-    slots: &JobQueue<()>,
+    slots: &Slots,
     tenant: &Tenant,
     workload: &Workload,
     deadline_ms: u32,
@@ -370,9 +363,11 @@ fn search(
     // socket can stay non-blocking for the watch's peeks until then.
     stream.set_nonblocking(true).ok()?;
     SERVE_METRICS.queue_depth.inc();
-    let slot = slots.next();
+    let slot = slots.take();
     SERVE_METRICS.queue_depth.dec();
-    slot?;
+    if !slot {
+        return None;
+    }
     let cancel = match deadline_ms {
         0 => CancelToken::new(),
         ms => CancelToken::with_timeout(Duration::from_millis(u64::from(ms))),
@@ -384,7 +379,7 @@ fn search(
         !checks.is_multiple_of(PEEK_EVERY) || client_alive(&watched)
     });
     let ran = workload::run(tenant, workload, &cancel, deadline_ms > 0);
-    let _ = slots.submit(());
+    slots.give();
     if matches!(ran, Ran::TimedOut { .. }) && !client_alive(stream) {
         SERVE_METRICS.disconnect_cancels.inc();
         return None;

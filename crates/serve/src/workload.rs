@@ -269,7 +269,7 @@ fn game_done(branching: u8, play: &[usize], value: f64, leaves: u64, delta: Cach
 mod tests {
     use super::*;
     use crate::tenants::Tenants;
-    use selc_engine::SequentialEngine;
+    use selc_engine::ParallelEngine;
 
     #[test]
     fn validation_rejects_degenerate_and_oversized_workloads() {
@@ -326,7 +326,7 @@ mod tests {
             panic!("never token cannot time out");
         };
         let (reference, _) =
-            lambda_rt::search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+            lambda_rt::search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         assert_eq!(index, reference.index as u64);
         assert_eq!(loss.to_bits(), reference.loss.0.as_scalar().to_bits());
         assert!(stats.pruned > 0, "the certified arm prunes: {stats:?}");
@@ -343,7 +343,7 @@ mod tests {
         };
         let cands = tenant.chain(7);
         let (reference, _) =
-            lambda_rt::search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+            lambda_rt::search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         assert_eq!(index, reference.index as u64);
         assert_eq!(loss.to_bits(), reference.loss.0.as_scalar().to_bits());
         assert!(stats.cache_insertions > 0, "cold run fills the tenant table");
@@ -415,7 +415,7 @@ mod tests {
         };
         let cands = tenant.chain(6);
         let (reference, _) =
-            lambda_rt::search_compiled_flat(&SequentialEngine::exhaustive(), &cands).unwrap();
+            lambda_rt::search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
         assert_eq!(index, reference.index as u64);
     }
 }

@@ -36,7 +36,7 @@ fn direct_chain(choices: u8) -> (u64, f64) {
         u32::from(choices),
     );
     let (out, _) =
-        lambda_rt::search_compiled_flat(&selc_engine::SequentialEngine::exhaustive(), &cands)
+        lambda_rt::search_compiled_flat(&selc_engine::ParallelEngine::exhaustive(), &cands)
             .expect("non-empty space");
     (out.index as u64, out.loss.0.as_scalar())
 }

@@ -7,7 +7,7 @@
 //! SELC_THREADS=4 cargo run --release --example parallel_search
 //! ```
 
-use selc_engine::{configured_threads, ParallelEngine, SequentialEngine};
+use selc_engine::{configured_threads, ParallelEngine};
 use selc_games::bimatrix::Matrix;
 use selc_games::parallel::{minimax_root_split_stats, queens_parallel};
 use selc_games::queens::is_solution;
@@ -37,7 +37,7 @@ fn main() {
     let data = Dataset::linear(24, 2.0, -1.0, 0.05, 3);
     let grid = vec![0.02, 1.4, 1.6, 0.05, 1.8, 2.0, 0.08, 1.2];
     let tuned = tune_training_run(&engine, grid.clone(), &data, (0.0, 0.0), 3);
-    let sequential = tune_training_run(&SequentialEngine::exhaustive(), grid, &data, (0.0, 0.0), 3);
+    let sequential = tune_training_run(&ParallelEngine::exhaustive(), grid, &data, (0.0, 0.0), 3);
     assert_eq!(tuned.alpha, sequential.alpha);
     println!(
         "training-run grid: rate {} (total loss {:.3}) — {} runs finished, {} aborted early",
