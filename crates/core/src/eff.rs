@@ -116,7 +116,8 @@ impl<A: 'static> Eff<A> {
         Eff::Pure(a)
     }
 
-    /// Monadic bind with a shared continuation.
+    /// Monadic bind with a shared continuation: `f` already lives behind
+    /// an `Rc`, so every `Op` node on the way to `Pure` shares it.
     pub fn bind<B: 'static>(self, f: BindCont<A, B>) -> Eff<B> {
         match self {
             Eff::Pure(a) => f(a),
@@ -124,9 +125,14 @@ impl<A: 'static> Eff<A> {
         }
     }
 
-    /// Monadic bind with an owned closure.
+    /// Monadic bind with an owned closure. A finished computation applies
+    /// `f` directly; `f` is boxed only when it must wait behind an `Op`
+    /// node, so pure binds allocate nothing.
     pub fn and_then<B: 'static>(self, f: impl Fn(A) -> Eff<B> + 'static) -> Eff<B> {
-        self.bind(bind_cont(f))
+        match self {
+            Eff::Pure(a) => f(a),
+            op => op.bind(bind_cont(f)),
+        }
     }
 
     /// Functorial map.

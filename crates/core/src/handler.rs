@@ -54,12 +54,19 @@ use crate::runtime::{loss_cont, node_cont, RawChoice, RawClause, RawResume, RawR
 use crate::sel::{then_loss, LossCont, Sel};
 use crate::value::Value;
 use std::any::TypeId;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static NEXT_ACTIVATION: AtomicU64 = AtomicU64::new(1);
+thread_local! {
+    /// The next `handle` activation id. Per thread, not per process: ids
+    /// need only tell apart the markers that can meet in one `Eff` tree,
+    /// and `Eff` trees hold `Rc`s, so they are `!Send` — every node an
+    /// activation creates stays on the thread that ran it. Two activations
+    /// on different threads may share an id but never share a tree.
+    static NEXT_ACTIVATION: Cell<u64> = const { Cell::new(1) };
+}
 
 /// The typed choice continuation handed to operation clauses.
 ///
@@ -132,16 +139,26 @@ impl<L, R, B> std::fmt::Debug for Resume<L, R, B> {
 
 /// A handler for one effect, transforming computations of type `A` into
 /// computations of type `B` (the judgment `h : par, σ ! εℓ ⇒ σ' ! ε`).
-pub struct Handler<L, A, B> {
+/// Every activation shares the one clause table.
+pub struct Handler<L, A, B>(Rc<Clauses<L, A, B>>);
+
+/// A handler's clauses, `Rc`-shared so the fold's closures can capture them.
+struct Clauses<L, A, B> {
     effect_id: TypeId,
     effect_name: &'static str,
-    clauses: HashMap<TypeId, RawClause<L, B>>,
+    ops: HashMap<TypeId, RawClause<L, B>>,
     ret: RawRet<L, A, B>,
+}
+
+impl<L, A, B> Clone for Handler<L, A, B> {
+    fn clone(&self) -> Self {
+        Handler(Rc::clone(&self.0))
+    }
 }
 
 impl<L, A, B> std::fmt::Debug for Handler<L, A, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Handler(<{}>, {} clauses)", self.effect_name, self.clauses.len())
+        write!(f, "Handler(<{}>, {} clauses)", self.0.effect_name, self.0.ops.len())
     }
 }
 
@@ -249,12 +266,12 @@ impl<L: Loss, A: Clone + 'static, B: Clone + 'static> HandlerBuilder<L, A, B> {
                 self.effect_name
             )
         });
-        Handler {
+        Handler(Rc::new(Clauses {
             effect_id: self.effect_id,
             effect_name: self.effect_name,
-            clauses: self.clauses,
+            ops: self.clauses,
             ret,
-        }
+        }))
     }
 }
 
@@ -286,17 +303,10 @@ where
     B: Clone + 'static,
     P: Clone + 'static,
 {
-    let h = Rc::new(HandlerRc {
-        effect_id: h.effect_id,
-        effect_name: h.effect_name,
-        clauses: h.clauses.clone(),
-        ret: Rc::clone(&h.ret),
-    });
+    let h = Rc::clone(&h.0);
     let p0 = Value::new(p);
     Sel::from_fn(move |g: LossCont<L, B>| {
-        // ordering: Relaxed — activation ids only need uniqueness,
-        // which the RMW guarantees under any ordering.
-        let activation = NEXT_ACTIVATION.fetch_add(1, Ordering::Relaxed);
+        let activation = NEXT_ACTIVATION.with(|next| next.replace(next.get() + 1));
         // The handled computation's loss continuation: a marker node that
         // the fold below interprets with the *current* parameter, giving
         // rule (S1)'s `λx. v_ret(v, x) ◮ g` with the live `v`.
@@ -311,17 +321,9 @@ where
     })
 }
 
-/// Internal `Rc`-shared handler payload (so closures can capture it).
-struct HandlerRc<L, A, B> {
-    effect_id: TypeId,
-    effect_name: &'static str,
-    clauses: HashMap<TypeId, RawClause<L, B>>,
-    ret: RawRet<L, A, B>,
-}
-
 /// The handling fold — rules (R5), (R6), (S1) over the `Eff` tree.
 fn drive<L, A, B>(
-    h: &Rc<HandlerRc<L, A, B>>,
+    h: &Rc<Clauses<L, A, B>>,
     p: Value,
     activation: u64,
     tree: Eff<(L, A)>,
@@ -337,7 +339,7 @@ where
         // the body's recorded loss is prepended (the action `r ·` in the
         // handler semantics of §5.3).
         Eff::Pure((r_body, a)) => {
-            (h.ret)(p, a).run_with(Rc::clone(g)).map(move |(r_ret, b)| (r_body.combine(&r_ret), b))
+            (h.ret)(p, a).run_owned(Rc::clone(g)).map(move |(r_ret, b)| (r_body.combine(&r_ret), b))
         }
         Eff::Op(call, k) => {
             if call.is_marker(activation) {
@@ -348,14 +350,13 @@ where
                 let loss_eff = then_loss(&ret_sel, g);
                 let h2 = Rc::clone(h);
                 let g2 = Rc::clone(g);
-                loss_eff.bind(Rc::new(move |r: L| {
-                    drive(&h2, p.clone(), activation, k(Value::new(r)), &g2)
-                }))
+                loss_eff
+                    .and_then(move |r: L| drive(&h2, p.clone(), activation, k(Value::new(r)), &g2))
             } else if call.effect_id == h.effect_id {
                 let OpKind::User(op_id) = call.kind else {
                     unreachable!("marker nodes carry the private marker effect id")
                 };
-                let clause = match h.clauses.get(&op_id) {
+                let clause = match h.ops.get(&op_id) {
                     Some(c) => Rc::clone(c),
                     None => panic!(
                         "handler for {} lacks a clause for operation {}",
@@ -386,14 +387,12 @@ where
                         // (with h from p2 handle K[y]) ◮ g
                         let resumed = drive(&h, p2, activation, k(y), &g);
                         let g2 = Rc::clone(&g);
-                        let eff: Eff<L> = resumed.bind(Rc::new(move |(r, b): (L, B)| {
-                            let r = r.clone();
-                            g2(&b).map(move |rb| r.combine(&rb))
-                        }));
+                        let eff: Eff<L> = resumed
+                            .and_then(move |(r, b): (L, B)| g2(&b).map(move |rb| r.combine(&rb)));
                         Sel::from_eff(eff)
                     })
                 };
-                clause(p, call.arg, choice, resume).run_with(Rc::clone(g))
+                clause(p, call.arg, choice, resume).run_owned(Rc::clone(g))
             } else {
                 // Not ours (another effect, or another handler's marker):
                 // forward the node, re-handling on resumption with the

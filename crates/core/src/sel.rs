@@ -29,13 +29,26 @@ use std::rc::Rc;
 pub use crate::runtime::{zero_cont, LossCont};
 
 /// The selection-with-effects monad (see [module docs](self)).
-pub struct Sel<L, A> {
-    run: SelRun<L, A>,
+///
+/// A finished computation — [`Sel::pure`], [`loss()`], a probe whose
+/// future has finished, or a bind of finished parts — is held inline as
+/// its loss–value pair. It ignores its loss continuation, so running or
+/// binding it allocates no closure.
+pub struct Sel<L, A>(Repr<L, A>);
+
+enum Repr<L, A> {
+    /// Finished: the recorded loss and the value.
+    Done(L, A),
+    /// Runs under a loss continuation.
+    Run(SelRun<L, A>),
 }
 
-impl<L, A> Clone for Sel<L, A> {
+impl<L: Clone, A: Clone> Clone for Sel<L, A> {
     fn clone(&self) -> Self {
-        Sel { run: Rc::clone(&self.run) }
+        Sel(match &self.0 {
+            Repr::Done(l, a) => Repr::Done(l.clone(), a.clone()),
+            Repr::Run(run) => Repr::Run(Rc::clone(run)),
+        })
     }
 }
 
@@ -50,10 +63,7 @@ impl<L, A> std::fmt::Debug for Sel<L, A> {
 /// result. This is `R_W(e|g)` from §2.1 transplanted to `Eff`.
 pub fn then_loss<L: Loss, A: Clone + 'static>(e: &Sel<L, A>, g: &LossCont<L, A>) -> Eff<L> {
     let g2 = Rc::clone(g);
-    e.run_with(Rc::clone(g)).bind(Rc::new(move |(r, a): (L, A)| {
-        let r = r.clone();
-        g2(&a).map(move |rb| r.combine(&rb))
-    }))
+    e.run_with(Rc::clone(g)).and_then(move |(r, a): (L, A)| g2(&a).map(move |rb| r.combine(&rb)))
 }
 
 impl<L: Loss, A: Clone + 'static> Sel<L, A> {
@@ -61,29 +71,63 @@ impl<L: Loss, A: Clone + 'static> Sel<L, A> {
     /// prefer [`Sel::pure`], [`crate::perform`], [`loss()`](crate::sel::loss) and
     /// combinators.
     pub fn from_fn(f: impl Fn(LossCont<L, A>) -> Eff<(L, A)> + 'static) -> Sel<L, A> {
-        Sel { run: Rc::new(f) }
+        Sel(Repr::Run(Rc::new(f)))
     }
 
     /// Lifts a loss-returning effect computation into `Sel` with zero
     /// recorded loss (used to expose choice-continuation probes as `Sel`
     /// computations the handler clause can sequence).
     pub fn from_eff(e: Eff<A>) -> Sel<L, A> {
-        Sel::from_fn(move |_g| e.clone().map(|a| (L::zero(), a)))
+        match e {
+            Eff::Pure(a) => Sel::pure(a),
+            e => Sel::from_fn(move |_g| e.clone().map(|a| (L::zero(), a))),
+        }
     }
 
     /// The unit: ignores the loss continuation, records zero loss.
     pub fn pure(a: A) -> Sel<L, A> {
-        Sel::from_fn(move |_g| Eff::Pure((L::zero(), a.clone())))
+        Sel(Repr::Done(L::zero(), a))
     }
 
     /// Runs under a loss continuation (the Haskell `unSel`).
     pub fn run_with(&self, g: LossCont<L, A>) -> Eff<(L, A)> {
-        (self.run)(g)
+        match &self.0 {
+            Repr::Done(l, a) => Eff::Pure((l.clone(), a.clone())),
+            Repr::Run(run) => run(g),
+        }
+    }
+
+    /// [`Sel::run_with`] that moves a finished pair out instead of cloning it.
+    pub(crate) fn run_owned(self, g: LossCont<L, A>) -> Eff<(L, A)> {
+        match self.0 {
+            Repr::Done(l, a) => Eff::Pure((l, a)),
+            Repr::Run(run) => run(g),
+        }
+    }
+
+    /// Prepends the loss `r1` recorded before this computation, as the
+    /// bind does: the total is `r1.combine(r2)`.
+    fn after(self, r1: &L) -> Sel<L, A> {
+        match self.0 {
+            Repr::Done(r2, a) => Sel(Repr::Done(r1.combine(&r2), a)),
+            Repr::Run(run) => {
+                let r1 = r1.clone();
+                Sel::from_fn(move |g| {
+                    let r1 = r1.clone();
+                    run(g).map(move |(r2, a)| (r1.combine(&r2), a))
+                })
+            }
+        }
     }
 
     /// Monadic bind (the paper's §4.2 instance).
     pub fn and_then<B: Clone + 'static>(&self, f: impl Fn(A) -> Sel<L, B> + 'static) -> Sel<L, B> {
-        let me = self.clone();
+        let me = match &self.0 {
+            // A finished left side never consults the extended loss
+            // continuation: bind is application plus the one `combine`.
+            Repr::Done(r1, a) => return f(a.clone()).after(r1),
+            Repr::Run(run) => Rc::clone(run),
+        };
         let f = Rc::new(f);
         Sel::from_fn(move |g: LossCont<L, B>| {
             let f1 = Rc::clone(&f);
@@ -93,10 +137,9 @@ impl<L: Loss, A: Clone + 'static> Sel<L, A> {
             let ext: LossCont<L, A> = loss_cont(move |a: &A| then_loss(&f1(a.clone()), &g1));
             let f2 = Rc::clone(&f);
             let g2 = Rc::clone(&g);
-            me.run_with(ext).bind(Rc::new(move |(r1, a): (L, A)| {
-                let r1 = r1.clone();
-                f2(a).run_with(Rc::clone(&g2)).map(move |(r2, b)| (r1.combine(&r2), b))
-            }))
+            me(ext).and_then(move |(r1, a): (L, A)| {
+                f2(a).run_owned(Rc::clone(&g2)).map(move |(r2, b)| (r1.combine(&r2), b))
+            })
         })
     }
 
@@ -182,7 +225,7 @@ impl<L: Loss, A: Clone + 'static> Sel<L, A> {
 /// Records a loss (the built-in writer effect): ignores the loss
 /// continuation and returns `()` with recorded loss `l` — rule (R4).
 pub fn loss<L: Loss>(l: L) -> Sel<L, ()> {
-    Sel::from_fn(move |_g| Eff::Pure((l.clone(), ())))
+    Sel(Repr::Done(l, ()))
 }
 
 /// The error returned by [`Sel::run`] when an operation was never handled.
@@ -237,6 +280,16 @@ mod tests {
     fn loss_accumulates_through_bind() {
         let s = loss(1.0).and_then(|_| loss(2.0)).and_then(|_| Sel::pure(7));
         assert_eq!(s.run_unwrap(), (3.0, 7));
+    }
+
+    #[test]
+    fn finished_bind_still_combines_with_zero() {
+        // `pure` records +0.0, so binding it to `loss(-0.0)` totals
+        // 0.0 + -0.0 = +0.0; skipping the combine would leave -0.0.
+        let (alone, ()) = loss(-0.0_f64).run_unwrap();
+        assert_eq!(alone.to_bits(), (-0.0_f64).to_bits());
+        let (l, ()) = Sel::<f64, i32>::pure(1).and_then(|_| loss(-0.0)).run_unwrap();
+        assert_eq!(l.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -41,7 +41,8 @@ type Watch = Arc<dyn Fn() -> bool + Send + Sync>;
 
 /// A cheaply-cloneable cancel flag plus an optional watched condition;
 /// clones share both, so a caller cancels every worker holding a clone
-/// at once.
+/// at once. `CancelToken::default()` fires only when
+/// [`CancelToken::cancel`] is called (no watch).
 #[derive(Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -49,13 +50,6 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// A token that only cancels when [`CancelToken::cancel`] is called
-    /// (no watch).
-    #[must_use]
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
     /// The token every convenience `search` runs under: nobody holds a
     /// handle to it and it watches nothing, so it can never fire. The
     /// watch-free fast path makes the convenience entry points pay one
@@ -68,14 +62,16 @@ impl CancelToken {
     /// A token that fires at `deadline` (and on explicit cancellation).
     #[must_use]
     pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken::new().with_watch(move || Instant::now() < deadline)
+        CancelToken::default().with_watch(move || Instant::now() < deadline)
     }
 
     /// A token that fires `budget` from now.
     #[must_use]
     pub fn with_timeout(budget: Duration) -> CancelToken {
         // A budget so large it overflows the clock means "no deadline".
-        Instant::now().checked_add(budget).map_or_else(CancelToken::new, CancelToken::with_deadline)
+        Instant::now()
+            .checked_add(budget)
+            .map_or_else(CancelToken::default, CancelToken::with_deadline)
     }
 
     /// This token, additionally fired once `alive` returns `false`. The
@@ -126,13 +122,13 @@ mod tests {
 
     #[test]
     fn fresh_tokens_are_not_cancelled() {
-        assert!(!CancelToken::new().is_cancelled());
+        assert!(!CancelToken::default().is_cancelled());
         assert!(!CancelToken::never().is_cancelled());
     }
 
     #[test]
     fn cancel_reaches_every_clone() {
-        let t = CancelToken::new();
+        let t = CancelToken::default();
         let c = t.clone();
         assert!(!c.is_cancelled());
         t.cancel();
@@ -158,7 +154,7 @@ mod tests {
 
     #[test]
     fn a_false_watch_fires_every_clone() {
-        let before = CancelToken::new();
+        let before = CancelToken::default();
         let watched = before.clone().with_watch(|| false);
         let after = watched.clone();
         assert!(!before.is_cancelled(), "a clone without the watch cannot ask it");
@@ -184,7 +180,7 @@ mod tests {
         alive.store(false, std::sync::atomic::Ordering::SeqCst); // ordering: test probe
         assert!(t.is_cancelled());
         // The watch order does not matter.
-        let t = CancelToken::new().with_watch(|| true).with_watch({
+        let t = CancelToken::default().with_watch(|| true).with_watch({
             let past = Instant::now() - Duration::from_millis(1);
             move || Instant::now() < past
         });
@@ -207,7 +203,7 @@ mod model_tests {
     fn model_observed_cancellation_permanently_refuses_claims() {
         check("cancel-visibility", Options::default(), || {
             let q = std::sync::Arc::new(WorkQueue::new(8));
-            let tok = CancelToken::new();
+            let tok = CancelToken::default();
             let canceller = {
                 let tok = tok.clone();
                 spawn(move || tok.cancel())

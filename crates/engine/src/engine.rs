@@ -610,7 +610,7 @@ mod tests {
     fn cancelled_searches_return_a_partial_best_without_draining_the_space() {
         let space = 100_000;
         for threads in [1, 3] {
-            let cancel = CancelToken::new();
+            let cancel = CancelToken::default();
             let eval = TripWire { cancel: cancel.clone(), trip: 5, count: Default::default() };
             let result = ParallelEngine { threads, chunk: 2, prune: false }
                 .search_with(space, &eval, &cancel);
@@ -627,7 +627,7 @@ mod tests {
 
     #[test]
     fn a_pre_cancelled_token_stops_the_search_before_any_evaluation() {
-        let cancel = CancelToken::new();
+        let cancel = CancelToken::default();
         cancel.cancel();
         let eval = TripWire { cancel: cancel.clone(), trip: u64::MAX, count: Default::default() };
         for result in [

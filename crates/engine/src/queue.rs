@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn cancelled_tokens_stop_claims_with_work_remaining() {
         let q = WorkQueue::new(1000);
-        let cancel = CancelToken::new();
+        let cancel = CancelToken::default();
         assert_eq!(q.claim_unless(7, &cancel), Some((0, 7)));
         cancel.cancel();
         assert_eq!(q.claim_unless(7, &cancel), None, "cancellation refuses the claim");
@@ -145,7 +145,7 @@ mod tests {
         // at its next claim — a pre-fix loop would spin all 10k indices
         // to exhaustion for a caller that is no longer listening.
         let q = WorkQueue::new(10_000);
-        let cancel = CancelToken::new();
+        let cancel = CancelToken::default();
         let mut claimed = 0;
         while let Some((start, end)) = q.claim_unless(3, &cancel) {
             claimed += end - start;

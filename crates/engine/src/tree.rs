@@ -956,7 +956,7 @@ mod tests {
         // aborts, nothing is evaluated, and — the soundness half — not
         // one summary is installed over the unexplored holes.
         let eval = SummaryTree::new(table(3, 64), false);
-        let cancel = CancelToken::new();
+        let cancel = CancelToken::default();
         cancel.cancel();
         for engine in [
             TreeEngine { threads: 1, prune: true, split: 0 },
@@ -991,7 +991,7 @@ mod tests {
         let eval = SummaryTree::new(losses.clone(), false);
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         let checks = AtomicU64::new(0);
-        let cancel = CancelToken::new().with_watch(move || checks.fetch_add(1, Relaxed) < 20);
+        let cancel = CancelToken::default().with_watch(move || checks.fetch_add(1, Relaxed) < 20);
         let result = TreeEngine { threads: 1, prune: false, split: 0 }.search_with(&eval, &cancel);
         assert!(result.was_cancelled());
         let table = eval.table.lock().unwrap().clone();
@@ -1045,7 +1045,7 @@ mod tests {
                 step
             }
         }
-        let cancel = CancelToken::new();
+        let cancel = CancelToken::default();
         let eval = Tripping {
             inner: TableTree::new(table(7, 1 << 12), false),
             cancel: cancel.clone(),

@@ -795,7 +795,7 @@ mod tests {
         let cache = AbCache::unbounded(4);
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         let checks = AtomicU64::new(0);
-        let cancel = CancelToken::new().with_watch(move || checks.fetch_add(1, Relaxed) < 10);
+        let cancel = CancelToken::default().with_watch(move || checks.fetch_add(1, Relaxed) < 10);
         assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &cancel), None);
         assert!(cache.lookup(&node_key(3, 0, 0)).is_none(), "no root entry after an abort");
         assert_eq!(t.solve_alphabeta_tt_warm(&cache), None);

@@ -14,7 +14,7 @@
 
 use crate::dataset::Dataset;
 use crate::optimize::{gd_handler, Optimize};
-use selc::{handle, loss, perform, Sel};
+use selc::{handle, loss, perform, Handler, Sel};
 use selc_autodiff::tape;
 
 /// The paper's `linearReg [w,b] x target` program: ask the optimiser for
@@ -28,18 +28,25 @@ pub fn linear_reg(params: Vec<f64>, x: f64, target: f64) -> Sel<f64, Vec<f64>> {
 }
 
 /// One handler-SGD step: `lreset $ hOpt $ linearReg p x y`, run to a value.
-pub fn sgd_step(params: Vec<f64>, x: f64, target: f64, lr: f64) -> Vec<f64> {
-    let prog = handle(&gd_handler(lr), linear_reg(params, x, target)).lreset();
+/// `h` is [`gd_handler`]`(lr)`, built once per training run.
+pub fn sgd_step(
+    h: &Handler<f64, Vec<f64>, Vec<f64>>,
+    params: Vec<f64>,
+    x: f64,
+    target: f64,
+) -> Vec<f64> {
+    let prog = handle(h, linear_reg(params, x, target)).lreset();
     prog.run_unwrap().1
 }
 
 /// Full handler-based SGD training: one pass per epoch over the dataset,
 /// folding [`sgd_step`] (the paper's `foldM`).
 pub fn train_handler_sgd(data: &Dataset, init: (f64, f64), lr: f64, epochs: usize) -> (f64, f64) {
+    let h = gd_handler(lr);
     let mut p = vec![init.0, init.1];
     for _ in 0..epochs {
         for &(x, y) in &data.points {
-            p = sgd_step(p, x, y, lr);
+            p = sgd_step(&h, p, x, y);
         }
     }
     (p[0], p[1])
@@ -54,17 +61,17 @@ pub fn train_handler_sgd_monadic(data: &Dataset, init: (f64, f64), lr: f64) -> (
         points: std::rc::Rc<Vec<(f64, f64)>>,
         i: usize,
         p: Vec<f64>,
-        lr: f64,
+        h: Handler<f64, Vec<f64>, Vec<f64>>,
     ) -> Sel<f64, Vec<f64>> {
         if i == points.len() {
             return Sel::pure(p);
         }
         let (x, y) = points[i];
-        handle(&gd_handler(lr), linear_reg(p, x, y))
+        handle(&h, linear_reg(p, x, y))
             .lreset()
-            .and_then(move |p2| go(std::rc::Rc::clone(&points), i + 1, p2, lr))
+            .and_then(move |p2| go(std::rc::Rc::clone(&points), i + 1, p2, h.clone()))
     }
-    let prog = go(std::rc::Rc::new(data.points.clone()), 0, vec![init.0, init.1], lr);
+    let prog = go(std::rc::Rc::new(data.points.clone()), 0, vec![init.0, init.1], gd_handler(lr));
     let (_, p) = prog.run_unwrap();
     (p[0], p[1])
 }
@@ -98,7 +105,7 @@ mod tests {
     fn single_step_matches_tape_gradient() {
         let lr = 0.05;
         let (x, y) = (1.5, 4.0);
-        let hp = sgd_step(vec![0.2, -0.3], x, y, lr);
+        let hp = sgd_step(&gd_handler(lr), vec![0.2, -0.3], x, y);
         let d = Dataset { points: vec![(x, y)], true_w: 0.0, true_b: 0.0 };
         let tp = train_tape_sgd(&d, (0.2, -0.3), lr, 1);
         assert!((hp[0] - tp.0).abs() < 1e-4, "handler {hp:?} vs tape {tp:?}");

@@ -14,6 +14,7 @@
 //! `optimize` (see `selc-autodiff` for validation against exact engines).
 
 use selc::{effect, perform, Choice, Handler, Loss, Sel};
+use std::rc::Rc;
 
 effect! {
     /// Parameter-optimisation effect (§4.3).
@@ -26,22 +27,32 @@ effect! {
 /// Sequences probes of the choice continuation at each of `points`,
 /// collecting the probed losses. (Monadic `mapM (l ·) points`.)
 pub fn probe_losses<L: Loss>(l: &Choice<L, Vec<f64>>, points: Vec<Vec<f64>>) -> Sel<L, Vec<L>> {
+    /// The losses probed so far, newest first: each probe links one node
+    /// in front of the shared tail instead of copying the earlier losses.
+    struct Probed<L>(L, Option<Rc<Probed<L>>>);
+
     fn go<L: Loss>(
         l: Choice<L, Vec<f64>>,
-        points: std::rc::Rc<Vec<Vec<f64>>>,
+        points: Rc<Vec<Vec<f64>>>,
         i: usize,
-        acc: Vec<L>,
+        probed: Option<Rc<Probed<L>>>,
     ) -> Sel<L, Vec<L>> {
         if i == points.len() {
-            return Sel::pure(acc);
+            let mut losses = Vec::with_capacity(i);
+            let mut node = probed.as_deref();
+            while let Some(Probed(loss, tail)) = node {
+                losses.push(loss.clone());
+                node = tail.as_deref();
+            }
+            losses.reverse();
+            return Sel::pure(losses);
         }
         l.at(points[i].clone()).and_then(move |loss| {
-            let mut acc = acc.clone();
-            acc.push(loss);
-            go(l.clone(), std::rc::Rc::clone(&points), i + 1, acc)
+            let probed = Some(Rc::new(Probed(loss, probed.clone())));
+            go(l.clone(), Rc::clone(&points), i + 1, probed)
         })
     }
-    go(l.clone(), std::rc::Rc::new(points), 0, Vec::new())
+    go(l.clone(), Rc::new(points), 0, None)
 }
 
 /// `autodiff l p` — the gradient of the choice continuation at `p` by

@@ -31,6 +31,7 @@
 use crate::dataset::Dataset;
 use crate::hyper::{probe_grid_argmin, Lr};
 use crate::linreg::sgd_step;
+use crate::optimize::gd_handler;
 use selc::{handle, CacheStats, Handler, MemoChoice, Replay, Sel, SharedCache};
 use selc_engine::{
     CacheStatsSink, CandidateEval, Outcome, ParallelEngine, SearchStats, SharedBound,
@@ -267,11 +268,12 @@ struct TrainEval {
 
 impl TrainEval {
     fn train(&self, alpha: f64, bound: &SharedBound<f64>) -> Option<f64> {
+        let h = gd_handler(alpha);
         let mut p = vec![self.init.0, self.init.1];
         let mut total = 0.0_f64;
         for _ in 0..self.epochs {
             for &(x, y) in &self.data.points {
-                p = sgd_step(p, x, y, alpha);
+                p = sgd_step(&h, p, x, y);
                 let e = y - (p[0] * x + p[1]);
                 total += e * e;
                 if bound.dominated(&total) {

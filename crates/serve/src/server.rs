@@ -369,7 +369,7 @@ fn search(
         return None;
     }
     let cancel = match deadline_ms {
-        0 => CancelToken::new(),
+        0 => CancelToken::default(),
         ms => CancelToken::with_timeout(Duration::from_millis(u64::from(ms))),
     };
     let watched = Arc::clone(stream);
