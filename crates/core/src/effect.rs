@@ -49,12 +49,13 @@ pub trait Operation: 'static {
 
 /// Performs an operation: suspends the computation on an `Op` node whose
 /// continuation returns the operation result with zero recorded loss
-/// (cf. the unit in rule R5's `f_k`).
+/// (cf. the unit in rule R5's `f_k`). The continuation moves a uniquely
+/// held result out of its box and clones only a shared one.
 pub fn perform<L: Loss, Op: Operation>(arg: Op::Arg) -> Sel<L, Op::Ret> {
     Sel::from_fn(move |_g| {
         Eff::Op(
             OpCall::user::<Op>(Value::new(arg.clone())),
-            Rc::new(|v: Value| Eff::Pure((L::zero(), v.get::<Op::Ret>()))),
+            Rc::new(|v: Value| Eff::Pure((L::zero(), v.take::<Op::Ret>()))),
         )
     })
 }
@@ -132,6 +133,42 @@ mod tests {
             }
             _ => panic!("expected op"),
         }
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A result type that counts its clones.
+    pub struct Counted;
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted
+        }
+    }
+
+    effect! {
+        /// Test effect with a clone-counting result.
+        pub effect Fetching {
+            /// Fetch a counted value.
+            op Fetch : () => Counted;
+        }
+    }
+
+    #[test]
+    fn continuation_moves_a_uniquely_held_result() {
+        let s: Sel<f64, Counted> = perform::<f64, Fetch>(());
+        let zero = Rc::new(|_: &Counted| Eff::Pure(0.0_f64));
+        let Eff::Op(_, k) = s.run_with(zero) else { panic!("expected op") };
+        let clones = || CLONES.with(std::cell::Cell::get);
+        let before = clones();
+        assert!(matches!(k(Value::new(Counted)), Eff::Pure(_)));
+        assert_eq!(clones() - before, 0, "a uniquely held result is moved out");
+        let shared = Value::new(Counted);
+        assert!(matches!(k(shared.clone()), Eff::Pure(_)));
+        assert_eq!(clones() - before, 1, "a shared result is cloned once");
     }
 
     #[test]

@@ -72,7 +72,6 @@ pub mod handler;
 pub mod loss;
 pub mod memo;
 pub mod ordered;
-pub mod replay;
 pub mod runtime;
 pub mod sel;
 pub mod value;
@@ -88,7 +87,6 @@ pub use handler::{handle, handle_with, Choice, Handler, HandlerBuilder, Resume};
 pub use loss::Loss;
 pub use memo::MemoChoice;
 pub use ordered::{f64_sort_key, OrderedLoss};
-pub use replay::{replay_loss, Replay, ReplaySpace};
 pub use runtime::{zero_cont, BindCont, LossCont, NodeCont, RawChoice, RawResume, SelRun};
 pub use sel::{loss, Sel, UnhandledOp};
 pub use selc_cache::{CacheHandle, CacheStats, LocalCache, ShardedCache, SharedCache};

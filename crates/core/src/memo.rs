@@ -22,8 +22,8 @@
 //! and the wrapped choice continuation is fixed for the lifetime of one
 //! clause invocation. *Sharing* a cache beyond the activation needs one
 //! more fact: every sharer's probed future must agree on every key (same
-//! key ⇒ bit-identical loss). Replays of one program factory
-//! (`selc::Replay`) satisfy this by purity; anything else must key-split
+//! key ⇒ bit-identical loss). Rebuilds of one program from one
+//! `Fn() -> Sel` closure satisfy this by purity; anything else must key-split
 //! or `advance_epoch` between programs (see `selc-cache`'s handle
 //! contract).
 //!

@@ -29,12 +29,20 @@ impl Value {
     /// this indicates a mis-declared operation (`Arg`/`Ret` mismatch),
     /// which is a programming error.
     pub fn get<T: Clone + 'static>(&self) -> T {
-        self.try_get::<T>().unwrap_or_else(|| {
-            panic!(
-                "value type mismatch: expected {} — check the operation's Arg/Ret declaration",
-                std::any::type_name::<T>()
-            )
-        })
+        self.try_get::<T>().unwrap_or_else(|| mismatch::<T>())
+    }
+
+    /// Downcasts to `T`, moving the value out when this is the only
+    /// reference to the box and cloning it only when the box is shared.
+    ///
+    /// # Panics
+    ///
+    /// As [`Value::get`], on a dynamic type other than `T`.
+    pub fn take<T: Clone + 'static>(self) -> T {
+        match self.0.downcast::<T>() {
+            Ok(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
+            Err(_) => mismatch::<T>(),
+        }
     }
 
     /// Downcasts to `T`, returning `None` on mismatch.
@@ -46,6 +54,14 @@ impl Value {
     pub fn is<T: 'static>(&self) -> bool {
         self.0.is::<T>()
     }
+}
+
+/// The panic of a failed typed downcast: a mis-declared operation.
+fn mismatch<T>() -> ! {
+    panic!(
+        "value type mismatch: expected {} — check the operation's Arg/Ret declaration",
+        std::any::type_name::<T>()
+    )
 }
 
 impl fmt::Debug for Value {
@@ -77,6 +93,12 @@ mod tests {
     #[should_panic(expected = "value type mismatch")]
     fn get_mismatch_panics() {
         Value::new(1_u8).get::<u16>();
+    }
+
+    #[test]
+    #[should_panic(expected = "value type mismatch")]
+    fn take_mismatch_panics() {
+        Value::new(1_u8).take::<u16>();
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! that turns candidate exploration into schedulable, parallel, prunable
 //! work:
 //!
-//! * **Replay per worker** — programs cross threads as factories
-//!   ([`selc::ReplaySpace`]), never as trees: each worker rebuilds the
-//!   candidate's `Sel` program locally (building is pure) and keeps only
-//!   the recorded loss. See [`replay`].
+//! * **Replay per worker** — programs cross threads as plain
+//!   `Send + Sync` closures, never as trees: `Sel`/`Eff` trees are
+//!   `Rc`-woven, so each worker calls the closure to rebuild its
+//!   candidate's program locally (building is pure, so every rebuild
+//!   denotes the same computation) and keeps only the recorded loss.
 //! * **One worker loop, one pool** — workers fed by a chunked atomic
 //!   work queue, the calling thread being worker 0 and the rest parked
 //!   helpers of one persistent pool, so a warm process spawns no thread
@@ -52,7 +53,6 @@ pub mod cancel;
 pub mod engine;
 mod pool;
 pub mod queue;
-pub mod replay;
 pub mod threads;
 pub mod tree;
 
@@ -63,6 +63,5 @@ pub use engine::{
     SequentialEngine,
 };
 pub use queue::WorkQueue;
-pub use replay::{search_programs, CacheStatsSink, SelEval};
 pub use threads::{configured_threads, THREADS_ENV};
 pub use tree::{parallel_subtrees, SummaryProbe, TreeEngine, TreeEval, TreeStep};

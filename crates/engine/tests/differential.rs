@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use selc::loss;
-use selc_engine::{minimize, search_programs, CandidateEval, ParallelEngine, SharedBound};
+use selc_engine::{minimize, CandidateEval, ParallelEngine, SharedBound};
 
 /// The oracle the whole workspace uses for sequential argmin: first
 /// strict minimum, ties towards the earliest candidate (the semantics of
@@ -65,16 +65,17 @@ proptest! {
     fn replayed_sel_programs_agree_across_engines(
         losses in proptest::collection::vec(0.0_f64..50.0, 1..24)
     ) {
-        // Candidate i's program records losses[i] and returns i²; both
-        // engines must pick the same program and value.
-        let mk_factory = |cs: Vec<f64>| move |i: usize| loss(cs[i]).map(move |_| i * i);
-        let (seq, seq_val) = search_programs(
-            &ParallelEngine::exhaustive(), losses.len(), mk_factory(losses.clone()),
-        ).unwrap();
-        let (par, par_val) = search_programs(
-            &ParallelEngine { threads: 4, chunk: 1, prune: true }, losses.len(),
-            mk_factory(losses.clone()),
-        ).unwrap();
+        // Candidate i's program records losses[i] and returns i²; each
+        // worker rebuilds it from plain data, and both engines must pick
+        // the same program and value.
+        let program = |i: usize| loss(losses[i]).map(move |_| i * i);
+        let search = |engine: &ParallelEngine| {
+            let out = minimize(engine, losses.len(), |i| program(i).run_unwrap().0).unwrap();
+            let value = program(out.index).run_unwrap().1;
+            (out, value)
+        };
+        let (seq, seq_val) = search(&ParallelEngine::exhaustive());
+        let (par, par_val) = search(&ParallelEngine { threads: 4, chunk: 1, prune: true });
         prop_assert_eq!(seq.index, par.index);
         prop_assert_eq!(seq.loss, par.loss);
         prop_assert_eq!(seq_val, par_val);

@@ -4,9 +4,9 @@
 //!
 //! The root split is the classic parallelisation of backward induction:
 //! the first mover's candidates are independent subgames, so each worker
-//! replays "fix root move `a`, solve the rest with the usual handlers"
+//! rebuilds "fix root move `a`, solve the rest with the usual handlers"
 //! locally (handler programs are `Rc` trees and cannot cross threads —
-//! they ship as factories, see `selc::ReplaySpace`). The engine's
+//! the evaluator ships only the `Arc`-shared table). The engine's
 //! deterministic `(loss, index)` reduction keeps the chosen play
 //! bit-identical to the sequential `hmax ∘ hmin` nesting, and its
 //! branch-and-bound bound prunes rows whose best conceivable value
@@ -16,9 +16,7 @@ use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
-use selc_engine::{
-    parallel_subtrees, CancelToken, CandidateEval, Outcome, ParallelEngine, SharedBound,
-};
+use selc_engine::{parallel_subtrees, CancelToken, CandidateEval, ParallelEngine, SharedBound};
 use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
@@ -58,24 +56,13 @@ impl CandidateEval<f64> for RowEval {
 /// with the ordinary `hmin` handler. Returns `((row, col), value)`,
 /// bit-identical to [`crate::minimax::minimax_handler`].
 pub fn minimax_root_split(table: &Matrix, engine: &ParallelEngine) -> ((usize, usize), f64) {
-    let (play, value, _) = minimax_root_split_stats(table, engine);
-    (play, value)
-}
-
-/// [`minimax_root_split`] plus the engine's search telemetry (how many
-/// rows were evaluated vs. pruned by the shared bound).
-pub fn minimax_root_split_stats(
-    table: &Matrix,
-    engine: &ParallelEngine,
-) -> ((usize, usize), f64, Outcome<f64>) {
     let table = Arc::new(table.clone());
     let eval = RowEval { table: Arc::clone(&table) };
-    let outcome = engine.search(table.rows(), &eval).expect("matrices are non-empty");
-    let a = outcome.index;
+    let a = engine.search(table.rows(), &eval).expect("matrices are non-empty").index;
     // Replay the winning subgame once for the minimiser's reply (pure,
     // so this reproduces exactly the value the search scored).
     let (value, b) = handle(&hmin(), subgame(table, a)).run_unwrap();
-    ((a, b), value, outcome)
+    ((a, b), value)
 }
 
 /// Parallel n-queens: splits the first queen's column over `engine`;
@@ -201,8 +188,10 @@ mod tests {
             rows.push(vec![1.0 + f64::from(i) * 0.1; 3]);
         }
         let m = Matrix::new(rows);
-        let (play, value, outcome) = minimax_root_split_stats(&m, &ParallelEngine::with_threads(1));
-        assert_eq!((play, value), ((0, 0), 5.0));
+        let engine = ParallelEngine::with_threads(1);
+        assert_eq!(minimax_root_split(&m, &engine), ((0, 0), 5.0));
+        let outcome = engine.search(m.rows(), &RowEval { table: Arc::new(m) }).unwrap();
+        assert_eq!(outcome.index, 0);
         assert_eq!(outcome.stats.pruned, 6, "stats: {:?}", outcome.stats);
     }
 

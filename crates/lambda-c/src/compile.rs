@@ -9,10 +9,10 @@
 //! extension, independent of term size.
 //!
 //! `Code` is deliberately plain `Send + Sync` data (`Arc`, `String`,
-//! [`Type`], [`Const`] — no `Rc`, no closures): a [`CompiledProgram`] is a
-//! thread-shippable *factory* in the sense of `selc::Replay`, so the
-//! `lambda-rt` bridge can rebuild and run the machine on any engine
-//! worker (replay-per-worker, the engine's portability contract).
+//! [`Type`], [`Const`] — no `Rc`, no closures): a [`CompiledProgram`] is
+//! thread-shippable, so the `lambda-rt` bridge can run the machine on
+//! any engine worker (replay-per-worker, the engine's portability
+//! contract).
 //!
 //! Only scoping is checked here (unbound variables are compile errors);
 //! typing is the typechecker's job, and the machine mirrors the

@@ -7,10 +7,12 @@
 //! significant bit = first decision, `0` = `true`), so candidate indices
 //! enumerate decision vectors lexicographically with `true` first —
 //! exactly the order in which the paper's `leq`-based argmin handlers
-//! break ties. [`LcCandidates`] packages that family as a
-//! `selc::ReplaySpace` of [`Sel`] programs built from `selc::runtime`
-//! continuations, so compiled λC runs on the flat
-//! `selc_engine::ParallelEngine` unchanged.
+//! break ties. [`LcCandidates`] packages that family as plain
+//! `Send + Sync` data: [`LcCandidates::run_candidate`] maps a candidate
+//! index to its machine outcome, so a loss closure over it runs on the
+//! flat `selc_engine::ParallelEngine` unchanged (see
+//! [`crate::search::search_compiled_flat`]), and
+//! [`LcCandidates::explore_prefix`] feeds the prefix-sharing tree search.
 //!
 //! ## Soundness scope
 //!
@@ -24,12 +26,10 @@
 //! resume (`tuneLR`), or maximise are still *evaluated* faithfully by the
 //! machine — they just aren't a minimisation the engine can fan out.
 
-use crate::loss::OrdLossVal;
 use lambda_c::flow::{self, FlowReport, NonNegLosses};
 use lambda_c::machine::{self, Explored, MachineOutcome, MachinePrune, RunConfig, TreeChoices};
 use lambda_c::prim::Ground;
 use lambda_c::{CompiledProgram, MachError};
-use selc::{ReplaySpace, Sel};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -42,14 +42,13 @@ pub type LcValue = Option<Ground>;
 
 /// A compiled λC program viewed as a finite candidate space: one
 /// candidate per assignment of the forced operations' `2^depth` decision
-/// vectors. Plain `Send + Sync` data — the engine ships it to workers and
-/// each rebuilds the machine locally (replay-per-worker).
+/// vectors. Plain `Send + Sync` data — the engine shares it with workers
+/// and each runs the machine locally (replay-per-worker).
 #[derive(Clone, Debug)]
 pub struct LcCandidates {
     program: Arc<CompiledProgram>,
     ops: BTreeSet<String>,
     depth: u32,
-    fuel: u64,
     /// Process-unique space identity, part of every transposition key:
     /// a shared cache may serve many *different* programs without their
     /// decision prefixes colliding. Clones (including the engine's
@@ -87,7 +86,6 @@ impl LcCandidates {
             program: Arc::new(program),
             ops: ops.into_iter().collect(),
             depth,
-            fuel: 0,
             // ordering: Relaxed — space ids only need uniqueness, which
             // the RMW guarantees under any ordering.
             id: NEXT_SPACE_ID.fetch_add(1, Ordering::Relaxed),
@@ -119,12 +117,6 @@ impl LcCandidates {
         self.flow_report().certificate()
     }
 
-    /// Overrides the per-candidate machine fuel (0 = machine default).
-    pub fn with_fuel(mut self, fuel: u64) -> LcCandidates {
-        self.fuel = fuel;
-        self
-    }
-
     /// Number of candidates, `2^depth`.
     pub fn space(&self) -> usize {
         1_usize << self.depth
@@ -150,7 +142,7 @@ impl LcCandidates {
 
     /// Runs candidate `index`'s forced machine under the replay contract:
     /// any machine failure, or a stuck (unhandled) operation, is a panic —
-    /// factories must produce fully handled, terminating programs.
+    /// candidate spaces must hold fully handled, terminating programs.
     ///
     /// # Panics
     ///
@@ -186,13 +178,13 @@ impl LcCandidates {
             prefix_len: len,
             max_decisions: self.depth,
         };
-        let cfg = RunConfig { fuel: self.fuel, forced: Some(forced), prune };
+        let cfg = RunConfig { fuel: 0, forced: Some(forced), prune };
         enforce_replay_contract(machine::explore(&self.program, cfg), prefix, len)
     }
 }
 
 /// The replay contract of [`LcCandidates::run_candidate`] and
-/// [`LcCandidates::explore_prefix`]: factories must produce fully
+/// [`LcCandidates::explore_prefix`]: candidate spaces must hold fully
 /// handled, terminating programs, so only prune abandonments survive as
 /// errors.
 pub(crate) fn enforce_replay_contract(
@@ -215,25 +207,12 @@ pub(crate) fn enforce_replay_contract(
     }
 }
 
-impl ReplaySpace<OrdLossVal, LcValue> for LcCandidates {
-    /// Candidate `index` as a `Sel` program: a `selc::runtime`
-    /// continuation closure that replays the forced machine and reports
-    /// `(recorded loss, ground terminal)` — the shape `ParallelEngine::search`
-    /// scores through `selc_engine::search_programs`.
-    fn build(&self, index: usize) -> Sel<OrdLossVal, LcValue> {
-        let me = self.clone();
-        Sel::from_fn(move |_g| {
-            let out = me.run_candidate(index);
-            selc::eff::Eff::Pure((OrdLossVal(out.loss.clone()), out.ground_value()))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::search_compiled_flat;
     use lambda_c::testgen;
-    use selc_engine::{search_programs, ParallelEngine};
+    use selc_engine::ParallelEngine;
 
     fn pgm_candidates() -> LcCandidates {
         let ex = lambda_c::examples::pgm_with_argmin_handler();
@@ -256,12 +235,10 @@ mod tests {
         let reference =
             lambda_c::eval_closed(&ex.sig, ex.expr.clone(), ex.ty.clone(), ex.eff.clone()).unwrap();
         let c = pgm_candidates();
-        let (out, value) =
-            search_programs(&ParallelEngine::exhaustive(), c.space(), c.clone()).unwrap();
+        let (out, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &c).unwrap();
         assert_eq!(out.loss.0, reference.loss);
         assert_eq!(value, lambda_c::prim::value_to_ground(&reference.terminal));
-        let (par, pvalue) =
-            search_programs(&ParallelEngine::with_threads(2), c.space(), c).unwrap();
+        let (par, pvalue) = search_compiled_flat(&ParallelEngine::with_threads(2), &c).unwrap();
         assert_eq!((par.index, par.loss), (out.index, out.loss));
         assert_eq!(pvalue, value);
     }
@@ -273,7 +250,7 @@ mod tests {
         let reference =
             lambda_c::eval_closed(&sig, p.expr.clone(), p.ty.clone(), p.eff.clone()).unwrap();
         let c = LcCandidates::new(lambda_c::compile(&p.expr).unwrap(), ["decide".to_owned()], 5);
-        let (out, _) = search_programs(&ParallelEngine::exhaustive(), c.space(), c).unwrap();
+        let (out, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &c).unwrap();
         assert_eq!(out.loss.0, reference.loss, "engine argmin == handler semantics");
     }
 }

@@ -12,9 +12,10 @@
 //!    (losses *and* terminals) at a fraction of the cost of
 //!    clone-and-rename substitution.
 //! 2. **Bridge** — [`LcCandidates`] turns the compiled program's argmin
-//!    choice points into a `selc::ReplaySpace` of `2^depth` forced-path
-//!    `Sel` programs (Hedges: selection computations are CPS terms), so
-//!    λC programs run on the flat `selc_engine::ParallelEngine` — parallel workers,
+//!    choice points into a family of `2^depth` forced-path runs, one per
+//!    candidate index (Hedges: a selection computation is a function
+//!    from a choice to its loss), so a plain loss closure over it runs
+//!    on the flat `selc_engine::ParallelEngine` — parallel workers,
 //!    deterministic `(loss, index)` reduction, `SharedBound`
 //!    branch-and-bound.
 //! 3. **Tree search** — [`search_compiled`] walks the decision *tree*

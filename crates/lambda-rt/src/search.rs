@@ -12,14 +12,15 @@
 //!   so no leaf is stored. The one evaluator that reads and writes the
 //!   table is [`crate::tree::LcTreeEval`].
 //! * **The flat oracle.** [`search_compiled_flat`] scores every forced
-//!   path from the root through the space's `selc::ReplaySpace` face,
-//!   with no table, no pruning, and no shared state — so a reference
-//!   computed before a tree search cannot warm it.
+//!   path from the root through a plain loss closure over
+//!   [`LcCandidates::run_candidate`], with no table, no pruning, and no
+//!   shared state — so a reference computed before a tree search cannot
+//!   warm it.
 
 use crate::bridge::{LcCandidates, LcValue};
 use crate::loss::OrdLossVal;
 use selc_cache::{ShardedCache, SubtreeSummary};
-use selc_engine::{Outcome, ParallelEngine};
+use selc_engine::{minimize, Outcome, ParallelEngine};
 
 /// The transposition table for compiled searches: subtree summaries
 /// keyed `(space identity, prefix length, prefix bits)`. The identity
@@ -31,9 +32,8 @@ pub type LcTransCache = ShardedCache<(u64, u32, u64), SubtreeSummary<OrdLossVal>
 /// of the `2^depth` forced paths replayed from the root on `engine` —
 /// argmin by recorded loss, ties to the lexicographically-first decision
 /// vector (`true` first), the winner an argmin-chooser handler picks.
-/// One extra replay recovers the winner's terminal. Returns `None` for
-/// an empty space (depth 0 still has one candidate, so only for
-/// `space == 0` engines).
+/// One extra replay recovers the winner's terminal. Always `Some`: even
+/// depth 0 has one candidate.
 ///
 /// The production path is the prefix-sharing
 /// [`crate::tree::search_compiled`]; the flat scan stays as the
@@ -44,7 +44,9 @@ pub fn search_compiled_flat(
     engine: &ParallelEngine,
     cands: &LcCandidates,
 ) -> Option<(Outcome<OrdLossVal>, LcValue)> {
-    selc_engine::search_programs(engine, cands.space(), cands.clone())
+    let out = minimize(engine, cands.space(), |i| OrdLossVal(cands.run_candidate(i).loss))?;
+    let value = cands.run_candidate(out.index).ground_value();
+    Some((out, value))
 }
 
 #[cfg(test)]

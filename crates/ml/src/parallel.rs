@@ -1,25 +1,25 @@
 //! Engine-backed hyperparameter search (§4.3 "Hyperparameters" at
-//! scale): chunked parallel grid search over replayed programs, and
+//! scale): chunked parallel grid search over rebuilt programs, and
 //! branch-and-bound training-run tuning. Every entry point takes the
 //! flat [`ParallelEngine`] it runs on (`ParallelEngine::exhaustive()`
 //! for the index-order scan on the caller); a plain parallel argmin over a parameter grid with a loss
 //! closure is [`selc_engine::minimize`].
 //!
-//! Three entry points, all bit-identical in their winners to the
+//! Two entry points, both bit-identical in their winners to the
 //! sequential scans they parallelise (for NaN-free losses — see
 //! `selection::par` for the `total_cmp` vs. `<` caveat; diverging
 //! training runs may reach `+∞`, which both orders treat identically,
 //! but must not reach `NaN`):
 //!
 //! * [`tune_lr_parallel`] — the paper's `tuneLR` distributed: the grid
-//!   is split into **batches**, each worker replays the program (`Sel`
-//!   trees cannot cross threads — factories do) and probes its batch
-//!   through the sequential memoised tuner, and the engine merges batch
-//!   winners deterministically. The per-batch [`selc::MemoChoice`]
-//!   counters flow into the engine's [`SearchStats::cache`] telemetry;
-//! * [`tune_lr_parallel_cached`] — the same tuner with every probe
-//!   going through one shared rate cache, so a rate probed by any
-//!   worker or any earlier search runs its future once;
+//!   is split into **batches**, each worker rebuilds the program from its
+//!   `Send + Sync` closure (`Sel` trees cannot cross threads — closures
+//!   can) and probes its batch through the memoised tuner, and the
+//!   engine merges batch winners deterministically. Probes go through a
+//!   per-activation [`selc::MemoChoice`] memo, or, given a shared rate
+//!   cache, through that cache, so a rate probed by any worker or any
+//!   earlier search runs its future once. Either way the memo counters
+//!   flow into the engine's [`SearchStats::cache`] telemetry;
 //! * [`tune_training_run`] — grid search over whole SGD training runs
 //!   scored by cumulative training loss, with early abort: the running
 //!   loss total is monotone (squared errors are non-negative), hence a
@@ -32,13 +32,11 @@ use crate::dataset::Dataset;
 use crate::hyper::{probe_grid_argmin, Lr};
 use crate::linreg::sgd_step;
 use crate::optimize::gd_handler;
-use selc::{handle, CacheStats, Handler, MemoChoice, Replay, Sel, SharedCache};
-use selc_engine::{
-    CacheStatsSink, CandidateEval, Outcome, ParallelEngine, SearchStats, SharedBound,
-};
-use std::cell::RefCell;
+use selc::{handle, CacheStats, Handler, MemoChoice, Sel, SharedCache};
+use selc_engine::{CandidateEval, Outcome, ParallelEngine, SearchStats, SharedBound};
+use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The result of a parallel tuning run.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,25 +50,37 @@ pub struct TuneOutcome {
 }
 
 /// A chunked tuner handler: probes exactly `batch` through the memoised
-/// grid scan and *returns* the best `(rate, error)` pair. The handler's
-/// answer for a program that never reads the rate is the batch's first
-/// entry with infinite error, so empty-probe batches lose to any batch
-/// that probed.
+/// grid scan and *returns* the best `(rate, error)` pair. Probes go
+/// through `cache` when one is given, keyed on the rate's bits, so a rate
+/// any worker (or any earlier batch or search) already probed is answered
+/// without running the future — sound for rebuilds of one program,
+/// since probing is pure. Without a cache each activation memoises in
+/// its own table, which stays sound for programs that read the rate more
+/// than once, and adds its counters to `stats`. The handler's answer for
+/// a program that never reads the rate is the batch's first entry with
+/// infinite error, so empty-probe batches lose to any batch that probed.
 fn tune_batch_handler<A: Clone + 'static>(
     batch: Vec<f64>,
-    sink: Rc<RefCell<CacheStats>>,
+    cache: Option<SharedCache<u64, f64>>,
+    stats: Rc<Cell<CacheStats>>,
 ) -> Handler<f64, A, (f64, f64)> {
     let default = batch[0];
+    let key = |r: &f64| r.to_bits();
     Handler::builder::<Lr>()
-        .on::<crate::hyper::Lrate>(move |(), l, _k| {
-            let memo = MemoChoice::with_key(&l, |r: &f64| r.to_bits());
-            let sink = Rc::clone(&sink);
-            let m2 = memo.clone();
-            probe_grid_argmin(&memo, batch.clone()).map(move |best| {
-                let merged = sink.borrow().merged(&m2.stats());
-                *sink.borrow_mut() = merged;
-                best
-            })
+        .on::<crate::hyper::Lrate>(move |(), l, _k| match &cache {
+            Some(cache) => probe_grid_argmin(
+                &MemoChoice::with_cache(&l, key, Arc::clone(cache)),
+                batch.clone(),
+            ),
+            None => {
+                let memo = MemoChoice::with_key(&l, key);
+                let stats = Rc::clone(&stats);
+                let m2 = memo.clone();
+                probe_grid_argmin(&memo, batch.clone()).map(move |best| {
+                    stats.set(stats.get().merged(&m2.stats()));
+                    best
+                })
+            }
         })
         .ret(move |_a| Sel::pure((default, f64::INFINITY)))
         .build()
@@ -78,54 +88,68 @@ fn tune_batch_handler<A: Clone + 'static>(
 
 /// Evaluator for [`tune_lr_parallel`]: candidate `i` is the `i`-th batch
 /// of the grid; its loss is the best probed error inside the batch.
-struct BatchEval<P, A> {
+struct BatchEval<'c, P> {
     batches: Vec<Vec<f64>>,
     program: P,
-    sink: CacheStatsSink,
-    _result: std::marker::PhantomData<fn() -> A>,
+    cache: Option<&'c SharedCache<u64, f64>>,
+    /// The shared cache's counters before the search.
+    base: CacheStats,
+    /// The per-activation memos' counters, summed over every run.
+    memo_stats: Mutex<CacheStats>,
 }
 
-impl<P, A> BatchEval<P, A>
+impl<P, A> BatchEval<'_, P>
 where
-    P: Replay<f64, A>,
+    P: Fn() -> Sel<f64, A> + Send + Sync,
     A: Clone + 'static,
 {
-    /// Replays the program against one batch; pure, so rerunning the
-    /// winner reproduces exactly the scored pair.
+    /// Rebuilds the program and runs it against one batch; pure, so
+    /// rerunning the winner reproduces exactly the scored pair.
     fn run_batch(&self, i: usize) -> (f64, f64, CacheStats) {
-        let sink = Rc::new(RefCell::new(CacheStats::default()));
-        let h = tune_batch_handler(self.batches[i].clone(), Rc::clone(&sink));
-        let (_, pair) = handle(&h, self.program.build())
+        let stats = Rc::new(Cell::new(CacheStats::default()));
+        let h = tune_batch_handler(self.batches[i].clone(), self.cache.cloned(), Rc::clone(&stats));
+        let (_, pair) = handle(&h, (self.program)())
             .run()
             .expect("tuned program reached the top level with an unhandled operation");
-        let stats = *sink.borrow();
-        (pair.0, pair.1, stats)
+        (pair.0, pair.1, stats.get())
     }
 }
 
-impl<P, A> CandidateEval<f64> for BatchEval<P, A>
+impl<P, A> CandidateEval<f64> for BatchEval<'_, P>
 where
-    P: Replay<f64, A>,
+    P: Fn() -> Sel<f64, A> + Send + Sync,
     A: Clone + 'static,
 {
     fn eval(&self, i: usize, _bound: &SharedBound<f64>) -> Option<f64> {
         let (_alpha, err, stats) = self.run_batch(i);
-        self.sink.record(&stats);
+        let mut total = self.memo_stats.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        *total = total.merged(&stats);
         Some(err)
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.sink.total()
+        match self.cache {
+            Some(cache) => cache.stats().since(&self.base),
+            None => *self.memo_stats.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
+        }
     }
 }
 
 /// Parallel `tuneLR`: splits `grid` into batches of `batch_size`, probes
-/// each batch against a fresh replay of `program` on the worker pool,
+/// each batch against a fresh rebuild of `program` on the worker pool,
 /// and merges batch winners deterministically. For programs that read
 /// the rate once (the paper's pattern), the winning rate is bit-identical
 /// to `handle(tune_lr(grid), program)` — both are first-strict-minimum
 /// scans of the same probed errors, and batching preserves the global
 /// scan order.
+///
+/// With `cache: None` each handler activation memoises its own probes
+/// and `stats.cache` sums their counters. With `Some(cache)` every probe
+/// goes through the shared rate cache instead, so a rate duplicated
+/// across batches — or across whole searches reusing the handle — runs
+/// the future once globally; only the amount of evaluation work changes,
+/// and `stats.cache` reports this search's share of the handle's
+/// traffic.
 ///
 /// # Panics
 ///
@@ -135,9 +159,10 @@ pub fn tune_lr_parallel<P, A>(
     grid: Vec<f64>,
     batch_size: usize,
     program: P,
+    cache: Option<&SharedCache<u64, f64>>,
 ) -> TuneOutcome
 where
-    P: Replay<f64, A>,
+    P: Fn() -> Sel<f64, A> + Send + Sync,
     A: Clone + 'static,
 {
     assert!(!grid.is_empty(), "tune_lr_parallel needs at least one candidate rate");
@@ -147,111 +172,13 @@ where
     let eval = BatchEval {
         batches,
         program,
-        sink: CacheStatsSink::default(),
-        _result: std::marker::PhantomData,
+        cache,
+        base: cache.map(|c| c.stats()).unwrap_or_default(),
+        memo_stats: Mutex::default(),
     };
     let out: Outcome<f64> = engine.search(n, &eval).expect("non-empty grid");
     let (alpha, err, _) = eval.run_batch(out.index);
     TuneOutcome { alpha, err, stats: out.stats }
-}
-
-/// The cached batch handler: like [`tune_batch_handler`], but probes go
-/// through a [`SharedCache`] keyed on the rate's bits, so a rate any
-/// worker (or any earlier batch, or any earlier *search*) already probed
-/// is answered without running the future. Sound for replays of one
-/// program factory: probing is pure, so the cached error is
-/// bit-identical to a recomputed one.
-fn tune_batch_handler_cached<A: Clone + 'static>(
-    batch: Vec<f64>,
-    cache: SharedCache<u64, f64>,
-) -> Handler<f64, A, (f64, f64)> {
-    let default = batch[0];
-    Handler::builder::<Lr>()
-        .on::<crate::hyper::Lrate>(move |(), l, _k| {
-            let memo = MemoChoice::with_cache(&l, |r: &f64| r.to_bits(), Arc::clone(&cache));
-            probe_grid_argmin(&memo, batch.clone())
-        })
-        .ret(move |_a| Sel::pure((default, f64::INFINITY)))
-        .build()
-}
-
-/// Evaluator for [`tune_lr_parallel_cached`]: one batch per candidate,
-/// every batch probing through one shared rate cache.
-struct CachedBatchEval<P, A> {
-    batches: Vec<Vec<f64>>,
-    program: P,
-    cache: SharedCache<u64, f64>,
-    base: CacheStats,
-    _result: std::marker::PhantomData<fn() -> A>,
-}
-
-impl<P, A> CachedBatchEval<P, A>
-where
-    P: Replay<f64, A>,
-    A: Clone + 'static,
-{
-    fn run_batch(&self, i: usize) -> (f64, f64) {
-        let h = tune_batch_handler_cached(self.batches[i].clone(), Arc::clone(&self.cache));
-        let (_, pair) = handle(&h, self.program.build())
-            .run()
-            .expect("tuned program reached the top level with an unhandled operation");
-        pair
-    }
-}
-
-impl<P, A> CandidateEval<f64> for CachedBatchEval<P, A>
-where
-    P: Replay<f64, A>,
-    A: Clone + 'static,
-{
-    fn eval(&self, i: usize, _bound: &SharedBound<f64>) -> Option<f64> {
-        let (_alpha, err) = self.run_batch(i);
-        Some(err)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats().since(&self.base)
-    }
-}
-
-/// [`tune_lr_parallel`] with a **shared** rate cache: rate-evaluation
-/// results are shared across the batched parallel workers (and across
-/// repeated calls reusing the same handle), so a rate duplicated across
-/// batches — or across whole searches — runs the future once globally.
-/// The winning rate stays bit-identical to the sequential
-/// `handle(tune_lr(grid), program)` scan; only the amount of evaluation
-/// work changes. `stats.cache` reports this search's share of the shared
-/// handle's traffic.
-///
-/// # Panics
-///
-/// Panics if `grid` is empty or `batch_size` is zero.
-pub fn tune_lr_parallel_cached<P, A>(
-    engine: &ParallelEngine,
-    grid: Vec<f64>,
-    batch_size: usize,
-    program: P,
-    cache: &SharedCache<u64, f64>,
-) -> TuneOutcome
-where
-    P: Replay<f64, A>,
-    A: Clone + 'static,
-{
-    assert!(!grid.is_empty(), "tune_lr_parallel_cached needs at least one candidate rate");
-    assert!(batch_size >= 1, "batch_size must be positive");
-    let batches: Vec<Vec<f64>> = grid.chunks(batch_size).map(<[f64]>::to_vec).collect();
-    let n = batches.len();
-    let eval = CachedBatchEval {
-        batches,
-        program,
-        cache: Arc::clone(cache),
-        base: cache.stats(),
-        _result: std::marker::PhantomData,
-    };
-    let out: Outcome<f64> = engine.search(n, &eval).expect("non-empty grid");
-    let stats = out.stats;
-    let (alpha, err) = eval.run_batch(out.index);
-    TuneOutcome { alpha, err, stats }
 }
 
 /// Evaluator for [`tune_training_run`]: candidate `i` is `grid[i]`; its
@@ -343,11 +270,11 @@ mod tests {
         let (_, seq_alpha) = handle(&tune_lr(grid.clone()), step_prog(0.0)).run_unwrap();
         for eng in engines() {
             for batch in [1, 2, 3, 6, 10] {
-                let out = tune_lr_parallel(&eng, grid.clone(), batch, || step_prog(0.0));
+                let out = tune_lr_parallel(&eng, grid.clone(), batch, || step_prog(0.0), None);
                 assert_eq!(out.alpha, seq_alpha, "batch {batch}");
             }
         }
-        let out = tune_lr_parallel(&ParallelEngine::exhaustive(), grid, 2, || step_prog(0.0));
+        let out = tune_lr_parallel(&ParallelEngine::exhaustive(), grid, 2, || step_prog(0.0), None);
         assert_eq!(out.alpha, seq_alpha);
     }
 
@@ -361,6 +288,7 @@ mod tests {
             grid,
             2,
             || step_prog(0.0),
+            None,
         );
         assert_eq!(out.alpha, 0.5);
         assert_eq!(out.stats.cache.misses, 2, "one real probe per distinct rate per batch");
@@ -369,9 +297,13 @@ mod tests {
 
     #[test]
     fn programs_that_never_read_the_rate_fall_back_to_first_entry() {
-        let out = tune_lr_parallel(&ParallelEngine::with_threads(2), vec![0.25, 0.75], 1, || {
-            Sel::<f64, Vec<f64>>::pure(vec![])
-        });
+        let out = tune_lr_parallel(
+            &ParallelEngine::with_threads(2),
+            vec![0.25, 0.75],
+            1,
+            || Sel::<f64, Vec<f64>>::pure(vec![]),
+            None,
+        );
         assert_eq!(out.alpha, 0.25);
         assert!(out.err.is_infinite());
     }
@@ -403,7 +335,7 @@ mod tests {
         for (round, eng) in engines().into_iter().enumerate() {
             for batch in [1, 2, 3, 6] {
                 let out =
-                    tune_lr_parallel_cached(&eng, grid.clone(), batch, || step_prog(0.0), &cache);
+                    tune_lr_parallel(&eng, grid.clone(), batch, || step_prog(0.0), Some(&cache));
                 assert_eq!(out.alpha, seq_alpha, "round {round} batch {batch}");
                 if round > 0 {
                     assert_eq!(
@@ -425,7 +357,7 @@ mod tests {
         // Capacity 2 over 6 distinct rates: heavy eviction.
         let cache: SharedCache<u64, f64> = Arc::new(ShardedCache::clock_lru(2, 2));
         for eng in engines() {
-            let out = tune_lr_parallel_cached(&eng, grid.clone(), 2, || step_prog(0.0), &cache);
+            let out = tune_lr_parallel(&eng, grid.clone(), 2, || step_prog(0.0), Some(&cache));
             assert_eq!(out.alpha, seq_alpha);
         }
         assert!(cache.stats().evictions > 0, "cap 2 must evict: {:?}", cache.stats());

@@ -20,8 +20,8 @@
 //! Selection functions themselves (`Rc` closures) cannot cross threads;
 //! what parallelises is *evaluation*: candidates and loss functions are
 //! `Send + Sync`, and for products each worker rebuilds the downstream
-//! stages locally from a factory, exactly like the engine replays `Sel`
-//! programs (see `selc::ReplaySpace`).
+//! stages locally from a `Send + Sync` closure, exactly as every engine
+//! caller rebuilds its `Sel` programs on the worker that runs them.
 
 use crate::product::{big_product_dep, Stage};
 use crate::sel::LossFn;
