@@ -9,35 +9,44 @@
 //! extension, independent of term size.
 //!
 //! `Code` is deliberately plain `Send + Sync` data (`Arc`, `String`,
-//! [`Type`], [`Const`] — no `Rc`, no closures): a [`CompiledProgram`] is
-//! thread-shippable, so the `lambda-rt` bridge can run the machine on
-//! any engine worker (replay-per-worker, the engine's portability
-//! contract).
+//! [`Const`], primitive `fn` pointers — no `Rc`, no closures): a
+//! [`CompiledProgram`] is thread-shippable, so the `lambda-rt` bridge can
+//! run the machine on any engine worker (replay-per-worker, the engine's
+//! portability contract).
+//!
+//! Names are resolved once, here: variables become indices, operation
+//! names become [`OpId`]s into the program's name table, and primitives
+//! become their [`prim_lookup`] evaluator. Types are erased: no machine
+//! value carries one.
 //!
 //! Only scoping is checked here (unbound variables are compile errors);
 //! typing is the typechecker's job, and the machine mirrors the
 //! small-step semantics' graceful [`crate::machine::MachError`]s on
-//! ill-typed input.
+//! ill-typed input (an unknown primitive included).
 
+use crate::prim::{prim_lookup, PrimEval};
 use crate::syntax::{Const, Expr, Handler};
-use crate::types::Type;
 use std::fmt;
 use std::sync::Arc;
+
+/// An operation name, interned per [`CompiledProgram`].
+pub type OpId = u32;
 
 /// Compiled λC code: the [`Expr`] grammar with binders turned into de
 /// Bruijn indices (innermost binder = index 0) and all sharing via `Arc`.
 ///
-/// Effect annotations are erased — they never influence evaluation (the
-/// small-step rules consult them only to re-annotate machine-built
-/// lambdas). Types survive only where values need them back
-/// (injections, `nil`) so terminal values convert to the same
-/// [`crate::prim::Ground`] shapes the reference interpreter produces.
+/// Type and effect annotations are erased: neither influences evaluation
+/// (the small-step rules consult effects only to re-annotate
+/// machine-built lambdas), and a [`crate::prim::Ground`] sum or list
+/// carries no type, so terminals convert without one.
 #[derive(Clone, Debug)]
 pub enum Code {
     /// A constant.
     Const(Const),
-    /// Primitive application `f(e)`.
-    Prim(String, Arc<Code>),
+    /// Primitive application `f(e)`: the name, its [`prim_lookup`]
+    /// evaluator (`None` for an unknown name, which fails when the call
+    /// runs) and the argument.
+    Prim(String, Option<PrimEval>, Arc<Code>),
     /// A variable, as distance to its binder.
     Var(usize),
     /// `λ. body` (binds index 0 of the body).
@@ -48,24 +57,10 @@ pub enum Code {
     Tuple(Vec<Arc<Code>>),
     /// Projection (0-based).
     Proj(Arc<Code>, usize),
-    /// Left injection, with both summand types for value reconstruction.
-    Inl {
-        /// Left summand type.
-        lty: Type,
-        /// Right summand type.
-        rty: Type,
-        /// Payload.
-        e: Arc<Code>,
-    },
+    /// Left injection.
+    Inl(Arc<Code>),
     /// Right injection.
-    Inr {
-        /// Left summand type.
-        lty: Type,
-        /// Right summand type.
-        rty: Type,
-        /// Payload.
-        e: Arc<Code>,
-    },
+    Inr(Arc<Code>),
     /// Case analysis; each branch binds its payload at index 0.
     Cases {
         /// Scrutinee.
@@ -82,15 +77,15 @@ pub enum Code {
     /// Iteration `iter(e1, e2, e3)`.
     Iter(Arc<Code>, Arc<Code>, Arc<Code>),
     /// The empty list.
-    Nil(Type),
+    Nil,
     /// Cons.
     Cons(Arc<Code>, Arc<Code>),
     /// Fold.
     Fold(Arc<Code>, Arc<Code>, Arc<Code>),
     /// Operation call.
     OpCall {
-        /// Operation name.
-        op: String,
+        /// Operation.
+        op: OpId,
         /// Argument.
         arg: Arc<Code>,
     },
@@ -140,12 +135,12 @@ impl Code {
     /// analysis budgets in `lambda_c::flow` proportionally to the program.
     pub fn size(&self) -> usize {
         1 + match self {
-            Code::Const(_) | Code::Var(_) | Code::Zero | Code::Nil(_) => 0,
-            Code::Prim(_, e)
+            Code::Const(_) | Code::Var(_) | Code::Zero | Code::Nil => 0,
+            Code::Prim(_, _, e)
             | Code::Lam(e)
             | Code::Proj(e, _)
-            | Code::Inl { e, .. }
-            | Code::Inr { e, .. }
+            | Code::Inl(e)
+            | Code::Inr(e)
             | Code::Succ(e)
             | Code::Loss(e)
             | Code::OpCall { arg: e, .. }
@@ -170,7 +165,7 @@ impl Code {
 impl CodeHandler {
     /// Looks up the clause for `op` (first match, mirroring
     /// [`Handler::clause`]).
-    pub fn clause(&self, op: &str) -> Option<&CodeClause> {
+    pub fn clause(&self, op: OpId) -> Option<&CodeClause> {
         self.clauses.iter().find(|c| c.op == op)
     }
 }
@@ -178,8 +173,8 @@ impl CodeHandler {
 /// One compiled operation clause.
 #[derive(Clone, Debug)]
 pub struct CodeClause {
-    /// Operation name.
-    pub op: String,
+    /// Operation.
+    pub op: OpId,
     /// Clause body, binding `p, x, l, k` (k = index 0).
     pub body: Arc<Code>,
 }
@@ -190,6 +185,8 @@ pub struct CodeClause {
 pub struct CompiledProgram {
     /// The program's code.
     pub code: Arc<Code>,
+    /// Operation names, indexed by [`OpId`].
+    pub(crate) ops: Arc<[String]>,
 }
 
 /// A compile-time error: the only thing compilation checks is scoping.
@@ -220,103 +217,116 @@ impl std::error::Error for CompileError {}
 /// [`CompileError::Unbound`] on free variables, [`CompileError::NotALambda`]
 /// if a `then`/`local` loss continuation is not a lambda.
 pub fn compile(e: &Expr) -> Result<CompiledProgram, CompileError> {
-    let mut scope = Vec::new();
-    Ok(CompiledProgram { code: compile_in(e, &mut scope)? })
+    let mut cx = Ctx::default();
+    let code = compile_in(e, &mut cx)?;
+    Ok(CompiledProgram { code, ops: cx.ops.into() })
 }
 
 fn arc(c: Code) -> Arc<Code> {
     Arc::new(c)
 }
 
-/// Compiles under a scope stack (innermost binder last).
-fn compile_in(e: &Expr, scope: &mut Vec<String>) -> Result<Arc<Code>, CompileError> {
+/// What compilation resolves names against: the binders in scope
+/// (innermost last) and the operation names seen so far.
+#[derive(Default)]
+struct Ctx {
+    scope: Vec<String>,
+    ops: Vec<String>,
+}
+
+impl Ctx {
+    fn op(&mut self, name: &str) -> OpId {
+        if !self.ops.iter().any(|o| o == name) {
+            self.ops.push(name.to_owned());
+        }
+        self.ops.iter().position(|o| o == name).expect("interned above") as OpId
+    }
+}
+
+/// Compiles under the context's scope stack.
+fn compile_in(e: &Expr, cx: &mut Ctx) -> Result<Arc<Code>, CompileError> {
     let code = match e {
         Expr::Const(c) => Code::Const(c.clone()),
-        Expr::Prim(name, a) => Code::Prim(name.clone(), compile_in(a, scope)?),
+        Expr::Prim(name, a) => {
+            Code::Prim(name.clone(), prim_lookup(name).map(|d| d.eval), compile_in(a, cx)?)
+        }
         Expr::Var(x) => {
-            let idx = scope
+            let idx = cx
+                .scope
                 .iter()
                 .rev()
                 .position(|b| b == x)
                 .ok_or_else(|| CompileError::Unbound(x.clone()))?;
             Code::Var(idx)
         }
-        Expr::Lam { var, body, .. } => Code::Lam(compile_binder(body, scope, var)?),
-        Expr::App(a, b) => Code::App(compile_in(a, scope)?, compile_in(b, scope)?),
+        Expr::Lam { var, body, .. } => Code::Lam(compile_binder(body, cx, var)?),
+        Expr::App(a, b) => Code::App(compile_in(a, cx)?, compile_in(b, cx)?),
         Expr::Tuple(es) => {
-            let cs: Result<Vec<_>, _> = es.iter().map(|e| compile_in(e, scope)).collect();
+            let cs: Result<Vec<_>, _> = es.iter().map(|e| compile_in(e, cx)).collect();
             Code::Tuple(cs?)
         }
-        Expr::Proj(a, i) => Code::Proj(compile_in(a, scope)?, *i),
-        Expr::Inl { lty, rty, e } => {
-            Code::Inl { lty: lty.clone(), rty: rty.clone(), e: compile_in(e, scope)? }
-        }
-        Expr::Inr { lty, rty, e } => {
-            Code::Inr { lty: lty.clone(), rty: rty.clone(), e: compile_in(e, scope)? }
-        }
+        Expr::Proj(a, i) => Code::Proj(compile_in(a, cx)?, *i),
+        Expr::Inl { e, .. } => Code::Inl(compile_in(e, cx)?),
+        Expr::Inr { e, .. } => Code::Inr(compile_in(e, cx)?),
         Expr::Cases { scrut, lvar, lbody, rvar, rbody, .. } => Code::Cases {
-            scrut: compile_in(scrut, scope)?,
-            lbody: compile_binder(lbody, scope, lvar)?,
-            rbody: compile_binder(rbody, scope, rvar)?,
+            scrut: compile_in(scrut, cx)?,
+            lbody: compile_binder(lbody, cx, lvar)?,
+            rbody: compile_binder(rbody, cx, rvar)?,
         },
         Expr::Zero => Code::Zero,
-        Expr::Succ(a) => Code::Succ(compile_in(a, scope)?),
+        Expr::Succ(a) => Code::Succ(compile_in(a, cx)?),
         Expr::Iter(a, b, c) => {
-            Code::Iter(compile_in(a, scope)?, compile_in(b, scope)?, compile_in(c, scope)?)
+            Code::Iter(compile_in(a, cx)?, compile_in(b, cx)?, compile_in(c, cx)?)
         }
-        Expr::Nil(t) => Code::Nil(t.clone()),
-        Expr::Cons(a, b) => Code::Cons(compile_in(a, scope)?, compile_in(b, scope)?),
+        Expr::Nil(_) => Code::Nil,
+        Expr::Cons(a, b) => Code::Cons(compile_in(a, cx)?, compile_in(b, cx)?),
         Expr::Fold(a, b, c) => {
-            Code::Fold(compile_in(a, scope)?, compile_in(b, scope)?, compile_in(c, scope)?)
+            Code::Fold(compile_in(a, cx)?, compile_in(b, cx)?, compile_in(c, cx)?)
         }
-        Expr::OpCall { op, arg } => Code::OpCall { op: op.clone(), arg: compile_in(arg, scope)? },
-        Expr::Loss(a) => Code::Loss(compile_in(a, scope)?),
+        Expr::OpCall { op, arg } => Code::OpCall { op: cx.op(op), arg: compile_in(arg, cx)? },
+        Expr::Loss(a) => Code::Loss(compile_in(a, cx)?),
         Expr::Handle { handler, from, body } => Code::Handle {
-            handler: Arc::new(compile_handler(handler, scope)?),
-            from: compile_in(from, scope)?,
-            body: compile_in(body, scope)?,
+            handler: Arc::new(compile_handler(handler, cx)?),
+            from: compile_in(from, cx)?,
+            body: compile_in(body, cx)?,
         },
         Expr::Then { e, lam } => {
             let Expr::Lam { var, body, .. } = lam.as_ref() else {
                 return Err(CompileError::NotALambda("then".into()));
             };
-            Code::Then { e: compile_in(e, scope)?, lam_body: compile_binder(body, scope, var)? }
+            Code::Then { e: compile_in(e, cx)?, lam_body: compile_binder(body, cx, var)? }
         }
         Expr::Local { g, e, .. } => {
             let Expr::Lam { var, body, .. } = g.as_ref() else {
                 return Err(CompileError::NotALambda("local".into()));
             };
-            Code::Local { g_body: compile_binder(body, scope, var)?, e: compile_in(e, scope)? }
+            Code::Local { g_body: compile_binder(body, cx, var)?, e: compile_in(e, cx)? }
         }
-        Expr::Reset(a) => Code::Reset(compile_in(a, scope)?),
+        Expr::Reset(a) => Code::Reset(compile_in(a, cx)?),
     };
     Ok(arc(code))
 }
 
-fn compile_binder(
-    body: &Expr,
-    scope: &mut Vec<String>,
-    var: &str,
-) -> Result<Arc<Code>, CompileError> {
-    scope.push(var.to_owned());
-    let r = compile_in(body, scope);
-    scope.pop();
+fn compile_binder(body: &Expr, cx: &mut Ctx, var: &str) -> Result<Arc<Code>, CompileError> {
+    cx.scope.push(var.to_owned());
+    let r = compile_in(body, cx);
+    cx.scope.pop();
     r
 }
 
-fn compile_handler(h: &Handler, scope: &mut Vec<String>) -> Result<CodeHandler, CompileError> {
+fn compile_handler(h: &Handler, cx: &mut Ctx) -> Result<CodeHandler, CompileError> {
     let mut clauses = Vec::with_capacity(h.clauses.len());
     for c in &h.clauses {
-        let n = scope.len();
-        scope.extend([c.p.clone(), c.x.clone(), c.l.clone(), c.k.clone()]);
-        let body = compile_in(&c.body, scope);
-        scope.truncate(n);
-        clauses.push(CodeClause { op: c.op.clone(), body: body? });
+        let n = cx.scope.len();
+        cx.scope.extend([c.p.clone(), c.x.clone(), c.l.clone(), c.k.clone()]);
+        let body = compile_in(&c.body, cx);
+        cx.scope.truncate(n);
+        clauses.push(CodeClause { op: cx.op(&c.op), body: body? });
     }
-    let n = scope.len();
-    scope.extend([h.ret.p.clone(), h.ret.x.clone()]);
-    let ret_body = compile_in(&h.ret.body, scope);
-    scope.truncate(n);
+    let n = cx.scope.len();
+    cx.scope.extend([h.ret.p.clone(), h.ret.x.clone()]);
+    let ret_body = compile_in(&h.ret.body, cx);
+    cx.scope.truncate(n);
     Ok(CodeHandler { label: h.label.clone(), clauses, ret_body: ret_body? })
 }
 
@@ -324,7 +334,7 @@ fn compile_handler(h: &Handler, scope: &mut Vec<String>) -> Result<CodeHandler, 
 mod tests {
     use super::*;
     use crate::build::*;
-    use crate::types::Effect;
+    use crate::types::{Effect, Type};
 
     #[test]
     fn compiled_code_is_send_sync() {

@@ -98,7 +98,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::compile::{Code, CodeHandler, CompiledProgram};
+use crate::compile::{Code, CodeHandler, CompiledProgram, OpId};
 use crate::loss::LossVal;
 use crate::machine::ChoicePoint;
 use crate::syntax::Const;
@@ -134,7 +134,7 @@ impl LossAbs {
     pub fn constant(l: &LossVal) -> LossAbs {
         let mut lo = 0.0f64;
         let mut hi = 0.0f64;
-        for &x in &l.0 {
+        for &x in l.components() {
             if x.is_nan() {
                 return LossAbs::Top;
             }
@@ -262,7 +262,7 @@ impl LossAbs {
         match self.bounds() {
             None => false,
             Some((lo, hi)) => {
-                l.0.iter().all(|&x| {
+                l.components().iter().all(|&x| {
                     x.is_nan() && hi == f64::INFINITY && lo == f64::NEG_INFINITY
                         || (lo <= x && x <= hi)
                 }) && lo <= 0.0
@@ -400,17 +400,14 @@ impl NonNegLosses {
     /// `2 (K + 2) ε`, where `K` bounds `m` and the analysis's own
     /// additions (it counts every emission with a positive floor).
     pub fn lower_bound(&self, point: &ChoicePoint) -> LossVal {
-        let mut bound = point.partial_loss().clone();
+        let partial = point.partial_loss();
         let residual = self.residual(point);
         if residual > 0.0 {
-            let partial = bound.as_scalar();
-            let scaled = ((partial + residual) * (1.0 - self.slack)).max(partial);
-            match bound.0.first_mut() {
-                Some(x) => *x = scaled,
-                None => bound.0.push(scaled),
-            }
+            let scalar = partial.as_scalar();
+            partial.with_scalar(((scalar + residual) * (1.0 - self.slack)).max(scalar))
+        } else {
+            partial.clone()
         }
-        bound
     }
 }
 
@@ -472,7 +469,8 @@ pub fn analyze_with<S: AsRef<str>>(
     decision_ops: &[S],
     config: FlowConfig,
 ) -> FlowReport {
-    let ops: Vec<&str> = decision_ops.iter().map(AsRef::as_ref).collect();
+    let ops: Vec<bool> =
+        program.ops.iter().map(|op| decision_ops.iter().any(|d| d.as_ref() == op)).collect();
     let mut an = Analyzer {
         decision_ops: &ops,
         budget: config.budget,
@@ -652,7 +650,8 @@ impl Out {
 }
 
 struct Analyzer<'a> {
-    decision_ops: &'a [&'a str],
+    /// Whether each operation (by [`OpId`]) is a decision.
+    decision_ops: &'a [bool],
     budget: usize,
     /// Depth of captured regions (`Then` bodies, `Reset`): violations are
     /// not recorded there because those emissions never reach a live
@@ -671,8 +670,8 @@ struct Analyzer<'a> {
 }
 
 impl Analyzer<'_> {
-    fn is_decision(&self, op: &str) -> bool {
-        self.decision_ops.contains(&op)
+    fn is_decision(&self, op: OpId) -> bool {
+        self.decision_ops[op as usize]
     }
 
     fn give_up(&mut self) -> Out {
@@ -713,7 +712,7 @@ impl Analyzer<'_> {
                 Out::pure(env.get(env.len().wrapping_sub(1 + i)).cloned().unwrap_or(AbsVal::Opaque))
             }
             Code::Lam(body) => Out::pure(AbsVal::Clos(body.clone(), env.clone())),
-            Code::Prim(name, arg) => {
+            Code::Prim(name, _, arg) => {
                 let mut a = self.eval(arg, env);
                 let val = self.prim(name, &a.take());
                 a.map(|_| val)
@@ -738,8 +737,8 @@ impl Analyzer<'_> {
                 AbsVal::Tuple(mut vs) if *i < vs.len() => vs.swap_remove(*i),
                 _ => AbsVal::Opaque,
             }),
-            Code::Inl { e, .. } => self.eval(e, env).map(|v| AbsVal::Sum(true, Box::new(v))),
-            Code::Inr { e, .. } => self.eval(e, env).map(|v| AbsVal::Sum(false, Box::new(v))),
+            Code::Inl(e) => self.eval(e, env).map(|v| AbsVal::Sum(true, Box::new(v))),
+            Code::Inr(e) => self.eval(e, env).map(|v| AbsVal::Sum(false, Box::new(v))),
             Code::Cases { scrut, lbody, rbody } => {
                 let mut s = self.eval(scrut, env);
                 let mut env2 = env.clone();
@@ -759,7 +758,7 @@ impl Analyzer<'_> {
             }
             Code::Zero => Out::pure(AbsVal::Opaque),
             Code::Succ(e) => self.eval(e, env).map(|_| AbsVal::Opaque),
-            Code::Nil(_) => Out::pure(AbsVal::Opaque),
+            Code::Nil => Out::pure(AbsVal::Opaque),
             Code::Cons(h, t) => {
                 let ho = self.eval(h, env);
                 let to = self.eval(t, env);
@@ -783,7 +782,7 @@ impl Analyzer<'_> {
             Code::OpCall { op, arg } => {
                 let a = self.eval(arg, env);
                 self.escape(&a.val);
-                let here = if self.is_decision(op) {
+                let here = if self.is_decision(*op) {
                     // Forced replay intercepts this call at the handler
                     // boundary and resumes it with a scripted decision;
                     // the clause never runs, so the site itself emits
@@ -791,7 +790,7 @@ impl Analyzer<'_> {
                     // sticks here instead.
                     let site = Site { site: Arc::as_ptr(code) as usize, residual: 0.0, open: true };
                     Out {
-                        blocks: !self.handlers.iter().any(|h| h.clause(op).is_some()),
+                        blocks: !self.handlers.iter().any(|h| h.clause(*op).is_some()),
                         sites: vec![site],
                         shape: DecisionShape::one(),
                         ..Out::pure(AbsVal::Opaque)
@@ -834,7 +833,7 @@ impl Analyzer<'_> {
                     env2.push(AbsVal::Opaque); // x
                     env2.push(AbsVal::Probe); // l
                     env2.push(AbsVal::Resume); // k
-                    if self.is_decision(&clause.op) {
+                    if self.is_decision(clause.op) {
                         // Dead under forced replay: scan for violations
                         // only; drop emission/shape contributions.
                         self.scan_dead(&clause.body, &env2);

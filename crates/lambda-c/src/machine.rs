@@ -50,11 +50,10 @@
 //! it, which keys its residual in a [`crate::flow::NonNegLosses`]
 //! certificate.
 
-use crate::compile::{Code, CodeHandler, CompiledProgram};
+use crate::compile::{Code, CodeHandler, CompiledProgram, OpId};
 use crate::loss::LossVal;
-use crate::prim::{prim_lookup, Ground};
+use crate::prim::{Ground, PrimEval};
 use crate::syntax::Const;
-use crate::types::Type;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -109,10 +108,10 @@ impl fmt::Debug for Env {
     fmt_summary!("Env");
 }
 
-/// A machine value. Ground shapes carry the type annotations needed to
-/// reconstruct the same [`Ground`] values the reference interpreter
-/// produces; functional values are closures or the machine-built handler
-/// continuations of rule (R5).
+/// A machine value: a first-order shape, which converts to the same
+/// [`Ground`] value the reference interpreter produces, or a functional
+/// value — a closure or a machine-built handler continuation of rule
+/// (R5). Values carry no types: nothing at run time reads one.
 #[derive(Clone)]
 pub enum MVal {
     /// A loss constant.
@@ -129,20 +128,11 @@ pub enum MVal {
     Sum {
         /// Right injection?
         right: bool,
-        /// Left summand type.
-        lty: Type,
-        /// Right summand type.
-        rty: Type,
-        /// Payload.
-        val: Box<MVal>,
+        /// The payload; `None` for unit, so booleans never box.
+        val: Option<Box<MVal>>,
     },
-    /// A list value.
-    List {
-        /// Element type.
-        elem: Type,
-        /// Elements, head first.
-        items: Vec<MVal>,
-    },
+    /// A list value, head first.
+    List(Vec<MVal>),
     /// A closure (a `λ` value).
     Clos(Clos),
     /// The choice continuation `l` of rule (R5): applied to `(p, y)`,
@@ -161,7 +151,13 @@ impl MVal {
 
     /// The boolean encoding (`inl () = true`), matching [`crate::syntax::Expr::bool`].
     pub fn bool(b: bool) -> MVal {
-        MVal::Sum { right: !b, lty: Type::unit(), rty: Type::unit(), val: Box::new(MVal::unit()) }
+        MVal::Sum { right: !b, val: None }
+    }
+
+    /// The injection of `v`, keeping a unit payload unboxed.
+    fn sum(right: bool, v: MVal) -> MVal {
+        let unit = matches!(&v, MVal::Tuple(vs) if vs.is_empty());
+        MVal::Sum { right, val: (!unit).then(|| Box::new(v)) }
     }
 
     /// Converts a first-order value to [`Ground`]; `None` for closures and
@@ -175,8 +171,11 @@ impl MVal {
             MVal::Tuple(vs) => {
                 Some(Ground::Tuple(vs.iter().map(MVal::to_ground).collect::<Option<Vec<_>>>()?))
             }
-            MVal::Sum { right, val, .. } => Some(Ground::Sum(*right, Box::new(val.to_ground()?))),
-            MVal::List { items, .. } => {
+            MVal::Sum { right, val } => {
+                let payload = val.as_ref().map_or(Some(Ground::unit()), |v| v.to_ground())?;
+                Some(Ground::Sum(*right, Box::new(payload)))
+            }
+            MVal::List(items) => {
                 Some(Ground::List(items.iter().map(MVal::to_ground).collect::<Option<Vec<_>>>()?))
             }
             MVal::Clos(_) | MVal::Probe(_) | MVal::Resume(_) => None,
@@ -241,9 +240,10 @@ enum GVal {
     Zero,
     /// An ordinary lambda installed by `◮` (S2) or `⟨·⟩_g` (S3).
     Fun(Clos),
-    /// The (F) extension `λx. F[x] ◮ outer`: `rest` finishes the current
-    /// node's evaluation given the hole's value.
-    Frame { rest: Kont, outer: Rc<GVal> },
+    /// The (F) extension `λx. F[x] ◮ outer`: the node frame finishes the
+    /// current node's evaluation given the hole's value, and runs under
+    /// `outer`.
+    Frame(Kont),
     /// The (S1) extension `λx. ret(p_now, x) ◮ outer` with the live
     /// parameter of `act`.
     Ret { act: Rc<Activation>, outer: Rc<GVal> },
@@ -354,6 +354,11 @@ type EvalR = Result<MRes, MachError>;
 #[derive(Clone)]
 struct Kont(Rc<Frame>);
 
+thread_local! {
+    /// The identity continuation every operation call starts from.
+    static DONE: Kont = Kont(Rc::new(Frame::Done));
+}
+
 /// What a suspended run does next, as plain data (Reynolds'
 /// defunctionalisation): one variant per continuation shape, holding
 /// what that step captured.
@@ -376,6 +381,11 @@ enum Frame {
     Iter { cv: MVal, d: usize, items: Option<Rc<Vec<MVal>>>, g: GVal },
 }
 
+// Environment conses and frames hold values inline, and a suspended run is
+// made of frames: keep both small.
+const _: () = assert!(std::mem::size_of::<MVal>() <= 48);
+const _: () = assert!(std::mem::size_of::<Frame>() <= 96);
+
 /// What a handler segment runs: the handled body under its (S1) loss
 /// continuation, or a captured continuation resumed with a value.
 enum Seg {
@@ -390,7 +400,7 @@ enum MRes {
 }
 
 struct StuckM {
-    op: String,
+    op: OpId,
     arg: MVal,
     cont: Kont,
     /// `true` for a *choice yield* (tree mode): the operation was already
@@ -405,8 +415,8 @@ struct StuckM {
 
 #[derive(Clone)]
 struct ForcedState {
-    /// Shared by every snapshot of the run: a resume copies a pointer.
-    ops: Rc<BTreeSet<String>>,
+    /// Forced, by [`OpId`]; shared by every snapshot (a resume copies a pointer).
+    ops: Rc<[bool]>,
     bits: u64,
     /// Decisions `0..scripted` are answered from `bits`; decisions
     /// `scripted..max` yield [`ChoicePoint`]s. A candidate run scripts
@@ -455,6 +465,8 @@ struct Machine {
     /// The ambient loss so far: every emission at `capture_depth == 0`,
     /// added from zero in emission order (the bigstep running sum).
     partial: LossVal,
+    /// The program's operation names, to report a stuck run by name.
+    op_names: Arc<[String]>,
 }
 
 impl Machine {
@@ -618,7 +630,7 @@ fn finish_explored(m: Machine, r: MRes) -> Explored {
         MRes::Stuck(s) if s.choice => {
             return Explored::Choice(ChoicePoint { cont: s.cont, state: m, site: s.site });
         }
-        MRes::Stuck(s) => (None, Some(s.op)),
+        MRes::Stuck(s) => (None, Some(m.op_names[s.op as usize].clone())),
         MRes::Done(v) => (Some(v), None),
     };
     let decisions_used = m.forced.map_or(0, |f| f.used);
@@ -638,15 +650,15 @@ fn finish_explored(m: Machine, r: MRes) -> Explored {
 pub fn explore(p: &CompiledProgram, cfg: RunConfig) -> Result<Explored, MachError> {
     let RunConfig { fuel, forced, prune } = cfg;
     let forced = forced.map(|f| ForcedState {
-        ops: Rc::new(f.ops),
+        ops: p.ops.iter().map(|name| f.ops.contains(name)).collect(),
         bits: f.prefix_bits,
         scripted: f.prefix_len,
         max: f.max_decisions,
         used: 0,
     });
     let fuel_left = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
-    let mut m =
-        Machine { fuel_left, steps: 0, capture_depth: 0, forced, prune, partial: LossVal::zero() };
+    let (partial, op_names) = (LossVal::zero(), Arc::clone(&p.ops));
+    let mut m = Machine { fuel_left, steps: 0, capture_depth: 0, forced, prune, partial, op_names };
     let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut LossBuf::new())?;
     Ok(finish_explored(m, r))
 }
@@ -665,13 +677,13 @@ fn resume(m: &mut Machine, k: &Kont, y: MVal, buf: &mut LossBuf) -> EvalR {
             bind(m, r, buf, rest.clone())
         }
         Frame::Seq(st) => {
-            // Keep the original's capacity: later value children then
-            // push without reallocating.
-            let mut done = Vec::with_capacity(st.done.capacity().max(st.idx + 1));
-            done.extend(st.done.iter().cloned());
-            done.push(y);
-            let (node, env, g) = (Arc::clone(&st.node), st.env.clone(), st.g.clone());
-            eval_seq(m, SeqState { node, idx: st.idx + 1, done, env, g }, buf)
+            let mut st = st.clone();
+            if child(&st.node, st.idx + 1).is_none() {
+                return finish(m, st, y, buf);
+            }
+            st.done.push(y);
+            st.idx += 1;
+            eval_seq(m, st, buf)
         }
         Frame::Reset(inner) => {
             m.capture_depth += 1;
@@ -705,20 +717,24 @@ fn resume(m: &mut Machine, k: &Kont, y: MVal, buf: &mut LossBuf) -> EvalR {
 
 /// Sequences `rest` after a possibly-stuck result, re-wrapping the
 /// resumption so later sticks keep composing (the CPS analogue of
-/// plugging frames back around `K[y]`).
+/// plugging frames back around `K[y]`; after [`Frame::Done`], just `rest`).
 fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: Kont) -> EvalR {
     match r {
         MRes::Done(v) => resume(m, &rest, v, buf),
         MRes::Stuck(s) => {
-            let cont = Kont(Rc::new(Frame::Bind { inner: s.cont, rest }));
+            let cont = match *s.cont.0 {
+                Frame::Done => rest,
+                _ => Kont(Rc::new(Frame::Bind { inner: s.cont, rest })),
+            };
             Ok(MRes::Stuck(StuckM { cont, ..s }))
         }
     }
 }
 
-/// A compound node mid-evaluation: its children `0..idx` evaluated to
-/// `done`, the rest still to run in `env` under `g`. [`finish`] completes
-/// the node once every child is a value.
+/// A compound node mid-evaluation: children `0..idx` are done (`done`
+/// holds those that were evaluated, not the [`is_value`] ones), the rest
+/// still to run in `env` under `g`.
+#[derive(Clone)]
 struct SeqState {
     node: Arc<Code>,
     idx: usize,
@@ -733,10 +749,10 @@ fn child(code: &Code, i: usize) -> Option<&Arc<Code>> {
     match (code, i) {
         (Code::Tuple(es), _) => es.get(i),
         (
-            Code::Prim(_, a)
+            Code::Prim(_, _, a)
             | Code::Proj(a, _)
-            | Code::Inl { e: a, .. }
-            | Code::Inr { e: a, .. }
+            | Code::Inl(a)
+            | Code::Inr(a)
             | Code::Succ(a)
             | Code::OpCall { arg: a, .. }
             | Code::Loss(a)
@@ -756,45 +772,56 @@ fn child(code: &Code, i: usize) -> Option<&Arc<Code>> {
     }
 }
 
-/// The value of a node that is already one (a variable, constant, `λ`,
-/// `zero`, `[]` or `()`); `None` for everything that evaluates.
+/// Whether a node is a value: a variable, constant, `λ`, `zero`, `[]` or `()`.
+fn is_value(code: &Code) -> bool {
+    matches!(code, Code::Var(_) | Code::Const(_) | Code::Lam(_) | Code::Zero | Code::Nil)
+        || matches!(code, Code::Tuple(es) if es.is_empty())
+}
+
+/// The value of a node that [`is_value`]; `None` for the others.
 fn value(code: &Code, env: &Env) -> Option<Result<MVal, MachError>> {
+    if !is_value(code) {
+        return None;
+    }
     let unbound = |i| MachError::Malformed(format!("unbound de Bruijn index {i}"));
     Some(match code {
         Code::Var(i) => env.get(*i).cloned().ok_or_else(|| unbound(i)),
         Code::Const(c) => Ok(const_val(c)),
         Code::Lam(body) => Ok(MVal::Clos(Clos { body: Arc::clone(body), env: env.clone() })),
         Code::Zero => Ok(MVal::Nat(0)),
-        Code::Nil(t) => Ok(MVal::List { elem: t.clone(), items: Vec::new() }),
-        Code::Tuple(es) if es.is_empty() => Ok(MVal::unit()),
-        _ => return None,
+        Code::Nil => Ok(MVal::List(Vec::new())),
+        _ => Ok(MVal::unit()),
     })
 }
 
 /// Evaluates the remaining children of `st.node` left to right, then
-/// [`finish`]es it.
+/// [`finish`]es it with the last child's value.
 fn eval_seq(m: &mut Machine, mut st: SeqState, buf: &mut LossBuf) -> EvalR {
-    while let Some(next) = child(&st.node, st.idx) {
+    loop {
+        let next = child(&st.node, st.idx).expect("compound nodes have a child");
+        let last = child(&st.node, st.idx + 1).is_none();
         // Value children evaluate in place: they cannot emit, stick, tick
-        // or read their loss continuation, so no frame is observable.
-        if let Some(v) = value(next, &st.env) {
-            st.done.push(v?);
+        // or read their loss continuation, so no frame is observable, and
+        // `finish` reads the ones before the last again.
+        if is_value(next) {
+            if last {
+                let v = value(next, &st.env).expect("a value child")?;
+                return finish(m, st, v, buf);
+            }
             st.idx += 1;
             continue;
         }
         let (next, env) = (Arc::clone(next), st.env.clone());
-        let outer = Rc::new(st.g.clone());
         // The continuation after this child: it both resumes evaluation on
         // `bind` and *is* the `F[x]` of the loss-continuation extension
         // `λx. F[x] ◮ g` (rule F) — one frame per node and evaluated
         // child, which folds identically to smallstep's one frame per
         // constructor.
         let rest = Kont(Rc::new(Frame::Seq(st)));
-        let g_child = GVal::Frame { rest: rest.clone(), outer };
+        let g_child = GVal::Frame(rest.clone());
         let r = eval(m, &next, &env, &g_child, buf)?;
         return bind(m, r, buf, rest);
     }
-    finish(m, st, buf)
 }
 
 /// Evaluates `code` in `env` under loss continuation `g`, emitting into
@@ -839,57 +866,67 @@ fn eval(m: &mut Machine, code: &Arc<Code>, env: &Env, g: &GVal, buf: &mut LossBu
     }
 }
 
-/// Completes a compound node whose children are all values (`st.done`).
-fn finish(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
-    let SeqState { node, mut done, env, g, .. } = st;
-    let mut arg = || done.pop().expect("one value per child");
+/// Completes a compound node given its last child's value `last`.
+fn finish(m: &mut Machine, st: SeqState, last: MVal, buf: &mut LossBuf) -> EvalR {
+    let SeqState { node, done, env, g, .. } = st;
+    // Child `i`'s value, for the children before the last, in order.
+    let mut done = done.into_iter();
+    let mut operand = |i: usize| {
+        let c = child(&node, i).expect("an operand child");
+        value(c, &env).unwrap_or_else(|| Ok(done.next().expect("one value per evaluated child")))
+    };
     let v = match node.as_ref() {
-        Code::Prim(name, _) => return prim_apply(name, &arg()),
-        Code::Tuple(_) => MVal::Tuple(done),
-        Code::Proj(_, i) => match arg() {
+        Code::Prim(name, eval, _) => return prim_apply(name, *eval, &last),
+        Code::Tuple(es) => {
+            let mut vs = (0..es.len() - 1).map(operand).collect::<Result<Vec<_>, _>>()?;
+            vs.push(last);
+            MVal::Tuple(vs)
+        }
+        Code::Proj(_, i) => match last {
             MVal::Tuple(mut vs) if *i < vs.len() => vs.swap_remove(*i),
             MVal::Tuple(_) => return malformed(format!("projection .{} out of range", i + 1)),
             other => return malformed(format!("projection from non-tuple {other:?}")),
         },
-        Code::Inl { lty, rty, .. } | Code::Inr { lty, rty, .. } => MVal::Sum {
-            right: matches!(*node, Code::Inr { .. }),
-            lty: lty.clone(),
-            rty: rty.clone(),
-            val: Box::new(arg()),
-        },
-        Code::Succ(_) => match arg() {
+        Code::Inl(_) => MVal::sum(false, last),
+        Code::Inr(_) => MVal::sum(true, last),
+        Code::Succ(_) => match last {
             MVal::Nat(n) => MVal::Nat(n + 1),
             other => return malformed(format!("succ of non-nat {other:?}")),
         },
-        Code::Cons(..) => {
-            let tail = arg();
-            match (arg(), tail) {
-                (head, MVal::List { elem, mut items }) => {
-                    items.insert(0, head);
-                    MVal::List { elem, items }
-                }
-                (_, other) => return malformed(format!("cons onto non-list {other:?}")),
+        Code::Cons(..) => match (operand(0)?, last) {
+            (head, MVal::List(mut items)) => {
+                items.insert(0, head);
+                MVal::List(items)
             }
-        }
+            (_, other) => return malformed(format!("cons onto non-list {other:?}")),
+        },
         // The chosen branch replaces the node: same g.
-        Code::Cases { lbody, rbody, .. } => match arg() {
-            MVal::Sum { right, val, .. } => {
-                return eval(m, if right { rbody } else { lbody }, &env.push(*val), &g, buf)
+        Code::Cases { lbody, rbody, .. } => match last {
+            MVal::Sum { right, val } => {
+                let payload = val.map_or_else(MVal::unit, |v| *v);
+                return eval(m, if right { rbody } else { lbody }, &env.push(payload), &g, buf);
             }
             other => return malformed(format!("cases on non-sum {other:?}")),
         },
-        Code::App(..) => {
-            let a = arg();
-            return apply(m, arg(), a, &g, buf);
-        }
-        Code::Iter(..) | Code::Fold(..) => return iter_finish(m, &node, done, &g, buf),
+        Code::App(..) => return apply(m, operand(0)?, last, &g, buf),
+        Code::Iter(..) => match operand(0)? {
+            MVal::Nat(n) => return iter_apply(m, n, operand(1)?, &last, &g, buf, None),
+            other => return malformed(format!("iter on non-nat {other:?}")),
+        },
+        Code::Fold(..) => match operand(0)? {
+            MVal::List(items) => {
+                let (n, items) = (items.len() as u64, Some(Rc::new(items)));
+                return iter_apply(m, n, operand(1)?, &last, &g, buf, items);
+            }
+            other => return malformed(format!("fold on non-list {other:?}")),
+        },
         Code::OpCall { op, .. } => {
-            let cont = Kont(Rc::new(Frame::Done));
             let site = (m.capture_depth == 0).then(|| Arc::clone(&node));
-            let stuck = StuckM { op: op.clone(), arg: arg(), cont, choice: false, site };
+            let cont = DONE.with(Kont::clone);
+            let stuck = StuckM { op: *op, arg: last, cont, choice: false, site };
             return Ok(MRes::Stuck(stuck));
         }
-        Code::Loss(_) => match arg() {
+        Code::Loss(_) => match last {
             MVal::Loss(l) => {
                 m.emit(buf, l)?;
                 MVal::unit()
@@ -905,30 +942,11 @@ fn finish(m: &mut Machine, st: SeqState, buf: &mut LossBuf) -> EvalR {
             // (S1): the handled body runs under the return-clause
             // extension with the live parameter.
             let g1 = GVal::Ret { act: Rc::clone(&act), outer: Rc::new(g.clone()) };
-            return run_seg(m, &act, arg(), Seg::Body(Arc::clone(body), g1), &g, buf);
+            return run_seg(m, &act, last, Seg::Body(Arc::clone(body), g1), &g, buf);
         }
         _ => unreachable!("`child` lists no children for leaves and scope nodes"),
     };
     Ok(MRes::Done(v))
-}
-
-/// `iter(n, b, c)` and `fold(xs, b, c)` once their arguments are values.
-fn iter_finish(
-    m: &mut Machine,
-    node: &Code,
-    mut done: Vec<MVal>,
-    g: &GVal,
-    buf: &mut LossBuf,
-) -> EvalR {
-    let (cv, bv) = (done.pop().expect("three children"), done.pop().expect("three children"));
-    match (node, done.pop().expect("three children")) {
-        (Code::Iter(..), MVal::Nat(n)) => iter_apply(m, n, bv, &cv, g, buf, None),
-        (Code::Fold(..), MVal::List { items, .. }) => {
-            iter_apply(m, items.len() as u64, bv, &cv, g, buf, Some(Rc::new(items)))
-        }
-        (Code::Iter(..), other) => malformed(format!("iter on non-nat {other:?}")),
-        (_, other) => malformed(format!("fold on non-list {other:?}")),
-    }
 }
 
 fn malformed(msg: String) -> EvalR {
@@ -990,13 +1008,18 @@ fn apply_g(m: &mut Machine, g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
             m.tick()?;
             eval(m, &clos.body, &clos.env.push(v), &GVal::Zero, buf)
         }
-        GVal::Frame { rest, outer } => {
+        GVal::Frame(rest) => {
             // λx. F[x] ◮ outer.
+            let outer = match &*rest.0 {
+                Frame::Seq(st) => st.g.clone(),
+                Frame::Iter { g, .. } => g.clone(),
+                _ => unreachable!("only node frames extend a loss continuation"),
+            };
             let mut cap = Vec::new();
             m.capture_depth += 1;
             let r = resume(m, rest, v, &mut cap);
             m.capture_depth -= 1;
-            then_finish(m, r?, cap, (**outer).clone(), buf)
+            then_finish(m, r?, cap, outer, buf)
         }
         GVal::Ret { act, outer } => {
             // (S1): λx. ret(p_now, x) ◮ outer, with the live parameter.
@@ -1044,13 +1067,13 @@ fn run_seg(
             eval(m, &ret_body, &env, g, buf)
         }
         MRes::Stuck(s) => {
-            if !s.choice && act.h.clause(&s.op).is_some() {
+            if !s.choice && act.h.clause(s.op).is_some() {
                 // Forced-choice interception: answer scripted decisions
                 // directly (`k(p, d)`), skipping the clause body; in tree
                 // mode, decisions past the scripted prefix suspend the
                 // whole run instead.
                 let decision = match &mut m.forced {
-                    Some(f) if f.ops.contains(&s.op) => Some(f.next()?),
+                    Some(f) if f.ops[s.op as usize] => Some(f.next()?),
                     _ => None,
                 };
                 match decision {
@@ -1069,7 +1092,7 @@ fn run_seg(
                 }
                 // (R5): bind p, x, l, k and run the clause body in place
                 // of the handle node (same g).
-                let clause = act.h.clause(&s.op).expect("checked above");
+                let clause = act.h.clause(s.op).expect("checked above");
                 let ctl = HandlerCtl { act: Rc::clone(act), kont: s.cont.clone(), g: g.clone() };
                 let env = act
                     .env
@@ -1146,8 +1169,7 @@ fn iter_apply(
     let mut gs: Vec<GVal> = Vec::with_capacity(n);
     gs.push(g.clone());
     for d in 1..n {
-        let rest = step(d - 1, &gs[d - 1]);
-        gs.push(GVal::Frame { rest, outer: Rc::new(gs[d - 1].clone()) });
+        gs.push(GVal::Frame(step(d - 1, &gs[d - 1])));
     }
     let mut cur = MRes::Done(bv);
     for d in (0..n).rev() {
@@ -1181,41 +1203,27 @@ fn split_pair(v: MVal) -> Result<(MVal, MVal), MachError> {
     }
 }
 
-/// Applies primitive `name` — the same [`prim_lookup`] table as the
-/// reference interpreter, so both agree bit-for-bit by construction.
-fn prim_apply(name: &str, arg: &MVal) -> EvalR {
-    let def = prim_lookup(name)
-        .ok_or_else(|| MachError::Malformed(format!("unknown primitive `{name}`")))?;
+/// Applies primitive `name` through its compile-time [`crate::prim::prim_lookup`]
+/// evaluator, the reference interpreter's table: both agree by construction.
+fn prim_apply(name: &str, eval: Option<PrimEval>, arg: &MVal) -> EvalR {
+    let eval = eval.ok_or_else(|| MachError::Malformed(format!("unknown primitive `{name}`")))?;
     let garg = arg
         .to_ground()
         .ok_or_else(|| MachError::Malformed(format!("non-ground prim argument {arg:?}")))?;
-    let out = (def.eval)(&garg).map_err(MachError::Prim)?;
-    Ok(MRes::Done(ground_to_mval(&out, &def.ret_ty)))
+    let out = eval(&garg).map_err(MachError::Prim)?;
+    Ok(MRes::Done(ground_to_mval(&out)))
 }
 
-/// Ground → machine value, with the type supplying sum/list annotations
-/// (the mirror of [`crate::prim::ground_to_value`], including its inert
-/// fallback on shape mismatches).
-pub fn ground_to_mval(g: &Ground, ty: &Type) -> MVal {
-    match (g, ty) {
-        (Ground::Loss(l), _) => MVal::Loss(l.clone()),
-        (Ground::Char(c), _) => MVal::Char(*c),
-        (Ground::Str(s), _) => MVal::Str(s.clone()),
-        (Ground::Nat(n), _) => MVal::Nat(*n),
-        (Ground::Tuple(gs), Type::Tuple(ts)) => {
-            MVal::Tuple(gs.iter().zip(ts).map(|(g, t)| ground_to_mval(g, t)).collect())
-        }
-        (Ground::Sum(right, g), Type::Sum(a, b)) => MVal::Sum {
-            right: *right,
-            lty: (**a).clone(),
-            rty: (**b).clone(),
-            val: Box::new(ground_to_mval(g, if *right { b } else { a })),
-        },
-        (Ground::List(gs), Type::List(t)) => MVal::List {
-            elem: (**t).clone(),
-            items: gs.iter().map(|g| ground_to_mval(g, t)).collect(),
-        },
-        _ => MVal::unit(),
+/// Ground → machine value, the inverse of [`MVal::to_ground`].
+pub fn ground_to_mval(g: &Ground) -> MVal {
+    match g {
+        Ground::Loss(l) => MVal::Loss(l.clone()),
+        Ground::Char(c) => MVal::Char(*c),
+        Ground::Str(s) => MVal::Str(s.clone()),
+        Ground::Nat(n) => MVal::Nat(*n),
+        Ground::Tuple(gs) => MVal::Tuple(gs.iter().map(ground_to_mval).collect()),
+        Ground::Sum(right, g) => MVal::sum(*right, ground_to_mval(g)),
+        Ground::List(gs) => MVal::List(gs.iter().map(ground_to_mval).collect()),
     }
 }
 
@@ -1227,6 +1235,7 @@ mod tests {
     use crate::examples;
     use crate::prim::value_to_ground;
     use crate::syntax::Expr;
+    use crate::types::Type;
 
     /// Runs one example through both evaluators and demands bit-identical
     /// loss and (ground) terminal.
@@ -1577,7 +1586,7 @@ mod tests {
         let scalar: Vec<LossVal> = steps.iter().map(|&x| LossVal::scalar(x)).collect();
         let pair: Vec<LossVal> = steps.iter().map(|&x| LossVal::pair(x, -x / 3.0)).collect();
         let depth = steps.len() as u32;
-        let bits_of = |l: &LossVal| l.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits_of = |l: &LossVal| l.components().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         fn dfs(r: Explored, bits: u64, leaves: &mut Vec<(u64, MachineOutcome)>) {
             match r {
                 Explored::Done(out) => leaves.push((bits, out)),
@@ -1642,7 +1651,8 @@ mod tests {
                 panic!("bits {bits:#b}: a fully scripted run cannot suspend");
             };
             let run = run_with(&compiled, forced_cfg(bits, 3)).unwrap();
-            let bits_of = |l: &LossVal| l.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let bits_of =
+                |l: &LossVal| l.components().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits_of(&out.loss), bits_of(&run.loss), "bits {bits:#b}");
             assert_eq!(out.ground_value(), run.ground_value(), "bits {bits:#b}");
             assert_eq!(out.stuck_on, run.stuck_on, "bits {bits:#b}");

@@ -129,9 +129,13 @@ fn warm_tenant_repeats_answer_from_the_caches() {
 fn deadlines_time_out_without_killing_the_session_or_poisoning_the_tenant() {
     let server = spawn(2, 4);
     let mut client = Client::connect(server.addr()).expect("connect");
-    // 2^18 candidates in 1ms: the token fires long before the walk is
-    // done, and the server says so instead of blocking the session.
-    let resp = client.search(9, Workload::Chain { choices: 18 }, 1).expect("deadline request");
+    // A cold 4^10-leaf game solve takes several milliseconds even in a
+    // release build, so a 1ms token fires long before it is done, and the
+    // server says so instead of blocking the session. (A cold chain is
+    // no such request: its certificate prunes most of the tree, and even
+    // 2^18 candidates can finish within 1ms.)
+    let deadline = Workload::Game { branching: 4, depth: 10, seed: 1 };
+    let resp = client.search(9, deadline, 1).expect("deadline request");
     assert!(matches!(resp, Response::Timeout { .. }), "expected Timeout, got {resp:?}");
     // The session survives the timeout…
     let reference = direct_chain(8);
