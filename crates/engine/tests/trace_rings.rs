@@ -1,5 +1,6 @@
-//! Tracing registers one span ring (256 KiB) for every thread that
-//! records a span and keeps it for the life of the process. Engine
+//! Tracing registers one span ring for every thread that records a span
+//! (8192 events of at most 32 B, allocated up front: 256 KiB) and keeps
+//! it for the life of the process. Engine
 //! workers record `engine.claim` spans, so a fan-out that spawned
 //! threads per search grew a traced process by one ring per search.
 //! With the persistent pool, the rings stop at the pool's helpers plus

@@ -189,6 +189,22 @@ pub struct CompiledProgram {
     pub(crate) ops: Arc<[String]>,
 }
 
+impl CompiledProgram {
+    /// Which of the program's operations `names` lists, by [`OpId`]: the
+    /// forced-op mask of a [`crate::machine::TreeChoices`]. Names the
+    /// program never mentions are ignored.
+    #[must_use]
+    pub fn op_mask<S: AsRef<str>>(&self, names: impl IntoIterator<Item = S>) -> Arc<[bool]> {
+        let mut mask = vec![false; self.ops.len()];
+        for name in names {
+            if let Some(id) = self.ops.iter().position(|op| op == name.as_ref()) {
+                mask[id] = true;
+            }
+        }
+        mask.into()
+    }
+}
+
 /// A compile-time error: the only thing compilation checks is scoping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {

@@ -469,8 +469,7 @@ pub fn analyze_with<S: AsRef<str>>(
     decision_ops: &[S],
     config: FlowConfig,
 ) -> FlowReport {
-    let ops: Vec<bool> =
-        program.ops.iter().map(|op| decision_ops.iter().any(|d| d.as_ref() == op)).collect();
+    let ops = program.op_mask(decision_ops);
     let mut an = Analyzer {
         decision_ops: &ops,
         budget: config.budget,
@@ -1226,7 +1225,7 @@ mod tests {
         let r = analyze(&prog, &["decide"]);
         let cert = r.certificate().unwrap_or_else(|| panic!("{:?}", r.violations)).clone();
         let choices = TreeChoices {
-            ops: ["decide".to_owned()].into(),
+            ops: prog.op_mask(["decide"]),
             prefix_bits: 0,
             prefix_len: 0,
             max_decisions: 8,
@@ -1339,7 +1338,7 @@ mod tests {
         let r = analyze(&prog, &["decide"]);
         let cert = r.certificate().expect("certified");
         let choices = TreeChoices {
-            ops: ["decide".to_owned()].into(),
+            ops: prog.op_mask(["decide"]),
             prefix_bits: 0,
             prefix_len: 0,
             max_decisions: 1,

@@ -55,7 +55,6 @@ use crate::loss::LossVal;
 use crate::prim::{Ground, PrimEval};
 use crate::syntax::Const;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -530,19 +529,20 @@ pub fn run_with(p: &CompiledProgram, cfg: RunConfig) -> Result<MachineOutcome, M
 // Tree mode: snapshot/resume at forced choice points
 // ---------------------------------------------------------------------------
 
-/// Forced decisions: operations in `ops` (which must return `bool` and
-/// be handled by an argmin-style chooser, see `lambda-rt`) skip their
-/// clause. Decision `j` (0-based, in dynamic order) of the first
-/// `prefix_len` is `true` iff bit `prefix_len - 1 - j` of `prefix_bits`
-/// is **0**, so candidate indices enumerate decision vectors
+/// Forced decisions: operations marked in `ops` (which must return
+/// `bool` and be handled by an argmin-style chooser, see `lambda-rt`)
+/// skip their clause. Decision `j` (0-based, in dynamic order) of the
+/// first `prefix_len` is `true` iff bit `prefix_len - 1 - j` of
+/// `prefix_bits` is **0**, so candidate indices enumerate decision vectors
 /// lexicographically with `true` first, like the paper's `leq` argmin
 /// handlers. Every further decision up to `max_decisions` suspends the
 /// run as a [`ChoicePoint`], so a search explores both branches from the
 /// shared prefix without replaying it.
 #[derive(Clone, Debug)]
 pub struct TreeChoices {
-    /// Operations to force.
-    pub ops: BTreeSet<String>,
+    /// Operations to force, by [`OpId`]: the program's
+    /// [`CompiledProgram::op_mask`], resolved once per search space.
+    pub ops: Arc<[bool]>,
     /// The scripted prefix word.
     pub prefix_bits: u64,
     /// How many decisions the prefix scripts.
@@ -647,14 +647,24 @@ fn finish_explored(m: Machine, r: MRes) -> Explored {
 /// # Errors
 ///
 /// See [`MachError`].
+///
+/// # Panics
+///
+/// If the forced-op mask was resolved against another program (its
+/// length differs from this program's operation table).
 pub fn explore(p: &CompiledProgram, cfg: RunConfig) -> Result<Explored, MachError> {
     let RunConfig { fuel, forced, prune } = cfg;
-    let forced = forced.map(|f| ForcedState {
-        ops: p.ops.iter().map(|name| f.ops.contains(name)).collect(),
-        bits: f.prefix_bits,
-        scripted: f.prefix_len,
-        max: f.max_decisions,
-        used: 0,
+    let forced = forced.map(|f| {
+        assert_eq!(f.ops.len(), p.ops.len(), "a forced-op mask of another program");
+        ForcedState {
+            // The run's own copy: resumes clone a pointer no other
+            // worker touches.
+            ops: Rc::from(&*f.ops),
+            bits: f.prefix_bits,
+            scripted: f.prefix_len,
+            max: f.max_decisions,
+            used: 0,
+        }
     });
     let fuel_left = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
     let (partial, op_names) = (LossVal::zero(), Arc::clone(&p.ops));
@@ -1352,15 +1362,15 @@ mod tests {
 
     /// Forces `decide`: `prefix_len` decisions scripted from
     /// `prefix_bits`, suspending past them up to `max`.
-    fn tree_cfg(prefix_bits: u64, prefix_len: u32, max: u32) -> RunConfig {
-        let ops = BTreeSet::from(["decide".to_owned()]);
+    fn tree_cfg(p: &CompiledProgram, prefix_bits: u64, prefix_len: u32, max: u32) -> RunConfig {
+        let ops = p.op_mask(["decide"]);
         let forced = TreeChoices { ops, prefix_bits, prefix_len, max_decisions: max };
         RunConfig { forced: Some(forced), ..RunConfig::default() }
     }
 
     /// A candidate run: all `max` decisions scripted from `bits`.
-    fn forced_cfg(bits: u64, max: u32) -> RunConfig {
-        tree_cfg(bits, max, max)
+    fn forced_cfg(p: &CompiledProgram, bits: u64, max: u32) -> RunConfig {
+        tree_cfg(p, bits, max, max)
     }
 
     /// Forcing the decision of §2.3's `pgm` replays exactly one branch:
@@ -1371,7 +1381,7 @@ mod tests {
     fn forced_runs_enumerate_pgm_branches() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let forced = |bits: u64| run_with(&compiled, forced_cfg(bits, 1)).unwrap();
+        let forced = |bits: u64| run_with(&compiled, forced_cfg(&compiled, bits, 1)).unwrap();
         let t = forced(0); // bit 0 ⇒ true
         assert_eq!(t.loss, LossVal::scalar(2.0));
         assert_eq!(t.ground_value(), Some(Ground::Char('a')));
@@ -1404,7 +1414,7 @@ mod tests {
         threshold.store(scalar_key(&LossVal::scalar(3.0)), Ordering::Relaxed);
         let cfg = |bits| RunConfig {
             prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
-            ..forced_cfg(bits, 1)
+            ..forced_cfg(&compiled, bits, 1)
         };
         assert_eq!(run_with(&compiled, cfg(1)).unwrap_err(), MachError::Pruned);
         // The loss-2 branch survives.
@@ -1416,7 +1426,8 @@ mod tests {
     fn explore_suspends_at_the_first_decision_and_resumes_multi_shot() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let Explored::Choice(point) = explore(&compiled, tree_cfg(0, 0, 1)).unwrap() else {
+        let Explored::Choice(point) = explore(&compiled, tree_cfg(&compiled, 0, 0, 1)).unwrap()
+        else {
             panic!("pgm must suspend at its decide");
         };
         assert_eq!(point.depth(), 0);
@@ -1459,10 +1470,10 @@ mod tests {
                 }
             }
         }
-        dfs(explore(&compiled, tree_cfg(0, 0, 4)).unwrap(), 0, 0, &mut leaves);
+        dfs(explore(&compiled, tree_cfg(&compiled, 0, 0, 4)).unwrap(), 0, 0, &mut leaves);
         assert_eq!(leaves.len(), 16);
         for (bits, out) in leaves {
-            let forced = run_with(&compiled, forced_cfg(bits, 4)).unwrap();
+            let forced = run_with(&compiled, forced_cfg(&compiled, bits, 4)).unwrap();
             assert_eq!(out.loss, forced.loss, "bits {bits:#b}");
             assert_eq!(out.ground_value(), forced.ground_value(), "bits {bits:#b}");
             assert_eq!(out.decisions_used, forced.decisions_used, "bits {bits:#b}");
@@ -1474,7 +1485,8 @@ mod tests {
         let p = crate::testgen::deep_decide_chain(3);
         let compiled = compile(&p.expr).unwrap();
         // Script the first two decisions as (false, true) = bits 0b10.
-        let Explored::Choice(point) = explore(&compiled, tree_cfg(0b10, 2, 3)).unwrap() else {
+        let Explored::Choice(point) = explore(&compiled, tree_cfg(&compiled, 0b10, 2, 3)).unwrap()
+        else {
             panic!("one decision must remain");
         };
         assert_eq!(point.depth(), 2);
@@ -1482,7 +1494,8 @@ mod tests {
             let Explored::Done(out) = point.resume(d).unwrap() else {
                 panic!("three decisions exhaust the chain");
             };
-            let forced = run_with(&compiled, forced_cfg(0b100 | u64::from(!d), 3)).unwrap();
+            let forced =
+                run_with(&compiled, forced_cfg(&compiled, 0b100 | u64::from(!d), 3)).unwrap();
             assert_eq!(out.loss, forced.loss, "decision {d}");
         }
     }
@@ -1491,7 +1504,7 @@ mod tests {
     fn tree_mode_rejects_exhausted_decision_budgets() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let r = explore(&compiled, tree_cfg(0, 0, 0));
+        let r = explore(&compiled, tree_cfg(&compiled, 0, 0, 0));
         assert_eq!(r.unwrap_err(), MachError::DecisionsExhausted);
     }
 
@@ -1525,7 +1538,7 @@ mod tests {
         threshold.store(scalar_key(&LossVal::scalar(7.0)), Ordering::Relaxed);
         let cfg = RunConfig {
             prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
-            ..tree_cfg(0, 0, 2)
+            ..tree_cfg(&compiled, 0, 0, 2)
         };
         let Explored::Choice(root) = explore(&compiled, cfg).unwrap() else {
             panic!("suspends at the first decide");
@@ -1551,7 +1564,8 @@ mod tests {
     #[test]
     fn forced_decisions_past_64_bits_read_as_zero() {
         let compiled = compile(&examples::pgm_with_argmin_handler().expr).unwrap();
-        let forced = |bits: u64, max: u32| run_with(&compiled, forced_cfg(bits, max)).unwrap();
+        let forced =
+            |bits: u64, max: u32| run_with(&compiled, forced_cfg(&compiled, bits, max)).unwrap();
         let (wide, narrow) = (forced(1 << 5, 70), forced(0, 1));
         assert_eq!(wide.ground_value(), Some(Ground::Char('a')));
         assert_eq!((&wide.loss, wide.ground_value()), (&narrow.loss, narrow.ground_value()));
@@ -1605,12 +1619,12 @@ mod tests {
                     threshold: Arc::new(AtomicU64::new(u64::MAX)),
                     encode: scalar_key,
                 });
-                let cfg = RunConfig { prune, ..tree_cfg(0, 0, depth) };
+                let cfg = RunConfig { prune, ..tree_cfg(&compiled, 0, 0, depth) };
                 let mut leaves = Vec::new();
                 dfs(explore(&compiled, cfg).unwrap(), 0, &mut leaves);
                 assert_eq!(leaves.len(), 1 << (2 * depth), "every branch visited twice");
                 for (bits, out) in leaves {
-                    let replay = run_with(&compiled, forced_cfg(bits, depth)).unwrap();
+                    let replay = run_with(&compiled, forced_cfg(&compiled, bits, depth)).unwrap();
                     let at = format!("bits {bits:#b}, armed {armed}");
                     assert_eq!(bits_of(&out.loss), bits_of(&replay.loss), "{at}");
                     assert_eq!(out.decisions_used, replay.decisions_used, "{at}");
@@ -1624,7 +1638,7 @@ mod tests {
     fn forced_run_rejects_too_few_decisions() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let r = run_with(&compiled, forced_cfg(0, 0));
+        let r = run_with(&compiled, forced_cfg(&compiled, 0, 0));
         assert_eq!(r.unwrap_err(), MachError::DecisionsExhausted);
     }
 
@@ -1634,10 +1648,13 @@ mod tests {
     #[test]
     fn run_with_rejects_a_prefix_shorter_than_the_budget() {
         let pgm = compile(&examples::pgm_with_argmin_handler().expr).unwrap();
-        assert!(matches!(explore(&pgm, tree_cfg(0, 0, 1)), Ok(Explored::Choice(_))));
-        assert_eq!(run_with(&pgm, tree_cfg(0, 0, 1)).unwrap_err(), MachError::DecisionsExhausted);
+        assert!(matches!(explore(&pgm, tree_cfg(&pgm, 0, 0, 1)), Ok(Explored::Choice(_))));
+        assert_eq!(
+            run_with(&pgm, tree_cfg(&pgm, 0, 0, 1)).unwrap_err(),
+            MachError::DecisionsExhausted
+        );
         let chain = compile(&crate::testgen::deep_decide_chain(3).expr).unwrap();
-        let r = run_with(&chain, tree_cfg(0b1, 2, 3));
+        let r = run_with(&chain, tree_cfg(&chain, 0b1, 2, 3));
         assert_eq!(r.unwrap_err(), MachError::DecisionsExhausted);
     }
 
@@ -1647,10 +1664,11 @@ mod tests {
     fn fully_scripted_explore_equals_run_with() {
         let compiled = compile(&crate::testgen::deep_decide_chain(3).expr).unwrap();
         for bits in 0..8 {
-            let Explored::Done(out) = explore(&compiled, forced_cfg(bits, 3)).unwrap() else {
+            let Explored::Done(out) = explore(&compiled, forced_cfg(&compiled, bits, 3)).unwrap()
+            else {
                 panic!("bits {bits:#b}: a fully scripted run cannot suspend");
             };
-            let run = run_with(&compiled, forced_cfg(bits, 3)).unwrap();
+            let run = run_with(&compiled, forced_cfg(&compiled, bits, 3)).unwrap();
             let bits_of =
                 |l: &LossVal| l.components().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits_of(&out.loss), bits_of(&run.loss), "bits {bits:#b}");

@@ -24,13 +24,8 @@ use lambda_c::{compile, CompiledProgram, LossVal};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
-
-fn decide_ops() -> BTreeSet<String> {
-    ["decide".to_owned()].into_iter().collect()
-}
 
 fn analyze(p: &CompiledProgram) -> FlowReport {
     flow::analyze(p, &["decide"])
@@ -38,9 +33,15 @@ fn analyze(p: &CompiledProgram) -> FlowReport {
 
 /// Forces `decide`: the first `len` of `depth` decisions scripted from
 /// `bits` (`len == depth` is one candidate run).
-fn forced_cfg(bits: u64, len: u32, depth: u32, prune: Option<MachinePrune>) -> RunConfig {
-    let choices =
-        TreeChoices { ops: decide_ops(), prefix_bits: bits, prefix_len: len, max_decisions: depth };
+fn forced_cfg(
+    p: &CompiledProgram,
+    bits: u64,
+    len: u32,
+    depth: u32,
+    prune: Option<MachinePrune>,
+) -> RunConfig {
+    let ops = p.op_mask(["decide"]);
+    let choices = TreeChoices { ops, prefix_bits: bits, prefix_len: len, max_decisions: depth };
     RunConfig { fuel: 0, forced: Some(choices), prune }
 }
 
@@ -73,7 +74,7 @@ fn run_recorded(p: &CompiledProgram, bits: u64, depth: u32) -> (MachineOutcome, 
     PARTIALS.with(|p| p.borrow_mut().clear());
     let hook =
         MachinePrune { threshold: Arc::new(AtomicU64::new(u64::MAX)), encode: record_partial };
-    let out = machine::run_with(p, forced_cfg(bits, depth, depth, Some(hook)))
+    let out = machine::run_with(p, forced_cfg(p, bits, depth, depth, Some(hook)))
         .expect("forced replay of a corpus program succeeds");
     (out, PARTIALS.with(|p| p.borrow().clone()))
 }
@@ -131,7 +132,8 @@ fn assert_pruning_preserves_the_winner(p: &CompiledProgram, depth: u32, label: &
     let mut predicted = Vec::new();
     let mut least = u64::MAX;
     for bits in 0..(1u64 << depth) {
-        let out = machine::run_with(p, forced_cfg(bits, depth, depth, None)).expect("unpruned run");
+        let out =
+            machine::run_with(p, forced_cfg(p, bits, depth, depth, None)).expect("unpruned run");
         let total = encode_scalar(&out.loss);
         if total > least {
             predicted.push(bits);
@@ -146,7 +148,7 @@ fn assert_pruning_preserves_the_winner(p: &CompiledProgram, depth: u32, label: &
     let mut abandoned = Vec::new();
     for bits in 0..(1u64 << depth) {
         let hook = MachinePrune { threshold: Arc::clone(&threshold), encode: encode_scalar };
-        match machine::run_with(p, forced_cfg(bits, depth, depth, Some(hook))) {
+        match machine::run_with(p, forced_cfg(p, bits, depth, depth, Some(hook))) {
             Ok(out) => {
                 // ordering: Relaxed — single-threaded test loop; the
                 // hook's contract only needs a monotone hint anyway.
@@ -236,7 +238,7 @@ fn assert_residuals_admissible(
 ) {
     let report = analyze(p);
     let cert = report.certificate().unwrap_or_else(|| panic!("{label}: expected a certificate"));
-    let root = machine::explore(p, forced_cfg(0, 0, depth, None)).expect("corpus programs run");
+    let root = machine::explore(p, forced_cfg(p, 0, 0, depth, None)).expect("corpus programs run");
     let mut points = 0;
     least_total_checking_residuals(cert, root, label, &mut |point| {
         points += 1;

@@ -48,6 +48,8 @@ pub type LcValue = Option<Ground>;
 pub struct LcCandidates {
     program: Arc<CompiledProgram>,
     ops: BTreeSet<String>,
+    /// `ops` resolved against the program once, for every run to share.
+    forced: Arc<[bool]>,
     depth: u32,
     /// Process-unique space identity, part of every transposition key:
     /// a shared cache may serve many *different* programs without their
@@ -82,9 +84,11 @@ impl LcCandidates {
         depth: u32,
     ) -> LcCandidates {
         assert!(depth <= 62, "decision depth {depth} exceeds the 62-bit candidate encoding");
+        let ops: BTreeSet<String> = ops.into_iter().collect();
         LcCandidates {
+            forced: program.op_mask(&ops),
             program: Arc::new(program),
-            ops: ops.into_iter().collect(),
+            ops,
             depth,
             // ordering: Relaxed — space ids only need uniqueness, which
             // the RMW guarantees under any ordering.
@@ -173,7 +177,7 @@ impl LcCandidates {
         prune: Option<MachinePrune>,
     ) -> Result<Explored, MachError> {
         let forced = TreeChoices {
-            ops: self.ops.clone(),
+            ops: Arc::clone(&self.forced),
             prefix_bits: prefix,
             prefix_len: len,
             max_decisions: self.depth,

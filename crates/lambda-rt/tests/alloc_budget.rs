@@ -9,6 +9,8 @@
 //!   allocation budget per tree node, so a regression in the machine's
 //!   frames, values or snapshots shows up here before it shows up in a
 //!   profile.
+//! * Entering a space at its root resolves no operation names: the
+//!   space did that once, and a run copies the resolved mask.
 //! * A scalar or pair [`lambda_c::LossVal`] never touches the heap.
 
 use lambda_c::machine::{ChoicePoint, Explored};
@@ -113,11 +115,11 @@ fn a_sequential_tree_walk_stays_within_its_per_node_budget() {
     // decision, the sequencing unit, the branch payload) and two node
     // frames, plus either the next decision's frame and the handler
     // re-entry frame of its suspension (an interior node) or the return
-    // clause's two conses (a leaf). Per search, three more: the one-off
-    // setup (the root entry's forced-op set, the engine's own state)
-    // costs that much more than the root node saves.
+    // clause's two conses (a leaf). Per search, one more: the one-off
+    // setup (the root entry's copy of the forced-op mask, the engine's
+    // own state) costs that much more than the root node saves.
     const PER_NODE_BUDGET: u64 = 7;
-    const PER_SEARCH_BUDGET: u64 = 3;
+    const PER_SEARCH_BUDGET: u64 = 1;
     let cands = chain();
     let eval = LcTreeEval::new(cands.clone());
     let engine = TreeEngine::sequential();
@@ -149,4 +151,19 @@ fn losses_of_at_most_two_components_never_allocate() {
     // A third component is the one that spills.
     let (_, n) = counted(|| std::hint::black_box(LossVal::from_components(&[1.0, 2.0, 3.0])));
     assert_eq!(n, 1);
+}
+
+#[test]
+fn a_root_entry_copies_the_resolved_forced_ops_once() {
+    // Five allocations run the chain to its first decision; the sixth is
+    // the run's own copy of the forced-op mask the space resolved once.
+    // Re-resolving the operation names on every entry (a clone of the
+    // name set, then a fresh mask) cost two more.
+    const ROOT_ENTRY_BUDGET: u64 = 6;
+    let cands = chain();
+    // Warm up once so lazily initialised state is not charged.
+    drop(point_at(&cands, 0));
+    let (point, allocs) = counted(|| point_at(&cands, 0));
+    drop(point);
+    assert!(allocs <= ROOT_ENTRY_BUDGET, "{allocs} allocations (budget {ROOT_ENTRY_BUDGET})");
 }

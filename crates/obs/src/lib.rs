@@ -12,16 +12,19 @@
 //!   [`MetricsSnapshot`] (sorted names, subtractable like
 //!   `selc_cache::CacheStats`). Gated by the `SELC_METRICS` knob: when
 //!   off, every record path is one relaxed load and a branch.
-//! * [`trace`] — per-thread lock-free ring buffers of begin/end span
-//!   events (monotonic timestamps, worker id, interned static label +
-//!   one `u64` argument), flushed on demand to chrome://tracing JSON
-//!   when `SELC_TRACE=<path>` is set.
+//! * [`trace`] — per-thread ring buffers of begin/end span events
+//!   (monotonic timestamps, worker id, static label + one `u64`
+//!   argument), each behind its own lock, flushed on demand to
+//!   chrome://tracing JSON when `SELC_TRACE=<path>` is set.
 //!
-//! Both halves are *pull*-based: recording never blocks, allocates, or
-//! does I/O; aggregation and formatting happen only when somebody asks
-//! (a `Metrics` scrape over the serve protocol, a trace flush at the
-//! end of a bench). See `DESIGN.md` § Observability for the overhead
-//! argument and the snapshot determinism contract.
+//! Both halves are *pull*-based: recording does no I/O and allocates
+//! only the first time a metric site or a tracing thread records.
+//! Aggregation and formatting happen only when somebody asks (a
+//! `Metrics` scrape over the serve protocol, a trace flush at the end of
+//! a bench). Updating a resolved metric handle never blocks; recording a
+//! span waits only while a flush copies that thread's ring. See
+//! `DESIGN.md` § Observability for the overhead argument and the snapshot
+//! determinism contract.
 
 pub mod metrics;
 pub mod trace;

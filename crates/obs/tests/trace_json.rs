@@ -5,7 +5,16 @@
 //! additionally round-trips a real bench flush through
 //! `python3 -m json.tool`.
 
-use selc_obs::trace::{self, SpanLabel};
+use selc_obs::trace::{self, SpanLabel, RING_CAPACITY};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Tracing is process-wide: tests that toggle it take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// A minimal JSON well-formedness checker: objects, arrays, strings
 /// with escapes, numbers, literals — the RFC 8259 grammar modulo
@@ -160,6 +169,7 @@ static INNER: SpanLabel = SpanLabel::new("test.flush.inner \"quoted\\path\"");
 
 #[test]
 fn flushed_traces_are_well_formed_chrome_tracing_json() {
+    let _serial = serial();
     // Exercise the escaping path with a hostile label, nested and
     // cross-thread spans, and an empty-ring flush — all in one test
     // binary so the process-global rings see a known event set.
@@ -204,4 +214,78 @@ fn flushed_traces_are_well_formed_chrome_tracing_json() {
         let ok = parse_value(b, 0).map(|end| skip_ws(b, end) == b.len()).unwrap_or(false);
         assert!(!ok, "checker accepted invalid JSON {bad:?}");
     }
+}
+
+static WRAP: [SpanLabel; 4] = [
+    SpanLabel::new("test.wrap.0"),
+    SpanLabel::new("test.wrap.1"),
+    SpanLabel::new("test.wrap.2"),
+    SpanLabel::new("test.wrap.3"),
+];
+
+/// The `(name, tid, arg)` of every event in a flushed document. A name
+/// with escaped quotes is cut at its first one; callers match on
+/// prefixes.
+fn events_of(text: &str) -> Vec<(&str, u64, u64)> {
+    let number_after = |ev: &str, key: &str| -> u64 {
+        let rest = &ev[ev.find(key).unwrap_or_else(|| panic!("{key} in {ev}")) + key.len()..];
+        let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+        rest[..end].parse().unwrap_or_else(|_| panic!("{key} is a number in {ev}"))
+    };
+    text.split("\n{\"name\":\"")
+        .skip(1)
+        .map(|ev| {
+            let name = &ev[..ev.find('"').expect("a name ends")];
+            (name, number_after(ev, "\"tid\":"), number_after(ev, "\"arg\":"))
+        })
+        .collect()
+}
+
+#[test]
+fn flushes_racing_a_wrapping_writer_see_only_whole_events() {
+    let _serial = serial();
+    trace::set_trace_enabled(true);
+    let (done, flushes) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let mut writer_events = 0;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Twice the ring's capacity in events and more: it wraps.
+            for i in 0..RING_CAPACITY as u64 + 1000 {
+                // Halfway, wait for a flush, so at least one lands
+                // mid-write whatever the scheduler does.
+                while i == RING_CAPACITY as u64 / 2 && flushes.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+                let _span = trace::span(&WRAP[(i % 4) as usize], i);
+            }
+            done.store(true, Ordering::Release);
+        });
+        loop {
+            let finished = done.load(Ordering::Acquire);
+            let mut buf = Vec::new();
+            trace::flush_to_writer(&mut buf).expect("in-memory flush");
+            let text = String::from_utf8(buf).expect("utf-8");
+            assert_well_formed_json(&text);
+            let mut per_ring: BTreeMap<u64, usize> = BTreeMap::new();
+            writer_events = 0;
+            for (name, tid, arg) in events_of(&text) {
+                *per_ring.entry(tid).or_default() += 1;
+                if let Some(k) = name.strip_prefix("test.wrap.") {
+                    assert_eq!(k, (arg % 4).to_string(), "event {name} carries arg {arg}");
+                    writer_events += 1;
+                }
+            }
+            assert!(
+                per_ring.values().all(|&n| n <= RING_CAPACITY),
+                "a ring reported more than its capacity: {per_ring:?}"
+            );
+            flushes.fetch_add(1, Ordering::Release);
+            if finished {
+                break;
+            }
+        }
+    });
+    trace::set_trace_enabled(false);
+    assert!(flushes.into_inner() >= 2, "at least one flush ran beside the writer");
+    assert_eq!(writer_events, RING_CAPACITY, "the writer's full ring, flushed after it finished");
 }
