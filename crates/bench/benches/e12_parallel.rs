@@ -14,7 +14,7 @@
 //! winners never change either way).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use selc_engine::ParallelEngine;
+use selc_engine::Engine;
 use selc_games::bimatrix::Matrix;
 use selc_games::parallel::minimax_root_split;
 use selc_ml::dataset::Dataset;
@@ -40,7 +40,7 @@ fn bench_hyper_grid(c: &mut Criterion) {
     g.bench_function("sequential", |b| {
         b.iter(|| {
             black_box(tune_training_run(
-                &ParallelEngine::exhaustive(),
+                &Engine::exhaustive(),
                 grid.clone(),
                 &data,
                 (0.0, 0.0),
@@ -51,7 +51,7 @@ fn bench_hyper_grid(c: &mut Criterion) {
     g.bench_function("sequential+prune", |b| {
         b.iter(|| {
             black_box(tune_training_run(
-                &ParallelEngine::with_threads(1),
+                &Engine::with_threads(1),
                 grid.clone(),
                 &data,
                 (0.0, 0.0),
@@ -60,12 +60,12 @@ fn bench_hyper_grid(c: &mut Criterion) {
         });
     });
     for threads in [1usize, 2, 4, 8] {
-        let eng = ParallelEngine { threads, chunk: 1, prune: true };
+        let eng = Engine::with_threads(threads);
         g.bench_function(format!("parallel{threads}+prune"), |b| {
             b.iter(|| black_box(tune_training_run(&eng, grid.clone(), &data, (0.0, 0.0), epochs)));
         });
     }
-    let no_prune = ParallelEngine { threads: 4, chunk: 1, prune: false };
+    let no_prune = Engine::with_threads(4).without_pruning();
     g.bench_function("parallel4", |b| {
         b.iter(|| black_box(tune_training_run(&no_prune, grid.clone(), &data, (0.0, 0.0), epochs)));
     });
@@ -77,18 +77,18 @@ fn bench_minimax_root(c: &mut Criterion) {
     let table = Matrix::random(rows, cols, 11);
     let mut g = c.benchmark_group("e12_parallel/minimax_root");
     g.bench_function("sequential", |b| {
-        b.iter(|| black_box(minimax_root_split(&table, &ParallelEngine::exhaustive())));
+        b.iter(|| black_box(minimax_root_split(&table, &Engine::exhaustive())));
     });
     g.bench_function("sequential+prune", |b| {
-        b.iter(|| black_box(minimax_root_split(&table, &ParallelEngine::with_threads(1))));
+        b.iter(|| black_box(minimax_root_split(&table, &Engine::with_threads(1))));
     });
     for threads in [1usize, 2, 4, 8] {
-        let eng = ParallelEngine { threads, chunk: 1, prune: true };
+        let eng = Engine::with_threads(threads);
         g.bench_function(format!("parallel{threads}+prune"), |b| {
             b.iter(|| black_box(minimax_root_split(&table, &eng)));
         });
     }
-    let no_prune = ParallelEngine { threads: 4, chunk: 1, prune: false };
+    let no_prune = Engine::with_threads(4).without_pruning();
     g.bench_function("parallel4", |b| {
         b.iter(|| black_box(minimax_root_split(&table, &no_prune)));
     });

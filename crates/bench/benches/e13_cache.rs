@@ -19,7 +19,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use selc_bench::stats_line;
 use selc_cache::{CacheStats, ShardedCache, SharedCache};
-use selc_engine::ParallelEngine;
+use selc_engine::Engine;
 use selc_games::transposition::{solve_root_split, SymTree, TransCache};
 use selc_ml::parallel::tune_lr_parallel;
 use std::sync::Arc;
@@ -28,8 +28,8 @@ fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
 }
 
-fn engine() -> ParallelEngine {
-    ParallelEngine { threads: 4, chunk: 1, prune: false }
+fn engine() -> Engine {
+    Engine::with_threads(4).without_pruning()
 }
 
 fn bench_transposition(c: &mut Criterion) {

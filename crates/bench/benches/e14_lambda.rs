@@ -8,7 +8,7 @@
 //!   cost against closures + persistent environments?
 //! * **Search cost** — for argmin-chooser programs, the handler's own
 //!   probing evaluation (exponential re-evaluation of futures) against
-//!   the bridge's flat engine search over forced decision paths. (The
+//!   the engine's flat scan over the bridge's forced decision paths. (The
 //!   cached and pruned tree walk is E15's subject.)
 //!
 //! `SELC_BENCH_SMOKE=1` shrinks sizes for CI.
@@ -20,7 +20,7 @@ use lambda_c::syntax::Expr;
 use lambda_c::testgen::{deep_decide_chain, deep_let_chain, gen_signature, GenProgram};
 use lambda_c::{compile, machine, CompiledProgram, LossVal, Signature};
 use lambda_rt::{search_compiled_flat, LcCandidates};
-use selc_engine::ParallelEngine;
+use selc_engine::Engine;
 
 fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
@@ -96,7 +96,7 @@ fn bench_decide_chain(c: &mut Criterion) {
     let reference = bigstep_loss(&sig, &p);
     let cands =
         LcCandidates::new(compile(&p.expr).expect("compiles"), ["decide".to_owned()], choices);
-    let seq = ParallelEngine::exhaustive();
+    let seq = Engine::exhaustive();
     let (out, _) = search_compiled_flat(&seq, &cands).unwrap();
     assert_eq!(out.loss.0, reference, "engine argmin == handler semantics");
 

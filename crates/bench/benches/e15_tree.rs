@@ -17,7 +17,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::{search_compiled, search_compiled_flat, LcCandidates};
-use selc_engine::{ParallelEngine, TreeEngine};
+use selc_engine::Engine;
 use std::time::Duration;
 
 fn smoke() -> bool {
@@ -32,12 +32,12 @@ fn bench_tree_vs_flat(c: &mut Criterion) {
         ["decide".to_owned()],
         choices,
     );
-    let tree_eng = TreeEngine::with_threads(4);
+    let tree_eng = Engine::with_threads(4);
 
     // Bit-identical winners, asserted once before timing: the sequential
     // tree walk against the flat scan over all 2^choices paths.
-    let (tree_ref, tree_val) = search_compiled(&TreeEngine::sequential(), &cands).unwrap();
-    let flat_eng = ParallelEngine { threads: 4, chunk: 0, prune: false };
+    let (tree_ref, tree_val) = search_compiled(&Engine::exhaustive(), &cands).unwrap();
+    let flat_eng = Engine::with_threads(4).without_pruning();
     let (flat_ref, flat_val) = search_compiled_flat(&flat_eng, &cands).unwrap();
     assert_eq!((tree_ref.index, tree_ref.loss.clone()), (flat_ref.index, flat_ref.loss));
     assert_eq!(tree_val, flat_val);

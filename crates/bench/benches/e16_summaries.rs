@@ -22,7 +22,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::{search_compiled, search_compiled_cached, LcCandidates, LcTransCache};
 use selc_bench::stats_line;
-use selc_engine::{CancelToken, TreeEngine};
+use selc_engine::{CancelToken, Engine};
 use selc_games::alternating::{AbCache, GameTree};
 use std::time::{Duration, Instant};
 
@@ -38,11 +38,11 @@ fn bench_summaries(c: &mut Criterion) {
         ["decide".to_owned()],
         choices,
     );
-    let engine = TreeEngine::with_threads(4);
+    let engine = Engine::with_threads(4);
 
     // Bit-identity gate: cached (cold and warm) == uncached on the same
     // engine == sequential, before anything is timed.
-    let (reference, ref_val) = search_compiled(&TreeEngine::sequential(), &cands).unwrap();
+    let (reference, ref_val) = search_compiled(&Engine::exhaustive(), &cands).unwrap();
     let (uncached, v) = search_compiled(&engine, &cands).unwrap();
     assert_eq!((uncached.index, uncached.loss), (reference.index, reference.loss.clone()));
     assert_eq!(v, ref_val, "uncached value");

@@ -11,7 +11,7 @@
 //!
 //! Before any timing, winners are gated bit-identical — loss bits *and*
 //! index — against the direct sequential flat scan, and a 1ms-deadline
-//! request on a deep chain must come back `Timeout` while the session
+//! request on a cold game solve must come back `Timeout` while the session
 //! keeps serving; a throughput number for a server that returns wrong
 //! or hung answers would be noise.
 //!
@@ -54,9 +54,8 @@ fn direct_chain(choices: u8) -> (u64, f64) {
         ["decide".to_owned()],
         u32::from(choices),
     );
-    let (out, _) =
-        lambda_rt::search_compiled_flat(&selc_engine::ParallelEngine::exhaustive(), &cands)
-            .expect("non-empty space");
+    let (out, _) = lambda_rt::search_compiled_flat(&selc_engine::Engine::exhaustive(), &cands)
+        .expect("non-empty space");
     (out.index as u64, out.loss.0.as_scalar())
 }
 
@@ -129,9 +128,11 @@ fn bench_serve(c: &mut Criterion) {
             "served {round} winner must be bit-identical to the direct scan"
         );
     }
-    // Liveness gate: a 1ms deadline on a deep cold chain times out and
-    // the session keeps answering.
-    let deep = Workload::Chain { choices: if smoke() { 16 } else { 18 } };
+    // Liveness gate: a 1ms deadline on a cold 4^10-leaf game solve times
+    // out and the session keeps answering. (A cold chain is no such
+    // request: its certificate prunes most of the tree, and even 2^18
+    // candidates can finish within 1ms.)
+    let deep = Workload::Game { branching: 4, depth: 10, seed: 1 };
     let resp = gate.search(NEXT_TENANT.fetch_add(1, Ordering::Relaxed), deep, 1).expect("deadline");
     assert!(matches!(resp, Response::Timeout { .. }), "expected Timeout, got {resp:?}");
     let (index, _) = expect_ok(gate.search(WARM_TENANT, w, 0).expect("post-timeout search"));

@@ -27,7 +27,7 @@
 //! * **`engine-spawn`** — `thread::spawn`, `thread::scope` and
 //!   `thread::Builder` are banned in `crates/engine/src` non-test code
 //!   outside `pool.rs`, and in `crates/serve/src` outside `server.rs`:
-//!   every engine fans out through the one persistent pool, and a
+//!   every search fans out through the one persistent pool, and a
 //!   second spawn site would bring back a thread spawn per search; the
 //!   server spawns only its accept loop and session threads, which run
 //!   their searches themselves, so a search thread set cannot return.

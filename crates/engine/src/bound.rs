@@ -87,12 +87,6 @@ impl<L: OrderedLoss> SharedBound<L> {
             None => false,
         }
     }
-
-    /// Has any loss been published?
-    pub fn is_set(&self) -> bool {
-        // ordering: Relaxed — same monotone-hint argument as `dominated`.
-        self.bits.load(Ordering::Relaxed) != UNSET
-    }
 }
 
 impl<L: OrderedLoss> std::fmt::Debug for SharedBound<L> {
@@ -109,7 +103,6 @@ mod tests {
     #[test]
     fn fresh_bound_dominates_nothing() {
         let b: SharedBound<f64> = SharedBound::new();
-        assert!(!b.is_set());
         assert!(!b.dominated(&f64::NEG_INFINITY));
         assert!(!b.dominated(&f64::INFINITY));
     }
@@ -118,7 +111,6 @@ mod tests {
     fn observe_tightens_monotonically() {
         let b: SharedBound<f64> = SharedBound::new();
         b.observe(&5.0);
-        assert!(b.is_set());
         assert!(b.dominated(&6.0));
         assert!(!b.dominated(&5.0), "equality is not strict domination");
         assert!(!b.dominated(&4.0));
@@ -134,7 +126,6 @@ mod tests {
         use selc::OrderedLoss as _;
         let b: SharedBound<f64> = SharedBound::new();
         b.observe_bits(5.0f64.prune_bits().unwrap());
-        assert!(b.is_set());
         assert!(b.dominated(&6.0));
         assert!(!b.dominated(&5.0), "seeding keeps strict domination");
         b.observe_bits(u64::MAX); // the UNSET sentinel: a no-op seed
@@ -145,7 +136,6 @@ mod tests {
     fn unencodable_losses_disable_pruning() {
         let b: SharedBound<(f64, f64)> = SharedBound::new();
         b.observe(&(1.0, 1.0));
-        assert!(!b.is_set());
         assert!(!b.dominated(&(100.0, 100.0)));
     }
 

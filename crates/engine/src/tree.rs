@@ -1,7 +1,7 @@
 //! Prefix-sharing tree search: DFS over decision subtrees with the
 //! shared branch-and-bound bound, beside the flat candidate scan.
 //!
-//! The flat engine treats a depth-`d` decision space as `2^d` independent
+//! The flat scan treats a depth-`d` decision space as `2^d` independent
 //! candidates, each evaluated from scratch — `O(2^d · d)` work even
 //! though all candidates share prefixes. A [`TreeEval`] exposes the space
 //! as the *tree* it really is (the backtracking-search shape of Hedges'
@@ -9,10 +9,10 @@
 //! states, `child` extends a prefix by one decision, and a leaf reports
 //! the final loss of one complete path — `O(tree nodes)` work total.
 //!
-//! [`TreeEngine::search`] drives the DFS:
+//! [`Engine::search`] drives the DFS:
 //!
 //! * **The bound at every interior node** — completed leaves feed the
-//!   same [`SharedBound`] the flat engine uses; a subtree whose
+//!   same [`SharedBound`] the flat scan uses; a subtree whose
 //!   lower-bound hint is *strictly* dominated is skipped whole.
 //! * **Best-first child ordering** — children are visited cheapest
 //!   hint first (ties toward the `true` branch), so small losses are
@@ -21,11 +21,14 @@
 //!   improvement, not a parallelism trick.
 //! * **Subtree-granularity distribution** — through the engine's one
 //!   worker loop (the caller being worker 0), workers claim decision
-//!   *prefixes* of a fixed split depth from the saturating
+//!   *prefixes* of one split depth from the saturating
 //!   [`crate::WorkQueue`] (not fixed index chunks), rebuild the subtree
 //!   root locally (`enter`), and DFS it; node handles never cross
 //!   threads, so non-`Send` evaluator state (e.g. machine continuations)
-//!   is fine. One worker walks the single split-depth-0 prefix, the root.
+//!   is fine. The split depth comes from the worker count — about four
+//!   subtree roots per worker — capped at the evaluator's
+//!   [`TreeEval::min_leaf_depth`]. One worker walks the single
+//!   split-depth-0 prefix, the root.
 //! * **Subtree summaries at every interior node** — evaluators with a
 //!   summary table ([`TreeEval::probe_summary`]) answer whole subtrees
 //!   from cache: an *exact* entry returns the subtree's argmin in O(1)
@@ -54,8 +57,7 @@
 
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
-use crate::engine::{fan_out, keep_better, Outcome, Partial, SearchResult};
-use crate::threads::configured_threads;
+use crate::engine::{fan_out, keep_better, Engine, Outcome, Partial, SearchResult};
 use selc::OrderedLoss;
 use selc_cache::{CacheStats, SubtreeSummary};
 use selc_obs::{trace, SpanLabel};
@@ -90,8 +92,8 @@ pub enum TreeStep<N, L> {
         hint: Option<L>,
     },
     /// The evaluator abandoned the subtree mid-expansion (its own
-    /// strict-domination check fired — same soundness contract as
-    /// [`crate::engine::CandidateEval::eval`] returning `None`).
+    /// strict-domination check fired — same soundness contract as an
+    /// [`Engine::scan`] closure returning `None`).
     Pruned,
 }
 
@@ -135,7 +137,7 @@ impl<L> From<SubtreeSummary<L>> for SummaryProbe<L> {
 ///
 /// Positions are `(path, len)` pairs: `len` decisions taken, decision `j`
 /// at bit `len - 1 - j` of `path`, `0` meaning `true` — the flat
-/// engines' candidate encoding restricted to a prefix. `depth` is
+/// scan's candidate encoding restricted to a prefix. `depth` is
 /// bounded by 62 (indices are `u64`/`usize` bit vectors).
 pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     /// A materialised interior node. Need not be `Send`: nodes live and
@@ -213,62 +215,15 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     }
 }
 
-/// The tree engine: DFS over decision subtrees with deterministic
+/// The tree walk: DFS over decision subtrees with deterministic
 /// `(loss, index)` reduction, parallelised at subtree granularity.
-#[derive(Clone, Copy, Debug)]
-pub struct TreeEngine {
-    /// Worker count; 0 means [`configured_threads`] (`SELC_THREADS`).
-    pub threads: usize,
-    /// Enable branch-and-bound pruning (shared bound + dominated-hint
-    /// subtree skips).
-    pub prune: bool,
-    /// Decision depth at which the tree is split into parallel subtree
-    /// work items; 0 picks one that gives each worker ~4 subtrees.
-    pub split: u32,
-}
-
-impl Default for TreeEngine {
-    fn default() -> Self {
-        TreeEngine { threads: 0, prune: true, split: 0 }
-    }
-}
-
-impl TreeEngine {
-    /// `SELC_THREADS` workers, auto split, pruning on.
-    pub fn auto() -> TreeEngine {
-        TreeEngine::default()
-    }
-
-    /// A pool of exactly `threads` workers, auto split, pruning on.
-    pub fn with_threads(threads: usize) -> TreeEngine {
-        TreeEngine { threads, ..TreeEngine::default() }
-    }
-
-    /// The single-worker exhaustive tree walk — the differential oracle
-    /// for everything parallel and pruned above it, so it keeps pruning
-    /// off. Over an evaluator without a table (as the oracle runs) it
-    /// caches nothing either.
-    pub fn sequential() -> TreeEngine {
-        TreeEngine { threads: 1, prune: false, split: 0 }
-    }
-
-    /// Same engine, pruning disabled (exhaustive fan-out).
-    pub fn without_pruning(mut self) -> TreeEngine {
-        self.prune = false;
-        self
-    }
-
-    fn effective_threads(&self) -> usize {
-        let t = if self.threads == 0 { configured_threads() } else { self.threads };
-        t.max(1)
-    }
-
+impl Engine {
     /// Argmin over the tree's leaves under the deterministic
     /// `(loss, representative index)` reduction. `None` only when the
     /// evaluator prunes every path (a violation of the strict-domination
-    /// contract, but kept non-panicking like the flat engine). Runs
-    /// under a token that can never fire; see [`TreeEngine::search_with`]
-    /// for deadline/disconnect cancellation.
+    /// contract, but kept non-panicking like the flat scan). Runs under
+    /// a token that can never fire; see [`Engine::search_with`] for
+    /// deadline/disconnect cancellation.
     pub fn search<L, T>(&self, eval: &T) -> Option<Outcome<L>>
     where
         L: OrderedLoss,
@@ -277,13 +232,18 @@ impl TreeEngine {
         self.search_with(eval, &CancelToken::never()).into_outcome()
     }
 
-    /// [`TreeEngine::search`] under a [`CancelToken`], checked at every
+    /// [`Engine::search`] under a [`CancelToken`], checked at every
     /// interior node alongside the shared bound. When the token fires
     /// the walk unwinds with the best leaf seen so far
     /// ([`SearchResult::Cancelled`]); aborted subtrees return as inexact
     /// with no lower bound, so **no summary is installed along the abort
     /// path** — a cancelled search can tighten caches (its completed
     /// leaves and subtrees are real) but never poison them.
+    ///
+    /// One worker walks the whole tree from the root. `n` workers split
+    /// it at the depth that gives each about four subtree roots, never
+    /// below [`TreeEval::min_leaf_depth`], and no more workers run than
+    /// there are roots.
     pub fn search_with<L, T>(&self, eval: &T, cancel: &CancelToken) -> SearchResult<L>
     where
         L: OrderedLoss,
@@ -291,15 +251,14 @@ impl TreeEngine {
     {
         let depth = eval.depth();
         assert!(depth <= 62, "decision depth {depth} exceeds the 62-bit index encoding");
-        let threads = self.effective_threads().min(1_usize << depth.min(20));
-        // Never split below the shallowest possible leaf: subtrees rooted
-        // under a leaf all replay that same leaf.
-        let split_cap = eval.min_leaf_depth().min(depth);
-        let split = match (threads, self.split) {
-            (1, _) => 0,
-            // ~4 subtrees per worker.
-            (_, 0) => (threads * 4).next_power_of_two().trailing_zeros().min(split_cap),
-            (_, split) => split.min(split_cap),
+        let threads = self.workers().min(1_usize << depth.min(20));
+        let split = if threads == 1 {
+            0
+        } else {
+            // ~4 subtrees per worker, but never split below the
+            // shallowest possible leaf: subtrees rooted under a leaf all
+            // replay that same leaf.
+            (threads * 4).next_power_of_two().trailing_zeros().min(eval.min_leaf_depth().min(depth))
         };
         // One worker per subtree root at most: the rest could claim nothing.
         let threads = threads.min(1 << split);
@@ -515,7 +474,7 @@ fn estimate<N, L>(step: &TreeStep<N, L>) -> Option<&L> {
 /// calling thread being one of the workers) and returns the
 /// results **in task-index order** — so any merge the caller folds over
 /// them is deterministic regardless of which worker ran what.
-/// `threads == 0` means [`configured_threads`]. Used by the tree engine's
+/// `threads == 0` means [`crate::configured_threads`]. Used by the tree walk's
 /// cousins that are not leaf-argmins (e.g. parallel alpha-beta in
 /// `selc-games`, where interior nodes alternate min/max).
 ///
@@ -527,8 +486,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Send + Sync,
 {
-    let threads =
-        (if threads == 0 { configured_threads() } else { threads }).max(1).min(count.max(1));
+    let threads = Engine::with_threads(threads).workers().min(count.max(1));
     let (parts, _) =
         fan_out(threads, count, 1, &CancelToken::never(), |done: &mut Vec<(usize, R)>, i, _| {
             done.push((i, task(i)));
@@ -542,7 +500,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{minimize, ParallelEngine};
+    use crate::engine::minimize;
     use std::sync::Mutex;
 
     /// A synthetic full-depth tree over a flat loss table: node = prefix,
@@ -605,15 +563,14 @@ mod tests {
     fn tree_search_matches_the_flat_scan_including_ties() {
         for seed in 0..12 {
             let losses = table(seed, 64);
-            let flat =
-                minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+            let flat = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
             for hints in [false, true] {
                 for engine in [
-                    TreeEngine::sequential(),
-                    TreeEngine::with_threads(1),
-                    TreeEngine::with_threads(2),
-                    TreeEngine { threads: 3, prune: true, split: 4 },
-                    TreeEngine::with_threads(4).without_pruning(),
+                    Engine::exhaustive(),
+                    Engine::with_threads(1),
+                    Engine::with_threads(2),
+                    Engine::with_threads(3),
+                    Engine::with_threads(4).without_pruning(),
                 ] {
                     let eval = TableTree::new(losses.clone(), hints);
                     let out = engine.search(&eval).unwrap();
@@ -663,8 +620,8 @@ mod tests {
     #[test]
     fn min_leaf_depth_caps_the_parallel_split() {
         let losses = table(5, 64);
-        let flat = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
-        let engine = TreeEngine::with_threads(4).without_pruning();
+        let flat = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let engine = Engine::with_threads(4).without_pruning();
         // Unconstrained: ~4 subtrees per worker → a split of 4 → 16 roots.
         let wide = ShallowLeafTable {
             inner: TableTree::new(losses.clone(), false),
@@ -696,7 +653,7 @@ mod tests {
         // `true`-most subtree sets a tight bound early.
         let losses: Vec<f64> = (0..64).map(f64::from).collect();
         let eval = TableTree::new(losses.clone(), true);
-        let out = TreeEngine { threads: 1, prune: true, split: 0 }.search(&eval).unwrap();
+        let out = Engine::with_threads(1).search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (0, 0.0));
         assert!(out.stats.pruned > 0, "stats: {:?}", out.stats);
         assert!(out.stats.evaluated < 64, "stats: {:?}", out.stats);
@@ -757,9 +714,8 @@ mod tests {
         // Flat view: indices 4..8 share the `false` leaf (loss 0.5, repr
         // index 4); indices 0..4 have losses 0..4. Winner: index 0.
         let flat_losses = [0.0, 1.0, 2.0, 3.0, 0.5, 0.5, 0.5, 0.5];
-        let flat = minimize(&ParallelEngine::exhaustive(), 8, |i| flat_losses[i]).unwrap();
-        for engine in [TreeEngine::sequential(), TreeEngine { threads: 4, prune: false, split: 2 }]
-        {
+        let flat = minimize(&Engine::exhaustive(), 8, |i| flat_losses[i]).unwrap();
+        for engine in [Engine::exhaustive(), Engine::with_threads(4).without_pruning()] {
             let out = engine.search(&ShortFalse).unwrap();
             assert_eq!((out.index, out.loss), (flat.index, flat.loss), "{engine:?}");
             assert_eq!(out.stats.evaluated, 5, "4 deep leaves + 1 early leaf: {engine:?}");
@@ -784,7 +740,7 @@ mod tests {
 
     #[test]
     fn depth_zero_spaces_have_one_leaf() {
-        let out = TreeEngine::auto().search(&One).unwrap();
+        let out = Engine::auto().search(&One).unwrap();
         assert_eq!((out.index, out.loss), (0, 7.0));
     }
 
@@ -844,9 +800,9 @@ mod tests {
     #[test]
     fn warm_exhaustive_repeat_answers_at_the_root() {
         let losses = table(5, 64);
-        let flat = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let flat = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses, false);
-        let engine = TreeEngine { threads: 1, prune: false, split: 0 };
+        let engine = Engine::exhaustive();
         let cold = engine.search(&eval).unwrap();
         assert_eq!((cold.index, cold.loss), (flat.index, flat.loss));
         assert_eq!(cold.stats.summary.exact_hits, 0);
@@ -862,14 +818,13 @@ mod tests {
     fn pruned_runs_install_bound_entries_and_stay_bit_identical() {
         for seed in 0..8 {
             let losses = table(seed, 128);
-            let flat =
-                minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+            let flat = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
             let eval = SummaryTree::new(losses, true);
             for round in 0..3 {
                 for engine in [
-                    TreeEngine { threads: 1, prune: true, split: 0 },
-                    TreeEngine { threads: 3, prune: true, split: 2 },
-                    TreeEngine { threads: 2, prune: false, split: 3 },
+                    Engine::with_threads(1),
+                    Engine::with_threads(3),
+                    Engine::with_threads(2).without_pruning(),
                 ] {
                     let out = engine.search(&eval).unwrap();
                     assert_eq!(
@@ -893,7 +848,7 @@ mod tests {
         let losses: Vec<f64> = (0..64).map(f64::from).collect();
         let eval = SummaryTree::new(losses, true);
         *eval.seed.lock().unwrap() = selc::OrderedLoss::prune_bits(&0.0f64);
-        let out = TreeEngine { threads: 1, prune: true, split: 0 }.search(&eval).unwrap();
+        let out = Engine::with_threads(1).search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (0, 0.0), "seeding never changes the winner");
         // Only the winner's own path survives: the winner, its sibling
         // leaf (single leaves are never hint-pruned), and one dominated
@@ -909,12 +864,12 @@ mod tests {
         // trust any bound entry, so it must re-walk those subtrees and
         // still produce the exhaustive winner.
         let losses = table(9, 64);
-        let flat = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let flat = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses, true);
-        let pruned = TreeEngine { threads: 1, prune: true, split: 0 }.search(&eval).unwrap();
+        let pruned = Engine::with_threads(1).search(&eval).unwrap();
         assert_eq!((pruned.index, pruned.loss), (flat.index, flat.loss));
         assert!(pruned.stats.summary.bound_installs > 0, "stats: {:?}", pruned.stats);
-        let exhaustive = TreeEngine { threads: 1, prune: false, split: 0 }.search(&eval).unwrap();
+        let exhaustive = Engine::exhaustive().search(&eval).unwrap();
         assert_eq!((exhaustive.index, exhaustive.loss), (flat.index, flat.loss));
         assert!(
             exhaustive.stats.summary.bound_hits > 0,
@@ -923,7 +878,7 @@ mod tests {
         );
         // The exhaustive re-walk upgrades the cut subtrees: a third run
         // now answers at the root without touching a leaf.
-        let third = TreeEngine { threads: 1, prune: false, split: 0 }.search(&eval).unwrap();
+        let third = Engine::exhaustive().search(&eval).unwrap();
         assert_eq!((third.index, third.loss), (flat.index, flat.loss));
         assert_eq!(third.stats.summary.exact_hits, 1, "stats: {:?}", third.stats);
         assert_eq!(third.stats.evaluated, 0);
@@ -958,10 +913,7 @@ mod tests {
         let eval = SummaryTree::new(table(3, 64), false);
         let cancel = CancelToken::default();
         cancel.cancel();
-        for engine in [
-            TreeEngine { threads: 1, prune: true, split: 0 },
-            TreeEngine { threads: 3, prune: true, split: 2 },
-        ] {
+        for engine in [Engine::with_threads(1), Engine::with_threads(3)] {
             let result = engine.search_with(&eval, &cancel);
             assert!(result.was_cancelled(), "{engine:?}");
             assert!(eval.table.lock().unwrap().is_empty(), "no summary installed: {engine:?}");
@@ -969,13 +921,13 @@ mod tests {
         // Refused at the claim whatever the worker count: not even a
         // depth-0 root is entered.
         for threads in [1, 3] {
-            let result = TreeEngine::with_threads(threads).search_with(&One, &cancel);
+            let result = Engine::with_threads(threads).search_with(&One, &cancel);
             assert_eq!(result, SearchResult::Cancelled(None), "{threads} workers");
         }
         // A later, un-cancelled search over the same evaluator is
         // bit-identical to a cold run — nothing was poisoned.
-        let flat = minimize(&ParallelEngine::exhaustive(), 64, |i| eval.inner.losses[i]).unwrap();
-        let out = TreeEngine { threads: 2, prune: true, split: 2 }.search(&eval).unwrap();
+        let flat = minimize(&Engine::exhaustive(), 64, |i| eval.inner.losses[i]).unwrap();
+        let out = Engine::with_threads(2).search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (flat.index, flat.loss));
     }
 
@@ -987,12 +939,12 @@ mod tests {
         // included — must not get one, and whatever was installed must
         // be the subtree's true argmin.
         let losses = table(4, 64);
-        let flat = minimize(&ParallelEngine::exhaustive(), 64, |i| losses[i]).unwrap();
+        let flat = minimize(&Engine::exhaustive(), 64, |i| losses[i]).unwrap();
         let eval = SummaryTree::new(losses.clone(), false);
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         let checks = AtomicU64::new(0);
         let cancel = CancelToken::default().with_watch(move || checks.fetch_add(1, Relaxed) < 20);
-        let result = TreeEngine { threads: 1, prune: false, split: 0 }.search_with(&eval, &cancel);
+        let result = Engine::exhaustive().search_with(&eval, &cancel);
         assert!(result.was_cancelled());
         let table = eval.table.lock().unwrap().clone();
         assert!(!table.contains_key(&(0, 0)), "no root summary over an aborted walk");
@@ -1000,14 +952,13 @@ mod tests {
         for (&(bits, len), s) in &table {
             let width = 6 - len;
             let lo = (bits << width) as usize;
-            let best =
-                minimize(&ParallelEngine::exhaustive(), 1 << width, |i| losses[lo + i]).unwrap();
+            let best = minimize(&Engine::exhaustive(), 1 << width, |i| losses[lo + i]).unwrap();
             assert!(s.exact, "no pruning, so no bound entries");
             assert_eq!((s.index, s.loss), ((lo + best.index) as u64, best.loss), "{bits}/{len}");
         }
         // The next, unwatched search over the same tables is the cold
         // winner.
-        let out = TreeEngine { threads: 1, prune: false, split: 0 }.search(&eval).unwrap();
+        let out = Engine::exhaustive().search(&eval).unwrap();
         assert_eq!((out.index, out.loss), (flat.index, flat.loss));
     }
 
@@ -1052,7 +1003,7 @@ mod tests {
             trip: 4,
             count: Default::default(),
         };
-        let result = TreeEngine { threads: 1, prune: false, split: 0 }.search_with(&eval, &cancel);
+        let result = Engine::exhaustive().search_with(&eval, &cancel);
         assert!(result.was_cancelled());
         let out = result.into_outcome().expect("some leaves scored before the trip");
         assert!(

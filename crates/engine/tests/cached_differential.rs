@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use selc_cache::{CacheStats, ShardedCache, SubtreeSummary};
-use selc_engine::{minimize, ParallelEngine, SummaryProbe, TreeEngine, TreeEval, TreeStep};
+use selc_engine::{minimize, Engine, SummaryProbe, TreeEval, TreeStep};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A table entry: a leaf's loss under its leaf key, or an interior
@@ -133,12 +133,12 @@ fn first_min(losses: &[f64]) -> (usize, f64) {
     (best, losses[best])
 }
 
-fn engines() -> Vec<TreeEngine> {
+fn engines() -> Vec<Engine> {
     vec![
-        TreeEngine { threads: 1, prune: true, split: 0 },
-        TreeEngine { threads: 2, prune: false, split: 1 },
-        TreeEngine { threads: 4, prune: true, split: 2 },
-        TreeEngine { threads: 8, prune: true, split: 3 },
+        Engine::with_threads(1),
+        Engine::with_threads(2).without_pruning(),
+        Engine::with_threads(4),
+        Engine::with_threads(8),
     ]
 }
 
@@ -164,7 +164,7 @@ proptest! {
     ) {
         let losses = full_tree(losses);
         let oracle = first_min(&losses);
-        let seq = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let seq = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         prop_assert_eq!((seq.index, seq.loss), oracle);
         for (cache, unbounded) in cache_shapes() {
             // Two rounds against the same handle: cold fills, warm hits
@@ -262,7 +262,7 @@ fn warm_cache_repeat_runs_are_reproducible_under_churn() {
     // answered by the exact summary the exhaustive cold fill installed.
     let losses: Vec<f64> = (0..256).map(|i| f64::from((i * 7919 % 101) as u16)).collect();
     let cache = Table::unbounded(8);
-    let eng = TreeEngine { threads: 8, prune: false, split: 0 };
+    let eng = Engine::with_threads(8).without_pruning();
     let first = eng.search(&CachedTable::new(&losses, &cache, |p| p)).unwrap();
     for _ in 0..10 {
         let eval = CachedTable::new(&losses, &cache, |p| p);
@@ -271,6 +271,6 @@ fn warm_cache_repeat_runs_are_reproducible_under_churn() {
         assert_eq!(again.stats.cache.misses, 0, "warm unbounded table never misses");
         assert_eq!(eval.computed.load(Ordering::Relaxed), 0);
     }
-    let oracle = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+    let oracle = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
     assert_eq!((first.index, first.loss), (oracle.index, oracle.loss));
 }

@@ -13,7 +13,7 @@
 //! tests serialise on one lock and flip recording explicitly rather
 //! than racing the unit suites in another binary's process.
 
-use selc_engine::{minimize, ParallelEngine};
+use selc_engine::{minimize, Engine};
 use selc_obs::{set_metrics_enabled, MetricsSnapshot};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -48,8 +48,8 @@ fn two_threads_and_sequential_record_identical_deterministic_counters() {
     // The empty space too: an empty search is still one search.
     for losses in [losses(), Vec::new()] {
         let (seq_out, seq) =
-            recorded(|| minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]));
-        let two = ParallelEngine::with_threads(2).without_pruning();
+            recorded(|| minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]));
+        let two = Engine::with_threads(2).without_pruning();
         let (par_out, par) = recorded(|| minimize(&two, losses.len(), |i| losses[i]));
 
         // Winner equality is the engine differential suite's job; here
@@ -81,8 +81,8 @@ fn disabled_metrics_record_exactly_nothing() {
     set_metrics_enabled(false);
     let losses = losses();
     let (_, delta) = recorded(|| {
-        minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
-        let two = ParallelEngine::with_threads(2).without_pruning();
+        minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let two = Engine::with_threads(2).without_pruning();
         minimize(&two, losses.len(), |i| losses[i]).unwrap();
     });
     for name in DETERMINISTIC {

@@ -3,7 +3,7 @@
 //! that fan out from several threads at once, each nesting a second
 //! fan-out inside its evaluator, all finish with the sequential winner.
 
-use selc_engine::{minimize, parallel_subtrees, ParallelEngine};
+use selc_engine::{minimize, parallel_subtrees, Engine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
 
@@ -31,8 +31,8 @@ fn a_helper_panic_reaches_the_caller_and_leaves_the_pool_usable() {
     assert!(msg.is_some_and(|m| m.starts_with("engine worker panicked")), "{msg:?}");
 
     let losses = losses();
-    let seq = minimize(&ParallelEngine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
-    let par = minimize(&ParallelEngine::with_threads(2), losses.len(), |i| losses[i]).unwrap();
+    let seq = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+    let par = minimize(&Engine::with_threads(2), losses.len(), |i| losses[i]).unwrap();
     assert_eq!(
         (par.index, par.loss),
         (seq.index, seq.loss),
@@ -49,12 +49,10 @@ fn concurrent_searches_with_nested_fan_outs_return_the_sequential_winner() {
             .into_iter()
             .fold(f64::INFINITY, f64::min)
     };
-    let seq = minimize(&ParallelEngine::exhaustive(), losses.len(), eval).unwrap();
+    let seq = minimize(&Engine::exhaustive(), losses.len(), eval).unwrap();
     let winners: Vec<_> = std::thread::scope(|s| {
         let searches: Vec<_> = (0..4)
-            .map(|_| {
-                s.spawn(|| minimize(&ParallelEngine::with_threads(2), losses.len(), eval).unwrap())
-            })
+            .map(|_| s.spawn(|| minimize(&Engine::with_threads(2), losses.len(), eval).unwrap()))
             .collect();
         searches.into_iter().map(|h| h.join().unwrap()).collect()
     });

@@ -7,7 +7,7 @@
 //! go meanwhile.
 #![cfg(target_os = "linux")]
 
-use selc_engine::{minimize, parallel_subtrees, ParallelEngine, TreeEngine, TreeEval, TreeStep};
+use selc_engine::{minimize, parallel_subtrees, Engine, TreeEval, TreeStep};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn os_threads() -> usize {
@@ -53,13 +53,13 @@ impl TreeEval<f64> for Table {
 #[test]
 fn a_warm_process_spawns_no_thread_per_search() {
     let table = Table((0..16).map(|i| f64::from((i * 29 % 17) as u8)).collect());
-    let flat = || minimize(&ParallelEngine::with_threads(2), 16, |i| seen(table.0[i])).unwrap();
+    let flat = || minimize(&Engine::with_threads(2), 16, |i| seen(table.0[i])).unwrap();
     let expected = flat().index;
     let warm = os_threads();
     PEAK.store(0, Ordering::Relaxed);
     for _ in 0..100 {
         assert_eq!(flat().index, expected);
-        assert_eq!(TreeEngine::with_threads(2).search(&table).unwrap().index, expected);
+        assert_eq!(Engine::with_threads(2).search(&table).unwrap().index, expected);
         assert_eq!(parallel_subtrees(2, 8, |i| seen(i * i))[7], 49);
         assert_eq!(os_threads(), warm, "a search left a thread behind");
     }

@@ -6,7 +6,7 @@
 //! With the persistent pool, the rings stop at the pool's helpers plus
 //! the searching thread. Its own binary: tracing is process-wide.
 
-use selc_engine::{minimize, ParallelEngine};
+use selc_engine::{minimize, Engine};
 use selc_obs::trace;
 use std::collections::BTreeSet;
 
@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 fn traced_searches_record_on_a_bounded_set_of_threads() {
     trace::set_trace_enabled(true);
     for round in 0..200 {
-        let out = minimize(&ParallelEngine::with_threads(2), 64, |i| ((i * 7 + round) % 13) as f64);
+        let out = minimize(&Engine::with_threads(2), 64, |i| ((i * 7 + round) % 13) as f64);
         assert_eq!(out.unwrap().loss, 0.0);
     }
     let path =

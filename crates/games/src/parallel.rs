@@ -16,7 +16,7 @@ use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
-use selc_engine::{parallel_subtrees, CancelToken, CandidateEval, ParallelEngine, SharedBound};
+use selc_engine::{parallel_subtrees, CancelToken, Engine, SharedBound};
 use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
@@ -26,39 +26,35 @@ fn subgame(table: Arc<Matrix>, a: usize) -> Sel<f64, usize> {
     perform::<f64, MinMove>(cols).and_then(move |b| loss(table.entries[a][b]).map(move |_| b))
 }
 
-/// Per-row evaluator: replays `handle(hmin, subgame(a))` and scores row
-/// `a` by the *negated* game value (the engine minimises; the root
-/// player maximises). `lower_bound` is `-(row minimum)`: for a matrix
-/// game the subgame value *is* the row minimum, so a cheap scan (no
-/// handler machinery, no future replays) gives a tight bound and rows
-/// that cannot strictly beat the incumbent value never pay for handler
+/// Scores row `a` for the root split: replays `handle(hmin, subgame(a))`
+/// and returns the *negated* game value (the engine minimises; the root
+/// player maximises). First it checks the row's lower bound
+/// `-(row minimum)` against the shared bound: for a matrix game the
+/// subgame value *is* the row minimum, so a cheap scan (no handler
+/// machinery, no future replays) gives a tight bound and rows that
+/// cannot strictly beat the incumbent value never pay for handler
 /// evaluation. Tightness is fine for soundness — strict domination
 /// (`lb > best`) still never drops a tying row. In deeper games, where
-/// no exact scan exists, a heuristic bound slots into the same hook.
-struct RowEval {
-    table: Arc<Matrix>,
-}
-
-impl CandidateEval<f64> for RowEval {
-    fn eval(&self, a: usize, _bound: &SharedBound<f64>) -> Option<f64> {
-        let (value, _col) = handle(&hmin(), subgame(Arc::clone(&self.table), a)).run_unwrap();
-        Some(-value)
+/// no exact scan exists, a heuristic bound slots into the same check.
+fn score_row(table: &Arc<Matrix>, a: usize, bound: &SharedBound<f64>) -> Option<f64> {
+    let row_min = table.entries[a].iter().copied().fold(f64::INFINITY, f64::min);
+    if bound.dominated(&-row_min) {
+        return None;
     }
-
-    fn lower_bound(&self, a: usize) -> Option<f64> {
-        let row_min = self.table.entries[a].iter().copied().fold(f64::INFINITY, f64::min);
-        Some(-row_min)
-    }
+    let (value, _col) = handle(&hmin(), subgame(Arc::clone(table), a)).run_unwrap();
+    Some(-value)
 }
 
 /// Root-split parallel minimax: distributes the maximiser's rows over
 /// the engine's worker pool, each worker solving the minimiser's reply
 /// with the ordinary `hmin` handler. Returns `((row, col), value)`,
 /// bit-identical to [`crate::minimax::minimax_handler`].
-pub fn minimax_root_split(table: &Matrix, engine: &ParallelEngine) -> ((usize, usize), f64) {
+pub fn minimax_root_split(table: &Matrix, engine: &Engine) -> ((usize, usize), f64) {
     let table = Arc::new(table.clone());
-    let eval = RowEval { table: Arc::clone(&table) };
-    let a = engine.search(table.rows(), &eval).expect("matrices are non-empty").index;
+    let a = engine
+        .scan(table.rows(), |a, bound| score_row(&table, a, bound))
+        .expect("matrices are non-empty")
+        .index;
     // Replay the winning subgame once for the minimiser's reply (pure,
     // so this reproduces exactly the value the search scored).
     let (value, b) = handle(&hmin(), subgame(table, a)).run_unwrap();
@@ -70,7 +66,7 @@ pub fn minimax_root_split(table: &Matrix, engine: &ParallelEngine) -> ((usize, u
 /// `argmin` selections under the global attack-count loss. Returns the
 /// same placement as [`crate::queens::queens_selection`] — the empty
 /// placement for `n = 0`.
-pub fn queens_parallel(engine: &ParallelEngine, n: usize) -> Vec<usize> {
+pub fn queens_parallel(engine: &Engine, n: usize) -> Vec<usize> {
     use selection::product::Stage;
     use std::rc::Rc;
     if n == 0 {
@@ -151,8 +147,8 @@ mod tests {
     #[test]
     fn root_split_solves_the_paper_example() {
         let m = Matrix::paper_example();
-        assert_eq!(minimax_root_split(&m, &ParallelEngine::with_threads(2)), ((0, 1), 3.0));
-        assert_eq!(minimax_root_split(&m, &ParallelEngine::exhaustive()), ((0, 1), 3.0));
+        assert_eq!(minimax_root_split(&m, &Engine::with_threads(2)), ((0, 1), 3.0));
+        assert_eq!(minimax_root_split(&m, &Engine::exhaustive()), ((0, 1), 3.0));
     }
 
     #[test]
@@ -163,7 +159,7 @@ mod tests {
             assert_eq!(minimax_selection(&m), expected, "seed {seed}");
             for threads in [1, 2, 4] {
                 for prune in [false, true] {
-                    let eng = ParallelEngine { threads, chunk: 1, prune };
+                    let eng = Engine { threads, prune };
                     assert_eq!(
                         minimax_root_split(&m, &eng),
                         expected,
@@ -172,7 +168,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                minimax_root_split(&m, &ParallelEngine::with_threads(1)),
+                minimax_root_split(&m, &Engine::with_threads(1)),
                 expected,
                 "seed {seed} sequential+prune"
             );
@@ -181,23 +177,24 @@ mod tests {
 
     #[test]
     fn pruning_skips_dominated_rows() {
-        // Row 0 achieves value 5; rows 1.. have maxima below 5, so with a
-        // chunk covering row 0 first the rest are pruned.
+        // Row 0 achieves value 5; rows 1.. have maxima below 5, so once
+        // the lone worker has scored row 0 the rest are pruned.
         let mut rows = vec![vec![5.0, 6.0, 7.0]];
         for i in 0..6 {
             rows.push(vec![1.0 + f64::from(i) * 0.1; 3]);
         }
         let m = Matrix::new(rows);
-        let engine = ParallelEngine::with_threads(1);
+        let engine = Engine::with_threads(1);
         assert_eq!(minimax_root_split(&m, &engine), ((0, 0), 5.0));
-        let outcome = engine.search(m.rows(), &RowEval { table: Arc::new(m) }).unwrap();
+        let table = Arc::new(m);
+        let outcome = engine.scan(table.rows(), |a, bound| score_row(&table, a, bound)).unwrap();
         assert_eq!(outcome.index, 0);
         assert_eq!(outcome.stats.pruned, 6, "stats: {:?}", outcome.stats);
     }
 
     #[test]
     fn queens_parallel_matches_selection_product() {
-        let engine = ParallelEngine::with_threads(2);
+        let engine = Engine::with_threads(2);
         for n in [0, 1, 4, 5] {
             let par = queens_parallel(&engine, n);
             let seq = queens_selection(n);
@@ -205,7 +202,7 @@ mod tests {
         }
         // Unsolvable boards still minimise attacks identically.
         assert_eq!(attacks(&queens_parallel(&engine, 3)), 1);
-        assert_eq!(queens_parallel(&ParallelEngine::exhaustive(), 3), queens_selection(3));
+        assert_eq!(queens_parallel(&Engine::exhaustive(), 3), queens_selection(3));
     }
 
     #[test]

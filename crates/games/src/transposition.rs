@@ -28,8 +28,8 @@
 //! and parallel solvers all return the same value and principal play —
 //! the tests and `crates/games/tests` hold them to it.
 
-use selc_cache::{CacheStats, ShardedCache};
-use selc_engine::{CandidateEval, Outcome, ParallelEngine, SharedBound};
+use selc_cache::ShardedCache;
+use selc_engine::{minimize, Engine, Outcome};
 
 /// Canonical game state: the sorted move prefix.
 pub type TransKey = Vec<u8>;
@@ -162,27 +162,6 @@ impl SymTree {
     }
 }
 
-/// Root-move evaluator for the engine: candidate `m` is the maximiser's
-/// first move, scored by the *negated* subgame value (the engine
-/// minimises), every worker solving subtrees through one shared
-/// transposition table.
-struct RootEval<'a> {
-    tree: &'a SymTree,
-    cache: &'a TransCache,
-    base: CacheStats,
-}
-
-impl CandidateEval<f64> for RootEval<'_> {
-    fn eval(&self, m: usize, _bound: &SharedBound<f64>) -> Option<f64> {
-        let mut path = vec![m as u8];
-        Some(-self.tree.node_value(&mut path, Some(self.cache)))
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats().since(&self.base)
-    }
-}
-
 /// Root-split transposition minimax: distributes the maximiser's first
 /// moves over the engine's pool, all workers sharing `cache` — a
 /// subtree solved under one root move answers its transpositions under
@@ -192,11 +171,16 @@ impl CandidateEval<f64> for RootEval<'_> {
 /// handle's hits/misses/evictions.
 pub fn solve_root_split(
     tree: &SymTree,
-    engine: &ParallelEngine,
+    engine: &Engine,
     cache: &TransCache,
 ) -> (usize, f64, Outcome<f64>) {
-    let eval = RootEval { tree, cache, base: cache.stats() };
-    let outcome = engine.search(tree.branching, &eval).expect("branching > 0");
+    let base = cache.stats();
+    // Candidate `m` is the maximiser's first move, scored by the
+    // *negated* subgame value (the engine minimises).
+    let mut outcome =
+        minimize(engine, tree.branching, |m| -tree.node_value(&mut vec![m as u8], Some(cache)))
+            .expect("branching > 0");
+    outcome.stats.cache = cache.stats().since(&base);
     (outcome.index, -outcome.loss, outcome)
 }
 
@@ -289,7 +273,7 @@ mod tests {
             for prune in [false, true] {
                 for threads in [1, 2, 4] {
                     let cache = TransCache::unbounded(4);
-                    let eng = ParallelEngine { threads, chunk: 1, prune };
+                    let eng = Engine { threads, prune };
                     let (mv, value, outcome) = solve_root_split(&t, &eng, &cache);
                     assert_eq!(value, oracle_value, "seed {seed} threads {threads}");
                     assert_eq!(mv, usize::from(oracle_play[0]), "seed {seed} threads {threads}");
@@ -300,7 +284,7 @@ mod tests {
                 }
             }
             let cache = TransCache::unbounded(4);
-            let (mv, value, _) = solve_root_split(&t, &ParallelEngine::exhaustive(), &cache);
+            let (mv, value, _) = solve_root_split(&t, &Engine::exhaustive(), &cache);
             assert_eq!((mv, value), (usize::from(oracle_play[0]), oracle_value));
         }
     }
@@ -309,7 +293,7 @@ mod tests {
     fn warm_cache_serves_a_repeat_root_split_and_epochs_reset_it() {
         let t = SymTree::new(3, 5, 9);
         let cache = TransCache::unbounded(4);
-        let eng = ParallelEngine::with_threads(2);
+        let eng = Engine::with_threads(2);
         let (mv1, v1, first) = solve_root_split(&t, &eng, &cache);
         assert!(first.stats.cache.misses > 0);
         let (mv2, v2, second) = solve_root_split(&t, &eng, &cache);

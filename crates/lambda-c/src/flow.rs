@@ -18,7 +18,7 @@
 //!    If every ambient `loss` site is provably non-negative the program
 //!    earns a [`NonNegLosses`] certificate.
 //! 2. **Static decision-shape analysis.** Choice-point count and depth
-//!    bounds per execution path, feeding `TreeEngine` work-partitioning and
+//!    bounds per execution path, feeding the tree walk's work partitioning and
 //!    letting `serve` reject over-deep workloads at validate time.
 //! 3. **Loss-to-go (residual) analysis.** Every term also gets an
 //!    emission *floor*: a lower bound on the scalar reading of what it

@@ -10,7 +10,7 @@
 //! break ties. [`LcCandidates`] packages that family as plain
 //! `Send + Sync` data: [`LcCandidates::run_candidate`] maps a candidate
 //! index to its machine outcome, so a loss closure over it runs on the
-//! flat `selc_engine::ParallelEngine` unchanged (see
+//! engine's flat scan unchanged (see
 //! [`crate::search::search_compiled_flat`]), and
 //! [`LcCandidates::explore_prefix`] feeds the prefix-sharing tree search.
 //!
@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use crate::search::search_compiled_flat;
     use lambda_c::testgen;
-    use selc_engine::ParallelEngine;
+    use selc_engine::Engine;
 
     fn pgm_candidates() -> LcCandidates {
         let ex = lambda_c::examples::pgm_with_argmin_handler();
@@ -239,10 +239,10 @@ mod tests {
         let reference =
             lambda_c::eval_closed(&ex.sig, ex.expr.clone(), ex.ty.clone(), ex.eff.clone()).unwrap();
         let c = pgm_candidates();
-        let (out, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &c).unwrap();
+        let (out, value) = search_compiled_flat(&Engine::exhaustive(), &c).unwrap();
         assert_eq!(out.loss.0, reference.loss);
         assert_eq!(value, lambda_c::prim::value_to_ground(&reference.terminal));
-        let (par, pvalue) = search_compiled_flat(&ParallelEngine::with_threads(2), &c).unwrap();
+        let (par, pvalue) = search_compiled_flat(&Engine::with_threads(2), &c).unwrap();
         assert_eq!((par.index, par.loss), (out.index, out.loss));
         assert_eq!(pvalue, value);
     }
@@ -254,7 +254,7 @@ mod tests {
         let reference =
             lambda_c::eval_closed(&sig, p.expr.clone(), p.ty.clone(), p.eff.clone()).unwrap();
         let c = LcCandidates::new(lambda_c::compile(&p.expr).unwrap(), ["decide".to_owned()], 5);
-        let (out, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &c).unwrap();
+        let (out, _) = search_compiled_flat(&Engine::exhaustive(), &c).unwrap();
         assert_eq!(out.loss.0, reference.loss, "engine argmin == handler semantics");
     }
 }

@@ -15,7 +15,7 @@
 //!    choice points into a family of `2^depth` forced-path runs, one per
 //!    candidate index (Hedges: a selection computation is a function
 //!    from a choice to its loss), so a plain loss closure over it runs
-//!    on the flat `selc_engine::ParallelEngine` — parallel workers,
+//!    on the flat `selc_engine::Engine::scan` — parallel workers,
 //!    deterministic `(loss, index)` reduction, `SharedBound`
 //!    branch-and-bound.
 //! 3. **Tree search** — [`search_compiled`] walks the decision *tree*
@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use lambda_rt::{search_compiled, LcCandidates};
-//! use selc_engine::TreeEngine;
+//! use selc_engine::Engine;
 //!
 //! let ex = lambda_c::examples::pgm_with_argmin_handler();
 //! let cands = LcCandidates::new(
@@ -43,7 +43,7 @@
 //!     ["decide".to_owned()],
 //!     1,
 //! );
-//! let (outcome, value) = search_compiled(&TreeEngine::sequential(), &cands).unwrap();
+//! let (outcome, value) = search_compiled(&Engine::exhaustive(), &cands).unwrap();
 //! assert_eq!(outcome.loss.0, lambda_c::LossVal::scalar(2.0));
 //! assert_eq!(value, Some(lambda_c::prim::Ground::Char('a')));
 //! ```

@@ -20,7 +20,7 @@
 use crate::bridge::{LcCandidates, LcValue};
 use crate::loss::OrdLossVal;
 use selc_cache::{ShardedCache, SubtreeSummary};
-use selc_engine::{minimize, Outcome, ParallelEngine};
+use selc_engine::{minimize, Engine, Outcome};
 
 /// The transposition table for compiled searches: subtree summaries
 /// keyed `(space identity, prefix length, prefix bits)`. The identity
@@ -41,7 +41,7 @@ pub type LcTransCache = ShardedCache<(u64, u32, u64), SubtreeSummary<OrdLossVal>
 /// neither a table nor the space's best-seen cell, so it never seeds
 /// the searches it checks.
 pub fn search_compiled_flat(
-    engine: &ParallelEngine,
+    engine: &Engine,
     cands: &LcCandidates,
 ) -> Option<(Outcome<OrdLossVal>, LcValue)> {
     let out = minimize(engine, cands.space(), |i| OrdLossVal(cands.run_candidate(i).loss))?;
@@ -54,7 +54,7 @@ mod tests {
     use super::*;
     use crate::tree::{search_compiled_cached, LcTreeEval};
     use lambda_c::testgen;
-    use selc_engine::{TreeEngine, TreeEval};
+    use selc_engine::TreeEval;
 
     fn chain_candidates(choices: u32) -> LcCandidates {
         let p = testgen::deep_decide_chain(choices);
@@ -69,14 +69,14 @@ mod tests {
     }
 
     /// A single-worker walk from the root.
-    fn single(prune: bool) -> TreeEngine {
-        TreeEngine { threads: 1, prune, split: 0 }
+    fn single(prune: bool) -> Engine {
+        Engine { threads: 1, prune }
     }
 
     #[test]
     fn cached_and_pruned_searches_agree_with_plain() {
         let cands = chain_candidates(6);
-        let (plain, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let (plain, value) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         // Cold fill without abandonment: every interior node stores its
         // exact summary, and nothing else is stored.
         let cache = LcTransCache::unbounded(4);
@@ -85,19 +85,20 @@ mod tests {
         let interior = cands.space() as u64 - 1;
         assert_eq!(cold.stats.summary.exact_installs, interior);
         assert_eq!(cold.stats.cache.insertions, interior);
-        // Fully warm: a parallel repeat answers its four subtree roots
-        // from their summaries and replays no leaf.
-        let parallel = TreeEngine { threads: 3, prune: false, split: 2 };
+        // Fully warm: a 3-worker repeat splits at depth 4 and answers
+        // its sixteen subtree roots from their summaries, replaying no
+        // leaf.
+        let parallel = Engine::with_threads(3).without_pruning();
         let (warm, wv) = search_compiled_cached(&parallel, &cands, &cache, None).unwrap();
         assert_eq!((warm.index, warm.loss.clone()), (plain.index, plain.loss.clone()));
         assert_eq!(wv, value);
-        assert_eq!(warm.stats.summary.exact_hits, 4, "fully warm: {:?}", warm.stats);
-        assert_eq!(warm.stats.cache.hits, 4);
+        assert_eq!(warm.stats.summary.exact_hits, 16, "fully warm: {:?}", warm.stats);
+        assert_eq!(warm.stats.cache.hits, 16);
         assert_eq!(warm.stats.cache.misses, 0);
         assert_eq!(warm.stats.evaluated, 0);
         // Abandonment on a fresh cache: same winner, bit-identically.
         let cert = cands.certificate().expect("chain losses are certifiably non-negative");
-        for engine in [single(true), TreeEngine { threads: 3, prune: false, split: 2 }] {
+        for engine in [single(true), Engine::with_threads(3).without_pruning()] {
             let fresh = LcTransCache::unbounded(4);
             let (out, v) = search_compiled_cached(&engine, &cands, &fresh, Some(cert)).unwrap();
             assert_eq!((out.index, out.loss.clone()), (plain.index, plain.loss.clone()));
@@ -142,7 +143,7 @@ mod tests {
         // Engine-side subtree skips off: every abandonment below is the
         // certificate-armed machine hook firing mid-segment.
         let cands = chain_candidates(7);
-        let (plain, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let (plain, _) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         let cert = cands.certificate().expect("chain corpus is certified");
         let cache = LcTransCache::unbounded(2);
         let (pruned, _) =
@@ -160,7 +161,7 @@ mod tests {
         // The reference must not warm what it checks: after a flat scan
         // a tree evaluator over the same space has nothing to seed from.
         let cands = chain_candidates(8);
-        let _ = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let _ = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         assert_eq!(LcTreeEval::new(cands.clone()).seed_bits(), None);
     }
 }

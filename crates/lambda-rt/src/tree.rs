@@ -45,8 +45,8 @@ use lambda_c::flow::NonNegLosses;
 use lambda_c::machine::{ChoicePoint, Explored, MachinePrune};
 use lambda_c::MachError;
 use selc_cache::{CacheStats, SubtreeSummary};
-use selc_engine::tree::{SummaryProbe, TreeEngine, TreeEval, TreeStep};
-use selc_engine::{CancelToken, Outcome, SearchResult};
+use selc_engine::tree::{SummaryProbe, TreeEval, TreeStep};
+use selc_engine::{CancelToken, Engine, Outcome, SearchResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 
@@ -210,7 +210,7 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
 /// [`crate::search::search_compiled_flat`]. One extra forced replay
 /// recovers the winner's terminal.
 pub fn search_compiled(
-    engine: &TreeEngine,
+    engine: &Engine,
     cands: &LcCandidates,
 ) -> Option<(Outcome<OrdLossVal>, LcValue)> {
     let eval = LcTreeEval::new(cands.clone());
@@ -223,7 +223,7 @@ pub fn search_compiled(
 /// mid-segment abandonment and subtree pruning iff `cert` is a covering
 /// [`lambda_c::flow`] certificate (pass [`LcCandidates::certificate`]).
 pub fn search_compiled_cached(
-    engine: &TreeEngine,
+    engine: &Engine,
     cands: &LcCandidates,
     cache: &LcTransCache,
     cert: Option<&NonNegLosses>,
@@ -244,7 +244,7 @@ pub fn search_compiled_cached(
 /// so the table stays warm and unpoisoned for the next request (see
 /// `selc_engine::cancel`).
 pub fn search_compiled_cached_with(
-    engine: &TreeEngine,
+    engine: &Engine,
     cands: &LcCandidates,
     cache: &LcTransCache,
     cert: Option<&NonNegLosses>,
@@ -262,7 +262,6 @@ mod tests {
     use super::*;
     use crate::search::search_compiled_flat;
     use lambda_c::testgen;
-    use selc_engine::ParallelEngine;
 
     fn chain_candidates(choices: u32) -> LcCandidates {
         let p = testgen::deep_decide_chain(choices);
@@ -272,11 +271,11 @@ mod tests {
     #[test]
     fn tree_search_matches_the_flat_scan() {
         let cands = chain_candidates(7);
-        let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let (flat, value) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         for engine in [
-            TreeEngine::sequential(),
-            TreeEngine::with_threads(2),
-            TreeEngine { threads: 3, prune: false, split: 3 },
+            Engine::exhaustive(),
+            Engine::with_threads(2),
+            Engine::with_threads(3).without_pruning(),
         ] {
             let (out, v) = search_compiled(&engine, &cands).unwrap();
             assert_eq!(
@@ -295,8 +294,8 @@ mod tests {
         let ex = lambda_c::examples::pgm_with_argmin_handler();
         let cands =
             LcCandidates::new(lambda_c::compile(&ex.expr).unwrap(), ["decide".to_owned()], 6);
-        let (flat, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
-        let out = TreeEngine::sequential().search(&LcTreeEval::new(cands.clone())).unwrap();
+        let (flat, _) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
+        let out = Engine::exhaustive().search(&LcTreeEval::new(cands.clone())).unwrap();
         assert_eq!((out.index, out.loss.clone()), (flat.index, flat.loss));
         assert_eq!(out.stats.evaluated, 2, "one leaf per real decision path: {:?}", out.stats);
     }
@@ -304,26 +303,25 @@ mod tests {
     #[test]
     fn a_tree_filled_table_answers_warm_repeats_on_every_engine() {
         let cands = chain_candidates(6);
-        let (reference, value) =
-            search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let (reference, value) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         // A sequential exhaustive cold fill summarises every interior
         // node…
         let cache = LcTransCache::unbounded(4);
         let (cold, _) =
-            search_compiled_cached(&TreeEngine::sequential(), &cands, &cache, None).unwrap();
+            search_compiled_cached(&Engine::exhaustive(), &cands, &cache, None).unwrap();
         assert_eq!((cold.index, cold.loss.clone()), (reference.index, reference.loss.clone()));
         assert_eq!(cold.stats.cache.insertions, 63, "every interior node stored");
-        // …so a split-2 parallel repeat answers its four subtree roots
-        // without a single replay…
-        let split = TreeEngine { threads: 2, prune: false, split: 2 };
+        // …so a 2-worker repeat, split at depth 3, answers its eight
+        // subtree roots without a single replay…
+        let split = Engine::with_threads(2).without_pruning();
         let (warm, wv) = search_compiled_cached(&split, &cands, &cache, None).unwrap();
         assert_eq!((warm.index, warm.loss.clone()), (cold.index, cold.loss.clone()));
         assert_eq!(wv, value);
-        assert_eq!(warm.stats.summary.exact_hits, 4, "stats: {:?}", warm.stats);
+        assert_eq!(warm.stats.summary.exact_hits, 8, "stats: {:?}", warm.stats);
         assert_eq!(warm.stats.evaluated, 0, "stats: {:?}", warm.stats);
-        // …and a pruned auto-split repeat over the same handle agrees too.
+        // …and a pruned repeat over the same handle agrees too.
         let (auto, tv) =
-            search_compiled_cached(&TreeEngine::with_threads(2), &cands, &cache, None).unwrap();
+            search_compiled_cached(&Engine::with_threads(2), &cands, &cache, None).unwrap();
         assert_eq!((auto.index, auto.loss.clone()), (cold.index, cold.loss));
         assert_eq!(tv, value);
         assert_eq!(auto.stats.evaluated, 0, "stats: {:?}", auto.stats);
@@ -332,13 +330,13 @@ mod tests {
     #[test]
     fn cancelled_compiled_searches_time_out_without_poisoning_the_table() {
         let cands = chain_candidates(10);
-        let (reference, _) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let (reference, _) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         let cache = LcTransCache::unbounded(4);
         let cert = cands.certificate().expect("chain corpus is certified");
         // A pre-expired deadline: the walk aborts at its first interior
         // node, so (at most) a stray leaf scores and no summary lands.
         let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
-        let engine = TreeEngine::with_threads(2);
+        let engine = Engine::with_threads(2);
         let result = search_compiled_cached_with(&engine, &cands, &cache, Some(cert), &expired);
         assert!(result.was_cancelled());
         // The very next un-cancelled search over the same warm handle is
@@ -358,11 +356,9 @@ mod tests {
     #[test]
     fn pruned_tree_searches_keep_the_winner_bit_identical() {
         let cands = chain_candidates(8);
-        let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let (flat, value) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         let cert = cands.certificate().expect("chain corpus is certified");
-        for engine in
-            [TreeEngine { threads: 1, prune: true, split: 0 }, TreeEngine::with_threads(3)]
-        {
+        for engine in [Engine::with_threads(1), Engine::with_threads(3)] {
             let cache = LcTransCache::unbounded(4);
             let (out, v) = search_compiled_cached(&engine, &cands, &cache, Some(cert)).unwrap();
             assert_eq!(
@@ -381,8 +377,8 @@ mod tests {
         // takes it. On the partial loss alone, the chain-12 job of the
         // offline benchmark materialised 426 nodes.
         let (flat, value) =
-            search_compiled_flat(&ParallelEngine::exhaustive(), &chain_candidates(12)).unwrap();
-        let check = |engine: TreeEngine, cands: &LcCandidates| {
+            search_compiled_flat(&Engine::exhaustive(), &chain_candidates(12)).unwrap();
+        let check = |engine: Engine, cands: &LcCandidates| {
             let cert = cands.certificate().expect("chain corpus is certified");
             let cache = LcTransCache::unbounded(4);
             let (out, v) = search_compiled_cached(&engine, cands, &cache, Some(cert)).unwrap();
@@ -394,14 +390,14 @@ mod tests {
         };
         // One worker, cold: the best-first dive lands on the optimum and
         // every sibling on its path is cut on sight.
-        check(TreeEngine { threads: 1, prune: true, split: 0 }, &chain_candidates(12));
+        check(Engine::with_threads(1), &chain_candidates(12));
         // Two workers claim split subtrees in index order, so a cold walk
         // dives into several before the best one bounds them. Like the
         // benchmark's jobs, this one shares a candidate space whose
         // best-seen loss an earlier search set, and starts on a fresh
         // table.
         let cands = chain_candidates(12);
-        search_compiled(&TreeEngine::sequential(), &cands).unwrap();
-        check(TreeEngine::with_threads(2), &cands);
+        search_compiled(&Engine::exhaustive(), &cands).unwrap();
+        check(Engine::with_threads(2), &cands);
     }
 }

@@ -17,7 +17,7 @@ use lambda_c::machine::{ChoicePoint, Explored};
 use lambda_c::testgen::deep_decide_chain;
 use lambda_rt::bridge::LcCandidates;
 use lambda_rt::tree::LcTreeEval;
-use selc_engine::tree::TreeEngine;
+use selc_engine::Engine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -122,7 +122,7 @@ fn a_sequential_tree_walk_stays_within_its_per_node_budget() {
     const PER_SEARCH_BUDGET: u64 = 1;
     let cands = chain();
     let eval = LcTreeEval::new(cands.clone());
-    let engine = TreeEngine::sequential();
+    let engine = Engine::exhaustive();
     // The first search pays for one-off setup (metrics registration, the
     // flow report); the second is the steady state.
     drop(engine.search(&eval).unwrap());

@@ -15,7 +15,7 @@ use lambda_c::testgen::{self, ProgramGen};
 use lambda_c::types::{Effect, Type};
 use lambda_c::{compile, machine, Signature};
 use lambda_rt::{search_compiled_cached, search_compiled_flat, LcCandidates, LcTransCache};
-use selc_engine::{ParallelEngine, TreeEngine};
+use selc_engine::Engine;
 
 /// Runs the explicit Fig-6 smallstep loop (not via bigstep, so the two
 /// reference layers are exercised independently).
@@ -134,7 +134,7 @@ fn engine_search_reproduces_the_argmin_handler_bit_identically() {
             LcCandidates::new(compile(&p.expr).expect("compiles"), ["decide".to_owned()], choices);
 
         // Plain sequential search.
-        let (seq, seq_v) = search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+        let (seq, seq_v) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         assert_eq!(seq.loss.0, reference.loss, "seed {seed}: engine argmin == handler loss");
         assert_eq!(seq_v, ref_ground, "seed {seed}: engine winner == handler terminal");
 
@@ -142,7 +142,7 @@ fn engine_search_reproduces_the_argmin_handler_bit_identically() {
         // tiny, evicting) transposition table, cold then warm. Pruning
         // runs under the flow certificate, which the search corpus
         // (non-negative constant losses) must always earn.
-        let tree = TreeEngine::auto();
+        let tree = Engine::auto();
         let cert = cands.certificate().expect("search corpus is flow-certifiable");
         let (pout, pv) = search_compiled_cached(&tree, &cands, &shared_cache, Some(cert)).unwrap();
         assert_eq!((pout.index, pout.loss.0.clone()), (seq.index, reference.loss.clone()));
@@ -153,7 +153,7 @@ fn engine_search_reproduces_the_argmin_handler_bit_identically() {
 
         // The flat scan on the parallel engine.
         if seed < 3 {
-            let (rout, rv) = search_compiled_flat(&ParallelEngine::auto(), &cands).unwrap();
+            let (rout, rv) = search_compiled_flat(&Engine::auto(), &cands).unwrap();
             assert_eq!((rout.index, rout.loss.0), (seq.index, reference.loss.clone()));
             assert_eq!(rv, ref_ground);
         }
@@ -181,7 +181,7 @@ fn tie_breaking_matches_the_handler() {
     let e = handle0(testgen::argmin_handler(&Type::loss(), &Effect::empty()), body);
     let reference = eval_closed(&sig, e.clone(), Type::loss(), Effect::empty()).unwrap();
     let cands = LcCandidates::new(compile(&e).unwrap(), ["decide".to_owned()], 2);
-    let (out, _) = search_compiled_flat(&ParallelEngine::auto(), &cands).unwrap();
+    let (out, _) = search_compiled_flat(&Engine::auto(), &cands).unwrap();
     assert_eq!(out.index, 0, "all-true is the lexicographically first minimal path");
     assert_eq!(out.loss.0, reference.loss);
 }

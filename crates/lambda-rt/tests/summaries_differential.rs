@@ -17,7 +17,7 @@ use lambda_rt::{
     OrdLossVal,
 };
 use proptest::prelude::*;
-use selc_engine::{Outcome, ParallelEngine, TreeEngine};
+use selc_engine::{Engine, Outcome};
 
 fn chain_candidates(choices: u32) -> LcCandidates {
     let p = testgen::deep_decide_chain(choices);
@@ -25,18 +25,18 @@ fn chain_candidates(choices: u32) -> LcCandidates {
 }
 
 /// The engines every cached search is differenced on.
-fn engines() -> Vec<TreeEngine> {
+fn engines() -> Vec<Engine> {
     vec![
-        TreeEngine { threads: 1, prune: false, split: 0 },
-        TreeEngine { threads: 1, prune: true, split: 0 },
-        TreeEngine { threads: 2, prune: true, split: 1 },
-        TreeEngine { threads: 3, prune: false, split: 2 },
+        Engine::exhaustive(),
+        Engine::with_threads(1),
+        Engine::with_threads(2),
+        Engine::with_threads(3).without_pruning(),
     ]
 }
 
 /// The same search with no table: the uncached twin.
 fn uncached(
-    engine: &TreeEngine,
+    engine: &Engine,
     cands: &LcCandidates,
     cert: Option<&NonNegLosses>,
 ) -> Outcome<OrdLossVal> {
@@ -51,7 +51,7 @@ fn uncached(
 /// engine and with the flat scan, over cold, warm, epoch-bumped, and
 /// eviction-churned tables alike.
 fn assert_summaries_are_invisible(cands: &LcCandidates, label: &str) {
-    let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), cands).unwrap();
+    let (flat, value) = search_compiled_flat(&Engine::exhaustive(), cands).unwrap();
     // The whole corpus is built from non-negative constant losses, so
     // the flow analysis must certify every program — pruned rounds run
     // under the certificate, exactly like production callers.
@@ -113,7 +113,7 @@ fn summarised_searches_match_plain_and_flat_on_the_search_corpus() {
 #[test]
 fn a_cold_fill_stores_only_summaries() {
     let cands = chain_candidates(10);
-    let engine = TreeEngine { threads: 1, prune: false, split: 0 };
+    let engine = Engine::exhaustive();
     let cache = LcTransCache::unbounded(4);
     let (cold, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
     let interior = (1_u64 << 10) - 1;
@@ -130,7 +130,7 @@ fn a_cold_fill_stores_only_summaries() {
 #[test]
 fn warm_summarised_repeat_answers_from_summaries() {
     let cands = chain_candidates(9);
-    let engine = TreeEngine { threads: 1, prune: false, split: 0 };
+    let engine = Engine::exhaustive();
     let cache = LcTransCache::unbounded(4);
     let (cold, value) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
     assert!(cold.stats.summary.exact_installs > 0, "cold fill installs summaries");
@@ -144,7 +144,7 @@ fn warm_summarised_repeat_answers_from_summaries() {
 
     // A pruned warm repeat still walks no leaves: exact entries answer
     // the fully-explored subtrees and bound entries re-justify the cuts.
-    let pruned = TreeEngine { threads: 1, prune: true, split: 0 };
+    let pruned = Engine::with_threads(1);
     let pcache = LcTransCache::unbounded(4);
     let cert = cands.certificate().expect("chain corpus is flow-certifiable");
     let (pcold, _) = search_compiled_cached(&pruned, &cands, &pcache, Some(cert)).unwrap();
@@ -159,7 +159,7 @@ fn warm_summarised_repeat_answers_from_summaries() {
 #[test]
 fn epoch_bump_retires_summaries() {
     let cands = chain_candidates(8);
-    let engine = TreeEngine { threads: 1, prune: false, split: 0 };
+    let engine = Engine::exhaustive();
     let cache = LcTransCache::unbounded(4);
     let (cold, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
     cache.advance_epoch();
@@ -178,7 +178,7 @@ fn epoch_bump_retires_summaries() {
 #[test]
 fn warm_space_seeds_the_bound_over_a_cold_table() {
     let cands = chain_candidates(8);
-    let engine = TreeEngine { threads: 1, prune: true, split: 0 };
+    let engine = Engine::with_threads(1);
     let cert = cands.certificate().expect("chain corpus is flow-certifiable");
     let (first, _) =
         search_compiled_cached(&engine, &cands, &LcTransCache::unbounded(4), Some(cert)).unwrap();
@@ -218,13 +218,13 @@ proptest! {
             choices,
         );
         let (flat, value) =
-            search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+            search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         prop_assert!(cands.certificate().is_some(), "search corpus is flow-certifiable");
         let cache = LcTransCache::clock_lru(2, 8);
         for engine in [
-            TreeEngine { threads: 2, prune: true, split: 1 },
-            TreeEngine { threads: 1, prune: true, split: 0 },
-            TreeEngine { threads: 1, prune: false, split: 0 },
+            Engine::with_threads(2),
+            Engine::with_threads(1),
+            Engine::exhaustive(),
         ] {
             let (out, v) =
                 search_compiled_cached(&engine, &cands, &cache, cands.certificate()).unwrap();

@@ -17,22 +17,23 @@ use lambda_rt::{
     OrdLossVal,
 };
 use proptest::prelude::*;
-use selc_engine::{Outcome, ParallelEngine, TreeEngine};
+use selc_engine::{Engine, Outcome};
 
-fn tree_engines() -> Vec<TreeEngine> {
+fn tree_engines() -> Vec<Engine> {
     vec![
-        TreeEngine::sequential(),
-        TreeEngine::with_threads(1),
-        TreeEngine::auto(), // SELC_THREADS workers
-        TreeEngine { threads: 2, prune: true, split: 1 },
-        TreeEngine { threads: 3, prune: false, split: 3 },
-        TreeEngine { threads: 2, prune: true, split: 2 },
+        Engine::exhaustive(),
+        Engine::with_threads(1),
+        Engine::auto(), // SELC_THREADS workers
+        // Split depths 3, 4 and 5, capped at the space's shallowest leaf.
+        Engine::with_threads(2),
+        Engine::with_threads(3).without_pruning(),
+        Engine::with_threads(8),
     ]
 }
 
 /// Runs every tree configuration against the flat sequential reference.
 fn assert_tree_equals_flat(cands: &LcCandidates, label: &str) {
-    let (flat, value) = search_compiled_flat(&ParallelEngine::exhaustive(), cands).unwrap();
+    let (flat, value) = search_compiled_flat(&Engine::exhaustive(), cands).unwrap();
     // The corpus emits only non-negative constant losses, so every
     // program must earn a flow certificate; pruned rounds run under it.
     let cert = cands.certificate();
@@ -57,11 +58,10 @@ fn assert_tree_equals_flat(cands: &LcCandidates, label: &str) {
         check(&out, &v, &format!("tree warm {engine:?}"));
         // Cross-warming between configurations: the exhaustive walk over
         // this engine's table, and this engine over an exhaustive fill.
-        let (out, v) =
-            search_compiled_cached(&TreeEngine::sequential(), cands, &cache, None).unwrap();
+        let (out, v) = search_compiled_cached(&Engine::exhaustive(), cands, &cache, None).unwrap();
         check(&out, &v, &format!("sequential over a {engine:?}-warmed table"));
         let sequential_filled = LcTransCache::from_env();
-        let _ = search_compiled_cached(&TreeEngine::sequential(), cands, &sequential_filled, None);
+        let _ = search_compiled_cached(&Engine::exhaustive(), cands, &sequential_filled, None);
         let (out, v) = search_compiled_cached(&engine, cands, &sequential_filled, cert).unwrap();
         check(&out, &v, &format!("tree over a sequential-warmed table {engine:?}"));
     }
@@ -144,9 +144,9 @@ proptest! {
             choices,
         );
         let (flat, value) =
-            search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+            search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         let cache = LcTransCache::from_env();
-        for engine in [TreeEngine::auto(), TreeEngine::sequential()] {
+        for engine in [Engine::auto(), Engine::exhaustive()] {
             let (out, v) =
                 search_compiled_cached(&engine, &cands, &cache, cands.certificate()).unwrap();
             prop_assert_eq!(out.index, flat.index);

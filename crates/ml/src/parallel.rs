@@ -1,9 +1,9 @@
 //! Engine-backed hyperparameter search (§4.3 "Hyperparameters" at
 //! scale): chunked parallel grid search over rebuilt programs, and
 //! branch-and-bound training-run tuning. Every entry point takes the
-//! flat [`ParallelEngine`] it runs on (`ParallelEngine::exhaustive()`
-//! for the index-order scan on the caller); a plain parallel argmin over a parameter grid with a loss
-//! closure is [`selc_engine::minimize`].
+//! [`Engine`] whose flat scan it runs on (`Engine::exhaustive()` for the
+//! index-order scan on the caller); a plain parallel argmin over a
+//! parameter grid with a loss closure is [`selc_engine::minimize`].
 //!
 //! Two entry points, both bit-identical in their winners to the
 //! sequential scans they parallelise (for NaN-free losses — see
@@ -33,10 +33,10 @@ use crate::hyper::{probe_grid_argmin, Lr};
 use crate::linreg::sgd_step;
 use crate::optimize::gd_handler;
 use selc::{handle, CacheStats, Handler, MemoChoice, Sel, SharedCache};
-use selc_engine::{CandidateEval, Outcome, ParallelEngine, SearchStats, SharedBound};
+use selc_engine::{minimize, Engine, SearchStats, SharedBound};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The result of a parallel tuning run.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,55 +86,6 @@ fn tune_batch_handler<A: Clone + 'static>(
         .build()
 }
 
-/// Evaluator for [`tune_lr_parallel`]: candidate `i` is the `i`-th batch
-/// of the grid; its loss is the best probed error inside the batch.
-struct BatchEval<'c, P> {
-    batches: Vec<Vec<f64>>,
-    program: P,
-    cache: Option<&'c SharedCache<u64, f64>>,
-    /// The shared cache's counters before the search.
-    base: CacheStats,
-    /// The per-activation memos' counters, summed over every run.
-    memo_stats: Mutex<CacheStats>,
-}
-
-impl<P, A> BatchEval<'_, P>
-where
-    P: Fn() -> Sel<f64, A> + Send + Sync,
-    A: Clone + 'static,
-{
-    /// Rebuilds the program and runs it against one batch; pure, so
-    /// rerunning the winner reproduces exactly the scored pair.
-    fn run_batch(&self, i: usize) -> (f64, f64, CacheStats) {
-        let stats = Rc::new(Cell::new(CacheStats::default()));
-        let h = tune_batch_handler(self.batches[i].clone(), self.cache.cloned(), Rc::clone(&stats));
-        let (_, pair) = handle(&h, (self.program)())
-            .run()
-            .expect("tuned program reached the top level with an unhandled operation");
-        (pair.0, pair.1, stats.get())
-    }
-}
-
-impl<P, A> CandidateEval<f64> for BatchEval<'_, P>
-where
-    P: Fn() -> Sel<f64, A> + Send + Sync,
-    A: Clone + 'static,
-{
-    fn eval(&self, i: usize, _bound: &SharedBound<f64>) -> Option<f64> {
-        let (_alpha, err, stats) = self.run_batch(i);
-        let mut total = self.memo_stats.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *total = total.merged(&stats);
-        Some(err)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        match self.cache {
-            Some(cache) => cache.stats().since(&self.base),
-            None => *self.memo_stats.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-}
-
 /// Parallel `tuneLR`: splits `grid` into batches of `batch_size`, probes
 /// each batch against a fresh rebuild of `program` on the worker pool,
 /// and merges batch winners deterministically. For programs that read
@@ -155,7 +106,7 @@ where
 ///
 /// Panics if `grid` is empty or `batch_size` is zero.
 pub fn tune_lr_parallel<P, A>(
-    engine: &ParallelEngine,
+    engine: &Engine,
     grid: Vec<f64>,
     batch_size: usize,
     program: P,
@@ -168,54 +119,62 @@ where
     assert!(!grid.is_empty(), "tune_lr_parallel needs at least one candidate rate");
     assert!(batch_size >= 1, "batch_size must be positive");
     let batches: Vec<Vec<f64>> = grid.chunks(batch_size).map(<[f64]>::to_vec).collect();
-    let n = batches.len();
-    let eval = BatchEval {
-        batches,
-        program,
-        cache,
-        base: cache.map(|c| c.stats()).unwrap_or_default(),
-        memo_stats: Mutex::default(),
+    // Rebuilds the program and runs it against batch `i`; pure, so
+    // rerunning the winner reproduces exactly the scored pair.
+    let run_batch = |i: usize| -> (f64, f64, CacheStats) {
+        let stats = Rc::new(Cell::new(CacheStats::default()));
+        let h = tune_batch_handler(batches[i].clone(), cache.cloned(), Rc::clone(&stats));
+        let (_, pair) = handle(&h, program())
+            .run()
+            .expect("tuned program reached the top level with an unhandled operation");
+        (pair.0, pair.1, stats.get())
     };
-    let out: Outcome<f64> = engine.search(n, &eval).expect("non-empty grid");
-    let (alpha, err, _) = eval.run_batch(out.index);
+    let base = cache.map(|c| c.stats()).unwrap_or_default();
+    // The per-activation memos' counters, summed over every run.
+    let memo_stats = Mutex::new(CacheStats::default());
+    // Candidate `i` is the `i`-th batch; its loss is the best probed
+    // error inside the batch.
+    let mut out = minimize(engine, batches.len(), |i| {
+        let (_alpha, err, stats) = run_batch(i);
+        let mut total = memo_stats.lock().unwrap_or_else(PoisonError::into_inner);
+        *total = total.merged(&stats);
+        err
+    })
+    .expect("non-empty grid");
+    out.stats.cache = match cache {
+        Some(cache) => cache.stats().since(&base),
+        None => memo_stats.into_inner().unwrap_or_else(PoisonError::into_inner),
+    };
+    let (alpha, err, _) = run_batch(out.index);
     TuneOutcome { alpha, err, stats: out.stats }
 }
 
-/// Evaluator for [`tune_training_run`]: candidate `i` is `grid[i]`; its
-/// loss is the cumulative squared error along a full handler-SGD
-/// training run. The running total is monotone non-decreasing, so it is
-/// consulted against the shared bound after every data point and the
-/// run aborts (`None`) as soon as it is strictly dominated.
-struct TrainEval {
-    grid: Vec<f64>,
-    data: Arc<Dataset>,
+/// One candidate of [`tune_training_run`]: the cumulative squared
+/// error along a full handler-SGD training run at rate `alpha`. The
+/// running total is monotone non-decreasing, so it is consulted against
+/// the shared bound after every data point and the run aborts (`None`)
+/// as soon as it is strictly dominated.
+fn train(
+    alpha: f64,
+    data: &Dataset,
     init: (f64, f64),
     epochs: usize,
-}
-
-impl TrainEval {
-    fn train(&self, alpha: f64, bound: &SharedBound<f64>) -> Option<f64> {
-        let h = gd_handler(alpha);
-        let mut p = vec![self.init.0, self.init.1];
-        let mut total = 0.0_f64;
-        for _ in 0..self.epochs {
-            for &(x, y) in &self.data.points {
-                p = sgd_step(&h, p, x, y);
-                let e = y - (p[0] * x + p[1]);
-                total += e * e;
-                if bound.dominated(&total) {
-                    return None;
-                }
+    bound: &SharedBound<f64>,
+) -> Option<f64> {
+    let h = gd_handler(alpha);
+    let mut p = vec![init.0, init.1];
+    let mut total = 0.0_f64;
+    for _ in 0..epochs {
+        for &(x, y) in &data.points {
+            p = sgd_step(&h, p, x, y);
+            let e = y - (p[0] * x + p[1]);
+            total += e * e;
+            if bound.dominated(&total) {
+                return None;
             }
         }
-        Some(total)
     }
-}
-
-impl CandidateEval<f64> for TrainEval {
-    fn eval(&self, i: usize, bound: &SharedBound<f64>) -> Option<f64> {
-        self.train(self.grid[i], bound)
-    }
+    Some(total)
 }
 
 /// Grid search over whole SGD training runs (handler SGD, one run per
@@ -227,17 +186,17 @@ impl CandidateEval<f64> for TrainEval {
 ///
 /// Panics if `grid` is empty.
 pub fn tune_training_run(
-    engine: &ParallelEngine,
+    engine: &Engine,
     grid: Vec<f64>,
     data: &Dataset,
     init: (f64, f64),
     epochs: usize,
 ) -> TuneOutcome {
     assert!(!grid.is_empty(), "tune_training_run needs at least one candidate rate");
-    let n = grid.len();
-    let eval = TrainEval { grid, data: Arc::new(data.clone()), init, epochs };
-    let out = engine.search(n, &eval).expect("non-empty grid");
-    TuneOutcome { alpha: eval.grid[out.index], err: out.loss, stats: out.stats }
+    let out = engine
+        .scan(grid.len(), |i, bound| train(grid[i], data, init, epochs, bound))
+        .expect("non-empty grid");
+    TuneOutcome { alpha: grid[out.index], err: out.loss, stats: out.stats }
 }
 
 #[cfg(test)]
@@ -256,11 +215,11 @@ mod tests {
         handle(&gd_handler_tuned(), prog)
     }
 
-    fn engines() -> Vec<ParallelEngine> {
+    fn engines() -> Vec<Engine> {
         vec![
-            ParallelEngine { threads: 1, chunk: 0, prune: true },
-            ParallelEngine { threads: 2, chunk: 1, prune: true },
-            ParallelEngine { threads: 4, chunk: 1, prune: false },
+            Engine::with_threads(1),
+            Engine::with_threads(2),
+            Engine::with_threads(4).without_pruning(),
         ]
     }
 
@@ -274,7 +233,7 @@ mod tests {
                 assert_eq!(out.alpha, seq_alpha, "batch {batch}");
             }
         }
-        let out = tune_lr_parallel(&ParallelEngine::exhaustive(), grid, 2, || step_prog(0.0), None);
+        let out = tune_lr_parallel(&Engine::exhaustive(), grid, 2, || step_prog(0.0), None);
         assert_eq!(out.alpha, seq_alpha);
     }
 
@@ -284,7 +243,7 @@ mod tests {
         // the counters must surface through SearchStats.
         let grid = vec![0.5, 0.5, 1.0, 1.0];
         let out = tune_lr_parallel(
-            &ParallelEngine { threads: 2, chunk: 1, prune: false },
+            &Engine::with_threads(2).without_pruning(),
             grid,
             2,
             || step_prog(0.0),
@@ -298,7 +257,7 @@ mod tests {
     #[test]
     fn programs_that_never_read_the_rate_fall_back_to_first_entry() {
         let out = tune_lr_parallel(
-            &ParallelEngine::with_threads(2),
+            &Engine::with_threads(2),
             vec![0.25, 0.75],
             1,
             || Sel::<f64, Vec<f64>>::pure(vec![]),
@@ -314,15 +273,14 @@ mod tests {
         // 0.05 converges; the large rates diverge violently.
         let grid = vec![2.0, 1.5, 0.05, 1.2, 1.9];
         let seq_exhaustive =
-            tune_training_run(&ParallelEngine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 2);
+            tune_training_run(&Engine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 2);
         assert_eq!(seq_exhaustive.alpha, 0.05);
         for eng in engines() {
             let out = tune_training_run(&eng, grid.clone(), &data, (0.0, 0.0), 2);
             assert_eq!(out.alpha, seq_exhaustive.alpha);
             assert_eq!(out.err, seq_exhaustive.err, "winner loss is bit-identical");
         }
-        let pruned =
-            tune_training_run(&ParallelEngine::with_threads(1), grid, &data, (0.0, 0.0), 2);
+        let pruned = tune_training_run(&Engine::with_threads(1), grid, &data, (0.0, 0.0), 2);
         assert_eq!(pruned.alpha, 0.05);
         assert!(pruned.stats.pruned >= 1, "diverging rates abort early: {:?}", pruned.stats);
     }

@@ -3,10 +3,12 @@
 //! `tune_training_run`, compared by `to_bits()` against values recorded
 //! from the runtime before its allocation-lean rewrite. Any change to the
 //! order or operands of a loss `combine` or a finite-difference probe
-//! shows up here as a flipped bit.
+//! shows up here as a flipped bit. The tuning cases also pin how many
+//! runs one pruning worker trains and abandons, so a change to the
+//! engine's pruning decisions shows up even when the winner survives it.
 
 use rand::{Rng, SeedableRng};
-use selc_engine::ParallelEngine;
+use selc_engine::Engine;
 use selc_ml::dataset::Dataset;
 use selc_ml::linreg::train_handler_sgd;
 use selc_ml::parallel::tune_training_run;
@@ -48,28 +50,33 @@ fn diverging_handler_sgd_is_bit_identical() {
     assert_eq!((w.to_bits(), b.to_bits()), (0xc4be_caa4_8ec6_1850, 0x44aa_b56b_1234_4afc));
 }
 
-/// `(seed, alpha bits, err bits)`: an 8-rate grid drawn from `seed`,
-/// tuned over 2 epochs of 24 points drawn from the same seed.
-const TUNE: [(u64, u64, u64); 4] = [
-    (1, 0x3fbf_28a6_3599_41d5, 0x4000_2513_a1a5_6e60),
-    (2, 0x3fc4_cd46_2488_7e5e, 0x3ffc_94e9_dae2_d3e2),
-    (3, 0x3fc7_af0d_927f_9e98, 0x4001_2aeb_271b_cbc0),
-    (4, 0x3fc2_6922_ede4_7b51, 0x4001_f028_9700_4e14),
+/// `(seed, alpha bits, err bits, evaluated, pruned)`: an 8-rate grid
+/// drawn from `seed`, tuned over 2 epochs of 24 points drawn from the
+/// same seed. The last two are the pruning decisions of one pruning
+/// worker, which scans the grid in index order: runs trained to the end,
+/// and runs abandoned once their running loss was strictly dominated.
+const TUNE: [(u64, u64, u64, u64, u64); 4] = [
+    (1, 0x3fbf_28a6_3599_41d5, 0x4000_2513_a1a5_6e60, 3, 5),
+    (2, 0x3fc4_cd46_2488_7e5e, 0x3ffc_94e9_dae2_d3e2, 1, 7),
+    (3, 0x3fc7_af0d_927f_9e98, 0x4001_2aeb_271b_cbc0, 2, 6),
+    (4, 0x3fc2_6922_ede4_7b51, 0x4001_f028_9700_4e14, 3, 5),
 ];
 
 #[test]
 fn training_run_tuning_is_bit_identical() {
-    for (seed, alpha_bits, err_bits) in TUNE {
+    for (seed, alpha_bits, err_bits, evaluated, pruned) in TUNE {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let grid: Vec<f64> = (0..8).map(|_| 0.005 + 0.4 * rng.gen::<f64>()).collect();
         let data = Dataset::linear(24, 2.0, -1.0, 0.1, seed);
-        for engine in [ParallelEngine::exhaustive(), ParallelEngine::with_threads(2)] {
+        for engine in [Engine::exhaustive(), Engine::with_threads(1), Engine::with_threads(2)] {
             let out = tune_training_run(&engine, grid.clone(), &data, (0.0, 0.0), 2);
             assert_eq!(
                 (out.alpha.to_bits(), out.err.to_bits()),
                 (alpha_bits, err_bits),
-                "seed {seed}"
+                "seed {seed} {engine:?}"
             );
         }
+        let out = tune_training_run(&Engine::with_threads(1), grid, &data, (0.0, 0.0), 2);
+        assert_eq!((out.stats.evaluated, out.stats.pruned), (evaluated, pruned), "seed {seed}");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! This crate sits *below* every other workspace crate (it depends on
 //! nothing, not even `selc`), so any layer — the cache's shard locks,
-//! the engines' worker loops, the serve daemon's request path — can be
+//! the engine's worker loop, the serve daemon's request path — can be
 //! instrumented without a dependency cycle. It has two halves:
 //!
 //! * [`metrics`] — a process-global registry of named [atomic counters]

@@ -3,7 +3,7 @@
 //!
 //! The theory core of this crate stays dependency-free; this module is
 //! the bridge from its sequential product to the flat
-//! [`ParallelEngine`] (whose `exhaustive()` form is the index-order
+//! [`Engine`] (whose `exhaustive()` form is the index-order
 //! scan on the caller). [`par_product_root`] is a drop-in for the sequential form and returns
 //! **the same play** (bit-identical, earliest-tie) — the differential
 //! tests below hold it to that. A plain parallel argmin of a closure is
@@ -25,7 +25,7 @@
 
 use crate::product::{big_product_dep, Stage};
 use crate::sel::LossFn;
-use selc_engine::{minimize, ParallelEngine};
+use selc_engine::{minimize, Engine};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// # Panics
 ///
 /// Panics if `root` is empty.
-pub fn par_product_root<X, R, F>(engine: &ParallelEngine, root: Vec<X>, rest: R, loss: F) -> Vec<X>
+pub fn par_product_root<X, R, F>(engine: &Engine, root: Vec<X>, rest: R, loss: F) -> Vec<X>
 where
     X: Clone + Send + Sync + 'static,
     R: Fn() -> Vec<Stage<X, f64>> + Send + Sync,
@@ -79,16 +79,16 @@ mod tests {
         let xs: Vec<i64> = (0..100).map(|i| (i * 31) % 17).collect();
         let loss = |x: &i64| (*x - 9) as f64 * (*x - 9) as f64;
         let seq = argmin_by(xs.clone(), loss);
-        let par = minimize(&ParallelEngine::with_threads(3), xs.len(), |i| loss(&xs[i]));
+        let par = minimize(&Engine::with_threads(3), xs.len(), |i| loss(&xs[i]));
         assert_eq!(xs[par.expect("non-empty").index], seq);
-        let eng = minimize(&ParallelEngine::exhaustive(), xs.len(), |i| loss(&xs[i]));
+        let eng = minimize(&Engine::exhaustive(), xs.len(), |i| loss(&xs[i]));
         assert_eq!(xs[eng.expect("non-empty").index], seq);
     }
 
     #[test]
     fn par_argmax_matches_sequential_scan() {
         let xs: Vec<i64> = (0..60).map(|i| (i * 13) % 23).collect();
-        let par = minimize(&ParallelEngine::with_threads(3), xs.len(), |i| -(xs[i] as f64));
+        let par = minimize(&Engine::with_threads(3), xs.len(), |i| -(xs[i] as f64));
         assert_eq!(xs[par.expect("non-empty").index], argmax_by(xs.clone(), |x| *x as f64));
     }
 
@@ -110,12 +110,11 @@ mod tests {
         stages.extend(mk_rest());
         let sequential = big_product_dep(stages).select(move |p: &Vec<usize>| loss(p));
         for threads in [1, 2, 3] {
-            let engine = ParallelEngine::with_threads(threads);
+            let engine = Engine::with_threads(threads);
             let parallel = par_product_root(&engine, (0..3).collect(), mk_rest, loss);
             assert_eq!(parallel, sequential, "threads {threads}");
         }
-        let exhaustive =
-            par_product_root(&ParallelEngine::exhaustive(), (0..3).collect(), mk_rest, loss);
+        let exhaustive = par_product_root(&Engine::exhaustive(), (0..3).collect(), mk_rest, loss);
         assert_eq!(exhaustive, sequential);
     }
 }

@@ -66,7 +66,7 @@ pub const MAX_METRIC_NAME: usize = 128;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
     /// `lambda_c::testgen::deep_decide_chain(choices)` compiled and
-    /// searched on the tree engine (space `2^choices`).
+    /// searched by the engine's tree walk (space `2^choices`).
     Chain {
         /// Nested decisions; validated to `1..=24`.
         choices: u8,

@@ -12,7 +12,7 @@ use crate::protocol::{WireStats, Workload};
 use crate::tenants::Tenant;
 use lambda_rt::{search_compiled_cached_with, LcCandidates};
 use selc_cache::CacheStats;
-use selc_engine::{CancelToken, SearchResult, SearchStats, TreeEngine};
+use selc_engine::{CancelToken, Engine, SearchResult, SearchStats};
 use selc_obs::{metrics, Counter};
 use std::sync::LazyLock;
 
@@ -175,7 +175,7 @@ fn wire_stats(s: &SearchStats) -> WireStats {
 /// # Panics
 ///
 /// Panics if the workload was not [`validate`]d (e.g. a zero-choice
-/// chain would make the engines' non-empty-space invariants fire).
+/// chain would make the engine's non-empty-space invariants fire).
 pub fn run(tenant: &Tenant, w: &Workload, cancel: &CancelToken, deadline_bound: bool) -> Ran {
     match *w {
         Workload::Chain { choices } => {
@@ -184,7 +184,7 @@ pub fn run(tenant: &Tenant, w: &Workload, cancel: &CancelToken, deadline_bound: 
                 FLOW_METRICS.shape_rejected.inc();
                 return Ran::Rejected(msg);
             }
-            let engine = TreeEngine::auto();
+            let engine = Engine::auto();
             // Prune only behind a flow certificate *and* a live
             // deadline: an uncertified program must not prune at all
             // (negative losses would make pruning unsound), and an
@@ -269,7 +269,6 @@ fn game_done(branching: u8, play: &[usize], value: f64, leaves: u64, delta: Cach
 mod tests {
     use super::*;
     use crate::tenants::Tenants;
-    use selc_engine::ParallelEngine;
 
     #[test]
     fn validation_rejects_degenerate_and_oversized_workloads() {
@@ -326,7 +325,7 @@ mod tests {
             panic!("never token cannot time out");
         };
         let (reference, _) =
-            lambda_rt::search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+            lambda_rt::search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         assert_eq!(index, reference.index as u64);
         assert_eq!(loss.to_bits(), reference.loss.0.as_scalar().to_bits());
         assert!(stats.pruned > 0, "the certified arm prunes: {stats:?}");
@@ -343,7 +342,7 @@ mod tests {
         };
         let cands = tenant.chain(7);
         let (reference, _) =
-            lambda_rt::search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+            lambda_rt::search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         assert_eq!(index, reference.index as u64);
         assert_eq!(loss.to_bits(), reference.loss.0.as_scalar().to_bits());
         assert!(stats.cache_insertions > 0, "cold run fills the tenant table");
@@ -415,7 +414,7 @@ mod tests {
         };
         let cands = tenant.chain(6);
         let (reference, _) =
-            lambda_rt::search_compiled_flat(&ParallelEngine::exhaustive(), &cands).unwrap();
+            lambda_rt::search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         assert_eq!(index, reference.index as u64);
     }
 }

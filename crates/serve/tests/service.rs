@@ -35,9 +35,8 @@ fn direct_chain(choices: u8) -> (u64, f64) {
         ["decide".to_owned()],
         u32::from(choices),
     );
-    let (out, _) =
-        lambda_rt::search_compiled_flat(&selc_engine::ParallelEngine::exhaustive(), &cands)
-            .expect("non-empty space");
+    let (out, _) = lambda_rt::search_compiled_flat(&selc_engine::Engine::exhaustive(), &cands)
+        .expect("non-empty space");
     (out.index as u64, out.loss.0.as_scalar())
 }
 

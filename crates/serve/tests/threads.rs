@@ -5,7 +5,7 @@
 //! go meanwhile.
 #![cfg(target_os = "linux")]
 
-use selc_engine::{configured_threads, minimize, ParallelEngine};
+use selc_engine::{configured_threads, minimize, Engine};
 use selc_serve::{Client, Response, ServeConfig, Server, Workload};
 
 fn os_threads() -> usize {
@@ -15,7 +15,7 @@ fn os_threads() -> usize {
 #[test]
 fn serving_adds_the_accept_thread_and_one_thread_per_session() {
     // Warm the engine pool to the width every served search asks for.
-    minimize(&ParallelEngine::with_threads(configured_threads()), 64, |i| (i % 7) as f64)
+    minimize(&Engine::with_threads(configured_threads()), 64, |i| (i % 7) as f64)
         .expect("non-empty space");
     let before = os_threads();
     let server = Server::spawn(ServeConfig::loopback(4, 8)).expect("bind loopback");

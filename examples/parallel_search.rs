@@ -7,7 +7,7 @@
 //! SELC_THREADS=4 cargo run --release --example parallel_search
 //! ```
 
-use selc_engine::{configured_threads, ParallelEngine};
+use selc_engine::{configured_threads, Engine};
 use selc_games::bimatrix::Matrix;
 use selc_games::parallel::{minimax_root_split, queens_parallel};
 use selc_games::queens::is_solution;
@@ -23,7 +23,7 @@ fn main() {
     //    one row with the ordinary hmin handler; the winner is
     //    bit-identical to the sequential hmax ∘ hmin nesting.
     let table = Matrix::random(8, 8, 42);
-    let engine = ParallelEngine::auto();
+    let engine = Engine::auto();
     let ((row, col), value) = minimax_root_split(&table, &engine);
     let (srow, scol, svalue) = table.maximin();
     assert_eq!(((row, col), value), ((srow, scol), svalue));
@@ -34,7 +34,7 @@ fn main() {
     let data = Dataset::linear(24, 2.0, -1.0, 0.05, 3);
     let grid = vec![0.02, 1.4, 1.6, 0.05, 1.8, 2.0, 0.08, 1.2];
     let tuned = tune_training_run(&engine, grid.clone(), &data, (0.0, 0.0), 3);
-    let sequential = tune_training_run(&ParallelEngine::exhaustive(), grid, &data, (0.0, 0.0), 3);
+    let sequential = tune_training_run(&Engine::exhaustive(), grid, &data, (0.0, 0.0), 3);
     assert_eq!(tuned.alpha, sequential.alpha);
     println!(
         "training-run grid: rate {} (total loss {:.3}) — {} runs finished, {} aborted early",
