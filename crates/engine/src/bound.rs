@@ -16,6 +16,12 @@
 //! non-strict test (`lb ≥ best`) would break tie-breaking: an
 //! earlier-indexed candidate tying the current best could be dropped even
 //! though the sequential scan would have kept it.
+//!
+//! The argument needs `best` achieved in the *same* space, not in the
+//! same search. So a bound may outlive a search: a tree evaluator over an
+//! immutable program can keep one for its space and hand it to every
+//! walk ([`crate::TreeEval::bound`]), and each walk then prunes from its
+//! first node against what earlier walks achieved.
 
 use selc::OrderedLoss;
 use selc_check::sync::atomic::{AtomicU64, Ordering};
@@ -53,25 +59,12 @@ impl<L: OrderedLoss> SharedBound<L> {
     /// Publishes an *achieved* loss, tightening the bound if it improves.
     pub fn observe(&self, achieved: &L) {
         if let Some(bits) = achieved.prune_bits() {
-            self.observe_bits(bits);
+            // ordering: Relaxed — the bound is a monotone hint. fetch_min
+            // never loosens it, and a reader seeing a stale (larger)
+            // value only misses a pruning opportunity; no data is
+            // published through this word.
+            self.bits.fetch_min(bits, Ordering::Relaxed);
         }
-    }
-
-    /// Publishes an already-encoded *achieved* loss (the
-    /// [`OrderedLoss::prune_bits`] encoding). The soundness condition is
-    /// the same as [`SharedBound::observe`]'s: `bits` must encode a loss
-    /// some candidate of **this** space actually attains — e.g. the best
-    /// cached value from a previous search over the same immutable
-    /// program, which is how warm searches seed the bound before the
-    /// first batch. Never seed with a lower bound: domination is checked
-    /// against achieved losses, and an unattained value could prune the
-    /// true winner.
-    pub fn observe_bits(&self, bits: u64) {
-        // ordering: Relaxed — the bound is a monotone hint. fetch_min
-        // never loosens it, and a reader seeing a stale (larger) value
-        // only misses a pruning opportunity; no data is published
-        // through this word.
-        self.bits.fetch_min(bits, Ordering::Relaxed);
     }
 
     /// Is a candidate with lower bound `lb` strictly dominated by an
@@ -119,17 +112,6 @@ mod tests {
         b.observe(&2.0);
         assert!(b.dominated(&3.0));
         assert!(!b.dominated(&2.0));
-    }
-
-    #[test]
-    fn seeding_encoded_bits_matches_observing_the_loss() {
-        use selc::OrderedLoss as _;
-        let b: SharedBound<f64> = SharedBound::new();
-        b.observe_bits(5.0f64.prune_bits().unwrap());
-        assert!(b.dominated(&6.0));
-        assert!(!b.dominated(&5.0), "seeding keeps strict domination");
-        b.observe_bits(u64::MAX); // the UNSET sentinel: a no-op seed
-        assert!(b.dominated(&6.0));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! sound, because it only ever publishes facts that do not depend on
 //! completing:
 //!
-//! * achieved losses fed to the `SharedBound` (and to best-seen mirrors)
-//!   were really achieved by a fully evaluated candidate;
+//! * achieved losses fed to a `SharedBound` (which may outlive the
+//!   search) were really achieved by a fully evaluated candidate;
 //! * subtree summaries are **not** installed along an aborted path: the
 //!   tree walker returns an aborted subtree as inexact with no lower
 //!   bound, which the install rules (exact requires both children exact,

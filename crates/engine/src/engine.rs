@@ -94,9 +94,10 @@ pub struct SearchStats {
     pub pruned: u64,
     /// Workers the search ran with (1 for [`Engine::exhaustive`]).
     pub threads: usize,
-    /// Cache counters reported by the evaluator: memoised probes and/or
-    /// shared-table traffic during this search. For a tree evaluator
-    /// whose table holds only subtree summaries (`lambda_rt::LcTransCache`)
+    /// Cache counters of this search: memoised probes and/or
+    /// shared-table traffic. The engine leaves them empty; the caller
+    /// that owns the table fills them in from its own counters. For a
+    /// table that holds only subtree summaries (`lambda_rt::LcTransCache`)
     /// this is the table-level view of the traffic `summary` breaks down.
     pub cache: CacheStats,
     /// Subtree-summary traffic (tree searches only; all-zero for the
@@ -252,12 +253,12 @@ impl<L: OrderedLoss> Partial<L> {
 
     /// The search's result: stats, the once-per-search metrics fold, and
     /// `Complete` or `Cancelled`.
-    pub(crate) fn finish(self, threads: usize, cache: CacheStats) -> SearchResult<L> {
+    pub(crate) fn finish(self, threads: usize) -> SearchResult<L> {
         let stats = SearchStats {
             evaluated: self.evaluated,
             pruned: self.pruned,
             threads,
-            cache,
+            cache: CacheStats::default(),
             summary: self.summary,
         };
         record_search_metrics(&stats, self.aborted);
@@ -377,7 +378,7 @@ impl Engine {
                 true
             },
         );
-        Partial::merged(parts, drained).finish(threads, CacheStats::default()).into_outcome()
+        Partial::merged(parts, drained).finish(threads).into_outcome()
     }
 }
 

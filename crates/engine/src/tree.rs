@@ -11,14 +11,16 @@
 //!
 //! [`Engine::search`] drives the DFS:
 //!
-//! * **The bound at every interior node** — completed leaves feed the
-//!   same [`SharedBound`] the flat scan uses; a subtree whose
-//!   lower-bound hint is *strictly* dominated is skipped whole.
+//! * **The bound at every interior node** — completed leaves feed a
+//!   [`SharedBound`]: the evaluator's own when it keeps one for its
+//!   space ([`TreeEval::bound`]), else a fresh one per search. A subtree
+//!   whose lower-bound hint is *strictly* dominated is skipped whole.
 //! * **Best-first child ordering** — children are visited cheapest
-//!   hint first (ties toward the `true` branch), so small losses are
-//!   found early and the bound tightens before the expensive siblings
-//!   run. This pays even on one core — it is an evaluation-order
-//!   improvement, not a parallelism trick.
+//!   estimate first (a leaf's loss, a node's lower-bound hint; ties
+//!   toward the `true` branch), so small losses are found early and the
+//!   bound tightens before the expensive siblings run. This pays even on
+//!   one core — it is an evaluation-order improvement, not a
+//!   parallelism trick.
 //! * **Subtree-granularity distribution** — through the engine's one
 //!   worker loop (the caller being worker 0), workers claim decision
 //!   *prefixes* of one split depth from the saturating
@@ -36,12 +38,12 @@
 //!   a *bound* entry skips the subtree when strictly dominated by an
 //!   achieved loss. Fully-evaluated subtrees install exact entries on
 //!   the way back up, pruned ones install bound entries
-//!   ([`TreeEval::install_summary`]), and [`TreeEval::seed_bits`] warm-
-//!   starts the shared bound from the best previously-achieved loss so
-//!   repeats prune from the first node. The engine always probes and
+//!   ([`TreeEval::install_summary`]). The engine always probes and
 //!   installs; an evaluator without a table keeps the trait's no-op
 //!   defaults, so "does this walk cache?" is "does the evaluator have a
-//!   table?".
+//!   table?". Likewise an evaluator that keeps its bound across searches
+//!   makes a repeat prune from its first node; one that does not gets a
+//!   fresh bound each time.
 //!
 //! # Determinism
 //!
@@ -59,7 +61,7 @@ use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
 use crate::engine::{fan_out, keep_better, Engine, Outcome, Partial, SearchResult};
 use selc::OrderedLoss;
-use selc_cache::{CacheStats, SubtreeSummary};
+use selc_cache::SubtreeSummary;
 use selc_obs::{trace, SpanLabel};
 
 /// Span label for one claimed subtree's depth-first descent; the span
@@ -85,10 +87,9 @@ pub enum TreeStep<N, L> {
         /// The evaluator's node handle (thread-local; never crosses
         /// workers).
         node: N,
-        /// A cheap partial-loss estimate for best-first ordering; a true
-        /// lower bound on every leaf beneath when
-        /// [`TreeEval::hint_is_lower_bound`] holds, enabling subtree
-        /// pruning against the shared bound.
+        /// A true lower bound on every leaf beneath, or nothing. It
+        /// orders the node among its siblings (best-first) and prunes
+        /// the subtree when strictly dominated by the bound.
         hint: Option<L>,
     },
     /// The evaluator abandoned the subtree mid-expansion (its own
@@ -164,13 +165,6 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
         len: u32,
     ) -> TreeStep<Self::Node, L>;
 
-    /// Whether node hints are true lower bounds on every leaf beneath
-    /// them (e.g. accumulated non-negative losses). When `false`, hints
-    /// still order children but never prune.
-    fn hint_is_lower_bound(&self) -> bool {
-        false
-    }
-
     /// The shallowest depth at which a leaf can occur — a work-partition
     /// hint (e.g. from a static decision-shape analysis). The parallel
     /// walk caps its split depth here: fanning out below the shallowest
@@ -180,12 +174,6 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     /// so the default claims no information.
     fn min_leaf_depth(&self) -> u32 {
         self.depth()
-    }
-
-    /// Cache counters accumulated by the evaluator (merged into
-    /// [`crate::SearchStats::cache`] after the search).
-    fn cache_stats(&self) -> CacheStats {
-        CacheStats::default()
     }
 
     /// Probes the evaluator's subtree-summary table at interior position
@@ -203,14 +191,13 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     /// no-op.
     fn install_summary(&self, _bits: u64, _len: u32, _summary: SubtreeSummary<L>) {}
 
-    /// The best *achieved* loss already known for this space, in the
-    /// [`OrderedLoss::prune_bits`] encoding — e.g. the best leaf loss a
-    /// previous search over the same immutable program achieved.
-    /// Seeds the [`SharedBound`] before the first leaf completes, so a
-    /// warm search prunes from its very first subtree. Soundness: only
-    /// report losses some candidate of this space actually attains
-    /// (never a lower bound), or pruning could drop the true winner.
-    fn seed_bits(&self) -> Option<u64> {
+    /// The bound the walk prunes against, when the evaluator keeps one
+    /// for its space; `None` (the default) gives each search a fresh
+    /// one. A kept bound persists across searches, so a repeat prunes
+    /// from its first node. Soundness: publish into it only losses some
+    /// candidate of this space actually achieved (never a lower bound),
+    /// or pruning could drop the true winner (see [`crate::bound`]).
+    fn bound(&self) -> Option<&SharedBound<L>> {
         None
     }
 }
@@ -262,16 +249,9 @@ impl Engine {
         };
         // One worker per subtree root at most: the rest could claim nothing.
         let threads = threads.min(1 << split);
-        let bound = SharedBound::new();
-        if self.prune {
-            // Warm-start: the best loss a previous search over the same
-            // space achieved dominates subtrees before the first leaf of
-            // this one completes.
-            if let Some(bits) = eval.seed_bits() {
-                bound.observe_bits(bits);
-            }
-        }
-        let walker = Walker { eval, bound: &bound, prune: self.prune, depth, cancel };
+        let fresh = SharedBound::new();
+        let bound = eval.bound().unwrap_or(&fresh);
+        let walker = Walker { eval, bound, prune: self.prune, depth, cancel };
 
         let (parts, drained) =
             fan_out(threads, 1_usize << split, 1, cancel, |part: &mut Partial<L>, start, _| {
@@ -283,7 +263,7 @@ impl Engine {
                 }
                 !part.aborted
             });
-        Partial::merged(parts, drained).finish(threads, eval.cache_stats())
+        Partial::merged(parts, drained).finish(threads)
     }
 }
 
@@ -387,13 +367,9 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     }
                     SummaryProbe::Miss => part.summary.misses += 1,
                 }
-                if self.prune && self.eval.hint_is_lower_bound() {
-                    if let Some(h) = &hint {
-                        if self.bound.dominated(h) {
-                            part.pruned += 1;
-                            return Sub { best: None, lb: hint, exact: false };
-                        }
-                    }
+                if self.prune && hint.as_ref().is_some_and(|h| self.bound.dominated(h)) {
+                    part.pruned += 1;
+                    return Sub { best: None, lb: hint, exact: false };
                 }
                 // Expand both children (one shared-prefix step each),
                 // then descend cheapest estimate first so the bound is
@@ -404,11 +380,10 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                 let f_bits = (bits << 1) | 1;
                 let t_step = self.eval.child(&node, true, t_bits, len + 1);
                 let f_step = self.eval.child(&node, false, f_bits, len + 1);
-                let false_first =
-                    matches!(
-                        (estimate(&t_step), estimate(&f_step)),
-                        (Some(et), Some(ef)) if ef.cmp_loss(et) == std::cmp::Ordering::Less
-                    ) || matches!((estimate(&t_step), estimate(&f_step)), (None, Some(_)));
+                let false_first = match (estimate(&t_step), estimate(&f_step)) {
+                    (Some(et), Some(ef)) => ef.cmp_loss(et) == std::cmp::Ordering::Less,
+                    (et, ef) => et.is_none() && ef.is_some(),
+                };
                 let [(first, first_bits), (second, second_bits)] = if false_first {
                     [(f_step, f_bits), (t_step, t_bits)]
                 } else {
@@ -428,12 +403,8 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     keep_better(&mut best, candidate);
                 }
                 let exact = a.exact && b.exact;
-                let lb = match (a.lb, b.lb) {
-                    (Some(x), Some(y)) => {
-                        Some(if y.cmp_loss(&x) == std::cmp::Ordering::Less { y } else { x })
-                    }
-                    _ => None,
-                };
+                // Ties keep `a`'s bound.
+                let lb = a.lb.zip(b.lb).map(|(x, y)| std::cmp::min_by(x, y, L::cmp_loss));
                 if exact {
                     // Fully evaluated: the subtree's true argmin, ties
                     // included — answerable on the next visit.
@@ -548,9 +519,6 @@ mod tests {
             len: u32,
         ) -> TreeStep<(u64, u32), f64> {
             self.step(path, len)
-        }
-        fn hint_is_lower_bound(&self) -> bool {
-            self.hints
         }
     }
 
@@ -745,12 +713,12 @@ mod tests {
     }
 
     /// A [`TableTree`] with a real summary table (plain mutexed map — the
-    /// engine contract, not the sharded cache, is under test here) and an
-    /// achieved-loss seed for the shared bound.
+    /// engine contract, not the sharded cache, is under test here) and a
+    /// bound kept across its searches.
     struct SummaryTree {
         inner: TableTree,
         table: Mutex<std::collections::HashMap<(u64, u32), SubtreeSummary<f64>>>,
-        seed: Mutex<Option<u64>>,
+        bound: SharedBound<f64>,
     }
 
     impl SummaryTree {
@@ -758,7 +726,7 @@ mod tests {
             SummaryTree {
                 inner: TableTree::new(losses, hints),
                 table: Mutex::new(std::collections::HashMap::new()),
-                seed: Mutex::new(None),
+                bound: SharedBound::new(),
             }
         }
     }
@@ -780,9 +748,6 @@ mod tests {
         ) -> TreeStep<(u64, u32), f64> {
             self.inner.child(node, decision, path, len)
         }
-        fn hint_is_lower_bound(&self) -> bool {
-            self.inner.hint_is_lower_bound()
-        }
         fn probe_summary(&self, bits: u64, len: u32) -> SummaryProbe<f64> {
             match self.table.lock().unwrap().get(&(bits, len)) {
                 Some(s) => SummaryProbe::from(*s),
@@ -792,8 +757,8 @@ mod tests {
         fn install_summary(&self, bits: u64, len: u32, summary: SubtreeSummary<f64>) {
             self.table.lock().unwrap().insert((bits, len), summary);
         }
-        fn seed_bits(&self) -> Option<u64> {
-            *self.seed.lock().unwrap()
+        fn bound(&self) -> Option<&SharedBound<f64>> {
+            Some(&self.bound)
         }
     }
 
@@ -842,14 +807,15 @@ mod tests {
 
     #[test]
     fn seeded_bound_prunes_from_the_first_subtree() {
-        // Losses descend towards index 0; seed the bound with the known
-        // winner's loss (achieved by candidate 0) and the whole `false`
-        // half of the tree is dominated before any leaf completes.
+        // Losses descend towards index 0; the evaluator's bound already
+        // holds the known winner's loss (achieved by candidate 0), so the
+        // whole `false` half of the tree is dominated before any leaf
+        // completes.
         let losses: Vec<f64> = (0..64).map(f64::from).collect();
         let eval = SummaryTree::new(losses, true);
-        *eval.seed.lock().unwrap() = selc::OrderedLoss::prune_bits(&0.0f64);
+        eval.bound.observe(&0.0);
         let out = Engine::with_threads(1).search(&eval).unwrap();
-        assert_eq!((out.index, out.loss), (0, 0.0), "seeding never changes the winner");
+        assert_eq!((out.index, out.loss), (0, 0.0), "a kept bound never changes the winner");
         // Only the winner's own path survives: the winner, its sibling
         // leaf (single leaves are never hint-pruned), and one dominated
         // subtree skip per level above them.

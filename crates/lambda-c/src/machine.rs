@@ -43,7 +43,8 @@
 //! decision scripted from a prefix, suspending past it as a
 //! [`ChoicePoint`] (a full prefix is one search candidate), and a
 //! **prune hook** aborts a run whose ambient partial loss is already
-//! strictly worse than a shared bound (sound for non-negative losses).
+//! strictly worse than a loss some run achieved (sound for non-negative
+//! losses).
 //! Resuming a point copies a fixed-size snapshot (the running partial, a
 //! shared pointer to the forced-op set), so a resume costs the same at
 //! every depth. Each point also records the decision site that suspended
@@ -57,7 +58,6 @@ use crate::syntax::Const;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -308,17 +308,21 @@ impl fmt::Display for MachError {
 
 impl std::error::Error for MachError {}
 
-/// Mid-run pruning: abort when the encoded ambient partial loss is
-/// strictly above `threshold` (a shared mirror of the engine's best
-/// achieved loss, in the same monotone `prune_bits` encoding). Sound only
-/// when later emissions cannot decrease the total (non-negative losses).
-#[derive(Clone)]
-pub struct MachinePrune {
-    /// Best achieved loss so far, encoded; `u64::MAX` means none yet.
-    pub threshold: Arc<AtomicU64>,
-    /// The monotone order embedding (e.g. `OrdLossVal::prune_bits`).
-    pub encode: fn(&LossVal) -> u64,
+/// What a [`MachinePrune`] hook asks after every ambient emission.
+pub trait PruneBound: Send + Sync {
+    /// Is the ambient partial loss `partial` strictly dominated: strictly
+    /// worse than a loss some run of the same program achieved?
+    fn dominated(&self, partial: &LossVal) -> bool;
 }
+
+/// Mid-run pruning: abort a run as soon as its ambient partial loss is
+/// [`PruneBound::dominated`]. Sound only when later emissions cannot
+/// decrease the total (non-negative losses), so the partial bounds the
+/// run's total from below. The engine bridge (`lambda-rt`) answers over
+/// its candidate space's best achieved loss; a stale answer may only
+/// under-prune.
+#[derive(Clone)]
+pub struct MachinePrune(pub Arc<dyn PruneBound>);
 
 impl fmt::Debug for MachinePrune {
     fmt_summary!("MachinePrune");
@@ -485,13 +489,8 @@ impl Machine {
     fn emit(&mut self, buf: &mut LossBuf, l: LossVal) -> Result<(), MachError> {
         if self.capture_depth == 0 {
             self.partial = self.partial.add(&l);
-            if let Some(p) = &self.prune {
-                // ordering: Relaxed — the threshold mirrors the shared
-                // bound's monotone hint: a stale (larger) value only
-                // under-prunes, it can never wrongly abort a run.
-                if (p.encode)(&self.partial) > p.threshold.load(Ordering::Relaxed) {
-                    return Err(MachError::Pruned);
-                }
+            if self.prune.as_ref().is_some_and(|p| p.0.dominated(&self.partial)) {
+                return Err(MachError::Pruned);
             }
         } else if !l.is_zero() {
             buf.push(l);
@@ -1395,13 +1394,12 @@ mod tests {
         assert_eq!(real.ground_value(), t.ground_value());
     }
 
-    /// The f64 sort-key embedding (sign-flip trick) on the scalar.
-    fn scalar_key(l: &LossVal) -> u64 {
-        let bits = l.as_scalar().to_bits();
-        if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | (1 << 63)
+    /// Dominates every partial whose scalar reading is above `.0`.
+    struct Above(f64);
+
+    impl PruneBound for Above {
+        fn dominated(&self, partial: &LossVal) -> bool {
+            partial.as_scalar() > self.0
         }
     }
 
@@ -1409,11 +1407,9 @@ mod tests {
     fn forced_run_prunes_on_dominated_partial() {
         let ex = examples::pgm_with_argmin_handler();
         let compiled = compile(&ex.expr).unwrap();
-        let threshold = Arc::new(AtomicU64::new(u64::MAX));
-        // Publish an achieved loss of 3.0: the loss-4 branch must abort.
-        threshold.store(scalar_key(&LossVal::scalar(3.0)), Ordering::Relaxed);
+        // An achieved loss of 3.0: the loss-4 branch must abort.
         let cfg = |bits| RunConfig {
-            prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
+            prune: Some(MachinePrune(Arc::new(Above(3.0)))),
             ..forced_cfg(&compiled, bits, 1)
         };
         assert_eq!(run_with(&compiled, cfg(1)).unwrap_err(), MachError::Pruned);
@@ -1534,10 +1530,8 @@ mod tests {
         }
         let e = handle0(crate::testgen::argmin_handler(&Type::loss(), &Effect::empty()), body);
         let compiled = compile(&e).unwrap();
-        let threshold = Arc::new(AtomicU64::new(u64::MAX));
-        threshold.store(scalar_key(&LossVal::scalar(7.0)), Ordering::Relaxed);
         let cfg = RunConfig {
-            prune: Some(MachinePrune { threshold: Arc::clone(&threshold), encode: scalar_key }),
+            prune: Some(MachinePrune(Arc::new(Above(7.0)))),
             ..tree_cfg(&compiled, 0, 0, 2)
         };
         let Explored::Choice(root) = explore(&compiled, cfg).unwrap() else {
@@ -1593,7 +1587,7 @@ mod tests {
     /// with step losses that do not associate (and a `-0.0`), every leaf
     /// of an out-of-order, repeated explore/resume DFS equals the forced
     /// replay of its path bit for bit, per component, with and without a
-    /// prune hook (armed at `u64::MAX`, so it observes but never fires).
+    /// prune hook (armed at `+∞`, so it observes but never fires).
     #[test]
     fn tree_leaves_match_replays_bit_for_bit_on_non_associative_losses() {
         let steps = [0.1, 0.2, 0.7, 1e16, -1e16, -0.0];
@@ -1615,10 +1609,7 @@ mod tests {
         for losses in [&scalar, &pair] {
             let compiled = loss_chain(losses);
             for armed in [false, true] {
-                let prune = armed.then(|| MachinePrune {
-                    threshold: Arc::new(AtomicU64::new(u64::MAX)),
-                    encode: scalar_key,
-                });
+                let prune = armed.then(|| MachinePrune(Arc::new(Above(f64::INFINITY))));
                 let cfg = RunConfig { prune, ..tree_cfg(&compiled, 0, 0, depth) };
                 let mut leaves = Vec::new();
                 dfs(explore(&compiled, cfg).unwrap(), 0, &mut leaves);

@@ -16,7 +16,8 @@
 
 use lambda_c::flow::{self, FlowReport, NonNegLosses};
 use lambda_c::machine::{
-    self, ChoicePoint, Explored, MachError, MachineOutcome, MachinePrune, RunConfig, TreeChoices,
+    self, ChoicePoint, Explored, MachError, MachineOutcome, MachinePrune, PruneBound, RunConfig,
+    TreeChoices,
 };
 use lambda_c::testgen::{self, ProgramGen};
 use lambda_c::types::{Effect, Type};
@@ -46,8 +47,8 @@ fn forced_cfg(
 }
 
 /// The workspace's monotone `u64` embedding of the scalar loss order
-/// (`lambda_rt::encode_scalar` re-derived locally: lambda-c tests do
-/// not see lambda-rt).
+/// (`selc::f64_sort_key` on the scalar, re-derived locally: lambda-c
+/// tests do not see the other crates).
 fn encode_scalar(l: &LossVal) -> u64 {
     let b = l.as_scalar().to_bits();
     if b & (1 << 63) == 0 {
@@ -59,21 +60,36 @@ fn encode_scalar(l: &LossVal) -> u64 {
 
 thread_local! {
     /// Every ambient partial sum the machine saw, in emission order
-    /// (recorded through the prune hook's encode fn; the `u64::MAX`
-    /// threshold guarantees nothing is actually pruned).
+    /// (recorded through the prune hook by [`Recorder`]).
     static PARTIALS: RefCell<Vec<LossVal>> = const { RefCell::new(Vec::new()) };
 }
 
-fn record_partial(l: &LossVal) -> u64 {
-    PARTIALS.with(|p| p.borrow_mut().push(l.clone()));
-    0 // never above the MAX threshold: the run is observed, not cut
+/// A prune hook that records every partial it is asked about and
+/// dominates none: the run is observed, not cut.
+struct Recorder;
+
+impl PruneBound for Recorder {
+    fn dominated(&self, partial: &LossVal) -> bool {
+        PARTIALS.with(|p| p.borrow_mut().push(partial.clone()));
+        false
+    }
+}
+
+/// A prune hook over the least encoded total achieved so far.
+struct Threshold(AtomicU64);
+
+impl PruneBound for Threshold {
+    fn dominated(&self, partial: &LossVal) -> bool {
+        // ordering: Relaxed — single-threaded test loop; the hook's
+        // contract only needs a monotone hint anyway.
+        encode_scalar(partial) > self.0.load(AtomicOrdering::Relaxed)
+    }
 }
 
 /// Runs candidate `bits` with every ambient partial sum recorded.
 fn run_recorded(p: &CompiledProgram, bits: u64, depth: u32) -> (MachineOutcome, Vec<LossVal>) {
     PARTIALS.with(|p| p.borrow_mut().clear());
-    let hook =
-        MachinePrune { threshold: Arc::new(AtomicU64::new(u64::MAX)), encode: record_partial };
+    let hook = MachinePrune(Arc::new(Recorder));
     let out = machine::run_with(p, forced_cfg(p, bits, depth, depth, Some(hook)))
         .expect("forced replay of a corpus program succeeds");
     (out, PARTIALS.with(|p| p.borrow().clone()))
@@ -143,16 +159,16 @@ fn assert_pruning_preserves_the_winner(p: &CompiledProgram, depth: u32, label: &
             best = Some((bits, out.loss));
         }
     }
-    let threshold = Arc::new(AtomicU64::new(u64::MAX));
+    let threshold = Arc::new(Threshold(AtomicU64::new(u64::MAX)));
     let mut pruned_best: Option<(u64, LossVal)> = None;
     let mut abandoned = Vec::new();
     for bits in 0..(1u64 << depth) {
-        let hook = MachinePrune { threshold: Arc::clone(&threshold), encode: encode_scalar };
+        let hook = MachinePrune(threshold.clone());
         match machine::run_with(p, forced_cfg(p, bits, depth, depth, Some(hook))) {
             Ok(out) => {
                 // ordering: Relaxed — single-threaded test loop; the
                 // hook's contract only needs a monotone hint anyway.
-                threshold.fetch_min(encode_scalar(&out.loss), AtomicOrdering::Relaxed);
+                threshold.0.fetch_min(encode_scalar(&out.loss), AtomicOrdering::Relaxed);
                 if pruned_best
                     .as_ref()
                     .is_none_or(|(_, l)| out.loss.cmp_scalar(l) == Ordering::Less)

@@ -13,6 +13,9 @@
 //! engine's flat scan unchanged (see
 //! [`crate::search::search_compiled_flat`]), and
 //! [`LcCandidates::explore_prefix`] feeds the prefix-sharing tree search.
+//! A space also keeps its one branch-and-bound word: the best loss any
+//! of its candidates has achieved, shared by its clones and by every
+//! tree search over it, and read by the machine's abandonment hook.
 //!
 //! ## Soundness scope
 //!
@@ -26,10 +29,14 @@
 //! resume (`tuneLR`), or maximise are still *evaluated* faithfully by the
 //! machine — they just aren't a minimisation the engine can fan out.
 
+use crate::loss::OrdLossVal;
 use lambda_c::flow::{self, FlowReport, NonNegLosses};
-use lambda_c::machine::{self, Explored, MachineOutcome, MachinePrune, RunConfig, TreeChoices};
+use lambda_c::machine::{
+    self, Explored, MachineOutcome, MachinePrune, PruneBound, RunConfig, TreeChoices,
+};
 use lambda_c::prim::Ground;
-use lambda_c::{CompiledProgram, MachError};
+use lambda_c::{CompiledProgram, LossVal, MachError};
+use selc_engine::SharedBound;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -58,12 +65,12 @@ pub struct LcCandidates {
     /// same entries.
     id: u64,
     /// The best loss any candidate of this space has been observed to
-    /// *achieve* (monotone `prune_bits` encoding; `u64::MAX` until one
-    /// completes). Shared across clones and searches: the program is
-    /// immutable and evaluation pure, so an achieved loss stays achieved
-    /// — which is what makes seeding mid-run abandonment thresholds and
-    /// the engine's `SharedBound` from it sound on warm repeats.
-    best_seen: Arc<AtomicU64>,
+    /// *achieve*: the space's one branch-and-bound word. Shared across
+    /// clones and searches — the program is immutable and evaluation
+    /// pure, so an achieved loss stays achieved — which is what makes
+    /// the tree walk and the machine's abandonment hook sound to prune
+    /// against it on warm repeats.
+    bound: Arc<SpaceBound>,
     /// The flow analysis of the program over the forced operations,
     /// computed on first demand and shared across clones (the program is
     /// immutable, so the verdict is too).
@@ -93,7 +100,7 @@ impl LcCandidates {
             // ordering: Relaxed — space ids only need uniqueness, which
             // the RMW guarantees under any ordering.
             id: NEXT_SPACE_ID.fetch_add(1, Ordering::Relaxed),
-            best_seen: Arc::new(AtomicU64::new(u64::MAX)),
+            bound: Arc::default(),
             flow: Arc::new(OnceLock::new()),
         }
     }
@@ -137,11 +144,11 @@ impl LcCandidates {
         self.id
     }
 
-    /// The shared best-achieved-loss cell (see the field docs):
+    /// The space's achieved-loss bound (see the field docs): tree
     /// evaluators feed it from completed runs and exact summary hits,
-    /// and seed their searches from it.
-    pub(crate) fn best_seen_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.best_seen)
+    /// and hand it to the walk to prune against.
+    pub(crate) fn bound(&self) -> &SharedBound<OrdLossVal> {
+        &self.bound.0
     }
 
     /// Runs candidate `index`'s forced machine under the replay contract:
@@ -152,7 +159,7 @@ impl LcCandidates {
     ///
     /// On machine errors or a stuck (unhandled) operation.
     pub fn run_candidate(&self, index: usize) -> MachineOutcome {
-        match self.explore_prefix(index as u64, self.depth, None) {
+        match self.explore_prefix(index as u64, self.depth, false) {
             Ok(Explored::Done(out)) => out,
             _ => unreachable!("a fully scripted, unpruned run neither suspends nor prunes"),
         }
@@ -161,7 +168,10 @@ impl LcCandidates {
     /// Starts (or fast-forwards) a tree-mode run: scripts the `len`
     /// decisions of `prefix` and suspends at the next choice point, under
     /// the replay contract — any failure other than a prune abandonment,
-    /// and any stuck (unhandled) operation, is a panic.
+    /// and any stuck (unhandled) operation, is a panic. With `prune`, the
+    /// run and every branch resumed from it are abandoned once their
+    /// ambient partial loss is strictly dominated by the space's bound:
+    /// sound only under a covering [`NonNegLosses`] certificate.
     ///
     /// # Errors
     ///
@@ -174,7 +184,7 @@ impl LcCandidates {
         &self,
         prefix: u64,
         len: u32,
-        prune: Option<MachinePrune>,
+        prune: bool,
     ) -> Result<Explored, MachError> {
         let forced = TreeChoices {
             ops: Arc::clone(&self.forced),
@@ -182,8 +192,22 @@ impl LcCandidates {
             prefix_len: len,
             max_decisions: self.depth,
         };
+        let prune = prune.then(|| MachinePrune(self.bound.clone()));
         let cfg = RunConfig { fuel: 0, forced: Some(forced), prune };
         enforce_replay_contract(machine::explore(&self.program, cfg), prefix, len)
+    }
+}
+
+/// A space's achieved-loss bound, in the form the machine's prune hook
+/// reads.
+#[derive(Debug, Default)]
+struct SpaceBound(SharedBound<OrdLossVal>);
+
+impl PruneBound for SpaceBound {
+    fn dominated(&self, partial: &LossVal) -> bool {
+        // `OrdLossVal` orders by the scalar reading alone, so a scalar
+        // copy of the partial compares the same and allocates nothing.
+        self.0.dominated(&OrdLossVal(LossVal::scalar(partial.as_scalar())))
     }
 }
 

@@ -54,6 +54,6 @@ pub mod search;
 pub mod tree;
 
 pub use bridge::{LcCandidates, LcValue};
-pub use loss::{encode_scalar, OrdLossVal};
+pub use loss::OrdLossVal;
 pub use search::{search_compiled_flat, LcTransCache};
 pub use tree::{search_compiled, search_compiled_cached, search_compiled_cached_with, LcTreeEval};

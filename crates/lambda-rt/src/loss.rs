@@ -34,18 +34,12 @@ impl OrderedLoss for OrdLossVal {
         self.0.cmp_scalar(&other.0)
     }
 
+    /// The monotone `u64` embedding of the scalar order — the engine's
+    /// own [`selc::f64_sort_key`] on the scalar reading, so every prune
+    /// encoding in the workspace agrees bit for bit.
     fn prune_bits(&self) -> Option<u64> {
-        Some(encode_scalar(&self.0))
+        Some(selc::f64_sort_key(self.0.as_scalar()))
     }
-}
-
-/// The monotone `u64` embedding of the scalar order — the engine's own
-/// [`selc::f64_sort_key`] on the scalar reading, so every prune encoding
-/// in the workspace agrees bit for bit: `encode(a) < encode(b)` iff
-/// `a.cmp_scalar(b) == Less`. Also handed to the machine's prune hook as
-/// a plain `fn`.
-pub fn encode_scalar(l: &LossVal) -> u64 {
-    selc::f64_sort_key(l.as_scalar())
 }
 
 #[cfg(test)]

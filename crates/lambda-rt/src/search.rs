@@ -14,8 +14,8 @@
 //! * **The flat oracle.** [`search_compiled_flat`] scores every forced
 //!   path from the root through a plain loss closure over
 //!   [`LcCandidates::run_candidate`], with no table, no pruning, and no
-//!   shared state — so a reference computed before a tree search cannot
-//!   warm it.
+//!   shared state — it never touches the space's bound — so a reference
+//!   computed before a tree search cannot warm it.
 
 use crate::bridge::{LcCandidates, LcValue};
 use crate::loss::OrdLossVal;
@@ -38,8 +38,8 @@ pub type LcTransCache = ShardedCache<(u64, u32, u64), SubtreeSummary<OrdLossVal>
 /// The production path is the prefix-sharing
 /// [`crate::tree::search_compiled`]; the flat scan stays as the
 /// independent differential reference it is proven against. It touches
-/// neither a table nor the space's best-seen cell, so it never seeds
-/// the searches it checks.
+/// neither a table nor the space's bound, so it never warms the
+/// searches it checks.
 pub fn search_compiled_flat(
     engine: &Engine,
     cands: &LcCandidates,
@@ -114,12 +114,12 @@ mod tests {
         let other = chain_candidates(5);
         let foreign = other.certificate().unwrap();
         let eval = LcTreeEval::new(cands.clone()).with_nonneg_certificate(foreign);
-        assert!(!eval.hint_is_lower_bound(), "foreign certificate silently ignored");
         let out = single(true).search(&eval).unwrap();
         assert_eq!(out.stats.pruned, 0, "no subtree skip, no abandonment: {:?}", out.stats);
         let own = cands.certificate().unwrap();
         let eval = LcTreeEval::new(cands.clone()).with_nonneg_certificate(own);
-        assert!(eval.hint_is_lower_bound());
+        let out = single(true).search(&eval).unwrap();
+        assert!(out.stats.pruned > 0, "the space's own certificate prunes: {:?}", out.stats);
     }
 
     #[test]
@@ -159,9 +159,11 @@ mod tests {
     #[test]
     fn the_flat_oracle_leaves_the_space_cold() {
         // The reference must not warm what it checks: after a flat scan
-        // a tree evaluator over the same space has nothing to seed from.
+        // the space's bound still dominates nothing, not even +∞.
         let cands = chain_candidates(8);
         let _ = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
-        assert_eq!(LcTreeEval::new(cands.clone()).seed_bits(), None);
+        let eval = LcTreeEval::new(cands.clone());
+        let bound = eval.bound().expect("a compiled space keeps its bound");
+        assert!(!bound.dominated(&OrdLossVal(lambda_c::LossVal::scalar(f64::INFINITY))));
     }
 }

@@ -10,27 +10,30 @@
 //! summary** at every interior node (keyed `(space id, len, bits)`) and
 //! installs one on the way back up, so a table warmed by one search
 //! answers whole subtrees of the next in O(1) — an O(depth) walk instead
-//! of an O(leaves) rescan. Every search also seeds its `SharedBound` from
-//! the space's best previously-achieved loss ([`TreeEval::seed_bits`])
-//! before the first segment runs.
+//! of an O(leaves) rescan.
 //!
-//! * **Hints.** A node's hint orders its children best-first. Without a
-//!   certificate it is the choice point's accumulated ambient loss. With
-//!   one (the [`search_compiled_cached`] certificate argument) it is
-//!   `partial + residual`: the residual is the flow analysis's lower
-//!   bound on what every completion still emits after this decision,
-//!   and every later emission is non-negative, so the hint is a true
-//!   lower bound on every leaf beneath — an admissible heuristic in the
-//!   A* sense. The engine checks it against its `SharedBound` at every
+//! * **One bound per space.** The walk prunes against the space's
+//!   achieved-loss bound ([`TreeEval::bound`]), which outlives every
+//!   search over the space. Leaves publish into it as soon as they are
+//!   expanded, exact summary hits as they are answered, so a sibling
+//!   leaf bounds its subtree before the DFS reaches it, and a repeat
+//!   prunes from its first node.
+//! * **Hints.** Only a certificate (the [`search_compiled_cached`]
+//!   certificate argument) gives a node a hint: `partial + residual`,
+//!   where the residual is the flow analysis's lower bound on what every
+//!   completion still emits after this decision. Every later emission is
+//!   non-negative, so the hint is a true lower bound on every leaf
+//!   beneath — an admissible heuristic in the A* sense. The engine
+//!   orders children by it and checks it against the bound at every
 //!   interior node, and a dominated subtree is skipped *whole*, usually
 //!   plies before its partial loss alone would cross the bound. Pruned
 //!   subtrees install the hint as a bound summary, which stays sound for
-//!   the same reason.
+//!   the same reason. Without a certificate no node has a hint.
 //! * **Mid-segment abandonment.** Under the same certificate, a
-//!   [`MachinePrune`] hook threads through `explore`/`resume`; it reads
-//!   the machine's running ambient partial, which snapshots with the
-//!   machine, so each branch prunes against its own path total (see
-//!   `lambda_c::machine`). The
+//!   [`lambda_c::machine::MachinePrune`] hook over the same bound threads
+//!   through `explore`/`resume`; it reads the machine's running ambient
+//!   partial, which snapshots with the machine, so each branch prunes
+//!   against its own path total (see `lambda_c::machine`). The
 //!   certificate is the only switch: [`NonNegLosses`] has no constructor
 //!   outside `lambda_c::flow::analyze`.
 //! * **Determinism.** Leaves report `(total loss, decisions used)` and
@@ -39,16 +42,15 @@
 //!   flat exhaustive scan (proven by the differential suites).
 
 use crate::bridge::{enforce_replay_contract, LcCandidates, LcValue};
-use crate::loss::{encode_scalar, OrdLossVal};
+use crate::loss::OrdLossVal;
 use crate::search::LcTransCache;
 use lambda_c::flow::NonNegLosses;
-use lambda_c::machine::{ChoicePoint, Explored, MachinePrune};
+use lambda_c::machine::{ChoicePoint, Explored};
 use lambda_c::MachError;
-use selc_cache::{CacheStats, SubtreeSummary};
+use selc_cache::SubtreeSummary;
 use selc_engine::tree::{SummaryProbe, TreeEval, TreeStep};
-use selc_engine::{CancelToken, Engine, Outcome, SearchResult};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock};
+use selc_engine::{CancelToken, Engine, Outcome, SearchResult, SharedBound};
+use std::sync::LazyLock;
 
 /// Paths that actually ran the compiled machine to termination — the
 /// observable form of the Hedges CPS-cost argument (the machine is the
@@ -62,27 +64,21 @@ static MACHINE_LEAVES: LazyLock<selc_obs::Counter> =
 pub struct LcTreeEval<'c> {
     cands: LcCandidates,
     cache: Option<&'c LcTransCache>,
-    base: CacheStats,
     cert: Option<NonNegLosses>,
-    best_bits: Arc<AtomicU64>,
 }
 
 impl<'c> LcTreeEval<'c> {
-    /// A plain tree evaluator: no cache, no mid-segment abandonment. The
-    /// achieved-loss mirror is the space's shared [`LcCandidates`] cell,
-    /// so it persists across searches and seeds warm repeats (sound:
-    /// the program is immutable, see [`TreeEval::seed_bits`]).
+    /// A plain tree evaluator: no cache, no mid-segment abandonment. Its
+    /// bound is the space's (see [`TreeEval::bound`]), so it persists
+    /// across searches (sound: the program is immutable).
     pub fn new(cands: LcCandidates) -> LcTreeEval<'c> {
-        let best_bits = cands.best_seen_cell();
-        LcTreeEval { cands, cache: None, base: CacheStats::default(), cert: None, best_bits }
+        LcTreeEval { cands, cache: None, cert: None }
     }
 
-    /// Attaches a shared transposition table; stats reported through
-    /// [`TreeEval::cache_stats`] are the delta against wrap time.
-    pub fn with_cache(mut self, cache: &'c LcTransCache) -> LcTreeEval<'c> {
-        self.base = cache.stats();
-        self.cache = Some(cache);
-        self
+    /// Attaches a shared transposition table. Its traffic is the
+    /// caller's to read (`cache.stats()` before and after the search).
+    pub fn with_cache(self, cache: &'c LcTransCache) -> LcTreeEval<'c> {
+        LcTreeEval { cache: Some(cache), ..self }
     }
 
     /// Enables mid-segment abandonment on partial losses and subtree
@@ -96,14 +92,8 @@ impl<'c> LcTreeEval<'c> {
         self
     }
 
-    fn hook(&self) -> Option<MachinePrune> {
-        self.cert
-            .as_ref()
-            .map(|_| MachinePrune { threshold: Arc::clone(&self.best_bits), encode: encode_scalar })
-    }
-
     /// Folds a machine step at a position of length `len` into a tree
-    /// step, publishing completed leaves to the abandonment mirror.
+    /// step, publishing completed leaves to the space's bound.
     fn advance(
         &self,
         r: Result<Explored, MachError>,
@@ -113,11 +103,7 @@ impl<'c> LcTreeEval<'c> {
             Err(_) => TreeStep::Pruned, // only `Pruned` survives the contract
             Ok(Explored::Choice(point)) => {
                 debug_assert_eq!(point.depth(), len, "choice points sit at their position");
-                let hint = match &self.cert {
-                    Some(cert) => cert.lower_bound(&point),
-                    None => point.partial_loss().clone(),
-                };
-                let hint = Some(OrdLossVal(hint));
+                let hint = self.cert.as_ref().map(|cert| OrdLossVal(cert.lower_bound(&point)));
                 TreeStep::Node { node: point, hint }
             }
             Ok(Explored::Done(out)) => {
@@ -125,10 +111,7 @@ impl<'c> LcTreeEval<'c> {
                 let used = out.decisions_used;
                 debug_assert!(used <= len, "paths cannot use unvisited decisions");
                 let loss = OrdLossVal(out.loss);
-                // ordering: Relaxed — the abandonment mirror is a
-                // monotone hint, like `SharedBound`: a stale (larger)
-                // value only under-prunes, never unsoundly.
-                self.best_bits.fetch_min(encode_scalar(&loss.0), Ordering::Relaxed);
+                self.cands.bound().observe(&loss);
                 TreeStep::Leaf { loss, used }
             }
         }
@@ -143,7 +126,7 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
     }
 
     fn enter(&self, prefix: u64, len: u32) -> TreeStep<ChoicePoint, OrdLossVal> {
-        self.advance(self.cands.explore_prefix(prefix, len, self.hook()), len)
+        self.advance(self.cands.explore_prefix(prefix, len, self.cert.is_some()), len)
     }
 
     fn child(
@@ -156,10 +139,6 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
         self.advance(enforce_replay_contract(node.resume(decision), path, len), len)
     }
 
-    fn hint_is_lower_bound(&self) -> bool {
-        self.cert.is_some()
-    }
-
     fn min_leaf_depth(&self) -> u32 {
         // The flow shape's shortest-path decision count is the shallowest
         // depth a leaf can occur at: splitting the parallel walk deeper
@@ -170,22 +149,15 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
             .min(self.cands.depth())
     }
 
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.map(|c| c.stats().since(&self.base)).unwrap_or_default()
-    }
-
     fn probe_summary(&self, bits: u64, len: u32) -> SummaryProbe<OrdLossVal> {
-        let Some(cache) = self.cache else { return SummaryProbe::Miss };
-        let Some(s) = cache.lookup(&(self.cands.id(), len, bits)) else {
+        let Some(s) = self.cache.and_then(|c| c.lookup(&(self.cands.id(), len, bits))) else {
             return SummaryProbe::Miss;
         };
         if s.exact {
             // An exact summary's loss was achieved by its winning leaf:
-            // it tightens the mid-segment abandonment mirror like the
-            // leaf itself would. (A bound entry must NOT: nothing
-            // attained it.)
-            // ordering: Relaxed — monotone hint; see `advance`.
-            self.best_bits.fetch_min(encode_scalar(&s.loss.0), Ordering::Relaxed);
+            // it tightens the space's bound like the leaf itself would.
+            // (A bound entry must NOT: nothing attained it.)
+            self.cands.bound().observe(&s.loss);
         }
         SummaryProbe::from(s)
     }
@@ -196,11 +168,8 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
         }
     }
 
-    fn seed_bits(&self) -> Option<u64> {
-        // ordering: Relaxed — a stale (larger) seed only forgoes some
-        // warm-start pruning; it can never prune unsoundly.
-        let bits = self.best_bits.load(Ordering::Relaxed);
-        (bits != u64::MAX).then_some(bits)
+    fn bound(&self) -> Option<&SharedBound<OrdLossVal>> {
+        Some(self.cands.bound())
     }
 }
 
@@ -240,9 +209,10 @@ pub fn search_compiled_cached(
 /// one machine segment; a cancelled search returns
 /// [`SearchResult::Cancelled`] with the best leaf seen so far (a really
 /// achieved loss, not the argmin). Everything a cancelled run stored —
-/// fully-evaluated subtree summaries, the best-seen mirror — is sound,
-/// so the table stays warm and unpoisoned for the next request (see
-/// `selc_engine::cancel`).
+/// fully-evaluated subtree summaries, the space's achieved losses — is
+/// sound, so the table stays warm and unpoisoned for the next request
+/// (see `selc_engine::cancel`). `stats.cache` is the table's traffic
+/// during this search.
 pub fn search_compiled_cached_with(
     engine: &Engine,
     cands: &LcCandidates,
@@ -254,7 +224,12 @@ pub fn search_compiled_cached_with(
     if let Some(cert) = cert {
         eval = eval.with_nonneg_certificate(cert);
     }
-    engine.search_with(&eval, cancel)
+    let base = cache.stats();
+    let mut result = engine.search_with(&eval, cancel);
+    if let SearchResult::Complete(Some(out)) | SearchResult::Cancelled(Some(out)) = &mut result {
+        out.stats.cache = cache.stats().since(&base);
+    }
+    result
 }
 
 #[cfg(test)]
@@ -285,6 +260,20 @@ mod tests {
             );
             assert_eq!(v, value, "{engine:?}");
         }
+    }
+
+    #[test]
+    fn every_evaluator_over_a_space_hands_the_walk_the_spaces_bound() {
+        // An exhaustive walk (no pruning) still publishes its leaves into
+        // the space's bound, and a later evaluator over a clone of the
+        // space prunes against that same word.
+        let cands = chain_candidates(6);
+        let (out, _) = search_compiled(&Engine::exhaustive(), &cands).unwrap();
+        let later = LcTreeEval::new(cands.clone());
+        let bound = later.bound().expect("a compiled space keeps its bound");
+        let worse = OrdLossVal(lambda_c::LossVal::scalar(out.loss.0.as_scalar() + 1.0));
+        assert!(bound.dominated(&worse), "the winner's loss is in the space's bound");
+        assert!(!bound.dominated(&out.loss), "an achieved loss is never dominated");
     }
 
     #[test]
@@ -394,8 +383,7 @@ mod tests {
         // Two workers claim split subtrees in index order, so a cold walk
         // dives into several before the best one bounds them. Like the
         // benchmark's jobs, this one shares a candidate space whose
-        // best-seen loss an earlier search set, and starts on a fresh
-        // table.
+        // bound an earlier search set, and starts on a fresh table.
         let cands = chain_candidates(12);
         search_compiled(&Engine::exhaustive(), &cands).unwrap();
         check(Engine::with_threads(2), &cands);

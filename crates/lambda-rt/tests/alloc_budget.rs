@@ -79,7 +79,7 @@ fn chain() -> LcCandidates {
 
 /// The choice point at depth `len` on the all-`true` path.
 fn point_at(cands: &LcCandidates, len: u32) -> ChoicePoint {
-    match cands.explore_prefix(0, len, None).unwrap() {
+    match cands.explore_prefix(0, len, false).unwrap() {
         Explored::Choice(point) => point,
         Explored::Done(_) => panic!("a chain has a decision at every depth"),
     }

@@ -171,10 +171,10 @@ fn epoch_bump_retires_summaries() {
     assert_eq!(rewarm.stats.summary.exact_hits, 1, "refilled: answered at the root again");
 }
 
-/// The space's best already-achieved loss seeds the `SharedBound` before
-/// the first segment runs: a search over a *fresh* table (cold cache,
-/// warm space) prunes from the first subtree onward — at least as hard
-/// as the discovery run, against the same winner.
+/// The space's bound already holds its best achieved loss when the
+/// first segment runs: a search over a *fresh* table (cold cache, warm
+/// space) prunes from the first subtree onward — at least as hard as the
+/// discovery run, against the same winner.
 #[test]
 fn warm_space_seeds_the_bound_over_a_cold_table() {
     let cands = chain_candidates(8);
@@ -183,8 +183,8 @@ fn warm_space_seeds_the_bound_over_a_cold_table() {
     let (first, _) =
         search_compiled_cached(&engine, &cands, &LcTransCache::unbounded(4), Some(cert)).unwrap();
     assert!(first.stats.pruned > 0, "deep chains prune: {:?}", first.stats);
-    // Fresh table: nothing to answer from, but `seed_bits` arms the
-    // bound with the discovery run's winner before anything evaluates.
+    // Fresh table: nothing to answer from, but the space's bound holds
+    // the discovery run's winner before anything evaluates.
     let (seeded, _) =
         search_compiled_cached(&engine, &cands, &LcTransCache::unbounded(4), Some(cert)).unwrap();
     assert_eq!((seeded.index, seeded.loss.clone()), (first.index, first.loss));

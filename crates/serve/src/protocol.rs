@@ -27,7 +27,6 @@
 //!   1 = Timeout     has_partial:u8  [index:u64  loss:u64]
 //!   2 = Busy
 //!   3 = Malformed   len:u16  msg:utf8
-//!   4 = Error       len:u16  msg:utf8
 //!   5 = EpochBumped epoch:u64
 //!   6 = Metrics     truncated:u8  count:u16  count × metric
 //! metric: kind:u8  name_len:u8  name:utf8
@@ -339,11 +338,7 @@ impl WireMetrics {
                     "metric {i} name length {name_len} out of 1..={MAX_METRIC_NAME}"
                 ));
             }
-            let mut name = Vec::with_capacity(name_len);
-            for _ in 0..name_len {
-                name.push(c.u8("metric name byte")?);
-            }
-            let name = String::from_utf8(name).map_err(|_| format!("metric {i}: non-utf8 name"))?;
+            let name = c.utf8(name_len, "metric name").map_err(|e| format!("metric {i}: {e}"))?;
             let value = match kind {
                 0 => WireMetricValue::Counter(c.u64("counter value")?),
                 1 => WireMetricValue::Gauge(i64::from_be_bytes(c.take("gauge value")?)),
@@ -404,8 +399,6 @@ pub enum Response {
     /// The request frame did not decode or failed validation; the
     /// session stays open.
     Malformed(String),
-    /// The request was well-formed but the server could not run it.
-    Error(String),
     /// Epoch bump acknowledged with the tenant's new cache epoch.
     EpochBumped {
         /// The tenant's new epoch.
@@ -481,13 +474,23 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn take<const N: usize>(&mut self, what: &str) -> Result<[u8; N], String> {
-        let end = self.at.checked_add(N).filter(|e| *e <= self.buf.len());
+    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        let end = self.at.checked_add(n).filter(|e| *e <= self.buf.len());
         let end = end.ok_or_else(|| format!("truncated payload: missing {what}"))?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(&self.buf[self.at..end]);
+        let out = &self.buf[self.at..end];
         self.at = end;
         Ok(out)
+    }
+
+    fn take<const N: usize>(&mut self, what: &str) -> Result<[u8; N], String> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N, what)?);
+        Ok(out)
+    }
+
+    fn utf8(&mut self, n: usize, what: &str) -> Result<String, String> {
+        let bytes = self.bytes(n, what)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| format!("non-utf8 {what}"))
     }
 
     fn u8(&mut self, what: &str) -> Result<u8, String> {
@@ -627,10 +630,6 @@ impl Response {
                 out.push(3);
                 encode_msg(&mut out, msg);
             }
-            Response::Error(msg) => {
-                out.push(4);
-                encode_msg(&mut out, msg);
-            }
             Response::EpochBumped { epoch } => {
                 out.push(5);
                 out.extend_from_slice(&epoch.to_be_bytes());
@@ -650,9 +649,9 @@ impl Response {
             0 => {
                 let index = c.u64("winner index")?;
                 let loss = f64::from_bits(c.u64("winner loss")?);
-                let mut f = [0u64; 12];
-                for (i, slot) in f.iter_mut().enumerate() {
-                    *slot = c.u64(&format!("stats field {i}"))?;
+                let mut f = [0u64; WIRE_STATS_FIELDS];
+                for slot in &mut f {
+                    *slot = c.u64("stats field")?;
                 }
                 Response::Ok { index, loss, stats: WireStats::from_fields(f) }
             }
@@ -665,18 +664,9 @@ impl Response {
                 Response::Timeout { partial }
             }
             2 => Response::Busy,
-            s @ (3 | 4) => {
-                let len = c.u16("message length")? as usize;
-                let mut msg = Vec::with_capacity(len);
-                for i in 0..len {
-                    msg.push(c.u8(&format!("message byte {i}"))?);
-                }
-                let msg = String::from_utf8(msg).map_err(|_| "non-utf8 message".to_owned())?;
-                if s == 3 {
-                    Response::Malformed(msg)
-                } else {
-                    Response::Error(msg)
-                }
+            3 => {
+                let len = usize::from(c.u16("message length")?);
+                Response::Malformed(c.utf8(len, "message")?)
             }
             5 => Response::EpochBumped { epoch: c.u64("epoch")? },
             6 => Response::Metrics(WireMetrics::decode_from(&mut c)?),
@@ -726,7 +716,7 @@ mod tests {
         roundtrip_response(Response::Timeout { partial: Some((5, f64::INFINITY)) });
         roundtrip_response(Response::Busy);
         roundtrip_response(Response::Malformed("bad".to_owned()));
-        roundtrip_response(Response::Error("worse".to_owned()));
+        roundtrip_response(Response::Malformed("wörse — ünicode".to_owned()));
         roundtrip_response(Response::EpochBumped { epoch: 2 });
         roundtrip_response(Response::Metrics(WireMetrics {
             truncated: true,
@@ -847,6 +837,14 @@ mod tests {
         let mut padded = full;
         padded.push(0);
         assert!(Request::decode(&padded).expect_err("trailing").contains("trailing"));
+        let ok = Response::Ok { index: 1, loss: 2.0, stats: WireStats::default() };
+        for resp in [ok, Response::Malformed("bad".into())] {
+            let full = resp.encode();
+            for cut in 0..full.len() {
+                let err = Response::decode(&full[..cut]).expect_err("truncation must fail");
+                assert!(err.contains("missing"), "cut {cut} of {resp:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -858,6 +856,9 @@ mod tests {
         bad_workload.push(7);
         assert!(Request::decode(&bad_workload).expect_err("tag").contains("workload tag"));
         assert!(Response::decode(&[9]).expect_err("status").contains("unknown status"));
+        // Status 4 is unassigned.
+        let four = Response::decode(&[4, 0, 1, b'x']).expect_err("status 4");
+        assert!(four.contains("unknown status 4"), "{four}");
     }
 
     #[test]
@@ -888,13 +889,13 @@ mod tests {
     }
 
     #[test]
-    fn long_error_messages_are_clipped_to_fit_the_frame() {
+    fn long_malformed_messages_are_clipped_to_fit_the_frame() {
         let msg = "x".repeat(5000);
-        let enc = Response::Error(msg).encode();
+        let enc = Response::Malformed(msg).encode();
         assert!(enc.len() <= MAX_FRAME);
         match Response::decode(&enc).unwrap() {
-            Response::Error(m) => assert_eq!(m.len(), 512),
-            other => panic!("expected Error, got {other:?}"),
+            Response::Malformed(m) => assert_eq!(m.len(), 512),
+            other => panic!("expected Malformed, got {other:?}"),
         }
     }
 }

@@ -135,13 +135,13 @@ mod tests {
         let t = tenants.get_or_create(1);
         let a = t.chain(6);
         let b = t.chain(6);
-        // Same space identity ⇒ same transposition keys: warm repeats
-        // only work because the handle is reused, which the shared
-        // best-seen cell makes observable without exposing the id.
+        // Same space identity ⇒ same transposition keys and one shared
+        // bound: warm repeats only work because the handle is reused.
         assert_eq!(a.space(), 64);
-        assert_eq!(b.space(), 64);
+        assert_eq!(a.id(), b.id());
         let other = tenants.get_or_create(2).chain(6);
         assert_eq!(other.space(), 64);
+        assert_ne!(other.id(), a.id(), "another tenant, another space");
     }
 
     #[test]

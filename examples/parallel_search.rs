@@ -6,6 +6,12 @@
 //! ```sh
 //! SELC_THREADS=4 cargo run --release --example parallel_search
 //! ```
+//!
+//! Standard output is the same at every worker count: it prints winners,
+//! and work counts only from single-worker runs. How much a parallel
+//! search prunes or a shared cache misses depends on how its workers
+//! interleave, so those counts are not printed. The pool size goes to
+//! standard error.
 
 use selc_engine::{configured_threads, Engine};
 use selc_games::bimatrix::Matrix;
@@ -17,7 +23,8 @@ use selc_ml::optimize::gd_handler_tuned;
 use selc_ml::parallel::{tune_lr_parallel, tune_training_run};
 
 fn main() {
-    println!("worker pool: {} threads (SELC_THREADS to override)", configured_threads());
+    eprintln!("worker pool: {} threads (SELC_THREADS to override)", configured_threads());
+    let one = Engine::with_threads(1);
 
     // 1. Root-split minimax: each worker solves the minimiser's reply to
     //    one row with the ordinary hmin handler; the winner is
@@ -33,12 +40,16 @@ fn main() {
     //    rates are aborted as soon as their running loss is dominated.
     let data = Dataset::linear(24, 2.0, -1.0, 0.05, 3);
     let grid = vec![0.02, 1.4, 1.6, 0.05, 1.8, 2.0, 0.08, 1.2];
+    //    One pruning worker scans the grid in order, so its counts are
+    //    fixed; a pool's depend on which runs finish first.
     let tuned = tune_training_run(&engine, grid.clone(), &data, (0.0, 0.0), 3);
-    let sequential = tune_training_run(&Engine::exhaustive(), grid, &data, (0.0, 0.0), 3);
+    let sequential = tune_training_run(&Engine::exhaustive(), grid.clone(), &data, (0.0, 0.0), 3);
+    let solo = tune_training_run(&one, grid, &data, (0.0, 0.0), 3);
     assert_eq!(tuned.alpha, sequential.alpha);
+    assert_eq!(solo.alpha, sequential.alpha);
     println!(
-        "training-run grid: rate {} (total loss {:.3}) — {} runs finished, {} aborted early",
-        tuned.alpha, tuned.err, tuned.stats.evaluated, tuned.stats.pruned
+        "training-run grid: rate {} (total loss {:.3}) — one worker: {} runs finished, {} aborted early",
+        tuned.alpha, tuned.err, solo.stats.evaluated, solo.stats.pruned
     );
 
     // 3. Batched tuneLR: the paper's grid-search handler, its grid split
@@ -60,32 +71,46 @@ fn main() {
     // 3b. The same tuner against a *shared* cache (SELC_CACHE_CAP
     //     bounds it): rates duplicated across batches are
     //     probed once globally, and a second search is answered entirely
-    //     from the cache.
-    let cache = selc::ShardedCache::shared_from_env();
+    //     from the cache. The counts come from one worker on its own
+    //     cache: in a pool, two workers can probe one rate at once and
+    //     both miss.
     let grid = vec![1.0, 0.5, 1.0, 0.5, 0.25, 0.25];
-    let cold = tune_lr_parallel(&engine, grid.clone(), 2, program, Some(&cache));
-    let warm = tune_lr_parallel(&engine, grid, 2, program, Some(&cache));
-    assert_eq!((cold.alpha, cold.err), (warm.alpha, warm.err));
+    let tune_twice = |engine: &Engine| {
+        let cache = selc::ShardedCache::shared_from_env();
+        let cold = tune_lr_parallel(engine, grid.clone(), 2, program, Some(&cache));
+        let warm = tune_lr_parallel(engine, grid.clone(), 2, program, Some(&cache));
+        assert_eq!((cold.alpha, cold.err), (warm.alpha, warm.err));
+        (cold, warm)
+    };
+    let (_, warm) = tune_twice(&engine);
+    let (solo_cold, solo_warm) = tune_twice(&one);
+    assert_eq!((warm.alpha, warm.err), (solo_warm.alpha, solo_warm.err));
     println!(
-        "shared-cache tuneLR: rate {} — cold {} misses, warm {} misses / {} hits ({}% hit rate)",
+        "shared-cache tuneLR: rate {} — one worker: cold {} misses, warm {} misses / {} hits ({}% hit rate)",
         warm.alpha,
-        cold.stats.cache.misses,
-        warm.stats.cache.misses,
-        warm.stats.cache.hits,
-        (warm.stats.cache.hit_rate() * 100.0).round()
+        solo_cold.stats.cache.misses,
+        solo_warm.stats.cache.misses,
+        solo_warm.stats.cache.hits,
+        (solo_warm.stats.cache.hit_rate() * 100.0).round()
     );
 
     // 3c. Transposition minimax: an alternating game whose payoffs are
     //     move-order-invariant, solved once per *canonical state* from a
     //     cache shared by all workers.
+    //     Racing workers may solve one state twice, so the cache
+    //     counts again come from one worker.
     let tree = SymTree::new(4, 6, 5);
-    let tcache = selc_games::transposition::TransCache::from_env();
-    let (mv, value, outcome) = solve_root_split(&tree, &engine, &tcache);
-    assert_eq!(value, tree.value_backward());
+    let solve = |engine: &Engine| {
+        let tcache = selc_games::transposition::TransCache::from_env();
+        let (mv, value, outcome) = solve_root_split(&tree, engine, &tcache);
+        assert_eq!(value, tree.value_backward());
+        (mv, value, tcache.len(), outcome.stats.cache.hits)
+    };
+    let (mv, value, _, _) = solve(&engine);
+    let (solo_mv, _, cached, hits) = solve(&one);
+    assert_eq!(mv, solo_mv);
     println!(
-        "transposition minimax (4^6 tree): move {mv}, value {value:.2} — {} states cached, {} hits",
-        tcache.len(),
-        outcome.stats.cache.hits
+        "transposition minimax (4^6 tree): move {mv}, value {value:.2} — one worker: {cached} states cached, {hits} hits"
     );
 
     // 4. Parallel n-queens via the root-split product of selection
