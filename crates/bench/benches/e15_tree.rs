@@ -10,28 +10,37 @@
 //! asserted against. The cached walks over the same chain, cold and
 //! warm, are E16's rows, together with their stats lines.
 //!
+//! The `two_walkers` row runs two OS threads, each walking a chain-10
+//! space with a one-worker engine, first both over one shared space and
+//! then each over its own compiled copy, and prints the median ratio of
+//! the shared to the private walk time over 5 rounds: what two workers
+//! on one program still both write shows up as a ratio above 1.
+//!
 //! With `SELC_TRACE=<path>` set, the engine spans of the runs are
 //! flushed as chrome://tracing JSON after timing. `SELC_BENCH_SMOKE=1`
 //! shrinks the chain for CI.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
+use lambda_rt::tree::LcTreeEval;
 use lambda_rt::{search_compiled, search_compiled_flat, LcCandidates};
+use selc_bench::stats_line;
 use selc_engine::Engine;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
 }
 
+/// A freshly compiled decide chain of `choices` decisions.
+fn chain(choices: u32) -> LcCandidates {
+    let p = deep_decide_chain(choices);
+    LcCandidates::new(lambda_c::compile(&p.expr).expect("compiles"), ["decide".to_owned()], choices)
+}
+
 fn bench_tree_vs_flat(c: &mut Criterion) {
     let choices = if smoke() { 10 } else { 18 };
-    let p = deep_decide_chain(choices);
-    let cands = LcCandidates::new(
-        lambda_c::compile(&p.expr).expect("compiles"),
-        ["decide".to_owned()],
-        choices,
-    );
+    let cands = chain(choices);
     let tree_eng = Engine::with_threads(4);
 
     // Bit-identical winners, asserted once before timing: the sequential
@@ -57,12 +66,46 @@ fn bench_tree_vs_flat(c: &mut Criterion) {
     }
 }
 
+/// Mean wall time of one walk when two threads each walk their space
+/// `WALKS` times at once.
+fn walk_pair(spaces: [&LcCandidates; 2]) -> f64 {
+    const WALKS: u32 = 20;
+    let engine = Engine::with_threads(1);
+    let elapsed: f64 = std::thread::scope(|s| {
+        let walkers = spaces.map(|space| {
+            let engine = &engine;
+            s.spawn(move || {
+                let eval = LcTreeEval::new(space.clone());
+                let start = Instant::now();
+                for _ in 0..WALKS {
+                    black_box(engine.search(&eval));
+                }
+                start.elapsed().as_secs_f64()
+            })
+        });
+        walkers.into_iter().map(|w| w.join().expect("a walker finishes")).sum()
+    });
+    elapsed / f64::from(2 * WALKS)
+}
+
+fn bench_two_walkers(_: &mut Criterion) {
+    const ROUNDS: usize = 5;
+    let shared = chain(10);
+    let private = [chain(10), chain(10)];
+    let mut ratios: Vec<f64> = (0..ROUNDS)
+        .map(|_| walk_pair([&shared, &shared]) / walk_pair([&private[0], &private[1]]))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let pairs = [("median", ratios[ROUNDS / 2]), ("min", ratios[0]), ("max", ratios[ROUNDS - 1])];
+    println!("{}", stats_line("e15_tree/two_walkers", "shared_over_private", &pairs));
+}
+
 criterion_group! {
     name = benches;
     // The cold tree walks take up to seconds per iteration at 18
     // decisions; two samples of one iteration each keep the recording
     // honest without an hour-long run.
     config = Criterion::default().sample_size(2).measurement_time(Duration::from_millis(200)).warm_up_time(Duration::from_millis(50));
-    targets = bench_tree_vs_flat
+    targets = bench_tree_vs_flat, bench_two_walkers
 }
 criterion_main!(benches);

@@ -32,9 +32,17 @@
 //!   server spawns only its accept loop and session threads, which run
 //!   their searches themselves, so a search thread set cannot return.
 //!
-//! Any rule can be waived for one line with `// selc-lint:
+//!
+//! Any of these can be waived for one line with `// selc-lint:
 //! allow(<rule>)` on that line or the line above — the waiver is
 //! greppable, which is the point.
+//!
+//! A fifth rule, **`retired-name`** ([`retired_names`]), keeps deleted
+//! designs deleted: each entry of its table bans names inside its path
+//! scopes. It reads raw lines — code, comments and strings alike — over
+//! every file under [`RETIRED_ROOTS`], test and example trees included,
+//! and has no waiver: the only exceptions are the exact lines an entry
+//! lists.
 
 /// Path suffixes (always `/`-separated) where `partial_cmp` is allowed.
 const PARTIAL_CMP_ALLOWLIST: &[&str] = &["crates/autodiff/src/dual.rs"];
@@ -53,6 +61,112 @@ const SPAWN_SITES: &[(&str, &str)] = &[
 
 const ORDERING_VARIANTS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
+/// The trees the `retired-name` rule reads, every file in them.
+pub const RETIRED_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
+
+/// Where a retired name is banned everywhere [`RETIRED_ROOTS`] reach.
+const EVERYWHERE: &[&str] = &["crates/", "src/", "tests/", "examples/"];
+
+/// The files that must spell every retired name: the table and its
+/// fixtures.
+const RETIRED_TABLE_FILES: &[&str] =
+    &["crates/check/src/lint.rs", "crates/check/tests/lint_fixtures.rs"];
+
+/// How an occurrence of a retired name must be delimited to count.
+#[derive(Clone, Copy)]
+enum Edge {
+    /// Anywhere, inside longer words too.
+    None,
+    /// No word character (letter, digit, `_`) may follow it.
+    End,
+    /// No word character may precede or follow it (a whole word).
+    Word,
+}
+
+/// One retired design: names that may not come back inside `scopes`.
+struct Retired {
+    /// The banned texts.
+    names: &'static [&'static str],
+    /// How an occurrence must be delimited.
+    edge: Edge,
+    /// Path prefixes the ban covers.
+    scopes: &'static [&'static str],
+    /// `(path, line)`: whole lines that may keep a name, exactly as written.
+    except: &'static [(&'static str, &'static str)],
+    /// What replaced the names.
+    why: &'static str,
+}
+
+/// Every retired name, by the design that retired it.
+const RETIRED: &[Retired] = &[
+    Retired {
+        names: &["trait Engine"],
+        edge: Edge::End,
+        scopes: &["crates/engine/src/"],
+        except: &[],
+        why: "`Engine { threads, prune }` is the one engine, a struct",
+    },
+    Retired {
+        names: &["CandidateEval", "FnEval"],
+        edge: Edge::Word,
+        scopes: EVERYWHERE,
+        except: &[],
+        why: "a flat candidate is a closure, not an evaluator object",
+    },
+    Retired {
+        names: &["struct TreeEngine", "struct ParallelEngine"],
+        edge: Edge::End,
+        scopes: EVERYWHERE,
+        except: &[],
+        why: "`Engine` is the one engine struct",
+    },
+    Retired {
+        names: &["TreeEngine", "ParallelEngine", "SequentialEngine"],
+        edge: Edge::Word,
+        scopes: EVERYWHERE,
+        except: &[
+            ("crates/engine/src/engine.rs", "pub type ParallelEngine = Engine;"),
+            ("crates/engine/src/engine.rs", "pub type SequentialEngine = Engine;"),
+            ("crates/engine/src/engine.rs", "pub type TreeEngine = Engine;"),
+            (
+                "crates/engine/src/lib.rs",
+                "pub use engine::{ParallelEngine, SequentialEngine, TreeEngine};",
+            ),
+        ],
+        why: "the old engine names are aliases kept for the benchmark package only",
+    },
+    Retired {
+        names: &[
+            "ReplaySpace",
+            "SelEval",
+            "search_programs",
+            "replay_loss",
+            "CacheStatsSink",
+            "tune_lr_parallel_cached",
+            "minimax_root_split_stats",
+            "with_fuel",
+        ],
+        edge: Edge::Word,
+        scopes: EVERYWHERE,
+        except: &[],
+        why: "programs reach workers as plain closures: no replay-factory layer or suffix variants",
+    },
+    Retired {
+        names: &["seed_bits", "hint_is_lower_bound", "observe_bits", "best_seen", "fn cache_stats"],
+        edge: Edge::None,
+        scopes: EVERYWHERE,
+        except: &[],
+        why: "one bound per space: no seeding, best-seen mirror or evaluator cache stats",
+    },
+    Retired {
+        names: &["Arc<Code>"],
+        edge: Edge::None,
+        scopes: &["crates/lambda-c/src/"],
+        except: &[],
+        why: "code positions are `CodeId`s into one node table per program",
+    },
+];
+
 /// Which invariant a [`Finding`] violates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rule {
@@ -60,6 +174,7 @@ pub enum Rule {
     OrderingComment,
     ServeNoPanic,
     EngineSpawn,
+    RetiredName,
 }
 
 impl Rule {
@@ -71,6 +186,7 @@ impl Rule {
             Rule::OrderingComment => "ordering-comment",
             Rule::ServeNoPanic => "serve-no-panic",
             Rule::EngineSpawn => "engine-spawn",
+            Rule::RetiredName => "retired-name",
         }
     }
 }
@@ -422,6 +538,48 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
                         ),
                     ));
                 }
+            }
+        }
+    }
+    findings
+}
+
+/// Does `line` hold `name` delimited as `edge` asks, at any occurrence?
+fn occurs(line: &str, name: &str, edge: Edge) -> bool {
+    let word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    line.match_indices(name).any(|(at, _)| {
+        let after = word(line[at + name.len()..].chars().next());
+        let before = word(line[..at].chars().next_back());
+        match edge {
+            Edge::None => true,
+            Edge::End => !after,
+            Edge::Word => !after && !before,
+        }
+    })
+}
+
+/// Applies the `retired-name` rule to one file of any kind. `path` is
+/// workspace-relative with `/` separators, as for [`lint_source`].
+#[must_use]
+pub fn retired_names(path: &str, text: &str) -> Vec<Finding> {
+    if RETIRED_TABLE_FILES.contains(&path) {
+        return Vec::new();
+    }
+    let entries: Vec<&Retired> =
+        RETIRED.iter().filter(|r| r.scopes.iter().any(|s| path.starts_with(s))).collect();
+    let mut findings = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        for r in &entries {
+            if r.except.contains(&(path, line)) {
+                continue;
+            }
+            for name in r.names.iter().filter(|name| occurs(line, name, r.edge)) {
+                findings.push(Finding {
+                    path: path.to_string(),
+                    line: idx + 1,
+                    rule: Rule::RetiredName,
+                    message: format!("`{name}` is retired: {}", r.why),
+                });
             }
         }
     }

@@ -2,7 +2,7 @@
 //! minimal offending source, stays quiet on the sanctioned shapes, and
 //! honours waivers, test regions, and the allowlist.
 
-use selc_check::lint::{lint_source, Rule};
+use selc_check::lint::{lint_source, retired_names, Rule};
 
 fn rules_at(path: &str, src: &str) -> Vec<(usize, Rule)> {
     lint_source(path, src).into_iter().map(|f| (f.line, f.rule)).collect()
@@ -195,4 +195,81 @@ fn findings_render_as_path_line_rule_message() {
     let f = &lint_source("crates/serve/src/x.rs", "fn f(v: Option<u32>) { v.unwrap(); }\n")[0];
     let line = f.to_string();
     assert!(line.starts_with("crates/serve/src/x.rs:1: [serve-no-panic]"), "got {line}");
+}
+
+// ---------------------------------------------------------------- retired-name
+
+fn retired_at(path: &str, src: &str) -> Vec<usize> {
+    let found = retired_names(path, src);
+    assert!(found.iter().all(|f| f.rule == Rule::RetiredName));
+    found.into_iter().map(|f| f.line).collect()
+}
+
+#[test]
+fn the_engine_trait_stays_retired_under_the_engine_crate() {
+    let src = "pub trait Engine {}\npub trait Engines {}\n// no trait Engine: a struct\n";
+    assert_eq!(retired_at("crates/engine/src/engine.rs", src), vec![1, 3]);
+    assert_eq!(retired_at("crates/games/src/lib.rs", src), Vec::<usize>::new());
+}
+
+#[test]
+fn the_flat_evaluator_trait_stays_retired_everywhere() {
+    let src = "impl CandidateEval for X {}\nlet e = FnEval(f);\nlet n = CandidateEvals;\n";
+    for path in ["crates/ml/src/lib.rs", "src/lib.rs", "tests/cross_layer.rs", "examples/nash.rs"] {
+        assert_eq!(retired_at(path, src), vec![1, 2], "{path}");
+    }
+    assert_eq!(retired_at("perfbench/src/main.rs", src), Vec::<usize>::new());
+}
+
+#[test]
+fn a_second_engine_struct_stays_retired() {
+    let src = "pub struct TreeEngine;\nstruct ParallelEngine { t: u32 }\nstruct TreeEngines;\n";
+    let found = retired_names("crates/engine/src/tree.rs", src);
+    let structs = found.iter().filter(|f| f.message.starts_with("`struct "));
+    assert_eq!(structs.map(|f| f.line).collect::<Vec<_>>(), vec![1, 2]);
+}
+
+#[test]
+fn old_engine_names_live_only_on_their_alias_lines() {
+    let aliases = "pub type ParallelEngine = Engine;\npub type SequentialEngine = Engine;\npub type TreeEngine = Engine;\n";
+    assert_eq!(retired_at("crates/engine/src/engine.rs", aliases), Vec::<usize>::new());
+    let reexport = "pub use engine::{ParallelEngine, SequentialEngine, TreeEngine};\n";
+    assert_eq!(retired_at("crates/engine/src/lib.rs", reexport), Vec::<usize>::new());
+    // The exceptions are whole lines in their own files.
+    assert_eq!(retired_at("crates/engine/src/tree.rs", aliases), vec![1, 2, 3]);
+    assert_eq!(
+        retired_at("crates/engine/src/lib.rs", "  pub type TreeEngine = Engine;\n"),
+        vec![1]
+    );
+    let uses = "// a SequentialEngine\nlet e = TreeEngine::auto();\nlet s = TreeEngines;\n";
+    assert_eq!(retired_at("tests/cross_layer.rs", uses), vec![1, 2]);
+}
+
+#[test]
+fn the_replay_factory_names_stay_retired_as_whole_words() {
+    let src = "use selc::ReplaySpace;\nfn search_programs() {}\nfn search_programs_typecheck() {}\nlet c = m.with_fuel(3);\n";
+    assert_eq!(retired_at("crates/lambda-rt/src/search.rs", src), vec![1, 2, 4]);
+    assert_eq!(retired_at("crates/core/src/lib.rs", "// tune_lr_parallel_cached\n"), vec![1]);
+}
+
+#[test]
+fn bound_seeding_names_stay_retired_inside_longer_words() {
+    let src = "fn seed_bits_of() {}\nlet best_seen2 = 1;\nfn cache_stats(&self) {}\nlet x = cache_stats();\n";
+    assert_eq!(retired_at("crates/engine/src/tree.rs", src), vec![1, 2, 3]);
+}
+
+#[test]
+fn shared_code_pointers_stay_retired_in_the_lambda_c_sources() {
+    let src = "// once an Arc<Code> tree\nstruct Clos { body: Arc<Code> }\nlet t: Arc<[Code]>;\n";
+    assert_eq!(retired_at("crates/lambda-c/src/machine.rs", src), vec![1, 2]);
+    assert_eq!(retired_at("crates/lambda-c/tests/flow_differential.rs", src), Vec::<usize>::new());
+    assert_eq!(retired_at("crates/lambda-rt/src/tree.rs", src), Vec::<usize>::new());
+}
+
+#[test]
+fn the_table_and_its_fixtures_may_name_what_they_ban() {
+    let src = "names: &[\"CandidateEval\"],\n";
+    assert_eq!(retired_at("crates/check/src/lint.rs", src), Vec::<usize>::new());
+    assert_eq!(retired_at("crates/check/tests/lint_fixtures.rs", src), Vec::<usize>::new());
+    assert_eq!(retired_at("crates/check/src/model.rs", src), vec![1]);
 }

@@ -62,8 +62,13 @@ impl<L: OrderedLoss> SharedBound<L> {
             // ordering: Relaxed — the bound is a monotone hint. fetch_min
             // never loosens it, and a reader seeing a stale (larger)
             // value only misses a pruning opportunity; no data is
-            // published through this word.
-            self.bits.fetch_min(bits, Ordering::Relaxed);
+            // published through this word. The load first skips the
+            // shared write for a loss that cannot tighten the bound (most
+            // leaves, once the best is known); a stale read only lets a
+            // no-op `fetch_min` through.
+            if bits < self.bits.load(Ordering::Relaxed) {
+                self.bits.fetch_min(bits, Ordering::Relaxed);
+            }
         }
     }
 

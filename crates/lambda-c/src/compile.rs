@@ -2,13 +2,15 @@
 //!
 //! The substitution interpreter ([`crate::smallstep`]) clones and renames
 //! the full term on every β-step. The compiler lowers a well-scoped
-//! expression once into [`Code`] — an immutable, `Arc`-shared tree with
-//! **de Bruijn indices** instead of named variables — which the
-//! environment machine ([`crate::machine`]) then evaluates with closures
-//! and persistent environments: a β-step becomes one environment
-//! extension, independent of term size.
+//! expression once into one flat node table per [`CompiledProgram`] —
+//! [`Code`] nodes with **de Bruijn indices** instead of named variables,
+//! each child a [`CodeId`] — which the environment machine
+//! ([`crate::machine`]) then evaluates with closures and persistent
+//! environments: a β-step becomes one environment extension, independent
+//! of term size. A code position is a plain number, which machine state
+//! and [`crate::flow`]'s dense per-site tables hold without a pointer.
 //!
-//! `Code` is deliberately plain `Send + Sync` data (`Arc`, `String`,
+//! `Code` is deliberately plain `Send + Sync` data (ids, `String`,
 //! [`Const`], primitive `fn` pointers — no `Rc`, no closures): a
 //! [`CompiledProgram`] is thread-shippable, so the `lambda-rt` bridge can
 //! run the machine on any engine worker (replay-per-worker, the engine's
@@ -27,13 +29,27 @@
 use crate::prim::{prim_lookup, PrimEval};
 use crate::syntax::{Const, Expr, Handler};
 use std::fmt;
+use std::ops::Index;
 use std::sync::Arc;
 
 /// An operation name, interned per [`CompiledProgram`].
 pub type OpId = u32;
 
-/// Compiled λC code: the [`Expr`] grammar with binders turned into de
-/// Bruijn indices (innermost binder = index 0) and all sharing via `Arc`.
+/// A node's position in its program's node table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CodeId(pub(crate) u32);
+
+impl Index<CodeId> for [Code] {
+    type Output = Code;
+
+    fn index(&self, id: CodeId) -> &Code {
+        &self[id.0 as usize]
+    }
+}
+
+/// One node of compiled λC: the [`Expr`] grammar with binders turned into
+/// de Bruijn indices (innermost binder = index 0) and every child a
+/// [`CodeId`] into the program's node table.
 ///
 /// Type and effect annotations are erased: neither influences evaluation
 /// (the small-step rules consult effects only to re-annotate
@@ -46,120 +62,86 @@ pub enum Code {
     /// Primitive application `f(e)`: the name, its [`prim_lookup`]
     /// evaluator (`None` for an unknown name, which fails when the call
     /// runs) and the argument.
-    Prim(String, Option<PrimEval>, Arc<Code>),
+    Prim(String, Option<PrimEval>, CodeId),
     /// A variable, as distance to its binder.
     Var(usize),
     /// `λ. body` (binds index 0 of the body).
-    Lam(Arc<Code>),
+    Lam(CodeId),
     /// Application.
-    App(Arc<Code>, Arc<Code>),
+    App(CodeId, CodeId),
     /// Tuple.
-    Tuple(Vec<Arc<Code>>),
+    Tuple(Vec<CodeId>),
     /// Projection (0-based).
-    Proj(Arc<Code>, usize),
+    Proj(CodeId, usize),
     /// Left injection.
-    Inl(Arc<Code>),
+    Inl(CodeId),
     /// Right injection.
-    Inr(Arc<Code>),
+    Inr(CodeId),
     /// Case analysis; each branch binds its payload at index 0.
     Cases {
         /// Scrutinee.
-        scrut: Arc<Code>,
+        scrut: CodeId,
         /// Left branch (binds the payload).
-        lbody: Arc<Code>,
+        lbody: CodeId,
         /// Right branch (binds the payload).
-        rbody: Arc<Code>,
+        rbody: CodeId,
     },
     /// The natural number zero.
     Zero,
     /// Successor.
-    Succ(Arc<Code>),
+    Succ(CodeId),
     /// Iteration `iter(e1, e2, e3)`.
-    Iter(Arc<Code>, Arc<Code>, Arc<Code>),
+    Iter(CodeId, CodeId, CodeId),
     /// The empty list.
     Nil,
     /// Cons.
-    Cons(Arc<Code>, Arc<Code>),
+    Cons(CodeId, CodeId),
     /// Fold.
-    Fold(Arc<Code>, Arc<Code>, Arc<Code>),
+    Fold(CodeId, CodeId, CodeId),
     /// Operation call.
     OpCall {
         /// Operation.
         op: OpId,
         /// Argument.
-        arg: Arc<Code>,
+        arg: CodeId,
     },
     /// Loss emission `loss(e)`.
-    Loss(Arc<Code>),
+    Loss(CodeId),
     /// `with h from e1 handle e2`.
     Handle {
         /// The handler (clauses compiled in the enclosing scope).
-        handler: Arc<CodeHandler>,
+        handler: CodeHandler,
         /// Initial parameter.
-        from: Arc<Code>,
+        from: CodeId,
         /// Handled computation.
-        body: Arc<Code>,
+        body: CodeId,
     },
     /// `e ◮ λx. e2` — the loss-continuation lambda's *body* (binds x).
     Then {
         /// The computation whose losses are captured.
-        e: Arc<Code>,
+        e: CodeId,
         /// Body of the continuation lambda (binds the result).
-        lam_body: Arc<Code>,
+        lam_body: CodeId,
     },
     /// `⟨e⟩_g` with `g = λx. gbody` (binds x).
     Local {
         /// Body of the loss continuation lambda.
-        g_body: Arc<Code>,
+        g_body: CodeId,
         /// The localised expression.
-        e: Arc<Code>,
+        e: CodeId,
     },
     /// `reset e`.
-    Reset(Arc<Code>),
+    Reset(CodeId),
 }
 
 /// A compiled handler. Clause bodies bind `p, x, l, k` (so `k` is de
 /// Bruijn index 0, `p` index 3); the return clause binds `p, x`.
 #[derive(Clone, Debug)]
 pub struct CodeHandler {
-    /// The handled effect label.
-    pub label: String,
     /// One compiled clause per operation.
     pub clauses: Vec<CodeClause>,
     /// The compiled return clause body (binds `p, x`).
-    pub ret_body: Arc<Code>,
-}
-
-impl Code {
-    /// Number of subterms (handler clauses included), used to scale
-    /// analysis budgets in `lambda_c::flow` proportionally to the program.
-    pub fn size(&self) -> usize {
-        1 + match self {
-            Code::Const(_) | Code::Var(_) | Code::Zero | Code::Nil => 0,
-            Code::Prim(_, _, e)
-            | Code::Lam(e)
-            | Code::Proj(e, _)
-            | Code::Inl(e)
-            | Code::Inr(e)
-            | Code::Succ(e)
-            | Code::Loss(e)
-            | Code::OpCall { arg: e, .. }
-            | Code::Reset(e) => e.size(),
-            Code::App(a, b)
-            | Code::Cons(a, b)
-            | Code::Then { e: a, lam_body: b }
-            | Code::Local { g_body: a, e: b } => a.size() + b.size(),
-            Code::Tuple(es) => es.iter().map(|e| e.size()).sum(),
-            Code::Cases { scrut, lbody, rbody } => scrut.size() + lbody.size() + rbody.size(),
-            Code::Iter(a, b, c) | Code::Fold(a, b, c) => a.size() + b.size() + c.size(),
-            Code::Handle { handler, from, body } => {
-                from.size()
-                    + body.size()
-                    + handler.ret_body.size()
-                    + handler.clauses.iter().map(|c| c.body.size()).sum::<usize>()
-            }
-        }
-    }
+    pub ret_body: CodeId,
 }
 
 impl CodeHandler {
@@ -176,15 +158,18 @@ pub struct CodeClause {
     /// Operation.
     pub op: OpId,
     /// Clause body, binding `p, x, l, k` (k = index 0).
-    pub body: Arc<Code>,
+    pub body: CodeId,
 }
 
 /// A compiled closed program — plain `Send + Sync` data, ready for the
 /// machine (and for replay-per-worker across engine threads).
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
-    /// The program's code.
-    pub code: Arc<Code>,
+    /// The node table: every node of the program, children before
+    /// their parents. Its allocation is the program's identity.
+    pub(crate) code: Arc<[Code]>,
+    /// The program's top node.
+    pub(crate) root: CodeId,
     /// Operation names, indexed by [`OpId`].
     pub(crate) ops: Arc<[String]>,
 }
@@ -234,20 +219,18 @@ impl std::error::Error for CompileError {}
 /// if a `then`/`local` loss continuation is not a lambda.
 pub fn compile(e: &Expr) -> Result<CompiledProgram, CompileError> {
     let mut cx = Ctx::default();
-    let code = compile_in(e, &mut cx)?;
-    Ok(CompiledProgram { code, ops: cx.ops.into() })
+    let root = compile_in(e, &mut cx)?;
+    Ok(CompiledProgram { code: cx.nodes.into(), root, ops: cx.ops.into() })
 }
 
-fn arc(c: Code) -> Arc<Code> {
-    Arc::new(c)
-}
-
-/// What compilation resolves names against: the binders in scope
-/// (innermost last) and the operation names seen so far.
+/// What compilation resolves names against — the binders in scope
+/// (innermost last) and the operation names seen so far — and the node
+/// table it appends to.
 #[derive(Default)]
 struct Ctx {
     scope: Vec<String>,
     ops: Vec<String>,
+    nodes: Vec<Code>,
 }
 
 impl Ctx {
@@ -259,8 +242,9 @@ impl Ctx {
     }
 }
 
-/// Compiles under the context's scope stack.
-fn compile_in(e: &Expr, cx: &mut Ctx) -> Result<Arc<Code>, CompileError> {
+/// Compiles under the context's scope stack, appending the node after
+/// its children.
+fn compile_in(e: &Expr, cx: &mut Ctx) -> Result<CodeId, CompileError> {
     let code = match e {
         Expr::Const(c) => Code::Const(c.clone()),
         Expr::Prim(name, a) => {
@@ -302,7 +286,7 @@ fn compile_in(e: &Expr, cx: &mut Ctx) -> Result<Arc<Code>, CompileError> {
         Expr::OpCall { op, arg } => Code::OpCall { op: cx.op(op), arg: compile_in(arg, cx)? },
         Expr::Loss(a) => Code::Loss(compile_in(a, cx)?),
         Expr::Handle { handler, from, body } => Code::Handle {
-            handler: Arc::new(compile_handler(handler, cx)?),
+            handler: compile_handler(handler, cx)?,
             from: compile_in(from, cx)?,
             body: compile_in(body, cx)?,
         },
@@ -320,10 +304,12 @@ fn compile_in(e: &Expr, cx: &mut Ctx) -> Result<Arc<Code>, CompileError> {
         }
         Expr::Reset(a) => Code::Reset(compile_in(a, cx)?),
     };
-    Ok(arc(code))
+    let id = u32::try_from(cx.nodes.len()).expect("a program of fewer than 2^32 nodes");
+    cx.nodes.push(code);
+    Ok(CodeId(id))
 }
 
-fn compile_binder(body: &Expr, cx: &mut Ctx, var: &str) -> Result<Arc<Code>, CompileError> {
+fn compile_binder(body: &Expr, cx: &mut Ctx, var: &str) -> Result<CodeId, CompileError> {
     cx.scope.push(var.to_owned());
     let r = compile_in(body, cx);
     cx.scope.pop();
@@ -343,7 +329,7 @@ fn compile_handler(h: &Handler, cx: &mut Ctx) -> Result<CodeHandler, CompileErro
     cx.scope.extend([h.ret.p.clone(), h.ret.x.clone()]);
     let ret_body = compile_in(&h.ret.body, cx);
     cx.scope.truncate(n);
-    Ok(CodeHandler { label: h.label.clone(), clauses, ret_body: ret_body? })
+    Ok(CodeHandler { clauses, ret_body: ret_body? })
 }
 
 #[cfg(test)]
@@ -360,6 +346,11 @@ mod tests {
         assert_send_sync::<CodeHandler>();
     }
 
+    /// The node `id` names in `p`'s table.
+    fn at(p: &CompiledProgram, id: CodeId) -> &Code {
+        &p.code[id]
+    }
+
     #[test]
     fn de_bruijn_indices_count_outward() {
         // λx. λy. (x y) — x is index 1, y index 0.
@@ -370,11 +361,11 @@ mod tests {
             lam(Effect::empty(), "y", Type::loss(), app(v("x"), v("y"))),
         );
         let p = compile(&e).unwrap();
-        let Code::Lam(b1) = p.code.as_ref() else { panic!("outer lam") };
-        let Code::Lam(b2) = b1.as_ref() else { panic!("inner lam") };
-        let Code::App(f, a) = b2.as_ref() else { panic!("app") };
-        assert!(matches!(f.as_ref(), Code::Var(1)));
-        assert!(matches!(a.as_ref(), Code::Var(0)));
+        let Code::Lam(b1) = at(&p, p.root) else { panic!("outer lam") };
+        let Code::Lam(b2) = at(&p, *b1) else { panic!("inner lam") };
+        let Code::App(f, a) = at(&p, *b2) else { panic!("app") };
+        assert!(matches!(at(&p, *f), Code::Var(1)));
+        assert!(matches!(at(&p, *a), Code::Var(0)));
     }
 
     #[test]
@@ -391,9 +382,9 @@ mod tests {
             lam(Effect::empty(), "x", Type::loss(), v("x")),
         );
         let p = compile(&e).unwrap();
-        let Code::Lam(b1) = p.code.as_ref() else { panic!("outer lam") };
-        let Code::Lam(b2) = b1.as_ref() else { panic!("inner lam") };
-        assert!(matches!(b2.as_ref(), Code::Var(0)));
+        let Code::Lam(b1) = at(&p, p.root) else { panic!("outer lam") };
+        let Code::Lam(b2) = at(&p, *b1) else { panic!("inner lam") };
+        assert!(matches!(at(&p, *b2), Code::Var(0)));
     }
 
     #[test]
@@ -403,12 +394,12 @@ mod tests {
             .build();
         let e = handle0(h, op("decide", unit()));
         let p = compile(&e).unwrap();
-        let Code::Handle { handler, .. } = p.code.as_ref() else { panic!("handle") };
-        let Code::App(k, args) = handler.clauses[0].body.as_ref() else { panic!("app") };
-        assert!(matches!(k.as_ref(), Code::Var(0)), "k is the innermost binder");
-        let Code::Tuple(es) = args.as_ref() else { panic!("pair") };
-        assert!(matches!(es[0].as_ref(), Code::Var(3)), "p is the outermost of the four");
-        assert!(matches!(es[1].as_ref(), Code::Var(2)), "x is next");
+        let Code::Handle { handler, .. } = at(&p, p.root) else { panic!("handle") };
+        let Code::App(k, args) = at(&p, handler.clauses[0].body) else { panic!("app") };
+        assert!(matches!(at(&p, *k), Code::Var(0)), "k is the innermost binder");
+        let Code::Tuple(es) = at(&p, *args) else { panic!("pair") };
+        assert!(matches!(at(&p, es[0]), Code::Var(3)), "p is the outermost of the four");
+        assert!(matches!(at(&p, es[1]), Code::Var(2)), "x is next");
     }
 
     #[test]
@@ -421,12 +412,12 @@ mod tests {
             let_(Effect::empty(), "grid", Type::loss(), lc(1.0), handle0(h, op("decide", unit())));
         let p = compile(&e).unwrap();
         // grid resolves at distance 4 from inside the clause (under p,x,l,k).
-        let Code::App(lamc, _) = p.code.as_ref() else { panic!("let is app") };
-        let Code::Lam(body) = lamc.as_ref() else { panic!("lam") };
-        let Code::Handle { handler, .. } = body.as_ref() else { panic!("handle") };
-        let Code::App(_, args) = handler.clauses[0].body.as_ref() else { panic!("app") };
-        let Code::Tuple(es) = args.as_ref() else { panic!("pair") };
-        assert!(matches!(es[1].as_ref(), Code::Var(4)));
+        let Code::App(lamc, _) = at(&p, p.root) else { panic!("let is app") };
+        let Code::Lam(body) = at(&p, *lamc) else { panic!("lam") };
+        let Code::Handle { handler, .. } = at(&p, *body) else { panic!("handle") };
+        let Code::App(_, args) = at(&p, handler.clauses[0].body) else { panic!("app") };
+        let Code::Tuple(es) = at(&p, *args) else { panic!("pair") };
+        assert!(matches!(at(&p, es[1]), Code::Var(4)));
     }
 
     #[test]

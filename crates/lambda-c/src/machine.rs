@@ -45,13 +45,14 @@
 //! **prune hook** aborts a run whose ambient partial loss is already
 //! strictly worse than a loss some run achieved (sound for non-negative
 //! losses).
-//! Resuming a point copies a fixed-size snapshot (the running partial, a
-//! shared pointer to the forced-op set), so a resume costs the same at
-//! every depth. Each point also records the decision site that suspended
-//! it, which keys its residual in a [`crate::flow::NonNegLosses`]
-//! certificate.
+//! Code positions are [`CodeId`]s, so a resume copies a fixed-size
+//! snapshot (the running partial, one `Rc` to the run's unchanging
+//! inputs) and writes no reference count another worker reads. Each point
+//! also records the id of the `OpCall` node that suspended it, which with
+//! the point's program keys its residual in a
+//! [`crate::flow::NonNegLosses`] certificate.
 
-use crate::compile::{Code, CodeHandler, CompiledProgram, OpId};
+use crate::compile::{Code, CodeHandler, CodeId, CompiledProgram, OpId};
 use crate::loss::LossVal;
 use crate::prim::{Ground, PrimEval};
 use crate::syntax::Const;
@@ -194,7 +195,7 @@ impl fmt::Debug for MVal {
 /// A closure: compiled body plus captured environment.
 #[derive(Clone)]
 pub struct Clos {
-    body: Arc<Code>,
+    body: CodeId,
     env: Env,
 }
 
@@ -202,14 +203,23 @@ impl fmt::Debug for Clos {
     fmt_summary!("Clos");
 }
 
-/// One handler activation: the handler, its closure environment, and the
-/// live-parameter stack consulted by the return-clause loss continuation
-/// (smallstep reads the current `from` value off the rebuilt term; the
-/// machine reads the top of this stack, pushed once per continuation run).
+/// One handler activation: its `Handle` node, its closure environment,
+/// and the live-parameter stack consulted by the return-clause loss
+/// continuation (smallstep reads the current `from` value off the rebuilt
+/// term; the machine reads the top of this stack, pushed once per run).
 struct Activation {
-    h: Arc<CodeHandler>,
+    handle: CodeId,
     env: Env,
     params: RefCell<Vec<MVal>>,
+}
+
+impl Activation {
+    fn handler<'c>(&self, code: &'c [Code]) -> &'c CodeHandler {
+        match &code[self.handle] {
+            Code::Handle { handler, .. } => handler,
+            _ => unreachable!("an activation starts at a `Handle` node"),
+        }
+    }
 }
 
 /// What the machine-built `l`/`k` values of rule (R5) close over: the
@@ -392,7 +402,7 @@ const _: () = assert!(std::mem::size_of::<Frame>() <= 96);
 /// What a handler segment runs: the handled body under its (S1) loss
 /// continuation, or a captured continuation resumed with a value.
 enum Seg {
-    Body(Arc<Code>, GVal),
+    Body(CodeId, GVal),
     Resume(Kont, MVal),
 }
 
@@ -413,20 +423,7 @@ struct StuckM {
     choice: bool,
     /// The `OpCall` node that stuck, when it ran at capture depth 0: the
     /// key of its residual in a [`crate::flow::NonNegLosses`].
-    site: Option<Arc<Code>>,
-}
-
-#[derive(Clone)]
-struct ForcedState {
-    /// Forced, by [`OpId`]; shared by every snapshot (a resume copies a pointer).
-    ops: Rc<[bool]>,
-    bits: u64,
-    /// Decisions `0..scripted` are answered from `bits`; decisions
-    /// `scripted..max` yield [`ChoicePoint`]s. A candidate run scripts
-    /// everything (`scripted == max`).
-    scripted: u32,
-    max: u32,
-    used: u32,
+    site: Option<CodeId>,
 }
 
 /// What a forced operation should do next.
@@ -437,20 +434,30 @@ enum Decision {
     Yield,
 }
 
-impl ForcedState {
-    fn next(&mut self) -> Result<Decision, MachError> {
-        if self.used >= self.max {
+impl TreeChoices {
+    /// Takes decision number `used` (0-based).
+    fn next(&self, used: &mut u32) -> Result<Decision, MachError> {
+        let j = *used;
+        if j >= self.max_decisions {
             return Err(MachError::DecisionsExhausted);
         }
-        if self.used < self.scripted {
+        *used += 1;
+        if j < self.prefix_len {
             // Bits past the 64th read as the zero-extension of `bits`.
-            let bit = self.bits.checked_shr(self.scripted - 1 - self.used).unwrap_or(0) & 1;
-            self.used += 1;
+            let bit = self.prefix_bits.checked_shr(self.prefix_len - 1 - j).unwrap_or(0) & 1;
             return Ok(Decision::Scripted(bit == 0));
         }
-        self.used += 1;
         Ok(Decision::Yield)
     }
+}
+
+/// What every snapshot of one run shares and never changes. Evaluation
+/// also takes its node table as `code`, to hold nodes while mutating `m`.
+struct Run {
+    program: CompiledProgram,
+    fuel: u64,
+    forced: Option<TreeChoices>,
+    prune: Option<MachinePrune>,
 }
 
 /// The mutable run state threaded through evaluation. `Clone` is the
@@ -459,26 +466,23 @@ impl ForcedState {
 /// record plus one loss value, whatever the depth.
 #[derive(Clone)]
 struct Machine {
-    fuel_left: u64,
+    run: Rc<Run>,
     steps: u64,
     /// Depth of enclosing capture/discard loss scopes (0 = ambient).
     capture_depth: u32,
-    forced: Option<ForcedState>,
-    prune: Option<MachinePrune>,
+    /// Forced decisions taken so far (0 outside forced mode).
+    decisions: u32,
     /// The ambient loss so far: every emission at `capture_depth == 0`,
     /// added from zero in emission order (the bigstep running sum).
     partial: LossVal,
-    /// The program's operation names, to report a stuck run by name.
-    op_names: Arc<[String]>,
 }
 
 impl Machine {
     fn tick(&mut self) -> Result<(), MachError> {
         self.steps += 1;
-        if self.fuel_left == 0 {
+        if self.steps > self.run.fuel {
             return Err(MachError::OutOfFuel { steps: self.steps });
         }
-        self.fuel_left -= 1;
         Ok(())
     }
 
@@ -489,7 +493,7 @@ impl Machine {
     fn emit(&mut self, buf: &mut LossBuf, l: LossVal) -> Result<(), MachError> {
         if self.capture_depth == 0 {
             self.partial = self.partial.add(&l);
-            if self.prune.as_ref().is_some_and(|p| p.0.dominated(&self.partial)) {
+            if self.run.prune.as_ref().is_some_and(|p| p.0.dominated(&self.partial)) {
                 return Err(MachError::Pruned);
             }
         } else if !l.is_zero() {
@@ -567,14 +571,14 @@ pub enum Explored {
 /// (fuel, steps, loss scopes, the decision cursor, the ambient partial)
 /// lives in the snapshot, which each [`ChoicePoint::resume`] copies — so
 /// both decisions can be explored from one shared prefix evaluation. The
-/// copy is O(1): the forced-op set is shared and the emissions so far
-/// are one running partial, not a per-decision history. Not `Send`:
+/// copy is O(1): the run's inputs are one shared `Rc` and the emissions
+/// so far are one running partial, not a per-decision history. Not `Send`:
 /// points stay on the worker that created them; parallel searches ship
 /// decision *prefixes* and rebuild points locally.
 pub struct ChoicePoint {
     cont: Kont,
     state: Machine,
-    site: Option<Arc<Code>>,
+    site: Option<CodeId>,
 }
 
 impl fmt::Debug for ChoicePoint {
@@ -587,8 +591,7 @@ impl ChoicePoint {
     /// Decisions completed before this choice — the node's depth in the
     /// decision tree (path bits have this many digits).
     pub fn depth(&self) -> u32 {
-        let f = self.state.forced.as_ref().expect("a choice point implies forced mode");
-        f.used - 1
+        self.state.decisions - 1
     }
 
     /// The ambient loss emitted so far along this path: a cheap
@@ -602,10 +605,10 @@ impl ChoicePoint {
         &self.state.partial
     }
 
-    /// The decision site that suspended this point, when it ran outside
-    /// every capture scope.
-    pub(crate) fn site(&self) -> Option<&Arc<Code>> {
-        self.site.as_ref()
+    /// The decision site that suspended this point, with the program it
+    /// belongs to, when it ran outside every capture scope.
+    pub(crate) fn site(&self) -> Option<(&CompiledProgram, CodeId)> {
+        self.site.map(|site| (&self.state.run.program, site))
     }
 
     /// Resumes the run with `decision`, on a fresh copy of the suspended
@@ -617,7 +620,8 @@ impl ChoicePoint {
     /// the branch.
     pub fn resume(&self, decision: bool) -> Result<Explored, MachError> {
         let mut m = self.state.clone();
-        let r = resume(&mut m, &self.cont, MVal::bool(decision), &mut LossBuf::new())?;
+        let code = &self.state.run.program.code;
+        let r = resume(&mut m, code, &self.cont, MVal::bool(decision), &mut LossBuf::new())?;
         Ok(finish_explored(m, r))
     }
 }
@@ -629,11 +633,11 @@ fn finish_explored(m: Machine, r: MRes) -> Explored {
         MRes::Stuck(s) if s.choice => {
             return Explored::Choice(ChoicePoint { cont: s.cont, state: m, site: s.site });
         }
-        MRes::Stuck(s) => (None, Some(m.op_names[s.op as usize].clone())),
+        MRes::Stuck(s) => (None, Some(m.run.program.ops[s.op as usize].clone())),
         MRes::Done(v) => (Some(v), None),
     };
-    let decisions_used = m.forced.map_or(0, |f| f.used);
-    let out = MachineOutcome { loss: m.partial, value, stuck_on, steps: m.steps, decisions_used };
+    let Machine { partial: loss, steps, decisions: decisions_used, .. } = m;
+    let out = MachineOutcome { loss, value, stuck_on, steps, decisions_used };
     Explored::Done(out)
 }
 
@@ -653,22 +657,13 @@ fn finish_explored(m: Machine, r: MRes) -> Explored {
 /// length differs from this program's operation table).
 pub fn explore(p: &CompiledProgram, cfg: RunConfig) -> Result<Explored, MachError> {
     let RunConfig { fuel, forced, prune } = cfg;
-    let forced = forced.map(|f| {
+    if let Some(f) = &forced {
         assert_eq!(f.ops.len(), p.ops.len(), "a forced-op mask of another program");
-        ForcedState {
-            // The run's own copy: resumes clone a pointer no other
-            // worker touches.
-            ops: Rc::from(&*f.ops),
-            bits: f.prefix_bits,
-            scripted: f.prefix_len,
-            max: f.max_decisions,
-            used: 0,
-        }
-    });
-    let fuel_left = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
-    let (partial, op_names) = (LossVal::zero(), Arc::clone(&p.ops));
-    let mut m = Machine { fuel_left, steps: 0, capture_depth: 0, forced, prune, partial, op_names };
-    let r = eval(&mut m, &p.code, &Env::empty(), &GVal::Zero, &mut LossBuf::new())?;
+    }
+    let fuel = if fuel == 0 { DEFAULT_MACHINE_FUEL } else { fuel };
+    let run = Rc::new(Run { program: p.clone(), fuel, forced, prune });
+    let mut m = Machine { run, steps: 0, capture_depth: 0, decisions: 0, partial: LossVal::zero() };
+    let r = eval(&mut m, &p.code, p.root, &Env::empty(), &GVal::Zero, &mut LossBuf::new())?;
     Ok(finish_explored(m, r))
 }
 
@@ -678,48 +673,48 @@ pub fn explore(p: &CompiledProgram, cfg: RunConfig) -> Result<Explored, MachErro
 
 /// Runs continuation `k` on the resumed value `y`: every frame's step,
 /// and the re-wrap a stuck result needs to keep composing.
-fn resume(m: &mut Machine, k: &Kont, y: MVal, buf: &mut LossBuf) -> EvalR {
+fn resume(m: &mut Machine, code: &[Code], k: &Kont, y: MVal, buf: &mut LossBuf) -> EvalR {
     match &*k.0 {
         Frame::Done => Ok(MRes::Done(y)),
         Frame::Bind { inner, rest } => {
-            let r = resume(m, inner, y, buf)?;
-            bind(m, r, buf, rest.clone())
+            let r = resume(m, code, inner, y, buf)?;
+            bind(m, code, r, buf, rest.clone())
         }
         Frame::Seq(st) => {
             let mut st = st.clone();
-            if child(&st.node, st.idx + 1).is_none() {
-                return finish(m, st, y, buf);
+            if child(&code[st.node], st.idx + 1).is_none() {
+                return finish(m, code, st, y, buf);
             }
             st.done.push(y);
             st.idx += 1;
-            eval_seq(m, st, buf)
+            eval_seq(m, code, st, buf)
         }
         Frame::Reset(inner) => {
             m.capture_depth += 1;
-            let r = resume(m, inner, y, &mut Vec::new());
+            let r = resume(m, code, inner, y, &mut Vec::new());
             m.capture_depth -= 1;
             reset_finish(r?)
         }
         Frame::Then { inner, cap, lam } => {
             let mut cap = cap.clone();
             m.capture_depth += 1;
-            let r = resume(m, inner, y, &mut cap);
+            let r = resume(m, code, inner, y, &mut cap);
             m.capture_depth -= 1;
-            then_finish(m, r?, cap, lam.clone(), buf)
+            then_finish(m, code, r?, cap, lam.clone(), buf)
         }
         Frame::Fold { inner, cap } => {
-            let r = resume(m, inner, y, buf)?;
+            let r = resume(m, code, inner, y, buf)?;
             fold_finish(r, cap.clone())
         }
         Frame::Reenter { act, p, g, inner } => {
-            run_seg(m, act, p.clone(), Seg::Resume(inner.clone(), y), g, buf)
+            run_seg(m, code, act, p.clone(), Seg::Resume(inner.clone(), y), g, buf)
         }
         Frame::Iter { cv, d, items, g } => {
             let arg = match items {
                 Some(items) => MVal::Tuple(vec![items[*d].clone(), y]),
                 None => y,
             };
-            apply(m, cv.clone(), arg, g, buf)
+            apply(m, code, cv.clone(), arg, g, buf)
         }
     }
 }
@@ -727,9 +722,9 @@ fn resume(m: &mut Machine, k: &Kont, y: MVal, buf: &mut LossBuf) -> EvalR {
 /// Sequences `rest` after a possibly-stuck result, re-wrapping the
 /// resumption so later sticks keep composing (the CPS analogue of
 /// plugging frames back around `K[y]`; after [`Frame::Done`], just `rest`).
-fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: Kont) -> EvalR {
+fn bind(m: &mut Machine, code: &[Code], r: MRes, buf: &mut LossBuf, rest: Kont) -> EvalR {
     match r {
-        MRes::Done(v) => resume(m, &rest, v, buf),
+        MRes::Done(v) => resume(m, code, &rest, v, buf),
         MRes::Stuck(s) => {
             let cont = match *s.cont.0 {
                 Frame::Done => rest,
@@ -745,7 +740,7 @@ fn bind(m: &mut Machine, r: MRes, buf: &mut LossBuf, rest: Kont) -> EvalR {
 /// still to run in `env` under `g`.
 #[derive(Clone)]
 struct SeqState {
-    node: Arc<Code>,
+    node: CodeId,
     idx: usize,
     done: Vec<MVal>,
     env: Env,
@@ -754,9 +749,9 @@ struct SeqState {
 
 /// Child `i` of a compound node, in evaluation order (`None` past the
 /// last child, and for leaves and the scope nodes [`eval`] runs itself).
-fn child(code: &Code, i: usize) -> Option<&Arc<Code>> {
-    match (code, i) {
-        (Code::Tuple(es), _) => es.get(i),
+fn child(node: &Code, i: usize) -> Option<CodeId> {
+    match (node, i) {
+        (Code::Tuple(es), _) => es.get(i).copied(),
         (
             Code::Prim(_, _, a)
             | Code::Proj(a, _)
@@ -772,31 +767,31 @@ fn child(code: &Code, i: usize) -> Option<&Arc<Code>> {
             | Code::Iter(a, _, _)
             | Code::Fold(a, _, _),
             0,
-        ) => Some(a),
+        ) => Some(*a),
         (Code::App(_, b) | Code::Cons(_, b) | Code::Iter(_, b, _) | Code::Fold(_, b, _), 1) => {
-            Some(b)
+            Some(*b)
         }
-        (Code::Iter(_, _, c) | Code::Fold(_, _, c), 2) => Some(c),
+        (Code::Iter(_, _, c) | Code::Fold(_, _, c), 2) => Some(*c),
         _ => None,
     }
 }
 
 /// Whether a node is a value: a variable, constant, `λ`, `zero`, `[]` or `()`.
-fn is_value(code: &Code) -> bool {
-    matches!(code, Code::Var(_) | Code::Const(_) | Code::Lam(_) | Code::Zero | Code::Nil)
-        || matches!(code, Code::Tuple(es) if es.is_empty())
+fn is_value(node: &Code) -> bool {
+    matches!(node, Code::Var(_) | Code::Const(_) | Code::Lam(_) | Code::Zero | Code::Nil)
+        || matches!(node, Code::Tuple(es) if es.is_empty())
 }
 
 /// The value of a node that [`is_value`]; `None` for the others.
-fn value(code: &Code, env: &Env) -> Option<Result<MVal, MachError>> {
-    if !is_value(code) {
+fn value(node: &Code, env: &Env) -> Option<Result<MVal, MachError>> {
+    if !is_value(node) {
         return None;
     }
     let unbound = |i| MachError::Malformed(format!("unbound de Bruijn index {i}"));
-    Some(match code {
+    Some(match node {
         Code::Var(i) => env.get(*i).cloned().ok_or_else(|| unbound(i)),
         Code::Const(c) => Ok(const_val(c)),
-        Code::Lam(body) => Ok(MVal::Clos(Clos { body: Arc::clone(body), env: env.clone() })),
+        Code::Lam(body) => Ok(MVal::Clos(Clos { body: *body, env: env.clone() })),
         Code::Zero => Ok(MVal::Nat(0)),
         Code::Nil => Ok(MVal::List(Vec::new())),
         _ => Ok(MVal::unit()),
@@ -805,22 +800,23 @@ fn value(code: &Code, env: &Env) -> Option<Result<MVal, MachError>> {
 
 /// Evaluates the remaining children of `st.node` left to right, then
 /// [`finish`]es it with the last child's value.
-fn eval_seq(m: &mut Machine, mut st: SeqState, buf: &mut LossBuf) -> EvalR {
+fn eval_seq(m: &mut Machine, code: &[Code], mut st: SeqState, buf: &mut LossBuf) -> EvalR {
+    let node = &code[st.node];
     loop {
-        let next = child(&st.node, st.idx).expect("compound nodes have a child");
-        let last = child(&st.node, st.idx + 1).is_none();
+        let next = child(node, st.idx).expect("compound nodes have a child");
+        let last = child(node, st.idx + 1).is_none();
         // Value children evaluate in place: they cannot emit, stick, tick
         // or read their loss continuation, so no frame is observable, and
         // `finish` reads the ones before the last again.
-        if is_value(next) {
+        if is_value(&code[next]) {
             if last {
-                let v = value(next, &st.env).expect("a value child")?;
-                return finish(m, st, v, buf);
+                let v = value(&code[next], &st.env).expect("a value child")?;
+                return finish(m, code, st, v, buf);
             }
             st.idx += 1;
             continue;
         }
-        let (next, env) = (Arc::clone(next), st.env.clone());
+        let env = st.env.clone();
         // The continuation after this child: it both resumes evaluation on
         // `bind` and *is* the `F[x]` of the loss-continuation extension
         // `λx. F[x] ◮ g` (rule F) — one frame per node and evaluated
@@ -828,63 +824,68 @@ fn eval_seq(m: &mut Machine, mut st: SeqState, buf: &mut LossBuf) -> EvalR {
         // constructor.
         let rest = Kont(Rc::new(Frame::Seq(st)));
         let g_child = GVal::Frame(rest.clone());
-        let r = eval(m, &next, &env, &g_child, buf)?;
-        return bind(m, r, buf, rest);
+        let r = eval(m, code, next, &env, &g_child, buf)?;
+        return bind(m, code, r, buf, rest);
     }
 }
 
-/// Evaluates `code` in `env` under loss continuation `g`, emitting into
-/// `buf` — the machine's analogue of the judgment `g ⊢ε e →* w`.
-fn eval(m: &mut Machine, code: &Arc<Code>, env: &Env, g: &GVal, buf: &mut LossBuf) -> EvalR {
-    if let Some(v) = value(code, env) {
+/// Evaluates node `id` in `env` under loss continuation `g`, emitting
+/// into `buf` — the machine's analogue of the judgment `g ⊢ε e →* w`.
+fn eval(
+    m: &mut Machine,
+    code: &[Code],
+    id: CodeId,
+    env: &Env,
+    g: &GVal,
+    buf: &mut LossBuf,
+) -> EvalR {
+    let node = &code[id];
+    if let Some(v) = value(node, env) {
         return v.map(MRes::Done);
     }
-    match code.as_ref() {
+    match *node {
         Code::Then { e, lam_body } => {
             // (S2): capture the lhs's losses under g := the lambda.
-            let lam = GVal::Fun(Clos { body: Arc::clone(lam_body), env: env.clone() });
+            let lam = GVal::Fun(Clos { body: lam_body, env: env.clone() });
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r = eval(m, e, env, &lam, &mut cap);
+            let r = eval(m, code, e, env, &lam, &mut cap);
             m.capture_depth -= 1;
-            then_finish(m, r?, cap, lam, buf)
+            then_finish(m, code, r?, cap, lam, buf)
         }
         Code::Local { g_body, e } => {
             // (S3): evaluate under the localised continuation; losses are
             // exported, stuck resumptions keep the baked-in chain.
-            let g1 = GVal::Fun(Clos { body: Arc::clone(g_body), env: env.clone() });
-            eval(m, e, env, &g1, buf)
+            let g1 = GVal::Fun(Clos { body: g_body, env: env.clone() });
+            eval(m, code, e, env, &g1, buf)
         }
         Code::Reset(e) => {
             m.capture_depth += 1;
             let mut junk = Vec::new();
-            let r = eval(m, e, env, g, &mut junk);
+            let r = eval(m, code, e, env, g, &mut junk);
             m.capture_depth -= 1;
             reset_finish(r?)
         }
         _ => {
-            let st = SeqState {
-                node: Arc::clone(code),
-                idx: 0,
-                done: Vec::new(),
-                env: env.clone(),
-                g: g.clone(),
-            };
-            eval_seq(m, st, buf)
+            let st =
+                SeqState { node: id, idx: 0, done: Vec::new(), env: env.clone(), g: g.clone() };
+            eval_seq(m, code, st, buf)
         }
     }
 }
 
 /// Completes a compound node given its last child's value `last`.
-fn finish(m: &mut Machine, st: SeqState, last: MVal, buf: &mut LossBuf) -> EvalR {
-    let SeqState { node, done, env, g, .. } = st;
+fn finish(m: &mut Machine, code: &[Code], st: SeqState, last: MVal, buf: &mut LossBuf) -> EvalR {
+    let SeqState { node: id, done, env, g, .. } = st;
+    let node = &code[id];
     // Child `i`'s value, for the children before the last, in order.
     let mut done = done.into_iter();
     let mut operand = |i: usize| {
-        let c = child(&node, i).expect("an operand child");
-        value(c, &env).unwrap_or_else(|| Ok(done.next().expect("one value per evaluated child")))
+        let c = child(node, i).expect("an operand child");
+        value(&code[c], &env)
+            .unwrap_or_else(|| Ok(done.next().expect("one value per evaluated child")))
     };
-    let v = match node.as_ref() {
+    let v = match node {
         Code::Prim(name, eval, _) => return prim_apply(name, *eval, &last),
         Code::Tuple(es) => {
             let mut vs = (0..es.len() - 1).map(operand).collect::<Result<Vec<_>, _>>()?;
@@ -913,24 +914,25 @@ fn finish(m: &mut Machine, st: SeqState, last: MVal, buf: &mut LossBuf) -> EvalR
         Code::Cases { lbody, rbody, .. } => match last {
             MVal::Sum { right, val } => {
                 let payload = val.map_or_else(MVal::unit, |v| *v);
-                return eval(m, if right { rbody } else { lbody }, &env.push(payload), &g, buf);
+                let branch = if right { *rbody } else { *lbody };
+                return eval(m, code, branch, &env.push(payload), &g, buf);
             }
             other => return malformed(format!("cases on non-sum {other:?}")),
         },
-        Code::App(..) => return apply(m, operand(0)?, last, &g, buf),
+        Code::App(..) => return apply(m, code, operand(0)?, last, &g, buf),
         Code::Iter(..) => match operand(0)? {
-            MVal::Nat(n) => return iter_apply(m, n, operand(1)?, &last, &g, buf, None),
+            MVal::Nat(n) => return iter_apply(m, code, Spine::Nat(n), operand(1)?, &last, &g, buf),
             other => return malformed(format!("iter on non-nat {other:?}")),
         },
         Code::Fold(..) => match operand(0)? {
             MVal::List(items) => {
-                let (n, items) = (items.len() as u64, Some(Rc::new(items)));
-                return iter_apply(m, n, operand(1)?, &last, &g, buf, items);
+                let spine = Spine::List(Rc::new(items));
+                return iter_apply(m, code, spine, operand(1)?, &last, &g, buf);
             }
             other => return malformed(format!("fold on non-list {other:?}")),
         },
         Code::OpCall { op, .. } => {
-            let site = (m.capture_depth == 0).then(|| Arc::clone(&node));
+            let site = (m.capture_depth == 0).then_some(id);
             let cont = DONE.with(Kont::clone);
             let stuck = StuckM { op: *op, arg: last, cont, choice: false, site };
             return Ok(MRes::Stuck(stuck));
@@ -942,16 +944,12 @@ fn finish(m: &mut Machine, st: SeqState, last: MVal, buf: &mut LossBuf) -> EvalR
             }
             other => return malformed(format!("loss of non-loss {other:?}")),
         },
-        Code::Handle { handler, body, .. } => {
-            let act = Rc::new(Activation {
-                h: Arc::clone(handler),
-                env,
-                params: RefCell::new(Vec::new()),
-            });
+        Code::Handle { body, .. } => {
+            let act = Rc::new(Activation { handle: id, env, params: RefCell::new(Vec::new()) });
             // (S1): the handled body runs under the return-clause
             // extension with the live parameter.
             let g1 = GVal::Ret { act: Rc::clone(&act), outer: Rc::new(g.clone()) };
-            return run_seg(m, &act, last, Seg::Body(Arc::clone(body), g1), &g, buf);
+            return run_seg(m, code, &act, last, Seg::Body(*body, g1), &g, buf);
         }
         _ => unreachable!("`child` lists no children for leaves and scope nodes"),
     };
@@ -976,10 +974,17 @@ fn reset_finish(r: MRes) -> EvalR {
 /// Completes a `◮` (or a choice probe, which is one): the captured losses
 /// `cap` fold right-associatively around the continuation's verdict on
 /// the value — smallstep's `r1 + (r2 + (… + g(v)))` nesting.
-fn then_finish(m: &mut Machine, r: MRes, cap: Vec<LossVal>, lam: GVal, buf: &mut LossBuf) -> EvalR {
+fn then_finish(
+    m: &mut Machine,
+    code: &[Code],
+    r: MRes,
+    cap: Vec<LossVal>,
+    lam: GVal,
+    buf: &mut LossBuf,
+) -> EvalR {
     match r {
         MRes::Done(v) => {
-            let gr = apply_g(m, &lam, v, buf)?;
+            let gr = apply_g(m, code, &lam, v, buf)?;
             fold_finish(gr, cap)
         }
         MRes::Stuck(s) => {
@@ -1010,12 +1015,12 @@ fn fold_finish(gr: MRes, cap: Vec<LossVal>) -> EvalR {
 /// Applies a reified loss continuation to a value (always in `◮`
 /// position, so rule (R7) applies: lambda bodies run under the zero
 /// continuation, their ambient emissions escaping to `buf`).
-fn apply_g(m: &mut Machine, g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
+fn apply_g(m: &mut Machine, code: &[Code], g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
     match g {
         GVal::Zero => Ok(MRes::Done(MVal::Loss(LossVal::zero()))),
         GVal::Fun(clos) => {
             m.tick()?;
-            eval(m, &clos.body, &clos.env.push(v), &GVal::Zero, buf)
+            eval(m, code, clos.body, &clos.env.push(v), &GVal::Zero, buf)
         }
         GVal::Frame(rest) => {
             // λx. F[x] ◮ outer.
@@ -1026,9 +1031,9 @@ fn apply_g(m: &mut Machine, g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
             };
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r = resume(m, rest, v, &mut cap);
+            let r = resume(m, code, rest, v, &mut cap);
             m.capture_depth -= 1;
-            then_finish(m, r?, cap, outer, buf)
+            then_finish(m, code, r?, cap, outer, buf)
         }
         GVal::Ret { act, outer } => {
             // (S1): λx. ret(p_now, x) ◮ outer, with the live parameter.
@@ -1038,13 +1043,13 @@ fn apply_g(m: &mut Machine, g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
                 )
             })?;
             let env = act.env.push(p).push(v);
-            let ret_body = Arc::clone(&act.h.ret_body);
+            let ret_body = act.handler(code).ret_body;
             let outer_g = (**outer).clone();
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r = eval(m, &ret_body, &env, &outer_g, &mut cap);
+            let r = eval(m, code, ret_body, &env, &outer_g, &mut cap);
             m.capture_depth -= 1;
-            then_finish(m, r?, cap, outer_g, buf)
+            then_finish(m, code, r?, cap, outer_g, buf)
         }
     }
 }
@@ -1055,6 +1060,7 @@ fn apply_g(m: &mut Machine, g: &GVal, v: MVal, buf: &mut LossBuf) -> EvalR {
 /// (forwarding), popping the parameter on the way out.
 fn run_seg(
     m: &mut Machine,
+    code: &[Code],
     act: &Rc<Activation>,
     p: MVal,
     start: Seg,
@@ -1064,59 +1070,48 @@ fn run_seg(
     m.tick()?;
     act.params.borrow_mut().push(p.clone());
     let r = match start {
-        Seg::Body(body, g1) => eval(m, &body, &act.env, &g1, buf),
-        Seg::Resume(k, y) => resume(m, &k, y, buf),
+        Seg::Body(body, g1) => eval(m, code, body, &act.env, &g1, buf),
+        Seg::Resume(k, y) => resume(m, code, &k, y, buf),
     };
     act.params.borrow_mut().pop();
+    let handler = act.handler(code);
     match r? {
         MRes::Done(v) => {
             // (R6): the return clause runs in place of the handle node.
             let env = act.env.push(p).push(v);
-            let ret_body = Arc::clone(&act.h.ret_body);
-            eval(m, &ret_body, &env, g, buf)
+            eval(m, code, handler.ret_body, &env, g, buf)
         }
         MRes::Stuck(s) => {
-            if !s.choice && act.h.clause(s.op).is_some() {
-                // Forced-choice interception: answer scripted decisions
-                // directly (`k(p, d)`), skipping the clause body; in tree
-                // mode, decisions past the scripted prefix suspend the
-                // whole run instead.
-                let decision = match &mut m.forced {
-                    Some(f) if f.ops[s.op as usize] => Some(f.next()?),
-                    _ => None,
-                };
-                match decision {
-                    Some(Decision::Scripted(d)) => {
-                        return run_seg(m, act, p, Seg::Resume(s.cont, MVal::bool(d)), g, buf);
-                    }
-                    Some(Decision::Yield) => {
-                        // Suspend exactly where the scripted path would
-                        // resume: the choice continuation re-enters this
-                        // segment with the (later-supplied) decision, and
-                        // propagates out past every enclosing handler.
-                        let choice = StuckM { choice: true, ..s };
-                        return Ok(MRes::Stuck(reenter(act, p, g, choice)));
-                    }
-                    None => {}
-                }
-                // (R5): bind p, x, l, k and run the clause body in place
-                // of the handle node (same g).
-                let clause = act.h.clause(s.op).expect("checked above");
-                let ctl = HandlerCtl { act: Rc::clone(act), kont: s.cont.clone(), g: g.clone() };
-                let env = act
-                    .env
-                    .push(p)
-                    .push(s.arg)
-                    .push(MVal::Probe(ctl.clone()))
-                    .push(MVal::Resume(ctl));
-                let body = Arc::clone(&clause.body);
-                eval(m, &body, &env, g, buf)
-            } else {
+            let Some(clause) = handler.clause(s.op).filter(|_| !s.choice) else {
                 // Not ours (or an already-claimed choice yield): forward,
                 // re-entering this segment (with the parameter current at
                 // the stick) on resumption.
-                Ok(MRes::Stuck(reenter(act, p, g, s)))
+                return Ok(MRes::Stuck(reenter(act, p, g, s)));
+            };
+            // Forced-choice interception: answer scripted decisions
+            // directly (`k(p, d)`), skipping the clause body; in tree
+            // mode, decisions past the scripted prefix suspend the
+            // whole run instead.
+            if let Some(f) = m.run.forced.as_ref().filter(|f| f.ops[s.op as usize]) {
+                return match f.next(&mut m.decisions)? {
+                    Decision::Scripted(d) => {
+                        run_seg(m, code, act, p, Seg::Resume(s.cont, MVal::bool(d)), g, buf)
+                    }
+                    // Suspend exactly where the scripted path would
+                    // resume: the choice continuation re-enters this
+                    // segment with the (later-supplied) decision, and
+                    // propagates out past every enclosing handler.
+                    Decision::Yield => {
+                        Ok(MRes::Stuck(reenter(act, p, g, StuckM { choice: true, ..s })))
+                    }
+                };
             }
+            // (R5): bind p, x, l, k and run the clause body in place
+            // of the handle node (same g).
+            let ctl = HandlerCtl { act: Rc::clone(act), kont: s.cont.clone(), g: g.clone() };
+            let env =
+                act.env.push(p).push(s.arg).push(MVal::Probe(ctl.clone())).push(MVal::Resume(ctl));
+            eval(m, code, clause.body, &env, g, buf)
         }
     }
 }
@@ -1130,44 +1125,55 @@ fn reenter(act: &Rc<Activation>, p: MVal, g: &GVal, s: StuckM) -> StuckM {
 
 /// Function application — β for closures, rule (R5)'s `k`/`l` for the
 /// machine-built handler continuations.
-fn apply(m: &mut Machine, f: MVal, a: MVal, g: &GVal, buf: &mut LossBuf) -> EvalR {
+fn apply(m: &mut Machine, code: &[Code], f: MVal, a: MVal, g: &GVal, buf: &mut LossBuf) -> EvalR {
     match f {
         MVal::Clos(c) => {
             m.tick()?;
-            eval(m, &c.body, &c.env.push(a), g, buf)
+            eval(m, code, c.body, &c.env.push(a), g, buf)
         }
         MVal::Resume(ctl) => {
             // f_k(p₂, y) = ⟨with h from p₂ handle K[y]⟩_g.
             let (p2, y) = split_pair(a)?;
-            run_seg(m, &ctl.act, p2, Seg::Resume(ctl.kont.clone(), y), &ctl.g, buf)
+            run_seg(m, code, &ctl.act, p2, Seg::Resume(ctl.kont.clone(), y), &ctl.g, buf)
         }
         MVal::Probe(ctl) => {
             // f_l(p₂, y) = (with h from p₂ handle K[y]) ◮ g.
             let (p2, y) = split_pair(a)?;
             let mut cap = Vec::new();
             m.capture_depth += 1;
-            let r = run_seg(m, &ctl.act, p2, Seg::Resume(ctl.kont.clone(), y), &ctl.g, &mut cap);
+            let seg = Seg::Resume(ctl.kont.clone(), y);
+            let r = run_seg(m, code, &ctl.act, p2, seg, &ctl.g, &mut cap);
             m.capture_depth -= 1;
-            then_finish(m, r?, cap, ctl.g.clone(), buf)
+            then_finish(m, code, r?, cap, ctl.g.clone(), buf)
         }
         other => Err(MachError::Malformed(format!("application of non-function {other:?}"))),
     }
 }
 
-/// The shared engine of `iter`/`fold`: `n` applications of `cv` from the
-/// innermost out, with the loss-continuation chain the unfolded
-/// `c (c (… b))` spine would build. `fold` passes its list as `items`,
-/// pairing level `d`'s argument with element `d`.
+/// What an `iter`/`fold` unfolds: `n` levels, or one level per list
+/// element, which level `d`'s argument pairs with.
+enum Spine {
+    Nat(u64),
+    List(Rc<Vec<MVal>>),
+}
+
+/// The shared engine of `iter`/`fold`: one application of `cv` per level
+/// of the spine, from the innermost out, with the loss-continuation chain
+/// the unfolded `c (c (… b))` spine would build.
 fn iter_apply(
     m: &mut Machine,
-    n: u64,
+    code: &[Code],
+    spine: Spine,
     bv: MVal,
     cv: &MVal,
     g: &GVal,
     buf: &mut LossBuf,
-    items: Option<Rc<Vec<MVal>>>,
 ) -> EvalR {
-    if n > m.fuel_left {
+    let (n, items) = match spine {
+        Spine::Nat(n) => (n, None),
+        Spine::List(items) => (items.len() as u64, Some(items)),
+    };
+    if n.saturating_add(m.steps) > m.run.fuel {
         return Err(MachError::OutOfFuel { steps: m.steps });
     }
     let n = usize::try_from(n).map_err(|_| MachError::OutOfFuel { steps: m.steps })?;
@@ -1182,7 +1188,7 @@ fn iter_apply(
     }
     let mut cur = MRes::Done(bv);
     for d in (0..n).rev() {
-        cur = bind(m, cur, buf, step(d, &gs[d]))?;
+        cur = bind(m, code, cur, buf, step(d, &gs[d]))?;
     }
     Ok(cur)
 }

@@ -10,7 +10,7 @@
 //!   frames, values or snapshots shows up here before it shows up in a
 //!   profile.
 //! * Entering a space at its root resolves no operation names: the
-//!   space did that once, and a run copies the resolved mask.
+//!   space did that once, and a run shares the resolved mask.
 //! * A scalar or pair [`lambda_c::LossVal`] never touches the heap.
 
 use lambda_c::machine::{ChoicePoint, Explored};
@@ -116,8 +116,8 @@ fn a_sequential_tree_walk_stays_within_its_per_node_budget() {
     // frames, plus either the next decision's frame and the handler
     // re-entry frame of its suspension (an interior node) or the return
     // clause's two conses (a leaf). Per search, one more: the one-off
-    // setup (the root entry's copy of the forced-op mask, the engine's
-    // own state) costs that much more than the root node saves.
+    // setup (the root entry's shared-input `Rc`, the engine's own
+    // state) costs that much more than the root node saves.
     const PER_NODE_BUDGET: u64 = 7;
     const PER_SEARCH_BUDGET: u64 = 1;
     let cands = chain();
@@ -156,7 +156,8 @@ fn losses_of_at_most_two_components_never_allocate() {
 #[test]
 fn a_root_entry_copies_the_resolved_forced_ops_once() {
     // Five allocations run the chain to its first decision; the sixth is
-    // the run's own copy of the forced-op mask the space resolved once.
+    // the one `Rc` of the run's shared inputs (the program, the forced
+    // decisions with the mask the space resolved once, the prune hook).
     // Re-resolving the operation names on every entry (a clone of the
     // name set, then a fresh mask) cost two more.
     const ROOT_ENTRY_BUDGET: u64 = 6;
