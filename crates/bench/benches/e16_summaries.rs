@@ -17,12 +17,18 @@
 //! pruned=…` stats lines, and the warm alpha–beta repeat a `cache` line,
 //! which `selc-bench-record` records under those section names.
 //! `SELC_BENCH_SMOKE=1` shrinks the workloads for CI.
+//!
+//! The `state_keys16` group times a cold single-worker chain-16 walk on
+//! a fresh table, where nodes that reach one machine state share one
+//! subtree, beside the uncached walk of the same space, and prints the
+//! nodes each materialises (131 071 for the uncached walk). It runs at
+//! the same size under the smoke flag.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lambda_c::testgen::deep_decide_chain;
-use lambda_rt::{search_compiled, search_compiled_cached, LcCandidates, LcTransCache};
+use lambda_rt::{search_compiled, search_compiled_cached, LcCandidates, LcTransCache, OrdLossVal};
 use selc_bench::stats_line;
-use selc_engine::{CancelToken, Engine};
+use selc_engine::{CancelToken, Engine, Outcome};
 use selc_games::alternating::{AbCache, GameTree};
 use std::time::{Duration, Instant};
 
@@ -101,6 +107,7 @@ fn bench_summaries(c: &mut Criterion) {
         ];
         let summary = [
             ("exact_hits", s.exact_hits),
+            ("state_hits", s.state_hits),
             ("bound_hits", s.bound_hits),
             ("misses", s.misses),
             ("exact_installs", s.exact_installs),
@@ -111,6 +118,48 @@ fn bench_summaries(c: &mut Criterion) {
         println!("{}", stats_line(&label, "summary", &summary));
         println!("{}", stats_line(&label, "search", &search));
     }
+}
+
+fn bench_state_keys(c: &mut Criterion) {
+    let choices = 16;
+    let p = deep_decide_chain(choices);
+    let cands = LcCandidates::new(
+        lambda_c::compile(&p.expr).expect("compiles"),
+        ["decide".to_owned()],
+        choices,
+    );
+    // One worker, so the counts printed below are deterministic.
+    let engine = Engine::with_threads(1);
+    let cold = || {
+        let cache = LcTransCache::unbounded(8);
+        search_compiled_cached(&engine, &cands, &cache, None).expect("a chain has a winner").0
+    };
+    // Every interior node is probed once, answered or not.
+    let nodes = |out: &Outcome<OrdLossVal>| out.stats.evaluated + out.stats.summary.probes();
+    let (plain, _) = search_compiled(&engine, &cands).unwrap();
+    let keyed = cold();
+    assert_eq!(
+        (keyed.index, &keyed.loss),
+        (plain.index, &plain.loss),
+        "state keys keep the winner"
+    );
+    assert_eq!(nodes(&plain), (1 << (choices + 1)) - 1, "the uncached walk visits every node");
+
+    let mut g = c.benchmark_group(format!("e16_summaries/state_keys{choices}"));
+    g.bench_function("tree_cached_cold", |b| b.iter(|| black_box(cold())));
+    g.bench_function("tree_uncached", |b| b.iter(|| black_box(search_compiled(&engine, &cands))));
+    g.finish();
+
+    let (s, summary) = (&keyed.stats, &keyed.stats.summary);
+    let search = [
+        ("nodes", nodes(&keyed)),
+        ("uncached_nodes", nodes(&plain)),
+        ("evaluated", s.evaluated),
+        ("state_hits", summary.state_hits),
+        ("exact_installs", summary.exact_installs),
+    ];
+    let label = format!("e16_summaries/state_keys{choices}/tree_cached_cold");
+    println!("{}", stats_line(&label, "search", &search));
 }
 
 fn bench_alphabeta_tt(c: &mut Criterion) {
@@ -161,6 +210,6 @@ criterion_group! {
     // Cold fills walk 2^18 leaves per iteration; small sample counts
     // keep the recording honest without an hour-long run.
     config = Criterion::default().sample_size(2).measurement_time(Duration::from_millis(200)).warm_up_time(Duration::from_millis(50));
-    targets = bench_summaries, bench_alphabeta_tt
+    targets = bench_summaries, bench_state_keys, bench_alphabeta_tt
 }
 criterion_main!(benches);

@@ -70,9 +70,13 @@ impl<L> SubtreeSummary<L> {
 /// carried next to it in `selc-engine`'s `SearchStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SummaryStats {
-    /// Interior-node probes answered by an exact entry (a whole subtree
-    /// skipped with its argmin returned).
+    /// Interior-node probes answered by an exact entry at the node's
+    /// position (a whole subtree skipped with its argmin returned).
     pub exact_hits: u64,
+    /// Probes that missed at the node's position and were answered by an
+    /// exact entry keyed by the node's own state: a transposition, the
+    /// same subtree reached along another path.
+    pub state_hits: u64,
     /// Probes answered by a bound entry (usable as a pruning hint only).
     pub bound_hits: u64,
     /// Probes that found nothing.
@@ -89,6 +93,7 @@ impl SummaryStats {
     pub fn merged(&self, other: &SummaryStats) -> SummaryStats {
         SummaryStats {
             exact_hits: self.exact_hits + other.exact_hits,
+            state_hits: self.state_hits + other.state_hits,
             bound_hits: self.bound_hits + other.bound_hits,
             misses: self.misses + other.misses,
             exact_installs: self.exact_installs + other.exact_installs,
@@ -96,10 +101,11 @@ impl SummaryStats {
         }
     }
 
-    /// Total probes (hits of either flavour + misses).
+    /// Probed nodes: hits of every flavour plus misses (a node whose
+    /// position missed and whose state hit counts once, as a state hit).
     #[must_use]
     pub fn probes(&self) -> u64 {
-        self.exact_hits + self.bound_hits + self.misses
+        self.exact_hits + self.state_hits + self.bound_hits + self.misses
     }
 
     /// Total installs (exact + bound).
@@ -124,6 +130,7 @@ mod tests {
     fn stats_merge_componentwise() {
         let a = SummaryStats {
             exact_hits: 1,
+            state_hits: 6,
             bound_hits: 2,
             misses: 3,
             exact_installs: 4,
@@ -131,6 +138,7 @@ mod tests {
         };
         let b = SummaryStats {
             exact_hits: 10,
+            state_hits: 60,
             bound_hits: 20,
             misses: 30,
             exact_installs: 40,
@@ -141,6 +149,7 @@ mod tests {
             m,
             SummaryStats {
                 exact_hits: 11,
+                state_hits: 66,
                 bound_hits: 22,
                 misses: 33,
                 exact_installs: 44,
@@ -148,7 +157,7 @@ mod tests {
             }
         );
         assert_eq!(a.merged(&SummaryStats::default()), a);
-        assert_eq!(m.probes(), 11 + 22 + 33);
+        assert_eq!(m.probes(), 11 + 66 + 22 + 33);
         assert_eq!(m.installs(), 44 + 55);
     }
 }

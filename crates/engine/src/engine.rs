@@ -90,8 +90,19 @@ fn record_search_metrics(stats: &SearchStats, aborted: bool) {
 pub struct SearchStats {
     /// Candidates evaluated to completion.
     pub evaluated: u64,
-    /// Candidates skipped (dominated lower bound) or abandoned mid-eval.
+    /// Candidates or subtrees cut: `hint_skips + bound_skips + abandoned`.
     pub pruned: u64,
+    /// Tree subtrees skipped because their lower-bound hint was strictly
+    /// dominated by the bound.
+    pub hint_skips: u64,
+    /// Tree subtrees skipped because a bound summary entry was strictly
+    /// dominated by the bound.
+    pub bound_skips: u64,
+    /// Candidates or subtrees the evaluator gave up on itself: a flat
+    /// scan closure returning `None`, a tree step reporting
+    /// [`crate::TreeStep::Pruned`] (a λC machine abandoning a run
+    /// mid-segment).
+    pub abandoned: u64,
     /// Workers the search ran with (1 for [`Engine::exhaustive`]).
     pub threads: usize,
     /// Cache counters of this search: memoised probes and/or
@@ -210,13 +221,16 @@ where
 
 /// One worker's accumulator, and after [`Partial::merged`] the whole
 /// search's: local best plus counters (`evaluated` = candidates or
-/// canonical leaves scored, `pruned` = candidates or subtrees skipped,
-/// `summary` = interior-node summary traffic, `aborted` = the cancel
-/// token fired and some of the space was left unexamined).
+/// canonical leaves scored, `hint_skips`/`bound_skips`/`abandoned` =
+/// what was cut and by which layer, as in [`SearchStats`], `summary` =
+/// interior-node summary traffic, `aborted` = the cancel token fired and
+/// some of the space was left unexamined).
 pub(crate) struct Partial<L> {
     pub(crate) best: Option<(L, usize)>,
     pub(crate) evaluated: u64,
-    pub(crate) pruned: u64,
+    pub(crate) hint_skips: u64,
+    pub(crate) bound_skips: u64,
+    pub(crate) abandoned: u64,
     pub(crate) summary: SummaryStats,
     pub(crate) aborted: bool,
 }
@@ -226,7 +240,9 @@ impl<L> Default for Partial<L> {
         Partial {
             best: None,
             evaluated: 0,
-            pruned: 0,
+            hint_skips: 0,
+            bound_skips: 0,
+            abandoned: 0,
             summary: SummaryStats::default(),
             aborted: false,
         }
@@ -241,7 +257,9 @@ impl<L: OrderedLoss> Partial<L> {
         let mut merged = Partial { aborted: !drained, ..Partial::default() };
         for part in parts {
             merged.evaluated += part.evaluated;
-            merged.pruned += part.pruned;
+            merged.hint_skips += part.hint_skips;
+            merged.bound_skips += part.bound_skips;
+            merged.abandoned += part.abandoned;
             merged.aborted |= part.aborted;
             merged.summary = merged.summary.merged(&part.summary);
             if let Some(candidate) = part.best {
@@ -256,7 +274,10 @@ impl<L: OrderedLoss> Partial<L> {
     pub(crate) fn finish(self, threads: usize) -> SearchResult<L> {
         let stats = SearchStats {
             evaluated: self.evaluated,
-            pruned: self.pruned,
+            pruned: self.hint_skips + self.bound_skips + self.abandoned,
+            hint_skips: self.hint_skips,
+            bound_skips: self.bound_skips,
+            abandoned: self.abandoned,
             threads,
             cache: CacheStats::default(),
             summary: self.summary,
@@ -365,7 +386,7 @@ impl Engine {
                         f(i, &bound)
                     };
                     match scored {
-                        None => part.pruned += 1,
+                        None => part.abandoned += 1,
                         Some(l) => {
                             part.evaluated += 1;
                             if self.prune {
@@ -443,6 +464,7 @@ mod tests {
         let seq = Engine::with_threads(1).scan(64, exact_bound).unwrap();
         assert_eq!((seq.index, seq.loss), (0, 0.0));
         assert_eq!((seq.stats.evaluated, seq.stats.pruned), (1, 63), "stats: {:?}", seq.stats);
+        assert_eq!(seq.stats.abandoned, 63, "a closure's `None` is its own abandonment");
         let par = Engine::with_threads(4).scan(64, exact_bound).unwrap();
         assert_eq!((par.index, par.loss), (0, 0.0));
         assert_eq!(par.stats.evaluated + par.stats.pruned, 64);

@@ -38,7 +38,12 @@
 //!   a *bound* entry skips the subtree when strictly dominated by an
 //!   achieved loss. Fully-evaluated subtrees install exact entries on
 //!   the way back up, pruned ones install bound entries
-//!   ([`TreeEval::install_summary`]). The engine always probes and
+//!   ([`TreeEval::install_summary`]). A position that misses is probed
+//!   once more by what its node *is* ([`TreeEval::probe_state`]): an
+//!   evaluator whose nodes have exact state keys answers a subtree
+//!   reached along another path (a transposition), and every exact
+//!   subtree installs under its state too ([`TreeEval::install_state`]).
+//!   The engine always probes and
 //!   installs; an evaluator without a table keeps the trait's no-op
 //!   defaults, so "does this walk cache?" is "does the evaluator have a
 //!   table?". Likewise an evaluator that keeps its bound across searches
@@ -191,6 +196,29 @@ pub trait TreeEval<L: OrderedLoss>: Send + Sync {
     /// no-op.
     fn install_summary(&self, _bits: u64, _len: u32, _summary: SubtreeSummary<L>) {}
 
+    /// Probes the table by `node`'s own state rather than its position,
+    /// after [`TreeEval::probe_summary`] missed at `(bits, len)`: two
+    /// nodes whose futures are the same have the same subtree whatever
+    /// path reached them. Only an `Exact` answer is used, and its index
+    /// must already be rebased onto `(bits, len)`: the subtree's winner
+    /// at the same suffix below this position. Default: no state table,
+    /// always a miss.
+    fn probe_state(&self, _node: &Self::Node, _bits: u64, _len: u32) -> SummaryProbe<L> {
+        SummaryProbe::Miss
+    }
+
+    /// Installs the exact `summary` of the fully evaluated subtree at
+    /// `(bits, len)` under `node`'s own state, next to
+    /// [`TreeEval::install_summary`]. Default: no-op.
+    fn install_state(
+        &self,
+        _node: &Self::Node,
+        _bits: u64,
+        _len: u32,
+        _summary: SubtreeSummary<L>,
+    ) {
+    }
+
     /// The bound the walk prunes against, when the evaluator keeps one
     /// for its space; `None` (the default) gives each search a fresh
     /// one. A kept bound persists across searches, so a repeat prunes
@@ -305,7 +333,7 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
     ) -> Sub<L> {
         match step {
             TreeStep::Pruned => {
-                part.pruned += 1;
+                part.abandoned += 1;
                 // The evaluator proved strict domination but reported no
                 // value, so the parent has nothing to bound with.
                 Sub { best: None, lb: None, exact: false }
@@ -338,20 +366,10 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     part.aborted = true;
                     return Sub { best: None, lb: None, exact: false };
                 }
-                match self.eval.probe_summary(bits, len) {
+                let answer = match self.eval.probe_summary(bits, len) {
                     SummaryProbe::Exact { loss, index } => {
-                        // The whole subtree in O(1): its cached argmin
-                        // is an achieved loss, so it also tightens the
-                        // bound like the leaves it stands for would.
                         part.summary.exact_hits += 1;
-                        if self.prune {
-                            self.bound.observe(&loss);
-                        }
-                        return Sub {
-                            best: Some((loss.clone(), index as usize)),
-                            lb: Some(loss),
-                            exact: true,
-                        };
+                        Some((loss, index))
                     }
                     SummaryProbe::Bound { loss } => {
                         part.summary.bound_hits += 1;
@@ -361,14 +379,37 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                         // subtree is skipped whole. (It must NOT feed
                         // `bound.observe`: nothing attained it.)
                         if self.prune && self.bound.dominated(&loss) {
-                            part.pruned += 1;
+                            part.bound_skips += 1;
                             return Sub { best: None, lb: Some(loss), exact: false };
                         }
+                        None
                     }
-                    SummaryProbe::Miss => part.summary.misses += 1,
+                    SummaryProbe::Miss => match self.eval.probe_state(&node, bits, len) {
+                        SummaryProbe::Exact { loss, index } => {
+                            part.summary.state_hits += 1;
+                            Some((loss, index))
+                        }
+                        _ => {
+                            part.summary.misses += 1;
+                            None
+                        }
+                    },
+                };
+                if let Some((loss, index)) = answer {
+                    // The whole subtree in O(1): its cached argmin is an
+                    // achieved loss, so it also tightens the bound like
+                    // the leaves it stands for would.
+                    if self.prune {
+                        self.bound.observe(&loss);
+                    }
+                    return Sub {
+                        best: Some((loss.clone(), index as usize)),
+                        lb: Some(loss),
+                        exact: true,
+                    };
                 }
                 if self.prune && hint.as_ref().is_some_and(|h| self.bound.dominated(h)) {
-                    part.pruned += 1;
+                    part.hint_skips += 1;
                     return Sub { best: None, lb: hint, exact: false };
                 }
                 // Expand both children (one shared-prefix step each),
@@ -409,11 +450,9 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     // Fully evaluated: the subtree's true argmin, ties
                     // included — answerable on the next visit.
                     if let Some((loss, index)) = &best {
-                        self.eval.install_summary(
-                            bits,
-                            len,
-                            SubtreeSummary::exact(loss.clone(), *index as u64),
-                        );
+                        let summary = SubtreeSummary::exact(loss.clone(), *index as u64);
+                        self.eval.install_summary(bits, len, summary.clone());
+                        self.eval.install_state(&node, bits, len, summary);
                         part.summary.exact_installs += 1;
                     }
                 } else if let Some(lb) = &lb {

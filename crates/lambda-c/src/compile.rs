@@ -19,7 +19,10 @@
 //! Names are resolved once, here: variables become indices, operation
 //! names become [`OpId`]s into the program's name table, and primitives
 //! become their [`prim_lookup`] evaluator. Types are erased: no machine
-//! value carries one.
+//! value carries one. Each node's free indices are recorded once too:
+//! they are all of an environment that evaluating the node can read,
+//! which is what a suspended run's state key keeps
+//! ([`crate::machine::StateKey`]).
 //!
 //! Only scoping is checked here (unbound variables are compile errors);
 //! typing is the typechecker's job, and the machine mirrors the
@@ -172,6 +175,92 @@ pub struct CompiledProgram {
     pub(crate) root: CodeId,
     /// Operation names, indexed by [`OpId`].
     pub(crate) ops: Arc<[String]>,
+    /// Every node's free de Bruijn indices.
+    pub(crate) free: Arc<FreeVars>,
+}
+
+/// Every node's free de Bruijn indices, ascending and without repeats,
+/// relative to the environment the node is evaluated in (a binder's
+/// body contributes its indices minus the binder's width). Node `i`'s
+/// end at `ends[i]` in `vars`, and start where node `i - 1`'s end.
+#[derive(Debug, Default)]
+pub(crate) struct FreeVars {
+    ends: Vec<u32>,
+    vars: Vec<u32>,
+}
+
+impl FreeVars {
+    /// The free indices of node `id`.
+    pub(crate) fn of(&self, id: CodeId) -> &[u32] {
+        &self.vars[self.range(id)]
+    }
+
+    fn range(&self, CodeId(i): CodeId) -> std::ops::Range<usize> {
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        start..self.ends[i] as usize
+    }
+
+    /// Records the next node's free indices, from its children's.
+    fn push(&mut self, node: &Code) {
+        let start = self.vars.len();
+        let mut add = |child: CodeId, binds: u32| {
+            for k in self.range(child) {
+                if let Some(v) = self.vars[k].checked_sub(binds) {
+                    self.vars.push(v);
+                }
+            }
+        };
+        match node {
+            Code::Var(i) => self.vars.push(u32::try_from(*i).expect("an index below 2^32")),
+            Code::Const(_) | Code::Zero | Code::Nil => {}
+            Code::Lam(body) => add(*body, 1),
+            Code::Cases { scrut, lbody, rbody } => {
+                add(*scrut, 0);
+                add(*lbody, 1);
+                add(*rbody, 1);
+            }
+            Code::Handle { handler, from, body } => {
+                for c in &handler.clauses {
+                    add(c.body, 4);
+                }
+                add(handler.ret_body, 2);
+                add(*from, 0);
+                add(*body, 0);
+            }
+            Code::Then { e, lam_body } => {
+                add(*e, 0);
+                add(*lam_body, 1);
+            }
+            Code::Local { g_body, e } => {
+                add(*g_body, 1);
+                add(*e, 0);
+            }
+            Code::Tuple(es) => es.iter().for_each(|c| add(*c, 0)),
+            Code::Prim(_, _, a)
+            | Code::Proj(a, _)
+            | Code::Inl(a)
+            | Code::Inr(a)
+            | Code::Succ(a)
+            | Code::OpCall { arg: a, .. }
+            | Code::Loss(a)
+            | Code::Reset(a) => add(*a, 0),
+            Code::App(a, b) | Code::Cons(a, b) => {
+                add(*a, 0);
+                add(*b, 0);
+            }
+            Code::Iter(a, b, c) | Code::Fold(a, b, c) => {
+                add(*a, 0);
+                add(*b, 0);
+                add(*c, 0);
+            }
+        }
+        let mut own = self.vars.split_off(start);
+        own.sort_unstable();
+        own.dedup();
+        self.vars.extend(own);
+        self.ends.push(u32::try_from(self.vars.len()).expect("fewer than 2^32 free-index entries"));
+    }
 }
 
 impl CompiledProgram {
@@ -220,17 +309,18 @@ impl std::error::Error for CompileError {}
 pub fn compile(e: &Expr) -> Result<CompiledProgram, CompileError> {
     let mut cx = Ctx::default();
     let root = compile_in(e, &mut cx)?;
-    Ok(CompiledProgram { code: cx.nodes.into(), root, ops: cx.ops.into() })
+    Ok(CompiledProgram { code: cx.nodes.into(), root, ops: cx.ops.into(), free: Arc::new(cx.free) })
 }
 
 /// What compilation resolves names against — the binders in scope
 /// (innermost last) and the operation names seen so far — and the node
-/// table it appends to.
+/// table it appends to, with each node's free indices.
 #[derive(Default)]
 struct Ctx {
     scope: Vec<String>,
     ops: Vec<String>,
     nodes: Vec<Code>,
+    free: FreeVars,
 }
 
 impl Ctx {
@@ -305,6 +395,7 @@ fn compile_in(e: &Expr, cx: &mut Ctx) -> Result<CodeId, CompileError> {
         Expr::Reset(a) => Code::Reset(compile_in(a, cx)?),
     };
     let id = u32::try_from(cx.nodes.len()).expect("a program of fewer than 2^32 nodes");
+    cx.free.push(&code);
     cx.nodes.push(code);
     Ok(CodeId(id))
 }
@@ -366,6 +457,36 @@ mod tests {
         let Code::App(f, a) = at(&p, *b2) else { panic!("app") };
         assert!(matches!(at(&p, *f), Code::Var(1)));
         assert!(matches!(at(&p, *a), Code::Var(0)));
+    }
+
+    #[test]
+    fn every_node_records_its_free_indices() {
+        // λx. λy. (x y): the application reads 0 and 1, the inner λ only
+        // its x (index 0 outside it), the outer λ nothing.
+        let e = lam(
+            Effect::empty(),
+            "x",
+            Type::loss(),
+            lam(Effect::empty(), "y", Type::loss(), app(v("x"), v("y"))),
+        );
+        let p = compile(&e).unwrap();
+        let Code::Lam(b1) = at(&p, p.root) else { panic!("outer lam") };
+        let Code::Lam(b2) = at(&p, *b1) else { panic!("inner lam") };
+        assert_eq!(p.free.of(*b2), [0, 1]);
+        assert_eq!(p.free.of(*b1), [0]);
+        assert!(p.free.of(p.root).is_empty());
+        // A handler's clauses bind four and its return clause two: only
+        // `grid` is free in the `Handle` node, once.
+        let h = HandlerBuilder::new("amb", Type::loss(), Type::loss(), Effect::empty())
+            .on("decide", "p", "x", "l", "k", app(v("k"), pair(v("p"), v("grid"))))
+            .ret("p", "x", v("grid"))
+            .build();
+        let e =
+            let_(Effect::empty(), "grid", Type::loss(), lc(1.0), handle0(h, op("decide", unit())));
+        let p = compile(&e).unwrap();
+        let Code::App(lamc, _) = at(&p, p.root) else { panic!("let is app") };
+        let Code::Lam(body) = at(&p, *lamc) else { panic!("lam") };
+        assert_eq!(p.free.of(*body), [0]);
     }
 
     #[test]

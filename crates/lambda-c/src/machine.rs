@@ -50,7 +50,9 @@
 //! inputs) and writes no reference count another worker reads. Each point
 //! also records the id of the `OpCall` node that suspended it, which with
 //! the point's program keys its residual in a
-//! [`crate::flow::NonNegLosses`] certificate.
+//! [`crate::flow::NonNegLosses`] certificate, and a point's whole state
+//! can be written out as an exact [`StateKey`] (see [`key`]), under
+//! which searches share the subtrees of points whose futures agree.
 
 use crate::compile::{Code, CodeHandler, CodeId, CompiledProgram, OpId};
 use crate::loss::LossVal;
@@ -60,6 +62,10 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
+
+pub mod key;
+
+pub use key::StateKey;
 
 // ---------------------------------------------------------------------------
 // Values and environments

@@ -386,6 +386,35 @@ pub fn deep_decide_chain(choices: u32) -> GenProgram {
     GenProgram { expr, ty: Type::loss(), eff: Effect::empty() }
 }
 
+/// A decide chain run inside a `tick` clause whose `k` resumes only
+/// after the last decision, under one top-level argmin handler: every
+/// choice point's state holds that live resume continuation, so none has
+/// a [`crate::machine::StateKey`]. Step `i` costs `0`/`1` for
+/// `true`/`false` on even `i` and the reverse on odd `i`, so different
+/// paths reach equal partial losses, which keyed states would share.
+pub fn decide_chain_holding_k(choices: u32) -> GenProgram {
+    use build::*;
+    let eamb = Effect::single("amb");
+    let mut body = app(v("k"), pair(v("p"), lc(0.0)));
+    for i in (0..choices).rev() {
+        let b = format!("b{i}");
+        let (t, f) = if i % 2 == 0 { (0.0, 1.0) } else { (1.0, 0.0) };
+        body = let_(
+            eamb.clone(),
+            &b,
+            Type::bool(),
+            op("decide", unit()),
+            seq(eamb.clone(), Type::unit(), loss(if_(v(&b), lc(t), lc(f))), body),
+        );
+    }
+    let counter = HandlerBuilder::new("cnt", Type::loss(), Type::loss(), eamb)
+        .on("tick", "p", "x", "l", "k", body)
+        .build();
+    let inner = handle0(counter, op("tick", unit()));
+    let expr = handle0(argmin_handler(&Type::loss(), &Effect::empty()), inner);
+    GenProgram { expr, ty: Type::loss(), eff: Effect::empty() }
+}
+
 impl ProgramGen {
     /// Generates a *search program*: a fully handled chain of `choices`
     /// decides under one top-level argmin handler, each decision followed
@@ -493,6 +522,11 @@ mod tests {
         assert_eq!(check_program(&sig, &p.expr, &p.eff).unwrap(), Type::loss());
         let out = crate::bigstep::eval_closed(&sig, p.expr, p.ty, p.eff).unwrap();
         assert_eq!(out.terminal, Expr::lossc(40.0));
+
+        let p = decide_chain_holding_k(3);
+        assert_eq!(check_program(&sig, &p.expr, &p.eff).unwrap(), Type::loss());
+        let out = crate::bigstep::eval_closed(&sig, p.expr, p.ty, p.eff).unwrap();
+        assert_eq!(out.loss, crate::LossVal::scalar(0.0), "every step has a free branch");
 
         let p = deep_decide_chain(4);
         assert_eq!(check_program(&sig, &p.expr, &p.eff).unwrap(), Type::loss());

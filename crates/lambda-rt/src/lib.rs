@@ -28,10 +28,11 @@
 //!    table, no pruning, no state shared with the searches it checks.
 //! 4. **Cache** — [`search_compiled_cached`] threads a `selc-cache`
 //!    transposition table through the tree walk. It holds one entry
-//!    kind, the subtree summary of a *decision prefix* (its best
-//!    `(loss, index)`), so a warm repeat answers whole subtrees and
-//!    replays nothing. Pruning is switched on only by a `lambda_c::flow`
-//!    certificate.
+//!    kind, the subtree summary (its best `(loss, index)`), keyed by a
+//!    node's *decision prefix* or by its *machine state* ([`LcKey`]), so
+//!    a warm repeat answers whole subtrees and replays nothing, and a
+//!    cold walk expands each distinct machine state once. Pruning is
+//!    switched on only by a `lambda_c::flow` certificate.
 //!
 //! ```
 //! use lambda_rt::{search_compiled, LcCandidates};
@@ -55,5 +56,5 @@ pub mod tree;
 
 pub use bridge::{LcCandidates, LcValue};
 pub use loss::OrdLossVal;
-pub use search::{search_compiled_flat, LcTransCache};
+pub use search::{search_compiled_flat, LcKey, LcTransCache};
 pub use tree::{search_compiled, search_compiled_cached, search_compiled_cached_with, LcTreeEval};

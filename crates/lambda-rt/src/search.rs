@@ -2,15 +2,18 @@
 //! every tree search is differenced against.
 //!
 //! * **Transposition keys.** The table holds one entry kind, the
-//!   [`SubtreeSummary`] of an interior decision prefix, keyed
-//!   `(space id, len, prefix bits)`. A prefix fully determines its
-//!   subtree because the machine is deterministic: same forced prefix,
-//!   same runs, bit-identical losses (the cache crate's
-//!   injectivity-up-to-evaluation condition). So a summary installed by
-//!   one search answers the whole subtree in the next one over the same
-//!   handle. A completed path is covered by its parent's exact summary,
-//!   so no leaf is stored. The one evaluator that reads and writes the
-//!   table is [`crate::tree::LcTreeEval`].
+//!   [`SubtreeSummary`] of an interior node, under two kinds of key
+//!   ([`LcKey`]). A *prefix* key, `(space id, len, prefix bits)`, names
+//!   where the node sits: same forced prefix, same runs, bit-identical
+//!   losses (the cache crate's injectivity-up-to-evaluation condition).
+//!   A *state* key names what the node is: the suspended machine's
+//!   [`StateKey`], which two prefixes share when they reach the same
+//!   machine state, and then have the same subtree too. A state entry's
+//!   index is the winner's suffix below its node, so each prefix that
+//!   reaches the state reads its own winner off it. A completed path is
+//!   covered by its parent's exact summary, so no leaf is stored. The
+//!   one evaluator that reads and writes the table is
+//!   [`crate::tree::LcTreeEval`].
 //! * **The flat oracle.** [`search_compiled_flat`] scores every forced
 //!   path from the root through a plain loss closure over
 //!   [`LcCandidates::run_candidate`], with no table, no pruning, and no
@@ -19,14 +22,26 @@
 
 use crate::bridge::{LcCandidates, LcValue};
 use crate::loss::OrdLossVal;
+use lambda_c::machine::StateKey;
 use selc_cache::{ShardedCache, SubtreeSummary};
 use selc_engine::{minimize, Engine, Outcome};
 
+/// What a compiled-search summary is keyed by. Both kinds carry the
+/// space identity (see [`LcCandidates::id`]), so one shared handle serves
+/// many different programs without collisions; keys compare exactly.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum LcKey {
+    /// An interior decision prefix: `(space id, prefix length, prefix
+    /// bits)`. Its summary's index is the winner's flat index.
+    Prefix(u64, u32, u64),
+    /// An interior node's machine state in a space. Its summary's index
+    /// is the winner's suffix below the node.
+    State(u64, StateKey),
+}
+
 /// The transposition table for compiled searches: subtree summaries
-/// keyed `(space identity, prefix length, prefix bits)`. The identity
-/// component (see [`LcCandidates::id`]) lets one shared handle serve many
-/// different programs without prefix collisions.
-pub type LcTransCache = ShardedCache<(u64, u32, u64), SubtreeSummary<OrdLossVal>>;
+/// under [`LcKey`]s, prefix and state entries side by side.
+pub type LcTransCache = ShardedCache<LcKey, SubtreeSummary<OrdLossVal>>;
 
 /// Searches a compiled candidate space by the **flat** scan: every one
 /// of the `2^depth` forced paths replayed from the root on `engine` —
@@ -77,24 +92,29 @@ mod tests {
     fn cached_and_pruned_searches_agree_with_plain() {
         let cands = chain_candidates(6);
         let (plain, value) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
-        // Cold fill without abandonment: every interior node stores its
-        // exact summary, and nothing else is stored.
+        // Cold fill without abandonment: each of the chain's 25 distinct
+        // interior states is expanded once and stores its exact summary
+        // under its prefix and its state, and nothing else is stored.
+        // The other 12 interior nodes the walk reaches are answered by
+        // their state.
         let cache = LcTransCache::unbounded(4);
         let (cold, _) = search_compiled_cached(&single(false), &cands, &cache, None).unwrap();
         assert_eq!((cold.index, cold.loss.clone()), (plain.index, plain.loss.clone()));
-        let interior = cands.space() as u64 - 1;
-        assert_eq!(cold.stats.summary.exact_installs, interior);
-        assert_eq!(cold.stats.cache.insertions, interior);
+        let summary = cold.stats.summary;
+        assert_eq!(summary.exact_installs, 25, "{:?}", cold.stats);
+        assert_eq!(cold.stats.cache.insertions, 2 * 25);
+        assert_eq!((summary.misses, summary.state_hits), (25, 12), "{:?}", cold.stats);
         // Fully warm: a 3-worker repeat splits at depth 4 and answers
-        // its sixteen subtree roots from their summaries, replaying no
-        // leaf.
+        // its sixteen subtree roots, by prefix where the cold walk
+        // expanded one and by state elsewhere, replaying no leaf.
         let parallel = Engine::with_threads(3).without_pruning();
         let (warm, wv) = search_compiled_cached(&parallel, &cands, &cache, None).unwrap();
         assert_eq!((warm.index, warm.loss.clone()), (plain.index, plain.loss.clone()));
         assert_eq!(wv, value);
-        assert_eq!(warm.stats.summary.exact_hits, 16, "fully warm: {:?}", warm.stats);
+        let summary = warm.stats.summary;
+        assert_eq!(summary.exact_hits + summary.state_hits, 16, "fully warm: {:?}", warm.stats);
         assert_eq!(warm.stats.cache.hits, 16);
-        assert_eq!(warm.stats.cache.misses, 0);
+        assert_eq!(warm.stats.cache.misses, summary.state_hits, "a state hit missed by prefix");
         assert_eq!(warm.stats.evaluated, 0);
         // Abandonment on a fresh cache: same winner, bit-identically.
         let cert = cands.certificate().expect("chain losses are certifiably non-negative");

@@ -7,10 +7,22 @@
 //! resumed from a copy of the suspended prefix state (fixed-size, so a
 //! resume costs the same at every depth), O(tree nodes) segments total.
 //! With a shared [`LcTransCache`] attached, the engine probes a **subtree
-//! summary** at every interior node (keyed `(space id, len, bits)`) and
-//! installs one on the way back up, so a table warmed by one search
-//! answers whole subtrees of the next in O(1) — an O(depth) walk instead
-//! of an O(leaves) rescan.
+//! summary** at every interior node and installs one on the way back up,
+//! so a table warmed by one search answers whole subtrees of the next in
+//! O(1) — an O(depth) walk instead of an O(leaves) rescan.
+//!
+//! * **Transpositions by machine state.** A node is probed by its
+//!   position first ([`LcKey::Prefix`]) and, on a miss, by its
+//!   suspended machine's [`lambda_c::machine::StateKey`]
+//!   ([`LcKey::State`]); an exact subtree installs both. Prefixes that
+//!   reach the same state share one subtree, so even a cold walk expands
+//!   each distinct state once: a chain-10 walk expands 69 states, not
+//!   1 023 nodes. A state entry stores the winner's suffix below its
+//!   node, and a hit adds it to the probing prefix: index order inside a
+//!   subtree is suffix order under every prefix, so ties still go to the
+//!   lowest index. Only an evaluator with a table builds keys, and a
+//!   state holding a handler's `l` or `k` has none (its nodes keep the
+//!   prefix key alone).
 //!
 //! * **One bound per space.** The walk prunes against the space's
 //!   achieved-loss bound ([`TreeEval::bound`]), which outlives every
@@ -43,13 +55,14 @@
 
 use crate::bridge::{enforce_replay_contract, LcCandidates, LcValue};
 use crate::loss::OrdLossVal;
-use crate::search::LcTransCache;
+use crate::search::{LcKey, LcTransCache};
 use lambda_c::flow::NonNegLosses;
 use lambda_c::machine::{ChoicePoint, Explored};
 use lambda_c::MachError;
 use selc_cache::SubtreeSummary;
 use selc_engine::tree::{SummaryProbe, TreeEval, TreeStep};
 use selc_engine::{CancelToken, Engine, Outcome, SearchResult, SharedBound};
+use std::cell::OnceCell;
 use std::sync::LazyLock;
 
 /// Paths that actually ran the compiled machine to termination — the
@@ -94,17 +107,13 @@ impl<'c> LcTreeEval<'c> {
 
     /// Folds a machine step at a position of length `len` into a tree
     /// step, publishing completed leaves to the space's bound.
-    fn advance(
-        &self,
-        r: Result<Explored, MachError>,
-        len: u32,
-    ) -> TreeStep<ChoicePoint, OrdLossVal> {
+    fn advance(&self, r: Result<Explored, MachError>, len: u32) -> TreeStep<LcNode, OrdLossVal> {
         match r {
             Err(_) => TreeStep::Pruned, // only `Pruned` survives the contract
             Ok(Explored::Choice(point)) => {
                 debug_assert_eq!(point.depth(), len, "choice points sit at their position");
                 let hint = self.cert.as_ref().map(|cert| OrdLossVal(cert.lower_bound(&point)));
-                TreeStep::Node { node: point, hint }
+                TreeStep::Node { node: LcNode { point, key: OnceCell::new() }, hint }
             }
             Ok(Explored::Done(out)) => {
                 MACHINE_LEAVES.inc();
@@ -116,27 +125,48 @@ impl<'c> LcTreeEval<'c> {
             }
         }
     }
+
+    /// `node`'s state key in this space, built on first use and kept on
+    /// the node; `None` for an unkeyable state.
+    fn state_key<'n>(&self, node: &'n LcNode) -> Option<&'n LcKey> {
+        node.key
+            .get_or_init(|| node.point.state_key().map(|k| LcKey::State(self.cands.id(), k)))
+            .as_ref()
+    }
+
+    /// The flat index of the first leaf below position `(bits, len)`:
+    /// what a state entry's suffix is relative to.
+    fn base(&self, bits: u64, len: u32) -> u64 {
+        bits << (self.cands.depth() - len)
+    }
+}
+
+/// A node of the walk: the suspended machine, and the key of its state
+/// once a probe or an install has built it.
+pub struct LcNode {
+    point: ChoicePoint,
+    key: OnceCell<Option<LcKey>>,
 }
 
 impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
-    type Node = ChoicePoint;
+    type Node = LcNode;
 
     fn depth(&self) -> u32 {
         self.cands.depth()
     }
 
-    fn enter(&self, prefix: u64, len: u32) -> TreeStep<ChoicePoint, OrdLossVal> {
+    fn enter(&self, prefix: u64, len: u32) -> TreeStep<LcNode, OrdLossVal> {
         self.advance(self.cands.explore_prefix(prefix, len, self.cert.is_some()), len)
     }
 
     fn child(
         &self,
-        node: &ChoicePoint,
+        node: &LcNode,
         decision: bool,
         path: u64,
         len: u32,
-    ) -> TreeStep<ChoicePoint, OrdLossVal> {
-        self.advance(enforce_replay_contract(node.resume(decision), path, len), len)
+    ) -> TreeStep<LcNode, OrdLossVal> {
+        self.advance(enforce_replay_contract(node.point.resume(decision), path, len), len)
     }
 
     fn min_leaf_depth(&self) -> u32 {
@@ -150,7 +180,8 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
     }
 
     fn probe_summary(&self, bits: u64, len: u32) -> SummaryProbe<OrdLossVal> {
-        let Some(s) = self.cache.and_then(|c| c.lookup(&(self.cands.id(), len, bits))) else {
+        let key = LcKey::Prefix(self.cands.id(), len, bits);
+        let Some(s) = self.cache.and_then(|c| c.lookup(&key)) else {
             return SummaryProbe::Miss;
         };
         if s.exact {
@@ -164,7 +195,33 @@ impl TreeEval<OrdLossVal> for LcTreeEval<'_> {
 
     fn install_summary(&self, bits: u64, len: u32, summary: SubtreeSummary<OrdLossVal>) {
         if let Some(cache) = self.cache {
-            cache.store((self.cands.id(), len, bits), summary);
+            cache.store(LcKey::Prefix(self.cands.id(), len, bits), summary);
+        }
+    }
+
+    fn probe_state(&self, node: &LcNode, bits: u64, len: u32) -> SummaryProbe<OrdLossVal> {
+        let Some(cache) = self.cache else { return SummaryProbe::Miss };
+        let Some(s) = self.state_key(node).and_then(|key| cache.lookup(key)) else {
+            return SummaryProbe::Miss;
+        };
+        debug_assert!(s.exact, "state entries are exact");
+        // Achieved below this node too: the same leaf at the same suffix.
+        self.cands.bound().observe(&s.loss);
+        SummaryProbe::Exact { loss: s.loss, index: self.base(bits, len) + s.index }
+    }
+
+    fn install_state(
+        &self,
+        node: &LcNode,
+        bits: u64,
+        len: u32,
+        summary: SubtreeSummary<OrdLossVal>,
+    ) {
+        debug_assert!(summary.exact, "only exact subtrees are shared by state");
+        let Some(cache) = self.cache else { return };
+        if let Some(key) = self.state_key(node) {
+            let suffix = summary.index - self.base(bits, len);
+            cache.store(key.clone(), SubtreeSummary::exact(summary.loss, suffix));
         }
     }
 
@@ -294,19 +351,21 @@ mod tests {
         let cands = chain_candidates(6);
         let (reference, value) = search_compiled_flat(&Engine::exhaustive(), &cands).unwrap();
         // A sequential exhaustive cold fill summarises every interior
-        // node…
+        // state of the chain, 25 of them, each under its prefix and its
+        // state…
         let cache = LcTransCache::unbounded(4);
         let (cold, _) =
             search_compiled_cached(&Engine::exhaustive(), &cands, &cache, None).unwrap();
         assert_eq!((cold.index, cold.loss.clone()), (reference.index, reference.loss.clone()));
-        assert_eq!(cold.stats.cache.insertions, 63, "every interior node stored");
+        assert_eq!(cold.stats.cache.insertions, 2 * 25, "every interior state stored");
         // …so a 2-worker repeat, split at depth 3, answers its eight
         // subtree roots without a single replay…
         let split = Engine::with_threads(2).without_pruning();
         let (warm, wv) = search_compiled_cached(&split, &cands, &cache, None).unwrap();
         assert_eq!((warm.index, warm.loss.clone()), (cold.index, cold.loss.clone()));
         assert_eq!(wv, value);
-        assert_eq!(warm.stats.summary.exact_hits, 8, "stats: {:?}", warm.stats);
+        let answered = warm.stats.summary.exact_hits + warm.stats.summary.state_hits;
+        assert_eq!(answered, 8, "stats: {:?}", warm.stats);
         assert_eq!(warm.stats.evaluated, 0, "stats: {:?}", warm.stats);
         // …and a pruned repeat over the same handle agrees too.
         let (auto, tv) =

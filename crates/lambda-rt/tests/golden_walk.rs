@@ -1,18 +1,25 @@
-//! The tree walk's work, pinned: how many leaves one worker evaluates
-//! and prunes, and how many subtree summaries it installs, on the two
-//! chain walks the repository benchmark runs. The counts were recorded
-//! while the engine still kept a per-search bound next to the space's
-//! achieved-loss word; the winners are checked bit for bit against the
-//! flat scan.
+//! The tree walk's work, pinned: how many leaves one worker evaluates,
+//! what it cuts and by which layer, how many subtrees it answers by
+//! machine state, and how many summaries it installs, on the two chain
+//! walks the repository benchmark runs. The winners are checked bit for
+//! bit against the flat scan.
 //!
 //! * The uncertified chain-10 walk (a served cold refill: a fresh table,
-//!   then the same table after an epoch bump) prunes nothing, so its
-//!   counts do not depend on the bound at all and must not move.
+//!   then the same table after an epoch bump) prunes nothing. Every
+//!   node it reaches is probed by prefix and then by machine state, so
+//!   it expands each distinct state once: the 69 interior states of the
+//!   chain (1, 2, 3, 6, 6, 7, 9, 11, 12 and 12 per level: a `b_i` is
+//!   dead after its loss, so a state is its depth and partial), with
+//!   the 24 leaves under the 12 deepest. Each expanded node installs a
+//!   prefix and a state entry. These counts move only when what a state
+//!   key holds moves; with prefix keys alone they were 1 024 leaves and
+//!   1 023 installs.
 //! * The certified chain-12 walk (the offline batch's pattern: a fresh
 //!   table per search over one shared space) prunes against the space's
-//!   achieved loss. A bound that sees each leaf as soon as it is
-//!   expanded may only prune more, so `evaluated` is capped by the
-//!   recorded value and the current counts are pinned beside it.
+//!   achieved loss. `evaluated` is capped by the value recorded before
+//!   the walk pruned against that bound, and the current counts are
+//!   pinned beside it, with `pruned` split into hint skips, bound-entry
+//!   skips and machine abandonments.
 
 use lambda_rt::{
     search_compiled_cached_with, search_compiled_flat, LcCandidates, LcTransCache, OrdLossVal,
@@ -24,12 +31,24 @@ fn chain(choices: u32) -> LcCandidates {
     LcCandidates::new(lambda_c::compile(&p.expr).unwrap(), ["decide".to_owned()], choices)
 }
 
-/// `(evaluated, pruned, exact installs, bound installs, table insertions)`.
-type Work = (u64, u64, u64, u64, u64);
+/// `(evaluated, hint skips, bound-entry skips, machine abandonments,
+/// state hits, exact installs, bound installs, table insertions)`.
+type Work = (u64, u64, u64, u64, u64, u64, u64, u64);
 
 fn work(out: &Outcome<OrdLossVal>) -> Work {
     let s = &out.stats;
-    (s.evaluated, s.pruned, s.summary.exact_installs, s.summary.bound_installs, s.cache.insertions)
+    assert_eq!(s.pruned, s.hint_skips + s.bound_skips + s.abandoned, "{s:?}");
+    let summary = &s.summary;
+    (
+        s.evaluated,
+        s.hint_skips,
+        s.bound_skips,
+        s.abandoned,
+        summary.state_hits,
+        summary.exact_installs,
+        summary.bound_installs,
+        s.cache.insertions,
+    )
 }
 
 /// One single-worker walk through the served entry point.
@@ -47,9 +66,10 @@ fn assert_flat_winner(out: &Outcome<OrdLossVal>, cands: &LcCandidates, label: &s
     assert_eq!(out.loss.0.as_scalar().to_bits(), flat.loss.0.as_scalar().to_bits(), "{label}");
 }
 
-/// The uncertified chain-10 walk: every leaf evaluated, every interior
-/// node summarised exactly, before and after an epoch bump.
-const COLD_REFILL: Work = (1024, 0, 1023, 0, 1023);
+/// The uncertified chain-10 walk, before and after an epoch bump: each
+/// of the 69 interior states expanded once and installed under its
+/// prefix and its state, the other 46 nodes reached answered by state.
+const COLD_REFILL: Work = (24, 0, 0, 0, 46, 69, 0, 138);
 
 #[test]
 fn uncertified_cold_refill_walks_do_the_recorded_work() {
@@ -70,7 +90,7 @@ fn uncertified_cold_refill_walks_do_the_recorded_work() {
 const CERTIFIED_EVALUATED_CAP: [u64; 2] = [5, 4];
 
 /// The two certified chain-12 walks' current work.
-const CERTIFIED: [Work; 2] = [(5, 22, 1, 2, 3), (4, 23, 0, 0, 0)];
+const CERTIFIED: [Work; 2] = [(2, 13, 0, 6, 3, 1, 2, 4), (4, 11, 0, 12, 0, 0, 0, 0)];
 
 #[test]
 fn certified_chain_walks_prune_at_least_as_recorded() {

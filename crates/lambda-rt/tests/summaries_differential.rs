@@ -107,20 +107,24 @@ fn summarised_searches_match_plain_and_flat_on_the_search_corpus() {
     }
 }
 
-/// A cold exhaustive fill stores one exact summary per interior node
-/// and nothing else: every table insertion and every table miss is the
-/// engine's own summary traffic.
+/// A cold exhaustive fill stores one exact summary per distinct
+/// interior state, under its prefix and under its state, and nothing
+/// else: every table access is the engine's own summary traffic. A node
+/// that misses misses twice (prefix, then state); a state hit first
+/// missed by prefix.
 #[test]
 fn a_cold_fill_stores_only_summaries() {
     let cands = chain_candidates(10);
     let engine = Engine::exhaustive();
     let cache = LcTransCache::unbounded(4);
     let (cold, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
-    let interior = (1_u64 << 10) - 1;
-    assert_eq!(cold.stats.summary.installs(), interior, "{:?}", cold.stats);
-    assert_eq!(cold.stats.cache.insertions, interior, "{:?}", cold.stats);
-    assert_eq!(cache.len(), 1023);
-    assert_eq!(cold.stats.cache.misses, cold.stats.summary.misses, "{:?}", cold.stats);
+    let (stats, summary) = (&cold.stats, &cold.stats.summary);
+    let states = 69;
+    assert_eq!(summary.installs(), states, "{stats:?}");
+    assert_eq!(stats.cache.insertions, 2 * states, "{stats:?}");
+    assert_eq!(cache.len(), 2 * 69);
+    assert_eq!(stats.cache.misses, 2 * summary.misses + summary.state_hits, "{stats:?}");
+    assert_eq!(stats.cache.hits, summary.state_hits, "{stats:?}");
 }
 
 /// A warm summarised repeat resolves whole subtrees from exact summary

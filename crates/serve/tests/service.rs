@@ -175,12 +175,13 @@ fn epoch_bumps_invalidate_exactly_one_tenant() {
     // Bump A.
     let resp = client.bump_epoch(201).expect("bump");
     assert!(matches!(resp, Response::EpochBumped { epoch } if epoch >= 1), "got {resp:?}");
-    // A is cold again: the repeat cannot be answered from the table…
+    // A is cold again: nothing of the old generation answers, so the
+    // repeat evaluates leaves and refills the table. (Its summary hits,
+    // if any, are states it installed itself earlier in the same walk.)
     let (ai2, al2, a_after) = expect_ok(client.search(201, w, 0).expect("A after bump"));
     assert_eq!((ai2, al2.to_bits()), (ai, al.to_bits()), "bump changes cost, never answers");
-    assert_eq!(
-        a_after.summary_exact_hits + a_after.summary_bound_hits + a_after.cache_hits,
-        0,
+    assert!(
+        a_after.evaluated > 0 && a_after.summary_exact_installs > 0,
         "bumped tenant must recompute: {a_after:?}"
     );
     // …while B is still warm.
@@ -398,14 +399,24 @@ fn shutdown_closes_idle_and_searching_sessions_promptly() {
     let addr = server.addr();
     let mut idle = Client::connect(addr).expect("connect idle");
     expect_ok(idle.search(1, Workload::Chain { choices: 4 }, 0).expect("idle session's search"));
-    // Two undeadlined deep searches on one search slot: one runs, one
-    // waits for the slot.
+    // Two sessions on one search slot, each running undeadlined cold
+    // searches back to back (an epoch bump before every one) until the
+    // server cuts it off: at any moment one searches while the other
+    // waits for the slot. Each ends on the transport error it reports.
     let replies: Vec<_> = (0..2)
         .map(|t| {
             let (tx, rx) = mpsc::channel();
             thread::spawn(move || {
                 let mut deep = Client::connect(addr).expect("connect deep");
-                let _ = tx.send(deep.search(40 + t, Workload::Chain { choices: 18 }, 0));
+                let cut = loop {
+                    let round = deep
+                        .bump_epoch(40 + t)
+                        .and_then(|_| deep.search(40 + t, Workload::Chain { choices: 24 }, 0));
+                    if let Err(e) = round {
+                        break e;
+                    }
+                };
+                let _ = tx.send(cut);
             });
             rx
         })
@@ -429,9 +440,7 @@ fn shutdown_closes_idle_and_searching_sessions_promptly() {
     });
     let _server = rx.recv_timeout(Duration::from_secs(10)).expect("shutdown never returned");
     for reply in replies {
-        let reply =
-            reply.recv_timeout(Duration::from_secs(10)).expect("a deep session was never closed");
-        assert!(reply.is_err(), "a search cut off by shutdown gets a transport error: {reply:?}");
+        reply.recv_timeout(Duration::from_secs(10)).expect("a deep session was never closed");
     }
     assert!(
         idle.search(1, Workload::Chain { choices: 4 }, 0).is_err(),
