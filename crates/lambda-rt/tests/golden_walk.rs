@@ -12,8 +12,7 @@
 //!   dead after its loss, so a state is its depth and partial), with
 //!   the 24 leaves under the 12 deepest. Each expanded node installs a
 //!   prefix and a state entry. These counts move only when what a state
-//!   key holds moves; with prefix keys alone they were 1 024 leaves and
-//!   1 023 installs.
+//!   key holds moves.
 //! * The certified chain-12 walk (the offline batch's pattern: a fresh
 //!   table per search over one shared space) prunes against the space's
 //!   achieved loss. `evaluated` is capped by the value recorded before
