@@ -70,12 +70,12 @@ impl<L> SubtreeSummary<L> {
 /// carried next to it in `selc-engine`'s `SearchStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SummaryStats {
-    /// Interior-node probes answered by an exact entry at the node's
-    /// position (a whole subtree skipped with its argmin returned).
+    /// Interior-node probes answered by an exact entry (a whole subtree
+    /// skipped with its argmin returned), by position or by state.
     pub exact_hits: u64,
-    /// Probes that missed at the node's position and were answered by an
-    /// exact entry keyed by the node's own state: a transposition, the
-    /// same subtree reached along another path.
+    /// The subset of `exact_hits` that missed at the node's position and
+    /// was answered by an entry keyed by the node's own state: a
+    /// transposition, the same subtree reached along another path.
     pub state_hits: u64,
     /// Probes answered by a bound entry (usable as a pruning hint only).
     pub bound_hits: u64,
@@ -101,11 +101,10 @@ impl SummaryStats {
         }
     }
 
-    /// Probed nodes: hits of every flavour plus misses (a node whose
-    /// position missed and whose state hit counts once, as a state hit).
+    /// Total probes (hits of either flavour + misses).
     #[must_use]
     pub fn probes(&self) -> u64 {
-        self.exact_hits + self.state_hits + self.bound_hits + self.misses
+        self.exact_hits + self.bound_hits + self.misses
     }
 
     /// Total installs (exact + bound).
@@ -157,7 +156,7 @@ mod tests {
             }
         );
         assert_eq!(a.merged(&SummaryStats::default()), a);
-        assert_eq!(m.probes(), 11 + 66 + 22 + 33);
+        assert_eq!(m.probes(), 11 + 22 + 33);
         assert_eq!(m.installs(), 44 + 55);
     }
 }

@@ -386,6 +386,7 @@ impl<L: OrderedLoss, T: TreeEval<L>> Walker<'_, L, T> {
                     }
                     SummaryProbe::Miss => match self.eval.probe_state(&node, bits, len) {
                         SummaryProbe::Exact { loss, index } => {
+                            part.summary.exact_hits += 1;
                             part.summary.state_hits += 1;
                             Some((loss, index))
                         }

@@ -364,8 +364,7 @@ mod tests {
         let (warm, wv) = search_compiled_cached(&split, &cands, &cache, None).unwrap();
         assert_eq!((warm.index, warm.loss.clone()), (cold.index, cold.loss.clone()));
         assert_eq!(wv, value);
-        let answered = warm.stats.summary.exact_hits + warm.stats.summary.state_hits;
-        assert_eq!(answered, 8, "stats: {:?}", warm.stats);
+        assert_eq!(warm.stats.summary.exact_hits, 8, "stats: {:?}", warm.stats);
         assert_eq!(warm.stats.evaluated, 0, "stats: {:?}", warm.stats);
         // …and a pruned repeat over the same handle agrees too.
         let (auto, tv) =

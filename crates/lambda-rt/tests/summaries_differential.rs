@@ -160,6 +160,8 @@ fn warm_summarised_repeat_answers_from_summaries() {
 
 /// An epoch bump retires summaries lazily: the next search re-derives
 /// (and re-installs) them rather than trusting the stale generation.
+/// It does exactly the cold fill's work, so every hit it gets is a
+/// state it installed itself earlier in the same walk.
 #[test]
 fn epoch_bump_retires_summaries() {
     let cands = chain_candidates(8);
@@ -169,7 +171,9 @@ fn epoch_bump_retires_summaries() {
     cache.advance_epoch();
     let (bumped, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
     assert_eq!((bumped.index, bumped.loss.clone()), (cold.index, cold.loss));
-    assert_eq!(bumped.stats.summary.exact_hits, 0, "stale summaries must not answer");
+    assert_eq!(bumped.stats.summary, cold.stats.summary, "stale summaries must not answer");
+    assert_eq!(bumped.stats.evaluated, cold.stats.evaluated, "{:?}", bumped.stats);
+    assert_eq!(bumped.stats.cache.hits, cold.stats.cache.hits, "{:?}", bumped.stats);
     assert!(bumped.stats.summary.exact_installs > 0, "the bumped run refills the table");
     let (rewarm, _) = search_compiled_cached(&engine, &cands, &cache, None).unwrap();
     assert_eq!(rewarm.stats.summary.exact_hits, 1, "refilled: answered at the root again");

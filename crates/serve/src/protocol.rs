@@ -131,7 +131,7 @@ pub struct WireStats {
     pub cache_insertions: u64,
     pub cache_evictions: u64,
     /// Subtrees answered by an exact summary: the prefix hits plus the
-    /// state hits (`SummaryStats::exact_hits + SummaryStats::state_hits`).
+    /// state hits (`SummaryStats::exact_hits`, which counts both).
     pub summary_exact_hits: u64,
     pub summary_bound_hits: u64,
     pub summary_misses: u64,

@@ -160,7 +160,7 @@ fn wire_stats(s: &SearchStats) -> WireStats {
         cache_misses: s.cache.misses,
         cache_insertions: s.cache.insertions,
         cache_evictions: s.cache.evictions,
-        summary_exact_hits: s.summary.exact_hits + s.summary.state_hits,
+        summary_exact_hits: s.summary.exact_hits,
         summary_bound_hits: s.summary.bound_hits,
         summary_misses: s.summary.misses,
         summary_exact_installs: s.summary.exact_installs,

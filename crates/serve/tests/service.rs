@@ -169,21 +169,32 @@ fn epoch_bumps_invalidate_exactly_one_tenant() {
     let mut client = Client::connect(server.addr()).expect("connect");
     let w = Workload::Chain { choices: 9 };
     // Warm tenants A and B.
-    let (ai, al, _) = expect_ok(client.search(201, w, 0).expect("warm A"));
+    let (ai, al, a_cold) = expect_ok(client.search(201, w, 0).expect("warm A"));
     expect_ok(client.search(201, w, 0).expect("warm A repeat"));
     expect_ok(client.search(202, w, 0).expect("warm B"));
     // Bump A.
     let resp = client.bump_epoch(201).expect("bump");
     assert!(matches!(resp, Response::EpochBumped { epoch } if epoch >= 1), "got {resp:?}");
-    // A is cold again: nothing of the old generation answers, so the
-    // repeat evaluates leaves and refills the table. (Its summary hits,
-    // if any, are states it installed itself earlier in the same walk.)
+    // A is cold again: the repeat cannot be answered from the table…
     let (ai2, al2, a_after) = expect_ok(client.search(201, w, 0).expect("A after bump"));
     assert_eq!((ai2, al2.to_bits()), (ai, al.to_bits()), "bump changes cost, never answers");
-    assert!(
-        a_after.evaluated > 0 && a_after.summary_exact_installs > 0,
-        "bumped tenant must recompute: {a_after:?}"
-    );
+    for s in [&a_cold, &a_after] {
+        // A walk probes each position once, so on a cold table every
+        // hit is a state the walk installed itself, found after its
+        // prefix missed; every other probed node misses by prefix and
+        // by state and installs both entries.
+        assert_eq!(s.summary_bound_hits, 0, "{s:?}");
+        assert_eq!(s.cache_hits, s.summary_exact_hits, "{s:?}");
+        assert_eq!(s.cache_misses, 2 * s.summary_misses + s.cache_hits, "{s:?}");
+        assert_eq!(s.cache_insertions, 2 * s.summary_misses, "{s:?}");
+    }
+    assert!(a_after.evaluated > 0, "bumped tenant must recompute: {a_after:?}");
+    // One worker walks in a fixed order, so the bumped repeat does the
+    // cold search's work exactly: no entry of the old generation, by
+    // prefix or by state, answers anywhere in the tree.
+    if a_cold.threads == 1 {
+        assert_eq!(a_after, a_cold, "bumped repeat must redo the cold work");
+    }
     // …while B is still warm.
     let (_, _, b_after) = expect_ok(client.search(202, w, 0).expect("B after bump"));
     if caches_retain_warmth() {
@@ -268,37 +279,45 @@ fn admission_control_refuses_the_session_over_the_limit() {
     assert!(admitted, "the freed slot must admit a new session");
 }
 
+/// A cold game solve the socket watch peeks into many times: it checks
+/// its token at each of its thousands of interior nodes, and a completed
+/// solve leaves its root resolved in the tenant's table. (A cold chain
+/// walk expands only its few hundred distinct machine states, so it may
+/// finish before the watch first peeks.)
+const WATCHED: Workload = Workload::Game { branching: 4, depth: 10, seed: 1 };
+
+fn send_search(client: &mut Client, tenant: u64, workload: Workload) {
+    let req = selc_serve::Request::Search { tenant, deadline_ms: 0, workload };
+    let payload = req.encode();
+    client.send_bytes(&u32::try_from(payload.len()).unwrap().to_be_bytes()).unwrap();
+    client.send_bytes(&payload).unwrap();
+}
+
 #[test]
 fn disconnected_callers_stop_their_searches() {
     let server = spawn(1, 2);
     let addr = server.addr();
     {
-        // Ask for a deep cold search with no deadline, then vanish: the
+        // Ask for a cold search with no deadline, then vanish: the
         // socket watch must fire the token — otherwise the search holds
-        // the only slot while it grinds through 2^18 candidates for
-        // nobody.
+        // the only slot to solve a game for nobody.
         let mut ghost = Client::connect(addr).expect("connect");
-        let req = selc_serve::Request::Search {
-            tenant: 3,
-            deadline_ms: 0,
-            workload: Workload::Chain { choices: 18 },
-        };
-        ghost.send_bytes(&u32::try_from(req.encode().len()).unwrap().to_be_bytes()).unwrap();
-        ghost.send_bytes(&req.encode()).unwrap();
+        send_search(&mut ghost, 3, WATCHED);
     } // dropped: the caller is gone
-      // The session must drain far faster than the full search would
-      // take in a debug build.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.active_sessions() > 0 {
         assert!(Instant::now() < deadline, "ghost session never drained");
         std::thread::sleep(Duration::from_millis(20));
     }
-    // And the slot is free again for a live caller.
-    let reference = direct_chain(6);
+    // The slot is free again for a live caller, and the ghost's solve
+    // was cut off rather than finished: a finished solve would have
+    // resolved the root, and the same request would answer warm.
+    let Workload::Game { branching, depth, seed } = WATCHED else { unreachable!() };
+    let reference = direct_game(branching, depth, seed);
     let mut live = Client::connect(addr).expect("connect");
-    let (index, loss, _) =
-        expect_ok(live.search(4, Workload::Chain { choices: 6 }, 0).expect("live search"));
+    let (index, loss, stats) = expect_ok(live.search(3, WATCHED, 0).expect("live search"));
     assert_eq!((index, loss.to_bits()), (reference.0, reference.1.to_bits()));
+    assert!(stats.evaluated > 0, "the ghost's search ran to the end: {stats:?}");
 }
 
 #[test]
@@ -308,25 +327,16 @@ fn pipelined_requests_are_not_hang_ups() {
     // The second request is on the wire while the first, cold and
     // undeadlined, is still searching: the session's socket watch sees
     // bytes waiting, which means a live client, not a hang-up.
-    for (tenant, choices) in [(6, 14), (6, 6)] {
-        let req = selc_serve::Request::Search {
-            tenant,
-            deadline_ms: 0,
-            workload: Workload::Chain { choices },
-        };
-        let payload = req.encode();
-        client.send_bytes(&u32::try_from(payload.len()).unwrap().to_be_bytes()).unwrap();
-        client.send_bytes(&payload).unwrap();
-    }
-    for choices in [14, 6] {
-        let reference = direct_chain(choices);
-        let (index, loss, _) = expect_ok(client.read_response().expect("pipelined reply"));
-        assert_eq!(
-            (index, loss.to_bits()),
-            (reference.0, reference.1.to_bits()),
-            "chain {choices}"
-        );
-    }
+    let Workload::Game { branching, depth, seed } = WATCHED else { unreachable!() };
+    send_search(&mut client, 6, WATCHED);
+    send_search(&mut client, 6, Workload::Chain { choices: 6 });
+    let (index, loss, stats) = expect_ok(client.read_response().expect("first reply"));
+    let reference = direct_game(branching, depth, seed);
+    assert_eq!((index, loss.to_bits()), (reference.0, reference.1.to_bits()), "game");
+    assert!(stats.evaluated > 0, "the first search ran cold: {stats:?}");
+    let (index, loss, _) = expect_ok(client.read_response().expect("pipelined reply"));
+    let reference = direct_chain(6);
+    assert_eq!((index, loss.to_bits()), (reference.0, reference.1.to_bits()), "chain 6");
 }
 
 #[test]
