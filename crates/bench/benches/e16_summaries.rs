@@ -14,8 +14,9 @@
 //!
 //! After timing, each cached tree search prints `<label> cache …`,
 //! `<label> summary exact_hits=…` and `<label> search evaluated=…
-//! pruned=…` stats lines, and the warm alpha–beta repeat a `cache` line,
-//! which `selc-bench-record` records under those section names.
+//! pruned=…` stats lines, and one cold alpha–beta solve and its warm
+//! repeat a `cache` line each, which `selc-bench-record` records under
+//! those section names.
 //! `SELC_BENCH_SMOKE=1` shrinks the workloads for CI.
 //!
 //! The `state_keys16` group times a cold single-worker chain-16 walk on
@@ -187,22 +188,24 @@ fn bench_alphabeta_tt(c: &mut Criterion) {
     g.bench_function("alphabeta_tt_warm", |b| b.iter(|| black_box(solve_tt(&warm))));
     g.finish();
 
-    // One warm repeat's probe economics (delta against the bench churn):
-    // a single root hit, zero leaves.
+    // One cold solve's and one warm repeat's table traffic (the warm
+    // delta against the bench churn): the cold solve misses and stores
+    // the root only, the warm repeat hits it and evaluates no leaf.
+    let cold = AbCache::unbounded(8);
+    solve_tt(&cold);
     let base = warm.stats();
     let (_, _, warm_leaves) = solve_tt(&warm);
     assert_eq!(warm_leaves, 0, "warm repeats answer from the root entry");
-    let c = warm.stats().since(&base);
-    let cache = [
-        ("hits", c.hits),
-        ("misses", c.misses),
-        ("insertions", c.insertions),
-        ("evictions", c.evictions),
-    ];
-    println!(
-        "{}",
-        stats_line(&format!("e16_summaries/game4x{depth}/alphabeta_tt_warm"), "cache", &cache)
-    );
+    for (name, c) in [("cold", cold.stats()), ("warm", warm.stats().since(&base))] {
+        let cache = [
+            ("hits", c.hits),
+            ("misses", c.misses),
+            ("insertions", c.insertions),
+            ("evictions", c.evictions),
+        ];
+        let label = format!("e16_summaries/game4x{depth}/alphabeta_tt_{name}");
+        println!("{}", stats_line(&label, "cache", &cache));
+    }
 }
 
 criterion_group! {

@@ -89,6 +89,10 @@ const _: () = {
 /// tree identity, so one handle serves **one tree per epoch**: call
 /// [`ShardedCache::advance_epoch`] before pointing it at a different
 /// tree (entries then lazily die, exactly like the engine caches).
+///
+/// After a complete solve the table holds one entry, the root's `Exact`
+/// resolution; interior entries appear only when a solve is cut short
+/// (see [`GameTree::solve_alphabeta_tt_cancellable`]).
 pub type AbCache = ShardedCache<u64, AbEntry>;
 
 effect! {
@@ -266,8 +270,7 @@ impl GameTree {
     /// limit).
     pub fn solve_alphabeta(&self) -> (Vec<usize>, f64) {
         self.assert_shape();
-        let (solved, _) = self.solve_node(0, 0, None, &CancelToken::never());
-        let (leaf, value) = solved.expect("a never token cannot cancel");
+        let ((leaf, value), _) = self.solve_node(0, 0);
         (self.play_of(leaf), value)
     }
 
@@ -276,13 +279,18 @@ impl GameTree {
     /// `CancelToken::never()` for a solve that cannot be cut short).
     /// Returns the play, its value and the number of leaves evaluated.
     ///
-    /// Interior resolutions are stored as [`AbEntry`]s and later visits
-    /// probe before searching — `Exact` entries answer outright,
-    /// `Lower`/`Upper` entries re-trigger the cut they came from when
-    /// they still clear the live window. Nodes on the last interior ply
-    /// below the root scan their leaves without the table. The root's
-    /// window is infinite, so the root always stores `Exact` and a warm
-    /// repeat is O(1): one probe, zero leaves.
+    /// The solve checks the token, then probes the root: the root's
+    /// window is infinite, so a resolved root is `Exact` and a warm
+    /// repeat is O(1), one probe and zero leaves. On a root miss it
+    /// walks the tree, and a complete walk stores the root's `Exact`
+    /// entry and nothing else. A tree has no transpositions, so one
+    /// walk visits each node once: interior probes could only hit
+    /// entries left by an earlier solve, and only a cut-short solve
+    /// leaves any. The walk therefore probes interior nodes only when
+    /// the table held entries as it began. There, `Exact` entries answer
+    /// outright and `Lower`/`Upper` entries re-trigger the cut they came
+    /// from when they still clear the live window. Nodes on the last
+    /// interior ply below the root never use the table.
     ///
     /// Bit-identity with [`GameTree::solve_backward`] (play *and*
     /// value, leftmost ties) is preserved because bound entries are
@@ -295,12 +303,15 @@ impl GameTree {
     /// engine's walker. The solve returns `None` when it fired
     /// mid-solve: minimax has no sound "best seen so far" (an unexplored
     /// sibling can change every ancestor's value), so a cancelled solve
-    /// yields nothing rather than a wrong play. Soundness against the
-    /// table: an aborted node returns **before** computing or storing a
-    /// value, and the abort propagates straight up, so no entry derived
-    /// from a partially-searched node is ever stored — entries written
-    /// by completed siblings earlier in the solve are real resolutions
-    /// and stay valid for the next request.
+    /// yields nothing rather than a wrong play. It does keep its
+    /// progress: the walk buffers the resolution of each completed
+    /// subtree below the root, and a cut-short solve writes those to the
+    /// table (and no root entry), so a client that retries after a
+    /// deadline resumes instead of starting over. Soundness against the
+    /// table: an aborted node returns **before** computing a value, and
+    /// the abort propagates straight up, so no entry derived from a
+    /// partially-searched node is ever buffered — the entries written
+    /// are real resolutions and stay valid for the next request.
     pub fn solve_alphabeta_tt_cancellable(
         &self,
         cache: &AbCache,
@@ -308,14 +319,28 @@ impl GameTree {
     ) -> Option<(Vec<usize>, f64, u64)> {
         let _span = trace::span(&AB_SOLVE_SPAN, self.depth as u64);
         self.assert_shape();
-        let (solved, leaves) = self.solve_node(0, 0, Some(cache), cancel);
-        AB_LEAVES.add(leaves);
+        if cancel.is_cancelled() {
+            AB_CANCELLED.inc();
+            return None;
+        }
+        if let Some((play, value)) = self.solve_alphabeta_tt_warm(cache) {
+            return Some((play, value, 0));
+        }
+        let probe = (!cache.is_empty()).then_some(cache);
+        let mut walk = Walk { tree: self, probe, resolved: Some(Vec::new()), cancel, leaves: 0 };
+        let solved = walk.node(0, 0, f64::NEG_INFINITY, f64::INFINITY);
+        AB_LEAVES.add(walk.leaves);
         match solved {
             Some((leaf, value)) => {
+                let root = AbEntry { leaf: leaf as u64, value, flag: AbFlag::Exact };
+                cache.store(node_key(self.branching, 0, 0), root);
                 AB_SOLVES.inc();
-                Some((self.play_of(leaf), value, leaves))
+                Some((self.play_of(leaf), value, walk.leaves))
             }
             None => {
+                for (key, entry) in walk.resolved.into_iter().flatten() {
+                    cache.store(key, entry);
+                }
                 AB_CANCELLED.inc();
                 None
             }
@@ -336,22 +361,15 @@ impl GameTree {
         Some((self.play_of(root.leaf as usize), root.value))
     }
 
-    /// The alpha–beta core every solver here runs: strict-cutoff search
-    /// of node `(ply, index)` from an infinite window, through `cache`
-    /// when one is given, checking `cancel` once per interior node.
-    /// Returns the best leaf's index and the node's value (`None` when
-    /// the token fired), and the number of leaves evaluated. Callers
-    /// check [`GameTree::assert_shape`] first.
-    pub(crate) fn solve_node(
-        &self,
-        ply: usize,
-        index: usize,
-        cache: Option<&AbCache>,
-        cancel: &CancelToken,
-    ) -> (Option<(usize, f64)>, u64) {
-        let mut walk = Walk { tree: self, cache, cancel, leaves: 0 };
+    /// The store-nothing alpha–beta solve of node `(ply, index)` from an
+    /// infinite window: the best leaf's index and the node's value, and
+    /// the number of leaves evaluated. Callers check
+    /// [`GameTree::assert_shape`] first.
+    pub(crate) fn solve_node(&self, ply: usize, index: usize) -> ((usize, f64), u64) {
+        let never = CancelToken::never();
+        let mut walk = Walk { tree: self, probe: None, resolved: None, cancel: &never, leaves: 0 };
         let solved = walk.node(ply, index, f64::NEG_INFINITY, f64::INFINITY);
-        (solved, walk.leaves)
+        (solved.expect("a never token cannot cancel"), walk.leaves)
     }
 
     /// The game as a `Sel` program over the per-ply effects.
@@ -438,7 +456,13 @@ impl GameTree {
 /// is `leaves[i]`, so no move path is ever built, cloned or hashed.
 struct Walk<'a> {
     tree: &'a GameTree,
-    cache: Option<&'a AbCache>,
+    /// The table interior nodes probe before searching: set only when
+    /// it held entries as a tabled solve began.
+    probe: Option<&'a AbCache>,
+    /// A tabled walk's resolutions of completed subtrees below the root,
+    /// for a cut-short solve to write back; `None` in a store-nothing
+    /// walk.
+    resolved: Option<Vec<(u64, AbEntry)>>,
     cancel: &'a CancelToken,
     /// Leaves evaluated so far.
     leaves: u64,
@@ -448,6 +472,13 @@ impl Walk<'_> {
     /// Strict-cutoff alpha–beta at node `(ply, index)` under the window
     /// `(alpha0, beta0)`: the best leaf below it (leftmost among ties)
     /// and its value, or `None` once the token fired.
+    ///
+    /// In a tabled walk, nodes strictly between the root and the last
+    /// interior ply probe [`Walk::probe`] and buffer their resolution in
+    /// [`Walk::resolved`]. A completed node's entry replaces its
+    /// descendants' there: a retry on the same tree reaches this node
+    /// under the same window and answers it from the entry, so the
+    /// buffer keeps only the maximal completed subtrees.
     fn node(&mut self, ply: usize, index: usize, alpha0: f64, beta0: f64) -> Option<(usize, f64)> {
         let t = self.tree;
         if ply == t.depth {
@@ -455,19 +486,16 @@ impl Walk<'_> {
             return Some((index, t.leaves[index]));
         }
         if self.cancel.is_cancelled() {
-            return None; // nothing computed here, nothing stored
+            return None; // nothing computed here, nothing buffered
         }
-        // The last interior ply scans its `b` adjacent leaves without
-        // the table: a hit there would save at most `b` leaf reads, while
-        // every probe or store costs a shard lock and two key hashes.
-        // The root always uses the table, so a warm repeat stays one
-        // probe at every depth.
+        // The root is probed and stored by the solve itself. The last
+        // interior ply scans its `b` adjacent leaves without the table: a
+        // hit there would save at most `b` leaf reads, while every probe
+        // or store costs a shard lock and two key hashes.
         let last = ply + 1 == t.depth;
-        let table = self
-            .cache
-            .filter(|_| ply == 0 || !last)
-            .map(|c| (c, node_key(t.branching, ply, index)));
-        if let Some(e) = table.and_then(|(c, key)| c.lookup(&key)) {
+        let key = (self.resolved.is_some() && ply > 0 && !last)
+            .then(|| node_key(t.branching, ply, index));
+        if let Some(e) = key.zip(self.probe).and_then(|(key, c)| c.lookup(&key)) {
             // An `Exact` hit substitutes the true resolution wherever
             // the fresh search would have produced one; a bound hit is
             // honoured only when it clears the *live* window strictly,
@@ -482,6 +510,7 @@ impl Walk<'_> {
                 return Some((e.leaf as usize, e.value));
             }
         }
+        let mark = self.resolved.as_ref().map_or(0, Vec::len);
         let maximising = ply.is_multiple_of(2);
         let (mut alpha, mut beta) = (alpha0, beta0);
         let mut best = (index, f64::NAN); // replaced by the first child
@@ -508,7 +537,7 @@ impl Walk<'_> {
                 }
             }
         }
-        if let Some((c, key)) = table {
+        if let (Some(key), Some(resolved)) = (key, &mut self.resolved) {
             let flag = if best.1 > beta0 {
                 AbFlag::Lower
             } else if best.1 < alpha0 {
@@ -516,7 +545,8 @@ impl Walk<'_> {
             } else {
                 AbFlag::Exact
             };
-            c.store(key, AbEntry { leaf: best.0 as u64, value: best.1, flag });
+            resolved.truncate(mark);
+            resolved.push((key, AbEntry { leaf: best.0 as u64, value: best.1, flag }));
         }
         Some(best)
     }
@@ -606,7 +636,7 @@ mod tests {
 
     /// The leaves the table-less alpha–beta solve of `t` evaluates.
     fn plain_leaves(t: &GameTree) -> u64 {
-        t.solve_node(0, 0, None, &CancelToken::never()).1
+        t.solve_node(0, 0).1
     }
 
     /// A table solve under a token that cannot fire.
@@ -628,8 +658,7 @@ mod tests {
     #[test]
     fn alphabeta_from_a_prefix_solves_the_subgame() {
         let t = GameTree::random(2, 4, 3);
-        let (solved, _) = t.solve_node(2, t.index_of(&[1, 0]), None, &CancelToken::never());
-        let (leaf, value) = solved.expect("a never token cannot cancel");
+        let ((leaf, value), _) = t.solve_node(2, t.index_of(&[1, 0]));
         let play = t.play_of(leaf);
         assert_eq!(&play[..2], &[1, 0], "the prefix is kept");
         // The subgame below [1, 0] restarts with the maximiser (ply 2):
@@ -675,23 +704,39 @@ mod tests {
         }
     }
 
+    /// [`solve_tt`] and the table traffic it caused, as `(hits, misses,
+    /// insertions)`.
+    fn solve_tt_traffic(t: &GameTree, cache: &AbCache) -> ((Vec<usize>, f64, u64), [u64; 3]) {
+        let base = cache.stats();
+        let solved = solve_tt(t, cache);
+        let c = cache.stats().since(&base);
+        (solved, [c.hits, c.misses, c.insertions])
+    }
+
     #[test]
     fn flagged_table_matches_backward_induction_cold_and_warm() {
-        let shapes = [(2, 3), (2, 5), (3, 4), (4, 2), (2, 8), (1, 5), (2, 12), (5, 1)];
+        // A tree has no transpositions, so interior probes on a cold
+        // table could only miss and interior stores would never be read:
+        // a cold solve misses and stores the root only, evaluating
+        // exactly the plain solve's leaves, and its repeat is one hit.
+        let shapes = [(2, 3), (2, 5), (3, 4), (4, 2), (2, 8), (1, 5), (2, 12), (5, 1), (4, 8)];
         for seed in 0..15 {
             for (branching, depth) in shapes {
-                let what = format!("seed {seed} b {branching} d {depth}");
                 let t = GameTree::random(branching, depth, seed);
                 let reference = t.solve_backward();
                 let cache = AbCache::unbounded(4);
-                let (play, value, cold) = solve_tt(&t, &cache);
-                assert_eq!((play, value), reference, "cold, {what}");
-                // Each node is visited once per solve, so a cold table
-                // never hits: it evaluates exactly the plain solve's leaves.
-                assert_eq!(cold, plain_leaves(&t), "cold leaves, {what}");
-                let (play, value, warm) = solve_tt(&t, &cache);
-                assert_eq!((play, value), reference, "warm, {what}");
-                assert_eq!(warm, 0, "warm leaves, {what}");
+                for round in ["fresh", "bumped"] {
+                    let what = format!("{round}, seed {seed} b {branching} d {depth}");
+                    let ((play, value, cold), traffic) = solve_tt_traffic(&t, &cache);
+                    assert_eq!((play, value), reference, "cold, {what}");
+                    assert_eq!(cold, plain_leaves(&t), "cold leaves, {what}");
+                    assert_eq!(traffic, [0, 1, 1], "cold traffic, {what}");
+                    let ((play, value, warm), traffic) = solve_tt_traffic(&t, &cache);
+                    assert_eq!((play, value), reference, "warm, {what}");
+                    assert_eq!(warm, 0, "warm leaves, {what}");
+                    assert_eq!(traffic, [1, 0, 0], "warm traffic, {what}");
+                    cache.advance_epoch();
+                }
             }
         }
     }
@@ -787,20 +832,36 @@ mod tests {
 
     #[test]
     fn a_watch_that_turns_false_mid_solve_stores_no_root_entry() {
-        // The watch holds for its first 10 interior-node checks, then
-        // fails: the solve unwinds through every ancestor of the node it
-        // stopped at without storing, so the root stays unresolved.
-        let t = GameTree::random(3, 6, 5);
-        let reference = t.solve_backward();
-        let cache = AbCache::unbounded(4);
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-        let checks = AtomicU64::new(0);
-        let cancel = CancelToken::default().with_watch(move || checks.fetch_add(1, Relaxed) < 10);
+        use std::sync::Arc;
+        let t = GameTree::random(4, 8, 9);
+        let reference = t.solve_backward();
+        // Count a complete solve's token checks, then cut a solve on a
+        // fresh table short after half of them: it unwinds through every
+        // ancestor of the node it stopped at without a value, so the
+        // root stays unresolved.
+        let checks = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&checks);
+        let counting = CancelToken::default().with_watch(move || {
+            counted.fetch_add(1, Relaxed);
+            true
+        });
+        let _ = t.solve_alphabeta_tt_cancellable(&AbCache::unbounded(4), &counting);
+        let half = checks.load(Relaxed) / 2;
+        let cache = AbCache::unbounded(4);
+        let seen = AtomicU64::new(0);
+        let cancel = CancelToken::default().with_watch(move || seen.fetch_add(1, Relaxed) < half);
         assert_eq!(t.solve_alphabeta_tt_cancellable(&cache, &cancel), None);
-        assert!(cache.lookup(&node_key(3, 0, 0)).is_none(), "no root entry after an abort");
+        assert!(cache.lookup(&node_key(4, 0, 0)).is_none(), "no root entry after an abort");
         assert_eq!(t.solve_alphabeta_tt_warm(&cache), None);
-        let (play, value, _) = solve_tt(&t, &cache);
+        // It keeps the subtrees it completed, and the retry resumes from
+        // them.
+        assert!(!cache.is_empty(), "the completed subtrees are kept");
+        let (play, value, leaves) = solve_tt(&t, &cache);
         assert_eq!((play, value), reference);
+        let cold = plain_leaves(&t);
+        assert!(leaves < cold, "the retry resumes: {leaves} leaves against {cold} cold");
+        assert_eq!(solve_tt(&t, &cache).2, 0, "and then answers from the root");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
-use selc_engine::{parallel_subtrees, CancelToken, Engine, SharedBound};
+use selc_engine::{parallel_subtrees, Engine, SharedBound};
 use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
@@ -106,10 +106,7 @@ pub fn alphabeta_parallel(t: &GameTree, threads: usize, split: usize) -> (Vec<us
     t.assert_shape();
     let split = split.min(t.depth);
     let count = t.branching.pow(split as u32);
-    let never = CancelToken::never();
-    let mut level = parallel_subtrees(threads, count, |i| {
-        t.solve_node(split, i, None, &never).0.expect("a never token cannot cancel")
-    });
+    let mut level = parallel_subtrees(threads, count, |i| t.solve_node(split, i).0);
     // Fold the shared top plies over `(leaf, value)` pairs: at ply `p`
     // the maximiser moves iff `p` is even, ties towards the smaller move
     // index — the in-order scan keeps the first of equals, which *is*

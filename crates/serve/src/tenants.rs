@@ -48,7 +48,10 @@ pub struct GameEntry {
     pub tree: Arc<GameTree>,
     /// Its flagged transposition table; node keys (breadth-first
     /// positions) carry no tree identity, hence one table *per
-    /// descriptor*, never shared.
+    /// descriptor*, never shared. Once a solve completes it holds one
+    /// entry, the resolved root that answers every repeat until the
+    /// next bump; a timed-out solve leaves the subtrees it completed,
+    /// which the next solve of the descriptor resumes from.
     pub cache: Arc<AbCache>,
 }
 

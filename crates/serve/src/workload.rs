@@ -376,6 +376,8 @@ mod tests {
         let expect = play.iter().fold(0u64, |acc, &m| acc * 3 + m as u64);
         assert_eq!((index, loss.to_bits()), (expect, value.to_bits()));
         assert!(stats.evaluated > 0);
+        // A complete cold solve probes and stores the root only.
+        assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_insertions), (0, 1, 1));
         // Warm repeat resolves at the root entry: zero leaves.
         let Ran::Done { stats: warm, .. } = run(&tenant, &w, &CancelToken::never(), false) else {
             panic!("warm repeat cannot time out");
