@@ -2,8 +2,11 @@
 //! workers, branch-and-bound pruning on/off, on two workloads:
 //!
 //! * `hyper_grid` — grid search over whole handler-SGD training runs
-//!   (`selc_ml::parallel::tune_training_run`); most rates diverge, so
-//!   pruning aborts them after a few data points;
+//!   (`selc_ml::parallel::tune_training_run`): `sequential` trains every
+//!   run in index order, `parallel4` trains every run on 4 workers, and
+//!   `race` is what any pruning engine runs — a best-first race on the
+//!   calling thread, whatever its worker count, in which most rates
+//!   diverge and stop after a few data points;
 //! * `minimax_root` — root-split minimax over a random table
 //!   (`selc_games::parallel::minimax_root_split`), each row's subgame
 //!   solved by the ordinary `hmin` handler on a worker.
@@ -24,8 +27,8 @@ fn smoke() -> bool {
     std::env::var("SELC_BENCH_SMOKE").is_ok()
 }
 
-/// A grid whose entry 0 converges (so the bound is set immediately) and
-/// where three of every four rates diverge violently.
+/// A grid whose entry 0 converges and where three of every four rates
+/// diverge violently.
 fn rate_grid(len: usize) -> Vec<f64> {
     (0..len)
         .map(|i| if i % 4 == 0 { 0.02 + 0.01 * (i / 4) as f64 } else { 1.2 + 0.05 * i as f64 })
@@ -48,23 +51,10 @@ fn bench_hyper_grid(c: &mut Criterion) {
             ))
         });
     });
-    g.bench_function("sequential+prune", |b| {
-        b.iter(|| {
-            black_box(tune_training_run(
-                &Engine::with_threads(1),
-                grid.clone(),
-                &data,
-                (0.0, 0.0),
-                epochs,
-            ))
-        });
+    let race = Engine::with_threads(1);
+    g.bench_function("race", |b| {
+        b.iter(|| black_box(tune_training_run(&race, grid.clone(), &data, (0.0, 0.0), epochs)));
     });
-    for threads in [1usize, 2, 4, 8] {
-        let eng = Engine::with_threads(threads);
-        g.bench_function(format!("parallel{threads}+prune"), |b| {
-            b.iter(|| black_box(tune_training_run(&eng, grid.clone(), &data, (0.0, 0.0), epochs)));
-        });
-    }
     let no_prune = Engine::with_threads(4).without_pruning();
     g.bench_function("parallel4", |b| {
         b.iter(|| black_box(tune_training_run(&no_prune, grid.clone(), &data, (0.0, 0.0), epochs)));

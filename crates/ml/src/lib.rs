@@ -20,7 +20,7 @@
 //!   sharing one recorded value function (§4.3's GAN remark);
 //! * [`parallel`] — hyperparameter search on the `selc-engine` worker
 //!   pool: chunked parallel `tuneLR` (replay per worker, memoised batch
-//!   probes) and branch-and-bound tuning over whole training runs.
+//!   probes) and best-first tuning over whole training runs.
 
 pub mod bandit;
 pub mod dataset;

@@ -7,10 +7,17 @@
 //!   within a fixed allocation budget.
 //! * A bind whose left side has finished allocates nothing, so a chain
 //!   of 16 pure binds run to a value costs no more than a chain of 1.
+//! * A pruned training-run tune, which races its runs best first on the
+//!   calling thread, allocates no more than an index-order pruning scan
+//!   of the same grids.
 
+use rand::{Rng, SeedableRng};
 use selc::Sel;
+use selc_engine::Engine;
+use selc_ml::dataset::Dataset;
 use selc_ml::linreg::sgd_step;
 use selc_ml::optimize::gd_handler;
+use selc_ml::parallel::tune_training_run;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -98,4 +105,51 @@ fn pure_binds_allocate_nothing() {
         sixteen_allocs <= one_allocs,
         "16 pure binds made {sixteen_allocs} allocations, 1 made {one_allocs}"
     );
+}
+
+/// An index-order pruning scan: each rate trains with its own handler
+/// and is abandoned once its running total strictly exceeds the best
+/// finished total. Returns the winning rate.
+fn index_order_scan(grid: &[f64], data: &Dataset, epochs: usize) -> f64 {
+    let mut best: Option<(f64, f64)> = None;
+    'runs: for &alpha in grid {
+        let h = gd_handler(alpha);
+        let mut p = vec![0.0, 0.0];
+        let mut total = 0.0_f64;
+        for _ in 0..epochs {
+            for &(x, y) in &data.points {
+                p = sgd_step(&h, p, x, y);
+                let e = y - (p[0] * x + p[1]);
+                total += e * e;
+                if best.is_some_and(|(b, _)| total > b) {
+                    continue 'runs;
+                }
+            }
+        }
+        if best.is_none_or(|(b, _)| total < b) {
+            best = Some((total, alpha));
+        }
+    }
+    best.expect("a non-empty grid finishes its first run").1
+}
+
+#[test]
+fn best_first_tuning_allocates_no_more_than_an_index_order_scan() {
+    // The golden tuning grids: 8 rates, 24 points, 2 epochs.
+    let (mut race_total, mut scan_total) = (0, 0);
+    for seed in 1..=4 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let grid: Vec<f64> = (0..8).map(|_| 0.005 + 0.4 * rng.gen::<f64>()).collect();
+        let data = Dataset::linear(24, 2.0, -1.0, 0.1, seed);
+        let tune =
+            || tune_training_run(&Engine::with_threads(1), grid.clone(), &data, (0.0, 0.0), 2);
+        let _ = tune();
+        let (out, race) = counted(tune);
+        let (alpha, scan) = counted(|| index_order_scan(&grid, &data, 2));
+        assert_eq!(out.alpha.to_bits(), alpha.to_bits(), "seed {seed}");
+        println!("seed {seed}: race {race} allocations, index-order scan {scan}");
+        race_total += race;
+        scan_total += scan;
+    }
+    assert!(race_total <= scan_total, "race {race_total} allocations, scan {scan_total}");
 }

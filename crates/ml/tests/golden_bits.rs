@@ -4,8 +4,9 @@
 //! from the runtime before its allocation-lean rewrite. Any change to the
 //! order or operands of a loss `combine` or a finite-difference probe
 //! shows up here as a flipped bit. The tuning cases also pin how many
-//! runs one pruning worker trains and abandons, so a change to the
-//! engine's pruning decisions shows up even when the winner survives it.
+//! runs a pruning engine's best-first race trains and leaves unfinished,
+//! so a change to its pruning decisions shows up even when the winner
+//! survives it.
 
 use rand::{Rng, SeedableRng};
 use selc_engine::Engine;
@@ -52,14 +53,15 @@ fn diverging_handler_sgd_is_bit_identical() {
 
 /// `(seed, alpha bits, err bits, evaluated, pruned)`: an 8-rate grid
 /// drawn from `seed`, tuned over 2 epochs of 24 points drawn from the
-/// same seed. The last two are the pruning decisions of one pruning
-/// worker, which scans the grid in index order: runs trained to the end,
-/// and runs abandoned once their running loss was strictly dominated.
+/// same seed. The last two are the pruning decisions of the best-first
+/// race a pruning engine runs, which always steps the run with the
+/// lowest running loss: runs trained to the end, and runs left
+/// unfinished once a finished run's total was below their running loss.
 const TUNE: [(u64, u64, u64, u64, u64); 4] = [
-    (1, 0x3fbf_28a6_3599_41d5, 0x4000_2513_a1a5_6e60, 3, 5),
+    (1, 0x3fbf_28a6_3599_41d5, 0x4000_2513_a1a5_6e60, 1, 7),
     (2, 0x3fc4_cd46_2488_7e5e, 0x3ffc_94e9_dae2_d3e2, 1, 7),
-    (3, 0x3fc7_af0d_927f_9e98, 0x4001_2aeb_271b_cbc0, 2, 6),
-    (4, 0x3fc2_6922_ede4_7b51, 0x4001_f028_9700_4e14, 3, 5),
+    (3, 0x3fc7_af0d_927f_9e98, 0x4001_2aeb_271b_cbc0, 1, 7),
+    (4, 0x3fc2_6922_ede4_7b51, 0x4001_f028_9700_4e14, 1, 7),
 ];
 
 #[test]
@@ -68,7 +70,13 @@ fn training_run_tuning_is_bit_identical() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let grid: Vec<f64> = (0..8).map(|_| 0.005 + 0.4 * rng.gen::<f64>()).collect();
         let data = Dataset::linear(24, 2.0, -1.0, 0.1, seed);
-        for engine in [Engine::exhaustive(), Engine::with_threads(1), Engine::with_threads(2)] {
+        let engines = [
+            Engine::exhaustive(),
+            Engine::with_threads(1),
+            Engine::with_threads(2),
+            Engine::auto(),
+        ];
+        for engine in engines {
             let out = tune_training_run(&engine, grid.clone(), &data, (0.0, 0.0), 2);
             assert_eq!(
                 (out.alpha.to_bits(), out.err.to_bits()),
