@@ -145,11 +145,12 @@ const RETIRED: &[Retired] = &[
             "tune_lr_parallel_cached",
             "minimax_root_split_stats",
             "with_fuel",
+            "parallel_subtrees",
         ],
         edge: Edge::Word,
         scopes: EVERYWHERE,
         except: &[],
-        why: "programs reach workers as plain closures: no replay-factory layer or suffix variants",
+        why: "plain closures, one fan-out: no replay-factory layer or suffix variants",
     },
     Retired {
         names: &["seed_bits", "hint_is_lower_bound", "observe_bits", "best_seen", "fn cache_stats"],

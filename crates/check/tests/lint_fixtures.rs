@@ -253,6 +253,13 @@ fn the_replay_factory_names_stay_retired_as_whole_words() {
 }
 
 #[test]
+fn the_subtree_fan_out_stays_retired() {
+    let src = "use selc_engine::parallel_subtrees;\n// parallel_subtrees(2, 4, f)\nfn parallel_subtrees_of() {}\n";
+    assert_eq!(retired_at("crates/games/src/parallel.rs", src), vec![1, 2]);
+    assert_eq!(retired_at("crates/engine/tests/pool.rs", src), vec![1, 2]);
+}
+
+#[test]
 fn bound_seeding_names_stay_retired_inside_longer_words() {
     let src = "fn seed_bits_of() {}\nlet best_seen2 = 1;\nfn cache_stats(&self) {}\nlet x = cache_stats();\n";
     assert_eq!(retired_at("crates/engine/src/tree.rs", src), vec![1, 2, 3]);

@@ -25,11 +25,10 @@
 //! * **One worker loop, one pool** — workers fed by a chunked atomic
 //!   work queue, the calling thread being worker 0 and the rest parked
 //!   helpers of one persistent pool, so a warm process spawns no thread
-//!   per search; the flat scan, the tree walk and
-//!   [`tree::parallel_subtrees`] all fan out through it. No external
-//!   dependencies. Worker count defaults to the `SELC_THREADS` knob
-//!   ([`threads::configured_threads`]) so CI and benches are
-//!   reproducible anywhere.
+//!   per search; the flat scan and the tree walk both fan out through
+//!   it. No external dependencies. Worker count defaults to the
+//!   `SELC_THREADS` knob ([`threads::configured_threads`]) so CI and
+//!   benches are reproducible anywhere.
 //! * **Deterministic reduction** — per-worker bests merge lexicographically
 //!   by `(loss, index)` under the *total* order [`selc::OrderedLoss`], so
 //!   parallel argmin returns bit-identical winners to the sequential scan
@@ -49,10 +48,10 @@
 //!   table answer repeat leaves and whole subtrees from it, and hit/miss
 //!   telemetry flows into [`SearchStats`].
 //!
-//! Downstream, `selc-games` root-splits minimax and n-queens, `selc-ml`
-//! batches hyperparameter grids, and `selection::par` root-splits a
-//! product of selection functions — all through this engine, each entry
-//! point taking the engine it runs on.
+//! Downstream, `selc-games` root-splits minimax, n-queens and Young
+//! Brothers Wait alpha–beta, `selc-ml` batches hyperparameter grids, and
+//! `selection::par` root-splits a product of selection functions — all
+//! through this engine, each entry point taking the engine it runs on.
 
 pub mod bound;
 pub mod cancel;
@@ -69,4 +68,4 @@ pub use engine::{minimize, Engine, Outcome, SearchResult, SearchStats};
 pub use engine::{ParallelEngine, SequentialEngine, TreeEngine};
 pub use queue::WorkQueue;
 pub use threads::{configured_threads, THREADS_ENV};
-pub use tree::{parallel_subtrees, SummaryProbe, TreeEval, TreeStep};
+pub use tree::{SummaryProbe, TreeEval, TreeStep};

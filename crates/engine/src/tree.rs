@@ -480,34 +480,6 @@ fn estimate<N, L>(step: &TreeStep<N, L>) -> Option<&L> {
     }
 }
 
-/// Distributes `count` independent subtree tasks over the engine's
-/// worker loop (saturating claim queue, one subtree per claim, the
-/// calling thread being one of the workers) and returns the
-/// results **in task-index order** — so any merge the caller folds over
-/// them is deterministic regardless of which worker ran what.
-/// `threads == 0` means [`crate::configured_threads`]. Used by the tree walk's
-/// cousins that are not leaf-argmins (e.g. parallel alpha-beta in
-/// `selc-games`, where interior nodes alternate min/max).
-///
-/// # Panics
-///
-/// Panics if a task panics.
-pub fn parallel_subtrees<R, F>(threads: usize, count: usize, task: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    let threads = Engine::with_threads(threads).workers().min(count.max(1));
-    let (parts, _) =
-        fan_out(threads, count, 1, &CancelToken::never(), |done: &mut Vec<(usize, R)>, i, _| {
-            done.push((i, task(i)));
-            true
-        });
-    let mut done: Vec<_> = parts.into_iter().flatten().collect();
-    done.sort_unstable_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -891,23 +863,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_subtrees_returns_results_in_index_order() {
-        for threads in [0, 1, 2, 5] {
-            let out = parallel_subtrees(threads, 23, |i| i * i);
-            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "threads {threads}");
-        }
-        assert!(parallel_subtrees(3, 0, |i| i).is_empty());
-    }
-
-    #[test]
     fn the_calling_thread_is_worker_zero() {
         // Each task holds its worker at the barrier until the other task
         // is claimed, so the two tasks run on two different workers.
         let barrier = std::sync::Barrier::new(2);
-        let ids = parallel_subtrees(2, 2, |_| {
+        let ids = Mutex::new(Vec::new());
+        Engine::with_threads(2).scan(2, |_, _| {
             barrier.wait();
-            std::thread::current().id()
+            ids.lock().unwrap().push(std::thread::current().id());
+            Some(0.0)
         });
+        let ids = ids.into_inner().unwrap();
         assert!(ids.contains(&std::thread::current().id()), "{ids:?}");
     }
 

@@ -3,7 +3,7 @@
 //! that fan out from several threads at once, each nesting a second
 //! fan-out inside its evaluator, all finish with the sequential winner.
 
-use selc_engine::{minimize, parallel_subtrees, Engine};
+use selc_engine::{minimize, Engine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
 
@@ -18,9 +18,10 @@ fn a_helper_panic_reaches_the_caller_and_leaves_the_pool_usable() {
     // the two runs on a helper; that one panics.
     let barrier = Barrier::new(2);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        parallel_subtrees(2, 2, |_| {
+        Engine::with_threads(2).scan(2, |_, _| {
             barrier.wait();
             assert_eq!(std::thread::current().id(), caller, "deliberate helper panic");
+            Some(0.0)
         })
     }));
     let payload = result.expect_err("the helper's panic reaches the caller");
@@ -45,9 +46,9 @@ fn concurrent_searches_with_nested_fan_outs_return_the_sequential_winner() {
     let losses = losses();
     // Every candidate's loss is itself a two-worker fan-out.
     let eval = |i: usize| {
-        parallel_subtrees(2, 4, |j| losses[(i + j * 16) % losses.len()])
-            .into_iter()
-            .fold(f64::INFINITY, f64::min)
+        minimize(&Engine::with_threads(2), 4, |j| losses[(i + j * 16) % losses.len()])
+            .expect("four candidates")
+            .loss
     };
     let seq = minimize(&Engine::exhaustive(), losses.len(), eval).unwrap();
     let winners: Vec<_> = std::thread::scope(|s| {

@@ -1,13 +1,13 @@
 //! Once the first search has warmed the pool, no search spawns a
 //! thread: the process's OS thread count, read from inside every
 //! evaluation and after every search, stays at its warm value across
-//! flat, tree and `parallel_subtrees` searches. (A per-search spawn
+//! flat, tree and nested flat searches. (A per-search spawn
 //! shows up from inside the search even when it is joined before the
 //! search returns.) Its own binary, so no other test's threads come and
 //! go meanwhile.
 #![cfg(target_os = "linux")]
 
-use selc_engine::{minimize, parallel_subtrees, Engine, TreeEval, TreeStep};
+use selc_engine::{minimize, Engine, TreeEval, TreeStep};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn os_threads() -> usize {
@@ -60,7 +60,12 @@ fn a_warm_process_spawns_no_thread_per_search() {
     for _ in 0..100 {
         assert_eq!(flat().index, expected);
         assert_eq!(Engine::with_threads(2).search(&table).unwrap().index, expected);
-        assert_eq!(parallel_subtrees(2, 8, |i| seen(i * i))[7], 49);
+        // A scan whose every candidate is itself a scan: the inner
+        // fan-outs borrow the same warm helpers.
+        let nested = minimize(&Engine::with_threads(2), 8, |i| {
+            minimize(&Engine::with_threads(2), 2, |j| seen(-((i * i + j) as f64))).unwrap().loss
+        });
+        assert_eq!(nested.map(|out| (out.index, out.loss)), Some((7, -50.0)));
         assert_eq!(os_threads(), warm, "a search left a thread behind");
     }
     assert_eq!(PEAK.load(Ordering::Relaxed), warm, "a warm search ran on a fresh thread");

@@ -11,13 +11,16 @@
 //! bit-identical to the sequential `hmax ∘ hmin` nesting, and its
 //! branch-and-bound bound prunes rows whose best conceivable value
 //! (the row maximum) cannot beat a value some worker already achieved.
+//! Full-tree alpha–beta shares its younger root moves once the eldest
+//! is solved, under the window it achieved (Young Brothers Wait).
 
 use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
-use selc_engine::{parallel_subtrees, Engine, SharedBound};
-use std::sync::Arc;
+use selc_engine::{Engine, SharedBound};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
 /// the joint loss is recorded, and the chosen column is returned.
@@ -28,37 +31,41 @@ fn subgame(table: Arc<Matrix>, a: usize) -> Sel<f64, usize> {
 
 /// Scores row `a` for the root split: replays `handle(hmin, subgame(a))`
 /// and returns the *negated* game value (the engine minimises; the root
-/// player maximises). First it checks the row's lower bound
-/// `-(row minimum)` against the shared bound: for a matrix game the
-/// subgame value *is* the row minimum, so a cheap scan (no handler
-/// machinery, no future replays) gives a tight bound and rows that
-/// cannot strictly beat the incumbent value never pay for handler
-/// evaluation. Tightness is fine for soundness — strict domination
-/// (`lb > best`) still never drops a tying row. In deeper games, where
-/// no exact scan exists, a heuristic bound slots into the same check.
-fn score_row(table: &Arc<Matrix>, a: usize, bound: &SharedBound<f64>) -> Option<f64> {
+/// player maximises) with the column the minimiser chose. First it
+/// checks the row's lower bound `-(row minimum)` against the shared
+/// bound: for a matrix game the subgame value *is* the row minimum, so
+/// a cheap scan (no handler machinery, no future replays) gives a tight
+/// bound and rows that cannot strictly beat the incumbent value never
+/// pay for handler evaluation. Tightness is fine for soundness — strict
+/// domination (`lb > best`) still never drops a tying row. In deeper
+/// games, where no exact scan exists, a heuristic bound slots into the
+/// same check.
+fn score_row(table: &Arc<Matrix>, a: usize, bound: &SharedBound<f64>) -> Option<(f64, usize)> {
     let row_min = table.entries[a].iter().copied().fold(f64::INFINITY, f64::min);
     if bound.dominated(&-row_min) {
         return None;
     }
-    let (value, _col) = handle(&hmin(), subgame(Arc::clone(table), a)).run_unwrap();
-    Some(-value)
+    let (value, col) = handle(&hmin(), subgame(Arc::clone(table), a)).run_unwrap();
+    Some((-value, col))
 }
 
 /// Root-split parallel minimax: distributes the maximiser's rows over
 /// the engine's worker pool, each worker solving the minimiser's reply
-/// with the ordinary `hmin` handler. Returns `((row, col), value)`,
-/// bit-identical to [`crate::minimax::minimax_handler`].
+/// with the ordinary `hmin` handler and keeping the column it chose.
+/// Returns `((row, col), value)`, bit-identical to
+/// [`crate::minimax::minimax_handler`].
 pub fn minimax_root_split(table: &Matrix, engine: &Engine) -> ((usize, usize), f64) {
     let table = Arc::new(table.clone());
-    let a = engine
-        .scan(table.rows(), |a, bound| score_row(&table, a, bound))
-        .expect("matrices are non-empty")
-        .index;
-    // Replay the winning subgame once for the minimiser's reply (pure,
-    // so this reproduces exactly the value the search scored).
-    let (value, b) = handle(&hmin(), subgame(table, a)).run_unwrap();
-    ((a, b), value)
+    let cols = Mutex::new(vec![0; table.rows()]);
+    let out = engine
+        .scan(table.rows(), |a, bound| {
+            let (loss, col) = score_row(&table, a, bound)?;
+            cols.lock().unwrap_or_else(PoisonError::into_inner)[a] = col;
+            Some(loss)
+        })
+        .expect("matrices are non-empty");
+    let col = cols.into_inner().unwrap_or_else(PoisonError::into_inner)[out.index];
+    ((out.index, col), -out.loss)
 }
 
 /// Parallel n-queens: splits the first queen's column over `engine`;
@@ -85,54 +92,78 @@ pub fn queens_parallel(engine: &Engine, n: usize) -> Vec<usize> {
     })
 }
 
-/// Full-tree parallel alpha–beta: where [`minimax_root_split`] stops at
-/// the first mover's moves, this distributes *every* subtree at `split`
-/// plies — `branching^split` independent work items claimed from the
-/// engine's saturating subtree queue ([`parallel_subtrees`], the same
-/// distribution the λC tree search uses) — and solves each with the
-/// store-nothing strict-cutoff core of [`GameTree::solve_alphabeta`]
-/// from a fresh window. Work item `i` *is* node `i` of ply `split` in
-/// flat leaf order, which numbers each ply's nodes in move order, so the
-/// results come back in move order and the shared top plies fold by
-/// backward induction over that fixed order: the play and value are
-/// bit-identical to [`GameTree::solve_backward`] regardless of worker
-/// timing. `threads == 0` means `SELC_THREADS`.
+/// Full-tree parallel alpha–beta, Young Brothers Wait (Feldmann) at the
+/// root: the eldest root move is solved first, then the younger ones go
+/// out through [`Engine::scan`] on `Engine::with_threads(threads)` (`0`
+/// means `SELC_THREADS`), each solved whole by the store-nothing core of
+/// [`GameTree::solve_alphabeta`] from the root's window as it stands
+/// when the move is claimed. `split == 0` is the sequential solve; any
+/// other `split` shares the root (sharing deeper cost more CPU per
+/// offline job on two cores, not less).
+///
+/// One worker claims the moves in index order, so it evaluates the
+/// sequential solver's leaves exactly. With more, a move may start under
+/// a looser window, yet the play and value stay bit-identical to
+/// [`GameTree::solve_backward`]: strict-cutoff alpha–beta is exact when
+/// the value lies in its closed window and strictly below it otherwise,
+/// and the live `α` holds only achieved values, so it never exceeds the
+/// game value `V`. The leftmost move achieving `V` is then solved
+/// exactly, every elder move returns strictly less, and the scan's
+/// leftmost-first reduction picks it. The root's `β` is infinite, so the
+/// root is never cut.
 ///
 /// # Panics
 ///
 /// Panics on a degenerate tree or one whose `leaves` does not hold
 /// `branching^depth` values.
 pub fn alphabeta_parallel(t: &GameTree, threads: usize, split: usize) -> (Vec<usize>, f64) {
+    let (play, value, _) = alphabeta_parallel_counted(t, threads, split);
+    (play, value)
+}
+
+/// [`alphabeta_parallel`] and the number of leaves it evaluated.
+pub fn alphabeta_parallel_counted(
+    t: &GameTree,
+    threads: usize,
+    split: usize,
+) -> (Vec<usize>, f64, u64) {
     t.assert_shape();
-    let split = split.min(t.depth);
-    let count = t.branching.pow(split as u32);
-    let mut level = parallel_subtrees(threads, count, |i| t.solve_node(split, i).0);
-    // Fold the shared top plies over `(leaf, value)` pairs: at ply `p`
-    // the maximiser moves iff `p` is even, ties towards the smaller move
-    // index — the in-order scan keeps the first of equals, which *is*
-    // the smaller move.
-    for p in (0..split).rev() {
-        let maximising = p.is_multiple_of(2);
-        level = level
-            .chunks(t.branching)
-            .map(|group| {
-                group
-                    .iter()
-                    .copied()
-                    .reduce(|best, cand| {
-                        let better = if maximising { cand.1 > best.1 } else { cand.1 < best.1 };
-                        if better {
-                            cand
-                        } else {
-                            best
-                        }
-                    })
-                    .expect("branching > 0")
-            })
-            .collect();
+    if split.min(t.depth) == 0 {
+        let ((leaf, value), leaves) = t.solve_node(0, 0, f64::NEG_INFINITY, f64::INFINITY);
+        return (t.play_of(leaf), value, leaves);
     }
-    let (leaf, value) = level[0];
-    (t.play_of(leaf), value)
+    let leaves = AtomicU64::new(0);
+    let solve = |m: usize, alpha: f64| {
+        let (best, n) = t.solve_node(1, m, alpha, f64::INFINITY);
+        // ordering: Relaxed — a tally, read once the scan has joined its
+        // workers.
+        leaves.fetch_add(n, Ordering::Relaxed);
+        best
+    };
+    let eldest = solve(0, f64::NEG_INFINITY);
+    // The root's live α as `f64` bits: one word that only rises.
+    let alpha = AtomicU64::new(eldest.1.to_bits());
+    let scored = Engine::with_threads(threads).scan(t.branching, |m, _| {
+        let (leaf, v) = if m == 0 {
+            eldest
+        } else {
+            // ordering: Relaxed — a stale read is a looser window, which
+            // cannot change the winner (see `alphabeta_parallel`).
+            let child = solve(m, f64::from_bits(alpha.load(Ordering::Relaxed)));
+            // ordering: Relaxed — a monotone update of this word alone;
+            // no other data is published through it.
+            let _ = alpha.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
+                (child.1 > f64::from_bits(a)).then_some(child.1.to_bits())
+            });
+            child
+        };
+        // The engine minimises, so the key is `-v`; `+ 0.0` folds `-0.0`
+        // into `0.0`, so signed zeros tie as under `>`. Leaf indices grow
+        // with the move, so ties go to the leftmost move.
+        Some((-v + 0.0, leaf as i64))
+    });
+    let leaf = scored.expect("the eldest always scores").loss.1 as usize;
+    (t.play_of(leaf), t.leaves[leaf], leaves.into_inner()) // a value is its leaf's
 }
 
 #[cfg(test)]
@@ -184,7 +215,9 @@ mod tests {
         let engine = Engine::with_threads(1);
         assert_eq!(minimax_root_split(&m, &engine), ((0, 0), 5.0));
         let table = Arc::new(m);
-        let outcome = engine.scan(table.rows(), |a, bound| score_row(&table, a, bound)).unwrap();
+        let outcome = engine
+            .scan(table.rows(), |a, bound| score_row(&table, a, bound).map(|(loss, _)| loss))
+            .unwrap();
         assert_eq!(outcome.index, 0);
         assert_eq!(outcome.stats.pruned, 6, "stats: {:?}", outcome.stats);
     }
@@ -204,12 +237,12 @@ mod tests {
 
     #[test]
     fn parallel_alphabeta_matches_backward_induction_across_splits() {
-        for seed in 0..8 {
-            for (branching, depth) in [(2, 5), (3, 4)] {
+        for (branching, depth) in [(2, 5), (3, 4), (4, 6), (4, 8)] {
+            for seed in 0..64 {
                 let t = GameTree::random(branching, depth, seed);
                 let expected = t.solve_backward();
                 for threads in [1, 2, 4] {
-                    for split in [0, 1, 2, 3] {
+                    for split in 0..=depth + 1 {
                         assert_eq!(
                             alphabeta_parallel(&t, threads, split),
                             expected,
@@ -228,8 +261,31 @@ mod tests {
         let t = GameTree { branching: 3, depth: 4, leaves: vec![1.0; 81] };
         let expected = t.solve_backward();
         assert_eq!(expected.0, vec![0, 0, 0, 0]);
-        for _ in 0..5 {
-            assert_eq!(alphabeta_parallel(&t, 4, 2), expected);
+        for threads in [1, 2, 4] {
+            for split in 0..=t.depth + 1 {
+                for _ in 0..5 {
+                    assert_eq!(
+                        alphabeta_parallel(&t, threads, split),
+                        expected,
+                        "threads {threads} split {split}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_evaluates_the_sequential_solvers_leaves() {
+        // Siblings claimed in index order on the caller start from the
+        // window the sequential solve gives them, so the leaf counts
+        // agree exactly; fresh windows would evaluate about twice as many.
+        for seed in 0..64 {
+            let t = GameTree::random(4, 8, seed);
+            let (_, sequential) = t.solve_node(0, 0, f64::NEG_INFINITY, f64::INFINITY);
+            for split in 0..=t.depth {
+                let (_, _, leaves) = alphabeta_parallel_counted(&t, 1, split);
+                assert_eq!(leaves, sequential, "seed {seed} split {split}");
+            }
         }
     }
 

@@ -124,34 +124,31 @@ where
     assert!(!grid.is_empty(), "tune_lr_parallel needs at least one candidate rate");
     assert!(batch_size >= 1, "batch_size must be positive");
     let batches: Vec<Vec<f64>> = grid.chunks(batch_size).map(<[f64]>::to_vec).collect();
-    // Rebuilds the program and runs it against batch `i`; pure, so
-    // rerunning the winner reproduces exactly the scored pair.
-    let run_batch = |i: usize| -> (f64, f64, CacheStats) {
+    let base = cache.map(|c| c.stats()).unwrap_or_default();
+    // The per-activation memos' counters, summed over every run, and
+    // each scored batch's winning rate, so the winner is read back
+    // rather than rebuilt and re-probed.
+    let scored = Mutex::new((CacheStats::default(), vec![f64::NAN; batches.len()]));
+    // Candidate `i` is the `i`-th batch, probed against a fresh rebuild
+    // of the program; its loss is the best probed error inside the batch.
+    let mut out = minimize(engine, batches.len(), |i| {
         let stats = Rc::new(Cell::new(CacheStats::default()));
         let h = tune_batch_handler(batches[i].clone(), cache.cloned(), Rc::clone(&stats));
-        let (_, pair) = handle(&h, program())
+        let (_, (alpha, err)) = handle(&h, program())
             .run()
             .expect("tuned program reached the top level with an unhandled operation");
-        (pair.0, pair.1, stats.get())
-    };
-    let base = cache.map(|c| c.stats()).unwrap_or_default();
-    // The per-activation memos' counters, summed over every run.
-    let memo_stats = Mutex::new(CacheStats::default());
-    // Candidate `i` is the `i`-th batch; its loss is the best probed
-    // error inside the batch.
-    let mut out = minimize(engine, batches.len(), |i| {
-        let (_alpha, err, stats) = run_batch(i);
-        let mut total = memo_stats.lock().unwrap_or_else(PoisonError::into_inner);
-        *total = total.merged(&stats);
+        let mut scored = scored.lock().unwrap_or_else(PoisonError::into_inner);
+        scored.0 = scored.0.merged(&stats.get());
+        scored.1[i] = alpha;
         err
     })
     .expect("non-empty grid");
+    let (memo_stats, alphas) = scored.into_inner().unwrap_or_else(PoisonError::into_inner);
     out.stats.cache = match cache {
         Some(cache) => cache.stats().since(&base),
-        None => memo_stats.into_inner().unwrap_or_else(PoisonError::into_inner),
+        None => memo_stats,
     };
-    let (alpha, err, _) = run_batch(out.index);
-    TuneOutcome { alpha, err, stats: out.stats }
+    TuneOutcome { alpha: alphas[out.index], err: out.loss, stats: out.stats }
 }
 
 /// A training run of [`tune_training_run`] between steps: its handler,
@@ -292,6 +289,33 @@ mod tests {
         }
         let out = tune_lr_parallel(&Engine::exhaustive(), grid, 2, || step_prog(0.0), None);
         assert_eq!(out.alpha, seq_alpha);
+    }
+
+    #[test]
+    fn the_winning_batch_is_read_back_not_rebuilt() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let grid = vec![1.0, 0.9, 0.5, 0.25, 0.1, 0.75];
+        let (_, seq_alpha) = handle(&tune_lr(grid.clone()), step_prog(0.0)).run_unwrap();
+        let builds = AtomicUsize::new(0);
+        let program = || {
+            builds.fetch_add(1, Relaxed);
+            step_prog(0.0)
+        };
+        let out = tune_lr_parallel(&Engine::exhaustive(), grid.clone(), 2, program, None);
+        assert_eq!(builds.load(Relaxed), 3, "one build per batch, none for the winner");
+        assert_eq!(out.alpha.to_bits(), seq_alpha.to_bits());
+        // One batch over the whole grid scores the same winning pair.
+        let whole = tune_lr_parallel(
+            &Engine::exhaustive(),
+            grid.clone(),
+            grid.len(),
+            || step_prog(0.0),
+            None,
+        );
+        assert_eq!(
+            (out.alpha.to_bits(), out.err.to_bits()),
+            (whole.alpha.to_bits(), whole.err.to_bits())
+        );
     }
 
     #[test]
