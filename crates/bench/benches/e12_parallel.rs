@@ -1,5 +1,5 @@
 //! E12: the `selc-engine` execution layer — sequential vs. 1/2/4/8
-//! workers, branch-and-bound pruning on/off, on three workloads:
+//! workers, branch-and-bound pruning on/off, on two workloads:
 //!
 //! * `hyper_grid` — grid search over whole handler-SGD training runs
 //!   (`selc_ml::parallel::tune_training_run`): `sequential` trains every
@@ -9,13 +9,7 @@
 //!   diverge and stop after a few data points;
 //! * `minimax_root` — root-split minimax over a random table
 //!   (`selc_games::parallel::minimax_root_split`), each row's subgame
-//!   solved by the ordinary `hmin` handler on a worker;
-//! * `alphabeta` — full-tree alpha–beta on a 4×8 game tree:
-//!   `GameTree::solve_alphabeta` against
-//!   `selc_games::parallel::alphabeta_parallel` (Young Brothers Wait at
-//!   the root) on 1 and 2 workers. Each row also prints its mean
-//!   leaves per solve over 32 seeded trees: one worker evaluates exactly
-//!   the sequential solver's leaves.
+//!   solved by the ordinary `hmin` handler on a worker.
 //!
 //! `SELC_BENCH_SMOKE=1` shrinks every size for the CI smoke run. On a
 //! single-core container the thread rows cannot beat sequential; the
@@ -23,11 +17,9 @@
 //! winners never change either way).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use selc_bench::stats_line;
 use selc_engine::Engine;
-use selc_games::alternating::GameTree;
 use selc_games::bimatrix::Matrix;
-use selc_games::parallel::{alphabeta_parallel, alphabeta_parallel_counted, minimax_root_split};
+use selc_games::parallel::minimax_root_split;
 use selc_ml::dataset::Dataset;
 use selc_ml::parallel::tune_training_run;
 
@@ -93,37 +85,5 @@ fn bench_minimax_root(c: &mut Criterion) {
     g.finish();
 }
 
-/// The `split` the repository benchmark passes; any value above 0 shares the root.
-const AB_SPLIT: usize = 2;
-
-fn bench_alphabeta(c: &mut Criterion) {
-    let (depth, trees) = if smoke() { (4, 4) } else { (8, 32) };
-    let trees: Vec<GameTree> = (0..trees).map(|seed| GameTree::random(4, depth, seed)).collect();
-    let mut g = c.benchmark_group("e12_parallel/alphabeta");
-    g.bench_function("sequential", |b| b.iter(|| black_box(trees[0].solve_alphabeta())));
-    for threads in [1usize, 2] {
-        g.bench_function(format!("parallel{threads}"), |b| {
-            b.iter(|| black_box(alphabeta_parallel(&trees[0], threads, AB_SPLIT)));
-        });
-    }
-    g.finish();
-    // Split 0 is the sequential solver's own core.
-    for (config, threads, split) in
-        [("sequential", 1, 0), ("parallel1", 1, AB_SPLIT), ("parallel2", 2, AB_SPLIT)]
-    {
-        let leaves: u64 =
-            trees.iter().map(|t| alphabeta_parallel_counted(t, threads, split).2).sum();
-        let per_solve = leaves as f64 / trees.len() as f64;
-        println!(
-            "{}",
-            stats_line(
-                &format!("e12_parallel/alphabeta/{config}"),
-                "leaves",
-                &[("per_solve", per_solve)]
-            )
-        );
-    }
-}
-
-criterion_group!(benches, bench_hyper_grid, bench_minimax_root, bench_alphabeta);
+criterion_group!(benches, bench_hyper_grid, bench_minimax_root);
 criterion_main!(benches);

@@ -48,10 +48,10 @@
 //!   table answer repeat leaves and whole subtrees from it, and hit/miss
 //!   telemetry flows into [`SearchStats`].
 //!
-//! Downstream, `selc-games` root-splits minimax, n-queens and Young
-//! Brothers Wait alpha–beta, `selc-ml` batches hyperparameter grids, and
-//! `selection::par` root-splits a product of selection functions — all
-//! through this engine, each entry point taking the engine it runs on.
+//! Downstream, `selc-games` root-splits minimax and n-queens, `selc-ml`
+//! batches hyperparameter grids, and `selection::par` root-splits a
+//! product of selection functions — all through this engine, each entry
+//! point taking the engine it runs on.
 
 pub mod bound;
 pub mod cancel;

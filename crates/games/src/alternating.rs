@@ -270,7 +270,7 @@ impl GameTree {
     /// limit).
     pub fn solve_alphabeta(&self) -> (Vec<usize>, f64) {
         self.assert_shape();
-        let ((leaf, value), _) = self.solve_node(0, 0, f64::NEG_INFINITY, f64::INFINITY);
+        let ((leaf, value), _) = self.solve_node(0, 0);
         (self.play_of(leaf), value)
     }
 
@@ -361,20 +361,14 @@ impl GameTree {
         Some((self.play_of(root.leaf as usize), root.value))
     }
 
-    /// The store-nothing alpha–beta solve of node `(ply, index)` under
-    /// the window `(alpha, beta)`: the best leaf's index and the node's
-    /// fail-soft value (classified as [`AbFlag`] says), and the number of
-    /// leaves evaluated. Callers check [`GameTree::assert_shape`] first.
-    pub(crate) fn solve_node(
-        &self,
-        ply: usize,
-        index: usize,
-        alpha: f64,
-        beta: f64,
-    ) -> ((usize, f64), u64) {
+    /// The store-nothing alpha–beta solve of node `(ply, index)` from an
+    /// infinite window: the best leaf's index and the node's value, and
+    /// the number of leaves evaluated. Callers check
+    /// [`GameTree::assert_shape`] first.
+    pub(crate) fn solve_node(&self, ply: usize, index: usize) -> ((usize, f64), u64) {
         let never = CancelToken::never();
         let mut walk = Walk { tree: self, probe: None, resolved: None, cancel: &never, leaves: 0 };
-        let solved = walk.node(ply, index, alpha, beta);
+        let solved = walk.node(ply, index, f64::NEG_INFINITY, f64::INFINITY);
         (solved.expect("a never token cannot cancel"), walk.leaves)
     }
 
@@ -642,7 +636,7 @@ mod tests {
 
     /// The leaves the table-less alpha–beta solve of `t` evaluates.
     fn plain_leaves(t: &GameTree) -> u64 {
-        t.solve_node(0, 0, f64::NEG_INFINITY, f64::INFINITY).1
+        t.solve_node(0, 0).1
     }
 
     /// A table solve under a token that cannot fire.
@@ -664,8 +658,7 @@ mod tests {
     #[test]
     fn alphabeta_from_a_prefix_solves_the_subgame() {
         let t = GameTree::random(2, 4, 3);
-        let ((leaf, value), _) =
-            t.solve_node(2, t.index_of(&[1, 0]), f64::NEG_INFINITY, f64::INFINITY);
+        let ((leaf, value), _) = t.solve_node(2, t.index_of(&[1, 0]));
         let play = t.play_of(leaf);
         assert_eq!(&play[..2], &[1, 0], "the prefix is kept");
         // The subgame below [1, 0] restarts with the maximiser (ply 2):

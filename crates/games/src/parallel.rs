@@ -1,6 +1,6 @@
-//! Engine-backed game solving: root-split parallel minimax, parallel
-//! n-queens and full-tree parallel alpha–beta, each taking its engine
-//! (or worker count) explicitly.
+//! Engine-backed game solving: root-split parallel minimax and parallel
+//! n-queens, each taking its engine explicitly, and full-tree alpha–beta,
+//! which takes a worker count but runs on the calling thread.
 //!
 //! The root split is the classic parallelisation of backward induction:
 //! the first mover's candidates are independent subgames, so each worker
@@ -11,16 +11,14 @@
 //! bit-identical to the sequential `hmax ∘ hmin` nesting, and its
 //! branch-and-bound bound prunes rows whose best conceivable value
 //! (the row maximum) cannot beat a value some worker already achieved.
-//! Full-tree alpha–beta shares its younger root moves once the eldest
-//! is solved, under the window it achieved (Young Brothers Wait).
 
 use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
 use selc_engine::{Engine, SharedBound};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
 /// the joint loss is recorded, and the chosen column is returned.
@@ -56,16 +54,19 @@ fn score_row(table: &Arc<Matrix>, a: usize, bound: &SharedBound<f64>) -> Option<
 /// [`crate::minimax::minimax_handler`].
 pub fn minimax_root_split(table: &Matrix, engine: &Engine) -> ((usize, usize), f64) {
     let table = Arc::new(table.clone());
-    let cols = Mutex::new(vec![0; table.rows()]);
+    // One slot per row, written only by the worker that scores it.
+    let cols: Vec<AtomicUsize> = (0..table.rows()).map(|_| AtomicUsize::new(0)).collect();
     let out = engine
         .scan(table.rows(), |a, bound| {
             let (loss, col) = score_row(&table, a, bound)?;
-            cols.lock().unwrap_or_else(PoisonError::into_inner)[a] = col;
+            // ordering: Relaxed — read only after the scan has joined
+            // its workers, and the join orders this store before it.
+            cols[a].store(col, Ordering::Relaxed);
             Some(loss)
         })
         .expect("matrices are non-empty");
-    let col = cols.into_inner().unwrap_or_else(PoisonError::into_inner)[out.index];
-    ((out.index, col), -out.loss)
+    // ordering: Relaxed — see the store above.
+    ((out.index, cols[out.index].load(Ordering::Relaxed)), -out.loss)
 }
 
 /// Parallel n-queens: splits the first queen's column over `engine`;
@@ -92,78 +93,27 @@ pub fn queens_parallel(engine: &Engine, n: usize) -> Vec<usize> {
     })
 }
 
-/// Full-tree parallel alpha–beta, Young Brothers Wait (Feldmann) at the
-/// root: the eldest root move is solved first, then the younger ones go
-/// out through [`Engine::scan`] on `Engine::with_threads(threads)` (`0`
-/// means `SELC_THREADS`), each solved whole by the store-nothing core of
-/// [`GameTree::solve_alphabeta`] from the root's window as it stands
-/// when the move is claimed. `split == 0` is the sequential solve; any
-/// other `split` shares the root (sharing deeper cost more CPU per
-/// offline job on two cores, not less).
+/// Full-tree alpha–beta for callers that pass a worker count and a
+/// split ply: it runs [`GameTree::solve_alphabeta`] on the calling
+/// thread and ignores `threads` and `split`, so the play and value are
+/// bit-identical to [`GameTree::solve_backward`], ties included.
 ///
-/// One worker claims the moves in index order, so it evaluates the
-/// sequential solver's leaves exactly. With more, a move may start under
-/// a looser window, yet the play and value stay bit-identical to
-/// [`GameTree::solve_backward`]: strict-cutoff alpha–beta is exact when
-/// the value lies in its closed window and strictly below it otherwise,
-/// and the live `α` holds only achieved values, so it never exceeds the
-/// game value `V`. The leftmost move achieving `V` is then solved
-/// exactly, every elder move returns strictly less, and the scan's
-/// leftmost-first reduction picks it. The root's `β` is infinite, so the
-/// root is never cut.
+/// No parallel form has paid for itself on this solve. Solving each
+/// ply-`split` subtree from a fresh window evaluates about twice the
+/// sequential solver's leaves on seeded 4×8 trees. Sharing the younger
+/// root moves under the root's live window once the eldest is solved
+/// (Young Brothers Wait) keeps the count near the sequential one (7 425
+/// against 7 005 per tree at two workers), but inside an offline job on
+/// two cores the second worker made the solve no faster in wall time
+/// and dearer in CPU; sharing at every node above `split` cost more
+/// still.
 ///
 /// # Panics
 ///
 /// Panics on a degenerate tree or one whose `leaves` does not hold
 /// `branching^depth` values.
-pub fn alphabeta_parallel(t: &GameTree, threads: usize, split: usize) -> (Vec<usize>, f64) {
-    let (play, value, _) = alphabeta_parallel_counted(t, threads, split);
-    (play, value)
-}
-
-/// [`alphabeta_parallel`] and the number of leaves it evaluated.
-pub fn alphabeta_parallel_counted(
-    t: &GameTree,
-    threads: usize,
-    split: usize,
-) -> (Vec<usize>, f64, u64) {
-    t.assert_shape();
-    if split.min(t.depth) == 0 {
-        let ((leaf, value), leaves) = t.solve_node(0, 0, f64::NEG_INFINITY, f64::INFINITY);
-        return (t.play_of(leaf), value, leaves);
-    }
-    let leaves = AtomicU64::new(0);
-    let solve = |m: usize, alpha: f64| {
-        let (best, n) = t.solve_node(1, m, alpha, f64::INFINITY);
-        // ordering: Relaxed — a tally, read once the scan has joined its
-        // workers.
-        leaves.fetch_add(n, Ordering::Relaxed);
-        best
-    };
-    let eldest = solve(0, f64::NEG_INFINITY);
-    // The root's live α as `f64` bits: one word that only rises.
-    let alpha = AtomicU64::new(eldest.1.to_bits());
-    let scored = Engine::with_threads(threads).scan(t.branching, |m, _| {
-        let (leaf, v) = if m == 0 {
-            eldest
-        } else {
-            // ordering: Relaxed — a stale read is a looser window, which
-            // cannot change the winner (see `alphabeta_parallel`).
-            let child = solve(m, f64::from_bits(alpha.load(Ordering::Relaxed)));
-            // ordering: Relaxed — a monotone update of this word alone;
-            // no other data is published through it.
-            let _ = alpha.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
-                (child.1 > f64::from_bits(a)).then_some(child.1.to_bits())
-            });
-            child
-        };
-        // The engine minimises, so the key is `-v`; `+ 0.0` folds `-0.0`
-        // into `0.0`, so signed zeros tie as under `>`. Leaf indices grow
-        // with the move, so ties go to the leftmost move.
-        Some((-v + 0.0, leaf as i64))
-    });
-    let leaf = scored.expect("the eldest always scores").loss.1 as usize;
-    (t.play_of(leaf), t.leaves[leaf], leaves.into_inner()) // a value is its leaf's
+pub fn alphabeta_parallel(t: &GameTree, _threads: usize, _split: usize) -> (Vec<usize>, f64) {
+    t.solve_alphabeta()
 }
 
 #[cfg(test)]
@@ -270,21 +220,6 @@ mod tests {
                         "threads {threads} split {split}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn one_worker_evaluates_the_sequential_solvers_leaves() {
-        // Siblings claimed in index order on the caller start from the
-        // window the sequential solve gives them, so the leaf counts
-        // agree exactly; fresh windows would evaluate about twice as many.
-        for seed in 0..64 {
-            let t = GameTree::random(4, 8, seed);
-            let (_, sequential) = t.solve_node(0, 0, f64::NEG_INFINITY, f64::INFINITY);
-            for split in 0..=t.depth {
-                let (_, _, leaves) = alphabeta_parallel_counted(&t, 1, split);
-                assert_eq!(leaves, sequential, "seed {seed} split {split}");
             }
         }
     }
