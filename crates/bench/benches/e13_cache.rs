@@ -1,16 +1,10 @@
 //! E13: the `selc-cache` memoisation subsystem — cache off vs. unbounded
-//! vs. bounded, on two repeated-subproblem workloads:
+//! vs. bounded, on a repeated-subproblem workload: `hyper_grid`, the
+//! batched `tuneLR` tuner over a grid with heavy rate duplication,
+//! per-batch local memoisation against the shared rate cache, cold,
+//! warm, and bounded (CLOCK, forced eviction).
 //!
-//! * `transposition` — minimax over a [`SymTree`] (leaf payoffs
-//!   move-order-invariant, so `b^d` nodes collapse onto the multiset
-//!   states): plain backward induction against transposition-table
-//!   solves with an unbounded cache, a bounded (CLOCK, forced-eviction)
-//!   cache, and a warm persistent cache (the cross-run reuse case);
-//! * `hyper_grid` — the batched `tuneLR` tuner over a grid with heavy
-//!   rate duplication: per-batch local memoisation (the PR-2 baseline)
-//!   against the shared rate cache, cold, warm, and bounded.
-//!
-//! After timing, each workload prints one `<label> cache hits=… misses=…
+//! After timing, the workload prints one `<label> cache hits=… misses=…
 //! insertions=… evictions=…` stats line per cached configuration, which
 //! `selc-bench-record` records under `"cache"` in `BENCH_<n>.json`, so
 //! snapshots carry hit rates alongside medians. `SELC_BENCH_SMOKE=1`
@@ -18,9 +12,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use selc_bench::stats_line;
-use selc_cache::{CacheStats, ShardedCache, SharedCache};
+use selc_cache::{ShardedCache, SharedCache};
 use selc_engine::Engine;
-use selc_games::transposition::{solve_root_split, SymTree, TransCache};
 use selc_ml::parallel::tune_lr_parallel;
 use std::sync::Arc;
 
@@ -30,63 +23,6 @@ fn smoke() -> bool {
 
 fn engine() -> Engine {
     Engine::with_threads(4).without_pruning()
-}
-
-fn bench_transposition(c: &mut Criterion) {
-    let (branching, depth) = if smoke() { (3, 5) } else { (4, 8) };
-    let tree = SymTree::new(branching, depth, 5);
-    let bounded_cap = 64;
-    let mut g = c.benchmark_group("e13_cache/transposition");
-    g.bench_function("uncached", |b| {
-        b.iter(|| black_box(tree.value_backward()));
-    });
-    g.bench_function("unbounded_cold", |b| {
-        b.iter(|| {
-            let cache = TransCache::unbounded(4);
-            black_box(tree.value_transposition(&cache))
-        });
-    });
-    g.bench_function(format!("bounded{bounded_cap}_cold"), |b| {
-        b.iter(|| {
-            let cache = TransCache::clock_lru(4, bounded_cap);
-            black_box(tree.value_transposition(&cache))
-        });
-    });
-    let warm = TransCache::unbounded(4);
-    let _ = tree.value_transposition(&warm);
-    g.bench_function("unbounded_warm", |b| {
-        b.iter(|| black_box(tree.value_transposition(&warm)));
-    });
-    g.bench_function("root_split_cold", |b| {
-        b.iter(|| {
-            let cache = TransCache::unbounded(4);
-            black_box(solve_root_split(&tree, &engine(), &cache))
-        });
-    });
-    g.finish();
-
-    // Representative stats per configuration (one fresh solve each).
-    let cache = TransCache::unbounded(4);
-    let expected = tree.value_backward();
-    assert_eq!(tree.value_transposition(&cache), expected);
-    let bounded = TransCache::clock_lru(4, bounded_cap);
-    assert_eq!(tree.value_transposition(&bounded), expected);
-    let before = warm.stats();
-    assert_eq!(tree.value_transposition(&warm), expected);
-    let rows: [(String, CacheStats); 3] = [
-        ("unbounded_cold".into(), cache.stats()),
-        (format!("bounded{bounded_cap}_cold"), bounded.stats()),
-        ("unbounded_warm".into(), warm.stats().since(&before)),
-    ];
-    for (config, s) in rows {
-        let pairs = [
-            ("hits", s.hits),
-            ("misses", s.misses),
-            ("insertions", s.insertions),
-            ("evictions", s.evictions),
-        ];
-        println!("{}", stats_line(&format!("e13_cache/transposition/{config}"), "cache", &pairs));
-    }
 }
 
 /// A grid with heavy duplication: `len` entries drawn from 4 distinct
@@ -152,5 +88,5 @@ fn bench_hyper_grid(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_transposition, bench_hyper_grid);
+criterion_group!(benches, bench_hyper_grid);
 criterion_main!(benches);

@@ -153,6 +153,23 @@ const RETIRED: &[Retired] = &[
         why: "plain closures, one fan-out: no replay-factory layer or suffix variants",
     },
     Retired {
+        names: &[
+            "SymTree",
+            "TransKey",
+            "TransCache",
+            "value_transposition",
+            "solve_root_split",
+            "queens_parallel",
+            "par_product_root",
+            "selection::par",
+        ],
+        edge: Edge::Word,
+        scopes: EVERYWHERE,
+        except: &[],
+        why: "the product is sequential; the engine's tree walk and state-keyed summaries \
+              are the one parallel and cached search",
+    },
+    Retired {
         names: &["seed_bits", "hint_is_lower_bound", "observe_bits", "best_seen", "fn cache_stats"],
         edge: Edge::None,
         scopes: EVERYWHERE,

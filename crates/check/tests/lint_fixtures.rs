@@ -260,6 +260,19 @@ fn the_subtree_fan_out_stays_retired() {
 }
 
 #[test]
+fn the_showcase_parallel_copies_stay_retired() {
+    let src = "pub struct SymTree;\nstruct TransKey(u8);\nlet c = TransCache::unbounded(4);\n\
+               t.value_transposition(&c);\nsolve_root_split(&t, &e, &c);\n// queens_parallel(&e, 6)\n\
+               fn par_product_root() {}\nuse selection::par;\nlet c = LcTransCache::unbounded(4);\n\
+               use selection::product;\nfn queens_parallel_of() {}\n";
+    for path in ["crates/games/src/parallel.rs", "examples/parallel_search.rs", "tests/a.rs"] {
+        assert_eq!(retired_at(path, src), (1..=8).collect::<Vec<_>>(), "{path}");
+    }
+    let lc = "use lambda_rt::LcTransCache;\nlet c: LcTransCache = LcTransCache::from_env();\n";
+    assert_eq!(retired_at("crates/serve/src/tenants.rs", lc), Vec::<usize>::new());
+}
+
+#[test]
 fn bound_seeding_names_stay_retired_inside_longer_words() {
     let src = "fn seed_bits_of() {}\nlet best_seen2 = 1;\nfn cache_stats(&self) {}\nlet x = cache_stats();\n";
     assert_eq!(retired_at("crates/engine/src/tree.rs", src), vec![1, 2, 3]);

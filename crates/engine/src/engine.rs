@@ -404,6 +404,14 @@ impl Engine {
 }
 
 /// Argmin of `f` over `0..space` — [`Engine::scan`] for a plain loss.
+///
+/// The winner is the one a sequential `<` scan keeps (earliest on ties)
+/// except on two kinds of loss value: the engine merges under the
+/// *total* order `f64::total_cmp`, the sequential scans under partial
+/// `<`. `NaN` is never preferred by `<` but ranks above `+∞` under
+/// `total_cmp`, and `-0.0` and `+0.0` are equal under `<` but ordered
+/// under `total_cmp` (observable when an argmax is run as a negated
+/// argmin). Keep losses NaN-free and the guarantee is exact.
 pub fn minimize<L, F>(engine: &Engine, space: usize, f: F) -> Option<Outcome<L>>
 where
     L: OrderedLoss,

@@ -21,7 +21,7 @@ pub fn configured_threads() -> usize {
 }
 
 /// The fallback default: what the OS reports, clamped to at least 1.
-pub fn hardware_threads() -> usize {
+fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 

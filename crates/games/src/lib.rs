@@ -18,12 +18,9 @@
 //! * [`alternating`] — multi-round alternating game trees: handler-driven
 //!   backward induction vs. an explicit negamax baseline;
 //! * [`parallel`] — the same games on the `selc-engine` worker pool:
-//!   root-split minimax (with branch-and-bound row pruning), root-split
-//!   queens and full-tree parallel alpha–beta, bit-identical to their
-//!   sequential counterparts;
-//! * [`transposition`] — transposition-table minimax over `selc-cache`:
-//!   alternating games keyed on canonicalised state, repeated subtrees
-//!   answered from a cache shared across engine workers and runs.
+//!   root-split minimax (with branch-and-bound row pruning) and
+//!   full-tree alpha–beta, bit-identical to their sequential
+//!   counterparts.
 
 pub mod alternating;
 pub mod bimatrix;
@@ -31,4 +28,3 @@ pub mod minimax;
 pub mod nash;
 pub mod parallel;
 pub mod queens;
-pub mod transposition;

@@ -1,6 +1,6 @@
-//! Engine-backed game solving: root-split parallel minimax and parallel
-//! n-queens, each taking its engine explicitly, and full-tree alpha–beta,
-//! which takes a worker count but runs on the calling thread.
+//! Engine-backed game solving: root-split parallel minimax, which takes
+//! its engine explicitly, and full-tree alpha–beta, which takes a worker
+//! count but runs on the calling thread.
 //!
 //! The root split is the classic parallelisation of backward induction:
 //! the first mover's candidates are independent subgames, so each worker
@@ -69,30 +69,6 @@ pub fn minimax_root_split(table: &Matrix, engine: &Engine) -> ((usize, usize), f
     ((out.index, cols[out.index].load(Ordering::Relaxed)), -out.loss)
 }
 
-/// Parallel n-queens: splits the first queen's column over `engine`;
-/// each worker finishes the board with the usual product of per-row
-/// `argmin` selections under the global attack-count loss. Returns the
-/// same placement as [`crate::queens::queens_selection`] — the empty
-/// placement for `n = 0`.
-pub fn queens_parallel(engine: &Engine, n: usize) -> Vec<usize> {
-    use selection::product::Stage;
-    use std::rc::Rc;
-    if n == 0 {
-        return Vec::new();
-    }
-    let rest = move || -> Vec<Stage<usize, f64>> {
-        (1..n)
-            .map(|_| {
-                Rc::new(move |_: &[usize]| selection::argmin((0..n).collect::<Vec<usize>>()))
-                    as Stage<usize, f64>
-            })
-            .collect()
-    };
-    selection::par::par_product_root(engine, (0..n).collect(), rest, |p: &[usize]| {
-        crate::queens::attacks(p) as f64
-    })
-}
-
 /// Full-tree alpha–beta for callers that pass a worker count and a
 /// split ply: it runs [`GameTree::solve_alphabeta`] on the calling
 /// thread and ignores `threads` and `split`, so the play and value are
@@ -120,7 +96,8 @@ pub fn alphabeta_parallel(t: &GameTree, _threads: usize, _split: usize) -> (Vec<
 mod tests {
     use super::*;
     use crate::minimax::{minimax_handler, minimax_selection};
-    use crate::queens::{attacks, queens_selection};
+    use selc_engine::minimize;
+    use selection::{argmax_by, argmin_by};
 
     #[test]
     fn root_split_solves_the_paper_example() {
@@ -173,16 +150,21 @@ mod tests {
     }
 
     #[test]
-    fn queens_parallel_matches_selection_product() {
-        let engine = Engine::with_threads(2);
-        for n in [0, 1, 4, 5] {
-            let par = queens_parallel(&engine, n);
-            let seq = queens_selection(n);
-            assert_eq!(par, seq, "n = {n}");
-        }
-        // Unsolvable boards still minimise attacks identically.
-        assert_eq!(attacks(&queens_parallel(&engine, 3)), 1);
-        assert_eq!(queens_parallel(&Engine::exhaustive(), 3), queens_selection(3));
+    fn par_argmin_matches_sequential_scan() {
+        let xs: Vec<i64> = (0..100).map(|i| (i * 31) % 17).collect();
+        let loss = |x: &i64| (*x - 9) as f64 * (*x - 9) as f64;
+        let seq = argmin_by(xs.clone(), loss);
+        let par = minimize(&Engine::with_threads(3), xs.len(), |i| loss(&xs[i]));
+        assert_eq!(xs[par.expect("non-empty").index], seq);
+        let eng = minimize(&Engine::exhaustive(), xs.len(), |i| loss(&xs[i]));
+        assert_eq!(xs[eng.expect("non-empty").index], seq);
+    }
+
+    #[test]
+    fn par_argmax_matches_sequential_scan() {
+        let xs: Vec<i64> = (0..60).map(|i| (i * 13) % 23).collect();
+        let par = minimize(&Engine::with_threads(3), xs.len(), |i| -(xs[i] as f64));
+        assert_eq!(xs[par.expect("non-empty").index], argmax_by(xs.clone(), |x| *x as f64));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! Two entry points, both bit-identical in their winners to the
 //! index-order scans of `Engine::exhaustive()` (for NaN-free losses —
-//! see `selection::par` for the `total_cmp` vs. `<` caveat; diverging
-//! training runs may reach `+∞`, which both orders treat identically,
-//! but must not reach `NaN`):
+//! see [`selc_engine::minimize`] for the `total_cmp` vs. `<` caveat;
+//! diverging training runs may reach `+∞`, which both orders treat
+//! identically, but must not reach `NaN`):
 //!
 //! * [`tune_lr_parallel`] — the paper's `tuneLR` distributed: the grid
 //!   is split into **batches**, each worker rebuilds the program from its

@@ -23,9 +23,7 @@
 //! Everything here is deterministic: ties in `argmin`/`argmax` are broken
 //! towards the earliest candidate, matching the paper's "we assume
 //! available some way to choose when there is more than one such
-//! element". The theory modules are dependency-free; [`par`] additionally
-//! root-splits a product's candidate *evaluation* over a `selc-engine`
-//! engine while preserving exactly that tie-breaking.
+//! element". The crate is dependency-free.
 //!
 //! # Example
 //!
@@ -54,7 +52,6 @@ mod quantifier;
 mod sel;
 mod selw;
 
-pub mod par;
 pub mod product;
 
 pub use argminmax::{argmax, argmax_by, argmin, argmin_by, argmin_index, max_with, min_with};

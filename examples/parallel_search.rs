@@ -1,7 +1,7 @@
 //! The `selc-engine` execution layer, end to end: parallel root-split
 //! minimax, best-first hyperparameter tuning, batched `tuneLR`
-//! with memoised probes, the `selc-cache` shared-memoisation layer
-//! (shared-cache tuning, transposition minimax), and parallel n-queens.
+//! with memoised probes, and the `selc-cache` shared-memoisation layer
+//! (shared-cache tuning).
 //!
 //! ```sh
 //! SELC_THREADS=4 cargo run --release --example parallel_search
@@ -16,9 +16,7 @@
 
 use selc_engine::{configured_threads, Engine};
 use selc_games::bimatrix::Matrix;
-use selc_games::parallel::{minimax_root_split, queens_parallel};
-use selc_games::queens::is_solution;
-use selc_games::transposition::{solve_root_split, SymTree};
+use selc_games::parallel::minimax_root_split;
 use selc_ml::dataset::Dataset;
 use selc_ml::optimize::gd_handler_tuned;
 use selc_ml::parallel::{tune_lr_parallel, tune_training_run};
@@ -92,32 +90,6 @@ fn main() {
         solo_warm.stats.cache.hits,
         (solo_warm.stats.cache.hit_rate() * 100.0).round()
     );
-
-    // 3c. Transposition minimax: an alternating game whose payoffs are
-    //     move-order-invariant, solved once per *canonical state* from a
-    //     cache shared by all workers.
-    //     Racing workers may solve one state twice, so the cache
-    //     counts again come from one worker.
-    let tree = SymTree::new(4, 6, 5);
-    let solve = |engine: &Engine| {
-        let tcache = selc_games::transposition::TransCache::from_env();
-        let (mv, value, outcome) = solve_root_split(&tree, engine, &tcache);
-        assert_eq!(value, tree.value_backward());
-        (mv, value, tcache.len(), outcome.stats.cache.hits)
-    };
-    let (mv, value, _, _) = solve(&engine);
-    let (solo_mv, _, cached, hits) = solve(&one);
-    assert_eq!(mv, solo_mv);
-    println!(
-        "transposition minimax (4^6 tree): move {mv}, value {value:.2} — one worker: {cached} states cached, {hits} hits"
-    );
-
-    // 4. Parallel n-queens via the root-split product of selection
-    //    functions.
-    let n = 6;
-    let placement = queens_parallel(&engine, n);
-    assert!(is_solution(&placement, n));
-    println!("queens {n}: {placement:?}");
 
     println!("parallel search OK");
 }
