@@ -1,20 +1,21 @@
-//! E12: the `selc-engine` execution layer — sequential vs. 1/2/4/8
-//! workers, branch-and-bound pruning on/off, on two workloads:
+//! E12: the `selc-engine` execution layer — branch-and-bound pruning
+//! on and off, on two workloads:
 //!
 //! * `hyper_grid` — grid search over whole handler-SGD training runs
 //!   (`selc_ml::parallel::tune_training_run`): `sequential` trains every
-//!   run in index order, `parallel4` trains every run on 4 workers, and
-//!   `race` is what any pruning engine runs — a best-first race on the
-//!   calling thread, whatever its worker count, in which most rates
-//!   diverge and stop after a few data points;
+//!   run in index order, and `race` is what any pruning engine runs — a
+//!   best-first race on the calling thread, whatever its worker count,
+//!   in which most rates diverge and stop after a few data points;
 //! * `minimax_root` — root-split minimax over a random table
 //!   (`selc_games::parallel::minimax_root_split`), each row's subgame
-//!   solved by the ordinary `hmin` handler on a worker.
+//!   solved by the ordinary `hmin` handler, rows scanned in index order
+//!   on the calling thread.
 //!
-//! `SELC_BENCH_SMOKE=1` shrinks every size for the CI smoke run. On a
-//! single-core container the thread rows cannot beat sequential; the
-//! pruning rows still must (and the differential suites pin down that
-//! winners never change either way).
+//! Flat scans run on the calling thread at every worker count, so no
+//! row varies the worker count. `SELC_BENCH_SMOKE=1` shrinks every size
+//! for the CI smoke run; the pruning rows must beat their unpruned
+//! `sequential` rows (and the differential suites pin down that winners
+//! never change either way).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use selc_engine::Engine;
@@ -55,10 +56,6 @@ fn bench_hyper_grid(c: &mut Criterion) {
     g.bench_function("race", |b| {
         b.iter(|| black_box(tune_training_run(&race, grid.clone(), &data, (0.0, 0.0), epochs)));
     });
-    let no_prune = Engine::with_threads(4).without_pruning();
-    g.bench_function("parallel4", |b| {
-        b.iter(|| black_box(tune_training_run(&no_prune, grid.clone(), &data, (0.0, 0.0), epochs)));
-    });
     g.finish();
 }
 
@@ -71,16 +68,6 @@ fn bench_minimax_root(c: &mut Criterion) {
     });
     g.bench_function("sequential+prune", |b| {
         b.iter(|| black_box(minimax_root_split(&table, &Engine::with_threads(1))));
-    });
-    for threads in [1usize, 2, 4, 8] {
-        let eng = Engine::with_threads(threads);
-        g.bench_function(format!("parallel{threads}+prune"), |b| {
-            b.iter(|| black_box(minimax_root_split(&table, &eng)));
-        });
-    }
-    let no_prune = Engine::with_threads(4).without_pruning();
-    g.bench_function("parallel4", |b| {
-        b.iter(|| black_box(minimax_root_split(&table, &no_prune)));
     });
     g.finish();
 }

@@ -170,6 +170,13 @@ const RETIRED: &[Retired] = &[
               are the one parallel and cached search",
     },
     Retired {
+        names: &["tune_lr_parallel", "tune_batch_handler"],
+        edge: Edge::Word,
+        scopes: EVERYWHERE,
+        except: &[],
+        why: "flat scans run in index order on the caller; `tuneLR` is `hyper::tune_lr`",
+    },
+    Retired {
         names: &["seed_bits", "hint_is_lower_bound", "observe_bits", "best_seen", "fn cache_stats"],
         edge: Edge::None,
         scopes: EVERYWHERE,

@@ -273,6 +273,20 @@ fn the_showcase_parallel_copies_stay_retired() {
 }
 
 #[test]
+fn the_batched_tune_lr_stays_retired() {
+    let src = concat!(
+        "use selc_ml::parallel::tune_lr_parallel;\n",
+        "// tune_batch_handler(batch, None, stats)\n",
+        "let h = tune_lr(grid);\n",
+        "let out = tune_training_run(&e, grid, &d, (0.0, 0.0), 2);\n",
+        "fn tune_lr_parallel_of() {}\n",
+    );
+    for path in ["crates/ml/src/parallel.rs", "examples/parallel_search.rs", "tests/a.rs"] {
+        assert_eq!(retired_at(path, src), vec![1, 2], "{path}");
+    }
+}
+
+#[test]
 fn bound_seeding_names_stay_retired_inside_longer_words() {
     let src = "fn seed_bits_of() {}\nlet best_seen2 = 1;\nfn cache_stats(&self) {}\nlet x = cache_stats();\n";
     assert_eq!(retired_at("crates/engine/src/tree.rs", src), vec![1, 2, 3]);

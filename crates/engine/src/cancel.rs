@@ -5,12 +5,10 @@
 //! explicit [`CancelToken::cancel`], and a condition the search keeps
 //! asking about ([`CancelToken::with_watch`]), such as a deadline
 //! (`Instant::now() < d`) or a server's client still being connected.
-//! Engines poll [`CancelToken::is_cancelled`] in exactly the places
-//! they already consult the [`crate::bound::SharedBound`] — the flat
-//! scan's per-candidate loop, the parallel workers' claim loop, and the
-//! tree walker's interior nodes — so an abort takes effect within one
-//! candidate (flat) or one node expansion (tree), not after the queue
-//! drains.
+//! The tree walk polls [`CancelToken::is_cancelled`] where it already
+//! consults the [`crate::bound::SharedBound`] — its workers' claim loop
+//! and its interior nodes — so an abort takes effect within one node
+//! expansion, not after the queue drains.
 //!
 //! # Cancellation is *observable*, never *unsound*
 //!
@@ -212,7 +210,7 @@ mod model_tests {
                 let (q, tok) = (std::sync::Arc::clone(&q), tok.clone());
                 spawn(move || {
                     let saw = tok.is_cancelled();
-                    let claim = q.claim_unless(2, &tok);
+                    let claim = q.claim_unless(&tok);
                     if saw {
                         assert_eq!(claim, None, "a claim after an observed cancel must refuse");
                     }
@@ -222,7 +220,7 @@ mod model_tests {
             worker.join();
             // The cancel has been joined: visibility is unconditional now.
             assert!(tok.is_cancelled());
-            assert_eq!(q.claim_unless(2, &tok), None);
+            assert_eq!(q.claim_unless(&tok), None);
         });
     }
 }

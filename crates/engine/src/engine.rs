@@ -1,30 +1,29 @@
 //! The one engine: a flat argmin scan and a tree walk under one policy.
 //!
 //! [`Engine`] holds the only two knobs a search has: how many workers
-//! it runs with and whether it prunes. It drives two shapes of space.
-//! [`Engine::scan`] scores every candidate of a finite space `0..space`
-//! through a closure — a candidate *is* a function from its index to
-//! its loss — and returns the argmin under the total order
-//! [`OrderedLoss::cmp_loss`], ties broken towards the smallest index.
-//! [`Engine::search`] (in [`crate::tree`]) walks a decision tree
-//! instead. Both merge per-worker bests by `(loss, index)` — a
-//! commutative, associative, *total* reduction, so the winner is
-//! bit-identical to the index-order scan regardless of thread
-//! interleaving — and both prune through one [`SharedBound`].
+//! a tree walk runs with and whether a search prunes. It drives two
+//! shapes of space. [`Engine::scan`] scores every candidate of a finite
+//! space `0..space` through a closure — a candidate *is* a function
+//! from its index to its loss — in index order on the calling thread,
+//! and returns the argmin under the total order
+//! [`OrderedLoss::cmp_loss`], ties broken towards the smallest index:
+//! the paper's left-to-right argmin. [`Engine::search`] (in
+//! [`crate::tree`]) walks a decision tree instead, and is the only
+//! shape that runs on more than one worker: it splits at the depth that
+//! gives each worker about four subtrees, capped at the evaluator's
+//! [`crate::TreeEval::min_leaf_depth`]. Both fold bests by
+//! `(loss, index)` — a commutative, associative, *total* reduction, so
+//! the walk's winner is bit-identical to the index-order scan regardless
+//! of thread interleaving — and both prune through one [`SharedBound`].
 //!
-//! The worker count is a policy, not a second engine:
-//! [`Engine::exhaustive`] runs one worker with no pruning, which scans
-//! the whole space in index order on the calling thread — the
-//! differential suites' oracle. Work sizes follow from the worker count
-//! alone: a lone worker claims the whole flat space at once, `n`
-//! workers claim chunks of about a quarter of their share, and the tree
-//! walk splits at the depth that gives each worker about four subtrees,
-//! capped at the evaluator's [`crate::TreeEval::min_leaf_depth`].
+//! [`Engine::exhaustive`] (one worker, no pruning) is the index-order
+//! scan, or the single depth-first walk, on the calling thread: the
+//! differential suites' oracle.
 //!
-//! Both shapes fan out through one worker loop (`fan_out`, the caller
+//! The tree walk fans out through one worker loop (`fan_out`, the caller
 //! being worker 0, the rest parked threads of one persistent pool) into
-//! one per-worker accumulator (`Partial`) and one result path
-//! (`Partial::finish`).
+//! one per-worker accumulator (`Partial`); the scan fills one `Partial`
+//! itself, and both share its result path (`Partial::finish`).
 
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
@@ -36,11 +35,10 @@ use selc_cache::{CacheStats, SummaryStats};
 use selc_obs::{trace, SpanLabel};
 use std::sync::{LazyLock, Mutex, PoisonError};
 
-/// Span labels for the engine hot paths: a queue claim (the wait for
-/// work), one flat candidate evaluation, one claimed subtree descent.
-/// All three are inert one-branch checks unless `SELC_TRACE` is set.
+/// Span label for a tree-walk worker's queue claim (the wait for work),
+/// whose argument is the claim's size, one subtree root. Inert, one
+/// branch, unless `SELC_TRACE` is set.
 static CLAIM_SPAN: SpanLabel = SpanLabel::new("engine.claim");
-static EVAL_SPAN: SpanLabel = SpanLabel::new("engine.eval");
 
 /// Process-global engine counters, folded in **once per search** from
 /// the already-merged [`SearchStats`] rather than incremented per
@@ -179,10 +177,10 @@ pub(crate) fn keep_better<L: OrderedLoss>(best: &mut Option<(L, usize)>, candida
     }
 }
 
-/// The one worker loop every search fans out through: `threads` workers
-/// each own an `A`, claim `chunk`-sized ranges of `0..count` and hand
-/// each to `work`; a `false` from `work` stops that worker. The calling
-/// thread is worker 0 and the rest are parked helpers of the persistent
+/// The tree walk's worker loop: `threads` workers each own an `A`,
+/// claim the indices of `0..count` one at a time and hand each to
+/// `work`; a `false` from `work` stops that worker. The calling thread
+/// is worker 0 and the rest are parked helpers of the persistent
 /// [`crate::pool`], so a warm process spawns nothing per search.
 ///
 /// The claim honours `cancel`: a cancelled worker stops within one
@@ -192,13 +190,12 @@ pub(crate) fn keep_better<L: OrderedLoss>(best: &mut Option<(L, usize)>, candida
 pub(crate) fn fan_out<A, W>(
     threads: usize,
     count: usize,
-    chunk: usize,
     cancel: &CancelToken,
     work: W,
 ) -> (Vec<A>, bool)
 where
     A: Default + Send,
-    W: Fn(&mut A, usize, usize) -> bool + Sync,
+    W: Fn(&mut A, usize) -> bool + Sync,
 {
     let queue = WorkQueue::new(count);
     let accs = Mutex::new(Vec::with_capacity(threads));
@@ -206,25 +203,26 @@ where
         let mut acc = A::default();
         loop {
             let claimed = {
-                let _span = trace::span(&CLAIM_SPAN, chunk as u64);
-                queue.claim_unless(chunk, cancel)
+                let _span = trace::span(&CLAIM_SPAN, 1);
+                queue.claim_unless(cancel)
             };
-            let Some((start, end)) = claimed else { break };
-            if !work(&mut acc, start, end) {
+            let Some(index) = claimed else { break };
+            if !work(&mut acc, index) {
                 break;
             }
         }
         accs.lock().unwrap_or_else(PoisonError::into_inner).push(acc);
     });
-    (accs.into_inner().unwrap_or_else(PoisonError::into_inner), queue.claim(1).is_none())
+    (accs.into_inner().unwrap_or_else(PoisonError::into_inner), queue.claim().is_none())
 }
 
-/// One worker's accumulator, and after [`Partial::merged`] the whole
-/// search's: local best plus counters (`evaluated` = candidates or
-/// canonical leaves scored, `hint_skips`/`bound_skips`/`abandoned` =
-/// what was cut and by which layer, as in [`SearchStats`], `summary` =
-/// interior-node summary traffic, `aborted` = the cancel token fired and
-/// some of the space was left unexamined).
+/// One worker's accumulator (the scan's only one), and after
+/// [`Partial::merged`] the whole walk's: local best plus counters
+/// (`evaluated` = candidates or canonical leaves scored,
+/// `hint_skips`/`bound_skips`/`abandoned` = what was cut and by which
+/// layer, as in [`SearchStats`], `summary` = interior-node summary
+/// traffic, `aborted` = the cancel token fired and some of the space was
+/// left unexamined).
 pub(crate) struct Partial<L> {
     pub(crate) best: Option<(L, usize)>,
     pub(crate) evaluated: u64,
@@ -293,11 +291,13 @@ impl<L: OrderedLoss> Partial<L> {
 }
 
 /// The one search engine: a worker count and a pruning switch. It runs
-/// flat candidate spaces ([`Engine::scan`], [`minimize`]) and decision
-/// trees ([`Engine::search`]) alike.
+/// flat candidate spaces ([`Engine::scan`], [`minimize`]) in index
+/// order on the calling thread, and decision trees ([`Engine::search`])
+/// on `threads` workers.
 #[derive(Clone, Copy, Debug)]
 pub struct Engine {
-    /// Worker count; `0` means [`configured_threads`] (`SELC_THREADS`).
+    /// Tree-walk worker count; `0` means [`configured_threads`]
+    /// (`SELC_THREADS`). The flat scan ignores it.
     pub threads: usize,
     /// Enable branch-and-bound pruning via the shared bound.
     pub prune: bool,
@@ -336,7 +336,7 @@ impl Engine {
         Engine::with_threads(1).without_pruning()
     }
 
-    /// Same pool, pruning disabled (pure exhaustive fan-out).
+    /// Same worker count, pruning disabled.
     pub fn without_pruning(mut self) -> Engine {
         self.prune = false;
         self
@@ -353,69 +353,56 @@ impl Engine {
     /// index; `None` only for an empty space or when `f` abandons every
     /// candidate.
     ///
-    /// `f(i, bound)` scores candidate `i`. It may consult `bound` and
-    /// return `None` to abandon the candidate — a cheap lower bound
-    /// checked before the real work, or a monotone partial loss checked
-    /// during it — but only under the pruning soundness condition (see
-    /// [`crate::bound`]): `None` claims that the candidate's final loss
-    /// is **strictly** worse than a loss some other candidate already
-    /// achieved, which `bound.dominated(lb)` for a true lower bound `lb`
-    /// proves. An unpruned engine never publishes into `bound`, so such
-    /// a closure scores every candidate there. `stats.cache` is left
-    /// empty; a closure that reads a cache fills it in from its own
-    /// counters.
-    pub fn scan<L, F>(&self, space: usize, f: F) -> Option<Outcome<L>>
+    /// The scan calls `f` in index order on the calling thread, whatever
+    /// `self.threads` says, so `stats.threads` is 1 and the stats are the
+    /// same at every worker count. `f(i, bound)` scores candidate `i`. It
+    /// may consult `bound` and return `None` to abandon the candidate — a
+    /// cheap lower bound checked before the real work, or a monotone
+    /// partial loss checked during it — but only under the pruning
+    /// soundness condition (see [`crate::bound`]): `None` claims that the
+    /// candidate's final loss is **strictly** worse than a loss some
+    /// earlier candidate already achieved, which `bound.dominated(lb)`
+    /// for a true lower bound `lb` proves. An unpruned engine never
+    /// publishes into `bound`, so such a closure scores every candidate
+    /// there. `stats.cache` is left empty; a closure that reads a cache
+    /// fills it in from its own counters.
+    pub fn scan<L, F>(&self, space: usize, mut f: F) -> Option<Outcome<L>>
     where
         L: OrderedLoss,
-        F: Fn(usize, &SharedBound<L>) -> Option<L> + Sync,
+        F: FnMut(usize, &SharedBound<L>) -> Option<L>,
     {
-        let threads = self.workers().min(space.max(1));
-        // A lone worker takes the whole space in one claim; a pool takes
-        // ~4 claims per worker.
-        let chunk = if threads == 1 { space.max(1) } else { (space / (threads * 4)).max(1) };
         let bound = SharedBound::new();
-        let (parts, drained) = fan_out(
-            threads,
-            space,
-            chunk,
-            &CancelToken::never(),
-            |part: &mut Partial<L>, start, end| {
-                for i in start..end {
-                    let scored = {
-                        let _span = trace::span(&EVAL_SPAN, i as u64);
-                        f(i, &bound)
-                    };
-                    match scored {
-                        None => part.abandoned += 1,
-                        Some(l) => {
-                            part.evaluated += 1;
-                            if self.prune {
-                                bound.observe(&l);
-                            }
-                            keep_better(&mut part.best, (l, i));
-                        }
+        let mut part = Partial::default();
+        for i in 0..space {
+            match f(i, &bound) {
+                None => part.abandoned += 1,
+                Some(l) => {
+                    part.evaluated += 1;
+                    if self.prune {
+                        bound.observe(&l);
                     }
+                    keep_better(&mut part.best, (l, i));
                 }
-                true
-            },
-        );
-        Partial::merged(parts, drained).finish(threads).into_outcome()
+            }
+        }
+        part.finish(1).into_outcome()
     }
 }
 
-/// Argmin of `f` over `0..space` — [`Engine::scan`] for a plain loss.
+/// Argmin of `f` over `0..space` — [`Engine::scan`] for a plain loss,
+/// in index order on the calling thread.
 ///
 /// The winner is the one a sequential `<` scan keeps (earliest on ties)
-/// except on two kinds of loss value: the engine merges under the
+/// except on two kinds of loss value: the engine compares under the
 /// *total* order `f64::total_cmp`, the sequential scans under partial
 /// `<`. `NaN` is never preferred by `<` but ranks above `+∞` under
 /// `total_cmp`, and `-0.0` and `+0.0` are equal under `<` but ordered
 /// under `total_cmp` (observable when an argmax is run as a negated
 /// argmin). Keep losses NaN-free and the guarantee is exact.
-pub fn minimize<L, F>(engine: &Engine, space: usize, f: F) -> Option<Outcome<L>>
+pub fn minimize<L, F>(engine: &Engine, space: usize, mut f: F) -> Option<Outcome<L>>
 where
     L: OrderedLoss,
-    F: Fn(usize) -> L + Sync,
+    F: FnMut(usize) -> L,
 {
     engine.scan(space, |i, _| Some(f(i)))
 }
@@ -423,6 +410,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tests::TableTree;
 
     #[test]
     fn empty_space_returns_none() {
@@ -442,14 +430,17 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_across_pool_shapes() {
-        // 57 candidates: a lone worker claims all 57 at once; 2, 3 and 8
-        // workers claim chunks of 7, 4 and 1.
+        // 57 candidates padded with +∞ to a depth-6 tree: a lone worker
+        // walks it from the root; 2, 3 and 8 workers split it into 8, 16
+        // and 32 subtree roots.
         let losses: Vec<f64> = (0..57).map(|i| f64::from((i * 37 % 19) as u8)).collect();
         let reference = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
+        let mut padded = losses.clone();
+        padded.resize(64, f64::INFINITY);
         for threads in [1, 2, 3, 8] {
             for prune in [false, true] {
                 let eng = Engine { threads, prune };
-                let out = minimize(&eng, losses.len(), |i| losses[i]).unwrap();
+                let out = eng.search(&TableTree::new(padded.clone(), true)).unwrap();
                 assert_eq!(
                     (out.index, out.loss),
                     (reference.index, reference.loss),
@@ -500,8 +491,58 @@ mod tests {
 
     #[test]
     fn one_thread_pool_reports_single_worker() {
-        let out = minimize(&Engine::with_threads(1), 10, |i| i as f64).unwrap();
+        let losses: Vec<f64> = (0..16).map(f64::from).collect();
+        let out = Engine::with_threads(1).search(&TableTree::new(losses.clone(), false)).unwrap();
         assert_eq!(out.stats.threads, 1);
+        let out = Engine::with_threads(2).search(&TableTree::new(losses, false)).unwrap();
+        assert_eq!(out.stats.threads, 2);
+    }
+
+    /// A seeded flat space of `space` rows of small integers: candidate
+    /// `a` first checks its row minimum, a true lower bound on its loss,
+    /// against the shared bound (as `selc_games`' root split does), then
+    /// scores the row minimum plus its first entry's remainder mod 3.
+    fn seeded_rows(seed: u64, space: usize) -> Vec<Vec<f64>> {
+        let mut x =
+            seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (0..space)
+            .map(|_| {
+                (0..5)
+                    .map(|_| {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        f64::from(((x >> 33) % 9) as u32)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn score_row(row: &[f64], bound: &SharedBound<f64>) -> Option<f64> {
+        let lb = row.iter().copied().fold(f64::INFINITY, f64::min);
+        (!bound.dominated(&lb)).then(|| lb + row[0] % 3.0)
+    }
+
+    #[test]
+    fn flat_scans_ignore_the_worker_count() {
+        for seed in 0..16 {
+            for space in [1, 2, 7, 40] {
+                let rows = seeded_rows(seed, space);
+                let scan = |eng: Engine| eng.scan(space, |a, bound| score_row(&rows[a], bound));
+                let one = scan(Engine::with_threads(1)).unwrap();
+                assert_eq!(one.stats.threads, 1);
+                assert_eq!(one.stats.evaluated + one.stats.pruned, space as u64);
+                let oracle = scan(Engine::exhaustive()).unwrap();
+                assert_eq!((one.index, one.loss), (oracle.index, oracle.loss));
+                for threads in [2, 4] {
+                    let out = scan(Engine::with_threads(threads)).unwrap();
+                    assert_eq!(
+                        (out.index, out.loss, out.stats),
+                        (one.index, one.loss, one.stats),
+                        "seed {seed} space {space} threads {threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Worker-count configuration: the `SELC_THREADS` knob.
 //!
-//! Every parallel entry point in the workspace sizes its searches with
-//! [`configured_threads`] (a search with `N` workers borrows `N − 1`
+//! Every tree walk that does not pin a worker count is sized with
+//! [`configured_threads`] (a walk with `N` workers borrows `N − 1`
 //! parked helpers of the engine's one persistent pool), so one
 //! environment variable makes runs reproducible on any machine (CI pins
 //! `SELC_THREADS=2`). Unset or

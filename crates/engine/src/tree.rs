@@ -1,13 +1,14 @@
 //! Prefix-sharing tree search: DFS over decision subtrees with the
-//! shared branch-and-bound bound, beside the flat candidate scan.
+//! shared branch-and-bound bound — the engine's one parallel search.
 //!
-//! The flat scan treats a depth-`d` decision space as `2^d` independent
-//! candidates, each evaluated from scratch — `O(2^d · d)` work even
-//! though all candidates share prefixes. A [`TreeEval`] exposes the space
-//! as the *tree* it really is (the backtracking-search shape of Hedges'
-//! selection-monad transformers): interior nodes are shared prefix
-//! states, `child` extends a prefix by one decision, and a leaf reports
-//! the final loss of one complete path — `O(tree nodes)` work total.
+//! The flat [`Engine::scan`] treats a depth-`d` decision space as `2^d`
+//! independent candidates, each evaluated from scratch — `O(2^d · d)`
+//! work even though all candidates share prefixes. A [`TreeEval`]
+//! exposes the space as the *tree* it really is (the backtracking-search
+//! shape of Hedges' selection-monad transformers): interior nodes are
+//! shared prefix states, `child` extends a prefix by one decision, and a
+//! leaf reports the final loss of one complete path — `O(tree nodes)`
+//! work total.
 //!
 //! [`Engine::search`] drives the DFS:
 //!
@@ -23,14 +24,13 @@
 //!   parallelism trick.
 //! * **Subtree-granularity distribution** — through the engine's one
 //!   worker loop (the caller being worker 0), workers claim decision
-//!   *prefixes* of one split depth from the saturating
-//!   [`crate::WorkQueue`] (not fixed index chunks), rebuild the subtree
-//!   root locally (`enter`), and DFS it; node handles never cross
-//!   threads, so non-`Send` evaluator state (e.g. machine continuations)
-//!   is fine. The split depth comes from the worker count — about four
-//!   subtree roots per worker — capped at the evaluator's
-//!   [`TreeEval::min_leaf_depth`]. One worker walks the single
-//!   split-depth-0 prefix, the root.
+//!   *prefixes* of one split depth, one at a time, from a saturating
+//!   atomic cursor, rebuild the subtree root locally (`enter`), and DFS
+//!   it; node handles never cross threads, so non-`Send` evaluator state
+//!   (e.g. machine continuations) is fine. The split depth comes from
+//!   the worker count — about four subtree roots per worker — capped at
+//!   the evaluator's [`TreeEval::min_leaf_depth`]. One worker walks the
+//!   single split-depth-0 prefix, the root.
 //! * **Subtree summaries at every interior node** — evaluators with a
 //!   summary table ([`TreeEval::probe_summary`]) answer whole subtrees
 //!   from cache: an *exact* entry returns the subtree's argmin in O(1)
@@ -282,9 +282,9 @@ impl Engine {
         let walker = Walker { eval, bound, prune: self.prune, depth, cancel };
 
         let (parts, drained) =
-            fan_out(threads, 1_usize << split, 1, cancel, |part: &mut Partial<L>, start, _| {
-                let _span = trace::span(&SUBTREE_SPAN, start as u64);
-                let prefix = start as u64;
+            fan_out(threads, 1_usize << split, cancel, |part: &mut Partial<L>, root| {
+                let _span = trace::span(&SUBTREE_SPAN, root as u64);
+                let prefix = root as u64;
                 let sub = walker.dfs(eval.enter(prefix, split), prefix, split, part);
                 if let Some(candidate) = sub.best {
                     keep_better(&mut part.best, candidate);
@@ -481,7 +481,7 @@ fn estimate<N, L>(step: &TreeStep<N, L>) -> Option<&L> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::minimize;
     use std::sync::Mutex;
@@ -489,14 +489,14 @@ mod tests {
     /// A synthetic full-depth tree over a flat loss table: node = prefix,
     /// leaf loss = table[path], hints = prefix minimum (a true lower
     /// bound).
-    struct TableTree {
+    pub(crate) struct TableTree {
         losses: Vec<f64>,
         depth: u32,
         hints: bool,
     }
 
     impl TableTree {
-        fn new(losses: Vec<f64>, hints: bool) -> TableTree {
+        pub(crate) fn new(losses: Vec<f64>, hints: bool) -> TableTree {
             let depth = losses.len().trailing_zeros();
             assert_eq!(1 << depth, losses.len(), "table must be a power of two");
             TableTree { losses, depth, hints }
@@ -862,18 +862,52 @@ mod tests {
         assert_eq!(third.stats.evaluated, 0);
     }
 
+    /// A depth-3 [`TableTree`] split into two subtree roots, each of
+    /// which records the thread that entered it after holding it at a
+    /// barrier until the other root is claimed, so the two roots run on
+    /// two different workers.
+    struct TwoRoots {
+        inner: TableTree,
+        barrier: std::sync::Barrier,
+        ids: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl TreeEval<f64> for TwoRoots {
+        type Node = (u64, u32);
+        fn depth(&self) -> u32 {
+            self.inner.depth()
+        }
+        fn enter(&self, prefix: u64, len: u32) -> TreeStep<(u64, u32), f64> {
+            self.barrier.wait();
+            self.ids.lock().unwrap().push(std::thread::current().id());
+            self.inner.enter(prefix, len)
+        }
+        fn child(
+            &self,
+            node: &(u64, u32),
+            decision: bool,
+            path: u64,
+            len: u32,
+        ) -> TreeStep<(u64, u32), f64> {
+            self.inner.child(node, decision, path, len)
+        }
+        fn min_leaf_depth(&self) -> u32 {
+            1
+        }
+    }
+
     #[test]
     fn the_calling_thread_is_worker_zero() {
-        // Each task holds its worker at the barrier until the other task
-        // is claimed, so the two tasks run on two different workers.
-        let barrier = std::sync::Barrier::new(2);
-        let ids = Mutex::new(Vec::new());
-        Engine::with_threads(2).scan(2, |_, _| {
-            barrier.wait();
-            ids.lock().unwrap().push(std::thread::current().id());
-            Some(0.0)
-        });
-        let ids = ids.into_inner().unwrap();
+        let eval = TwoRoots {
+            inner: TableTree::new(table(2, 8), false),
+            barrier: std::sync::Barrier::new(2),
+            ids: Mutex::new(Vec::new()),
+        };
+        let out = Engine::with_threads(2).search(&eval).unwrap();
+        assert_eq!(out.stats.threads, 2);
+        let ids = eval.ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 2, "{ids:?}");
+        assert_ne!(ids[0], ids[1], "two workers: {ids:?}");
         assert!(ids.contains(&std::thread::current().id()), "{ids:?}");
     }
 

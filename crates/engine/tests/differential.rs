@@ -1,8 +1,11 @@
-//! Differential + property suite: the parallel engine must return
-//! bit-identical winners to its one-worker exhaustive oracle — and to a plain
-//! first-minimum scan — on randomized losses, across pool shapes, with
-//! and without pruning, including ties.
+//! Differential + property suite: the parallel tree walk must return
+//! bit-identical winners to the one-worker exhaustive flat scan — and to
+//! a plain first-minimum scan — on randomized losses, across pool
+//! shapes, with and without pruning, including ties.
 
+mod common;
+
+use common::LeafTree;
 use proptest::prelude::*;
 use selc::loss;
 use selc_engine::{minimize, Engine, SharedBound};
@@ -20,9 +23,17 @@ fn first_min(losses: &[f64]) -> (usize, f64) {
     (best, losses[best])
 }
 
-/// Every worker count with and without pruning. Over 1 to 47 candidates
-/// the claim sizes these give run from the whole space (one worker) down
-/// to single candidates (eight workers).
+/// The tree over `losses`, padded to a power of two (and to depth 3 at
+/// least) with `+∞` leaves, which can neither win nor tie a finite loss;
+/// with `hints`, interior nodes carry their subtree's minimum.
+fn padded(losses: &[f64], hints: bool) -> LeafTree<impl Fn(usize) -> f64 + Send + Sync + '_> {
+    let depth = losses.len().next_power_of_two().trailing_zeros().max(3);
+    LeafTree { hints, ..LeafTree::new(depth, |i| losses.get(i).copied().unwrap_or(f64::INFINITY)) }
+}
+
+/// Every worker count with and without pruning. Over 8 to 64 leaves the
+/// walks these give run from the whole tree (one worker) down to 32
+/// subtree roots (eight workers).
 fn pool_shapes() -> Vec<Engine> {
     let mut shapes = Vec::new();
     for threads in [1, 2, 3, 4, 8] {
@@ -41,7 +52,7 @@ proptest! {
         let seq = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
         prop_assert_eq!((seq.index, seq.loss), first_min(&losses));
         for eng in pool_shapes() {
-            let par = minimize(&eng, losses.len(), |i| losses[i]).unwrap();
+            let par = eng.search(&padded(&losses, false)).unwrap();
             prop_assert_eq!(par.index, seq.index);
             prop_assert_eq!(par.loss, seq.loss);
         }
@@ -56,7 +67,7 @@ proptest! {
         let losses: Vec<f64> = raw.iter().map(|r| f64::from(*r)).collect();
         let (oracle_idx, oracle_loss) = first_min(&losses);
         for eng in pool_shapes() {
-            let out = minimize(&eng, losses.len(), |i| losses[i]).unwrap();
+            let out = eng.search(&padded(&losses, false)).unwrap();
             prop_assert_eq!(out.index, oracle_idx);
             prop_assert_eq!(out.loss, oracle_loss);
         }
@@ -67,16 +78,18 @@ proptest! {
         losses in proptest::collection::vec(0.0_f64..50.0, 1..24)
     ) {
         // Candidate i's program records losses[i] and returns i²; each
-        // worker rebuilds it from plain data, and both engine
-        // configurations must pick the same program and value.
+        // worker of the walk rebuilds it from plain data, and the flat
+        // scan and the four-worker walk must pick the same program and
+        // value. Leaves past the last candidate score +∞ without one.
         let program = |i: usize| loss(losses[i]).map(move |_| i * i);
-        let search = |engine: &Engine| {
-            let out = minimize(engine, losses.len(), |i| program(i).run_unwrap().0).unwrap();
-            let value = program(out.index).run_unwrap().1;
-            (out, value)
+        let run = |i: usize| {
+            if i < losses.len() { program(i).run_unwrap().0 } else { f64::INFINITY }
         };
-        let (seq, seq_val) = search(&Engine::exhaustive());
-        let (par, par_val) = search(&Engine::with_threads(4));
+        let seq = minimize(&Engine::exhaustive(), losses.len(), run).unwrap();
+        let depth = losses.len().next_power_of_two().trailing_zeros().max(3);
+        let par = Engine::with_threads(4).search(&LeafTree::new(depth, run)).unwrap();
+        let seq_val = program(seq.index).run_unwrap().1;
+        let par_val = program(par.index).run_unwrap().1;
         prop_assert_eq!(seq.index, par.index);
         prop_assert_eq!(seq.loss, par.loss);
         prop_assert_eq!(seq_val, par_val);
@@ -89,15 +102,30 @@ proptest! {
     ) {
         // Each candidate checks its exact loss, as its own lower bound,
         // against the shared bound before scoring, and abandons the
-        // candidate when it is strictly dominated.
+        // candidate when it is strictly dominated; the walk's interior
+        // nodes carry their subtree's minimum, a lower bound too.
         let exact = |i: usize, bound: &SharedBound<f64>| {
             (!bound.dominated(&losses[i])).then_some(losses[i])
         };
         let oracle = first_min(&losses);
-        for eng in pool_shapes() {
+        for prune in [false, true] {
+            let eng = Engine { threads: 1, prune };
             let out = eng.scan(losses.len(), exact).unwrap();
             prop_assert_eq!((out.index, out.loss), oracle, "engine {eng:?}");
             prop_assert_eq!(out.stats.evaluated + out.stats.pruned, losses.len() as u64);
+        }
+        for eng in pool_shapes() {
+            let tree = padded(&losses, true);
+            let out = eng.search(&tree).unwrap();
+            prop_assert_eq!((out.index, out.loss), oracle, "engine {eng:?}");
+            // Unpruned, the walk scores every leaf, pads included, and
+            // cuts nothing.
+            let leaves = 1_u64 << tree.depth;
+            if eng.prune {
+                prop_assert!(out.stats.evaluated <= leaves, "{:?}", out.stats);
+            } else {
+                prop_assert_eq!((out.stats.evaluated, out.stats.pruned), (leaves, 0));
+            }
         }
     }
 }
@@ -108,9 +136,10 @@ fn repeated_parallel_runs_are_reproducible() {
     // winner must not wobble across repetitions.
     let losses: Vec<f64> = (0..200).map(|i| f64::from((i * 7919 % 101) as u16)).collect();
     let eng = Engine::with_threads(8);
-    let first = minimize(&eng, losses.len(), |i| losses[i]).unwrap();
+    let first = eng.search(&padded(&losses, false)).unwrap();
     for _ in 0..20 {
-        let again = minimize(&eng, losses.len(), |i| losses[i]).unwrap();
+        let again = eng.search(&padded(&losses, false)).unwrap();
         assert_eq!((again.index, again.loss), (first.index, first.loss));
     }
+    assert_eq!((first.index, first.loss), first_min(&losses));
 }

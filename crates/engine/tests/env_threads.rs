@@ -1,13 +1,17 @@
 //! The `SELC_THREADS` knob, tested in its own process so the env
 //! mutation cannot race other tests.
 
-use selc_engine::{configured_threads, minimize, Engine, THREADS_ENV};
+mod common;
+
+use common::LeafTree;
+use selc_engine::{configured_threads, Engine, THREADS_ENV};
 
 #[test]
 fn selc_threads_env_sizes_the_pool() {
     std::env::set_var(THREADS_ENV, "3");
     assert_eq!(configured_threads(), 3);
-    let out = minimize(&Engine::auto(), 100, |i| f64::from((i % 7) as u32)).unwrap();
+    let tree = LeafTree::new(7, |i| f64::from((i % 7) as u32));
+    let out = Engine::auto().search(&tree).unwrap();
     assert_eq!(out.stats.threads, 3);
     assert_eq!(out.index, 0);
 

@@ -1,8 +1,11 @@
 //! The engine's persistent worker pool under stress: a panic on a
-//! helper reaches the caller and leaves the pool usable, and searches
+//! helper reaches the caller and leaves the pool usable, and tree walks
 //! that fan out from several threads at once, each nesting a second
-//! fan-out inside its evaluator, all finish with the sequential winner.
+//! walk inside its leaves, all finish with the sequential winner.
 
+mod common;
+
+use common::LeafTree;
 use selc_engine::{minimize, Engine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
@@ -14,16 +17,21 @@ fn losses() -> Vec<f64> {
 #[test]
 fn a_helper_panic_reaches_the_caller_and_leaves_the_pool_usable() {
     let caller = std::thread::current().id();
-    // The barrier holds each task until the other is claimed, so one of
-    // the two runs on a helper; that one panics.
+    // Two subtree roots of four leaves each. The barrier holds the walk
+    // of each root at its first leaf until the other root is claimed,
+    // so one of the two runs on a helper; that one panics.
     let barrier = Barrier::new(2);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        Engine::with_threads(2).scan(2, |_, _| {
-            barrier.wait();
-            assert_eq!(std::thread::current().id(), caller, "deliberate helper panic");
-            Some(0.0)
+    let tree = LeafTree {
+        min_leaf: 1,
+        ..LeafTree::new(3, |i| {
+            if i % 4 == 0 {
+                barrier.wait();
+                assert_eq!(std::thread::current().id(), caller, "deliberate helper panic");
+            }
+            0.0
         })
-    }));
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| Engine::with_threads(2).search(&tree)));
     let payload = result.expect_err("the helper's panic reaches the caller");
     let msg = payload
         .downcast_ref::<&str>()
@@ -33,7 +41,7 @@ fn a_helper_panic_reaches_the_caller_and_leaves_the_pool_usable() {
 
     let losses = losses();
     let seq = minimize(&Engine::exhaustive(), losses.len(), |i| losses[i]).unwrap();
-    let par = minimize(&Engine::with_threads(2), losses.len(), |i| losses[i]).unwrap();
+    let par = Engine::with_threads(2).search(&LeafTree::new(6, |i| losses[i])).unwrap();
     assert_eq!(
         (par.index, par.loss),
         (seq.index, seq.loss),
@@ -44,17 +52,16 @@ fn a_helper_panic_reaches_the_caller_and_leaves_the_pool_usable() {
 #[test]
 fn concurrent_searches_with_nested_fan_outs_return_the_sequential_winner() {
     let losses = losses();
-    // Every candidate's loss is itself a two-worker fan-out.
-    let eval = |i: usize| {
-        minimize(&Engine::with_threads(2), 4, |j| losses[(i + j * 16) % losses.len()])
-            .expect("four candidates")
-            .loss
+    // Every leaf's loss is itself a two-worker walk over eight leaves.
+    let leaf = |i: usize| {
+        let inner = LeafTree::new(3, |j| losses[(i + j * 8) % 64]);
+        Engine::with_threads(2).search(&inner).expect("eight leaves").loss
     };
-    let seq = minimize(&Engine::exhaustive(), losses.len(), eval).unwrap();
+    let seq = minimize(&Engine::exhaustive(), losses.len(), leaf).unwrap();
+    let tree = LeafTree::new(6, leaf);
     let winners: Vec<_> = std::thread::scope(|s| {
-        let searches: Vec<_> = (0..4)
-            .map(|_| s.spawn(|| minimize(&Engine::with_threads(2), losses.len(), eval).unwrap()))
-            .collect();
+        let searches: Vec<_> =
+            (0..4).map(|_| s.spawn(|| Engine::with_threads(2).search(&tree).unwrap())).collect();
         searches.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for out in winners {

@@ -1,13 +1,16 @@
 //! Once the first search has warmed the pool, no search spawns a
 //! thread: the process's OS thread count, read from inside every
 //! evaluation and after every search, stays at its warm value across
-//! flat, tree and nested flat searches. (A per-search spawn
-//! shows up from inside the search even when it is joined before the
-//! search returns.) Its own binary, so no other test's threads come and
-//! go meanwhile.
+//! tree walks and walks nested inside a walk's leaves. (A per-search
+//! spawn shows up from inside the search even when it is joined before
+//! the search returns.) Its own binary, so no other test's threads come
+//! and go meanwhile.
 #![cfg(target_os = "linux")]
 
-use selc_engine::{minimize, Engine, TreeEval, TreeStep};
+mod common;
+
+use common::LeafTree;
+use selc_engine::{minimize, Engine};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn os_threads() -> usize {
@@ -22,50 +25,24 @@ fn seen<T>(value: T) -> T {
     value
 }
 
-/// A depth-4 decision tree over a loss table: node = prefix.
-struct Table(Vec<f64>);
-
-impl Table {
-    const DEPTH: u32 = 4;
-
-    fn step(&self, path: u64, len: u32) -> TreeStep<(), f64> {
-        if len == Self::DEPTH {
-            TreeStep::Leaf { loss: seen(self.0[path as usize]), used: len }
-        } else {
-            TreeStep::Node { node: (), hint: None }
-        }
-    }
-}
-
-impl TreeEval<f64> for Table {
-    type Node = ();
-    fn depth(&self) -> u32 {
-        Self::DEPTH
-    }
-    fn enter(&self, prefix: u64, len: u32) -> TreeStep<(), f64> {
-        self.step(prefix, len)
-    }
-    fn child(&self, _node: &(), _decision: bool, path: u64, len: u32) -> TreeStep<(), f64> {
-        self.step(path, len)
-    }
-}
-
 #[test]
 fn a_warm_process_spawns_no_thread_per_search() {
-    let table = Table((0..16).map(|i| f64::from((i * 29 % 17) as u8)).collect());
-    let flat = || minimize(&Engine::with_threads(2), 16, |i| seen(table.0[i])).unwrap();
-    let expected = flat().index;
+    let losses: Vec<f64> = (0..16).map(|i| f64::from((i * 29 % 17) as u8)).collect();
+    let table = LeafTree::new(4, |i| seen(losses[i]));
+    // A walk whose every leaf is itself a walk: the inner fan-outs
+    // borrow the same warm helpers.
+    let nested = LeafTree::new(3, |i| {
+        let inner = LeafTree::new(3, |j| seen(-((i * i + j) as f64)));
+        Engine::with_threads(2).search(&inner).unwrap().loss
+    });
+    let expected = minimize(&Engine::exhaustive(), 16, |i| losses[i]).unwrap().index;
+    assert_eq!(Engine::with_threads(2).search(&table).unwrap().index, expected);
     let warm = os_threads();
     PEAK.store(0, Ordering::Relaxed);
     for _ in 0..100 {
-        assert_eq!(flat().index, expected);
         assert_eq!(Engine::with_threads(2).search(&table).unwrap().index, expected);
-        // A scan whose every candidate is itself a scan: the inner
-        // fan-outs borrow the same warm helpers.
-        let nested = minimize(&Engine::with_threads(2), 8, |i| {
-            minimize(&Engine::with_threads(2), 2, |j| seen(-((i * i + j) as f64))).unwrap().loss
-        });
-        assert_eq!(nested.map(|out| (out.index, out.loss)), Some((7, -50.0)));
+        let out = Engine::with_threads(2).search(&nested);
+        assert_eq!(out.map(|out| (out.index, out.loss)), Some((7, -56.0)));
         assert_eq!(os_threads(), warm, "a search left a thread behind");
     }
     assert_eq!(PEAK.load(Ordering::Relaxed), warm, "a warm search ran on a fresh thread");

@@ -1,12 +1,15 @@
 //! Tracing registers one span ring for every thread that records a span
 //! (8192 events of at most 32 B, allocated up front: 256 KiB) and keeps
-//! it for the life of the process. Engine
-//! workers record `engine.claim` spans, so a fan-out that spawned
+//! it for the life of the process. Tree-walk workers record
+//! `engine.claim` and `tree.subtree` spans, so a fan-out that spawned
 //! threads per search grew a traced process by one ring per search.
 //! With the persistent pool, the rings stop at the pool's helpers plus
 //! the searching thread. Its own binary: tracing is process-wide.
 
-use selc_engine::{minimize, Engine};
+mod common;
+
+use common::LeafTree;
+use selc_engine::Engine;
 use selc_obs::trace;
 use std::collections::BTreeSet;
 
@@ -14,7 +17,8 @@ use std::collections::BTreeSet;
 fn traced_searches_record_on_a_bounded_set_of_threads() {
     trace::set_trace_enabled(true);
     for round in 0..200 {
-        let out = minimize(&Engine::with_threads(2), 64, |i| ((i * 7 + round) % 13) as f64);
+        let tree = LeafTree::new(6, |i| ((i * 7 + round) % 13) as f64);
+        let out = Engine::with_threads(2).search(&tree);
         assert_eq!(out.unwrap().loss, 0.0);
     }
     let path =

@@ -1,23 +1,24 @@
-//! Engine-backed game solving: root-split parallel minimax, which takes
-//! its engine explicitly, and full-tree alpha–beta, which takes a worker
-//! count but runs on the calling thread.
+//! Engine-backed game solving under the names the `perfbench` package
+//! pins: root-split minimax, which takes its engine explicitly, and
+//! full-tree alpha–beta, which takes a worker count. Both run
+//! sequentially on the calling thread: the root split is a flat scan,
+//! which the engine runs in index order whatever its worker count, and
+//! the alpha–beta is the sequential solve.
 //!
-//! The root split is the classic parallelisation of backward induction:
-//! the first mover's candidates are independent subgames, so each worker
-//! rebuilds "fix root move `a`, solve the rest with the usual handlers"
-//! locally (handler programs are `Rc` trees and cannot cross threads —
-//! the evaluator ships only the `Arc`-shared table). The engine's
-//! deterministic `(loss, index)` reduction keeps the chosen play
-//! bit-identical to the sequential `hmax ∘ hmin` nesting, and its
-//! branch-and-bound bound prunes rows whose best conceivable value
-//! (the row maximum) cannot beat a value some worker already achieved.
+//! The root split is the classic decomposition of backward induction:
+//! the first mover's candidates are independent subgames, so each row is
+//! scored by rebuilding "fix root move `a`, solve the rest with the
+//! usual handlers". The engine's deterministic `(loss, index)` reduction
+//! keeps the chosen play bit-identical to the sequential `hmax ∘ hmin`
+//! nesting, and its branch-and-bound bound prunes rows whose best
+//! conceivable value (the row minimum) cannot beat a value an earlier
+//! row already achieved.
 
 use crate::alternating::GameTree;
 use crate::bimatrix::Matrix;
 use crate::minimax::{hmin, MinMove};
 use selc::{handle, loss, perform, Sel};
 use selc_engine::{Engine, SharedBound};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The subgame after the maximiser fixes row `a`: the minimiser moves,
@@ -47,26 +48,23 @@ fn score_row(table: &Arc<Matrix>, a: usize, bound: &SharedBound<f64>) -> Option<
     Some((-value, col))
 }
 
-/// Root-split parallel minimax: distributes the maximiser's rows over
-/// the engine's worker pool, each worker solving the minimiser's reply
-/// with the ordinary `hmin` handler and keeping the column it chose.
-/// Returns `((row, col), value)`, bit-identical to
+/// Root-split minimax: scans the maximiser's rows with
+/// [`Engine::scan`], solving the minimiser's reply to each with the
+/// ordinary `hmin` handler and keeping the column it chose. Returns
+/// `((row, col), value)`, bit-identical to
 /// [`crate::minimax::minimax_handler`].
 pub fn minimax_root_split(table: &Matrix, engine: &Engine) -> ((usize, usize), f64) {
     let table = Arc::new(table.clone());
-    // One slot per row, written only by the worker that scores it.
-    let cols: Vec<AtomicUsize> = (0..table.rows()).map(|_| AtomicUsize::new(0)).collect();
+    // The column each scored row's minimiser chose.
+    let mut cols = vec![0; table.rows()];
     let out = engine
         .scan(table.rows(), |a, bound| {
             let (loss, col) = score_row(&table, a, bound)?;
-            // ordering: Relaxed — read only after the scan has joined
-            // its workers, and the join orders this store before it.
-            cols[a].store(col, Ordering::Relaxed);
+            cols[a] = col;
             Some(loss)
         })
         .expect("matrices are non-empty");
-    // ordering: Relaxed — see the store above.
-    ((out.index, cols[out.index].load(Ordering::Relaxed)), -out.loss)
+    ((out.index, cols[out.index]), -out.loss)
 }
 
 /// Full-tree alpha–beta for callers that pass a worker count and a

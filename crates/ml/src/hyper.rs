@@ -24,13 +24,10 @@ pub fn read_lr<B: Clone + 'static>(alpha: f64) -> Handler<f64, B, B> {
 
 /// Sequences memoised probes of every rate in `grid`, returning the
 /// `(rate, error)` pair that minimises the probed error (ties towards
-/// the earliest grid entry — the scan every engine adapter must match).
-/// Shared by [`tune_lr`] and the chunked parallel tuner in
-/// `crate::parallel`.
+/// the earliest grid entry), for [`tune_lr`].
 /// Generic over the memo's cache handle `C`, so the same scan runs
-/// against a per-activation [`selc::LocalCache`] (the sequential tuner)
-/// or a [`selc::SharedCache`] shared across engine workers (the cached
-/// parallel tuner).
+/// against a per-activation [`selc::LocalCache`] (as [`tune_lr`] does)
+/// or a [`selc::SharedCache`] shared across runs of one program.
 pub fn probe_grid_argmin<C>(
     memo: &MemoChoice<f64, f64, u64, C>,
     grid: Vec<f64>,

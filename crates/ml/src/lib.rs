@@ -18,9 +18,9 @@
 //!   vs. an ε-greedy baseline;
 //! * [`saddle`] — GAN-style min-max training: descent and ascent handlers
 //!   sharing one recorded value function (§4.3's GAN remark);
-//! * [`parallel`] — hyperparameter search on the `selc-engine` worker
-//!   pool: chunked parallel `tuneLR` (replay per worker, memoised batch
-//!   probes) and best-first tuning over whole training runs.
+//! * [`parallel`] — best-first tuning over whole training runs on a
+//!   `selc-engine` engine, sequential on the calling thread under the
+//!   module name the `perfbench` package pins.
 
 pub mod bandit;
 pub mod dataset;
